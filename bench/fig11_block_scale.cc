@@ -54,11 +54,9 @@ RdpCurve CapacityFraction(double fraction) {
 struct EngineLeg {
   const char* label;
   size_t shards;
-  bool async;
 };
 
-constexpr EngineLeg kEngineLegs[] = {
-    {"incremental", 1, false}, {"sharded4", 4, false}, {"async4", 4, true}};
+constexpr EngineLeg kEngineLegs[] = {{"incremental", 1}, {"sharded4", 4}};
 
 struct SweepPoint {
   size_t num_blocks = 0;
@@ -104,10 +102,8 @@ SweepPoint RunPoint(const EngineLeg& leg, size_t num_blocks) {
   const RdpCurve tiny = CapacityFraction(1e-5);
 
   GreedyScheduler scheduler(GreedyMetric::kDpack,
-                            GreedySchedulerOptions{.eta = 0.05,
-                                                   .incremental = true,
-                                                   .num_shards = leg.shards,
-                                                   .async = leg.async});
+                            GreedySchedulerOptions{
+                                .eta = 0.05, .incremental = true, .num_shards = leg.shards});
   // Two warm-up cycles: the first pays the one-time population sync and scores everything;
   // the second fills the N-way merge's second ping-pong buffer so the measured cycles
   // perform zero merge allocations.

@@ -6,9 +6,11 @@
 // DPF (it solves single-block knapsacks) but both stay practical; DPack matches Optimal
 // while it lasts and plateaus as the task pool saturates.
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <memory>
+#include <thread>
 
 #include "bench/bench_util.h"
 
@@ -101,28 +103,17 @@ void Run(Scale scale) {
 // grants by construction (see tests/core/incremental_equivalence_test.cc); this measures
 // the cycle-time win.
 
-struct EngineTuning {
-  BlockPartition partition = BlockPartition::kRoundRobin;
-  HeapPublishMode publish = HeapPublishMode::kRing;
-  bool pin_threads = true;
-};
-
 double SteadyStateMsPerCycle(GreedyMetric metric, bool incremental,
                              const std::vector<Task>& tasks, size_t num_blocks,
-                             size_t cycles, size_t num_shards = 1, bool async = false,
-                             ScheduleContextStats* stats_out = nullptr,
-                             EngineTuning tuning = {}) {
+                             size_t cycles, size_t num_shards = 1,
+                             ScheduleContextStats* stats_out = nullptr) {
   BlockManager blocks(AlphaGrid::Default(), kEpsG, kDeltaG);
   for (size_t b = 0; b < num_blocks; ++b) {
     blocks.AddBlock(0.0, /*unlocked=*/true);
   }
   RdpCurve tiny = SteadyStateTinyDemand();
-  GreedyScheduler scheduler(metric, GreedySchedulerOptions{.incremental = incremental,
-                                                           .num_shards = num_shards,
-                                                           .async = async,
-                                                           .partition = tuning.partition,
-                                                           .publish = tuning.publish,
-                                                           .pin_threads = tuning.pin_threads});
+  GreedyScheduler scheduler(
+      metric, GreedySchedulerOptions{.incremental = incremental, .num_shards = num_shards});
   scheduler.ScheduleBatch(tasks, blocks);  // Warm-up: measure the steady state.
   ScheduleContextStats at_entry;
   if (scheduler.engine() != nullptr) {
@@ -174,7 +165,10 @@ void RunIncrementalComparison(Scale scale) {
 // worker pool; grants are byte-identical to the single-shard engine (pinned by the sharded
 // differential suite). This sweep reports per-cycle cost per shard count and the speedup
 // over 1 shard. The parallel phases scale with the cores actually available — a single-core
-// host measures only the pool's coordination overhead.
+// host measures only the pool's coordination overhead. Every block is dirtied once per 20
+// cycles and the queue never drains, so each cycle rescores little: this is the regime
+// where the pool's fork-join overhead outweighs the parallel work. The backlog replay
+// below is the regime where sharding pays.
 
 void RunShardSweep(Scale scale) {
   double f = ScaleFactor(scale);
@@ -202,97 +196,72 @@ void RunShardSweep(Scale scale) {
               std::to_string(num_tasks) + " pending tasks, 5% blocks dirty per cycle)");
 }
 
-// --- Async engine sweep (per-shard scheduler threads, same steady-state regime) -----------
+// --- Backlog replay: where sharding pays ----------------------------------------------
 //
-// AsyncScheduleEngine replaces the fork-join cycle with persistent per-shard scheduler
-// threads: rescoring overlaps the other shards' block refreshes (the early-score share
-// below), and a cycle only merges the published heap snapshots and walks CANRUN. Grants
-// stay byte-identical (async differential suite). On a single-core host the sweep measures
-// only the dispatch/fence/publication overhead.
+// The end-to-end benchmark's engine_backlog stream (bench/e2e/streams.cc): steady_poisson
+// scaled to one block per unit, 80 tasks per unit and fixed 30-unit timeouts, so about
+// 2.3k tasks stay pending and scoring dominates every cycle. It is replayed through the
+// full online driver (RunOnlineSimulation) at each shard count. Grants must be
+// byte-identical across shard counts; the harness fails otherwise. Wall time only, so the
+// CI gate does not read it.
 
-void RunAsyncSweep(Scale scale) {
-  double f = ScaleFactor(scale);
-  size_t num_tasks = static_cast<size_t>(1000.0 * f);
-  if (num_tasks == 0) {
-    return;
-  }
-  constexpr size_t kBlocks = kSteadyStateBlocks;
-  constexpr size_t kCycles = 20;
-  std::vector<Task> tasks = SteadyStateTasks(num_tasks);
-  CsvTable table({"metric", "async_1_ms", "async_2_ms", "async_4_ms", "sync_4_ms",
-                  "early_score_share_4"});
-  for (GreedyMetric metric : {GreedyMetric::kDpack, GreedyMetric::kDpf, GreedyMetric::kArea}) {
-    ScheduleContextStats stats4;
-    double a1 = SteadyStateMsPerCycle(metric, true, tasks, kBlocks, kCycles, 1, true);
-    double a2 = SteadyStateMsPerCycle(metric, true, tasks, kBlocks, kCycles, 2, true);
-    double a4 = SteadyStateMsPerCycle(metric, true, tasks, kBlocks, kCycles, 4, true,
-                                      &stats4);
-    double s4 = SteadyStateMsPerCycle(metric, true, tasks, kBlocks, kCycles, 4);
-    double early_share =
-        stats4.tasks_rescored > 0
-            ? static_cast<double>(stats4.async_early_scores) /
-                  static_cast<double>(stats4.tasks_rescored)
-            : 0.0;
-    GreedyScheduler named(metric);
-    table.NewRow()
-        .Add(named.name())
-        .Add(FormatDouble(a1))
-        .Add(FormatDouble(a2))
-        .Add(FormatDouble(a4))
-        .Add(FormatDouble(s4))
-        .Add(FormatDouble(early_share));
-  }
-  table.Print("Fig. 5 addendum: per-cycle cost, async per-shard scheduler threads (" +
-              std::to_string(num_tasks) + " pending tasks, 5% blocks dirty per cycle)");
+// Block count of the full-size backlog stream (bench/e2e/streams.cc's kBacklogBlocks).
+constexpr size_t kBacklogBlocks = 500;
+constexpr uint64_t kBacklogSeed = 11;
+
+ScenarioSpec BacklogSpec(Scale scale) {
+  ScenarioSpec spec = ScenarioByName("steady_poisson", kBacklogSeed);
+  spec.name = "fig5_backlog";
+  spec.num_blocks = static_cast<size_t>(static_cast<double>(kBacklogBlocks) * ScaleFactor(scale));
+  spec.task_span = static_cast<double>(spec.num_blocks);
+  spec.task_rate = 80.0;
+  spec.mu_blocks = 6.0;
+  spec.sigma_blocks = 3.0;
+  spec.max_blocks_per_task = 12;
+  spec.eps_min = 0.08;
+  spec.unlock_steps = 20;
+  spec.timeouts = TimeoutRegime::kFixedTimeout;
+  spec.timeout = 30.0;
+  return spec;
 }
 
-// --- Ring-vs-mutex publication and pinned-vs-unpinned legs (async engine) -----------------
-//
-// The async engine's heap publication is a per-shard lock-free SPSC ring by default; the
-// pre-ring mutex/condvar handoff is kept as a comparison leg. Shard threads pin themselves
-// to allowed cores at startup (first-touch placement keeps each shard's heap/cache slices
-// core-local); the unpinned leg measures the same engine with pinning disabled. Grants are
-// byte-identical across all legs (scenario_matrix_test) — only the handoff and placement
-// change. ring_publishes counts one push per shard per dispatched cycle; ring_retries and
-// pin_failures are zero by construction here (the driver drains every cycle; PickShardCore
-// only returns allowed cores).
-
-void RunPublishAndPinSweep(Scale scale) {
-  double f = ScaleFactor(scale);
-  size_t num_tasks = static_cast<size_t>(1000.0 * f);
-  if (num_tasks == 0) {
-    return;
-  }
-  constexpr size_t kBlocks = kSteadyStateBlocks;
-  constexpr size_t kCycles = 20;
-  constexpr size_t kShards = 4;
-  std::vector<Task> tasks = SteadyStateTasks(num_tasks);
-  CsvTable table({"metric", "ring_pinned_ms", "ring_unpinned_ms", "mutex_pinned_ms",
-                  "ring_publishes", "ring_retries", "pin_failures"});
-  for (GreedyMetric metric : {GreedyMetric::kDpack, GreedyMetric::kDpf, GreedyMetric::kArea}) {
-    ScheduleContextStats ring_stats;
-    double ring_pinned =
-        SteadyStateMsPerCycle(metric, true, tasks, kBlocks, kCycles, kShards, true,
-                              &ring_stats, EngineTuning{});
-    double ring_unpinned =
-        SteadyStateMsPerCycle(metric, true, tasks, kBlocks, kCycles, kShards, true,
-                              nullptr, EngineTuning{.pin_threads = false});
-    double mutex_pinned =
-        SteadyStateMsPerCycle(metric, true, tasks, kBlocks, kCycles, kShards, true,
-                              nullptr, EngineTuning{.publish = HeapPublishMode::kMutex});
-    GreedyScheduler named(metric);
+bool RunBacklogShardSweep(Scale scale) {
+  ScenarioSpec spec = BacklogSpec(scale);
+  ScenarioWorkload workload = GenerateScenario(SharedPool(), spec);
+  workload.sim.record_grant_trace = true;
+  CsvTable table({"shards", "cycles", "ms_per_cycle", "speedup", "granted", "trace"});
+  std::vector<std::vector<TaskId>> reference;
+  double ms1 = 0.0;
+  bool identical = true;
+  for (size_t shards : {1, 2, 4}) {
+    auto scheduler = std::make_unique<GreedyScheduler>(
+        GreedyMetric::kDpack, GreedySchedulerOptions{.eta = 0.05, .num_shards = shards});
+    auto start = std::chrono::steady_clock::now();
+    SimResult result = RunOnlineSimulation(std::move(scheduler), workload.tasks, workload.sim);
+    std::chrono::duration<double, std::milli> elapsed = std::chrono::steady_clock::now() - start;
+    double ms = elapsed.count() / static_cast<double>(std::max<size_t>(1, result.cycles_run));
+    if (shards == 1) {
+      reference = result.grant_trace;
+      ms1 = ms;
+    }
+    bool same = result.grant_trace == reference;
+    identical = identical && same;
     table.NewRow()
-        .Add(named.name())
-        .Add(FormatDouble(ring_pinned))
-        .Add(FormatDouble(ring_unpinned))
-        .Add(FormatDouble(mutex_pinned))
-        .Add(ring_stats.ring_publishes)
-        .Add(ring_stats.ring_retries)
-        .Add(ring_stats.pin_failures);
+        .Add(shards)
+        .Add(result.cycles_run)
+        .Add(FormatDouble(ms))
+        .Add(FormatDouble(ms1 / ms))
+        .Add(result.metrics.allocated())
+        .Add(same ? "identical" : "DIVERGED");
   }
-  table.Print("Fig. 5 addendum: async heap publication (ring vs mutex) and shard pinning (" +
-              std::to_string(num_tasks) + " pending tasks, " + std::to_string(kShards) +
-              " shards)");
+  table.Print("Fig. 5 addendum: backlog replay through the online driver, DPack, by shard "
+              "count (" + std::to_string(workload.tasks.size()) + " tasks, " +
+              std::to_string(spec.num_blocks) + " blocks, " +
+              std::to_string(std::thread::hardware_concurrency()) + " cores)");
+  if (!identical) {
+    std::fprintf(stderr, "backlog replay: grant traces differ across shard counts\n");
+  }
+  return identical;
 }
 
 // --- Deterministic counter dump for the CI regression gate (--json <path>) ----------------
@@ -312,35 +281,14 @@ bool DumpCountersJson(Scale scale, const std::string& path) {
   constexpr size_t kBlocks = kSteadyStateBlocks;
   constexpr size_t kCycles = 20;
   std::vector<Task> tasks = SteadyStateTasks(num_tasks);
-  struct Leg {
-    const char* label;
-    size_t shards;
-    bool async;
-    EngineTuning tuning;
-  };
-  // The async legs cross the publication mode (ring vs mutex) and pinning (pinned vs
-  // unpinned); the ring/pin counters are exact (one publish per shard per cycle, zero
-  // retries, zero pin failures — PickShardCore only returns allowed cores), so the gate
-  // pins the publication protocol itself.
-  const Leg legs[] = {
-      {"sync", 1, false, {}},
-      {"sync", 4, false, {}},
-      {"async", 1, true, {}},
-      {"async", 4, true, {}},
-      {"async-unpinned", 4, true, {.pin_threads = false}},
-      {"async-mutex", 4, true, {.publish = HeapPublishMode::kMutex}},
-      {"async-range", 4, true, {.partition = BlockPartition::kIdRange}},
-  };
   std::vector<BenchJsonEntry> entries;
   for (GreedyMetric metric : {GreedyMetric::kDpack, GreedyMetric::kDpf, GreedyMetric::kArea}) {
     GreedyScheduler named(metric);
-    for (const Leg& leg : legs) {
+    for (size_t shards : {1, 4}) {
       ScheduleContextStats stats;
-      double ms = SteadyStateMsPerCycle(metric, true, tasks, kBlocks, kCycles, leg.shards,
-                                        leg.async, &stats, leg.tuning);
+      double ms = SteadyStateMsPerCycle(metric, true, tasks, kBlocks, kCycles, shards, &stats);
       BenchJsonEntry entry{
-          "fig5_steady/" + named.name() + "/" + leg.label +
-              "/shards:" + std::to_string(leg.shards),
+          "fig5_steady/" + named.name() + "/sync/shards:" + std::to_string(shards),
           {{"wall_ms", ms},
            {"rescored_per_cycle", static_cast<double>(stats.tasks_rescored) / kCycles},
            {"reused_per_cycle", static_cast<double>(stats.tasks_reused) / kCycles},
@@ -348,18 +296,7 @@ bool DumpCountersJson(Scale scale, const std::string& path) {
             static_cast<double>(stats.blocks_refreshed) / kCycles},
            {"best_alpha_per_cycle",
             static_cast<double>(stats.best_alpha_recomputes) / kCycles},
-           {"early_scores_per_cycle",
-            static_cast<double>(stats.async_early_scores) / kCycles},
            {"full_recomputes", static_cast<double>(stats.full_recomputes)}}};
-      if (leg.async) {
-        entry.fields.emplace_back(
-            "ring_publishes_per_cycle",
-            static_cast<double>(stats.ring_publishes) / kCycles);
-        entry.fields.emplace_back("ring_retries",
-                                  static_cast<double>(stats.ring_retries));
-        entry.fields.emplace_back("pin_failures",
-                                  static_cast<double>(stats.pin_failures));
-      }
       entries.push_back(std::move(entry));
     }
   }
@@ -392,7 +329,5 @@ int main(int argc, char** argv) {
   Run(scale);
   RunIncrementalComparison(scale);
   RunShardSweep(scale);
-  RunAsyncSweep(scale);
-  RunPublishAndPinSweep(scale);
-  return 0;
+  return RunBacklogShardSweep(scale) ? 0 : 1;
 }

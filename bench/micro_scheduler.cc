@@ -65,11 +65,8 @@ constexpr int kSteadyIterations = 60;  // 3 full rotations of the dirty-block cu
 
 // Attaches the engine's per-cycle work counters (deltas across the timed loop) to the
 // benchmark so they land in the JSON artifact. No-op for the recompute path (no engine).
-// `include_ring` adds the async publication/pinning counters; only the async benchmarks
-// set it, so the sync legs' baselines stay free of fields their engines never touch.
 void ReportEngineCounters(benchmark::State& state, const GreedyScheduler& scheduler,
-                          const ScheduleContextStats& at_entry,
-                          bool include_ring = false) {
+                          const ScheduleContextStats& at_entry) {
   const ScheduleEngine* engine = scheduler.engine();
   if (engine == nullptr || state.iterations() == 0) {
     return;
@@ -82,20 +79,10 @@ void ReportEngineCounters(benchmark::State& state, const GreedyScheduler& schedu
       static_cast<double>(delta.blocks_refreshed) / cycles;
   state.counters["best_alpha_per_cycle"] =
       static_cast<double>(delta.best_alpha_recomputes) / cycles;
-  state.counters["early_scores_per_cycle"] =
-      static_cast<double>(delta.async_early_scores) / cycles;
   state.counters["full_recomputes"] = static_cast<double>(delta.full_recomputes);
   // Gated at zero: the merge's ping-pong buffers persist across cycles, so steady-state
   // cycles must not grow them (see ScheduleContextStats::merge_allocs).
   state.counters["merge_allocs"] = static_cast<double>(delta.merge_allocs);
-  if (include_ring) {
-    state.counters["ring_publishes_per_cycle"] =
-        static_cast<double>(delta.ring_publishes) / cycles;
-    // Both gated at zero: a driver that drains every cycle never fills a ring, and the
-    // pinned legs only ever pick cores PickShardCore reported as allowed.
-    state.counters["ring_retries"] = static_cast<double>(delta.ring_retries);
-    state.counters["pin_failures"] = static_cast<double>(delta.pin_failures);
-  }
 }
 
 void RunSteadyState(benchmark::State& state, GreedyMetric metric, bool incremental) {
@@ -175,19 +162,14 @@ BENCHMARK(BM_AreaSteadyRecompute)
     ->Iterations(kSteadyIterations)
     ->Unit(benchmark::kMillisecond);
 
-// --- Shard-count sweep (sharded + async engines, same steady-state regime) ----------------
+// --- Shard-count sweep (sharded engine, same steady-state regime) -------------------------
 //
-// Args: {pending tasks, num_shards}. num_shards = 1 runs the single-shard ScheduleContext
-// (sync) or one scheduler thread (async); higher counts run the fork-join worker pool
-// (sync) or the persistent per-shard scheduler threads with snapshot publication (async).
-// Same grants by construction — see the sharded and async differential suites. The speedup
-// scales with the cores actually available — on a single-core host the sweep only measures
-// each driver's coordination overhead (two barriers per cycle for sync, dispatch + one
-// fence + publication for async).
+// Args: {pending tasks, num_shards}. num_shards = 1 runs the single-shard ScheduleContext;
+// higher counts run the fork-join worker pool. Same grants by construction — see the
+// sharded differential suite. The speedup scales with the cores actually available — on a
+// single-core host the sweep only measures the pool's two barriers per cycle.
 
-void RunSteadyStateEngine(benchmark::State& state, GreedyMetric metric, bool async,
-                          HeapPublishMode publish = HeapPublishMode::kRing,
-                          bool pin_threads = true) {
+void RunSteadyStateEngine(benchmark::State& state, GreedyMetric metric) {
   std::vector<Task> tasks = SteadyStateTasks(static_cast<size_t>(state.range(0)));
   size_t num_shards = static_cast<size_t>(state.range(1));
   BlockManager blocks(AlphaGrid::Default(), kEpsG, kDeltaG);
@@ -195,11 +177,8 @@ void RunSteadyStateEngine(benchmark::State& state, GreedyMetric metric, bool asy
     blocks.AddBlock(0.0, /*unlocked=*/true);
   }
   RdpCurve tiny = SteadyStateTinyDemand();
-  GreedyScheduler scheduler(metric, GreedySchedulerOptions{.incremental = true,
-                                                           .num_shards = num_shards,
-                                                           .async = async,
-                                                           .publish = publish,
-                                                           .pin_threads = pin_threads});
+  GreedyScheduler scheduler(
+      metric, GreedySchedulerOptions{.incremental = true, .num_shards = num_shards});
   scheduler.ScheduleBatch(tasks, blocks);  // Warm the cache: steady state, not first cycle.
   size_t dirty_cursor = 0;
   // Second warm-up with a dirty block fills the merge's second ping-pong buffer (see
@@ -213,11 +192,11 @@ void RunSteadyStateEngine(benchmark::State& state, GreedyMetric metric, bool asy
     state.ResumeTiming();
     benchmark::DoNotOptimize(scheduler.ScheduleBatch(tasks, blocks));
   }
-  ReportEngineCounters(state, scheduler, at_entry, /*include_ring=*/async);
+  ReportEngineCounters(state, scheduler, at_entry);
 }
 
 void BM_DpackSteadySharded(benchmark::State& state) {
-  RunSteadyStateEngine(state, GreedyMetric::kDpack, /*async=*/false);
+  RunSteadyStateEngine(state, GreedyMetric::kDpack);
 }
 BENCHMARK(BM_DpackSteadySharded)
     ->Args({1000, 1})
@@ -227,7 +206,7 @@ BENCHMARK(BM_DpackSteadySharded)
     ->Unit(benchmark::kMillisecond);
 
 void BM_DpfSteadySharded(benchmark::State& state) {
-  RunSteadyStateEngine(state, GreedyMetric::kDpf, /*async=*/false);
+  RunSteadyStateEngine(state, GreedyMetric::kDpf);
 }
 BENCHMARK(BM_DpfSteadySharded)
     ->Args({1000, 1})
@@ -237,63 +216,11 @@ BENCHMARK(BM_DpfSteadySharded)
     ->Unit(benchmark::kMillisecond);
 
 void BM_AreaSteadySharded(benchmark::State& state) {
-  RunSteadyStateEngine(state, GreedyMetric::kArea, /*async=*/false);
+  RunSteadyStateEngine(state, GreedyMetric::kArea);
 }
 BENCHMARK(BM_AreaSteadySharded)
     ->Args({1000, 1})
     ->Args({1000, 2})
-    ->Args({1000, 4})
-    ->Iterations(kSteadyIterations)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DpackSteadyAsync(benchmark::State& state) {
-  RunSteadyStateEngine(state, GreedyMetric::kDpack, /*async=*/true);
-}
-BENCHMARK(BM_DpackSteadyAsync)
-    ->Args({1000, 1})
-    ->Args({1000, 2})
-    ->Args({1000, 4})
-    ->Iterations(kSteadyIterations)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DpfSteadyAsync(benchmark::State& state) {
-  RunSteadyStateEngine(state, GreedyMetric::kDpf, /*async=*/true);
-}
-BENCHMARK(BM_DpfSteadyAsync)
-    ->Args({1000, 1})
-    ->Args({1000, 2})
-    ->Args({1000, 4})
-    ->Iterations(kSteadyIterations)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_AreaSteadyAsync(benchmark::State& state) {
-  RunSteadyStateEngine(state, GreedyMetric::kArea, /*async=*/true);
-}
-BENCHMARK(BM_AreaSteadyAsync)
-    ->Args({1000, 1})
-    ->Args({1000, 2})
-    ->Args({1000, 4})
-    ->Iterations(kSteadyIterations)
-    ->Unit(benchmark::kMillisecond);
-
-// Publication/pinning ablations against BM_DpackSteadyAsync/1000/4 (the ring + pinned
-// default): the mutex/condvar handoff the ring replaced, and the counted-fallback unpinned
-// run. Identical work counters by construction — only the publication mechanism and thread
-// placement differ, which is exactly what the wall-time comparison isolates.
-void BM_DpackSteadyAsyncMutex(benchmark::State& state) {
-  RunSteadyStateEngine(state, GreedyMetric::kDpack, /*async=*/true,
-                       HeapPublishMode::kMutex);
-}
-BENCHMARK(BM_DpackSteadyAsyncMutex)
-    ->Args({1000, 4})
-    ->Iterations(kSteadyIterations)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DpackSteadyAsyncUnpinned(benchmark::State& state) {
-  RunSteadyStateEngine(state, GreedyMetric::kDpack, /*async=*/true,
-                       HeapPublishMode::kRing, /*pin_threads=*/false);
-}
-BENCHMARK(BM_DpackSteadyAsyncUnpinned)
     ->Args({1000, 4})
     ->Iterations(kSteadyIterations)
     ->Unit(benchmark::kMillisecond);

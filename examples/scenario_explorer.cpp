@@ -4,7 +4,7 @@
 //
 //   example_scenario_explorer list
 //   example_scenario_explorer <scenario> [--seed N] [--metric dpack|dpf|area|fcfs]
-//                             [--engine recompute|incremental|async] [--shards N]
+//                             [--engine recompute|incremental] [--shards N]
 //                             [--export path.csv]
 //
 // Because scenarios are addressed by (name, seed), the exact stream this tool prints is
@@ -24,7 +24,7 @@ using namespace dpack;
 
 constexpr char kUsage[] =
     "example_scenario_explorer <scenario> [--seed N] [--metric dpack|dpf|area|fcfs]\n"
-    "                          [--engine recompute|incremental|async] [--shards N]\n"
+    "                          [--engine recompute|incremental] [--shards N]\n"
     "                          [--export path.csv]";
 
 int ListScenarios() {
@@ -68,8 +68,8 @@ int main(int argc, char** argv) {
     } else if (flag == "--metric") {
       metric = ParseMetric(value);
     } else if (flag == "--engine") {
-      if (value != "recompute" && value != "incremental" && value != "async") {
-        std::fprintf(stderr, "unknown engine '%s' (want recompute|incremental|async)\n",
+      if (value != "recompute" && value != "incremental") {
+        std::fprintf(stderr, "unknown engine '%s' (want recompute|incremental)\n",
                      value.c_str());
         return 2;
       }
@@ -112,7 +112,6 @@ int main(int argc, char** argv) {
   GreedySchedulerOptions options;
   options.incremental = engine != "recompute";
   options.num_shards = num_shards;
-  options.async = engine == "async";
   auto scheduler = std::make_unique<GreedyScheduler>(metric, options);
   std::string metric_name = scheduler->name();
   SimResult result =

@@ -6,12 +6,9 @@ Usage: check_bench_regression.py BASELINE.json CURRENT.json [CURRENT2.json ...]
 Every file holds a {"benchmarks": [...]} array — google-benchmark's JSON output
 (bench_micro_scheduler) and fig5's --json dump share that shape. Benchmarks are matched by
 "name". Only the *work counters* are compared (fields named *_per_cycle plus
-full_recomputes, merge_allocs, ring_retries, and pin_failures): they are exact functions
-of the fixed workload and the engine's reuse/rescore logic, so they are stable across
-machines (ring_retries and pin_failures are zero by construction — a driver that drains
-every cycle never fills a ring, and the bench legs that pin run where PickShardCore only
-returns allowed cores; nonzero means the publication protocol or the fallback broke). Wall/CPU time fields are ignored —
-they are noise on shared runners.
+full_recomputes and merge_allocs): they are exact functions of the fixed workload and the
+engine's reuse/rescore logic, so they are stable across machines. Wall/CPU time fields are
+ignored — they are noise on shared runners.
 
 A counter regresses when it drifts more than TOLERANCE (25%) from the baseline in either
 direction: more work per cycle means the incremental engine lost reuse; much less usually
@@ -34,8 +31,7 @@ TOLERANCE = 0.25
 # allocate) are compared absolutely: anything beyond this is real work appearing on a path
 # proven to do none.
 ZERO_TOLERANCE = 1e-6
-COUNTER_FIELDS = ("_per_cycle", "full_recomputes", "merge_allocs", "ring_retries",
-                  "pin_failures")
+COUNTER_FIELDS = ("_per_cycle", "full_recomputes", "merge_allocs")
 # Never gate on time: wall/CPU time is what the tolerance exists to avoid.
 TIME_FIELDS = ("time", "wall", "_ms")
 

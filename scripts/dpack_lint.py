@@ -12,12 +12,6 @@ src/core, src/block, and src/service unless noted):
                            src/common/thread_annotations.h — every lock must go through the
                            annotated Mutex/MutexLock/CondVar wrappers so clang's
                            -Wthread-safety analysis sees it.
-  raw-affinity             (all of src/, tests/, bench/, examples/) raw affinity syscalls —
-                           pthread_setaffinity_np/pthread_getaffinity_np and
-                           sched_setaffinity/sched_getaffinity — are banned everywhere
-                           except src/common/cpu_affinity.{h,cc}: pinning must go through
-                           PinCurrentThreadToCore/AllowedCores so the cpuset-aware fallback
-                           (and its pin_failures accounting) cannot be bypassed.
   unordered-iteration      Iterating an unordered container on a grant-ordering path:
                            iteration order is hash-seed/pointer dependent, so any grant
                            decision derived from it differs run to run. Lookups are fine;
@@ -82,8 +76,6 @@ FLOAT_EQ_DIRS = GRANT_ORDERING_DIRS + ("src/workload",)
 # raw-mutex applies everywhere C++ lives; the annotations header is the one sanctioned home.
 ALL_CODE_DIRS = ("src", "tests", "bench", "examples")
 THREAD_ANNOTATIONS_HEADER = "src/common/thread_annotations.h"
-# raw-affinity likewise: the helper pair is the one sanctioned home for affinity syscalls.
-CPU_AFFINITY_SOURCES = ("src/common/cpu_affinity.h", "src/common/cpu_affinity.cc")
 
 ALLOW_RE = re.compile(r"//\s*dpack-lint:\s*allow\(([a-z-]+)\)\s*:\s*\S")
 
@@ -91,8 +83,6 @@ RAW_MUTEX_RE = re.compile(
     r"std::(mutex|recursive_mutex|timed_mutex|recursive_timed_mutex|shared_mutex|"
     r"shared_timed_mutex|condition_variable|condition_variable_any|lock_guard|"
     r"unique_lock|scoped_lock|shared_lock)\b")
-RAW_AFFINITY_RE = re.compile(
-    r"\b(pthread_[gs]etaffinity_np|sched_[gs]etaffinity)\s*\(")
 UNORDERED_DECL_RE = re.compile(
     r"\bstd::(unordered_map|unordered_set|unordered_multimap|unordered_multiset)\s*<")
 # A (member) declaration we can harvest a variable name from:
@@ -268,16 +258,6 @@ def lint_file(rel, text):
                     f"std::{m.group(1)} outside {THREAD_ANNOTATIONS_HEADER}; use the "
                     f"annotated Mutex/MutexLock/CondVar wrappers so -Wthread-safety "
                     f"checks the lock discipline")
-
-    # raw-affinity: everywhere except the cpu_affinity helper pair itself.
-    if in_scope(rel_posix, ALL_CODE_DIRS) and rel_posix not in CPU_AFFINITY_SOURCES:
-        for idx, line in enumerate(lines, 1):
-            m = RAW_AFFINITY_RE.search(line)
-            if m:
-                add(idx, "raw-affinity",
-                    f"{m.group(1)} outside src/common/cpu_affinity.*; use "
-                    f"PinCurrentThreadToCore/AllowedCores so the cpuset-aware fallback "
-                    f"and pin_failures accounting apply")
 
     in_grant_scope = in_scope(rel_posix, GRANT_ORDERING_DIRS)
     in_float_eq_scope = in_scope(rel_posix, FLOAT_EQ_DIRS)

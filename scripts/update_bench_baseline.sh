@@ -56,8 +56,7 @@ for path in sys.argv[1:-1]:
         kept = {"name": entry["name"]}
         for key, value in entry.items():
             if isinstance(value, (int, float)) and (
-                    "per_cycle" in key or key in ("full_recomputes", "merge_allocs",
-                                                  "ring_retries", "pin_failures")):
+                    "per_cycle" in key or key in ("full_recomputes", "merge_allocs")):
                 kept[key] = value
         if len(kept) > 1:
             merged.append(kept)

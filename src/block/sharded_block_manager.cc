@@ -4,9 +4,8 @@
 
 namespace dpack {
 
-ShardedBlockManager::ShardedBlockManager(BlockManager* blocks, size_t num_shards,
-                                         BlockPartition partition)
-    : blocks_(blocks), partition_(partition), shards_(num_shards) {
+ShardedBlockManager::ShardedBlockManager(BlockManager* blocks, size_t num_shards)
+    : blocks_(blocks), shards_(num_shards) {
   DPACK_CHECK(blocks_ != nullptr);
   DPACK_CHECK_MSG(num_shards >= 1, "ShardedBlockManager needs at least one shard");
 }
@@ -18,23 +17,18 @@ size_t ShardedBlockManager::Sync() {
     shard.dirty = false;
     shard.changed.clear();
   }
-  // Per-shard version-sum deltas accumulated this Sync (applied with one release store
-  // each, keeping "shard version == sum of member versions" exact).
-  std::vector<uint64_t> delta(shards_.size(), 0);
-
   size_t added = count - known_;
   last_block_version_.resize(count, 0);
   for (size_t g = known_; g < count; ++g) {
     Shard& shard = shards_[ShardOf(static_cast<BlockId>(g))];
     shard.members.push_back(static_cast<BlockId>(g));
-    shard.epoch.store(shard.epoch.load(std::memory_order_relaxed) + 1,
-                      std::memory_order_release);
+    ++shard.epoch;
     shard.dirty = true;
     // Record the version at absorption (nonzero when the partition was built over a
     // restored manager) so the group drill-down below does not re-report arrivals.
     uint64_t version = blocks_->block(static_cast<BlockId>(g)).version();
     last_block_version_[g] = version;
-    delta[ShardOf(static_cast<BlockId>(g))] += version;
+    shard.version += version;
   }
   known_ = count;
 
@@ -55,18 +49,11 @@ size_t ShardedBlockManager::Sync() {
       if (version == last_block_version_[i]) {
         continue;
       }
-      size_t s = ShardOf(static_cast<BlockId>(i));
-      delta[s] += version - last_block_version_[i];
+      Shard& shard = shards_[ShardOf(static_cast<BlockId>(i))];
+      shard.version += version - last_block_version_[i];
       last_block_version_[i] = version;
-      shards_[s].changed.push_back(static_cast<BlockId>(i));
-      shards_[s].dirty = true;
-    }
-  }
-
-  for (size_t s = 0; s < shards_.size(); ++s) {
-    if (delta[s] != 0) {
-      shards_[s].version.store(shards_[s].version.load(std::memory_order_relaxed) + delta[s],
-                               std::memory_order_release);
+      shard.changed.push_back(static_cast<BlockId>(i));
+      shard.dirty = true;
     }
   }
   return added;

@@ -1,24 +1,16 @@
 // Shard partition over a BlockManager: assigns every block to one of N shards and gives
 // each shard its own epoch/version space, extending PR 1's change-detection invariant to
-// shard granularity so consumers (the sharded scheduling engine, future per-shard scheduler
-// threads) can detect *which* partition of the capacity state changed, in O(blocks) counter
+// shard granularity so consumers (the sharded scheduling engine, the checkpoint codec) can
+// detect *which* partition of the capacity state changed, in O(blocks) counter
 // reads and without touching any curve.
 //
-// Partitioning schemes (BlockPartition, chosen at construction):
-//   - kRoundRobin: block g belongs to shard g mod N, local index g / N. Global ids are
-//     dense and arrival-ordered, so shards stay balanced block-by-block under online
-//     arrival (members of shard s, in id order, are exactly {s, s + N, s + 2N, ...}).
-//   - kIdRange: 64-block chunks (the BlockVersionTree group size, so a version-tree group
-//     never straddles shards) dealt round-robin — shard(g) = (g / 64) mod N, local index
-//     (g / 64 / N) * 64 + g mod 64. Consecutive ids land on the same shard, so a shard's
-//     refresh walks contiguous block state (cache/NUMA locality, ROADMAP item 2); balance
-//     is per-chunk instead of per-block.
-// Under both schemes local indices are dense per shard (ids are dense and only the
-// globally-last chunk is partial), so per-shard arrays sized by shard_members(s).size()
-// are indexed by LocalIndex directly. The partition only redistributes *block ownership*
-// (refresh/solve work); the scheduling engines' task-side sharding and merge order never
-// read it, which is why grants are byte-identical across partition modes (pinned by
-// tests/integration/scenario_matrix_test.cc).
+// Partitioning: block g belongs to shard g mod N, local index g / N (round-robin). Global
+// ids are dense and arrival-ordered, so shards stay balanced block-by-block under online
+// arrival (members of shard s, in id order, are exactly {s, s + N, s + 2N, ...}), and local
+// indices are dense per shard, so per-shard arrays sized by shard_members(s).size() are
+// indexed by LocalIndex directly. The partition only distributes *block ownership*
+// (refresh/solve work); the scheduling engine's task-side sharding and merge order never
+// read it.
 //
 // Per-shard clocks, mirroring the manager-level invariant (see src/dpack/dpack.h):
 //   - shard_epoch(s): number of blocks absorbed into shard s — the shard's own arrival
@@ -28,12 +20,6 @@
 //     proves every block in the shard bit-identical — the per-shard restriction of the
 //     manager's "unchanged (epoch, versions) => bit-identical capacity state".
 //
-// The clocks are atomics so per-shard scheduler threads (AsyncScheduleEngine) can read them
-// lock-free while the driver thread runs Sync(): a thread stamps (epoch, version) when it
-// starts working against the shard's state and revalidates the stamp when it publishes,
-// proving no Sync intervened — the engine's quiesce check. Sync() itself is still
-// single-writer (release stores); only the reads are concurrent.
-//
 // The partition is a passive overlay: it never mutates the manager, and it observes
 // arrivals only at Sync(), which callers run once per scheduling cycle (single-threaded)
 // before fanning work out per shard.
@@ -41,7 +27,6 @@
 #ifndef SRC_BLOCK_SHARDED_BLOCK_MANAGER_H_
 #define SRC_BLOCK_SHARDED_BLOCK_MANAGER_H_
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -50,59 +35,28 @@
 
 namespace dpack {
 
-// How blocks are assigned to shards; see the file comment. Grant sequences are identical
-// under either mode — the choice trades per-block balance (kRoundRobin) for contiguous
-// per-shard id ranges (kIdRange).
-enum class BlockPartition {
-  kRoundRobin,
-  kIdRange,
-};
-
 class ShardedBlockManager {
  public:
-  // Chunk size of the kIdRange scheme: the BlockVersionTree group size, so one version-tree
-  // group is always owned by one shard.
-  static constexpr size_t kRangeChunkShift = BlockVersionTree::kGroupShift;
-
   // `blocks` must outlive this object; `num_shards` >= 1. Existing blocks are absorbed by
   // the first Sync().
-  ShardedBlockManager(BlockManager* blocks, size_t num_shards,
-                      BlockPartition partition = BlockPartition::kRoundRobin);
+  ShardedBlockManager(BlockManager* blocks, size_t num_shards);
 
   BlockManager& manager() { return *blocks_; }
   const BlockManager& manager() const { return *blocks_; }
 
   size_t num_shards() const { return shards_.size(); }
-  BlockPartition partition() const { return partition_; }
   size_t ShardOf(BlockId id) const {
-    uint64_t g = static_cast<uint64_t>(id);
-    if (partition_ == BlockPartition::kIdRange) {
-      g >>= kRangeChunkShift;
-    }
-    return static_cast<size_t>(g % shards_.size());
+    return static_cast<size_t>(static_cast<uint64_t>(id) % shards_.size());
   }
-  // Index of block `id` within its shard's member list (dense under both schemes).
+  // Index of block `id` within its shard's member list (dense).
   size_t LocalIndex(BlockId id) const {
-    uint64_t g = static_cast<uint64_t>(id);
-    if (partition_ == BlockPartition::kIdRange) {
-      constexpr uint64_t kMask = (uint64_t{1} << kRangeChunkShift) - 1;
-      return static_cast<size_t>(((g >> kRangeChunkShift) / shards_.size())
-                                     << kRangeChunkShift) +
-             static_cast<size_t>(g & kMask);
-    }
-    return static_cast<size_t>(g / shards_.size());
+    return static_cast<size_t>(static_cast<uint64_t>(id) / shards_.size());
   }
 
   // Member block ids of shard `s`, in increasing (arrival) order.
   const std::vector<BlockId>& shard_members(size_t s) const { return shards_[s].members; }
-  // Lock-free clock reads (acquire): safe from per-shard scheduler threads concurrently
-  // with a Sync() on the driver thread.
-  uint64_t shard_epoch(size_t s) const {
-    return shards_[s].epoch.load(std::memory_order_acquire);
-  }
-  uint64_t shard_version(size_t s) const {
-    return shards_[s].version.load(std::memory_order_acquire);
-  }
+  uint64_t shard_epoch(size_t s) const { return shards_[s].epoch; }
+  uint64_t shard_version(size_t s) const { return shards_[s].version; }
   // True when the last Sync() advanced shard `s`'s epoch or version — some member block's
   // capacity state changed (or arrived) since the previous Sync. Note this covers *capacity*
   // changes only; requester-set (membership) changes live outside the block layer.
@@ -117,7 +71,7 @@ class ShardedBlockManager {
   // Blocks absorbed so far (= the manager's block_count() at the last Sync).
   size_t known_blocks() const { return known_; }
 
-  // Absorbs blocks added to the manager since the last Sync (per the partition scheme) and
+  // Absorbs blocks added to the manager since the last Sync and
   // refreshes every shard's version sum, changed list, and dirty flag. Returns the number of
   // new blocks. Not thread-safe; run between parallel phases.
   //
@@ -132,17 +86,12 @@ class ShardedBlockManager {
     std::vector<BlockId> members;
     // Changed (not new) member ids from the last Sync; see shard_changed().
     std::vector<BlockId> changed;
-    // The per-shard clocks. Atomics for lock-free reads from scheduler threads; all writes
-    // happen in Sync() on the driver thread (single writer, release stores).
-    std::atomic<uint64_t> epoch{0};    // Arrivals absorbed into this shard.
-    std::atomic<uint64_t> version{0};  // Sum of member versions at the last Sync.
+    uint64_t epoch = 0;    // Arrivals absorbed into this shard.
+    uint64_t version = 0;  // Sum of member versions at the last Sync.
     bool dirty = false;  // Epoch or version advanced in the last Sync.
   };
 
   BlockManager* blocks_;
-  BlockPartition partition_;
-  // Sized once at construction and never resized (Shard holds atomics, so the vector's
-  // elements must stay in place).
   std::vector<Shard> shards_;
   size_t known_ = 0;
   // Per-id version recorded when the block was last absorbed or refreshed by Sync.

@@ -18,16 +18,6 @@ OnlineScheduler::OnlineScheduler(std::unique_ptr<Scheduler> inner, BlockManager*
   if (config_.fair_share_n <= 0) {
     config_.fair_share_n = config_.unlock_steps;
   }
-  // The one place the "0 = auto" shard-count convention is resolved (see ResolveNumShards):
-  // every later reader — snapshot metadata, orchestrator results — uses the rewritten
-  // config, which is always >= 1 from here on.
-  config_.num_shards = ResolveNumShards(config_.num_shards, blocks_->block_count());
-  if (auto* greedy = dynamic_cast<GreedyScheduler*>(inner_.get())) {
-    greedy->set_num_shards(config_.num_shards);
-    if (config_.async) {
-      greedy->set_async(true);
-    }
-  }
 }
 
 const ScheduleContextStats* OnlineScheduler::context_stats() const {

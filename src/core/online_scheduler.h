@@ -30,17 +30,6 @@ struct OnlineSchedulerConfig {
   int64_t unlock_steps = 50;
   // Fair-share denominator for metrics; defaults to unlock_steps as in §6.3.
   int64_t fair_share_n = 0;
-  // Shard count for the inner GreedyScheduler's incremental engine. 0 = auto: resolved at
-  // construction by ResolveNumShards (scheduler.h) — hardware concurrency capped by the
-  // blocks known at construction, so a driver built before any block arrives (every fresh
-  // simulation) resolves to 1. The constructor is the single resolution point: it rewrites
-  // this field with the resolved count (config().num_shards is always >= 1 afterwards) and
-  // reshards the scheduler to it, so no downstream reader interprets 0 ad hoc.
-  size_t num_shards = 0;
-  // When set and the inner scheduler is a GreedyScheduler, switch its incremental engine to
-  // the async per-shard-thread engine at construction (GreedySchedulerOptions::async).
-  // false leaves the scheduler as constructed.
-  bool async = false;
   // Admission control (the grant-service backpressure bound): when > 0, Submit rejects new
   // tasks while the pending queue already holds this many. 0 = unbounded (the library
   // default; the long-running service always sets a bound). Rejected tasks never enter the

@@ -68,14 +68,6 @@ enum class GreedyMetric {
   kFcfs,   // Arrival order.
 };
 
-// How AsyncScheduleEngine moves a shard thread's finished heap snapshot to the driver.
-// Both modes produce byte-identical grants — publication only changes *how* heaps become
-// visible, never the merge order (see src/core/async_schedule_engine.h).
-enum class HeapPublishMode {
-  kRing,   // Lock-free per-shard SPSC ring (src/common/spsc_ring.h); the default.
-  kMutex,  // The pre-ring mutex/condvar handoff, kept for comparison benches and tests.
-};
-
 // Grants tasks in `order` whose demands all requested blocks accept, committing as it goes —
 // the CANRUN loop of Alg. 1. Infeasible tasks are skipped, never block the later ones: every
 // policy, including FCFS, backfills past tasks whose filters reject (which is why FCFS does
@@ -109,36 +101,6 @@ struct ScheduleContextStats {
   uint64_t merge_allocs = 0;
   uint64_t shards = 1;                 // Shard count of the engine that produced these stats.
 
-  // Async engine (AsyncScheduleEngine) counters; zero for the synchronous engines.
-  //   - async_early_scores: rescores a shard thread computed *before* the global refresh
-  //     fence, overlapped with the other shards' block refreshes (provably safe: the task's
-  //     inputs are entirely shard-owned, or the metric is DPF, whose scores read only total
-  //     capacities, which are immutable after arrival).
-  //   - async_stale_publishes: published heap snapshots whose (epoch, version) clock stamp
-  //     failed quiesce validation at the fence. Expected 0 under the cycle protocol; any
-  //     occurrence means a concurrent Sync was caught and the batch fell back to the
-  //     recompute reference (grants stay correct).
-  //   - async_wasted_rescores: rescores discarded because their cycle's publication was
-  //     stale (the work thrown away by a fallback).
-  uint64_t async_early_scores = 0;
-  uint64_t async_stale_publishes = 0;
-  uint64_t async_wasted_rescores = 0;
-
-  // Lock-free publication and pinning counters (AsyncScheduleEngine; zero elsewhere):
-  //   - ring_publishes: heap snapshots delivered through the per-shard SPSC rings
-  //     (HeapPublishMode::kRing). Exactly num_shards per cycle in ring mode, 0 in mutex
-  //     mode — deterministic, so bench/baseline.json gates it.
-  //   - ring_retries: producer-side full-ring retries. Zero by construction (the driver
-  //     drains every ring each cycle and a shard publishes once per dispatch); gated at
-  //     zero so a protocol regression that makes producers spin is caught.
-  //   - pin_failures: shard threads that could not be pinned to their chosen core. A gauge,
-  //     not a flow counter — set once per engine at thread startup (idempotently re-read
-  //     each cycle), 0 on hosts whose cpuset permits pinning, and excluded from Accumulate/
-  //     Delta so the fallback path cannot double- or zero-count it.
-  uint64_t ring_publishes = 0;
-  uint64_t ring_retries = 0;
-  uint64_t pin_failures = 0;
-
   // Per-shard counters are summed into the run-wide totals above.
   void Accumulate(const ScheduleContextStats& other) {
     tasks_rescored += other.tasks_rescored;
@@ -146,9 +108,6 @@ struct ScheduleContextStats {
     blocks_refreshed += other.blocks_refreshed;
     best_alpha_recomputes += other.best_alpha_recomputes;
     merge_allocs += other.merge_allocs;
-    async_early_scores += other.async_early_scores;
-    ring_publishes += other.ring_publishes;
-    ring_retries += other.ring_retries;
   }
 
   // Counters are monotonic over an engine's lifetime; subtracting an earlier snapshot
@@ -165,15 +124,14 @@ struct ScheduleContextStats {
     delta.best_alpha_recomputes -= before.best_alpha_recomputes;
     delta.full_recomputes -= before.full_recomputes;
     delta.merge_allocs -= before.merge_allocs;
-    delta.async_early_scores -= before.async_early_scores;
-    delta.async_stale_publishes -= before.async_stale_publishes;
-    delta.async_wasted_rescores -= before.async_wasted_rescores;
-    delta.ring_publishes -= before.ring_publishes;
-    delta.ring_retries -= before.ring_retries;
-    // pin_failures is a gauge (like shards): carried, not subtracted.
     return delta;
   }
 };
+// A new field must be added to Delta (and to Accumulate if it is a per-shard counter) and
+// to tests/core/schedule_context_stats_test.cc; this assert fails the build until the
+// test's field list is updated with it.
+static_assert(sizeof(ScheduleContextStats) == 8 * sizeof(uint64_t),
+              "ScheduleContextStats changed: update Delta/Accumulate and their test");
 
 // --- Engine internals shared by the single-shard and sharded engines -----------------------
 
@@ -361,7 +319,6 @@ class ScheduleEngine {
 
   virtual const ScheduleContextStats& stats() const = 0;
   virtual GreedyMetric metric() const = 0;
-  virtual size_t num_shards() const { return 1; }
 };
 
 class ScheduleContext : public ScheduleEngine {

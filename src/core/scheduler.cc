@@ -1,10 +1,6 @@
 #include "src/core/scheduler.h"
 
-#include <algorithm>
-#include <thread>
-
 #include "src/common/check.h"
-#include "src/core/async_schedule_engine.h"
 #include "src/core/sharded_schedule_context.h"
 
 namespace dpack {
@@ -13,46 +9,17 @@ GreedyScheduler::GreedyScheduler(GreedyMetric metric, GreedySchedulerOptions opt
     : metric_(metric), options_(options) {
   DPACK_CHECK(options_.eta > 0.0);
   DPACK_CHECK(options_.num_shards >= 1);
-  RebuildEngine();
-}
-
-void GreedyScheduler::RebuildEngine() {
   if (!options_.incremental) {
-    engine_.reset();
     return;
   }
-  // FCFS never scores, so the sharded and async engines would be pass-throughs dragging
-  // idle threads; keep it on the single-shard engine regardless of the knobs.
-  if (metric_ == GreedyMetric::kFcfs) {
-    engine_ = std::make_unique<ScheduleContext>(metric_, options_.eta);
-  } else if (options_.async) {
-    engine_ = std::make_unique<AsyncScheduleEngine>(metric_, options_.eta,
-                                                    options_.num_shards, options_.partition,
-                                                    options_.publish, options_.pin_threads);
-  } else if (options_.num_shards > 1) {
+  // FCFS never scores, so the sharded engine would be a pass-through dragging idle
+  // threads; keep it on the single-shard engine regardless of the knob.
+  if (metric_ != GreedyMetric::kFcfs && options_.num_shards > 1) {
     engine_ = std::make_unique<ShardedScheduleContext>(metric_, options_.eta,
-                                                       options_.num_shards,
-                                                       options_.partition);
+                                                       options_.num_shards);
   } else {
     engine_ = std::make_unique<ScheduleContext>(metric_, options_.eta);
   }
-}
-
-void GreedyScheduler::set_num_shards(size_t num_shards) {
-  DPACK_CHECK(num_shards >= 1);
-  if (num_shards == options_.num_shards) {
-    return;
-  }
-  options_.num_shards = num_shards;
-  RebuildEngine();
-}
-
-void GreedyScheduler::set_async(bool async) {
-  if (async == options_.async) {
-    return;
-  }
-  options_.async = async;
-  RebuildEngine();
 }
 
 std::string GreedyScheduler::name() const {
@@ -158,11 +125,9 @@ std::string SchedulerKindName(SchedulerKind kind) {
 }
 
 std::unique_ptr<Scheduler> CreateScheduler(SchedulerKind kind, double eta,
-                                           PkOptions optimal_options, size_t num_shards,
-                                           bool async) {
+                                           PkOptions optimal_options, size_t num_shards) {
   GreedySchedulerOptions greedy_options;
   greedy_options.num_shards = num_shards;
-  greedy_options.async = async;
   switch (kind) {
     case SchedulerKind::kDpack:
       greedy_options.eta = eta;
@@ -178,19 +143,6 @@ std::unique_ptr<Scheduler> CreateScheduler(SchedulerKind kind, double eta,
   }
   DPACK_CHECK_MSG(false, "unhandled scheduler kind");
   return nullptr;
-}
-
-size_t ResolveNumShards(size_t requested, size_t known_blocks, size_t hardware_hint) {
-  if (requested > 0) {
-    return requested;
-  }
-  size_t hardware = hardware_hint > 0
-                        ? hardware_hint
-                        : static_cast<size_t>(std::thread::hardware_concurrency());
-  if (hardware == 0) {
-    hardware = 1;  // hardware_concurrency() may legitimately report "unknown".
-  }
-  return std::max<size_t>(1, std::min(hardware, known_blocks));
 }
 
 }  // namespace dpack

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/block/block_manager.h"
-#include "src/block/sharded_block_manager.h"
 #include "src/core/schedule_context.h"
 #include "src/core/task.h"
 #include "src/knapsack/privacy_knapsack.h"
@@ -48,34 +47,14 @@ struct GreedySchedulerOptions {
   // are rescored. When cleared, every batch is recomputed from scratch (the reference path —
   // identical grants, used by the differential tests and as the benchmarks' baseline).
   bool incremental = true;
-  // Shard count for the incremental engine (>= 1). With 1 the scheduler runs on the
-  // single-threaded ScheduleContext; with more it runs on ShardedScheduleContext, which
-  // partitions blocks and tasks across `num_shards` shards and rescoring across a worker
-  // pool, granting byte-identical task sequences (see src/core/sharded_schedule_context.h).
-  // Ignored when incremental is false (the recompute reference is single-threaded) and for
-  // FCFS (which never scores, so there is nothing to parallelize).
+  // Shard count for the incremental engine (>= 1), and the only shard-count knob in the
+  // library. With 1 (the default, on every host) the scheduler runs on the single-threaded
+  // ScheduleContext; with more it runs on ShardedScheduleContext, which partitions blocks
+  // and tasks across `num_shards` shards and rescoring across a worker pool, granting
+  // byte-identical task sequences (see src/core/sharded_schedule_context.h). Ignored when
+  // incremental is false (the recompute reference is single-threaded) and for FCFS (which
+  // never scores, so there is nothing to parallelize).
   size_t num_shards = 1;
-  // When set, the incremental engine runs on AsyncScheduleEngine: one persistent scheduler
-  // thread per shard rescoring against lock-free per-shard clock reads and publishing heap
-  // snapshots, with a quiesce/fence keeping grants byte-identical to the synchronous
-  // sharded engine (see src/core/async_schedule_engine.h). Applies to any num_shards >= 1;
-  // ignored when incremental is false and for FCFS.
-  bool async = false;
-  // Block-to-shard assignment of the sharded engines (sharded + async): round-robin, or
-  // 64-block id-range chunks for contiguous per-shard block state (see
-  // src/block/sharded_block_manager.h). A pure locality knob — grants are byte-identical
-  // under either mode. Ignored by the single-shard and recompute paths.
-  BlockPartition partition = BlockPartition::kRoundRobin;
-  // How the async engine's shard threads publish their heap snapshots to the driver:
-  // the lock-free per-shard SPSC ring (the default), or the pre-ring mutex/condvar handoff
-  // (kept for comparison benches). Grants are byte-identical under either. Ignored by the
-  // synchronous engines, which have no publication step.
-  HeapPublishMode publish = HeapPublishMode::kRing;
-  // When set (the default) each async shard thread pins itself to an allowed core at
-  // startup (best-effort: a denied cpuset runs unpinned and counts
-  // stats().pin_failures; see src/common/cpu_affinity.h). Ignored by the synchronous
-  // engines, whose worker pool is owned by the caller's threads.
-  bool pin_threads = true;
 };
 
 class GreedyScheduler : public Scheduler {
@@ -88,24 +67,12 @@ class GreedyScheduler : public Scheduler {
 
   GreedyMetric metric() const { return metric_; }
 
-  // Reshards the incremental engine (>= 1). Rebuilds the engine, dropping all cached state,
-  // so call it between runs, not mid-run. No-op when the count is unchanged or when the
-  // scheduler runs the recompute path.
-  void set_num_shards(size_t num_shards);
-
-  // Switches the incremental engine between the synchronous drivers and the async
-  // per-shard-thread engine. Rebuilds the engine (dropping all cached state), so call it
-  // between runs, not mid-run. No-op when unchanged or on the recompute path.
-  void set_async(bool async);
-
   // The incremental engine (single-shard or sharded), for cache control and stats. Non-null
   // iff options.incremental.
   ScheduleEngine* engine() { return engine_.get(); }
   const ScheduleEngine* engine() const { return engine_.get(); }
 
  private:
-  void RebuildEngine();
-
   GreedyMetric metric_;
   GreedySchedulerOptions options_;
   std::unique_ptr<ScheduleEngine> engine_;
@@ -148,23 +115,10 @@ enum class SchedulerKind {
 std::string SchedulerKindName(SchedulerKind kind);
 
 // Factory covering every algorithm in the evaluation. `num_shards` > 1 runs the greedy
-// policies on the sharded incremental engine; `async` runs them on the async per-shard
-// thread engine (both ignored for Optimal).
+// policies on the sharded incremental engine (ignored for Optimal).
 std::unique_ptr<Scheduler> CreateScheduler(SchedulerKind kind, double eta = 0.05,
                                            PkOptions optimal_options = {},
-                                           size_t num_shards = 1, bool async = false);
-
-// The single definition of the "num_shards == 0 means auto" convention shared by every
-// shard-count config (OnlineSchedulerConfig, SimConfig, OrchestratorConfig): an explicit
-// request wins verbatim; 0 resolves to the hardware concurrency (at least 1) capped by the
-// blocks known when the driver is built (`known_blocks`; an empty manager resolves to 1,
-// so drivers built before any block arrives — every fresh simulation — keep their
-// scheduler single-shard exactly as an explicit 1 would). OnlineScheduler's constructor is
-// the one resolution point: it rewrites its config with the resolved count, so every
-// downstream reader (snapshot metadata, orchestrator results) sees a value >= 1 and no
-// call site re-interprets 0 ad hoc. `hardware_hint` overrides the queried concurrency so
-// tests pin the rule on every machine; 0 queries std::thread::hardware_concurrency().
-size_t ResolveNumShards(size_t requested, size_t known_blocks, size_t hardware_hint = 0);
+                                           size_t num_shards = 1);
 
 }  // namespace dpack
 

@@ -7,19 +7,11 @@
 namespace dpack {
 
 ShardedScheduleContext::ShardedScheduleContext(GreedyMetric metric, double eta,
-                                               size_t num_shards, BlockPartition partition)
-    : ShardedScheduleContext(metric, eta, num_shards,
-                             /*pool_workers=*/num_shards >= 1 ? num_shards - 1 : 0,
-                             partition) {}
-
-ShardedScheduleContext::ShardedScheduleContext(GreedyMetric metric, double eta,
-                                               size_t num_shards, size_t pool_workers,
-                                               BlockPartition partition)
+                                               size_t num_shards)
     : metric_(metric),
       eta_(eta),
       num_shards_(num_shards),
-      partition_mode_(partition),
-      pool_(pool_workers),
+      pool_(num_shards >= 1 ? num_shards - 1 : 0),
       shards_(num_shards) {
   DPACK_CHECK(eta_ > 0.0);
   DPACK_CHECK_MSG(num_shards_ >= 1, "ShardedScheduleContext needs at least one shard");
@@ -51,7 +43,7 @@ void ShardedScheduleContext::BindManager(BlockManager& blocks) {
   DPACK_CHECK_MSG(bound_ == nullptr,
                   "engine already bound to another manager: call Invalidate() first");
   bound_ = &blocks;
-  partition_.emplace(&blocks, num_shards_, partition_mode_);
+  partition_.emplace(&blocks, num_shards_);
   snapshot_.emplace(blocks.grid());
 }
 
@@ -287,19 +279,6 @@ std::vector<size_t> ShardedScheduleContext::AllocateWithMemos(std::span<const Ta
   });
 }
 
-bool ShardedScheduleContext::RunPhases(std::span<const Task> pending,
-                                       const BlockManager& blocks, size_t refresh_limit,
-                                       uint64_t previous_cycle) {
-  // Phase 2: per-shard block refresh (disjoint writes into the shared id-indexed arrays;
-  // the pool join publishes them to the scoring phase).
-  pool_.ParallelFor(num_shards_,
-                    [&](size_t s) { SyncShardBlocks(s, blocks, pending, refresh_limit); });
-  // Phase 3: per-shard score pass and local heap merge.
-  pool_.ParallelFor(num_shards_,
-                    [&](size_t s) { ScoreShardTasks(s, pending, previous_cycle); });
-  return true;
-}
-
 std::vector<size_t> ShardedScheduleContext::ScheduleBatch(std::span<const Task> pending,
                                                           BlockManager& blocks) {
   if (pending.empty()) {
@@ -321,7 +300,7 @@ std::vector<size_t> ShardedScheduleContext::ScheduleBatch(std::span<const Task> 
 
   // Partition the batch by home shard, sequentially, so each shard can reserve its cache up
   // front (no slot moves mid-cycle). Done before the phases fan out: the score pass reads
-  // its shard's task_indices, and the async engine's threads start from them directly.
+  // its shard's task_indices.
   for (ShardContext& shard : shards_) {
     shard.task_indices.clear();
     shard.duplicate = false;
@@ -331,29 +310,30 @@ std::vector<size_t> ShardedScheduleContext::ScheduleBatch(std::span<const Task> 
   }
   slot_of_index_.resize(pending.size());
 
-  bool phases_ok = RunPhases(pending, blocks, refresh_limit, previous_cycle);
+  // Phase 2: per-shard block refresh (disjoint writes into the shared id-indexed arrays;
+  // the pool join publishes them to the scoring phase).
+  pool_.ParallelFor(num_shards_,
+                    [&](size_t s) { SyncShardBlocks(s, blocks, pending, refresh_limit); });
+  // Phase 3: per-shard score pass and local heap merge.
+  pool_.ParallelFor(num_shards_,
+                    [&](size_t s) { ScoreShardTasks(s, pending, previous_cycle); });
 
   bool duplicate_ids = false;
   for (const ShardContext& shard : shards_) {
     duplicate_ids |= shard.duplicate;
   }
-  if (!phases_ok || duplicate_ids) {
-    // Duplicates: id-keyed caches cannot reproduce the recompute path's tie-breaking
-    // between tasks that share an id. Stale publication (async engine): the cycle's shard
-    // work is untrustworthy. Either way, recompute this batch from scratch and start the
-    // caches over — grants stay exactly the reference sequence.
+  if (duplicate_ids) {
+    // Id-keyed caches cannot reproduce the recompute path's tie-breaking between tasks
+    // that share an id: recompute this batch from scratch and start the caches over —
+    // grants stay exactly the reference sequence.
     Invalidate();
     stats_ = stats_at_entry;
     ++stats_.full_recomputes;
-    stats_.async_stale_publishes += pending_stale_publishes_;
-    stats_.async_wasted_rescores += pending_wasted_rescores_;
-    pending_stale_publishes_ = 0;
-    pending_wasted_rescores_ = 0;
     return RecomputeScheduleBatch(metric_, eta_, pending, blocks);
   }
 
   // version_now_ is already current: arrivals appended it, phase 2 overwrote exactly the
-  // changed entries (owner-written; published by RunPhases returning), and the previous
+  // changed entries (owner-written; published by the pool join), and the previous
   // walk's commits kept it in sync in between — no O(blocks) mirror copy.
   MergeOrder();
   std::vector<size_t> granted = AllocateWithMemos(pending, blocks);

@@ -5,12 +5,10 @@
 // RecomputeScheduleBatch) — pinned by tests/core/incremental_equivalence_test.cc.
 //
 // Partitioning (see src/block/sharded_block_manager.h for the block side):
-//   - Blocks: assigned to shards by the configured BlockPartition (round-robin g mod N, or
-//     64-block id-range chunks for locality). Each shard owns its blocks' dirty detection,
-//     snapshot refreshes, membership signatures, and best-alpha recomputes; all of it
-//     writes only shard-owned entries of the shared, id-indexed arrays, so phases need no
-//     locks. The partition never feeds the merge order, so grants are byte-identical under
-//     either mode.
+//   - Blocks: block g belongs to shard g mod N (round-robin). Each shard owns its blocks'
+//     dirty detection, snapshot refreshes, membership signatures, and best-alpha
+//     recomputes; all of it writes only shard-owned entries of the shared, id-indexed
+//     arrays, so phases need no locks. The partition never feeds the merge order.
 //   - Tasks: task i's home shard is id mod N. Each shard owns its home tasks' score cache
 //     and score heap — a per-shard ScheduleContext slice — and rescoring reads the shared
 //     capacity snapshot that the block phase published (the pool's join is the barrier).
@@ -32,27 +30,14 @@
 //      reference sort regardless of shard count or thread timing. The CANRUN walk with
 //      feasibility memos then commits grants, exactly as ScheduleContext's.
 //
-// How phases 2 and 3 are *driven* is an engine property, factored behind the virtual
-// RunPhases hook: this class runs them as two fork-join ParallelFor barriers on a worker
-// pool; AsyncScheduleEngine (src/core/async_schedule_engine.h) overrides RunPhases to run
-// both phases on persistent per-shard scheduler threads under a publish/quiesce protocol.
-// Everything the grant sequence depends on — the phase *bodies* (SyncShardBlocks,
-// ScoreOneTask, MergeShardHeap) and the sequential merge + walk — is shared, single-
-// definition code, which is what keeps every driver's grants byte-identical.
-//
-// The cross-phase visibility contract RunPhases implementations must provide:
-//   - Phase 2 writes only shard-owned entries of the shared id-indexed arrays (snapshot
-//     curves, dirty flags, last_version_, member signatures, best alphas).
-//   - Phase 3's score pass for shard s may read *any* shard's phase-2 state, so every
-//     shard's phase-2 writes must happen-before every shard's phase-3 reads (the pool join
-//     here; the refresh fence in the async engine).
-//   - All shard state must happen-before ScheduleBatch's sequential tail (merge + walk);
-//     RunPhases returning is that publication point.
+// Phases 2 and 3 are two fork-join ParallelFor barriers on a worker pool. Phase 2 writes
+// only shard-owned entries of the shared id-indexed arrays (snapshot curves, dirty flags,
+// last_version_, member signatures, best alphas); phase 3's score pass for shard s may read
+// *any* shard's phase-2 state, which the first join publishes. The second join publishes
+// all shard state to the sequential tail (merge + walk).
 //
 // Batches with duplicate task ids fall back to RecomputeScheduleBatch (duplicates land in
 // the same home shard, so each shard detects them locally, like the single-shard engine).
-// RunPhases may also return false — the async engine's stale-publication escape hatch — in
-// which case the cycle falls back to the recompute reference the same way.
 
 #ifndef SRC_CORE_SHARDED_SCHEDULE_CONTEXT_H_
 #define SRC_CORE_SHARDED_SCHEDULE_CONTEXT_H_
@@ -76,10 +61,7 @@ class ShardedScheduleContext : public ScheduleEngine {
   // `eta` is DPack's approximation parameter (> 0); `num_shards` >= 1. The pool spawns
   // num_shards - 1 worker threads (the caller is the remaining executor), independent of the
   // core count, so the engine behaves identically — just timesliced — when oversubscribed.
-  // `partition` selects the block-to-shard assignment (grants are byte-identical under
-  // either; see src/block/sharded_block_manager.h).
-  ShardedScheduleContext(GreedyMetric metric, double eta, size_t num_shards,
-                         BlockPartition partition = BlockPartition::kRoundRobin);
+  ShardedScheduleContext(GreedyMetric metric, double eta, size_t num_shards);
 
   // Same cycle protocol as ScheduleContext::ScheduleBatch: immutable pending tasks per id
   // between cycles (late block resolution excepted), the same BlockManager every cycle, all
@@ -92,13 +74,8 @@ class ShardedScheduleContext : public ScheduleEngine {
 
   GreedyMetric metric() const override { return metric_; }
   const ScheduleContextStats& stats() const override { return stats_; }
-  size_t num_shards() const override { return num_shards_; }
 
- protected:
-  // Subclass constructor: `pool_workers` is the worker-pool thread count (the async engine
-  // passes 0 — it brings its own per-shard threads and never touches the pool).
-  ShardedScheduleContext(GreedyMetric metric, double eta, size_t num_shards,
-                         size_t pool_workers, BlockPartition partition);
+ private:
   // One shard's slice of the engine: the task-side ScheduleContext state for its home tasks
   // plus scratch for its owned blocks' best-alpha subproblems. Counters accumulate into the
   // engine-wide ScheduleContextStats after every cycle.
@@ -130,14 +107,6 @@ class ShardedScheduleContext : public ScheduleEngine {
     return static_cast<size_t>(static_cast<uint64_t>(id) % num_shards_);
   }
 
-  // Runs phases 2 and 3 for every shard, upholding the cross-phase visibility contract in
-  // the file comment. Returns false to abandon the cycle (all shard-side work discarded,
-  // batch recomputed from scratch) — used by the async engine when a published snapshot
-  // fails quiesce validation. The base implementation (two fork-join barriers on the
-  // worker pool) always returns true.
-  virtual bool RunPhases(std::span<const Task> pending, const BlockManager& blocks,
-                         size_t refresh_limit, uint64_t previous_cycle);
-
   void BindManager(BlockManager& blocks);
   // Phase 1: absorb arrivals into the partition and the snapshot (sequential).
   void SyncArrivals(BlockManager& blocks);
@@ -149,7 +118,7 @@ class ShardedScheduleContext : public ScheduleEngine {
   // Stamps `shard`'s home tasks stale through its reverse index for every block in
   // `dirty_ids` (one source shard's dirty list). Touches only `shard`'s own cache and
   // rindex, so a task shard may run it against any source shard's list once that list's
-  // phase-2 writes are visible (the pool join / the async refresh fence).
+  // phase-2 writes are visible (the pool join).
   void MarkStaleShardTasks(ShardContext& shard, std::span<const BlockId> dirty_ids,
                            uint64_t previous_cycle);
   // Records owned block `id` as dirty this cycle on its owning shard's list, once.
@@ -176,7 +145,6 @@ class ShardedScheduleContext : public ScheduleEngine {
   GreedyMetric metric_;
   double eta_;
   size_t num_shards_;
-  BlockPartition partition_mode_;
   ScheduleContextStats stats_;
   uint64_t cycle_stamp_ = 0;
 
@@ -204,11 +172,6 @@ class ShardedScheduleContext : public ScheduleEngine {
   std::vector<size_t> order_;          // Merged allocation order (batch indices).
   std::vector<size_t> cursor_;         // Per-shard merge cursors (scratch).
 
-  // Set by a RunPhases override that returns false (stale publication): how many shard
-  // publications failed quiesce validation, and how many rescores that discarded.
-  // ScheduleBatch folds them into stats_ on the fallback path and resets them.
-  uint64_t pending_stale_publishes_ = 0;
-  uint64_t pending_wasted_rescores_ = 0;
 };
 
 }  // namespace dpack

@@ -25,8 +25,8 @@
 //     path (`RecomputeScheduleBatch`), which remains available via
 //     `GreedySchedulerOptions::incremental = false` and is pinned against the engine by
 //     tests/core/incremental_equivalence_test.cc.
-//   - Sharding (`GreedySchedulerOptions::num_shards > 1`, threaded through
-//     `OnlineSchedulerConfig`, `SimConfig`, and `OrchestratorConfig`): a
+//   - Sharding (`GreedySchedulerOptions::num_shards > 1`, the library's one shard-count
+//     knob; drivers run whatever engine their scheduler was built with): a
 //     `ShardedBlockManager` (src/block/sharded_block_manager.h) partitions blocks
 //     round-robin — block g belongs to shard g mod N, giving each shard its own arrival
 //     epoch and a monotone version sum over its members, the per-shard restriction of the
@@ -58,7 +58,6 @@
 #include "src/common/log.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
-#include "src/core/async_schedule_engine.h"
 #include "src/core/compute_aware.h"
 #include "src/core/efficiency.h"
 #include "src/core/fairness.h"

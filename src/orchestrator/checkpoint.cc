@@ -683,7 +683,6 @@ std::string EncodePayload(const ClusterSnapshot& snapshot) {
   payload.I64(meta.unlock_steps);
   payload.I64(meta.fair_share_n);
   payload.U64(meta.num_shards);
-  payload.U8(meta.async ? 1 : 0);
 
   payload.F64Vec(snapshot.grid_orders);
   payload.F64(snapshot.eps_g);
@@ -793,21 +792,15 @@ SnapshotParseResult DecodeSnapshotBinary(std::string_view bytes) {
 
   BinaryReader r(payload);
   ClusterSnapshot& s = result.snapshot;
-  uint8_t async = 0;
   bool ok = r.U64(&s.meta.cycles_completed, "meta.cycles_completed") &&
             r.F64(&s.meta.checkpoint_time, "meta.checkpoint_time") &&
             r.F64(&s.meta.next_cycle_time, "meta.next_cycle_time") &&
             r.F64(&s.meta.period, "meta.period") &&
             r.I64(&s.meta.unlock_steps, "meta.unlock_steps") &&
             r.I64(&s.meta.fair_share_n, "meta.fair_share_n") &&
-            r.U64(&s.meta.num_shards, "meta.num_shards") && r.U8(&async, "meta.async") &&
+            r.U64(&s.meta.num_shards, "meta.num_shards") &&
             r.F64Vec(&s.grid_orders, "grid_orders") && r.F64(&s.eps_g, "eps_g") &&
             r.F64(&s.delta_g, "delta_g") && r.U64(&s.manager_epoch, "manager_epoch");
-  if (ok && async > 1) {
-    result.error = "meta.async must be 0 or 1";
-    return result;
-  }
-  s.meta.async = async == 1;
 
   uint64_t count = 0;
   if (ok && (ok = r.Count(&count, 8 * 6 + 9, "block count"))) {
@@ -908,8 +901,6 @@ std::string EncodeSnapshotJson(const ClusterSnapshot& snapshot) {
   out += std::to_string(meta.fair_share_n);
   out += ",\"num_shards\":";
   out += std::to_string(meta.num_shards);
-  out += ",\"async\":";
-  out += meta.async ? "true" : "false";
   out += "},\"grid_orders\":";
   AppendF64Array(out, snapshot.grid_orders);
   out += ",\"eps_g\":";
@@ -1051,7 +1042,7 @@ SnapshotParseResult DecodeSnapshotJson(std::string_view text) {
   if (meta == nullptr || !ExpectObject(*meta, "meta", &error) ||
       !CheckOnlyKeys(*meta,
                      {"cycles_completed", "checkpoint_time", "next_cycle_time", "period",
-                      "unlock_steps", "fair_share_n", "num_shards", "async"},
+                      "unlock_steps", "fair_share_n", "num_shards"},
                      "meta", &error) ||
       !GetU64(*meta, "cycles_completed", &s.meta.cycles_completed, &error) ||
       !GetF64(*meta, "checkpoint_time", &s.meta.checkpoint_time, &error) ||
@@ -1059,8 +1050,7 @@ SnapshotParseResult DecodeSnapshotJson(std::string_view text) {
       !GetF64(*meta, "period", &s.meta.period, &error) ||
       !GetI64(*meta, "unlock_steps", &s.meta.unlock_steps, &error) ||
       !GetI64(*meta, "fair_share_n", &s.meta.fair_share_n, &error) ||
-      !GetU64(*meta, "num_shards", &s.meta.num_shards, &error) ||
-      !GetBool(*meta, "async", &s.meta.async, &error)) {
+      !GetU64(*meta, "num_shards", &s.meta.num_shards, &error)) {
     return result;
   }
 

@@ -46,7 +46,8 @@ namespace dpack {
 
 // Bump on any schema change; decoders reject other versions.
 // v2: per-block slab placement (retired tier + dense slot), added with block retirement.
-inline constexpr uint32_t kSnapshotFormatVersion = 2;
+// v3: meta.async dropped with the async engine (num_shards is the only engine shape).
+inline constexpr uint32_t kSnapshotFormatVersion = 3;
 
 // One privacy block's durable state. `capacity` / `consumed` are per-order epsilons on the
 // snapshot's grid. `retired` / `slot` are the block's slab placement (see
@@ -109,7 +110,6 @@ struct SnapshotMeta {
   int64_t unlock_steps = 1;
   int64_t fair_share_n = 0;
   uint64_t num_shards = 1;         // Engine shape at capture (1 = single-shard).
-  bool async = false;
 };
 
 struct ClusterSnapshot {

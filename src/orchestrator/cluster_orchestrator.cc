@@ -42,8 +42,6 @@ OrchestratorRunResult ClusterOrchestrator::RunOfflinePass(std::vector<Task> task
   OnlineSchedulerConfig online_config;
   online_config.period = config_.period;
   online_config.unlock_steps = 1;  // Offline: everything unlocked.
-  online_config.num_shards = config_.num_shards;
-  online_config.async = config_.async;
   OnlineScheduler online(std::move(scheduler_), &blocks, online_config);
   ScheduleContextStats stats_at_entry;
   if (const ScheduleContextStats* stats = online.context_stats()) {
@@ -118,8 +116,6 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
   OnlineSchedulerConfig online_config;
   online_config.period = config_.period;
   online_config.unlock_steps = config_.unlock_steps;
-  online_config.num_shards = config_.num_shards;
-  online_config.async = config_.async;
   OnlineScheduler online(std::move(scheduler_), &blocks, online_config);
   if (snapshot != nullptr) {
     online.RestoreState(RestorePendingTasks(*snapshot, grid),
@@ -236,9 +232,8 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
       meta.period = config_.period;
       meta.unlock_steps = config_.unlock_steps;
       meta.fair_share_n = online.config().fair_share_n;
-      // Already resolved (>= 1) by the driver's constructor — the single "0 = auto" point.
-      meta.num_shards = online.config().num_shards;
-      meta.async = config_.async;
+      const ScheduleContextStats* stats = online.context_stats();
+      meta.num_shards = stats != nullptr ? stats->shards : 1;
       std::string encoded = EncodeSnapshotBinary(
           CaptureSnapshot(blocks, online.pending(), online.metrics(), meta));
       result.last_checkpoint = encoded;

@@ -42,12 +42,6 @@ struct OrchestratorConfig {
   double store_latency_us = 150.0;   // Simulated API-server round-trip latency.
   uint64_t store_ops_per_task = 3;   // Claim read + status update + budget commit.
   uint64_t store_ops_per_cycle = 4;  // Block list + lease renewal traffic.
-  // When > 0 and the scheduler is a GreedyScheduler, reshard its incremental engine
-  // (parallel scoring across this many block/task shards); 0 leaves it as constructed.
-  size_t num_shards = 0;
-  // When set and the scheduler is a GreedyScheduler, run its incremental engine on the
-  // async per-shard scheduler threads (same grants; see src/core/async_schedule_engine.h).
-  bool async = false;
   // When > 0, RunOnline/ResumeFrom serialize a full cluster snapshot every this-many
   // cycles and Put it into the run's SimulatedStateStore under kCheckpointKey — the write
   // blocks the scheduler loop for one round trip per 64 KiB chunk, so checkpoint

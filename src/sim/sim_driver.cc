@@ -75,8 +75,6 @@ OnlineSchedulerConfig OnlineConfigFor(const SimConfig& config) {
   online_config.period = config.period;
   online_config.unlock_steps = config.unlock_steps;
   online_config.fair_share_n = config.fair_share_n;
-  online_config.num_shards = config.num_shards;
-  online_config.async = config.async;
   online_config.admission_queue_capacity = config.admission_queue_capacity;
   return online_config;
 }
@@ -155,9 +153,8 @@ SimResult RunOnlineSimulation(std::unique_ptr<Scheduler> scheduler, std::vector<
     meta.period = config.period;
     meta.unlock_steps = config.unlock_steps;
     meta.fair_share_n = online.config().fair_share_n;
-    // Already resolved (>= 1) by the driver's constructor — the single "0 = auto" point.
-    meta.num_shards = online.config().num_shards;
-    meta.async = config.async;
+    const ScheduleContextStats* stats = online.context_stats();
+    meta.num_shards = stats != nullptr ? stats->shards : 1;
     result.snapshot = CaptureSnapshot(blocks, online.pending(), online.metrics(), meta);
   }
 

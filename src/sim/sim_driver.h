@@ -47,12 +47,6 @@ struct SimConfig {
   // budget has unlocked. The paper's online runs measure the stream steady state (blocks
   // keep arriving as the run ends), not a fully drained system.
   double horizon_override = 0.0;
-  // When > 0 and the scheduler is a GreedyScheduler, reshard its incremental engine
-  // (parallel scoring across this many block/task shards); 0 leaves it as constructed.
-  size_t num_shards = 0;
-  // When set and the scheduler is a GreedyScheduler, run its incremental engine on the
-  // async per-shard scheduler threads (same grants; see src/core/async_schedule_engine.h).
-  bool async = false;
   // When > 0, simulate a crash after this many scheduling cycles (clamped to the run's
   // total cycle count): the run stops there and SimResult::snapshot holds the captured
   // cluster state. Pass the snapshot (and the same workload and config) to

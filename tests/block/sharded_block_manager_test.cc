@@ -78,57 +78,36 @@ TEST(ShardedBlockManagerTest, AbsorbsOnlineArrivalsIncrementally) {
   EXPECT_EQ(partition.shard_epoch(3), 0u);
 }
 
-TEST(ShardedBlockManagerTest, IdRangePartitionChunksAndDenseLocals) {
-  // Id-range mode assigns 64-block chunks (kRangeChunkShift, aligned to the version tree's
-  // group size) round-robin across shards: blocks [0, 64) → shard 0, [64, 128) → shard 1,
-  // [128, 192) → shard 2, [192, 200) → shard 0.
+TEST(ShardedBlockManagerTest, LocalIndicesAreDenseAndVersionSumsExact) {
   BlockManager blocks(Grid(), kEpsG, kDeltaG);
   for (int b = 0; b < 200; ++b) {
     blocks.AddBlock(0.0, /*unlocked=*/true);
   }
-  ShardedBlockManager partition(&blocks, 3, BlockPartition::kIdRange);
-  EXPECT_EQ(partition.partition(), BlockPartition::kIdRange);
+  ShardedBlockManager partition(&blocks, 3);
   EXPECT_EQ(partition.Sync(), 200u);
-
-  EXPECT_EQ(partition.ShardOf(0), 0u);
-  EXPECT_EQ(partition.ShardOf(63), 0u);
-  EXPECT_EQ(partition.ShardOf(64), 1u);
-  EXPECT_EQ(partition.ShardOf(128), 2u);
-  EXPECT_EQ(partition.ShardOf(192), 0u);
-  EXPECT_EQ(partition.shard_members(0).size(), 64u + 8u);
-  EXPECT_EQ(partition.shard_members(1).size(), 64u);
-  EXPECT_EQ(partition.shard_members(2).size(), 64u);
+  blocks.block(100).Commit(GaussianCurve(Grid(), 20.0));
+  blocks.block(101).Commit(GaussianCurve(Grid(), 20.0));
+  partition.Sync();
 
   // Local indices are dense per shard — exactly 0..members-1, matching each member's rank
-  // in the shard's (ascending) member list. The engines' local-indexed buffers (requester
-  // lists) size off members.size() and rely on this.
+  // in the shard's (ascending) member list. The engine's local-indexed buffers (requester
+  // lists) size off members.size() and rely on this. Each shard's version is exactly the
+  // sum of its members' versions (the checkpoint codec re-derives and cross-checks it).
   for (size_t s = 0; s < 3; ++s) {
     const std::vector<BlockId>& members = partition.shard_members(s);
+    uint64_t version_sum = 0;
     for (size_t rank = 0; rank < members.size(); ++rank) {
       EXPECT_EQ(partition.LocalIndex(members[rank]), rank)
           << "shard " << s << " member " << members[rank];
       EXPECT_EQ(partition.ShardOf(members[rank]), s);
+      version_sum += blocks.block(members[rank]).version();
     }
+    EXPECT_EQ(partition.shard_version(s), version_sum) << "shard " << s;
   }
-}
-
-TEST(ShardedBlockManagerTest, IdRangeVersionSumsTrackTheOwningShard) {
-  BlockManager blocks(Grid(), kEpsG, kDeltaG);
-  for (int b = 0; b < 130; ++b) {
-    blocks.AddBlock(0.0, /*unlocked=*/true);
-  }
-  ShardedBlockManager partition(&blocks, 2, BlockPartition::kIdRange);
-  partition.Sync();
-  partition.Sync();
+  // Blocks 100 and 101 live in shards 1 and 2; shard 0 stayed clean.
   EXPECT_FALSE(partition.shard_dirty(0));
-  EXPECT_FALSE(partition.shard_dirty(1));
-
-  // Block 100 lives in chunk 1 → shard 1; only that shard goes dirty.
-  blocks.block(100).Commit(GaussianCurve(Grid(), 20.0));
-  partition.Sync();
-  EXPECT_FALSE(partition.shard_dirty(0));
-  EXPECT_TRUE(partition.shard_dirty(1));
   EXPECT_EQ(partition.shard_changed(1), (std::vector<BlockId>{100}));
+  EXPECT_EQ(partition.shard_changed(2), (std::vector<BlockId>{101}));
 }
 
 TEST(ShardedBlockManagerTest, SingleShardOwnsEverything) {

@@ -1,4 +1,4 @@
-// Degenerate-configuration coverage for the sharded and async engines (ISSUE 4): shard
+// Degenerate-configuration coverage for the sharded engine: shard
 // counts exceeding the block and task populations, empty batches, and block-less managers
 // were previously only hit incidentally by the randomized differential traces. These tests
 // pin them directly: every shape must grant exactly what the recompute reference grants
@@ -29,26 +29,18 @@ Task FractionTask(TaskId id, double fraction, std::vector<BlockId> blocks) {
   return t;
 }
 
-struct EngineShape {
-  size_t num_shards;
-  bool async;
-};
-
-const EngineShape kShapes[] = {
-    {1, false}, {8, false}, {8, true}, {1, true},
-};
+// Shard counts under test: the single-shard engine and far more shards than blocks.
+const size_t kShardCounts[] = {1, 8};
 
 class DegenerateConfigTest : public testing::TestWithParam<GreedyMetric> {};
 
 TEST_P(DegenerateConfigTest, MoreShardsThanBlocksAndTasks) {
   // 8 shards over 2 blocks and 1-2 tasks: most shards own nothing and score nothing, and
   // must still merge cleanly into the reference grant order, cycle after cycle.
-  for (const EngineShape& shape : kShapes) {
+  for (size_t num_shards : kShardCounts) {
     GreedyScheduler engine(GetParam(),
-                           GreedySchedulerOptions{.eta = 0.05,
-                                                  .incremental = true,
-                                                  .num_shards = shape.num_shards,
-                                                  .async = shape.async});
+                           GreedySchedulerOptions{
+                               .eta = 0.05, .incremental = true, .num_shards = num_shards});
     GreedyScheduler reference(GetParam(),
                               GreedySchedulerOptions{.eta = 0.05, .incremental = false});
     BlockManager engine_blocks(Grid(), kEpsG, kDeltaG);
@@ -65,43 +57,38 @@ TEST_P(DegenerateConfigTest, MoreShardsThanBlocksAndTasks) {
       }
       std::vector<size_t> got = engine.ScheduleBatch(pending, engine_blocks);
       std::vector<size_t> want = reference.ScheduleBatch(pending, reference_blocks);
-      ASSERT_EQ(got, want) << "shards=" << shape.num_shards << " async=" << shape.async
-                           << " cycle=" << cycle;
+      ASSERT_EQ(got, want) << "shards=" << num_shards << " cycle=" << cycle;
     }
   }
 }
 
 TEST_P(DegenerateConfigTest, EmptyBatchesAreNoOpsAndEnginesStayLive) {
-  for (const EngineShape& shape : kShapes) {
+  for (size_t num_shards : kShardCounts) {
     GreedyScheduler engine(GetParam(),
-                           GreedySchedulerOptions{.eta = 0.05,
-                                                  .incremental = true,
-                                                  .num_shards = shape.num_shards,
-                                                  .async = shape.async});
+                           GreedySchedulerOptions{
+                               .eta = 0.05, .incremental = true, .num_shards = num_shards});
     BlockManager blocks(Grid(), kEpsG, kDeltaG);
     blocks.AddBlock(0.0, /*unlocked=*/true);
     // Several consecutive empty cycles, then a real one: the engine must neither crash on
     // zero pending tasks nor corrupt its caches for the later batch.
     for (int cycle = 0; cycle < 3; ++cycle) {
       EXPECT_TRUE(engine.ScheduleBatch({}, blocks).empty())
-          << "shards=" << shape.num_shards << " async=" << shape.async;
+          << "shards=" << num_shards;
     }
     std::vector<Task> pending;
     pending.push_back(FractionTask(1, 0.1, {0}));
     EXPECT_EQ(engine.ScheduleBatch(pending, blocks), (std::vector<size_t>{0}))
-        << "shards=" << shape.num_shards << " async=" << shape.async;
+        << "shards=" << num_shards;
   }
 }
 
 TEST_P(DegenerateConfigTest, ZeroBlocksGrantsNothing) {
   // A manager with no blocks at all: tasks with unresolved block requests are skipped,
   // nothing is granted, and the engines survive blocks arriving later.
-  for (const EngineShape& shape : kShapes) {
+  for (size_t num_shards : kShardCounts) {
     GreedyScheduler engine(GetParam(),
-                           GreedySchedulerOptions{.eta = 0.05,
-                                                  .incremental = true,
-                                                  .num_shards = shape.num_shards,
-                                                  .async = shape.async});
+                           GreedySchedulerOptions{
+                               .eta = 0.05, .incremental = true, .num_shards = num_shards});
     BlockManager blocks(Grid(), kEpsG, kDeltaG);
     std::vector<Task> pending;
     RdpCurve capacity = BlockCapacityCurve(Grid(), kEpsG, kDeltaG);
@@ -109,30 +96,29 @@ TEST_P(DegenerateConfigTest, ZeroBlocksGrantsNothing) {
     unresolved.num_recent_blocks = 2;  // Unresolved: blocks stays empty.
     pending.push_back(std::move(unresolved));
     EXPECT_TRUE(engine.ScheduleBatch(pending, blocks).empty())
-        << "shards=" << shape.num_shards << " async=" << shape.async;
+        << "shards=" << num_shards;
 
     // Blocks arrive; the same engine (caches warm on an empty id space) now grants.
     blocks.AddBlock(0.0, /*unlocked=*/true);
     blocks.AddBlock(0.0, /*unlocked=*/true);
     pending[0].blocks = blocks.MostRecentBlocks(2);
     EXPECT_EQ(engine.ScheduleBatch(pending, blocks), (std::vector<size_t>{0}))
-        << "shards=" << shape.num_shards << " async=" << shape.async;
+        << "shards=" << num_shards;
   }
 }
 
 TEST_P(DegenerateConfigTest, OnlineDriverWithZeroBlockManagerCycles) {
   // The full online driver over a block-less manager: cycles run, nothing unlocks, tasks
   // wait (and can time out) without any grant — and the system recovers once blocks exist.
-  for (const EngineShape& shape : kShapes) {
+  for (size_t num_shards : kShardCounts) {
     BlockManager blocks(Grid(), kEpsG, kDeltaG);
     OnlineSchedulerConfig config;
     config.period = 1.0;
     config.unlock_steps = 2;
-    config.num_shards = shape.num_shards;
-    config.async = shape.async;
     OnlineScheduler online(
         std::make_unique<GreedyScheduler>(
-            GetParam(), GreedySchedulerOptions{.eta = 0.05, .incremental = true}),
+            GetParam(), GreedySchedulerOptions{
+                            .eta = 0.05, .incremental = true, .num_shards = num_shards}),
         &blocks, config);
     RdpCurve capacity = BlockCapacityCurve(Grid(), kEpsG, kDeltaG);
     Task task(1, 1.0, capacity.Scaled(0.1));
@@ -143,7 +129,7 @@ TEST_P(DegenerateConfigTest, OnlineDriverWithZeroBlockManagerCycles) {
     EXPECT_EQ(online.pending_count(), 1u);
     blocks.AddBlock(2.0);
     EXPECT_EQ(online.RunCycle(2.0), 1u)
-        << "shards=" << shape.num_shards << " async=" << shape.async;
+        << "shards=" << num_shards;
     EXPECT_EQ(online.pending_count(), 0u);
   }
 }

@@ -40,10 +40,6 @@ struct TraceOptions {
   // ScheduleContext, > 1 = ShardedScheduleContext with that many shards. Every engine must
   // produce byte-identical grants to the recompute reference each cycle.
   std::vector<size_t> shard_counts = {1};
-  // Run the engines as AsyncScheduleEngine (persistent per-shard scheduler threads with
-  // snapshot publication + quiesce) instead of the synchronous drivers. Applies to every
-  // shard count, including 1.
-  bool async = false;
 };
 
 // Runs the same randomized trace through the recompute reference and one incremental engine
@@ -56,10 +52,8 @@ void RunDifferentialTrace(GreedyMetric metric, const TraceOptions& options) {
   std::vector<std::unique_ptr<BlockManager>> engine_blocks;
   for (size_t shards : options.shard_counts) {
     engines.push_back(std::make_unique<GreedyScheduler>(
-        metric, GreedySchedulerOptions{.eta = 0.05,
-                                       .incremental = true,
-                                       .num_shards = shards,
-                                       .async = options.async}));
+        metric,
+        GreedySchedulerOptions{.eta = 0.05, .incremental = true, .num_shards = shards}));
     engine_blocks.push_back(std::make_unique<BlockManager>(Grid(), kEpsG, kDeltaG));
   }
   for (size_t b = 0; b < options.initial_blocks; ++b) {
@@ -169,20 +163,6 @@ void RunDifferentialTrace(GreedyMetric metric, const TraceOptions& options) {
     if (metric != GreedyMetric::kFcfs) {
       EXPECT_GT(stats.tasks_reused, 0u);
     }
-    if (options.async && metric != GreedyMetric::kFcfs) {
-      // The cycle protocol was honored, so no publication may ever fail quiesce validation.
-      EXPECT_EQ(stats.async_stale_publishes, 0u);
-      EXPECT_EQ(stats.async_wasted_rescores, 0u);
-      // DPF scores read only total capacities, so every DPF rescore is an early
-      // (pre-fence) one; the capacity-aware metrics early-score at most what they rescore.
-      if (metric == GreedyMetric::kDpf) {
-        EXPECT_EQ(stats.async_early_scores, stats.tasks_rescored);
-      } else {
-        EXPECT_LE(stats.async_early_scores, stats.tasks_rescored);
-      }
-    } else {
-      EXPECT_EQ(stats.async_early_scores, 0u);
-    }
   }
 }
 
@@ -213,33 +193,6 @@ TEST_P(IncrementalEquivalenceTest, ShardedTracesMatchMonolithic) {
   TraceOptions options;
   options.seed = 17;
   options.shard_counts = {1, 2, 4, 7};
-  RunDifferentialTrace(GetParam(), options);
-}
-
-TEST_P(IncrementalEquivalenceTest, AsyncTracesMatchMonolithic) {
-  // The async engine's acceptance sweep (ISSUE 3): byte-identical grant sequences from the
-  // persistent per-shard scheduler threads across the whole randomized protocol, for every
-  // shard count including one that divides nothing evenly.
-  TraceOptions options;
-  options.seed = 17;
-  options.shard_counts = {1, 2, 4, 7};
-  options.async = true;
-  RunDifferentialTrace(GetParam(), options);
-}
-
-TEST_P(IncrementalEquivalenceTest, AsyncWeightedHighContention) {
-  // Weighted scoring under heavy contention on the async engine: most of the queue persists
-  // across cycles while grants keep dirtying the few contended blocks, maximizing the
-  // cross-shard (post-fence) scoring traffic.
-  TraceOptions options;
-  options.seed = 29;
-  options.weighted = true;
-  options.initial_blocks = 2;
-  options.online_blocks = 3;
-  options.max_tasks_per_cycle = 8.0;
-  options.cycles = 50;
-  options.shard_counts = {4};
-  options.async = true;
   RunDifferentialTrace(GetParam(), options);
 }
 
@@ -322,18 +275,11 @@ TEST(IncrementalEquivalenceTest, SimulatorEndToEndMatchesRecompute) {
         std::make_unique<GreedyScheduler>(
             metric, GreedySchedulerOptions{.eta = 0.05, .incremental = false}),
         tasks, sim);
-    SimConfig sharded_sim = sim;
-    sharded_sim.num_shards = 4;  // Resharded through the SimConfig knob.
     SimResult sharded = RunOnlineSimulation(
         std::make_unique<GreedyScheduler>(
-            metric, GreedySchedulerOptions{.eta = 0.05, .incremental = true}),
-        tasks, sharded_sim);
-    SimConfig async_sim = sharded_sim;
-    async_sim.async = true;  // Async per-shard threads through the SimConfig knob.
-    SimResult async = RunOnlineSimulation(
-        std::make_unique<GreedyScheduler>(
-            metric, GreedySchedulerOptions{.eta = 0.05, .incremental = true}),
-        tasks, async_sim);
+            metric,
+            GreedySchedulerOptions{.eta = 0.05, .incremental = true, .num_shards = 4}),
+        tasks, sim);
 
     EXPECT_EQ(inc.metrics.allocated(), rec.metrics.allocated());
     EXPECT_EQ(inc.metrics.allocated_weight(), rec.metrics.allocated_weight());
@@ -341,13 +287,8 @@ TEST(IncrementalEquivalenceTest, SimulatorEndToEndMatchesRecompute) {
     EXPECT_EQ(sharded.metrics.allocated(), rec.metrics.allocated());
     EXPECT_EQ(sharded.metrics.allocated_weight(), rec.metrics.allocated_weight());
     EXPECT_EQ(sharded.pending_at_end, rec.pending_at_end);
-    EXPECT_EQ(async.metrics.allocated(), rec.metrics.allocated());
-    EXPECT_EQ(async.metrics.allocated_weight(), rec.metrics.allocated_weight());
-    EXPECT_EQ(async.pending_at_end, rec.pending_at_end);
     if (metric != GreedyMetric::kFcfs) {
       EXPECT_EQ(sharded.scheduler_stats.shards, 4u);
-      EXPECT_EQ(async.scheduler_stats.shards, 4u);
-      EXPECT_EQ(async.scheduler_stats.async_stale_publishes, 0u);
     }
   }
 }

@@ -31,12 +31,10 @@ const CurvePool& Pool() {
 }
 
 std::unique_ptr<Scheduler> MakeScheduler(GreedyMetric metric, bool incremental,
-                                         size_t num_shards = 1, bool async = false) {
+                                         size_t num_shards = 1) {
   return std::make_unique<GreedyScheduler>(
-      metric, GreedySchedulerOptions{.eta = 0.05,
-                                     .incremental = incremental,
-                                     .num_shards = num_shards,
-                                     .async = async});
+      metric, GreedySchedulerOptions{
+                  .eta = 0.05, .incremental = incremental, .num_shards = num_shards});
 }
 
 ScenarioWorkload ChurnWorkload() {
@@ -187,21 +185,16 @@ TEST(RetirementTest, SweepIsDeterministicAcrossTheEngineMatrix) {
   struct EngineLeg {
     bool incremental;
     size_t shards;
-    bool async;
   };
-  const EngineLeg legs[] = {
-      {false, 1, false}, {true, 2, false}, {true, 4, false}, {true, 4, true}};
+  const EngineLeg legs[] = {{false, 1}, {true, 2}, {true, 4}};
   for (const EngineLeg& leg : legs) {
     std::string label = "incremental=" + std::to_string(leg.incremental) +
-                        " shards=" + std::to_string(leg.shards) +
-                        " async=" + std::to_string(leg.async);
+                        " shards=" + std::to_string(leg.shards);
     SimConfig sim = workload.sim;
-    sim.num_shards = leg.shards;
-    sim.async = leg.async;
     sim.stop_after_cycles = mid.cycle;
     SimResult run = RunOnlineSimulation(
-        MakeScheduler(GreedyMetric::kDpack, leg.incremental, leg.shards, leg.async),
-        workload.tasks, sim);
+        MakeScheduler(GreedyMetric::kDpack, leg.incremental, leg.shards), workload.tasks,
+        sim);
     ASSERT_TRUE(run.snapshot.has_value()) << label;
     ASSERT_EQ(run.snapshot->blocks.size(), mid.snapshot.blocks.size()) << label;
     for (size_t j = 0; j < mid.snapshot.blocks.size(); ++j) {

@@ -94,12 +94,10 @@ ScenarioSpec RandomSpec(Rng& rng) {
 }
 
 std::unique_ptr<Scheduler> MakeScheduler(GreedyMetric metric, bool incremental,
-                                         size_t num_shards = 1, bool async = false) {
+                                         size_t num_shards = 1) {
   return std::make_unique<GreedyScheduler>(
-      metric, GreedySchedulerOptions{.eta = 0.05,
-                                     .incremental = incremental,
-                                     .num_shards = num_shards,
-                                     .async = async});
+      metric, GreedySchedulerOptions{
+                  .eta = 0.05, .incremental = incremental, .num_shards = num_shards});
 }
 
 // Budget safety against a captured cluster state. The Rényi filter admits on "exists
@@ -151,26 +149,20 @@ void RunFuzzIteration(uint64_t seed) {
   ScenarioSpec spec = RandomSpec(rng);
   GreedyMetric metric = static_cast<GreedyMetric>(rng.UniformInt(0, 3));
   size_t num_shards = static_cast<size_t>(rng.UniformInt(1, 4));
-  bool async = rng.Bernoulli(0.5);
 
   ScenarioWorkload workload = GenerateScenario(Pool(), spec);
   workload.sim.record_grant_trace = true;
-  workload.sim.num_shards = num_shards;
-  workload.sim.async = async;
 
   // Reference: the recompute engine on the same stream.
-  SimConfig ref_sim = workload.sim;
-  ref_sim.num_shards = 0;
-  ref_sim.async = false;
   SimResult reference = RunOnlineSimulation(MakeScheduler(metric, /*incremental=*/false),
-                                            workload.tasks, ref_sim);
+                                            workload.tasks, workload.sim);
 
   // Engine under test, capturing the final cluster state (stop_after_cycles clamps to the
   // run's total cycle count, so this is the uninterrupted run plus a final snapshot).
   SimConfig full_sim = workload.sim;
   full_sim.stop_after_cycles = reference.cycles_run + 1000;
   SimResult full = RunOnlineSimulation(
-      MakeScheduler(metric, /*incremental=*/true, num_shards, async), workload.tasks,
+      MakeScheduler(metric, /*incremental=*/true, num_shards), workload.tasks,
       full_sim);
   ASSERT_TRUE(full.snapshot.has_value());
 
@@ -191,7 +183,7 @@ void RunFuzzIteration(uint64_t seed) {
     SimConfig mid_sim = workload.sim;
     mid_sim.stop_after_cycles = std::max<size_t>(1, reference.cycles_run / 2);
     SimResult mid = RunOnlineSimulation(
-        MakeScheduler(metric, /*incremental=*/true, num_shards, async), workload.tasks,
+        MakeScheduler(metric, /*incremental=*/true, num_shards), workload.tasks,
         mid_sim);
     ASSERT_TRUE(mid.snapshot.has_value());
     CheckBudgetSafety(*mid.snapshot, "mid state");
@@ -207,7 +199,7 @@ void RunFuzzIteration(uint64_t seed) {
     }
 
     SimResult resumed = ResumeOnlineSimulation(
-        MakeScheduler(metric, /*incremental=*/true, num_shards, async), *mid.snapshot,
+        MakeScheduler(metric, /*incremental=*/true, num_shards), *mid.snapshot,
         workload.tasks, workload.sim);
     std::vector<std::vector<TaskId>> stitched = mid.grant_trace;
     stitched.insert(stitched.end(), resumed.grant_trace.begin(), resumed.grant_trace.end());

@@ -1,15 +1,14 @@
-// Engine-matrix differential harness over the scenario registry (ISSUE 5): every
-// registered scenario must produce byte-identical grant traces across the full engine
-// matrix — the recompute reference, the incremental engine, the sharded engine at shard
-// counts {1, 2, 4, 7}, and the async per-shard-thread engine — crossed with both block
-// partition modes (round-robin and id-range) and, on the async legs, both heap publication
-// paths (the lock-free SPSC ring and the mutex/condvar handoff) — and must survive a
-// kill-at-a-cycle + resume leg (through the binary wire format, reusing the PR 4 recovery
-// machinery) that stitches back to the same trace. Runs under the TSan CI leg (the async
-// legs spawn per-shard scheduler threads) and the shuffled ctest leg.
+// Engine-matrix differential harness over the scenario registry: every registered
+// scenario must produce byte-identical grant traces across the full engine matrix — the
+// recompute reference, the incremental engine, and the sharded engine at shard counts
+// {1, 2, 4, 7} — and must survive a kill-at-a-cycle + resume leg (through the binary wire
+// format, reusing the recovery machinery) on a randomly drawn shard count that stitches
+// back to the same trace. Runs under the TSan CI leg (the sharded legs run the
+// worker pool) and the shuffled ctest leg.
 
 #include <gtest/gtest.h>
 
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -33,25 +32,14 @@ const CurvePool& Pool() {
   return pool;
 }
 
+// The sharded engine's shard counts under test; 1 is the single-shard incremental engine.
+constexpr size_t kShardCounts[] = {1, 2, 4, 7};
+
 std::unique_ptr<Scheduler> MakeScheduler(GreedyMetric metric, bool incremental,
-                                         size_t num_shards = 1, bool async = false,
-                                         BlockPartition partition = BlockPartition::kRoundRobin,
-                                         HeapPublishMode publish = HeapPublishMode::kRing) {
+                                         size_t num_shards = 1) {
   return std::make_unique<GreedyScheduler>(
-      metric, GreedySchedulerOptions{.eta = 0.05,
-                                     .incremental = incremental,
-                                     .num_shards = num_shards,
-                                     .async = async,
-                                     .partition = partition,
-                                     .publish = publish});
-}
-
-const char* PartitionName(BlockPartition partition) {
-  return partition == BlockPartition::kRoundRobin ? "rr" : "range";
-}
-
-const char* PublishName(HeapPublishMode publish) {
-  return publish == HeapPublishMode::kRing ? "ring" : "mutex";
+      metric, GreedySchedulerOptions{
+                  .eta = 0.05, .incremental = incremental, .num_shards = num_shards});
 }
 
 // The deterministic face of the metrics (cycle runtimes are wall clock and excluded).
@@ -91,62 +79,18 @@ TEST_P(ScenarioMatrixTest, EveryScenarioMatchesRecomputeAcrossTheEngineMatrix) {
     // a scenario that grants nothing proves nothing.
     ASSERT_GT(ref.reference.metrics.allocated(), 0u);
 
-    struct EngineLeg {
-      size_t shards;
-      bool async;
-      BlockPartition partition;
-      HeapPublishMode publish;
-    };
-    // The sync legs cross the shard counts with both partition modes (publication mode is
-    // meaningless there — the sharded engine has no publication step); the async legs
-    // additionally cross ring-vs-mutex publication. Rings and partitions change *where*
-    // blocks live and *how* heaps move, never merge order — every leg must be
-    // byte-identical to the recompute reference.
-    std::vector<EngineLeg> legs;
-    for (BlockPartition partition :
-         {BlockPartition::kRoundRobin, BlockPartition::kIdRange}) {
-      for (size_t shards : {size_t{1}, size_t{2}, size_t{4}, size_t{7}}) {
-        legs.push_back({shards, false, partition, HeapPublishMode::kRing});
-      }
-      for (HeapPublishMode publish : {HeapPublishMode::kRing, HeapPublishMode::kMutex}) {
-        for (size_t shards : {size_t{1}, size_t{4}, size_t{7}}) {
-          legs.push_back({shards, true, partition, publish});
-        }
-      }
-    }
-    for (const EngineLeg& leg : legs) {
-      std::string label = name + " shards=" + std::to_string(leg.shards) +
-                          " async=" + std::to_string(leg.async) +
-                          " partition=" + PartitionName(leg.partition) +
-                          (leg.async ? std::string(" publish=") + PublishName(leg.publish)
-                                     : std::string());
-      SimConfig sim = ref.workload.sim;
-      sim.num_shards = leg.shards;
-      sim.async = leg.async;
-      SimResult run = RunOnlineSimulation(
-          MakeScheduler(GetParam(), /*incremental=*/true, leg.shards, leg.async,
-                        leg.partition, leg.publish),
-          ref.workload.tasks, sim);
+    for (size_t shards : kShardCounts) {
+      std::string label = name + " shards=" + std::to_string(shards);
+      SimResult run =
+          RunOnlineSimulation(MakeScheduler(GetParam(), /*incremental=*/true, shards),
+                              ref.workload.tasks, ref.workload.sim);
       EXPECT_EQ(run.grant_trace, ref.reference.grant_trace) << label;
       EXPECT_EQ(run.cycles_run, ref.reference.cycles_run) << label;
       EXPECT_EQ(run.pending_at_end, ref.reference.pending_at_end) << label;
       ExpectMetricsEqual(run.metrics, ref.reference.metrics, label);
       if (GetParam() != GreedyMetric::kFcfs) {
-        EXPECT_EQ(run.scheduler_stats.shards, leg.shards) << label;
+        EXPECT_EQ(run.scheduler_stats.shards, shards) << label;
         EXPECT_EQ(run.scheduler_stats.full_recomputes, 0u) << label;
-        if (leg.async) {
-          EXPECT_EQ(run.scheduler_stats.async_stale_publishes, 0u) << label;
-          if (leg.publish == HeapPublishMode::kRing) {
-            // Every shard publishes exactly once per dispatched cycle through its ring
-            // (empty batches never dispatch), and the driver drains each ring every
-            // cycle, so a push never has to retry.
-            EXPECT_GE(run.scheduler_stats.ring_publishes, leg.shards) << label;
-            EXPECT_EQ(run.scheduler_stats.ring_publishes % leg.shards, 0u) << label;
-            EXPECT_EQ(run.scheduler_stats.ring_retries, 0u) << label;
-          } else {
-            EXPECT_EQ(run.scheduler_stats.ring_publishes, 0u) << label;
-          }
-        }
       }
     }
   }
@@ -154,8 +98,8 @@ TEST_P(ScenarioMatrixTest, EveryScenarioMatchesRecomputeAcrossTheEngineMatrix) {
 
 TEST_P(ScenarioMatrixTest, KillAndResumeRestoresEveryScenario) {
   // The crash-restart leg of the matrix: for every scenario, kill the run at a
-  // randomly-drawn cycle (sometimes mid-submission-drain) on a randomly-drawn engine
-  // shape, ship the snapshot through the binary wire format, resume, and require the
+  // randomly-drawn cycle (sometimes mid-submission-drain) on a randomly-drawn shard
+  // count, ship the snapshot through the binary wire format, resume, and require the
   // stitched grant trace to equal the uninterrupted reference.
   for (const std::string& name : ScenarioRegistryNames()) {
     SCOPED_TRACE("scenario=" + name);
@@ -167,40 +111,25 @@ TEST_P(ScenarioMatrixTest, KillAndResumeRestoresEveryScenario) {
       size_t k = static_cast<size_t>(
           rng.UniformInt(1, static_cast<int64_t>(ref.reference.cycles_run) - 1));
       bool mid_drain = rng.Bernoulli(0.5);
-      size_t num_shards = static_cast<size_t>(rng.UniformInt(1, 4));
-      bool async = rng.Bernoulli(0.5);
-      BlockPartition partition =
-          rng.Bernoulli(0.5) ? BlockPartition::kIdRange : BlockPartition::kRoundRobin;
-      HeapPublishMode publish =
-          rng.Bernoulli(0.5) ? HeapPublishMode::kMutex : HeapPublishMode::kRing;
+      size_t num_shards =
+          kShardCounts[static_cast<size_t>(rng.UniformInt(0, std::ssize(kShardCounts) - 1))];
       std::string label = name + " k=" + std::to_string(k) +
                           " mid_drain=" + std::to_string(mid_drain) +
-                          " shards=" + std::to_string(num_shards) +
-                          " async=" + std::to_string(async) +
-                          " partition=" + PartitionName(partition) +
-                          " publish=" + PublishName(publish);
+                          " shards=" + std::to_string(num_shards);
 
       SimConfig split = ref.workload.sim;
-      split.num_shards = num_shards;
-      split.async = async;
       split.stop_after_cycles = k;
       split.stop_mid_drain = mid_drain;
-      SimResult prefix =
-          RunOnlineSimulation(MakeScheduler(GetParam(), /*incremental=*/true, num_shards,
-                                            async, partition, publish),
-                              ref.workload.tasks, split);
+      SimResult prefix = RunOnlineSimulation(
+          MakeScheduler(GetParam(), /*incremental=*/true, num_shards), ref.workload.tasks, split);
       ASSERT_TRUE(prefix.snapshot.has_value()) << label;
 
       SnapshotParseResult parsed = DecodeSnapshot(EncodeSnapshotBinary(*prefix.snapshot));
       ASSERT_TRUE(parsed.ok) << label << ": " << parsed.error;
 
-      SimConfig resume = ref.workload.sim;
-      resume.num_shards = num_shards;
-      resume.async = async;
-      SimResult resumed = ResumeOnlineSimulation(
-          MakeScheduler(GetParam(), /*incremental=*/true, num_shards, async, partition,
-                        publish),
-          parsed.snapshot, ref.workload.tasks, resume);
+      SimResult resumed =
+          ResumeOnlineSimulation(MakeScheduler(GetParam(), /*incremental=*/true, num_shards),
+                                 parsed.snapshot, ref.workload.tasks, ref.workload.sim);
 
       std::vector<std::vector<TaskId>> stitched = prefix.grant_trace;
       stitched.insert(stitched.end(), resumed.grant_trace.begin(),

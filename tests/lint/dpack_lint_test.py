@@ -16,7 +16,6 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 # fixture file -> (lint-as repo path, rules that must fire)
 VIOLATIONS = {
     "raw_mutex_violation.cc": ("src/common/queue.cc", {"raw-mutex"}),
-    "raw_affinity_violation.cc": ("src/core/pinning.cc", {"raw-affinity"}),
     "unordered_iteration_violation.cc": ("src/core/order.cc", {"unordered-iteration"}),
     "unordered_member_violation.cc": ("src/core/tracker.cc", {"unordered-member"}),
     "nondeterministic_source_violation.cc": ("src/core/jitter.cc",
@@ -146,18 +145,6 @@ class RealTree(unittest.TestCase):
         proc = run_lint("--fixture", header, "--as", "src/common/other_header.h")
         self.assertEqual(proc.returncode, 1, proc.stdout)
         self.assertIn("[raw-mutex]", proc.stdout)
-
-    def test_cpu_affinity_pair_is_the_only_raw_affinity_site(self):
-        # Same exemption-cannot-widen proof for raw-affinity: the real helper's own source
-        # linted as any other path must fire. Exercised in every code dir the rule covers.
-        source = os.path.join(REPO_ROOT, "src", "common", "cpu_affinity.cc")
-        for as_path in ("src/core/pin.cc", "src/common/affinity2.cc",
-                        "bench/pin_leg.cc", "tests/core/pin_test.cc",
-                        "examples/pin_demo.cpp"):
-            with self.subTest(as_path=as_path):
-                proc = run_lint("--fixture", source, "--as", as_path)
-                self.assertEqual(proc.returncode, 1, proc.stdout)
-                self.assertIn("[raw-affinity]", proc.stdout)
 
 
 if __name__ == "__main__":

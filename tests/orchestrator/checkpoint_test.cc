@@ -92,7 +92,6 @@ ClusterSnapshot RandomSnapshot(uint64_t seed, size_t num_blocks, size_t num_pend
   meta.unlock_steps = rng.UniformInt(1, 50);
   meta.fair_share_n = rng.UniformInt(1, 50);
   meta.num_shards = num_shards;
-  meta.async = rng.Bernoulli(0.5);
   return CaptureSnapshot(blocks, pending, metrics, meta);
 }
 
@@ -198,9 +197,10 @@ TEST(CheckpointCodecTest, WrongVersionIsRejectedWithDiagnostic) {
   EXPECT_NE(parsed.error.find("version"), std::string::npos) << parsed.error;
 
   std::string json = EncodeSnapshotJson(snapshot);
-  size_t pos = json.find("\"version\":2");
+  std::string current = "\"version\":" + std::to_string(kSnapshotFormatVersion);
+  size_t pos = json.find(current);
   ASSERT_NE(pos, std::string::npos);
-  json.replace(pos, 11, "\"version\":9");
+  json.replace(pos, current.size(), "\"version\":9");
   SnapshotParseResult json_parsed = DecodeSnapshotJson(json);
   ASSERT_FALSE(json_parsed.ok);
   EXPECT_NE(json_parsed.error.find("version"), std::string::npos) << json_parsed.error;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/rdp/rdp_curve.h"
+#include "src/sim/sim_driver.h"
 
 namespace dpack {
 namespace {
@@ -146,32 +147,63 @@ TEST(OrchestratorOnlineTest, ZeroOnlineBlocksRunsOnOfflineBlocksOnly) {
 }
 
 TEST(OrchestratorOnlineTest, ShardedSchedulerMatchesMonolithic) {
-  // The num_shards/async knobs flow through the orchestrator into the scheduler's engine,
-  // and the sharded and async engines allocate exactly what the single-shard engine does.
-  auto run = [](size_t num_shards, bool async) {
-    OrchestratorConfig config = FastConfig();
-    config.num_shards = num_shards;
-    config.async = async;
+  // The scheduler's num_shards knob reaches the engine unchanged through the orchestrator,
+  // and the sharded engine allocates exactly what the single-shard engine does.
+  auto run = [](size_t num_shards) {
     std::vector<Task> tasks;
     for (int i = 0; i < 20; ++i) {
       tasks.push_back(FractionTask(i, 0.03, 2, static_cast<double>(i % 3)));
     }
-    ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), config);
+    ClusterOrchestrator orchestrator(
+        CreateScheduler(SchedulerKind::kDpack, 0.05, {}, num_shards), FastConfig());
     return orchestrator.RunOnline(std::move(tasks));
   };
-  OrchestratorRunResult mono = run(0, false);
-  OrchestratorRunResult sharded = run(3, false);
-  OrchestratorRunResult async = run(3, true);
+  OrchestratorRunResult mono = run(1);
+  OrchestratorRunResult sharded = run(3);
   EXPECT_EQ(sharded.metrics.allocated(), mono.metrics.allocated());
   EXPECT_EQ(sharded.metrics.allocated_weight(), mono.metrics.allocated_weight());
   EXPECT_EQ(sharded.scheduler_stats.shards, 3u);
   EXPECT_EQ(mono.scheduler_stats.shards, 1u);
-  EXPECT_EQ(async.metrics.allocated(), mono.metrics.allocated());
-  EXPECT_EQ(async.metrics.allocated_weight(), mono.metrics.allocated_weight());
-  EXPECT_EQ(async.scheduler_stats.shards, 3u);
-  // Run-scoped deltas stay clean: the async run never tripped quiesce or fell back.
-  EXPECT_EQ(async.scheduler_stats.async_stale_publishes, 0u);
-  EXPECT_EQ(async.scheduler_stats.full_recomputes, 0u);
+  EXPECT_EQ(sharded.scheduler_stats.full_recomputes, 0u);
+}
+
+TEST(OrchestratorOnlineTest, DefaultConfigIsSingleShardOnEveryHost) {
+  // Regression: drivers built after blocks exist (every orchestrator run, every resumed
+  // simulation) used to resolve a default shard count against the host's core count, so
+  // checkpoints and stats depended on the machine. A default scheduler is one shard
+  // everywhere, and the snapshot records the engine that actually ran.
+  OrchestratorConfig config = FastConfig();
+  config.checkpoint_every_cycles = 1;
+  ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), config);
+  std::vector<Task> tasks;
+  for (int i = 0; i < 10; ++i) {
+    tasks.push_back(FractionTask(i, 0.03, 2, static_cast<double>(i % 3)));
+  }
+  OrchestratorRunResult run = orchestrator.RunOnline(std::move(tasks));
+  EXPECT_EQ(run.scheduler_stats.shards, 1u);
+  ASSERT_FALSE(run.last_checkpoint.empty());
+  SnapshotParseResult decoded = DecodeSnapshot(run.last_checkpoint);
+  ASSERT_TRUE(decoded.ok) << decoded.error;
+  EXPECT_EQ(decoded.snapshot.meta.num_shards, 1u);
+  EXPECT_EQ(decoded.snapshot.shard_clocks.size(), 1u);
+
+  // The same for a resumed simulation: its driver is built over the restored blocks.
+  SimConfig sim;
+  sim.num_blocks = 6;
+  sim.unlock_steps = 4;
+  std::vector<Task> sim_tasks;
+  for (int i = 0; i < 12; ++i) {
+    sim_tasks.push_back(FractionTask(i, 0.05, 2, static_cast<double>(i / 2)));
+  }
+  SimConfig split = sim;
+  split.stop_after_cycles = 4;
+  SimResult first = RunOnlineSimulation(CreateScheduler(SchedulerKind::kDpack), sim_tasks, split);
+  ASSERT_TRUE(first.snapshot.has_value());
+  EXPECT_EQ(first.snapshot->meta.num_shards, 1u);
+  ASSERT_GE(first.snapshot->blocks.size(), 2u);
+  SimResult resumed = ResumeOnlineSimulation(CreateScheduler(SchedulerKind::kDpack),
+                                             *first.snapshot, sim_tasks, sim);
+  EXPECT_EQ(resumed.scheduler_stats.shards, 1u);
 }
 
 TEST(OrchestratorOnlineTest, DpackAllocatesAtLeastAsMuchAsDpfUnderContention) {

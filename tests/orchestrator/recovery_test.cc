@@ -1,9 +1,9 @@
 // Crash–restart recovery proofs (ISSUE 4): checkpointing a run at cycle k, restoring from
 // the serialized snapshot, and running to completion must produce byte-identical grant
 // sequences and deterministic metrics to the uninterrupted run — for every k, for shard
-// counts {1, 2, 4}, sync and async, and for mid-submission-drain kill points. The suite
-// runs under the TSan CI leg (the async engines spawn per-shard scheduler threads on every
-// resumed run) and the ASan/UBSan leg.
+// counts {1, 2, 4}, and for mid-submission-drain kill points. The suite runs under the
+// TSan CI leg (the sharded engine's worker pool runs on every resumed run) and the
+// ASan/UBSan leg.
 
 #include <gtest/gtest.h>
 
@@ -60,9 +60,10 @@ RecoveryWorkload MakeWorkload(uint64_t seed, bool weighted) {
   return w;
 }
 
-std::unique_ptr<Scheduler> MakeScheduler(GreedyMetric metric) {
+std::unique_ptr<Scheduler> MakeScheduler(GreedyMetric metric, size_t num_shards = 1) {
   return std::make_unique<GreedyScheduler>(
-      metric, GreedySchedulerOptions{.eta = 0.05, .incremental = true});
+      metric,
+      GreedySchedulerOptions{.eta = 0.05, .incremental = true, .num_shards = num_shards});
 }
 
 // The deterministic face of the metrics (cycle runtimes are wall clock and excluded).
@@ -82,26 +83,24 @@ void ExpectMetricsEqual(const AllocationMetrics& actual, const AllocationMetrics
 // the binary wire format, resumes, and diffs grants + metrics against `reference`.
 void CheckSplitRun(GreedyMetric metric, const RecoveryWorkload& workload,
                    const SimResult& reference, size_t k, bool mid_drain, size_t num_shards,
-                   bool async, const std::string& label) {
+                   const std::string& label) {
   SimConfig split_config = workload.config;
-  split_config.num_shards = num_shards;
-  split_config.async = async;
   split_config.stop_after_cycles = k;
   split_config.stop_mid_drain = mid_drain;
   SimResult prefix =
-      RunOnlineSimulation(MakeScheduler(metric), workload.tasks, split_config);
+      RunOnlineSimulation(MakeScheduler(metric, num_shards), workload.tasks, split_config);
   ASSERT_TRUE(prefix.snapshot.has_value()) << label;
   ASSERT_EQ(prefix.cycles_run, k) << label;
+  // The snapshot records the engine that ran (FCFS never shards).
+  EXPECT_EQ(prefix.snapshot->meta.num_shards, metric == GreedyMetric::kFcfs ? 1u : num_shards)
+      << label;
 
   // The crash ships the snapshot through the wire format, as a real recovery would.
   SnapshotParseResult parsed = DecodeSnapshot(EncodeSnapshotBinary(*prefix.snapshot));
   ASSERT_TRUE(parsed.ok) << label << ": " << parsed.error;
 
-  SimConfig resume_config = workload.config;
-  resume_config.num_shards = num_shards;
-  resume_config.async = async;
-  SimResult suffix = ResumeOnlineSimulation(MakeScheduler(metric), parsed.snapshot,
-                                            workload.tasks, resume_config);
+  SimResult suffix = ResumeOnlineSimulation(MakeScheduler(metric, num_shards),
+                                            parsed.snapshot, workload.tasks, workload.config);
 
   // Byte-identical grant sequence: the prefix's cycles plus the resumed cycles equal the
   // uninterrupted run's trace, cycle by cycle, id by id.
@@ -118,7 +117,7 @@ void CheckSplitRun(GreedyMetric metric, const RecoveryWorkload& workload,
 class RecoveryEquivalenceTest : public testing::TestWithParam<GreedyMetric> {};
 
 TEST_P(RecoveryEquivalenceTest, EveryKillCycleRestoresToIdenticalRun) {
-  // The headline property: for shards {1, 2, 4} x {sync, async}, checkpoint at cycle k +
+  // The headline property: for shards {1, 2, 4}, checkpoint at cycle k +
   // restore + run to completion == uninterrupted run, for EVERY cycle boundary k.
   RecoveryWorkload workload = MakeWorkload(/*seed=*/7, /*weighted=*/true);
   SimResult reference =
@@ -127,14 +126,11 @@ TEST_P(RecoveryEquivalenceTest, EveryKillCycleRestoresToIdenticalRun) {
   ASSERT_GT(reference.metrics.allocated(), 0u);
   ASSERT_GT(reference.metrics.evicted(), 0u);  // Timeouts exercised.
   for (size_t num_shards : {1u, 2u, 4u}) {
-    for (bool async : {false, true}) {
-      for (size_t k = 1; k < reference.cycles_run; ++k) {
-        std::string label = "metric=" + std::to_string(static_cast<int>(GetParam())) +
-                            " shards=" + std::to_string(num_shards) +
-                            " async=" + std::to_string(async) + " k=" + std::to_string(k);
-        CheckSplitRun(GetParam(), workload, reference, k, /*mid_drain=*/false, num_shards,
-                      async, label);
-      }
+    for (size_t k = 1; k < reference.cycles_run; ++k) {
+      std::string label = "metric=" + std::to_string(static_cast<int>(GetParam())) +
+                          " shards=" + std::to_string(num_shards) + " k=" + std::to_string(k);
+      CheckSplitRun(GetParam(), workload, reference, k, /*mid_drain=*/false, num_shards,
+                    label);
     }
   }
 }
@@ -150,7 +146,7 @@ TEST_P(RecoveryEquivalenceTest, MidDrainKillPointsRestoreToIdenticalRun) {
     std::string label = "mid-drain metric=" + std::to_string(static_cast<int>(GetParam())) +
                         " k=" + std::to_string(k);
     CheckSplitRun(GetParam(), workload, reference, k, /*mid_drain=*/true, /*num_shards=*/2,
-                  /*async=*/false, label);
+                  label);
   }
 }
 
@@ -168,12 +164,10 @@ TEST_P(RecoveryEquivalenceTest, RandomizedKillSoak) {
           rng.UniformInt(1, static_cast<int64_t>(reference.cycles_run) - 1));
       bool mid_drain = rng.Bernoulli(0.5);
       size_t num_shards = static_cast<size_t>(rng.UniformInt(1, 4));
-      bool async = rng.Bernoulli(0.5);
       std::string label = "soak seed=" + std::to_string(seed) + " k=" + std::to_string(k) +
                           " mid_drain=" + std::to_string(mid_drain) +
-                          " shards=" + std::to_string(num_shards) +
-                          " async=" + std::to_string(async);
-      CheckSplitRun(GetParam(), workload, reference, k, mid_drain, num_shards, async, label);
+                          " shards=" + std::to_string(num_shards);
+      CheckSplitRun(GetParam(), workload, reference, k, mid_drain, num_shards, label);
     }
   }
 }

@@ -1,9 +1,9 @@
 // Multi-process service vs in-process engines: the service fleet (daemon + N scheduler
 // workers over the shm transport) must grant the exact same task ids in the exact same
 // order as the single-process engines, for every fleet shape, every metric, and both the
-// sync and async reference engines. Plus the grant-request API's admission control and the
-// determinism of the transport counters (two identical runs, identical counters — the
-// property the bench baseline gates on).
+// single-shard and sharded reference engines. Plus the grant-request API's admission
+// control and the determinism of the transport counters (two identical runs, identical
+// counters — the property the bench baseline gates on).
 
 #include "src/service/grant_service.h"
 
@@ -38,16 +38,11 @@ ScenarioWorkload Workload(const std::string& name) {
 }
 
 SimResult ReferenceRun(GreedyMetric metric, const ScenarioWorkload& workload,
-                       size_t num_shards = 1, bool async = false) {
+                       size_t num_shards = 1) {
   auto scheduler = std::make_unique<GreedyScheduler>(
-      metric, GreedySchedulerOptions{.eta = 0.05,
-                                     .incremental = true,
-                                     .num_shards = num_shards,
-                                     .async = async});
-  SimConfig config = workload.sim;
-  config.num_shards = num_shards;
-  config.async = async;
-  return RunOnlineSimulation(std::move(scheduler), workload.tasks, config);
+      metric,
+      GreedySchedulerOptions{.eta = 0.05, .incremental = true, .num_shards = num_shards});
+  return RunOnlineSimulation(std::move(scheduler), workload.tasks, workload.sim);
 }
 
 ServiceSimResult ServiceRun(GreedyMetric metric, const ScenarioWorkload& workload,
@@ -58,13 +53,12 @@ ServiceSimResult ServiceRun(GreedyMetric metric, const ScenarioWorkload& workloa
   return RunServiceSimulation(metric, workload.tasks, workload.sim, config);
 }
 
-TEST(ServiceEquivalenceTest, FleetShapesMatchSyncAndAsyncEngines) {
+TEST(ServiceEquivalenceTest, FleetShapesMatchSingleShardAndShardedEngines) {
   for (const std::string& name : {std::string("steady_poisson"), std::string("bursty_hotspot")}) {
     ScenarioWorkload workload = Workload(name);
     SimResult sync_reference = ReferenceRun(GreedyMetric::kDpack, workload);
-    SimResult async_reference =
-        ReferenceRun(GreedyMetric::kDpack, workload, /*num_shards=*/2, /*async=*/true);
-    ASSERT_EQ(sync_reference.grant_trace, async_reference.grant_trace) << name;
+    SimResult sharded_reference = ReferenceRun(GreedyMetric::kDpack, workload, /*num_shards=*/2);
+    ASSERT_EQ(sync_reference.grant_trace, sharded_reference.grant_trace) << name;
     struct Shape {
       size_t workers;
       size_t shards;
