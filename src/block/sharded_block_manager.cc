@@ -14,21 +14,15 @@ size_t ShardedBlockManager::Sync() {
   size_t count = blocks_->block_count();
   DPACK_CHECK_MSG(count >= known_, "blocks disappeared: use a fresh partition per manager");
   for (Shard& shard : shards_) {
-    shard.dirty = false;
     shard.changed.clear();
   }
   size_t added = count - known_;
   last_block_version_.resize(count, 0);
   for (size_t g = known_; g < count; ++g) {
-    Shard& shard = shards_[ShardOf(static_cast<BlockId>(g))];
-    shard.members.push_back(static_cast<BlockId>(g));
-    ++shard.epoch;
-    shard.dirty = true;
+    shards_[ShardOf(static_cast<BlockId>(g))].members.push_back(static_cast<BlockId>(g));
     // Record the version at absorption (nonzero when the partition was built over a
     // restored manager) so the group drill-down below does not re-report arrivals.
-    uint64_t version = blocks_->block(static_cast<BlockId>(g)).version();
-    last_block_version_[g] = version;
-    shard.version += version;
+    last_block_version_[g] = blocks_->block(static_cast<BlockId>(g)).version();
   }
   known_ = count;
 
@@ -49,11 +43,8 @@ size_t ShardedBlockManager::Sync() {
       if (version == last_block_version_[i]) {
         continue;
       }
-      Shard& shard = shards_[ShardOf(static_cast<BlockId>(i))];
-      shard.version += version - last_block_version_[i];
       last_block_version_[i] = version;
-      shard.changed.push_back(static_cast<BlockId>(i));
-      shard.dirty = true;
+      shards_[ShardOf(static_cast<BlockId>(i))].changed.push_back(static_cast<BlockId>(i));
     }
   }
   return added;

@@ -1,8 +1,7 @@
-// Shard partition over a BlockManager: assigns every block to one of N shards and gives
-// each shard its own epoch/version space, extending PR 1's change-detection invariant to
-// shard granularity so consumers (the sharded scheduling engine, the checkpoint codec) can
-// detect *which* partition of the capacity state changed, in O(blocks) counter
-// reads and without touching any curve.
+// Shard partition over a BlockManager: assigns every block to one of N shards and reports,
+// per shard, which member blocks changed since the previous Sync(), so consumers (the
+// sharded scheduling engine) refresh only the blocks whose capacity state moved, reading
+// version counters only, never a curve.
 //
 // Partitioning: block g belongs to shard g mod N, local index g / N (round-robin). Global
 // ids are dense and arrival-ordered, so shards stay balanced block-by-block under online
@@ -11,14 +10,6 @@
 // indexed by LocalIndex directly. The partition only distributes *block ownership*
 // (refresh/solve work); the scheduling engine's task-side sharding and merge order never
 // read it.
-//
-// Per-shard clocks, mirroring the manager-level invariant (see src/dpack/dpack.h):
-//   - shard_epoch(s): number of blocks absorbed into shard s — the shard's own arrival
-//     epoch. Sum over shards equals the number of blocks the partition has absorbed.
-//   - shard_version(s): sum of the member blocks' monotonic versions at the last Sync().
-//     Versions only grow, so the sum is monotone, and an unchanged (epoch, version) pair
-//     proves every block in the shard bit-identical — the per-shard restriction of the
-//     manager's "unchanged (epoch, versions) => bit-identical capacity state".
 //
 // The partition is a passive overlay: it never mutates the manager, and it observes
 // arrivals only at Sync(), which callers run once per scheduling cycle (single-threaded)
@@ -55,30 +46,23 @@ class ShardedBlockManager {
 
   // Member block ids of shard `s`, in increasing (arrival) order.
   const std::vector<BlockId>& shard_members(size_t s) const { return shards_[s].members; }
-  uint64_t shard_epoch(size_t s) const { return shards_[s].epoch; }
-  uint64_t shard_version(size_t s) const { return shards_[s].version; }
-  // True when the last Sync() advanced shard `s`'s epoch or version — some member block's
-  // capacity state changed (or arrived) since the previous Sync. Note this covers *capacity*
-  // changes only; requester-set (membership) changes live outside the block layer.
-  bool shard_dirty(size_t s) const { return shards_[s].dirty; }
 
   // Member ids of shard `s` whose version advanced between the previous Sync and the last
   // one, in increasing id order — the exact set a consumer must refresh. Blocks absorbed by
   // the last Sync are *not* listed (they are new, not changed; consumers see them through
-  // the epoch/member list). Stable until the next Sync; readable from parallel phases.
+  // the member list). Stable until the next Sync; readable from parallel phases.
   const std::vector<BlockId>& shard_changed(size_t s) const { return shards_[s].changed; }
 
   // Blocks absorbed so far (= the manager's block_count() at the last Sync).
   size_t known_blocks() const { return known_; }
 
-  // Absorbs blocks added to the manager since the last Sync and
-  // refreshes every shard's version sum, changed list, and dirty flag. Returns the number of
-  // new blocks. Not thread-safe; run between parallel phases.
+  // Absorbs blocks added to the manager since the last Sync and refreshes every shard's
+  // changed list. Returns the number of new blocks. Not thread-safe; run between parallel
+  // phases.
   //
   // O(arrivals + changed) via the manager's BlockVersionTree: only groups whose version sum
   // advanced are drilled into, and within them only blocks whose recorded version moved are
-  // charged to their shard. The shard version sums stay exactly "sum of member versions"
-  // (the checkpoint codec re-derives and cross-checks them), updated by per-block deltas.
+  // listed as changed in their shard.
   size_t Sync();
 
  private:
@@ -86,9 +70,6 @@ class ShardedBlockManager {
     std::vector<BlockId> members;
     // Changed (not new) member ids from the last Sync; see shard_changed().
     std::vector<BlockId> changed;
-    uint64_t epoch = 0;    // Arrivals absorbed into this shard.
-    uint64_t version = 0;  // Sum of member versions at the last Sync.
-    bool dirty = false;  // Epoch or version advanced in the last Sync.
   };
 
   BlockManager* blocks_;

@@ -25,22 +25,22 @@
 //     path (`RecomputeScheduleBatch`), which remains available via
 //     `GreedySchedulerOptions::incremental = false` and is pinned against the engine by
 //     tests/core/incremental_equivalence_test.cc.
-//   - Sharding (`GreedySchedulerOptions::num_shards > 1`, the library's one shard-count
-//     knob; drivers run whatever engine their scheduler was built with): a
-//     `ShardedBlockManager` (src/block/sharded_block_manager.h) partitions blocks
-//     round-robin — block g belongs to shard g mod N, giving each shard its own arrival
-//     epoch and a monotone version sum over its members, the per-shard restriction of the
-//     invariant above ("unchanged shard (epoch, version) => the shard's capacity state is
-//     bit-identical"). `ShardedScheduleContext` (src/core/sharded_schedule_context.h) gives
-//     every shard its own ScheduleContext slice — owned-block dirty tracking and best-alpha
-//     solves, plus the score cache and score heap of the tasks whose id hashes to the shard
-//     — and runs the per-cycle refresh and rescoring phases on a worker pool. The
-//     deterministic merge rule: every score is computed by the same function on
-//     bit-identical snapshot state as the single-shard engine, and the per-shard heaps are
-//     combined by an N-way merge under the strict total order (score desc, arrival asc,
-//     id asc), so the merged allocation order — and therefore the grant sequence — is
-//     byte-identical to the single-shard engine's for every shard count and thread timing.
-//     The CANRUN allocation walk stays sequential (its commits are order-dependent).
+//   - Sharding (`GreedySchedulerOptions::num_shards > 1`, the library's one shard-count knob;
+//     drivers run whatever engine their scheduler was built with): a `ShardedBlockManager`
+//     (src/block/sharded_block_manager.h) partitions blocks round-robin — block g belongs to
+//     shard g mod N — and, per shard, lists the member blocks whose versions advanced since
+//     the previous cycle, the per-shard restriction of the invariant above (a shard with no
+//     arrivals and no listed changes has a bit-identical capacity state).
+//     `ShardedScheduleContext` (src/core/sharded_schedule_context.h) gives every shard its own
+//     ScheduleContext slice — owned-block dirty tracking and best-alpha solves, plus the score
+//     cache and score heap of the tasks whose id hashes to the shard — and runs the per-cycle
+//     refresh and rescoring phases on a worker pool. The deterministic merge rule: every score
+//     is computed by the same function on bit-identical snapshot state as the single-shard
+//     engine, and the per-shard heaps are combined by an N-way merge under the strict total
+//     order (score desc, arrival asc, id asc), so the merged allocation order — and therefore
+//     the grant sequence — is byte-identical to the single-shard engine's for every shard
+//     count and thread timing. The CANRUN allocation walk stays sequential (its commits are
+//     order-dependent).
 //
 // Consumers adding new block mutations must route them through `Commit` /
 // `SetUnlockedFraction` / `AddBlock*` (or bump the counters equivalently); a mutation that

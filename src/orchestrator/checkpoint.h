@@ -16,16 +16,11 @@
 // first post-restore cycle — and every one after it — grants exactly what the uninterrupted
 // run would have granted.
 //
-// Two wire encodings share one schema version:
-//   - binary (authoritative): fixed-width little-endian fields, doubles as raw IEEE-754
-//     bits, guarded by a magic tag, a format version, a payload length, and an FNV-1a
-//     checksum. Truncated, bit-flipped, or wrong-version inputs are rejected with a
-//     diagnostic, never a crash or a silently-wrong budget.
-//   - JSON (debuggable, diffable): the same fields with doubles encoded as their 64-bit
-//     IEEE-754 bit patterns in decimal — lossless, and parseable without any float
-//     grammar. Strict: unknown or missing keys are errors.
-//
-// Both decoders run the same structural validation (`ValidateSnapshot`) before returning.
+// One wire encoding, binary: fixed-width little-endian fields, doubles as raw IEEE-754 bits,
+// guarded by a magic tag, a format version, a payload length, and an FNV-1a checksum.
+// Truncated, bit-flipped, or wrong-version inputs are rejected with a diagnostic, never a
+// crash or a silently-wrong budget. The decoder finishes with the structural validation
+// (`ValidateSnapshot`) before returning.
 
 #ifndef SRC_ORCHESTRATOR_CHECKPOINT_H_
 #define SRC_ORCHESTRATOR_CHECKPOINT_H_
@@ -44,7 +39,7 @@
 
 namespace dpack {
 
-// Bump on any schema change; decoders reject other versions.
+// Bump on any schema change; the decoder rejects other versions.
 // v2: per-block slab placement (retired tier + dense slot), added with block retirement.
 // v3: meta.async dropped with the async engine (num_shards is the only engine shape).
 inline constexpr uint32_t kSnapshotFormatVersion = 3;
@@ -78,9 +73,9 @@ struct SnapshotTaskState {
 
 // The derived clock of one shard of the round-robin partition (see
 // src/block/sharded_block_manager.h): epoch = member count, version = sum of member block
-// versions. Recomputable from the block states; stored so decoders can cross-check the two
-// and reject snapshots whose block section was corrupted without tripping the checksum
-// (e.g. a hand-edited JSON snapshot).
+// versions. Recomputable from the block states; stored as a fault-detection value, so the
+// decoder cross-checks the two and rejects snapshots whose block versions disagree with
+// the clocks even though the checksum holds (e.g. a buggy or hand-built encoder).
 struct SnapshotShardClock {
   uint64_t epoch = 0;
   uint64_t version = 0;
@@ -143,19 +138,15 @@ struct SnapshotParseResult {
 ClusterSnapshot CaptureSnapshot(const BlockManager& blocks, std::span<const Task> pending,
                                 const AllocationMetrics& metrics, const SnapshotMeta& meta);
 
-// --- Codecs -------------------------------------------------------------------------------
+// --- Codec --------------------------------------------------------------------------------
 
 std::string EncodeSnapshotBinary(const ClusterSnapshot& snapshot);
 SnapshotParseResult DecodeSnapshotBinary(std::string_view bytes);
 
-std::string EncodeSnapshotJson(const ClusterSnapshot& snapshot);
-SnapshotParseResult DecodeSnapshotJson(std::string_view text);
-
-// Dispatches on the leading bytes (binary magic vs '{').
-SnapshotParseResult DecodeSnapshot(std::string_view bytes);
-
-// Structural validation shared by both decoders: dense ordered block ids, curve sizes
-// matching the grid, fractions in range, no NaNs where semantics forbid them, shard clocks
+// Structural validation run by the decoder: dense ordered block ids, curve sizes matching
+// the grid, fractions in range, no NaNs where semantics forbid them, every block's
+// capacity within BlockCapacityCurve(grid, eps_g, delta_g) and its consumption within
+// capacity at some usable order (both up to PrivacyBlock::CanAccept's slack), shard clocks
 // consistent with the block states, metrics internally consistent. Returns "" when valid,
 // else a diagnostic. Public so hand-built snapshots (tests, tools) can be checked too.
 std::string ValidateSnapshot(const ClusterSnapshot& snapshot);
@@ -164,7 +155,7 @@ std::string ValidateSnapshot(const ClusterSnapshot& snapshot);
 
 // Rebuilds the byte-identical block manager. `grid` must match the snapshot's orders; pass
 // nullptr to create a grid from them. The snapshot must have passed ValidateSnapshot
-// (decoders guarantee this; DPACK_CHECKs back the contract for hand-built snapshots).
+// (the decoder guarantees this; DPACK_CHECKs back the contract for hand-built snapshots).
 BlockManager RestoreBlockManager(const ClusterSnapshot& snapshot, AlphaGridPtr grid = nullptr);
 
 // Rebuilds the pending queue on `grid` (same contract as RestoreBlockManager).

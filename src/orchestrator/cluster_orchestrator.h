@@ -58,7 +58,7 @@ struct OrchestratorRunResult {
   uint64_t checkpoints_taken = 0;
   uint64_t store_bytes_written = 0;
   // The last snapshot persisted during the run, still in its binary wire encoding; empty
-  // when no checkpoint was taken. Decode with DecodeSnapshot and hand to ResumeFrom to
+  // when no checkpoint was taken. Decode with DecodeSnapshotBinary and hand to ResumeFrom to
   // continue a killed run.
   std::string last_checkpoint;
   // Incremental-engine counters covering exactly this run (zeros when the scheduler does

@@ -75,7 +75,7 @@ void WorkerReplica::ApplyTaskUpsert(const TaskUpsertMsg& msg) {
 
 bool WorkerReplica::ApplyState(const StateMsg& msg, std::string* error) {
   DPACK_CHECK(bound_);
-  SnapshotParseResult parsed = DecodeSnapshot(msg.snapshot);
+  SnapshotParseResult parsed = DecodeSnapshotBinary(msg.snapshot);
   if (!parsed.ok) {
     *error = parsed.error;
     return false;

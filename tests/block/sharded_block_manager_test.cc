@@ -28,16 +28,16 @@ TEST(ShardedBlockManagerTest, RoundRobinPartition) {
   EXPECT_EQ(partition.ShardOf(7), 1u);
   EXPECT_EQ(partition.LocalIndex(7), 2u);
 
-  // Per-shard epochs count absorbed arrivals.
-  EXPECT_EQ(partition.shard_epoch(0), 4u);
-  EXPECT_EQ(partition.shard_epoch(1), 3u);
-  EXPECT_EQ(partition.shard_epoch(2), 3u);
+  // Member counts are the absorbed arrivals; arrivals are new, not changed.
+  EXPECT_EQ(partition.shard_members(0).size(), 4u);
+  EXPECT_EQ(partition.shard_members(1).size(), 3u);
+  EXPECT_EQ(partition.shard_members(2).size(), 3u);
   for (size_t s = 0; s < 3; ++s) {
-    EXPECT_TRUE(partition.shard_dirty(s));  // First sync absorbed arrivals everywhere.
+    EXPECT_TRUE(partition.shard_changed(s).empty());
   }
 }
 
-TEST(ShardedBlockManagerTest, VersionSumsDetectExactlyTheTouchedShard) {
+TEST(ShardedBlockManagerTest, ChangedListsNameExactlyTheTouchedBlock) {
   BlockManager blocks(Grid(), kEpsG, kDeltaG);
   for (int b = 0; b < 6; ++b) {
     blocks.AddBlock(0.0, /*unlocked=*/true);
@@ -45,18 +45,20 @@ TEST(ShardedBlockManagerTest, VersionSumsDetectExactlyTheTouchedShard) {
   ShardedBlockManager partition(&blocks, 2);
   partition.Sync();
   partition.Sync();  // No change since the previous sync: everything clean.
-  EXPECT_FALSE(partition.shard_dirty(0));
-  EXPECT_FALSE(partition.shard_dirty(1));
+  EXPECT_TRUE(partition.shard_changed(0).empty());
+  EXPECT_TRUE(partition.shard_changed(1).empty());
 
-  // A commit to block 3 (shard 1) bumps only that shard's version sum.
-  uint64_t v0 = partition.shard_version(0);
-  uint64_t v1 = partition.shard_version(1);
+  // A commit to block 3 (shard 1) lists exactly that block, and nothing in shard 0.
   blocks.block(3).Commit(GaussianCurve(Grid(), 20.0));
   partition.Sync();
-  EXPECT_FALSE(partition.shard_dirty(0));
-  EXPECT_TRUE(partition.shard_dirty(1));
-  EXPECT_EQ(partition.shard_version(0), v0);
-  EXPECT_GT(partition.shard_version(1), v1);
+  EXPECT_TRUE(partition.shard_changed(0).empty());
+  EXPECT_EQ(partition.shard_changed(1), (std::vector<BlockId>{3}));
+  EXPECT_EQ(partition.shard_members(0).size(), 3u);
+  EXPECT_EQ(partition.shard_members(1).size(), 3u);
+
+  // The next Sync clears the lists again.
+  partition.Sync();
+  EXPECT_TRUE(partition.shard_changed(1).empty());
 }
 
 TEST(ShardedBlockManagerTest, AbsorbsOnlineArrivalsIncrementally) {
@@ -71,14 +73,14 @@ TEST(ShardedBlockManagerTest, AbsorbsOnlineArrivalsIncrementally) {
   EXPECT_EQ(partition.known_blocks(), 3u);
   EXPECT_EQ(partition.shard_members(1), (std::vector<BlockId>{1}));
   EXPECT_EQ(partition.shard_members(2), (std::vector<BlockId>{2}));
-  EXPECT_TRUE(partition.shard_dirty(1));
-  EXPECT_TRUE(partition.shard_dirty(2));
-  EXPECT_FALSE(partition.shard_dirty(0));  // Shard 0's block is unchanged.
+  EXPECT_EQ(partition.shard_members(0), (std::vector<BlockId>{0}));
   EXPECT_TRUE(partition.shard_members(3).empty());
-  EXPECT_EQ(partition.shard_epoch(3), 0u);
+  for (size_t s = 0; s < 4; ++s) {
+    EXPECT_TRUE(partition.shard_changed(s).empty());  // Arrivals only; nothing changed.
+  }
 }
 
-TEST(ShardedBlockManagerTest, LocalIndicesAreDenseAndVersionSumsExact) {
+TEST(ShardedBlockManagerTest, LocalIndicesAreDenseAndChangesExact) {
   BlockManager blocks(Grid(), kEpsG, kDeltaG);
   for (int b = 0; b < 200; ++b) {
     blocks.AddBlock(0.0, /*unlocked=*/true);
@@ -91,21 +93,17 @@ TEST(ShardedBlockManagerTest, LocalIndicesAreDenseAndVersionSumsExact) {
 
   // Local indices are dense per shard — exactly 0..members-1, matching each member's rank
   // in the shard's (ascending) member list. The engine's local-indexed buffers (requester
-  // lists) size off members.size() and rely on this. Each shard's version is exactly the
-  // sum of its members' versions (the checkpoint codec re-derives and cross-checks it).
+  // lists) size off members.size() and rely on this.
   for (size_t s = 0; s < 3; ++s) {
     const std::vector<BlockId>& members = partition.shard_members(s);
-    uint64_t version_sum = 0;
     for (size_t rank = 0; rank < members.size(); ++rank) {
       EXPECT_EQ(partition.LocalIndex(members[rank]), rank)
           << "shard " << s << " member " << members[rank];
       EXPECT_EQ(partition.ShardOf(members[rank]), s);
-      version_sum += blocks.block(members[rank]).version();
     }
-    EXPECT_EQ(partition.shard_version(s), version_sum) << "shard " << s;
   }
   // Blocks 100 and 101 live in shards 1 and 2; shard 0 stayed clean.
-  EXPECT_FALSE(partition.shard_dirty(0));
+  EXPECT_TRUE(partition.shard_changed(0).empty());
   EXPECT_EQ(partition.shard_changed(1), (std::vector<BlockId>{100}));
   EXPECT_EQ(partition.shard_changed(2), (std::vector<BlockId>{101}));
 }
@@ -118,7 +116,9 @@ TEST(ShardedBlockManagerTest, SingleShardOwnsEverything) {
   ShardedBlockManager partition(&blocks, 1);
   partition.Sync();
   EXPECT_EQ(partition.shard_members(0).size(), 5u);
-  EXPECT_EQ(partition.shard_epoch(0), 5u);
+  blocks.block(2).Commit(GaussianCurve(Grid(), 20.0));
+  partition.Sync();
+  EXPECT_EQ(partition.shard_changed(0), (std::vector<BlockId>{2}));
 }
 
 }  // namespace

@@ -124,7 +124,7 @@ TEST_P(ScenarioMatrixTest, KillAndResumeRestoresEveryScenario) {
           MakeScheduler(GetParam(), /*incremental=*/true, num_shards), ref.workload.tasks, split);
       ASSERT_TRUE(prefix.snapshot.has_value()) << label;
 
-      SnapshotParseResult parsed = DecodeSnapshot(EncodeSnapshotBinary(*prefix.snapshot));
+      SnapshotParseResult parsed = DecodeSnapshotBinary(EncodeSnapshotBinary(*prefix.snapshot));
       ASSERT_TRUE(parsed.ok) << label << ": " << parsed.error;
 
       SimResult resumed =

@@ -182,7 +182,7 @@ TEST(OrchestratorOnlineTest, DefaultConfigIsSingleShardOnEveryHost) {
   OrchestratorRunResult run = orchestrator.RunOnline(std::move(tasks));
   EXPECT_EQ(run.scheduler_stats.shards, 1u);
   ASSERT_FALSE(run.last_checkpoint.empty());
-  SnapshotParseResult decoded = DecodeSnapshot(run.last_checkpoint);
+  SnapshotParseResult decoded = DecodeSnapshotBinary(run.last_checkpoint);
   ASSERT_TRUE(decoded.ok) << decoded.error;
   EXPECT_EQ(decoded.snapshot.meta.num_shards, 1u);
   EXPECT_EQ(decoded.snapshot.shard_clocks.size(), 1u);

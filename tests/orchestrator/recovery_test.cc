@@ -96,7 +96,7 @@ void CheckSplitRun(GreedyMetric metric, const RecoveryWorkload& workload,
       << label;
 
   // The crash ships the snapshot through the wire format, as a real recovery would.
-  SnapshotParseResult parsed = DecodeSnapshot(EncodeSnapshotBinary(*prefix.snapshot));
+  SnapshotParseResult parsed = DecodeSnapshotBinary(EncodeSnapshotBinary(*prefix.snapshot));
   ASSERT_TRUE(parsed.ok) << label << ": " << parsed.error;
 
   SimResult suffix = ResumeOnlineSimulation(MakeScheduler(metric, num_shards),
@@ -189,7 +189,7 @@ INSTANTIATE_TEST_SUITE_P(AllMetrics, RecoveryEquivalenceTest,
                            return "unknown";
                          });
 
-TEST(RecoveryJsonTest, KillPastTheFinalCycleStillCaptures) {
+TEST(RecoveryClampTest, KillPastTheFinalCycleStillCaptures) {
   // stop_after_cycles clamps to the run's total cycle count: the snapshot then holds the
   // fully-run state and a resume has nothing left to schedule, but the capture is never
   // silently skipped.
@@ -207,28 +207,6 @@ TEST(RecoveryJsonTest, KillPastTheFinalCycleStillCaptures) {
                                              *full.snapshot, workload.tasks, workload.config);
   EXPECT_EQ(resumed.cycles_run, reference.cycles_run);
   ExpectMetricsEqual(resumed.metrics, reference.metrics, "clamped kill");
-}
-
-TEST(RecoveryJsonTest, JsonSnapshotRestoresIdentically) {
-  // The JSON wire format preserves the equivalence too (it is the debuggable encoding an
-  // operator might hand-inspect and replay).
-  RecoveryWorkload workload = MakeWorkload(/*seed=*/5, /*weighted=*/true);
-  SimResult reference =
-      RunOnlineSimulation(MakeScheduler(GreedyMetric::kDpack), workload.tasks,
-                          workload.config);
-  SimConfig split_config = workload.config;
-  split_config.stop_after_cycles = reference.cycles_run / 2;
-  SimResult prefix =
-      RunOnlineSimulation(MakeScheduler(GreedyMetric::kDpack), workload.tasks, split_config);
-  ASSERT_TRUE(prefix.snapshot.has_value());
-  SnapshotParseResult parsed = DecodeSnapshot(EncodeSnapshotJson(*prefix.snapshot));
-  ASSERT_TRUE(parsed.ok) << parsed.error;
-  SimResult suffix = ResumeOnlineSimulation(MakeScheduler(GreedyMetric::kDpack),
-                                            parsed.snapshot, workload.tasks, workload.config);
-  std::vector<std::vector<TaskId>> stitched = prefix.grant_trace;
-  stitched.insert(stitched.end(), suffix.grant_trace.begin(), suffix.grant_trace.end());
-  EXPECT_EQ(stitched, reference.grant_trace);
-  ExpectMetricsEqual(suffix.metrics, reference.metrics, "json");
 }
 
 TEST(OrchestratorRecoveryTest, PeriodicCheckpointsFlowThroughTheStateStore) {
@@ -260,7 +238,7 @@ TEST(OrchestratorRecoveryTest, PeriodicCheckpointsFlowThroughTheStateStore) {
   // Checkpoint traffic is charged to the same store as the claim traffic.
   EXPECT_GE(result.store_operations, result.checkpoints_taken);
 
-  SnapshotParseResult parsed = DecodeSnapshot(result.last_checkpoint);
+  SnapshotParseResult parsed = DecodeSnapshotBinary(result.last_checkpoint);
   ASSERT_TRUE(parsed.ok) << parsed.error;
   EXPECT_EQ(parsed.snapshot.meta.period, config.period);
 
@@ -297,14 +275,14 @@ TEST(OrchestratorRecoveryTest, ResumedRunKeepsCheckpointing) {
   ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpf), config);
   OrchestratorRunResult first = orchestrator.RunOnline(tasks);
   ASSERT_FALSE(first.last_checkpoint.empty());
-  SnapshotParseResult parsed = DecodeSnapshot(first.last_checkpoint);
+  SnapshotParseResult parsed = DecodeSnapshotBinary(first.last_checkpoint);
   ASSERT_TRUE(parsed.ok) << parsed.error;
   OrchestratorRunResult resumed = orchestrator.ResumeFrom(parsed.snapshot, tasks);
   // The resumed run checkpoints on its own cadence too, so a second crash anywhere in it
   // would recover the same way.
   EXPECT_GT(resumed.checkpoints_taken, 0u);
   ASSERT_FALSE(resumed.last_checkpoint.empty());
-  EXPECT_TRUE(DecodeSnapshot(resumed.last_checkpoint).ok);
+  EXPECT_TRUE(DecodeSnapshotBinary(resumed.last_checkpoint).ok);
 }
 
 }  // namespace

@@ -210,7 +210,7 @@ TEST(ServiceRecoveryTest, CheckpointResumesOnFreshFleet) {
       RunServiceSimulation(GreedyMetric::kDpack, workload.tasks, split, config);
   ASSERT_TRUE(prefix.sim.snapshot.has_value());
 
-  SnapshotParseResult parsed = DecodeSnapshot(EncodeSnapshotBinary(*prefix.sim.snapshot));
+  SnapshotParseResult parsed = DecodeSnapshotBinary(EncodeSnapshotBinary(*prefix.sim.snapshot));
   ASSERT_TRUE(parsed.ok) << parsed.error;
 
   ServiceConfig resumed_config = config;
