@@ -12,6 +12,12 @@ src/core, src/block, and src/service unless noted):
                            src/common/thread_annotations.h — every lock must go through the
                            annotated Mutex/MutexLock/CondVar wrappers so clang's
                            -Wthread-safety analysis sees it.
+  raw-sleep                (all of src/) usleep, nanosleep, clock_nanosleep, sleep_for and
+                           sleep_until are banned except in src/common/sleep.cc and
+                           src/common/doorbell.cc. A wait on the service's critical path
+                           must end when its event arrives (a Doorbell on shm rings,
+                           WaitForFds on sockets); the few sleeps with nothing to wait on go
+                           through SleepFullMicros, which EINTR cannot shorten.
   unordered-iteration      Iterating an unordered container on a grant-ordering path:
                            iteration order is hash-seed/pointer dependent, so any grant
                            decision derived from it differs run to run. Lookups are fine;
@@ -76,6 +82,9 @@ FLOAT_EQ_DIRS = GRANT_ORDERING_DIRS + ("src/workload",)
 # raw-mutex applies everywhere C++ lives; the annotations header is the one sanctioned home.
 ALL_CODE_DIRS = ("src", "tests", "bench", "examples")
 THREAD_ANNOTATIONS_HEADER = "src/common/thread_annotations.h"
+# raw-sleep applies to the library; these are the sanctioned homes of a bounded wait.
+RAW_SLEEP_DIRS = ("src",)
+RAW_SLEEP_HOMES = ("src/common/sleep.cc", "src/common/doorbell.cc")
 
 ALLOW_RE = re.compile(r"//\s*dpack-lint:\s*allow\(([a-z-]+)\)\s*:\s*\S")
 
@@ -83,6 +92,8 @@ RAW_MUTEX_RE = re.compile(
     r"std::(mutex|recursive_mutex|timed_mutex|recursive_timed_mutex|shared_mutex|"
     r"shared_timed_mutex|condition_variable|condition_variable_any|lock_guard|"
     r"unique_lock|scoped_lock|shared_lock)\b")
+RAW_SLEEP_RE = re.compile(
+    r"(?<![\w])(usleep|nanosleep|clock_nanosleep)\s*\(|\b(sleep_for|sleep_until)\s*\(")
 UNORDERED_DECL_RE = re.compile(
     r"\bstd::(unordered_map|unordered_set|unordered_multimap|unordered_multiset)\s*<")
 # A (member) declaration we can harvest a variable name from:
@@ -258,6 +269,16 @@ def lint_file(rel, text):
                     f"std::{m.group(1)} outside {THREAD_ANNOTATIONS_HEADER}; use the "
                     f"annotated Mutex/MutexLock/CondVar wrappers so -Wthread-safety "
                     f"checks the lock discipline")
+
+    # raw-sleep: the library, except the two files that implement bounded waits.
+    if in_scope(rel_posix, RAW_SLEEP_DIRS) and rel_posix not in RAW_SLEEP_HOMES:
+        for idx, line in enumerate(lines, 1):
+            m = RAW_SLEEP_RE.search(line)
+            if m:
+                add(idx, "raw-sleep",
+                    f"{m.group(1) or m.group(2)}() outside {' / '.join(RAW_SLEEP_HOMES)}; "
+                    f"wait on the event (Doorbell, WaitForFds) or, with nothing to wait "
+                    f"on, call SleepFullMicros")
 
     in_grant_scope = in_scope(rel_posix, GRANT_ORDERING_DIRS)
     in_float_eq_scope = in_scope(rel_posix, FLOAT_EQ_DIRS)

@@ -15,8 +15,10 @@
 // reject-don't-trust contract as the checkpoint codec (tests/service/shm_ring_test.cc
 // mirrors checkpoint_test.cc's truncation/bit-flip suite).
 //
-// The ring makes no syscalls on push/pop (pure shared-memory atomics); blocking waits are
-// the caller's loop (see src/service/transport.h, which owns the deadlines and counters).
+// The ring makes no syscalls on push/pop (pure shared-memory atomics). Blocking waits are
+// the caller's loop: src/service/transport.h pairs each ring with a Doorbell
+// (src/common/doorbell.h) that the producer rings after a push, and owns the deadlines and
+// counters.
 
 #ifndef SRC_COMMON_SHM_RING_H_
 #define SRC_COMMON_SHM_RING_H_
@@ -26,6 +28,8 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+
+#include "src/common/doorbell.h"
 
 namespace dpack {
 
@@ -116,12 +120,15 @@ enum class WorkerLifeState : uint32_t {
   kExited = 2,    // Clean shutdown (a crashed worker never reaches this).
 };
 
-// Per-worker shared control block: the heartbeat counter advances every worker poll
+// Per-worker shared control block: the heartbeat counter advances every worker wait
 // iteration, so a stalled counter with a live pid is a hung worker (distinct from a dead
-// one, which waitpid reports). Lives in the same pre-fork ShmRegion as the rings.
+// one, which waitpid reports). The inbound bell is rung by the daemon after each push to
+// the worker's ring, and the idle worker waits on it. Lives in the same pre-fork ShmRegion
+// as the rings.
 struct WorkerControlBlock {
   alignas(64) std::atomic<uint64_t> heartbeat;
   alignas(64) std::atomic<uint32_t> life_state;
+  alignas(64) Doorbell inbound;
 };
 
 }  // namespace dpack

@@ -1,10 +1,13 @@
 #include "src/common/subprocess.h"
 
+#include <poll.h>
 #include <signal.h>
+#include <sys/syscall.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include "src/common/check.h"
+#include "src/common/sleep.h"
 
 namespace dpack {
 
@@ -51,6 +54,18 @@ ChildStatus WaitChild(pid_t pid) {
   pid_t r = waitpid(pid, &wait_status, 0);
   DPACK_CHECK(r == pid);
   return StatusOf(wait_status);
+}
+
+void AwaitChildExit(pid_t pid, unsigned int max_us) {
+  // A pidfd polls readable once its process has exited (reaped or not).
+  int pidfd = static_cast<int>(syscall(SYS_pidfd_open, pid, 0));
+  if (pidfd < 0) {
+    SleepFullMicros(max_us);
+    return;
+  }
+  pollfd fd{pidfd, POLLIN, 0};
+  WaitForFds(&fd, 1, max_us);
+  close(pidfd);
 }
 
 void KillChild(pid_t pid, int signal) {

@@ -41,6 +41,11 @@ ChildStatus PollChild(pid_t pid);
 // Blocking waitpid; same reap-once contract as PollChild.
 ChildStatus WaitChild(pid_t pid);
 
+// Blocks until the child terminates or `max_us` microseconds pass, whichever is first,
+// without reaping it (PollChild/WaitChild still report its status). Waits on a pidfd, so a
+// child that exits ends the wait at once; a kernel without pidfds gets a plain sleep.
+void AwaitChildExit(pid_t pid, unsigned int max_us);
+
 // Sends `signal` (e.g. SIGKILL) to the child. Harmless on already-dead children.
 void KillChild(pid_t pid, int signal);
 

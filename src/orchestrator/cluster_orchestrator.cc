@@ -159,6 +159,7 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
   std::thread timekeeper([&] {
     auto unit = std::chrono::duration<double, std::milli>(config_.virtual_unit_wall_ms);
     while (!stop.load(std::memory_order_acquire)) {
+      // dpack-lint: allow(raw-sleep): wall pacing of virtual time is this sleep.
       std::this_thread::sleep_for(unit);
       double now = clock.load(std::memory_order_relaxed) + 1.0;
       clock.store(now, std::memory_order_release);
@@ -173,6 +174,7 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
     for (Task& task : tasks) {
       while (clock.load(std::memory_order_acquire) < task.arrival_time &&
              !stop.load(std::memory_order_acquire)) {
+        // dpack-lint: allow(raw-sleep): the producer paces itself against virtual time.
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }
       store.RoundTrip(1);  // Claim creation.
@@ -189,6 +191,7 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
   while (true) {
     double now = clock.load(std::memory_order_acquire);
     if (now < next_cycle) {
+      // dpack-lint: allow(raw-sleep): waiting for the next wall-paced cycle instant.
       std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
           config_.virtual_unit_wall_ms / 4.0));
       continue;

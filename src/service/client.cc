@@ -1,6 +1,7 @@
 #include "src/service/client.h"
 
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -88,6 +89,11 @@ bool ServiceClient::Connect(const std::string& address_text, std::string* error)
 
 void ServiceClient::Close() { socket_.reset(); }
 
+void ServiceClient::WaitForSocket(short events) {
+  pollfd fd{socket_->fd(), events, 0};
+  WaitForFds(&fd, 1, config_.poll_sleep_us);
+}
+
 bool ServiceClient::SendRequest(const ServiceMessage& message, std::string* error) {
   if (!connected()) {
     *error = "not connected";
@@ -106,7 +112,7 @@ bool ServiceClient::SendRequest(const ServiceMessage& message, std::string* erro
     if (socket_->pending_output() == 0) {
       return true;
     }
-    SleepFullMicros(config_.poll_sleep_us);
+    WaitForSocket(POLLOUT);
   }
   *error = "send budget exhausted (daemon not draining)";
   return false;
@@ -138,7 +144,7 @@ bool ServiceClient::ReceiveReply(ServiceMessage* out, std::string* error) {
       *error = "daemon closed the connection";
       return false;
     }
-    SleepFullMicros(config_.poll_sleep_us);
+    WaitForSocket(POLLIN);
   }
   *error = "reply budget exhausted (daemon silent)";
   return false;

@@ -2,10 +2,13 @@
 // strict request/reply client speaking checksum-framed ServiceMessages, plus the remote
 // workload driver that replays the sim driver's exact event order over the wire.
 //
-// Blocking waits follow the service discipline — iteration budgets over a fixed poll sleep
-// (SleepFullMicros, so EINTR never shortens a deadline), no clock reads. Every failure path
-// (daemon gone, corrupt reply, budget exhausted, reply out of sequence) returns false with
-// a diagnostic; the client never spins forever on a dead daemon.
+// Blocking waits follow the service discipline — iteration budgets, no clock reads. A send
+// or a reply wait ppolls the socket, so it ends when the bytes can move, and each wait lasts
+// at most poll_sleep_us: io_budget waits are at most io_budget * poll_sleep_us. Only
+// Connect's retry, which has no socket to wait on yet, sleeps (SleepFullMicros, so EINTR
+// never shortens it). Every failure path (daemon gone, corrupt reply, budget exhausted,
+// reply out of sequence) returns false with a diagnostic; the client never spins forever
+// on a dead daemon.
 
 #ifndef SRC_SERVICE_CLIENT_H_
 #define SRC_SERVICE_CLIENT_H_
@@ -24,9 +27,11 @@ namespace dpack {
 
 struct NetClientConfig {
   size_t max_frame_bytes = 1 << 20;   // Replies beyond this are corruption, not patience.
+  // Longest single wait, microseconds: a socket wait ends when the socket is ready or after
+  // this long; a connect retry sleeps this long.
   unsigned int poll_sleep_us = 200;
-  // Poll iterations to wait for connect / a reply before giving up. At the default sleep
-  // this is tens of seconds of daemon silence — a dead daemon, not a slow one.
+  // Wait iterations for connect / a send / a reply before giving up. At the default this is
+  // up to tens of seconds of daemon silence — a dead daemon, not a slow one.
   uint64_t io_budget = 100000;
 };
 
@@ -57,6 +62,8 @@ class ServiceClient {
 
  private:
   bool SendRequest(const ServiceMessage& message, std::string* error);
+  // One ppoll of the connected socket for `events`, for at most poll_sleep_us.
+  void WaitForSocket(short events);
   // Waits (budgeted) for the next frame and decodes it. Any transport damage is terminal.
   bool ReceiveReply(ServiceMessage* out, std::string* error);
 

@@ -2,6 +2,7 @@
 
 #include <fcntl.h>
 #include <netinet/in.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -483,6 +484,27 @@ bool NetServiceFront::PollOnce() {
   return progress;
 }
 
+void NetServiceFront::WaitForSockets(bool flush_only) {
+  std::vector<pollfd> fds;
+  fds.reserve(connections_.size() + 1);
+  if (!flush_only) {
+    fds.push_back({listener_->fd(), POLLIN, 0});
+  }
+  for (const Connection& conn : connections_) {
+    if (conn.socket->dead()) {
+      continue;  // Nothing more to move, and its error state would end every wait at once.
+    }
+    short events = conn.socket->pending_output() > 0 ? POLLOUT : 0;
+    if (!flush_only) {
+      events |= POLLIN;
+    }
+    if (events != 0) {
+      fds.push_back({conn.socket->fd(), events, 0});
+    }
+  }
+  WaitForFds(fds.data(), fds.size(), config_.poll_sleep_us);
+}
+
 bool NetServiceFront::ServeUntilShutdown() {
   uint64_t idle_polls = 0;
   while (!shutdown_received_) {
@@ -494,7 +516,7 @@ bool NetServiceFront::ServeUntilShutdown() {
       std::fprintf(stderr, "net: serve idle budget exhausted; stopping\n");
       return false;
     }
-    SleepFullMicros(config_.poll_sleep_us);
+    WaitForSockets(/*flush_only=*/false);
   }
   // Flush the replies still owed to well-behaved clients, on the same progress budget a
   // single connection gets; whoever has not drained by then is dropped with the daemon.
@@ -507,7 +529,7 @@ bool NetServiceFront::ServeUntilShutdown() {
     if (!any_pending) {
       break;
     }
-    SleepFullMicros(config_.poll_sleep_us);
+    WaitForSockets(/*flush_only=*/true);
   }
   counters_.disconnects += connections_.size();
   connections_.clear();

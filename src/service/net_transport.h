@@ -7,10 +7,12 @@
 // The daemon side is a single-threaded, event-driven accept loop: one PollOnce() step
 // accepts pending connections, drains readable bytes, dispatches complete frames into the
 // GrantService, and flushes reply bytes, all on nonblocking sockets — no new threads, no
-// mutexes, and no clock reads anywhere near the scheduling path. Liveness is iteration
-// budgets, exactly like the shm transport: a connection that holds a partial frame or an
-// unflushed reply without making progress for `progress_budget` consecutive polls is
-// disconnected.
+// mutexes, and no clock reads anywhere near the scheduling path. Between steps with nothing
+// to do, ServeUntilShutdown blocks in one ppoll over the listener and every connection, so
+// a request is handled when its bytes arrive. Liveness is iteration budgets, exactly like
+// the shm transport: every wait lasts at most poll_sleep_us, and a connection that holds a
+// partial frame or an unflushed reply without making progress for `progress_budget`
+// consecutive polls is disconnected.
 //
 // Clients are never trusted (the self-stabilizing stance: correctness must survive
 // arbitrarily misbehaving peers):
@@ -83,7 +85,7 @@ struct NetCounters {
 // input buffer until a complete checksum-clean frame is present; partial writes drain an
 // output buffer as the kernel accepts bytes. EINTR is retried, EAGAIN means "no progress
 // this poll", EOF/EPIPE/ECONNRESET mark the socket dead. Used by both the daemon front and
-// the client (the client simply wraps its polls in budgeted wait loops).
+// the client (the client wraps its polls in budgeted loops that ppoll fd() between tries).
 class FrameSocket {
  public:
   // Takes ownership of `fd` and switches it to nonblocking mode.
@@ -106,6 +108,7 @@ class FrameSocket {
   enum class Next { kFrame, kNone, kCorrupt };
   Next NextFrame(std::string* payload, size_t max_frame_bytes, std::string* error);
 
+  int fd() const { return fd_; }
   bool dead() const { return dead_; }
   // True while the peer owes us bytes (a partial frame is buffered) or we owe the kernel
   // bytes (unflushed output) — the states the progress budget meters.
@@ -131,12 +134,13 @@ struct NetFrontConfig {
   // Consecutive no-progress polls a connection may hold a partial frame or unflushed
   // output; exhaustion is a disconnect (counted in budget_disconnects).
   uint64_t progress_budget = 40000;
-  // Sleep between idle PollOnce() iterations in ServeUntilShutdown (microseconds; routed
-  // through SleepFullMicros so EINTR never shortens the budget arithmetic).
+  // Longest single wait between PollOnce() iterations in ServeUntilShutdown, microseconds:
+  // the ppoll there ends when a socket is ready or after this long. Every budget below is
+  // therefore at most budget * poll_sleep_us of real time.
   unsigned int poll_sleep_us = 200;
-  // ServeUntilShutdown gives up after this many consecutive totally-idle polls (no
-  // connections, no bytes). 0 = serve forever; harnesses set a bound so an orphaned
-  // daemon exits instead of leaking.
+  // ServeUntilShutdown gives up after this many consecutive idle polls (no progress on any
+  // connection). 0 = serve forever; harnesses set a bound so an orphaned daemon exits
+  // instead of leaking.
   uint64_t serve_idle_budget = 0;
 };
 
@@ -153,6 +157,7 @@ class NetListener {
 
   // Accepts one pending connection (nonblocking); -1 when none is waiting.
   int Accept();
+  int fd() const { return fd_; }
 
   const NetAddress& address() const { return address_; }
   // The printable form clients connect to ("unix:<path>" / "tcp:<resolved port>").
@@ -182,8 +187,8 @@ class NetServiceFront {
   bool PollOnce();
 
   // Runs PollOnce until a client sends Shutdown (returns true) or the idle budget runs out
-  // (returns false; only with serve_idle_budget > 0). Remaining replies are flushed on a
-  // budget before returning.
+  // (returns false; only with serve_idle_budget > 0), waiting in ppoll whenever a step made
+  // no progress. Remaining replies are flushed on a budget before returning.
   bool ServeUntilShutdown();
 
   bool shutdown_received() const { return shutdown_received_; }
@@ -199,6 +204,10 @@ class NetServiceFront {
   };
 
   void AcceptPending();
+  // One ppoll over the listener (POLLIN) and every connection (POLLIN, plus POLLOUT where
+  // output is pending; `flush_only` watches just the POLLOUT side), for at most
+  // poll_sleep_us.
+  void WaitForSockets(bool flush_only);
   // Processes every complete frame buffered on `conn`. Returns true on progress; sets
   // *drop when the connection must be closed (corruption, protocol violation, backlog).
   bool DrainFrames(Connection& conn, bool* drop);

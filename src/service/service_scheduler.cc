@@ -1,7 +1,6 @@
 #include "src/service/service_scheduler.h"
 
 #include <signal.h>
-#include <unistd.h>
 
 #include <algorithm>
 #include <utility>
@@ -78,6 +77,7 @@ void ServiceScheduler::BindWorker(size_t w, const BlockManager& blocks) {
 void ServiceScheduler::AwaitHello(size_t w) {
   uint64_t polls = 0;
   while (true) {
+    uint32_t seen = transport_.ArmReplies();
     ServiceMessage msg;
     std::string error;
     RingPopStatus status = transport_.TryReceive(w, &msg, &error);
@@ -93,9 +93,7 @@ void ServiceScheduler::AwaitHello(size_t w) {
                     "worker " << w << " died during the bind handshake");
     DPACK_CHECK_MSG(++polls < config_.stall_budget,
                     "worker " << w << " never answered Bind (stall budget exhausted)");
-    if (config_.poll_sleep_us > 0) {
-      usleep(config_.poll_sleep_us);
-    }
+    transport_.WaitForReplies(seen);
   }
 }
 
@@ -295,6 +293,9 @@ void ServiceScheduler::CollectReplies() {
     return total;
   };
   while (outstanding_total() > 0) {
+    // Arm before the scan: a reply pushed after it moves the bell past `seen`, so the wait
+    // below cannot sleep through it.
+    uint32_t seen = transport_.ArmReplies();
     bool progress = false;
     for (size_t w = 0; w < workers; ++w) {
       if (outstanding_[w].empty() || !transport_.alive(w)) {
@@ -337,9 +338,10 @@ void ServiceScheduler::CollectReplies() {
       continue;
     }
     // No frame anywhere: look for corpses (waitpid) and hangs (heartbeat stalled for the
-    // whole iteration budget — the heartbeat advances on every worker poll, so a stall of
-    // budget * poll_sleep_us with a live pid means SIGSTOP or a wedge, and the daemon
-    // replaces the worker the same way it replaces a corpse).
+    // whole iteration budget — an idle worker's heartbeat advances at least every
+    // poll_sleep_us, so a heartbeat flat across budget wait iterations with a live pid means
+    // SIGSTOP or a wedge, and the daemon replaces the worker the same way it replaces a
+    // corpse).
     for (size_t w = 0; w < workers; ++w) {
       if (outstanding_[w].empty() || !transport_.alive(w)) {
         continue;
@@ -357,9 +359,7 @@ void ServiceScheduler::CollectReplies() {
         RecoverWorker(w);
       }
     }
-    if (config_.poll_sleep_us > 0) {
-      usleep(config_.poll_sleep_us);
-    }
+    transport_.WaitForReplies(seen);
   }
 }
 

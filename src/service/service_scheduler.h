@@ -21,9 +21,10 @@
 //      equals the state the round was broadcast against.
 //
 // Death detection is two-pronged (waitpid for corpses, a shared heartbeat for hangs), and
-// every wait is an iteration budget at a fixed poll sleep — no clock reads anywhere on the
-// scheduling path (scripts/dpack_lint.py enforces the same nondeterminism rules here as in
-// src/core).
+// every wait is an iteration budget — no clock reads anywhere on the scheduling path
+// (scripts/dpack_lint.py enforces the same nondeterminism rules here as in src/core). A
+// reply wait sleeps on the transport's reply doorbell, so it ends when a worker answers,
+// and at the latest after poll_sleep_us.
 
 #ifndef SRC_SERVICE_SERVICE_SCHEDULER_H_
 #define SRC_SERVICE_SERVICE_SCHEDULER_H_
@@ -58,7 +59,9 @@ struct ServiceConfig {
   size_t num_shards = 0;
   double eta = 0.05;  // DPack approximation parameter (kDpack only).
   ServiceRecovery recovery = ServiceRecovery::kReassign;
-  // Transport tuning (see TransportConfig).
+  // Transport tuning (see TransportConfig). poll_sleep_us is the longest single wait (a
+  // wait ends early when its message arrives); a worker whose heartbeat stays flat across
+  // stall_budget waits — at most stall_budget * poll_sleep_us — is declared hung.
   size_t ring_bytes = 1 << 20;
   unsigned int poll_sleep_us = 50;
   uint64_t stall_budget = 40000;
@@ -110,7 +113,7 @@ class ServiceScheduler : public Scheduler {
   // whatever was outstanding. Requires round state (batch ids, pending, blocks) to be set.
   void RecoverWorker(size_t w);
   // Drains score replies until no request is outstanding, detecting deaths (waitpid) and
-  // hangs (heartbeat stall over the iteration budget) as it waits.
+  // hangs (heartbeat stall over the iteration budget) between waits on the reply bell.
   void CollectReplies();
 
   GreedyMetric metric_;

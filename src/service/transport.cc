@@ -28,10 +28,6 @@ char* FromWorkerBase(void* region, const TransportConfig& config) {
   return ToWorkerBase(region) + config.ring_bytes;
 }
 
-// True once this child has been reparented — its daemon is gone, so every blocking wait
-// must end rather than spin orphaned. getppid is a pure process-tree read, not a clock.
-bool DaemonGone() { return getppid() == 1; }
-
 }  // namespace
 
 // ---------------------------------------------------------------------------
@@ -39,17 +35,26 @@ bool DaemonGone() { return getppid() == 1; }
 // ---------------------------------------------------------------------------
 
 WorkerEndpoint::WorkerEndpoint(size_t index, WorkerControlBlock* control, ShmRing in,
-                               ShmRing out, unsigned int poll_sleep_us)
+                               ShmRing out, Doorbell* replies, pid_t daemon_pid,
+                               unsigned int poll_sleep_us)
     : index_(index),
       control_(control),
       in_(in),
       out_(out),
+      replies_(replies),
+      daemon_pid_(daemon_pid),
       poll_sleep_us_(poll_sleep_us) {}
+
+// True once this child has been reparented — its daemon is gone, so every blocking wait
+// must end rather than wait orphaned. getppid is a pure process-tree read, not a clock;
+// comparing with the daemon's pid (not with 1) also covers reparenting to a subreaper.
+bool WorkerEndpoint::DaemonGone() const { return getppid() != daemon_pid_; }
 
 bool WorkerEndpoint::Receive(ServiceMessage* out) {
   std::string frame;
   while (true) {
     control_->heartbeat.fetch_add(1, std::memory_order_relaxed);
+    uint32_t seen = control_->inbound.Arm();
     RingPopStatus status = in_.TryPop(&frame);
     if (status == RingPopStatus::kOk) {
       break;
@@ -60,7 +65,7 @@ bool WorkerEndpoint::Receive(ServiceMessage* out) {
     if (DaemonGone()) {
       return false;
     }
-    SleepFullMicros(poll_sleep_us_);
+    control_->inbound.Wait(seen, poll_sleep_us_);
   }
   std::string error;
   return DecodeMessage(frame, out, &error);
@@ -75,6 +80,7 @@ bool WorkerEndpoint::Send(const ServiceMessage& message) {
     control_->heartbeat.fetch_add(1, std::memory_order_relaxed);
     SleepFullMicros(poll_sleep_us_);
   }
+  replies_->Ring();
   return true;
 }
 
@@ -121,15 +127,15 @@ void ServiceTransport::ForkWorker(size_t w) {
   // Build everything the child needs before forking; the child attaches fresh ring handles
   // over the same (inherited, same-address) memory, with the push/pop directions flipped.
   void* region = slot.region.data();
-  size_t ring_bytes = config_.ring_bytes;
-  unsigned int sleep_us = config_.poll_sleep_us;
+  Doorbell* replies = reply_bell_;
+  pid_t daemon_pid = getpid();
   const TransportConfig config = config_;
   WorkerBody body = body_;
-  slot.pid = SpawnChild([w, region, ring_bytes, sleep_us, config, body]() {
+  slot.pid = SpawnChild([w, region, replies, daemon_pid, config, body]() {
     auto* control = static_cast<WorkerControlBlock*>(region);
-    ShmRing in(ToWorkerBase(region), ring_bytes, /*initialize=*/false);
-    ShmRing out(FromWorkerBase(region, config), ring_bytes, /*initialize=*/false);
-    WorkerEndpoint endpoint(w, control, in, out, sleep_us);
+    ShmRing in(ToWorkerBase(region), config.ring_bytes, /*initialize=*/false);
+    ShmRing out(FromWorkerBase(region, config), config.ring_bytes, /*initialize=*/false);
+    WorkerEndpoint endpoint(w, control, in, out, replies, daemon_pid, config.poll_sleep_us);
     return body(endpoint);
   });
   slot.alive = true;
@@ -141,6 +147,8 @@ void ServiceTransport::Start() {
   slots_.resize(config_.num_workers);
   // Map and initialize every region BEFORE the first fork: each child inherits all
   // mappings at the same addresses, so respawned workers can reuse their slot unchanged.
+  bell_region_ = ShmRegion(sizeof(Doorbell));
+  reply_bell_ = new (bell_region_.data()) Doorbell();
   for (Slot& slot : slots_) {
     slot.region = ShmRegion(RegionBytes(config_));
     InitSlotMemory(slot);
@@ -192,6 +200,7 @@ bool ServiceTransport::Send(size_t w, const ServiceMessage& message) {
                               << config_.stall_budget << " exhausted)");
     SleepFullMicros(config_.poll_sleep_us);
   }
+  slot.control->inbound.Ring();
   ++counters_.messages_sent;
   counters_.bytes_sent += frame.size();
   return true;
@@ -267,7 +276,7 @@ void ServiceTransport::ShutdownAll() {
         Kill(w, SIGKILL);
         break;
       }
-      SleepFullMicros(config_.poll_sleep_us);
+      AwaitChildExit(slot.pid, config_.poll_sleep_us);
     }
   }
 }

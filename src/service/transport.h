@@ -4,11 +4,17 @@
 // the mappings at the same addresses (src/common/subprocess.h explains why fork-without-exec
 // is safe here).
 //
+// Waits end on arrival. Each ring has a Doorbell (src/common/doorbell.h): the daemon rings a
+// worker's inbound bell after pushing to it, and every worker rings one fleet-wide reply
+// bell after pushing toward the daemon. A waiter re-checks its ring and then sleeps on the
+// bell, so a message wakes it within a futex round trip instead of at the next poll.
+//
 // The daemon side (ServiceTransport) tracks liveness two ways: waitpid for death (a killed
 // worker) and the shared heartbeat counter for hangs (a stopped or wedged worker whose pid
 // is still live). Both are driven by *iteration budgets*, not wall-clock deadlines — the
-// scheduling path stays free of clock reads (scripts/dpack_lint.py nondeterministic-source),
-// and a stall budget of N polls at a fixed sleep is a deadline all the same.
+// scheduling path stays free of clock reads (scripts/dpack_lint.py nondeterministic-source).
+// Every wait lasts at most poll_sleep_us, so a stall budget of N waits is a deadline of at
+// most N * poll_sleep_us.
 //
 // Crash isolation contract: a worker may die (SIGKILL) at any instant. The rings only ever
 // expose complete checksummed frames (src/common/shm_ring.h), Send() to a dead worker
@@ -55,43 +61,53 @@ struct TransportConfig {
   // Bytes per ring direction (two rings per worker). One megabyte holds any test-sized
   // refresh batch; a full ring is a counted stall, not an error.
   size_t ring_bytes = 1 << 20;
-  // Sleep per empty/full poll iteration, microseconds. Iteration counts, not elapsed time,
-  // bound every wait: budget * sleep is the effective deadline.
+  // Longest single wait, microseconds: an empty-ring wait ends when its bell rings or after
+  // this long, and a full-ring back-off sleeps this long. An idle worker therefore still
+  // wakes (and beats its heartbeat) this often. Iteration counts, not elapsed time, bound
+  // every wait: a budget of N is at most N * poll_sleep_us.
   unsigned int poll_sleep_us = 50;
-  // Poll iterations a blocking daemon-side wait may spin before declaring the peer hung.
+  // Wait iterations a blocking daemon-side wait may spend without worker progress before
+  // declaring the peer hung.
   uint64_t stall_budget = 40000;
 };
 
 // The child-process side of one worker slot: pops daemon→worker frames, pushes
-// worker→daemon frames, bumps the shared heartbeat on every poll so the daemon can tell a
-// hung worker from a merely idle one. Constructed inside the forked child by
-// ServiceTransport; user code receives it through the WorkerBody callback.
+// worker→daemon frames (ringing the fleet's reply bell), bumps the shared heartbeat on every
+// wait iteration so the daemon can tell a hung worker from a merely idle one. Constructed
+// inside the forked child by ServiceTransport; user code receives it through the WorkerBody
+// callback.
 class WorkerEndpoint {
  public:
   WorkerEndpoint(size_t index, WorkerControlBlock* control, ShmRing in, ShmRing out,
-                 unsigned int poll_sleep_us);
+                 Doorbell* replies, pid_t daemon_pid, unsigned int poll_sleep_us);
 
   size_t index() const { return index_; }
 
-  // Blocks until one message arrives from the daemon (bumping the heartbeat every poll) and
-  // decodes it. Returns false on ring corruption or an undecodable frame — the worker
+  // Blocks until one message arrives from the daemon and decodes it. Each wait iteration
+  // bumps the heartbeat, re-checks the ring and sleeps on the inbound bell for at most
+  // poll_sleep_us. Returns false on ring corruption or an undecodable frame — the worker
   // should exit nonzero; the daemon sees the death and recovers. If the daemon itself dies
-  // (the worker is reparented), the wait ends and false is returned instead of spinning
-  // orphaned forever.
+  // (the worker is reparented), the next iteration notices and false is returned instead
+  // of waiting orphaned forever.
   bool Receive(ServiceMessage* out);
 
-  // Pushes one message toward the daemon, blocking while the ring is full. Returns false
-  // only on the orphaned-daemon condition above.
+  // Pushes one message toward the daemon and rings the reply bell, sleeping poll_sleep_us
+  // per try while the ring is full. Returns false only on the orphaned-daemon condition
+  // above.
   bool Send(const ServiceMessage& message);
 
   // Publishes the worker's lifecycle state (kReady after Bind, kExited before a clean exit).
   void SetLifeState(WorkerLifeState state);
 
  private:
+  bool DaemonGone() const;
+
   size_t index_;
   WorkerControlBlock* control_;
   ShmRing in_;   // Daemon → worker; this side pops.
   ShmRing out_;  // Worker → daemon; this side pushes.
+  Doorbell* replies_;
+  pid_t daemon_pid_;
   unsigned int poll_sleep_us_;
 };
 
@@ -111,8 +127,8 @@ class ServiceTransport {
   ServiceTransport(const ServiceTransport&) = delete;
   ServiceTransport& operator=(const ServiceTransport&) = delete;
 
-  // Maps all regions, initializes rings and control blocks, forks every worker. Call once,
-  // from a single-threaded process.
+  // Maps all regions (the reply bell's included), initializes rings and control blocks,
+  // forks every worker. Call once, from a single-threaded process.
   void Start();
   bool started() const { return started_; }
 
@@ -124,15 +140,22 @@ class ServiceTransport {
   uint64_t heartbeat(size_t w) const;
   WorkerLifeState life_state(size_t w) const;
 
-  // Blocking push to worker w's inbound ring. A full ring is polled (counting ring_stalls)
-  // until space frees, the worker is found dead (returns false), or the stall budget is
-  // exhausted (DPACK_CHECK failure: a live, bound worker that stops draining its ring for
-  // budget * poll_sleep_us is a bug, not backpressure).
+  // Blocking push to worker w's inbound ring, then a ring of its inbound bell. A full ring
+  // is retried every poll_sleep_us (counting ring_stalls) until space frees, the worker is
+  // found dead (returns false), or the stall budget is exhausted (DPACK_CHECK failure: a
+  // live, bound worker that stops draining its ring for budget * poll_sleep_us is a bug,
+  // not backpressure).
   bool Send(size_t w, const ServiceMessage& message);
 
   // Non-blocking pop from worker w's outbound ring. kOk decodes into *out (an undecodable
   // frame reports kCorrupt with *error set); kEmpty/kCorrupt leave *out untouched.
   RingPopStatus TryReceive(size_t w, ServiceMessage* out, std::string* error);
+
+  // Waiting for any worker's next message: `seen = ArmReplies()`, scan the rings with
+  // TryReceive, and only if they were all empty WaitForReplies(seen). The wait ends when a
+  // worker pushes after the Arm, or after at most poll_sleep_us.
+  uint32_t ArmReplies() const { return reply_bell_->Arm(); }
+  void WaitForReplies(uint32_t seen) { reply_bell_->Wait(seen, config_.poll_sleep_us); }
 
   // Re-checks worker w's process state via waitpid. A terminal result (exit or signal)
   // reaps the child and marks the slot dead; safe to call repeatedly afterwards.
@@ -153,7 +176,8 @@ class ServiceTransport {
   void Respawn(size_t w);
 
   // Clean shutdown: Shutdown message to every live worker, a budgeted wait for voluntary
-  // exits, SIGKILL for stragglers, and a reap of everything. Idempotent.
+  // exits (each wait ends as soon as the worker exits), SIGKILL for stragglers, and a reap
+  // of everything. Idempotent.
   void ShutdownAll();
 
   ServiceCounters& counters() { return counters_; }
@@ -177,6 +201,8 @@ class ServiceTransport {
   TransportConfig config_;
   WorkerBody body_;
   std::vector<Slot> slots_;
+  ShmRegion bell_region_;  // Holds the reply bell; mapped before the first fork.
+  Doorbell* reply_bell_ = nullptr;
   ServiceCounters counters_;
   bool started_ = false;
 };

@@ -16,6 +16,7 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 # fixture file -> (lint-as repo path, rules that must fire)
 VIOLATIONS = {
     "raw_mutex_violation.cc": ("src/common/queue.cc", {"raw-mutex"}),
+    "raw_sleep_violation.cc": ("src/service/poll.cc", {"raw-sleep"}),
     "unordered_iteration_violation.cc": ("src/core/order.cc", {"unordered-iteration"}),
     "unordered_member_violation.cc": ("src/core/tracker.cc", {"unordered-member"}),
     "nondeterministic_source_violation.cc": ("src/core/jitter.cc",
@@ -96,6 +97,29 @@ class FixtureViolations(unittest.TestCase):
                 self.assertIn(f"[{rule}]", proc.stdout,
                               f"{fixture} at {as_path} should trip {rule}:\n"
                               f"{proc.stdout}")
+
+
+    def test_raw_sleep_fires_on_every_sleep_and_only_in_src(self):
+        fixture = os.path.join(FIXTURES, "raw_sleep_violation.cc")
+        proc = run_lint("--fixture", fixture, "--as", "src/common/queue.cc")
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertEqual(proc.stdout.count("[raw-sleep]"), 3, proc.stdout)
+        # Tests and benches may sleep (they pace peers, not the service).
+        proc = run_lint("--fixture", fixture, "--as", "tests/service/poll_test.cc")
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+
+    def test_raw_sleep_homes_are_the_only_exemptions(self):
+        # The exemption is exactly the two bounded-wait files: the same sleeps linted as
+        # either home are clean, and sleep.cc's own content linted anywhere else fires.
+        fixture = os.path.join(FIXTURES, "raw_sleep_violation.cc")
+        for home in ("src/common/sleep.cc", "src/common/doorbell.cc"):
+            with self.subTest(home=home):
+                proc = run_lint("--fixture", fixture, "--as", home)
+                self.assertEqual(proc.returncode, 0, proc.stdout)
+        sleep_cc = os.path.join(REPO_ROOT, "src", "common", "sleep.cc")
+        proc = run_lint("--fixture", sleep_cc, "--as", "src/common/other_sleep.cc")
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertIn("[raw-sleep]", proc.stdout)
 
 
 class NearMisses(unittest.TestCase):

@@ -2,17 +2,20 @@
 // workers over the shm transport) must grant the exact same task ids in the exact same
 // order as the single-process engines, for every fleet shape, every metric, and both the
 // single-shard and sharded reference engines. Plus the grant-request API's admission
-// control and the determinism of the transport counters (two identical runs, identical
-// counters — the property the bench baseline gates on).
+// control, the determinism of the transport counters (two identical runs, identical
+// counters — the property the bench baseline gates on), and a churn run whose waits may
+// each last two seconds, which finishes quickly only if every message wakes its reader.
 
 #include "src/service/grant_service.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/core/scheduler.h"
 #include "src/sim/service_sim.h"
 #include "src/sim/sim_driver.h"
@@ -170,6 +173,76 @@ TEST(GrantServiceTest, CyclesMatchInProcessOnlineScheduler) {
 
   EXPECT_EQ(service.last_granted(), reference.last_granted());
   EXPECT_FALSE(service.last_granted().empty());
+}
+
+// A deadline without a clock read: SIGALRM ends the test binary if the run has not finished
+// after `seconds`. Healthy long-wait runs take milliseconds; ten lost wake-ups do not.
+class AlarmDeadline {
+ public:
+  explicit AlarmDeadline(unsigned int seconds) { alarm(seconds); }
+  ~AlarmDeadline() { alarm(0); }
+  AlarmDeadline(const AlarmDeadline&) = delete;
+  AlarmDeadline& operator=(const AlarmDeadline&) = delete;
+};
+
+// No lost wake-ups on the shm rings. Every wait in the fleet may last two seconds, and the
+// hang budget is 1000 of them, so a message that fails to wake its reader costs a visible
+// two-second stall, and ten of them fail the test: 30 cycles of sleep-polling at this
+// setting would take minutes. With doorbells the run takes milliseconds. The grants must
+// still be the in-process engine's, cycle by cycle.
+TEST(GrantServiceTest, ChurnWithTwoSecondWaitsMatchesInProcess) {
+  AlarmDeadline deadline(20);
+  constexpr int kCycles = 30;
+  // The churn stream: one block per cycle, a few tasks per cycle on the most recent blocks,
+  // some of which time out and are evicted.
+  std::vector<std::vector<Task>> arrivals(kCycles);
+  Rng rng(kSeed);
+  int64_t next_id = 0;
+  for (int c = 0; c < kCycles; ++c) {
+    int64_t count = rng.UniformInt(1, 4);
+    for (int64_t i = 0; i < count; ++i) {
+      Task task(next_id++, /*weight=*/1.0, Pool().capacity().Scaled(rng.Uniform(0.02, 0.3)));
+      task.arrival_time = c;
+      task.timeout = 4.0;
+      task.num_recent_blocks = static_cast<size_t>(rng.UniformInt(1, 3));
+      arrivals[static_cast<size_t>(c)].push_back(std::move(task));
+    }
+  }
+
+  BlockManager service_blocks(Grid(), 10.0, 1e-7);
+  GrantServiceConfig config;
+  config.service.num_workers = 2;
+  config.service.poll_sleep_us = 2'000'000;
+  config.service.stall_budget = 1000;
+  config.unlock_steps = 10;
+  GrantService service(GreedyMetric::kDpack, &service_blocks, config);
+
+  BlockManager reference_blocks(Grid(), 10.0, 1e-7);
+  OnlineSchedulerConfig reference_config;
+  reference_config.unlock_steps = 10;
+  OnlineScheduler reference(
+      std::make_unique<GreedyScheduler>(
+          GreedyMetric::kDpack, GreedySchedulerOptions{.eta = 0.05, .incremental = true}),
+      &reference_blocks, reference_config);
+
+  size_t granted = 0;
+  for (int c = 0; c < kCycles; ++c) {
+    service_blocks.AddBlock(c);
+    reference_blocks.AddBlock(c);
+    for (const Task& task : arrivals[static_cast<size_t>(c)]) {
+      ASSERT_TRUE(service.Submit(task));
+      ASSERT_TRUE(reference.Submit(task));
+    }
+    service.RunCycle(c);
+    reference.RunCycle(c);
+    EXPECT_EQ(service.last_granted(), reference.last_granted()) << "cycle " << c;
+    granted += service.last_granted().size();
+  }
+  EXPECT_GT(granted, 0u);
+  EXPECT_GT(reference.metrics().evicted(), 0u);
+  EXPECT_EQ(service.metrics().evicted(), reference.metrics().evicted());
+  EXPECT_EQ(service.counters().recoveries, 0u);
+  EXPECT_GE(service.counters().score_rounds, static_cast<uint64_t>(kCycles) / 2);
 }
 
 }  // namespace

@@ -1,15 +1,21 @@
 // Service wire protocol: encode/decode roundtrips for every message type, plus the
 // checkpoint codec's corruption discipline applied to the protocol — every truncation
 // prefix, header damage, type confusion, and trailing garbage must be rejected with a
-// diagnostic, never decoded into a silently-wrong message.
+// diagnostic, never decoded into a silently-wrong message. A seeded mutation fuzzer drives
+// the frame and message decoders together, the way bytes arrive off a ring or a socket.
 
 #include "src/service/messages.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <string>
 #include <vector>
+
+#include "src/common/frame.h"
+#include "src/common/rng.h"
 
 namespace dpack {
 namespace {
@@ -235,6 +241,113 @@ TEST(ServiceMessagesTest, MetricOutOfRangeRejected) {
     }
   }
   EXPECT_TRUE(rejected_somewhere);
+}
+
+// --- Checksum-repaired mutations: the frame and message decoders under hostile bytes ---
+
+size_t MutationIterations() {
+  // DPACK_FUZZ_ITERATIONS is the fuzz depth shared with scenario_fuzz_test (default 100);
+  // this test runs twice that many mutations.
+  const char* env = std::getenv("DPACK_FUZZ_ITERATIONS");
+  if (env != nullptr) {
+    long long parsed = std::atoll(env);
+    if (parsed > 0) {
+      return 2 * static_cast<size_t>(parsed);
+    }
+  }
+  return 200;
+}
+
+// 1-8 byte flips, inserts and deletes at random positions.
+void MutateBytes(Rng& rng, std::string* bytes) {
+  int64_t mutations = rng.UniformInt(1, 8);
+  for (int64_t m = 0; m < mutations; ++m) {
+    int64_t kind = bytes->empty() ? 1 : rng.UniformInt(0, 2);  // Only an insert fits "".
+    size_t pos = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(bytes->size()) - (kind == 1 ? 0 : 1)));
+    char byte = static_cast<char>(rng.UniformInt(1, 255));
+    if (kind == 0) {
+      (*bytes)[pos] = static_cast<char>((*bytes)[pos] ^ byte);
+    } else if (kind == 1) {
+      bytes->insert(pos, 1, byte);
+    } else {
+      bytes->erase(pos, 1);
+    }
+  }
+}
+
+// One seeded iteration; returns true when the mutated bytes decoded to a message. The
+// payload of a sample message is mutated and then framed with a repaired length and
+// checksum, so DecodeFrame hands it to DecodeMessage. One iteration in four also damages
+// the frame header (or truncates the frame), which DecodeFrame itself must catch.
+bool RunMutationIteration(uint64_t seed) {
+  SCOPED_TRACE("mutation seed=" + std::to_string(seed) +
+               " (replay: DPACK_FUZZ_REPLAY_SEED=" + std::to_string(seed) + ")");
+  Rng rng(seed);
+  std::vector<ServiceMessage> samples = SampleMessages();
+  std::string payload = EncodeMessage(
+      samples[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(samples.size()) - 1))]);
+  MutateBytes(rng, &payload);
+  std::string frame;
+  AppendFrame(&frame, payload);
+  if (rng.UniformInt(0, 3) == 0) {
+    if (rng.Bernoulli(0.5)) {
+      size_t pos = static_cast<size_t>(rng.UniformInt(0, kFrameHeaderBytes - 1));
+      frame[pos] = static_cast<char>(frame[pos] ^ static_cast<char>(rng.UniformInt(1, 255)));
+    } else {
+      frame.resize(static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(frame.size()) - 1)));
+    }
+  }
+
+  std::string_view body;
+  size_t consumed = 0;
+  std::string error;
+  switch (DecodeFrame(frame, /*max_payload=*/1 << 20, &body, &consumed, &error)) {
+    case FrameDecodeStatus::kCorrupt:
+      EXPECT_FALSE(error.empty());
+      return false;
+    case FrameDecodeStatus::kNeedMore:
+      // Only a frame shorter than its header declares may ask for more bytes.
+      EXPECT_TRUE(frame.size() < kFrameHeaderBytes ||
+                  frame.size() - kFrameHeaderBytes < LoadU64Le(frame.data()));
+      return false;
+    case FrameDecodeStatus::kOk:
+      break;
+  }
+  // An accepted frame is exactly the frame of its payload.
+  std::string reframed;
+  AppendFrame(&reframed, body);
+  EXPECT_EQ(reframed, frame.substr(0, consumed));
+  ServiceMessage decoded;
+  if (!DecodeMessage(body, &decoded, &error)) {
+    EXPECT_FALSE(error.empty());
+    return false;
+  }
+  // An accepted message re-encodes to exactly the mutated bytes: no byte was ignored or
+  // normalized on the way in.
+  EXPECT_EQ(EncodeMessage(decoded), std::string(body));
+  return true;
+}
+
+TEST(ServiceMessagesTest, ChecksumRepairedMutationsAreRejectedOrExact) {
+  if (const char* replay = std::getenv("DPACK_FUZZ_REPLAY_SEED")) {
+    RunMutationIteration(static_cast<uint64_t>(std::atoll(replay)));
+    return;
+  }
+  constexpr uint64_t kBaseSeed = 9100;
+  size_t accepted = 0;
+  size_t iterations = MutationIterations();
+  std::printf("mutation seeds %llu..%llu\n", static_cast<unsigned long long>(kBaseSeed),
+              static_cast<unsigned long long>(kBaseSeed + iterations - 1));
+  for (size_t i = 0; i < iterations; ++i) {
+    accepted += RunMutationIteration(kBaseSeed + i) ? 1 : 0;
+    if (testing::Test::HasFailure()) {
+      return;  // The SCOPED_TRACE of the failing seed is in the log.
+    }
+  }
+  // Both outcomes must occur, or the test is not reaching past one of the two decoders.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, iterations);
 }
 
 }  // namespace

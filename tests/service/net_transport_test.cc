@@ -4,7 +4,8 @@
 // every rejection the daemon keeps serving well-behaved clients. Plus the cross-process
 // properties: a client SIGKILLed mid-frame leaves no trace but a discarded partial buffer,
 // and a remotely driven workload's grant trace is byte-identical to the in-process engine
-// across fleet shapes and worker-kill policies.
+// across fleet shapes and worker-kill policies — also when every wait may last two seconds,
+// which only a daemon and client that wake on arrival finish quickly.
 
 #include "src/service/net_transport.h"
 
@@ -522,12 +523,19 @@ SimResult ReferenceRun(const ScenarioWorkload& workload) {
   return RunOnlineSimulation(std::move(scheduler), workload.tasks, workload.sim);
 }
 
-// Forks a --listen-style daemon serving the workload's block schedule on `socket_path`.
-// Exits 0 on a clean client Shutdown, 3 if the idle budget expired first.
+// Forks a --listen-style daemon serving the workload's block schedule on `socket_path` and
+// returns once it is listening (so a client never waits out a connect retry). Exits 0 on
+// a clean client Shutdown, 3 if the idle budget expired first.
 pid_t SpawnDaemon(const std::string& socket_path, const ScenarioWorkload& workload,
-                  ServiceConfig service_config) {
+                  ServiceConfig service_config, NetFrontConfig front_config = {}) {
+  if (front_config.serve_idle_budget == 0) {
+    front_config.serve_idle_budget = 400000;  // An orphaned daemon exits, never leaks.
+  }
+  int ready[2];
+  EXPECT_EQ(pipe(ready), 0);
   SimConfig sim = workload.sim;
-  return SpawnChild([socket_path, sim, service_config]() -> int {
+  pid_t daemon = SpawnChild([socket_path, sim, service_config, front_config, ready]() -> int {
+    close(ready[0]);
     BlockManager blocks(Grid(), sim.eps_g, sim.delta_g);
     GrantServiceConfig config;
     config.service = service_config;
@@ -541,8 +549,6 @@ pid_t SpawnDaemon(const std::string& socket_path, const ScenarioWorkload& worklo
     NetAddress address;
     address.is_unix = true;
     address.path = socket_path;
-    NetFrontConfig front_config;
-    front_config.serve_idle_budget = 400000;  // An orphaned daemon exits, never leaks.
     NetServiceFront front(&service, &blocks, Grid(), std::make_unique<NetListener>(address),
                           front_config, [&blocks, &schedule, &next_block](double now) {
                             while (next_block < schedule.size() &&
@@ -551,8 +557,18 @@ pid_t SpawnDaemon(const std::string& socket_path, const ScenarioWorkload& worklo
                               ++next_block;
                             }
                           });
+    char listening = 1;
+    if (write(ready[1], &listening, 1) != 1) {
+      return 4;
+    }
+    close(ready[1]);
     return front.ServeUntilShutdown() ? 0 : 3;
   });
+  close(ready[1]);
+  char listening = 0;
+  EXPECT_EQ(read(ready[0], &listening, 1), 1) << "daemon died before listening";
+  close(ready[0]);
+  return daemon;
 }
 
 TEST(NetRemoteEquivalenceTest, RemoteTraceMatchesInProcessAcrossFleetShapesAndKills) {
@@ -601,6 +617,54 @@ TEST(NetRemoteEquivalenceTest, RemoteTraceMatchesInProcessAcrossFleetShapesAndKi
     EXPECT_EQ(status.state, ChildState::kExited);
     EXPECT_EQ(status.exit_code, 0);
   }
+}
+
+// A deadline without a clock read: SIGALRM ends the test binary if the run has not finished
+// after `seconds`. Healthy long-wait runs take milliseconds; ten lost wake-ups do not.
+class AlarmDeadline {
+ public:
+  explicit AlarmDeadline(unsigned int seconds) { alarm(seconds); }
+  ~AlarmDeadline() { alarm(0); }
+  AlarmDeadline(const AlarmDeadline&) = delete;
+  AlarmDeadline& operator=(const AlarmDeadline&) = delete;
+};
+
+// No lost wake-ups on the socket edge. The front, the client and the fleet may each wait
+// two seconds per iteration, so one request whose bytes fail to wake their reader stalls
+// the run by two seconds, and ten such stalls fail the test; sleep-polling at this setting
+// would need two such waits per request, many minutes in all. Waking on arrival, the run
+// takes milliseconds.
+TEST(NetRemoteEquivalenceTest, TwoSecondWaitsStillAnswerEveryRequestOnArrival) {
+  AlarmDeadline deadline(20);
+  ScenarioWorkload workload = Workload("steady_poisson");
+  SimResult reference = ReferenceRun(workload);
+  constexpr unsigned int kLongWaitUs = 2'000'000;
+  std::string socket_path = testing::TempDir() + "/dpack_net_long_waits.sock";
+  ServiceConfig service_config;
+  service_config.poll_sleep_us = kLongWaitUs;
+  service_config.stall_budget = 1000;
+  NetFrontConfig front_config;
+  front_config.poll_sleep_us = kLongWaitUs;
+  front_config.serve_idle_budget = 30;
+  pid_t daemon = SpawnDaemon(socket_path, workload, service_config, front_config);
+
+  NetClientConfig client_config;
+  client_config.poll_sleep_us = kLongWaitUs;
+  client_config.io_budget = 30;
+  ServiceClient client(client_config);
+  std::string error;
+  ASSERT_TRUE(client.Connect("unix:" + socket_path, &error)) << error;
+  RemoteRunResult result;
+  ASSERT_TRUE(RunRemoteWorkload(client, workload.tasks, workload.sim, &result, &error))
+      << error;
+  EXPECT_EQ(result.grant_trace, reference.grant_trace);
+  EXPECT_GE(client.counters().frames_sent, 50u);
+  EXPECT_EQ(client.counters().frames_received, client.counters().frames_sent);
+  ASSERT_TRUE(client.SendShutdown(&error)) << error;
+  client.Close();
+  ChildStatus status = WaitChild(daemon);
+  EXPECT_EQ(status.state, ChildState::kExited);
+  EXPECT_EQ(status.exit_code, 0);
 }
 
 }  // namespace

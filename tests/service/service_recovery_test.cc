@@ -1,11 +1,14 @@
 // Crash isolation proofs for the service fleet: SIGKILL any worker at a (seeded) random
 // score round, under both recovery policies and multiple fleet shapes, and the grant trace
 // must stay byte-identical to the uninterrupted service run AND to the in-process engine.
-// Also: a hung (SIGSTOPped) worker is detected by heartbeat stall and recovered; and the
-// checkpoint codec resumes a killed service run on an entirely fresh fleet with the
-// stitched trace equal to the uninterrupted one.
+// Also: a hung (SIGSTOPped) worker is detected by heartbeat stall and recovered; a worker
+// waiting on its doorbell exits once its daemon dies; and the checkpoint codec resumes a
+// killed service run on an entirely fresh fleet with the stitched trace equal to the
+// uninterrupted one.
 
 #include <gtest/gtest.h>
+#include <sys/prctl.h>
+#include <unistd.h>
 
 #include <csignal>
 #include <algorithm>
@@ -14,6 +17,7 @@
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/common/sleep.h"
 #include "src/common/subprocess.h"
 #include "src/core/scheduler.h"
 #include "src/orchestrator/checkpoint.h"
@@ -189,6 +193,60 @@ TEST(ServiceRecoveryTest, HungWorkerDetectedByHeartbeat) {
   for (Task& task : batch(100)) ASSERT_TRUE(reference.Submit(std::move(task)));
   reference.RunCycle(1.0);
   EXPECT_EQ(service.last_granted(), reference.last_granted());
+}
+
+// The orphan check still runs while a worker waits on its bell: with its daemon SIGKILLed,
+// a worker blocked in Receive on an empty ring must notice within a wait or two and exit
+// nonzero, never wait orphaned forever.
+TEST(ServiceRecoveryTest, WorkerWaitingOnItsBellExitsWhenTheDaemonDies) {
+  // Orphans reparent to the nearest subreaper. Making this process one lets the test reap
+  // the orphaned worker and read its exit status.
+  ASSERT_EQ(prctl(PR_SET_CHILD_SUBREAPER, 1), 0);
+  int report[2];
+  ASSERT_EQ(pipe(report), 0);
+  pid_t daemon = SpawnChild([report]() -> int {
+    close(report[0]);
+    TransportConfig config;
+    config.num_workers = 1;
+    config.ring_bytes = 4096;
+    config.poll_sleep_us = 1000;
+    ServiceTransport transport(config, [](WorkerEndpoint& endpoint) {
+      ServiceMessage msg;
+      return endpoint.Receive(&msg) ? 0 : 7;
+    });
+    transport.Start();
+    // The heartbeat moves once per wait iteration: two beats mean the worker is in Receive.
+    for (int i = 0; i < 100000 && transport.heartbeat(0) < 2; ++i) {
+      SleepFullMicros(100);
+    }
+    pid_t worker = transport.pid(0);
+    if (write(report[1], &worker, sizeof(worker)) != sizeof(worker)) {
+      return 1;
+    }
+    while (true) {
+      pause();  // Until the SIGKILL.
+    }
+  });
+  close(report[1]);
+  pid_t worker = -1;
+  ASSERT_EQ(read(report[0], &worker, sizeof(worker)), static_cast<ssize_t>(sizeof(worker)));
+  close(report[0]);
+  KillChild(daemon, SIGKILL);
+  ChildStatus daemon_status = WaitChild(daemon);
+  EXPECT_EQ(daemon_status.state, ChildState::kSignaled);
+  // Reaped daemon => the worker has been reparented here. Give it up to ten seconds.
+  ChildStatus status = PollChild(worker);
+  for (int i = 0; i < 10000 && status.state == ChildState::kRunning; ++i) {
+    SleepFullMicros(1000);
+    status = PollChild(worker);
+  }
+  if (status.state == ChildState::kRunning) {
+    KillChild(worker, SIGKILL);
+    WaitChild(worker);
+  }
+  prctl(PR_SET_CHILD_SUBREAPER, 0);
+  EXPECT_EQ(status.state, ChildState::kExited);
+  EXPECT_EQ(status.exit_code, 7);
 }
 
 // Checkpoint + resume on a brand-new fleet: the service composes with the recovery
