@@ -159,11 +159,11 @@ void RunIncrementalComparison(Scale scale) {
               std::to_string(num_tasks) + " pending tasks, 5% blocks dirty per cycle)");
 }
 
-// --- Shard-count sweep (sharded engine on the same steady-state regime) -------------------
+// --- Shard-count sweep (the incremental engine on the same steady-state regime) -----------
 //
 // ShardedScheduleContext partitions blocks and tasks across N shards and rescoring across a
-// worker pool; grants are byte-identical to the single-shard engine (pinned by the sharded
-// differential suite). This sweep reports per-cycle cost per shard count and the speedup
+// worker pool; grants are byte-identical at every shard count (pinned by the differential
+// suite). This sweep reports per-cycle cost per shard count and the speedup
 // over 1 shard. The parallel phases scale with the cores actually available — a single-core
 // host measures only the pool's coordination overhead. Every block is dirtied once per 20
 // cycles and the queue never drains, so each cycle rescores little: this is the regime

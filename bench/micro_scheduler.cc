@@ -67,7 +67,7 @@ constexpr int kSteadyIterations = 60;  // 3 full rotations of the dirty-block cu
 // benchmark so they land in the JSON artifact. No-op for the recompute path (no engine).
 void ReportEngineCounters(benchmark::State& state, const GreedyScheduler& scheduler,
                           const ScheduleContextStats& at_entry) {
-  const ScheduleEngine* engine = scheduler.engine();
+  const ShardedScheduleContext* engine = scheduler.engine();
   if (engine == nullptr || state.iterations() == 0) {
     return;
   }
@@ -164,10 +164,11 @@ BENCHMARK(BM_AreaSteadyRecompute)
 
 // --- Shard-count sweep (sharded engine, same steady-state regime) -------------------------
 //
-// Args: {pending tasks, num_shards}. num_shards = 1 runs the single-shard ScheduleContext;
-// higher counts run the fork-join worker pool. Same grants by construction — see the
-// sharded differential suite. The speedup scales with the cores actually available — on a
-// single-core host the sweep only measures the pool's two barriers per cycle.
+// Args: {pending tasks, num_shards}, num_shards >= 2: the fork-join worker pool. One shard
+// is BM_*SteadyIncremental above (the same engine at its default). Same grants by
+// construction — see the sharded differential suite. The speedup scales with the cores
+// actually available — on a single-core host the sweep only measures the pool's two
+// barriers per cycle.
 
 void RunSteadyStateEngine(benchmark::State& state, GreedyMetric metric) {
   std::vector<Task> tasks = SteadyStateTasks(static_cast<size_t>(state.range(0)));
@@ -199,7 +200,6 @@ void BM_DpackSteadySharded(benchmark::State& state) {
   RunSteadyStateEngine(state, GreedyMetric::kDpack);
 }
 BENCHMARK(BM_DpackSteadySharded)
-    ->Args({1000, 1})
     ->Args({1000, 2})
     ->Args({1000, 4})
     ->Iterations(kSteadyIterations)
@@ -209,7 +209,6 @@ void BM_DpfSteadySharded(benchmark::State& state) {
   RunSteadyStateEngine(state, GreedyMetric::kDpf);
 }
 BENCHMARK(BM_DpfSteadySharded)
-    ->Args({1000, 1})
     ->Args({1000, 2})
     ->Args({1000, 4})
     ->Iterations(kSteadyIterations)
@@ -219,7 +218,6 @@ void BM_AreaSteadySharded(benchmark::State& state) {
   RunSteadyStateEngine(state, GreedyMetric::kArea);
 }
 BENCHMARK(BM_AreaSteadySharded)
-    ->Args({1000, 1})
     ->Args({1000, 2})
     ->Args({1000, 4})
     ->Iterations(kSteadyIterations)

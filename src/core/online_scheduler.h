@@ -3,10 +3,11 @@
 // tasks wait (until their timeout), and unused unlocked budget carries over.
 //
 // The inner scheduler instance is owned by this driver and persists across RunCycle calls —
-// deliberately, because an incremental GreedyScheduler carries a ScheduleContext whose cached
-// scores and best-alpha solutions only pay off when the same context sees every consecutive
-// cycle. The driver also never mutates a pending task between cycles (late block resolution
-// excepted), which is the immutability contract the context's id-keyed cache relies on.
+// deliberately, because an incremental GreedyScheduler carries an engine
+// (ShardedScheduleContext) whose cached scores and best-alpha solutions only pay off when the
+// same engine sees every consecutive cycle. The driver also never mutates a pending task
+// between cycles (late block resolution excepted), which is the immutability contract the
+// engine's id-keyed cache relies on.
 
 #ifndef SRC_CORE_ONLINE_SCHEDULER_H_
 #define SRC_CORE_ONLINE_SCHEDULER_H_

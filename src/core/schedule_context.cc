@@ -1,7 +1,6 @@
 #include "src/core/schedule_context.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 
 #include "src/common/check.h"
@@ -10,10 +9,8 @@ namespace dpack {
 
 namespace {
 
-constexpr uint64_t kNoReject = std::numeric_limits<uint64_t>::max();
-
 // Sorts task indices by score descending, breaking ties by arrival time then id so results
-// are deterministic. This is the recompute path's ordering; the incremental heaps'
+// are deterministic. This is the recompute path's ordering; the incremental engine's
 // HeapEntryBefore reproduces it exactly for unique ids.
 std::vector<size_t> OrderByScoreDesc(std::span<const Task> pending,
                                      std::span<const double> scores) {
@@ -109,93 +106,6 @@ std::vector<size_t> RecomputeScheduleBatch(GreedyMetric metric, double eta,
   return AllocateInOrder(pending, blocks, OrderByScoreDesc(pending, scores));
 }
 
-// --- TaskCacheMap (shared by ScheduleContext and ShardedScheduleContext) ------------------
-
-TaskCacheMap::TaskCacheMap() { slots_.resize(1024); }
-
-size_t TaskCacheMap::Probe(TaskId id) const {
-  uint64_t h = static_cast<uint64_t>(id) * 0x9E3779B97F4A7C15ULL;
-  h ^= h >> 32;
-  return static_cast<size_t>(h) & (slots_.size() - 1);
-}
-
-size_t TaskCacheMap::Find(TaskId id) const {
-  size_t i = Probe(id);
-  while (slots_[i].used) {
-    if (slots_[i].id == id) {
-      return i;
-    }
-    i = (i + 1) & (slots_.size() - 1);
-  }
-  return kNpos;
-}
-
-size_t TaskCacheMap::FindOrInsert(TaskId id) {
-  size_t i = Probe(id);
-  while (slots_[i].used) {
-    if (slots_[i].id == id) {
-      return i;
-    }
-    i = (i + 1) & (slots_.size() - 1);
-  }
-  DPACK_CHECK_MSG(2 * (size_ + 1) <= slots_.size(), "TaskCacheMap insert without Reserve");
-  slots_[i].used = true;
-  slots_[i].id = id;
-  slots_[i].value = TaskCache{};
-  ++size_;
-  return i;
-}
-
-bool TaskCacheMap::Reserve(size_t additional) {
-  size_t needed = 2 * (size_ + additional + 1);
-  if (needed <= slots_.size()) {
-    return false;
-  }
-  size_t capacity = slots_.size();
-  while (capacity < needed) {
-    capacity *= 2;
-  }
-  Rehash(capacity);
-  return true;
-}
-
-void TaskCacheMap::Rehash(size_t new_capacity) {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(new_capacity, Slot{});
-  for (Slot& slot : old) {
-    if (slot.used) {
-      size_t i = Probe(slot.id);
-      while (slots_[i].used) {
-        i = (i + 1) & (slots_.size() - 1);
-      }
-      slots_[i] = std::move(slot);
-    }
-  }
-}
-
-void TaskCacheMap::PurgeNotSeen(uint64_t cycle) {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.size(), Slot{});
-  size_ = 0;
-  for (Slot& slot : old) {
-    if (slot.used && slot.value.last_seen == cycle) {
-      size_t i = Probe(slot.id);
-      while (slots_[i].used) {
-        i = (i + 1) & (slots_.size() - 1);
-      }
-      slots_[i] = std::move(slot);
-      ++size_;
-    }
-  }
-}
-
-void TaskCacheMap::Clear() {
-  slots_.assign(slots_.size(), Slot{});
-  size_ = 0;
-}
-
-// --- Engine steps shared by ScheduleContext and ShardedScheduleContext --------------------
-
 bool HeapEntryBefore(const HeapEntry& a, const HeapEntry& b) {
   if (a.score != b.score) {
     return a.score > b.score;
@@ -220,340 +130,6 @@ double ScoreGreedyTask(GreedyMetric metric, const Task& task, const CapacitySnap
   }
   DPACK_CHECK_MSG(false, "unscored metric");
   return 0.0;
-}
-
-bool ShouldRescore(TaskCache& cached, const Task& task, GreedyMetric metric,
-                   uint64_t previous_cycle, uint64_t cycle_stamp, bool& needs_index) {
-  needs_index = cached.last_seen != previous_cycle ||
-                cached.blocks_ptr != task.blocks.data() ||
-                cached.blocks_len != task.blocks.size();
-  if (needs_index) {
-    cached.reject_vsum = kNoReject;  // New or re-resolved task: no feasibility memo.
-    return true;
-  }
-  // Live cached entry: trust it unless the reverse-index marking pass stamped it stale
-  // this cycle. DPF never goes stale (scores read only total capacities).
-  return metric != GreedyMetric::kDpf && cached.stale_stamp == cycle_stamp;
-}
-
-void MergeScoreHeap(std::vector<HeapEntry>& heap, std::vector<HeapEntry>& fresh,
-                    std::vector<HeapEntry>& scratch, const TaskCacheMap& cache,
-                    uint64_t cycle_stamp, bool& slots_moved, uint64_t& merge_allocs,
-                    std::vector<size_t>* order_out) {
-  std::sort(fresh.begin(), fresh.end(), HeapEntryBefore);
-  size_t scratch_capacity = scratch.capacity();
-  scratch.clear();
-  size_t hi = 0;
-  size_t fi = 0;
-  while (hi < heap.size() || fi < fresh.size()) {
-    bool take_heap;
-    if (hi >= heap.size()) {
-      take_heap = false;
-    } else if (fi >= fresh.size()) {
-      take_heap = true;
-    } else {
-      take_heap = HeapEntryBefore(heap[hi], fresh[fi]);
-    }
-    if (take_heap) {
-      HeapEntry entry = heap[hi++];
-      if (slots_moved) {
-        size_t slot = cache.Find(entry.id);
-        if (slot == TaskCacheMap::kNpos) {
-          continue;  // Stale: purged.
-        }
-        entry.slot = slot;
-      }
-      const TaskCache& cached = cache.at(entry.slot);
-      if (cached.last_seen != cycle_stamp || cached.generation != entry.generation) {
-        continue;  // Stale: superseded, granted, or evicted.
-      }
-      if (order_out != nullptr) {
-        order_out->push_back(cached.index);
-      }
-      scratch.push_back(entry);
-    } else {
-      const HeapEntry& entry = fresh[fi++];
-      if (order_out != nullptr) {
-        order_out->push_back(cache.at(entry.slot).index);
-      }
-      scratch.push_back(entry);
-    }
-  }
-  // dpack-lint: allow(float-equality): size_t buffer-capacity bookkeeping, not a budget double.
-  if (scratch.capacity() != scratch_capacity) {
-    ++merge_allocs;  // Output buffer grew; steady-state cycles reuse the ping-pong pair.
-  }
-  heap.swap(scratch);
-  fresh.clear();
-  slots_moved = false;
-}
-
-// --- ScheduleContext -----------------------------------------------------------------------
-
-ScheduleContext::ScheduleContext(GreedyMetric metric, double eta)
-    : metric_(metric), eta_(eta) {
-  DPACK_CHECK(eta_ > 0.0);
-}
-
-void ScheduleContext::Invalidate() {
-  snapshot_.reset();
-  last_version_.clear();
-  version_now_.clear();
-  group_seen_.clear();
-  dirty_stamp_.clear();
-  dirty_ids_.clear();
-  member_sig_.clear();
-  best_alpha_.clear();
-  sig_scratch_.clear();
-  touched_stamp_.clear();
-  touched_ids_.clear();
-  active_ids_.clear();
-  rindex_.clear();
-  cache_.Clear();
-  heap_.clear();
-  fresh_.clear();
-  merged_.clear();
-  order_.clear();
-  slot_of_index_.clear();
-  requesters_.clear();
-  slots_moved_ = false;
-  cycle_stamp_ = 0;
-}
-
-void ScheduleContext::SyncBlocks(const BlockManager& blocks) {
-  if (!snapshot_.has_value()) {
-    snapshot_.emplace(blocks.grid());
-  }
-  size_t count = blocks.block_count();
-  size_t known = last_version_.size();
-  DPACK_CHECK_MSG(count >= known, "blocks disappeared: use a fresh context per manager");
-  dirty_ids_.clear();
-  dirty_stamp_.resize(count, 0);
-  for (size_t j = known; j < count; ++j) {
-    const PrivacyBlock& b = blocks.block(static_cast<BlockId>(j));
-    snapshot_->Append(b.AvailableCurve(), b.capacity());
-    last_version_.push_back(b.version());
-    version_now_.push_back(b.version());
-    member_sig_.push_back(kMemberSigSeed);
-    best_alpha_.push_back(0);
-    requesters_.emplace_back();
-    rindex_.emplace_back();
-    MarkDirtyBlock(j);
-  }
-  // Drill into version-tree groups whose sum advanced since the last cycle — O(groups +
-  // changed) instead of a version scan over every block. version_now_ (the allocation
-  // walk's contiguous mirror) is persistent: the walk's commits keep it current, and this
-  // drill re-syncs whatever changed outside the walk (unlocks), so after it
-  // version_now_[j] == last_version_[j] == the block's current version for every j.
-  const BlockVersionTree& tree = blocks.version_tree();
-  group_seen_.resize(tree.group_count(), 0);
-  for (size_t g = 0; g < group_seen_.size(); ++g) {
-    uint64_t sum = tree.group_sum(g);
-    if (sum == group_seen_[g]) {
-      continue;
-    }
-    group_seen_[g] = sum;
-    size_t begin = g << BlockVersionTree::kGroupShift;
-    size_t end = std::min(begin + (size_t{1} << BlockVersionTree::kGroupShift), count);
-    for (size_t j = begin; j < end; ++j) {
-      const PrivacyBlock& b = blocks.block(static_cast<BlockId>(j));
-      if (b.version() == last_version_[j]) {
-        continue;
-      }
-      last_version_[j] = b.version();
-      version_now_[j] = b.version();
-      snapshot_->RefreshAvailable(static_cast<BlockId>(j), b.AvailableCurve());
-      MarkDirtyBlock(j);
-      ++stats_.blocks_refreshed;
-    }
-  }
-}
-
-void ScheduleContext::MarkMembershipDirty(std::span<const Task> pending) {
-  size_t count = member_sig_.size();
-  touched_stamp_.resize(count, 0);
-  sig_scratch_.resize(count, kMemberSigSeed);  // Entries are (re)seeded lazily on touch.
-  touched_ids_.clear();
-  for (const Task& task : pending) {
-    for (BlockId id : task.blocks) {
-      size_t j = static_cast<size_t>(id);
-      DPACK_CHECK(id >= 0 && j < count);
-      if (touched_stamp_[j] != cycle_stamp_) {
-        touched_stamp_[j] = cycle_stamp_;
-        touched_ids_.push_back(id);
-        sig_scratch_[j] = kMemberSigSeed;
-      }
-      sig_scratch_[j] = MemberSigMix(sig_scratch_[j], static_cast<uint64_t>(task.id));
-    }
-  }
-  // Blocks with requesters last cycle but none this cycle reset to the seed signature —
-  // the touched loop below cannot see them, so they are handled off the active list.
-  for (BlockId id : active_ids_) {
-    size_t j = static_cast<size_t>(id);
-    if (touched_stamp_[j] != cycle_stamp_ && member_sig_[j] != kMemberSigSeed) {
-      member_sig_[j] = kMemberSigSeed;
-      MarkDirtyBlock(j);
-    }
-  }
-  active_ids_.clear();
-  for (BlockId id : touched_ids_) {
-    size_t j = static_cast<size_t>(id);
-    if (sig_scratch_[j] != member_sig_[j]) {
-      member_sig_[j] = sig_scratch_[j];
-      MarkDirtyBlock(j);
-    }
-    if (member_sig_[j] != kMemberSigSeed) {
-      active_ids_.push_back(id);
-    }
-  }
-}
-
-void ScheduleContext::MarkStaleTasks(uint64_t previous_cycle) {
-  for (BlockId id : dirty_ids_) {
-    std::vector<TaskId>& tasks = rindex_[static_cast<size_t>(id)];
-    for (size_t i = 0; i < tasks.size();) {
-      size_t slot = cache_.Find(tasks[i]);
-      if (slot == TaskCacheMap::kNpos || cache_.at(slot).last_seen != previous_cycle) {
-        tasks[i] = tasks.back();  // Dead entry (granted, evicted, or purged): prune.
-        tasks.pop_back();
-        continue;
-      }
-      cache_.at(slot).stale_stamp = cycle_stamp_;
-      ++i;
-    }
-  }
-}
-
-void ScheduleContext::RecomputeDirtyBestAlphas(std::span<const Task> pending) {
-  if (dirty_ids_.empty()) {
-    return;
-  }
-  for (BlockId id : dirty_ids_) {
-    requesters_[static_cast<size_t>(id)].clear();
-  }
-  for (size_t i = 0; i < pending.size(); ++i) {
-    for (BlockId id : pending[i].blocks) {
-      if (dirty_stamp_[static_cast<size_t>(id)] == cycle_stamp_) {
-        requesters_[static_cast<size_t>(id)].push_back(i);
-      }
-    }
-  }
-  // Per-block solves are independent, so dirty-list order (vs id order) changes nothing.
-  for (BlockId id : dirty_ids_) {
-    size_t j = static_cast<size_t>(id);
-    best_alpha_[j] = BestAlphaForBlock(pending, requesters_[j],
-                                       snapshot_->available(static_cast<BlockId>(j)), eta_);
-    ++stats_.best_alpha_recomputes;
-  }
-}
-
-double ScheduleContext::ScoreTask(const Task& task) const {
-  return ScoreGreedyTask(metric_, task, *snapshot_, best_alpha_);
-}
-
-void ScheduleContext::PopHeapIntoOrder() {
-  // Pop = in-order merge of the surviving sorted entries (heap_) with this cycle's rescored
-  // ones (fresh_) under the reference sort's total order, emitting batch indices into
-  // order_; see MergeScoreHeap.
-  order_.clear();
-  MergeScoreHeap(heap_, fresh_, merged_, cache_, cycle_stamp_, slots_moved_,
-                 stats_.merge_allocs, &order_);
-}
-
-std::vector<size_t> ScheduleContext::AllocateWithMemos(std::span<const Task> pending,
-                                                       BlockManager& blocks) {
-  return RunAllocationWalk(pending, blocks, order_, version_now_, [&](size_t idx) -> TaskCache& {
-    return cache_.at(slot_of_index_[idx]);
-  });
-}
-
-std::vector<size_t> ScheduleContext::ScheduleBatch(std::span<const Task> pending,
-                                                   BlockManager& blocks) {
-  if (pending.empty()) {
-    return {};
-  }
-  ++stats_.cycles;
-  if (metric_ == GreedyMetric::kFcfs) {
-    // Arrival order needs no scores, hence no cache: the engine is a pass-through.
-    return AllocateInOrder(pending, blocks, FcfsOrder(pending));
-  }
-
-  ScheduleContextStats stats_at_entry = stats_;
-  uint64_t previous_cycle = cycle_stamp_;
-  ++cycle_stamp_;
-
-  SyncBlocks(blocks);
-  if (metric_ == GreedyMetric::kDpack) {
-    MarkMembershipDirty(pending);
-  }
-  if (metric_ != GreedyMetric::kDpf) {
-    // Dirty set complete (capacity + membership): stamp affected cached tasks stale.
-    MarkStaleTasks(previous_cycle);
-  }
-  if (metric_ == GreedyMetric::kDpack) {
-    RecomputeDirtyBestAlphas(pending);
-  }
-
-  // Reserving up front means no slot moves mid-cycle: slot indices collected by the score
-  // pass stay valid through the pop and the allocation walk.
-  slots_moved_ |= cache_.Reserve(pending.size());
-
-  // Score pass: one cache lookup per task decides between reuse and rescore; rescored tasks
-  // contribute a fresh entry under a new generation, lazily superseding their old one.
-  slot_of_index_.resize(pending.size());
-  bool duplicate_ids = false;
-  for (size_t i = 0; i < pending.size(); ++i) {
-    const Task& task = pending[i];
-    size_t slot = cache_.FindOrInsert(task.id);
-    slot_of_index_[i] = slot;
-    TaskCache& cached = cache_.at(slot);
-    if (cached.last_seen == cycle_stamp_) {
-      duplicate_ids = true;
-      break;
-    }
-    bool needs_index = false;
-    bool rescore =
-        ShouldRescore(cached, task, metric_, previous_cycle, cycle_stamp_, needs_index);
-    cached.last_seen = cycle_stamp_;
-    cached.index = i;
-    if (!rescore) {
-      ++stats_.tasks_reused;
-      continue;
-    }
-    if (needs_index && metric_ != GreedyMetric::kDpf) {
-      // New or re-resolved block list: register the task with each block so future dirty
-      // blocks reach it through the reverse index. (DPF never consults the index.)
-      for (BlockId j : task.blocks) {
-        rindex_[static_cast<size_t>(j)].push_back(task.id);
-      }
-    }
-    cached.score = ScoreTask(task);
-    cached.generation = next_generation_++;
-    cached.blocks_ptr = task.blocks.data();
-    cached.blocks_len = task.blocks.size();
-    fresh_.push_back({cached.score, task.arrival_time, task.id, cached.generation, slot});
-    ++stats_.tasks_rescored;
-  }
-  if (duplicate_ids) {
-    // Id-keyed caches cannot reproduce the recompute path's tie-breaking between tasks that
-    // share an id; recompute this batch from scratch and start the cache over. The partial
-    // pass's work is discarded, so its counters are too.
-    Invalidate();
-    stats_ = stats_at_entry;
-    ++stats_.full_recomputes;
-    return RecomputeScheduleBatch(metric_, eta_, pending, blocks);
-  }
-
-  PopHeapIntoOrder();
-  std::vector<size_t> granted = AllocateWithMemos(pending, blocks);
-
-  // Bound cache growth: once dead entries (granted or evicted tasks) dominate — long runs
-  // with churn — rebuild keeping only the live ones. Heap entries re-resolve lazily.
-  if (cache_.size() > 2 * pending.size() + 64) {
-    cache_.PurgeNotSeen(cycle_stamp_);
-    slots_moved_ = true;
-  }
-  return granted;
 }
 
 }  // namespace dpack

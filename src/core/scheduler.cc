@@ -1,7 +1,6 @@
 #include "src/core/scheduler.h"
 
 #include "src/common/check.h"
-#include "src/core/sharded_schedule_context.h"
 
 namespace dpack {
 
@@ -12,14 +11,9 @@ GreedyScheduler::GreedyScheduler(GreedyMetric metric, GreedySchedulerOptions opt
   if (!options_.incremental) {
     return;
   }
-  // FCFS never scores, so the sharded engine would be a pass-through dragging idle
-  // threads; keep it on the single-shard engine regardless of the knob.
-  if (metric_ != GreedyMetric::kFcfs && options_.num_shards > 1) {
-    engine_ = std::make_unique<ShardedScheduleContext>(metric_, options_.eta,
-                                                       options_.num_shards);
-  } else {
-    engine_ = std::make_unique<ScheduleContext>(metric_, options_.eta);
-  }
+  // FCFS never scores, so more shards would only add idle threads to a pass-through.
+  size_t num_shards = metric_ == GreedyMetric::kFcfs ? 1 : options_.num_shards;
+  engine_ = std::make_unique<ShardedScheduleContext>(metric_, options_.eta, num_shards);
 }
 
 std::string GreedyScheduler::name() const {

@@ -16,6 +16,7 @@
 
 #include "src/block/block_manager.h"
 #include "src/core/schedule_context.h"
+#include "src/core/sharded_schedule_context.h"
 #include "src/core/task.h"
 #include "src/knapsack/privacy_knapsack.h"
 
@@ -42,18 +43,19 @@ struct GreedySchedulerOptions {
   // DPack's approximation parameter eta (> 0): best-alpha subproblems are solved to
   // (2/3) eta (Prop. 5 uses the 1/2 + eta bound).
   double eta = 0.05;
-  // When set (the default) the scheduler runs on the incremental engine (ScheduleContext):
-  // scoring state persists across ScheduleBatch calls and only tasks touching changed blocks
-  // are rescored. When cleared, every batch is recomputed from scratch (the reference path —
-  // identical grants, used by the differential tests and as the benchmarks' baseline).
+  // When set (the default) the scheduler runs on the incremental engine
+  // (ShardedScheduleContext): scoring state persists across ScheduleBatch calls and only
+  // tasks touching changed blocks are rescored. When cleared, every batch is recomputed from
+  // scratch (the reference path — identical grants, used by the differential tests and as
+  // the benchmarks' baseline).
   bool incremental = true;
   // Shard count for the incremental engine (>= 1), and the only shard-count knob in the
-  // library. With 1 (the default, on every host) the scheduler runs on the single-threaded
-  // ScheduleContext; with more it runs on ShardedScheduleContext, which partitions blocks
-  // and tasks across `num_shards` shards and rescoring across a worker pool, granting
-  // byte-identical task sequences (see src/core/sharded_schedule_context.h). Ignored when
-  // incremental is false (the recompute reference is single-threaded) and for FCFS (which
-  // never scores, so there is nothing to parallelize).
+  // library. The engine partitions blocks and tasks across `num_shards` shards and its
+  // refresh and rescoring phases across a pool of num_shards - 1 threads plus the caller,
+  // granting byte-identical task sequences at every count (see
+  // src/core/sharded_schedule_context.h). With 1 (the default, on every host) it runs
+  // single-threaded, inline on the caller. Ignored when incremental is false (the recompute
+  // reference is single-threaded) and for FCFS (which never scores, so it always gets 1).
   size_t num_shards = 1;
 };
 
@@ -67,15 +69,14 @@ class GreedyScheduler : public Scheduler {
 
   GreedyMetric metric() const { return metric_; }
 
-  // The incremental engine (single-shard or sharded), for cache control and stats. Non-null
-  // iff options.incremental.
-  ScheduleEngine* engine() { return engine_.get(); }
-  const ScheduleEngine* engine() const { return engine_.get(); }
+  // The incremental engine, for cache control and stats. Non-null iff options.incremental.
+  ShardedScheduleContext* engine() { return engine_.get(); }
+  const ShardedScheduleContext* engine() const { return engine_.get(); }
 
  private:
   GreedyMetric metric_;
   GreedySchedulerOptions options_;
-  std::unique_ptr<ScheduleEngine> engine_;
+  std::unique_ptr<ShardedScheduleContext> engine_;
 };
 
 // The Optimal baseline: maps the batch to a privacy-knapsack instance over the blocks'
@@ -114,8 +115,8 @@ enum class SchedulerKind {
 
 std::string SchedulerKindName(SchedulerKind kind);
 
-// Factory covering every algorithm in the evaluation. `num_shards` > 1 runs the greedy
-// policies on the sharded incremental engine (ignored for Optimal).
+// Factory covering every algorithm in the evaluation. `num_shards` is the greedy policies'
+// incremental engine shard count (ignored for Optimal).
 std::unique_ptr<Scheduler> CreateScheduler(SchedulerKind kind, double eta = 0.05,
                                            PkOptions optimal_options = {},
                                            size_t num_shards = 1);

@@ -1,10 +1,100 @@
 #include "src/core/sharded_schedule_context.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "src/common/check.h"
 
 namespace dpack {
+
+namespace {
+
+constexpr uint64_t kNoReject = std::numeric_limits<uint64_t>::max();
+
+}  // namespace
+
+TaskCacheMap::TaskCacheMap() { slots_.resize(1024); }
+
+size_t TaskCacheMap::Probe(TaskId id) const {
+  uint64_t h = static_cast<uint64_t>(id) * 0x9E3779B97F4A7C15ULL;
+  h ^= h >> 32;
+  return static_cast<size_t>(h) & (slots_.size() - 1);
+}
+
+size_t TaskCacheMap::Find(TaskId id) const {
+  size_t i = Probe(id);
+  while (slots_[i].used) {
+    if (slots_[i].id == id) {
+      return i;
+    }
+    i = (i + 1) & (slots_.size() - 1);
+  }
+  return kNpos;
+}
+
+size_t TaskCacheMap::FindOrInsert(TaskId id) {
+  size_t i = Probe(id);
+  while (slots_[i].used) {
+    if (slots_[i].id == id) {
+      return i;
+    }
+    i = (i + 1) & (slots_.size() - 1);
+  }
+  DPACK_CHECK_MSG(2 * (size_ + 1) <= slots_.size(), "TaskCacheMap insert without Reserve");
+  slots_[i].used = true;
+  slots_[i].id = id;
+  slots_[i].value = TaskCache{};
+  ++size_;
+  return i;
+}
+
+bool TaskCacheMap::Reserve(size_t additional) {
+  size_t needed = 2 * (size_ + additional + 1);
+  if (needed <= slots_.size()) {
+    return false;
+  }
+  size_t capacity = slots_.size();
+  while (capacity < needed) {
+    capacity *= 2;
+  }
+  Rehash(capacity);
+  return true;
+}
+
+void TaskCacheMap::Rehash(size_t new_capacity) {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(new_capacity, Slot{});
+  for (Slot& slot : old) {
+    if (slot.used) {
+      size_t i = Probe(slot.id);
+      while (slots_[i].used) {
+        i = (i + 1) & (slots_.size() - 1);
+      }
+      slots_[i] = std::move(slot);
+    }
+  }
+}
+
+void TaskCacheMap::PurgeNotSeen(uint64_t cycle) {
+  std::vector<Slot> old = std::move(slots_);
+  slots_.assign(old.size(), Slot{});
+  size_ = 0;
+  for (Slot& slot : old) {
+    if (slot.used && slot.value.last_seen == cycle) {
+      size_t i = Probe(slot.id);
+      while (slots_[i].used) {
+        i = (i + 1) & (slots_.size() - 1);
+      }
+      slots_[i] = std::move(slot);
+      ++size_;
+    }
+  }
+}
+
+void TaskCacheMap::Clear() {
+  slots_.assign(slots_.size(), Slot{});
+  size_ = 0;
+}
 
 ShardedScheduleContext::ShardedScheduleContext(GreedyMetric metric, double eta,
                                                size_t num_shards)
@@ -19,39 +109,32 @@ ShardedScheduleContext::ShardedScheduleContext(GreedyMetric metric, double eta,
 }
 
 void ShardedScheduleContext::Invalidate() {
-  bound_ = nullptr;
-  partition_.reset();
   snapshot_.reset();
   last_version_.clear();
   version_now_.clear();
+  group_seen_.clear();
   dirty_stamp_.clear();
   member_sig_.clear();
   sig_scratch_.clear();
   touched_stamp_.clear();
   best_alpha_.clear();
+  requesters_.clear();
   shards_.assign(num_shards_, ShardContext{});
-  slot_of_index_.clear();
+  cache_of_index_.clear();
   order_.clear();
   cursor_.clear();
   cycle_stamp_ = 0;
 }
 
-void ShardedScheduleContext::BindManager(BlockManager& blocks) {
-  if (bound_ == &blocks) {
-    return;
+void ShardedScheduleContext::SyncBlocks(const BlockManager& blocks) {
+  if (!snapshot_.has_value()) {
+    snapshot_.emplace(blocks.grid());
   }
-  DPACK_CHECK_MSG(bound_ == nullptr,
-                  "engine already bound to another manager: call Invalidate() first");
-  bound_ = &blocks;
-  partition_.emplace(&blocks, num_shards_);
-  snapshot_.emplace(blocks.grid());
-}
-
-void ShardedScheduleContext::SyncArrivals(BlockManager& blocks) {
-  partition_->Sync();
   size_t count = blocks.block_count();
   size_t known = last_version_.size();
+  DPACK_CHECK_MSG(count >= known, "blocks disappeared: Invalidate() before a new manager");
   for (ShardContext& shard : shards_) {
+    shard.changed.clear();
     shard.dirty_ids.clear();
   }
   dirty_stamp_.resize(count, 0);
@@ -64,25 +147,44 @@ void ShardedScheduleContext::SyncArrivals(BlockManager& blocks) {
     version_now_.push_back(b.version());
     member_sig_.push_back(kMemberSigSeed);
     best_alpha_.push_back(0);
+    requesters_.emplace_back();
     MarkShardDirty(static_cast<BlockId>(g));
+  }
+  // Drill into version-tree groups whose sum advanced since the last cycle — O(groups +
+  // changed) instead of a version scan over every block. Arrivals were recorded at their
+  // current version above (nonzero over a pre-committed or restored manager), so the drill
+  // lists only blocks that changed since the engine last saw them.
+  const BlockVersionTree& tree = blocks.version_tree();
+  group_seen_.resize(tree.group_count(), 0);
+  for (size_t grp = 0; grp < group_seen_.size(); ++grp) {
+    uint64_t sum = tree.group_sum(grp);
+    if (sum == group_seen_[grp]) {
+      continue;
+    }
+    group_seen_[grp] = sum;
+    size_t begin = grp << BlockVersionTree::kGroupShift;
+    size_t end = std::min(begin + (size_t{1} << BlockVersionTree::kGroupShift), count);
+    for (size_t g = begin; g < end; ++g) {
+      uint64_t version = blocks.block(static_cast<BlockId>(g)).version();
+      if (version == last_version_[g]) {
+        continue;
+      }
+      last_version_[g] = version;
+      shards_[ShardOf(static_cast<BlockId>(g))].changed.push_back(static_cast<BlockId>(g));
+    }
   }
 }
 
 void ShardedScheduleContext::SyncShardBlocks(size_t s, const BlockManager& blocks,
-                                             std::span<const Task> pending,
-                                             size_t refresh_limit) {
+                                             std::span<const Task> pending) {
   ShardContext& shard = shards_[s];
-  // The partition's Sync computed the exact changed-id list per shard — O(changed), via
-  // the manager's version tree — so the refresh touches only those snapshot entries.
-  // Arrivals were appended fresh (and marked dirty) by SyncArrivals; the changed list
-  // never contains them.
-  for (BlockId g : partition_->shard_changed(s)) {
+  // version_now_ (the walk's mirror) is persistent: the walk's commits keep it current and
+  // this refresh re-syncs whatever changed outside the walk (unlocks), so afterwards
+  // version_now_[g] == last_version_[g] == the block's current version for every g.
+  for (BlockId g : shard.changed) {
     size_t gi = static_cast<size_t>(g);
-    DPACK_CHECK(gi < refresh_limit);
-    const PrivacyBlock& b = blocks.block(g);
-    last_version_[gi] = b.version();
-    version_now_[gi] = b.version();
-    snapshot_->RefreshAvailable(g, b.AvailableCurve());
+    version_now_[gi] = last_version_[gi];
+    snapshot_->RefreshAvailable(g, blocks.block(g).AvailableCurve());
     MarkShardDirty(g);
     ++shard.partial.blocks_refreshed;
   }
@@ -92,19 +194,22 @@ void ShardedScheduleContext::SyncShardBlocks(size_t s, const BlockManager& block
   // Membership signatures for owned blocks: best alphas depend on the requester set, so a
   // membership change (arrival, grant, eviction) dirties a block even when no capacity
   // changed. Every shard scans the whole batch but mixes only its owned blocks, so the
-  // per-block signature streams are identical to the single-shard engine's. Touched
-  // entries are seeded lazily, and blocks that *lost* all requesters are handled off the
-  // owned active list — O(batch refs + prev active), never O(members).
+  // per-block signature streams do not depend on the shard count. Touched entries are
+  // seeded lazily, and blocks that *lost* all requesters are handled off the owned active
+  // list — O(batch refs + prev active), never O(members).
+  // Locals, so the loops' stores cannot force reloads: at one shard every block is owned.
+  const bool owns_all = num_shards_ == 1;
+  const uint64_t stamp = cycle_stamp_;
   shard.touched_ids.clear();
   for (const Task& task : pending) {
     for (BlockId j : task.blocks) {
       size_t ji = static_cast<size_t>(j);
       DPACK_CHECK(j >= 0 && ji < sig_scratch_.size());
-      if (partition_->ShardOf(j) != s) {
+      if (!owns_all && ShardOf(j) != s) {
         continue;
       }
-      if (touched_stamp_[ji] != cycle_stamp_) {
-        touched_stamp_[ji] = cycle_stamp_;
+      if (touched_stamp_[ji] != stamp) {
+        touched_stamp_[ji] = stamp;
         shard.touched_ids.push_back(j);
         sig_scratch_[ji] = kMemberSigSeed;
       }
@@ -134,67 +239,24 @@ void ShardedScheduleContext::SyncShardBlocks(size_t s, const BlockManager& block
   if (shard.dirty_ids.empty()) {
     return;
   }
-  if (shard.requesters.size() < partition_->shard_members(s).size()) {
-    shard.requesters.resize(partition_->shard_members(s).size());
-  }
   for (BlockId g : shard.dirty_ids) {
-    shard.requesters[partition_->LocalIndex(g)].clear();
+    requesters_[static_cast<size_t>(g)].clear();
   }
   for (size_t i = 0; i < pending.size(); ++i) {
     for (BlockId j : pending[i].blocks) {
-      if (partition_->ShardOf(j) == s &&
-          dirty_stamp_[static_cast<size_t>(j)] == cycle_stamp_) {
-        shard.requesters[partition_->LocalIndex(j)].push_back(i);
+      size_t ji = static_cast<size_t>(j);
+      // Ownership first: another shard's dirty_stamp_ entries are being written right now.
+      if ((owns_all || ShardOf(j) == s) && dirty_stamp_[ji] == stamp) {
+        requesters_[ji].push_back(i);
       }
     }
   }
-  // Per-block solves are independent, so dirty-list order (vs member order) is immaterial.
+  // Per-block solves are independent, so dirty-list order (vs id order) is immaterial.
   for (BlockId g : shard.dirty_ids) {
     size_t gi = static_cast<size_t>(g);
-    best_alpha_[gi] = BestAlphaForBlock(pending, shard.requesters[partition_->LocalIndex(g)],
-                                        snapshot_->available(g), eta_);
+    best_alpha_[gi] = BestAlphaForBlock(pending, requesters_[gi], snapshot_->available(g), eta_);
     ++shard.partial.best_alpha_recomputes;
   }
-}
-
-double ShardedScheduleContext::ScoreTask(const Task& task) const {
-  return ScoreGreedyTask(metric_, task, *snapshot_, best_alpha_);
-}
-
-bool ShardedScheduleContext::ScoreOneTask(ShardContext& shard, std::span<const Task> pending,
-                                          size_t i, uint64_t previous_cycle) {
-  const Task& task = pending[i];
-  size_t slot = shard.cache.FindOrInsert(task.id);
-  slot_of_index_[i] = slot;
-  TaskCache& cached = shard.cache.at(slot);
-  if (cached.last_seen == cycle_stamp_) {
-    // Duplicate ids map to the same home shard, so local detection covers the batch.
-    shard.duplicate = true;
-    return false;
-  }
-  bool needs_index = false;
-  bool rescore =
-      ShouldRescore(cached, task, metric_, previous_cycle, cycle_stamp_, needs_index);
-  cached.last_seen = cycle_stamp_;
-  cached.index = i;
-  if (!rescore) {
-    ++shard.partial.tasks_reused;
-    return true;
-  }
-  if (needs_index && metric_ != GreedyMetric::kDpf) {
-    // New or re-resolved block list: register the task in its home shard's reverse index
-    // under each requested block (any shard's block — the index is task-sharded).
-    for (BlockId j : task.blocks) {
-      shard.rindex[static_cast<size_t>(j)].push_back(task.id);
-    }
-  }
-  cached.score = ScoreTask(task);
-  cached.generation = shard.next_generation++;
-  cached.blocks_ptr = task.blocks.data();
-  cached.blocks_len = task.blocks.size();
-  shard.fresh.push_back({cached.score, task.arrival_time, task.id, cached.generation, slot});
-  ++shard.partial.tasks_rescored;
-  return true;
 }
 
 void ShardedScheduleContext::MarkStaleShardTasks(ShardContext& shard,
@@ -224,28 +286,121 @@ void ShardedScheduleContext::ScoreShardTasks(size_t s, std::span<const Task> pen
     if (shard.rindex.size() < last_version_.size()) {
       shard.rindex.resize(last_version_.size());
     }
-    for (size_t src = 0; src < num_shards_; ++src) {
-      MarkStaleShardTasks(shard, shards_[src].dirty_ids, previous_cycle);
+    for (const ShardContext& source : shards_) {
+      MarkStaleShardTasks(shard, source.dirty_ids, previous_cycle);
     }
   }
-  shard.slots_moved |= shard.cache.Reserve(shard.task_indices.size());
-  for (size_t i : shard.task_indices) {
-    if (!ScoreOneTask(shard, pending, i, previous_cycle)) {
+  // Reserving up front means no slot moves mid-cycle: the cache entries the score pass
+  // records (cache_of_index_) stay valid through the merge and the allocation walk.
+  size_t home = HomeCount(shard, pending.size());
+  shard.slots_moved |= shard.cache.Reserve(home);
+  // Score pass: one cache lookup per home task decides between reuse and rescore; rescored
+  // tasks contribute a fresh entry under a new generation, lazily superseding their old one.
+  const bool all_home = num_shards_ == 1;  // No partition list at one shard.
+  const uint64_t stamp = cycle_stamp_;
+  for (size_t k = 0; k < home; ++k) {
+    size_t i = all_home ? k : shard.task_indices[k];
+    const Task& task = pending[i];
+    size_t slot = shard.cache.FindOrInsert(task.id);
+    TaskCache& cached = shard.cache.at(slot);
+    cache_of_index_[i] = &cached;
+    if (cached.last_seen == stamp) {
+      // Duplicate ids map to the same home shard, so local detection covers the batch.
+      shard.duplicate = true;
       return;
     }
+    // A cache entry is only trustworthy if the task was pending in the immediately
+    // preceding cycle with an unchanged block list (the vector buffer travels with the task
+    // on moves; reallocation on late resolution changes the pointer).
+    bool needs_index = cached.last_seen != previous_cycle ||
+                       cached.blocks_ptr != task.blocks.data() ||
+                       cached.blocks_len != task.blocks.size();
+    cached.last_seen = stamp;
+    cached.index = i;
+    if (needs_index) {
+      cached.reject_vsum = kNoReject;  // New or re-resolved task: no feasibility memo.
+    } else if (metric_ == GreedyMetric::kDpf || cached.stale_stamp != stamp) {
+      // Live entry the marking pass did not stamp stale this cycle. DPF never goes stale:
+      // its scores read only total capacities, which never change for a fixed block list.
+      ++shard.partial.tasks_reused;
+      continue;
+    }
+    if (needs_index && metric_ != GreedyMetric::kDpf) {
+      // New or re-resolved block list: register the task in this shard's reverse index
+      // under each requested block (any shard's block — the index is task-sharded) so
+      // future dirty blocks reach it. DPF never consults the index.
+      for (BlockId j : task.blocks) {
+        shard.rindex[static_cast<size_t>(j)].push_back(task.id);
+      }
+    }
+    cached.score = ScoreGreedyTask(metric_, task, *snapshot_, best_alpha_);
+    cached.generation = shard.next_generation++;
+    cached.blocks_ptr = task.blocks.data();
+    cached.blocks_len = task.blocks.size();
+    shard.fresh.push_back({cached.score, task.arrival_time, task.id, cached.generation, slot});
+    ++shard.partial.tasks_rescored;
   }
   MergeShardHeap(shard);
 }
 
 void ShardedScheduleContext::MergeShardHeap(ShardContext& shard) {
-  // The per-shard half of the single-shard engine's PopHeapIntoOrder (shared
-  // MergeScoreHeap); no order is emitted here — the global order comes from MergeOrder's
-  // N-way merge over the shard heaps.
-  MergeScoreHeap(shard.heap, shard.fresh, shard.merged, shard.cache, cycle_stamp_,
-                 shard.slots_moved, shard.partial.merge_allocs, /*order_out=*/nullptr);
+  // In-order merge of the surviving sorted entries (heap) with this cycle's rescored ones
+  // (fresh) under the reference sort's total order. Stale entries are dropped here; when
+  // slots moved (rehash or purge), heap entries re-resolve their cache slot via Find. The
+  // ping-pong scratch persists across cycles, so steady-state merges never allocate.
+  std::sort(shard.fresh.begin(), shard.fresh.end(), HeapEntryBefore);
+  std::vector<HeapEntry>& heap = shard.heap;
+  std::vector<HeapEntry>& fresh = shard.fresh;
+  std::vector<HeapEntry>& out = shard.merged;
+  size_t out_capacity = out.capacity();
+  out.clear();
+  shard.order.clear();
+  size_t hi = 0;
+  size_t fi = 0;
+  while (hi < heap.size() || fi < fresh.size()) {
+    bool take_heap;
+    if (hi >= heap.size()) {
+      take_heap = false;
+    } else if (fi >= fresh.size()) {
+      take_heap = true;
+    } else {
+      take_heap = HeapEntryBefore(heap[hi], fresh[fi]);
+    }
+    if (take_heap) {
+      HeapEntry entry = heap[hi++];
+      if (shard.slots_moved) {
+        size_t slot = shard.cache.Find(entry.id);
+        if (slot == TaskCacheMap::kNpos) {
+          continue;  // Stale: purged.
+        }
+        entry.slot = slot;
+      }
+      const TaskCache& cached = shard.cache.at(entry.slot);
+      if (cached.last_seen != cycle_stamp_ || cached.generation != entry.generation) {
+        continue;  // Stale: superseded, granted, or evicted.
+      }
+      shard.order.push_back(cached.index);
+      out.push_back(entry);
+    } else {
+      const HeapEntry& entry = fresh[fi++];
+      shard.order.push_back(shard.cache.at(entry.slot).index);
+      out.push_back(entry);
+    }
+  }
+  // dpack-lint: allow(float-equality): size_t buffer-capacity bookkeeping, not a budget double.
+  if (out.capacity() != out_capacity) {
+    ++shard.partial.merge_allocs;  // Output buffer grew.
+  }
+  heap.swap(out);
+  fresh.clear();
+  shard.slots_moved = false;
 }
 
 void ShardedScheduleContext::MergeOrder() {
+  if (num_shards_ == 1) {
+    order_.swap(shards_[0].order);  // One sorted shard is already the global order.
+    return;
+  }
   // Deterministic N-way merge of the per-shard heaps (each fully sorted, all entries live
   // this cycle). HeapEntryBefore is a strict total order for unique task ids, so the merged
   // sequence is the unique reference sort order — independent of shard count and timing.
@@ -265,18 +420,48 @@ void ShardedScheduleContext::MergeOrder() {
     if (best == num_shards_) {
       break;
     }
-    const HeapEntry& entry = shards_[best].heap[cursor_[best]++];
-    order_.push_back(shards_[best].cache.at(entry.slot).index);
+    order_.push_back(shards_[best].order[cursor_[best]++]);
   }
 }
 
 std::vector<size_t> ShardedScheduleContext::AllocateWithMemos(std::span<const Task> pending,
                                                               BlockManager& blocks) {
-  // The shared CANRUN walk, with the reject memos living in each task's home-shard cache.
-  // Sequential: the walk's commits are order-dependent.
-  return RunAllocationWalk(pending, blocks, order_, version_now_, [&](size_t idx) -> TaskCache& {
-    return shards_[HomeShard(pending[idx].id)].cache.at(slot_of_index_[idx]);
-  });
+  // The CANRUN walk over order_ — identical grants to AllocateInOrder on the same order —
+  // with the reject memos living in each task's home-shard cache entry. Sequential: the
+  // walk's commits are order-dependent.
+  std::vector<size_t> granted;
+  for (size_t idx : order_) {
+    const Task& task = pending[idx];
+    if (task.blocks.empty()) {
+      continue;  // Unresolved block request.
+    }
+    TaskCache& cached = *cache_of_index_[idx];
+    uint64_t vsum = 0;
+    for (BlockId j : task.blocks) {
+      vsum += version_now_[static_cast<size_t>(j)];
+    }
+    if (cached.reject_vsum == vsum) {
+      continue;
+    }
+    bool can_run = true;
+    for (BlockId j : task.blocks) {
+      if (!blocks.block(j).CanAccept(task.demand)) {
+        can_run = false;
+        break;
+      }
+    }
+    if (!can_run) {
+      cached.reject_vsum = vsum;
+      continue;
+    }
+    for (BlockId j : task.blocks) {
+      blocks.block(j).Commit(task.demand);
+      version_now_[static_cast<size_t>(j)] = blocks.block(j).version();
+    }
+    cached.last_seen = 0;  // The grant removes the task from the queue.
+    granted.push_back(idx);
+  }
+  return granted;
 }
 
 std::vector<size_t> ShardedScheduleContext::ScheduleBatch(std::span<const Task> pending,
@@ -286,7 +471,7 @@ std::vector<size_t> ShardedScheduleContext::ScheduleBatch(std::span<const Task> 
   }
   ++stats_.cycles;
   if (metric_ == GreedyMetric::kFcfs) {
-    // Arrival order needs no scores, hence no shards: the engine is a pass-through.
+    // Arrival order needs no scores, hence no cache: the engine is a pass-through.
     return RecomputeScheduleBatch(metric_, eta_, pending, blocks);
   }
 
@@ -294,26 +479,24 @@ std::vector<size_t> ShardedScheduleContext::ScheduleBatch(std::span<const Task> 
   uint64_t previous_cycle = cycle_stamp_;
   ++cycle_stamp_;
 
-  BindManager(blocks);
-  size_t refresh_limit = last_version_.size();
-  SyncArrivals(blocks);
+  SyncBlocks(blocks);
 
   // Partition the batch by home shard, sequentially, so each shard can reserve its cache up
-  // front (no slot moves mid-cycle). Done before the phases fan out: the score pass reads
-  // its shard's task_indices.
+  // front (no slot moves mid-cycle). At one shard every task is home: no partition pass.
   for (ShardContext& shard : shards_) {
     shard.task_indices.clear();
     shard.duplicate = false;
   }
-  for (size_t i = 0; i < pending.size(); ++i) {
-    shards_[HomeShard(pending[i].id)].task_indices.push_back(i);
+  if (num_shards_ > 1) {
+    for (size_t i = 0; i < pending.size(); ++i) {
+      shards_[ShardOf(pending[i].id)].task_indices.push_back(i);
+    }
   }
-  slot_of_index_.resize(pending.size());
+  cache_of_index_.resize(pending.size());
 
   // Phase 2: per-shard block refresh (disjoint writes into the shared id-indexed arrays;
   // the pool join publishes them to the scoring phase).
-  pool_.ParallelFor(num_shards_,
-                    [&](size_t s) { SyncShardBlocks(s, blocks, pending, refresh_limit); });
+  pool_.ParallelFor(num_shards_, [&](size_t s) { SyncShardBlocks(s, blocks, pending); });
   // Phase 3: per-shard score pass and local heap merge.
   pool_.ParallelFor(num_shards_,
                     [&](size_t s) { ScoreShardTasks(s, pending, previous_cycle); });
@@ -325,22 +508,21 @@ std::vector<size_t> ShardedScheduleContext::ScheduleBatch(std::span<const Task> 
   if (duplicate_ids) {
     // Id-keyed caches cannot reproduce the recompute path's tie-breaking between tasks
     // that share an id: recompute this batch from scratch and start the caches over —
-    // grants stay exactly the reference sequence.
+    // grants stay exactly the reference sequence. The partial pass's work is discarded,
+    // so its counters are too.
     Invalidate();
     stats_ = stats_at_entry;
     ++stats_.full_recomputes;
     return RecomputeScheduleBatch(metric_, eta_, pending, blocks);
   }
 
-  // version_now_ is already current: arrivals appended it, phase 2 overwrote exactly the
-  // changed entries (owner-written; published by the pool join), and the previous
-  // walk's commits kept it in sync in between — no O(blocks) mirror copy.
   MergeOrder();
   std::vector<size_t> granted = AllocateWithMemos(pending, blocks);
 
   for (ShardContext& shard : shards_) {
-    // Bound cache growth per shard, as the single-shard engine does globally.
-    if (shard.cache.size() > 2 * shard.task_indices.size() + 64) {
+    // Bound cache growth: once dead entries (granted or evicted tasks) dominate — long runs
+    // with churn — rebuild keeping only the live ones. Heap entries re-resolve lazily.
+    if (shard.cache.size() > 2 * HomeCount(shard, pending.size()) + 64) {
       shard.cache.PurgeNotSeen(cycle_stamp_);
       shard.slots_moved = true;
     }

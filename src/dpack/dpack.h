@@ -5,8 +5,8 @@
 //
 // Scheduling engine architecture
 // ------------------------------
-// Batch scheduling runs on an incremental engine (src/core/schedule_context.h) layered over
-// versioned block state:
+// Batch scheduling runs on one incremental engine, `ShardedScheduleContext`
+// (src/core/sharded_schedule_context.h), layered over versioned block state:
 //
 //   - `PrivacyBlock::version()` is a monotonic counter bumped on every state change that
 //     can alter the block's available capacity: each `Commit` and each effective unlock
@@ -16,43 +16,35 @@
 //     Invariant: unchanged epoch plus unchanged per-block versions imply the manager's
 //     whole capacity state is bit-identical. `Clone()` preserves both, so observations made
 //     against the original remain valid against the clone.
-//   - `ScheduleContext` (owned by `GreedyScheduler`, persistent across cycles inside
+//   - The engine (owned by `GreedyScheduler`, persistent across cycles inside
 //     `OnlineScheduler`, the sim driver, and the orchestrator) uses those counters to
 //     detect exactly which blocks changed between scheduling cycles, rescoring only the
-//     tasks that touch them, keeping scored entries in a lazily-revalidated heap, and
+//     tasks that touch them, keeping scored entries in lazily-revalidated heaps, and
 //     skipping CANRUN filter scans for tasks whose blocks provably did not change since
 //     their last rejection. Grants are identical to the recompute-from-scratch reference
 //     path (`RecomputeScheduleBatch`), which remains available via
 //     `GreedySchedulerOptions::incremental = false` and is pinned against the engine by
 //     tests/core/incremental_equivalence_test.cc.
-//   - Sharding (`GreedySchedulerOptions::num_shards > 1`, the library's one shard-count knob;
-//     drivers run whatever engine their scheduler was built with): a `ShardedBlockManager`
-//     (src/block/sharded_block_manager.h) partitions blocks round-robin — block g belongs to
-//     shard g mod N — and, per shard, lists the member blocks whose versions advanced since
-//     the previous cycle, the per-shard restriction of the invariant above (a shard with no
-//     arrivals and no listed changes has a bit-identical capacity state).
-//     `ShardedScheduleContext` (src/core/sharded_schedule_context.h) gives every shard its own
-//     ScheduleContext slice — owned-block dirty tracking and best-alpha solves, plus the score
-//     cache and score heap of the tasks whose id hashes to the shard — and runs the per-cycle
-//     refresh and rescoring phases on a worker pool. The deterministic merge rule: every score
-//     is computed by the same function on bit-identical snapshot state as the single-shard
-//     engine, and the per-shard heaps are combined by an N-way merge under the strict total
-//     order (score desc, arrival asc, id asc), so the merged allocation order — and therefore
-//     the grant sequence — is byte-identical to the single-shard engine's for every shard
-//     count and thread timing. The CANRUN allocation walk stays sequential (its commits are
-//     order-dependent).
+//   - Shards (`GreedySchedulerOptions::num_shards`, default 1, the library's one
+//     shard-count knob; drivers run whatever engine shape their scheduler was built with):
+//     block g belongs to shard g mod N and task t to shard t.id mod N. Each shard owns its
+//     blocks' refreshes and best-alpha solves and its tasks' score cache and heap, and the
+//     refresh and rescoring phases run on a worker pool of N - 1 threads plus the caller
+//     (none at one shard). The deterministic merge rule: every score is computed by the
+//     same function on bit-identical snapshot state, and the per-shard heaps are combined
+//     by an N-way merge under the strict total order (score desc, arrival asc, id asc), so
+//     the grant sequence is byte-identical for every shard count and thread timing. The
+//     CANRUN allocation walk stays sequential (its commits are order-dependent).
 //
 // Consumers adding new block mutations must route them through `Commit` /
 // `SetUnlockedFraction` / `AddBlock*` (or bump the counters equivalently); a mutation that
-// bypasses the version counters silently breaks every incremental consumer — single-shard
-// and sharded alike.
+// bypasses the version counters silently breaks the incremental engine.
 
 #ifndef SRC_DPACK_DPACK_H_
 #define SRC_DPACK_DPACK_H_
 
 #include "src/block/block_manager.h"
 #include "src/block/privacy_block.h"
-#include "src/block/sharded_block_manager.h"
 #include "src/common/csv.h"
 #include "src/common/distributions.h"
 #include "src/common/log.h"

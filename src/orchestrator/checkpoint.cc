@@ -50,8 +50,8 @@ ClusterSnapshot CaptureSnapshot(const BlockManager& blocks, std::span<const Task
     state.capacity = block.capacity().epsilons();
     state.consumed = block.consumed().epsilons();
     snapshot.blocks.push_back(std::move(state));
-    // Derived per-shard clocks under the round-robin partition: what a freshly Sync()ed
-    // ShardedBlockManager over this manager would report.
+    // Derived per-shard clocks under the engine's round-robin partition (block j in shard
+    // j mod num_shards).
     SnapshotShardClock& clock = snapshot.shard_clocks[j % snapshot.shard_clocks.size()];
     clock.epoch += 1;
     clock.version += block.version();

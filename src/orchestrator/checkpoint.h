@@ -71,9 +71,9 @@ struct SnapshotTaskState {
   uint64_t num_recent_blocks = 0;
 };
 
-// The derived clock of one shard of the round-robin partition (see
-// src/block/sharded_block_manager.h): epoch = member count, version = sum of member block
-// versions. Recomputable from the block states; stored as a fault-detection value, so the
+// The derived clock of one shard of the incremental engine's round-robin block partition
+// (block g in shard g mod N, see src/core/sharded_schedule_context.h): epoch = member count,
+// version = sum of member block versions. Recomputable from the block states; stored as a fault-detection value, so the
 // decoder cross-checks the two and rejects snapshots whose block versions disagree with
 // the clocks even though the checksum holds (e.g. a buggy or hand-built encoder).
 struct SnapshotShardClock {
@@ -133,8 +133,8 @@ struct SnapshotParseResult {
 // Snapshots the cluster state: `blocks` (all block state + epoch + grid + guarantee),
 // `pending` (the online driver's queue, in order), `metrics`, and `meta`. The per-shard
 // clocks are derived from the block states under the round-robin partition with
-// meta.num_shards shards — equal to what a freshly Sync()ed ShardedBlockManager would
-// report, which is exactly the state a cold restored engine rebuilds.
+// meta.num_shards shards — the member counts and version sums a cold restored engine's
+// partition of the same blocks has.
 ClusterSnapshot CaptureSnapshot(const BlockManager& blocks, std::span<const Task> pending,
                                 const AllocationMetrics& metrics, const SnapshotMeta& meta);
 

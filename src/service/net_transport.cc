@@ -40,6 +40,12 @@ bool ParseNetAddress(std::string_view text, NetAddress* out, std::string* error)
       *error = "unix address needs a path (unix:/some/path)";
       return false;
     }
+    // A NUL would cut the path short at bind/unlink time ("unix:/tmp/a\0b" would bind
+    // /tmp/a) or, leading, name an abstract socket instead of a file.
+    if (path.find('\0') != std::string_view::npos) {
+      *error = "unix socket path contains a NUL byte";
+      return false;
+    }
     sockaddr_un probe;
     if (path.size() >= sizeof(probe.sun_path)) {
       *error = "unix socket path too long";

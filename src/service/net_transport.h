@@ -60,7 +60,8 @@ struct NetAddress {
   uint16_t port = 0;   // tcp (0 = ephemeral, resolved at Listen)
 };
 
-// Parses "unix:<path>" / "tcp:<port>". Returns false with a diagnostic on anything else.
+// Parses "unix:<path>" / "tcp:<port>". Returns false with a diagnostic on anything else,
+// including a unix path that is empty, contains a NUL byte, or does not fit sun_path.
 bool ParseNetAddress(std::string_view text, NetAddress* out, std::string* error);
 
 // Deterministic traffic counters of one socket endpoint (daemon front or client). Frame

@@ -75,9 +75,9 @@ struct SimResult {
   double end_time = 0.0;
   size_t cycles_run = 0;
   size_t pending_at_end = 0;
-  // Incremental-engine counters of the run's scheduler (zeros when the scheduler does not
-  // run on a ScheduleContext). The scheduler instance persists across every cycle of the
-  // simulation, so the context's caches survive between batches.
+  // Incremental-engine counters of the run's scheduler (zeros when the scheduler has no
+  // incremental engine). The scheduler instance persists across every cycle of the
+  // simulation, so the engine's caches survive between batches.
   ScheduleContextStats scheduler_stats;
   // Granted task ids per executed cycle (only when SimConfig::record_grant_trace). A
   // resumed run records only its own cycles; prefix + suffix must equal the uninterrupted

@@ -1,7 +1,7 @@
 // Unit pins for the two-level version clock (ISSUE 6): group sums must equal the sum of
 // member versions under every mutation path — commits, unlocks, restore seeding, clones,
-// and slab compaction — because every O(changed) consumer (ScheduleContext,
-// ShardedBlockManager::Sync) trusts the sums to locate dirty blocks without a full scan.
+// and slab compaction — because every O(changed) consumer (the incremental engine's
+// SyncBlocks, the retirement sweep) trusts the sums to locate dirty blocks without a scan.
 
 #include "src/block/version_tree.h"
 

@@ -1,7 +1,7 @@
-// Differential suite for the incremental scheduling engines: across randomized online
-// traces the single-shard engine (ScheduleContext) and the sharded engine
-// (ShardedScheduleContext, at several shard counts) must grant exactly the same task sets
-// as the recompute-everything reference path, for every greedy metric. The traces exercise
+// Differential suite for the incremental scheduling engine: across randomized online
+// traces the engine (ShardedScheduleContext), at one shard and at several larger shard
+// counts, must grant exactly the same task sets as the recompute-everything reference
+// path, for every greedy metric. The traces exercise
 // the full protocol the caches depend on: commits (via grants), stepwise budget unlocking,
 // online block arrival, task arrival and eviction, late block resolution, and weighted as
 // well as uniform-weight batches.
@@ -36,9 +36,9 @@ struct TraceOptions {
   bool weighted = false;         // Random weights (FPTAS path) vs all-1 (max-cardinality).
   double evict_probability = 0.1;  // Per-cycle chance of dropping one random pending task.
   double unresolved_probability = 0.1;  // Tasks arriving before resolving their blocks.
-  // Incremental engines under test, one per shard count: 1 = the single-shard
-  // ScheduleContext, > 1 = ShardedScheduleContext with that many shards. Every engine must
-  // produce byte-identical grants to the recompute reference each cycle.
+  // Incremental engines under test, one per shard count (1 is the default, inline engine;
+  // more run the worker pool). Every engine must produce byte-identical grants to the
+  // recompute reference each cycle.
   std::vector<size_t> shard_counts = {1};
 };
 
@@ -156,7 +156,7 @@ void RunDifferentialTrace(GreedyMetric metric, const TraceOptions& options) {
   for (size_t e = 0; e < engines.size(); ++e) {
     ASSERT_NE(engines[e]->engine(), nullptr);
     const ScheduleContextStats& stats = engines[e]->engine()->stats();
-    // FCFS never scores, so its scheduler stays on the single-shard engine.
+    // FCFS never scores, so its scheduler's engine stays at one shard.
     size_t expected_shards = metric == GreedyMetric::kFcfs ? 1 : options.shard_counts[e];
     EXPECT_EQ(stats.shards, expected_shards);
     EXPECT_EQ(stats.full_recomputes, 0u);

@@ -1,11 +1,13 @@
 // Unit tests for the incremental scheduling engine's cache behavior: which state changes
 // dirty which blocks, which tasks get rescored, and when the engine falls back to the
-// recompute path.
+// recompute path. Every case runs at one shard (the default) and at four; the counters are
+// shard-count independent.
 
-#include "src/core/schedule_context.h"
+#include "src/core/sharded_schedule_context.h"
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "src/block/block_manager.h"
@@ -31,20 +33,24 @@ Task OversizedTask(TaskId id, std::vector<BlockId> block_ids) {
   return t;
 }
 
-class ScheduleContextTest : public testing::Test {
+constexpr double kEta = 0.05;
+
+// Parameter: the engine's shard count.
+class ScheduleContextTest : public testing::TestWithParam<size_t> {
  protected:
   ScheduleContextTest() : blocks_(Grid(), kEpsG, kDeltaG) {
     for (int b = 0; b < 4; ++b) {
       blocks_.AddBlock(0.0, /*unlocked=*/true);
     }
   }
+  size_t shards() const { return GetParam(); }
   BlockManager blocks_;
 };
 
-TEST_F(ScheduleContextTest, SteadyStateReusesEveryScore) {
+TEST_P(ScheduleContextTest, SteadyStateReusesEveryScore) {
   for (GreedyMetric metric :
        {GreedyMetric::kDpack, GreedyMetric::kDpf, GreedyMetric::kArea}) {
-    ScheduleContext context(metric);
+    ShardedScheduleContext context(metric, kEta, shards());
     std::vector<Task> pending;
     for (TaskId i = 0; i < 10; ++i) {
       pending.push_back(OversizedTask(i, {i % 4}));
@@ -61,13 +67,13 @@ TEST_F(ScheduleContextTest, SteadyStateReusesEveryScore) {
   }
 }
 
-TEST_F(ScheduleContextTest, SteadyStateCyclesDoZeroMergeAllocations) {
-  // The N-way merge's scratch buffers persist across cycles: after warm-up, re-merging the
+TEST_P(ScheduleContextTest, SteadyStateCyclesDoZeroMergeAllocations) {
+  // The heap merges' scratch buffers persist across cycles: after warm-up, re-merging the
   // same-size batch must not allocate. merge_allocs counts scratch capacity growth and is
   // gated at zero per steady-state cycle in bench/baseline.json.
   for (GreedyMetric metric :
        {GreedyMetric::kDpack, GreedyMetric::kDpf, GreedyMetric::kArea}) {
-    ScheduleContext context(metric);
+    ShardedScheduleContext context(metric, kEta, shards());
     std::vector<Task> pending;
     for (TaskId i = 0; i < 12; ++i) {
       pending.push_back(OversizedTask(i, {i % 4}));
@@ -88,8 +94,8 @@ TEST_F(ScheduleContextTest, SteadyStateCyclesDoZeroMergeAllocations) {
   }
 }
 
-TEST_F(ScheduleContextTest, CommitDirtiesOnlyTouchedBlocksTasks) {
-  ScheduleContext context(GreedyMetric::kArea);
+TEST_P(ScheduleContextTest, CommitDirtiesOnlyTouchedBlocksTasks) {
+  ShardedScheduleContext context(GreedyMetric::kArea, kEta, shards());
   std::vector<Task> pending;
   for (TaskId i = 0; i < 8; ++i) {
     pending.push_back(OversizedTask(i, {i % 4}));  // Two tasks per block.
@@ -104,9 +110,9 @@ TEST_F(ScheduleContextTest, CommitDirtiesOnlyTouchedBlocksTasks) {
   EXPECT_EQ(context.stats().tasks_reused, 6u);
 }
 
-TEST_F(ScheduleContextTest, DpfScoresSurviveCommits) {
+TEST_P(ScheduleContextTest, DpfScoresSurviveCommits) {
   // DPF normalizes against total capacity, so commits never invalidate its scores.
-  ScheduleContext context(GreedyMetric::kDpf);
+  ShardedScheduleContext context(GreedyMetric::kDpf, kEta, shards());
   std::vector<Task> pending;
   for (TaskId i = 0; i < 6; ++i) {
     pending.push_back(OversizedTask(i, {i % 4}));
@@ -118,10 +124,10 @@ TEST_F(ScheduleContextTest, DpfScoresSurviveCommits) {
   EXPECT_EQ(context.stats().tasks_reused, 6u);
 }
 
-TEST_F(ScheduleContextTest, UnlockIncreaseDirtiesBlock) {
+TEST_P(ScheduleContextTest, UnlockIncreaseDirtiesBlock) {
   BlockManager locked(Grid(), kEpsG, kDeltaG);
   locked.AddBlock(0.0);  // Starts locked.
-  ScheduleContext context(GreedyMetric::kArea);
+  ShardedScheduleContext context(GreedyMetric::kArea, kEta, shards());
   std::vector<Task> pending = {OversizedTask(0, {0})};
 
   locked.UpdateUnlocks(0.0, 1.0, 4);
@@ -137,10 +143,10 @@ TEST_F(ScheduleContextTest, UnlockIncreaseDirtiesBlock) {
   EXPECT_EQ(context.stats().tasks_rescored, scored_before + 1);
 }
 
-TEST_F(ScheduleContextTest, NewTaskRescoresItsBlocksPeersUnderDpack) {
+TEST_P(ScheduleContextTest, NewTaskRescoresItsBlocksPeersUnderDpack) {
   // DPack's best alpha for a block depends on who requests it: a new requester must rescore
   // the block's existing tasks too, but not tasks on untouched blocks.
-  ScheduleContext context(GreedyMetric::kDpack);
+  ShardedScheduleContext context(GreedyMetric::kDpack, kEta, shards());
   std::vector<Task> pending;
   pending.push_back(OversizedTask(0, {0}));
   pending.push_back(OversizedTask(1, {0}));
@@ -155,8 +161,8 @@ TEST_F(ScheduleContextTest, NewTaskRescoresItsBlocksPeersUnderDpack) {
   EXPECT_EQ(context.stats().tasks_reused, 1u);
 }
 
-TEST_F(ScheduleContextTest, BestAlphaRecomputedOnlyForDirtyBlocks) {
-  ScheduleContext context(GreedyMetric::kDpack);
+TEST_P(ScheduleContextTest, BestAlphaRecomputedOnlyForDirtyBlocks) {
+  ShardedScheduleContext context(GreedyMetric::kDpack, kEta, shards());
   std::vector<Task> pending;
   for (TaskId i = 0; i < 4; ++i) {
     pending.push_back(OversizedTask(i, {i}));
@@ -170,8 +176,8 @@ TEST_F(ScheduleContextTest, BestAlphaRecomputedOnlyForDirtyBlocks) {
   EXPECT_EQ(context.stats().best_alpha_recomputes, first_cycle + 1);
 }
 
-TEST_F(ScheduleContextTest, LateBlockResolutionTriggersRescore) {
-  ScheduleContext context(GreedyMetric::kArea);
+TEST_P(ScheduleContextTest, LateBlockResolutionTriggersRescore) {
+  ShardedScheduleContext context(GreedyMetric::kArea, kEta, shards());
   std::vector<Task> pending;
   Task unresolved(0, 1.0, CapacityFraction(2.0));
   unresolved.num_recent_blocks = 2;  // blocks empty for now.
@@ -184,8 +190,8 @@ TEST_F(ScheduleContextTest, LateBlockResolutionTriggersRescore) {
   EXPECT_EQ(context.stats().tasks_rescored, 2u);
 }
 
-TEST_F(ScheduleContextTest, DuplicateTaskIdsFallBackToRecompute) {
-  ScheduleContext context(GreedyMetric::kDpack);
+TEST_P(ScheduleContextTest, DuplicateTaskIdsFallBackToRecompute) {
+  ShardedScheduleContext context(GreedyMetric::kDpack, kEta, shards());
   std::vector<Task> pending;
   pending.push_back(OversizedTask(7, {0}));
   pending.push_back(OversizedTask(7, {1}));  // Same id.
@@ -203,8 +209,8 @@ TEST_F(ScheduleContextTest, DuplicateTaskIdsFallBackToRecompute) {
   EXPECT_EQ(granted.size(), 2u);
 }
 
-TEST_F(ScheduleContextTest, InvalidateRebuildsFromScratch) {
-  ScheduleContext context(GreedyMetric::kArea);
+TEST_P(ScheduleContextTest, InvalidateRebuildsFromScratch) {
+  ShardedScheduleContext context(GreedyMetric::kArea, kEta, shards());
   std::vector<Task> pending = {OversizedTask(0, {0}), OversizedTask(1, {1})};
   context.ScheduleBatch(pending, blocks_);
   context.ScheduleBatch(pending, blocks_);
@@ -215,8 +221,8 @@ TEST_F(ScheduleContextTest, InvalidateRebuildsFromScratch) {
   EXPECT_EQ(context.stats().tasks_rescored, 4u);  // 2 initial + 2 after invalidation.
 }
 
-TEST_F(ScheduleContextTest, GrantedTasksLeaveTheCache) {
-  ScheduleContext context(GreedyMetric::kArea);
+TEST_P(ScheduleContextTest, GrantedTasksLeaveTheCache) {
+  ShardedScheduleContext context(GreedyMetric::kArea, kEta, shards());
   std::vector<Task> pending;
   Task small(0, 1.0, CapacityFraction(0.2));
   small.blocks = {0};
@@ -236,10 +242,10 @@ TEST_F(ScheduleContextTest, GrantedTasksLeaveTheCache) {
   EXPECT_EQ(context.stats().tasks_reused, 1u);
 }
 
-TEST_F(ScheduleContextTest, VersionedManagersSurviveCloning) {
+TEST_P(ScheduleContextTest, VersionedManagersSurviveCloning) {
   // A context observing a clone of the manager it warmed up on stays exact: Clone preserves
   // the epoch and per-block versions, so unchanged state is not spuriously refreshed.
-  ScheduleContext context(GreedyMetric::kArea);
+  ShardedScheduleContext context(GreedyMetric::kArea, kEta, shards());
   std::vector<Task> pending = {OversizedTask(0, {0})};
   context.ScheduleBatch(pending, blocks_);
 
@@ -250,6 +256,11 @@ TEST_F(ScheduleContextTest, VersionedManagersSurviveCloning) {
   EXPECT_EQ(context.stats().blocks_refreshed, 0u);
   EXPECT_EQ(context.stats().tasks_reused, 1u);
 }
+
+INSTANTIATE_TEST_SUITE_P(Shards, ScheduleContextTest, testing::Values(1, 4),
+                         [](const testing::TestParamInfo<size_t>& param_info) {
+                           return "shards" + std::to_string(param_info.param);
+                         });
 
 }  // namespace
 }  // namespace dpack

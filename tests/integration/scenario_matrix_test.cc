@@ -1,10 +1,10 @@
 // Engine-matrix differential harness over the scenario registry: every registered
 // scenario must produce byte-identical grant traces across the full engine matrix — the
-// recompute reference, the incremental engine, and the sharded engine at shard counts
-// {1, 2, 4, 7} — and must survive a kill-at-a-cycle + resume leg (through the binary wire
-// format, reusing the recovery machinery) on a randomly drawn shard count that stitches
-// back to the same trace. Runs under the TSan CI leg (the sharded legs run the
-// worker pool) and the shuffled ctest leg.
+// recompute reference and the incremental engine at shard counts {1, 2, 4, 7} — and must
+// survive a kill-at-a-cycle + resume leg (through the binary wire format, reusing the
+// recovery machinery) on a randomly drawn shard count that stitches back to the same
+// trace. Runs under the TSan CI leg (the multi-shard legs run the worker pool) and the
+// shuffled ctest leg.
 
 #include <gtest/gtest.h>
 
@@ -32,7 +32,7 @@ const CurvePool& Pool() {
   return pool;
 }
 
-// The sharded engine's shard counts under test; 1 is the single-shard incremental engine.
+// The incremental engine's shard counts under test; 1 is the default, inline engine.
 constexpr size_t kShardCounts[] = {1, 2, 4, 7};
 
 std::unique_ptr<Scheduler> MakeScheduler(GreedyMetric metric, bool incremental,

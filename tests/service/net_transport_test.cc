@@ -13,10 +13,13 @@
 
 #include <netinet/in.h>
 #include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <csignal>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -25,6 +28,7 @@
 #include <vector>
 
 #include "src/common/frame.h"
+#include "src/common/rng.h"
 #include "src/common/sleep.h"
 #include "src/common/subprocess.h"
 #include "src/core/scheduler.h"
@@ -206,6 +210,105 @@ TEST(ParseNetAddressTest, RejectsMalformedAddresses) {
   EXPECT_FALSE(ParseNetAddress("tcp:7a", &address, &error));
   EXPECT_FALSE(ParseNetAddress(std::string("unix:") + std::string(200, 'p'), &address,
                                &error));
+}
+
+TEST(ParseNetAddressTest, RejectsUnixPathsWithNulBytes) {
+  // A NUL inside the path would truncate it at bind/unlink ("/tmp/a\0b" binds /tmp/a); a
+  // leading NUL would name an abstract socket. Both are rejected with a diagnostic.
+  NetAddress address;
+  for (const std::string& text :
+       {std::string("unix:/tmp/a\0b", 13), std::string("unix:\0x", 7),
+        std::string("unix:/tmp/x.sock\0", 17)}) {
+    std::string error;
+    EXPECT_FALSE(ParseNetAddress(text, &address, &error)) << "accepted " << text.size()
+                                                          << " bytes";
+    EXPECT_NE(error.find("NUL"), std::string::npos) << error;
+  }
+}
+
+// --- Seeded mutations of address strings ----------------------------------------------
+
+size_t AddressMutationIterations() {
+  // DPACK_FUZZ_ITERATIONS is the fuzz depth shared with scenario_fuzz_test (default 100);
+  // this test runs twice that many mutations.
+  const char* env = std::getenv("DPACK_FUZZ_ITERATIONS");
+  if (env != nullptr) {
+    long long parsed = std::atoll(env);
+    if (parsed > 0) {
+      return 2 * static_cast<size_t>(parsed);
+    }
+  }
+  return 200;
+}
+
+// One seeded iteration: a valid address text takes 1-8 byte flips, inserts (NUL among
+// them) and deletes. Returns true when the mutated text parsed.
+bool RunAddressMutation(uint64_t seed) {
+  SCOPED_TRACE("address mutation seed=" + std::to_string(seed) +
+               " (replay: DPACK_FUZZ_REPLAY_SEED=" + std::to_string(seed) + ")");
+  const std::vector<std::string> samples = {
+      "unix:/tmp/x.sock", "unix:relative.sock", "unix:" + std::string(100, 'p'),
+      "tcp:7001",         "tcp:0",              "tcp:65535"};
+  Rng rng(seed);
+  std::string text =
+      samples[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(samples.size()) - 1))];
+  int64_t mutations = rng.UniformInt(1, 8);
+  for (int64_t m = 0; m < mutations; ++m) {
+    int64_t kind = text.empty() ? 1 : rng.UniformInt(0, 2);  // Only an insert fits "".
+    size_t pos = static_cast<size_t>(
+        rng.UniformInt(0, static_cast<int64_t>(text.size()) - (kind == 1 ? 0 : 1)));
+    char byte = rng.Bernoulli(0.25) ? '\0' : static_cast<char>(rng.UniformInt(0, 255));
+    if (kind == 0) {
+      text[pos] = byte;
+    } else if (kind == 1) {
+      text.insert(pos, 1, byte);
+    } else {
+      text.erase(pos, 1);
+    }
+  }
+  NetAddress address;
+  std::string error;
+  if (!ParseNetAddress(text, &address, &error)) {
+    EXPECT_FALSE(error.empty());
+    return false;
+  }
+  if (address.is_unix) {
+    sockaddr_un probe;
+    EXPECT_FALSE(address.path.empty());
+    EXPECT_EQ(address.path.find('\0'), std::string::npos);
+    EXPECT_LT(address.path.size(), sizeof(probe.sun_path));
+    EXPECT_EQ("unix:" + address.path, text);  // No byte dropped or normalized.
+  } else {
+    EXPECT_LE(address.port, 65535);
+    NetAddress reparsed;
+    EXPECT_TRUE(ParseNetAddress("tcp:" + std::to_string(address.port), &reparsed, &error))
+        << error;
+    EXPECT_FALSE(reparsed.is_unix);
+    EXPECT_EQ(reparsed.port, address.port);
+  }
+  return true;
+}
+
+TEST(ParseNetAddressTest, MutatedAddressesAreRejectedOrValid) {
+  if (const char* replay = std::getenv("DPACK_FUZZ_REPLAY_SEED")) {
+    RunAddressMutation(static_cast<uint64_t>(std::atoll(replay)));
+    return;
+  }
+  constexpr uint64_t kBaseSeed = 9300;
+  size_t accepted = 0;
+  size_t iterations = AddressMutationIterations();
+  std::printf("address mutation seeds %llu..%llu\n",
+              static_cast<unsigned long long>(kBaseSeed),
+              static_cast<unsigned long long>(kBaseSeed + iterations - 1));
+  for (size_t i = 0; i < iterations; ++i) {
+    accepted += RunAddressMutation(kBaseSeed + i) ? 1 : 0;
+    if (testing::Test::HasFailure()) {
+      return;  // The SCOPED_TRACE of the failing seed is in the log.
+    }
+  }
+  // Both outcomes must occur, or the mutations never reach past the parser's checks.
+  EXPECT_GT(accepted, 0u);
+  EXPECT_LT(accepted, iterations);
 }
 
 TEST(NetFrontTest, ValidSubmitRoundTrips) {
