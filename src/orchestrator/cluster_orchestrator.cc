@@ -1,14 +1,11 @@
 #include "src/orchestrator/cluster_orchestrator.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
-#include <cmath>
-#include <thread>
+#include <limits>
 
 #include "src/common/check.h"
-#include "src/common/log.h"
-#include "src/common/thread_annotations.h"
+#include "src/sim/simulation.h"
 
 namespace dpack {
 
@@ -31,7 +28,6 @@ ClusterOrchestrator::ClusterOrchestrator(std::unique_ptr<Scheduler> scheduler,
 
 OrchestratorRunResult ClusterOrchestrator::RunOfflinePass(std::vector<Task> tasks) {
   DPACK_CHECK_MSG(scheduler_ != nullptr, "orchestrator scheduler missing (mid-run reentry?)");
-  auto run_start = std::chrono::steady_clock::now();
   SimulatedStateStore store(config_.store_latency_us);
   BlockManager blocks(GridOrDefault(config_), config_.eps_g, config_.delta_g);
   size_t total_blocks = config_.offline_blocks + config_.online_blocks;
@@ -69,8 +65,6 @@ OrchestratorRunResult ClusterOrchestrator::RunOfflinePass(std::vector<Task> task
     result.scheduler_stats = stats->Delta(stats_at_entry);
   }
   result.store_operations = store.operations();
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start).count();
   result.cycles = 1;
   // Take the scheduler back so a later Run* call does not dereference a moved-from
   // scheduler; its engine caches (bound to this run's manager) are invalidated.
@@ -90,19 +84,21 @@ OrchestratorRunResult ClusterOrchestrator::ResumeFrom(const ClusterSnapshot& sna
                       snapshot.meta.unlock_steps == config_.unlock_steps &&
                       snapshot.eps_g == config_.eps_g && snapshot.delta_g == config_.delta_g,
                   "ResumeFrom config does not match the snapshot's");
-  DPACK_CHECK_MSG(snapshot.blocks.size() >= config_.offline_blocks &&
-                      snapshot.blocks.size() <=
-                          config_.offline_blocks + config_.online_blocks,
-                  "snapshot block count outside this orchestrator's arrival process");
+  size_t blocks_before = config_.offline_blocks;
+  for (size_t b = 1; b <= config_.online_blocks; ++b) {
+    if (static_cast<double>(b) <= snapshot.meta.checkpoint_time) {
+      ++blocks_before;
+    }
+  }
+  DPACK_CHECK_MSG(blocks_before == snapshot.blocks.size(),
+                  "snapshot block count does not match this orchestrator's arrival process");
   return RunOnlineInternal(&snapshot, std::move(tasks));
 }
 
 OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapshot* snapshot,
                                                              std::vector<Task> tasks) {
   DPACK_CHECK_MSG(scheduler_ != nullptr, "orchestrator scheduler missing (mid-run reentry?)");
-  auto run_start = std::chrono::steady_clock::now();
   SimulatedStateStore store(config_.store_latency_us);
-  double start_virtual = snapshot != nullptr ? snapshot->meta.checkpoint_time : 0.0;
   AlphaGridPtr grid = GridOrDefault(config_);
   BlockManager blocks = snapshot != nullptr
                             ? RestoreBlockManager(*snapshot, grid)
@@ -126,112 +122,59 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
     stats_at_entry = *stats;
   }
 
+  // The horizon derives from the full workload, so a resumed run ends where the original
+  // would have.
   double last_arrival = 0.0;
   for (const Task& task : tasks) {
     last_arrival = std::max(last_arrival, task.arrival_time);
-  }
-  if (snapshot != nullptr) {
-    // Claims at or before the checkpoint are the store's responsibility (granted, queued
-    // in the snapshot, or lost in flight); only later arrivals are replayed. The horizon
-    // still derives from the full workload, matching the original run's.
-    auto kept = std::remove_if(tasks.begin(), tasks.end(), [&](const Task& task) {
-      return task.arrival_time <= start_virtual;
-    });
-    tasks.erase(kept, tasks.end());
   }
   double online_span = static_cast<double>(config_.online_blocks);
   double end_virtual = std::max(last_arrival, online_span) +
                        config_.period * static_cast<double>(config_.unlock_steps + 1);
 
-  std::atomic<double> clock{start_virtual};
-  std::atomic<bool> producer_done{false};
-  std::atomic<bool> stop{false};
+  // Arrivals at or before the checkpoint are in the snapshot (blocks and claims fire before
+  // the cycle at the same instant); only later ones are replayed.
+  double absorbed_until = snapshot != nullptr ? snapshot->meta.checkpoint_time
+                                              : -std::numeric_limits<double>::infinity();
 
-  // Submission queue shared between the producer and the scheduler thread. Block arrivals
-  // are communicated as a pending counter so all BlockManager mutation happens on the
-  // scheduler thread.
-  Mutex mu;
-  std::vector<Task> submission_queue;
-  size_t blocks_added =  // Online blocks already materialized (restored from the snapshot).
-      snapshot != nullptr ? snapshot->blocks.size() - config_.offline_blocks : 0;
-  size_t blocks_released = blocks_added;  // Online blocks whose arrival time has passed.
-
-  std::thread timekeeper([&] {
-    auto unit = std::chrono::duration<double, std::milli>(config_.virtual_unit_wall_ms);
-    while (!stop.load(std::memory_order_acquire)) {
-      // dpack-lint: allow(raw-sleep): wall pacing of virtual time is this sleep.
-      std::this_thread::sleep_for(unit);
-      double now = clock.load(std::memory_order_relaxed) + 1.0;
-      clock.store(now, std::memory_order_release);
-      MutexLock lock(mu);
-      blocks_released = std::max(blocks_released,
-                                 std::min<size_t>(config_.online_blocks,
-                                                  static_cast<size_t>(std::floor(now))));
+  Simulation sim;
+  for (size_t b = 1; b <= config_.online_blocks; ++b) {
+    double t = static_cast<double>(b);
+    if (t > absorbed_until) {
+      sim.At(t, EventPriority::kBlockArrival, [&blocks, t] { blocks.AddBlock(t); });
     }
-  });
-
-  std::thread producer([&] {
-    for (Task& task : tasks) {
-      while (clock.load(std::memory_order_acquire) < task.arrival_time &&
-             !stop.load(std::memory_order_acquire)) {
-        // dpack-lint: allow(raw-sleep): the producer paces itself against virtual time.
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
-      }
+  }
+  for (Task& task : tasks) {
+    if (task.arrival_time <= absorbed_until) {
+      continue;
+    }
+    Task* task_ptr = &task;
+    sim.At(task.arrival_time, EventPriority::kTaskArrival, [&store, &online, task_ptr] {
       store.RoundTrip(1);  // Claim creation.
-      MutexLock lock(mu);
-      submission_queue.push_back(std::move(task));
-    }
-    producer_done.store(true, std::memory_order_release);
-  });
+      online.Submit(std::move(*task_ptr));
+    });
+  }
 
   OrchestratorRunResult result;
   size_t cycles = snapshot != nullptr ? static_cast<size_t>(snapshot->meta.cycles_completed)
                                       : 0;
-  double next_cycle = snapshot != nullptr ? snapshot->meta.next_cycle_time : 0.0;
-  while (true) {
-    double now = clock.load(std::memory_order_acquire);
-    if (now < next_cycle) {
-      // dpack-lint: allow(raw-sleep): waiting for the next wall-paced cycle instant.
-      std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
-          config_.virtual_unit_wall_ms / 4.0));
-      continue;
-    }
-    // Materialize newly arrived blocks and drain the submission queue.
-    std::vector<Task> batch;
-    size_t release_target = 0;
-    {
-      MutexLock lock(mu);
-      batch.swap(submission_queue);
-      release_target = blocks_released;
-    }
-    while (blocks_added < release_target) {
-      ++blocks_added;
-      blocks.AddBlock(static_cast<double>(blocks_added));
-    }
-    for (Task& task : batch) {
-      online.Submit(std::move(task));
-    }
-
-    store.RoundTrip(config_.store_ops_per_cycle);
-    size_t granted = online.RunCycle(now);
-    store.RoundTrip(config_.store_ops_per_task * granted);
-    ++cycles;
-    next_cycle += config_.period;
-
-    if (config_.checkpoint_every_cycles > 0 &&
-        cycles % config_.checkpoint_every_cycles == 0) {
-      // The capture runs on the scheduler thread, which owns the manager and the queue.
-      // The clock races ahead of the drain, so a freshly drained claim can carry an
-      // arrival time past the `now` this cycle read — stamp the checkpoint at the latest
-      // state it actually covers.
-      double checkpoint_time = now;
-      for (const Task& task : online.pending()) {
-        checkpoint_time = std::max(checkpoint_time, task.arrival_time);
+  // Cycle instants come from one repeated addition, so a resumed run continues the
+  // uninterrupted run's exact sequence from the checkpoint's next_cycle_time.
+  double first_cycle = snapshot != nullptr ? snapshot->meta.next_cycle_time : 0.0;
+  for (double t = first_cycle; t <= end_virtual; t += config_.period) {
+    sim.At(t, EventPriority::kScheduling, [&, t] {
+      store.RoundTrip(config_.store_ops_per_cycle);
+      size_t granted = online.RunCycle(t);
+      store.RoundTrip(config_.store_ops_per_task * granted);
+      ++cycles;
+      if (config_.checkpoint_every_cycles == 0 ||
+          cycles % config_.checkpoint_every_cycles != 0) {
+        return;
       }
       SnapshotMeta meta;
       meta.cycles_completed = cycles;
-      meta.checkpoint_time = checkpoint_time;
-      meta.next_cycle_time = std::max(next_cycle, checkpoint_time);
+      meta.checkpoint_time = t;
+      meta.next_cycle_time = t + config_.period;
       meta.period = config_.period;
       meta.unlock_steps = config_.unlock_steps;
       meta.fair_share_n = online.config().fair_share_n;
@@ -242,15 +185,9 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
       result.last_checkpoint = encoded;
       store.Put(kCheckpointKey, std::move(encoded));
       ++result.checkpoints_taken;
-    }
-
-    if (producer_done.load(std::memory_order_acquire) && now >= end_virtual) {
-      break;
-    }
+    });
   }
-  stop.store(true, std::memory_order_release);
-  producer.join();
-  timekeeper.join();
+  sim.Run();
 
   result.metrics = online.metrics();
   if (const ScheduleContextStats* stats = online.context_stats()) {
@@ -258,8 +195,6 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
   }
   result.store_operations = store.operations();
   result.store_bytes_written = store.bytes_written();
-  result.wall_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - run_start).count();
   result.cycles = cycles;
   scheduler_ = online.ReleaseInner();
   return result;

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/common/rng.h"
 #include "src/rdp/rdp_curve.h"
 #include "src/sim/sim_driver.h"
 
@@ -24,7 +30,6 @@ OrchestratorConfig FastConfig() {
   config.online_blocks = 3;
   config.period = 1.0;
   config.unlock_steps = 2;
-  config.virtual_unit_wall_ms = 2.0;
   config.store_latency_us = 10.0;
   return config;
 }
@@ -112,17 +117,19 @@ TEST(OrchestratorOnlineTest, DelaysRecordedInVirtualTime) {
   OrchestratorConfig config = FastConfig();
   config.unlock_steps = 3;
   ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), config);
-  // One task needing the full budget of one block: must wait ~2 periods for unlock.
-  std::vector<Task> tasks = {FractionTask(0, 0.95, 1, 0.0)};
+  // One task needing the full budget of one block. It arrives with online block 1 (t = 1),
+  // whose budget unlocks in thirds at t = 1, 2, 3, so it waits exactly 2 periods. (At t = 0
+  // its most recent block would be an offline one, fully unlocked, and it would not wait.)
+  std::vector<Task> tasks = {FractionTask(0, 0.95, 1, 1.0)};
   OrchestratorRunResult result = orchestrator.RunOnline(std::move(tasks));
   ASSERT_EQ(result.metrics.allocated(), 1u);
   EXPECT_GE(result.metrics.delays().Quantile(0.5), 1.0);
+  EXPECT_EQ(result.metrics.delays().Quantile(0.5), 2.0);
 }
 
 TEST(OrchestratorOnlineTest, EmptyTaskVectorShutsDownCleanly) {
-  // Shutdown-path coverage: with nothing to submit the producer finishes immediately and
-  // the run must still advance the clock, release online blocks, cycle the scheduler, and
-  // join the timekeeper without hanging.
+  // Shutdown-path coverage: with nothing to submit the run must still add the online
+  // blocks and run every cycle up to the horizon.
   ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), FastConfig());
   OrchestratorRunResult result = orchestrator.RunOnline({});
   EXPECT_EQ(result.metrics.submitted(), 0u);
@@ -132,8 +139,8 @@ TEST(OrchestratorOnlineTest, EmptyTaskVectorShutsDownCleanly) {
 }
 
 TEST(OrchestratorOnlineTest, ZeroOnlineBlocksRunsOnOfflineBlocksOnly) {
-  // Shutdown-path coverage: with no online block arrivals the timekeeper's release counter
-  // stays pinned at zero and the horizon is driven by task arrivals and unlocking alone.
+  // Shutdown-path coverage: with no online block arrivals the horizon is driven by task
+  // arrivals and unlocking alone.
   OrchestratorConfig config = FastConfig();
   config.online_blocks = 0;
   ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), config);
@@ -230,7 +237,158 @@ TEST(OrchestratorOnlineTest, DpackAllocatesAtLeastAsMuchAsDpfUnderContention) {
     ClusterOrchestrator orch(CreateScheduler(kind), config);
     return orch.RunOnline(std::move(tasks)).metrics.allocated();
   };
-  EXPECT_GE(run(SchedulerKind::kDpack), run(SchedulerKind::kDpf));
+  size_t dpack = run(SchedulerKind::kDpack);
+  size_t dpf = run(SchedulerKind::kDpf);
+  EXPECT_GE(dpack, dpf);
+  // The run is event-driven on virtual time, so the counts are fixed by the workload.
+  EXPECT_EQ(dpack, 2u);
+  EXPECT_EQ(dpf, 2u);
+}
+
+// --- Equivalence legs ---------------------------------------------------------------------
+//
+// The orchestrator runs in the sim driver's event order, so its grants are a function of the
+// workload and the config alone. Each leg compares every deterministic metric (delay samples
+// included) and the cycle count, for all four greedy metrics.
+
+constexpr GreedyMetric kAllMetrics[] = {GreedyMetric::kDpack, GreedyMetric::kDpf,
+                                        GreedyMetric::kArea, GreedyMetric::kFcfs};
+
+std::unique_ptr<Scheduler> MakeScheduler(GreedyMetric metric, bool incremental = true,
+                                         size_t num_shards = 1) {
+  return std::make_unique<GreedyScheduler>(
+      metric, GreedySchedulerOptions{
+                  .eta = 0.05, .incremental = incremental, .num_shards = num_shards});
+}
+
+// A contended weighted stream over t = 0..last_arrival: queues persist across cycles, grants
+// trickle, and some claims time out.
+std::vector<Task> ContendedWorkload(uint64_t seed, int last_arrival = 8) {
+  Rng rng(seed);
+  RdpCurve capacity = BlockCapacityCurve(Grid(), 10.0, 1e-7);
+  std::vector<Task> tasks;
+  TaskId next_id = 0;
+  for (int t = 0; t <= last_arrival; ++t) {
+    int64_t arrivals = rng.UniformInt(1, 4);
+    for (int64_t a = 0; a < arrivals; ++a) {
+      Task task(next_id++, rng.Uniform(0.5, 6.0), capacity.Scaled(rng.Uniform(0.05, 0.45)));
+      task.arrival_time = static_cast<double>(t);
+      task.timeout = rng.Bernoulli(0.3) ? rng.Uniform(3.0, 8.0)
+                                        : std::numeric_limits<double>::infinity();
+      task.num_recent_blocks = static_cast<size_t>(rng.UniformInt(1, 3));
+      tasks.push_back(std::move(task));
+    }
+  }
+  return tasks;
+}
+
+// 2 offline + 6 online blocks, T = 1, N = 4: with arrivals up to t = 8, cycles run at
+// t = 0..13.
+OrchestratorConfig EquivalenceConfig() {
+  OrchestratorConfig config;
+  config.offline_blocks = 2;
+  config.online_blocks = 6;
+  config.period = 1.0;
+  config.unlock_steps = 4;
+  config.store_latency_us = 0.0;
+  return config;
+}
+
+void ExpectSameRun(const AllocationMetrics& actual, size_t actual_cycles,
+                   const AllocationMetrics& expected, size_t expected_cycles,
+                   const std::string& label) {
+  EXPECT_EQ(actual.submitted(), expected.submitted()) << label;
+  EXPECT_EQ(actual.allocated(), expected.allocated()) << label;
+  EXPECT_EQ(actual.evicted(), expected.evicted()) << label;
+  EXPECT_EQ(actual.submitted_weight(), expected.submitted_weight()) << label;
+  EXPECT_EQ(actual.allocated_weight(), expected.allocated_weight()) << label;
+  EXPECT_EQ(actual.submitted_fair_share(), expected.submitted_fair_share()) << label;
+  EXPECT_EQ(actual.allocated_fair_share(), expected.allocated_fair_share()) << label;
+  EXPECT_EQ(actual.delays().samples(), expected.delays().samples()) << label;
+  EXPECT_EQ(actual_cycles, expected_cycles) << label;
+}
+
+TEST(OrchestratorEquivalenceTest, MatchesTheSimDriverWithoutOfflineBlocks) {
+  // Leg (a): with no offline blocks the orchestrator's arrival process is the sim driver's
+  // on block_arrival_times {1..n}, and its horizon is the sim's with drain_margin 1.
+  OrchestratorConfig config = EquivalenceConfig();
+  config.offline_blocks = 0;
+  config.period = 2.0;
+  SimConfig sim;
+  sim.eps_g = config.eps_g;
+  sim.delta_g = config.delta_g;
+  for (size_t b = 1; b <= config.online_blocks; ++b) {
+    sim.block_arrival_times.push_back(static_cast<double>(b));
+  }
+  sim.period = config.period;
+  sim.unlock_steps = config.unlock_steps;
+  sim.drain_margin = 1.0;
+  std::vector<Task> tasks = ContendedWorkload(/*seed=*/5);
+  for (GreedyMetric metric : kAllMetrics) {
+    ClusterOrchestrator orchestrator(MakeScheduler(metric), config);
+    OrchestratorRunResult run = orchestrator.RunOnline(tasks);
+    SimResult reference = RunOnlineSimulation(MakeScheduler(metric), tasks, sim);
+    ASSERT_GT(reference.metrics.allocated(), 0u);
+    ExpectSameRun(run.metrics, run.cycles, reference.metrics, reference.cycles_run,
+                  "metric " + std::to_string(static_cast<int>(metric)));
+  }
+}
+
+TEST(OrchestratorEquivalenceTest, RecomputeReferenceMatchesEveryShardCount) {
+  // Leg (b): the recompute reference and the incremental engine at shards {1, 2, 4, 7}.
+  std::vector<Task> tasks = ContendedWorkload(/*seed=*/7);
+  for (GreedyMetric metric : kAllMetrics) {
+    ClusterOrchestrator reference_orchestrator(MakeScheduler(metric, /*incremental=*/false),
+                                               EquivalenceConfig());
+    OrchestratorRunResult reference = reference_orchestrator.RunOnline(tasks);
+    ASSERT_GT(reference.metrics.evicted(), 0u);
+    for (size_t shards : {1, 2, 4, 7}) {
+      ClusterOrchestrator orchestrator(MakeScheduler(metric, /*incremental=*/true, shards),
+                                       EquivalenceConfig());
+      OrchestratorRunResult run = orchestrator.RunOnline(tasks);
+      ExpectSameRun(run.metrics, run.cycles, reference.metrics, reference.cycles,
+                    "metric " + std::to_string(static_cast<int>(metric)) + " shards " +
+                        std::to_string(shards));
+    }
+  }
+}
+
+TEST(OrchestratorEquivalenceTest, ResumeFromLastCheckpointMatchesTheUninterruptedRun) {
+  // Leg (c): a fresh orchestrator resumed from the run's last persisted checkpoint ends
+  // where the uninterrupted run ended; checkpointing itself changes no grant. Blocks and
+  // claims arrive up to t = 10 and N = 2, so cycles run at t = 0..13: 14 cycles, a multiple
+  // of neither 3 nor 5. Every 3 cycles the resume runs the last 2 cycles; every 5 it
+  // resumes at t = 10 and also replays that instant's block and claim arrivals.
+  OrchestratorConfig base = EquivalenceConfig();
+  base.online_blocks = 10;
+  base.unlock_steps = 2;
+  std::vector<Task> tasks = ContendedWorkload(/*seed=*/9, /*last_arrival=*/10);
+  for (GreedyMetric metric : kAllMetrics) {
+    ClusterOrchestrator plain(MakeScheduler(metric), base);
+    OrchestratorRunResult uninterrupted = plain.RunOnline(tasks);
+    ASSERT_EQ(uninterrupted.cycles, 14u);
+    for (size_t every : {1, 3, 5}) {
+      std::string label = "metric " + std::to_string(static_cast<int>(metric)) + " every " +
+                          std::to_string(every);
+      OrchestratorConfig config = base;
+      config.checkpoint_every_cycles = every;
+      ClusterOrchestrator first(MakeScheduler(metric), config);
+      OrchestratorRunResult checkpointed = first.RunOnline(tasks);
+      ExpectSameRun(checkpointed.metrics, checkpointed.cycles, uninterrupted.metrics,
+                    uninterrupted.cycles, label + " checkpointed");
+      EXPECT_EQ(checkpointed.checkpoints_taken, uninterrupted.cycles / every) << label;
+      SnapshotParseResult parsed = DecodeSnapshotBinary(checkpointed.last_checkpoint);
+      ASSERT_TRUE(parsed.ok) << label << ": " << parsed.error;
+      EXPECT_EQ(parsed.snapshot.meta.checkpoint_time,
+                static_cast<double>(uninterrupted.cycles / every * every - 1))
+          << label;
+
+      ClusterOrchestrator second(MakeScheduler(metric), config);
+      OrchestratorRunResult resumed = second.ResumeFrom(parsed.snapshot, tasks);
+      ExpectSameRun(resumed.metrics, resumed.cycles, uninterrupted.metrics,
+                    uninterrupted.cycles, label + " resumed");
+    }
+  }
 }
 
 }  // namespace

@@ -210,14 +210,13 @@ TEST(RecoveryClampTest, KillPastTheFinalCycleStillCaptures) {
 }
 
 TEST(OrchestratorRecoveryTest, PeriodicCheckpointsFlowThroughTheStateStore) {
-  // The wall-clock orchestrator persists a snapshot every K cycles through the simulated
-  // API server; the persistence traffic lands in the run's store accounting.
+  // The orchestrator persists a snapshot every K cycles through the simulated API server;
+  // the persistence traffic lands in the run's store accounting.
   OrchestratorConfig config;
   config.offline_blocks = 2;
   config.online_blocks = 3;
   config.period = 1.0;
   config.unlock_steps = 2;
-  config.virtual_unit_wall_ms = 2.0;
   config.store_latency_us = 10.0;
   config.checkpoint_every_cycles = 2;
 
@@ -242,9 +241,10 @@ TEST(OrchestratorRecoveryTest, PeriodicCheckpointsFlowThroughTheStateStore) {
   ASSERT_TRUE(parsed.ok) << parsed.error;
   EXPECT_EQ(parsed.snapshot.meta.period, config.period);
 
-  // Crash-restart: resume the same orchestrator from the persisted snapshot. The run is
-  // wall-clock paced, so exact grant equality is the sim suite's job; here the recovered
-  // run must complete and the cumulative accounting must stay monotone and conserved.
+  // Crash-restart: resume the same orchestrator from the persisted snapshot. The recovered
+  // run must complete, the cumulative accounting must stay monotone and conserved, and the
+  // run is event-driven on virtual time, so it must end exactly where the uninterrupted
+  // run ended.
   OrchestratorRunResult resumed = orchestrator.ResumeFrom(parsed.snapshot, tasks);
   EXPECT_GE(resumed.metrics.submitted(), parsed.snapshot.metrics.submitted);
   EXPECT_GE(resumed.metrics.allocated(), parsed.snapshot.metrics.allocated);
@@ -252,6 +252,8 @@ TEST(OrchestratorRecoveryTest, PeriodicCheckpointsFlowThroughTheStateStore) {
   EXPECT_LE(resumed.metrics.allocated() + resumed.metrics.evicted(),
             resumed.metrics.submitted());
   EXPECT_GT(resumed.cycles, parsed.snapshot.meta.cycles_completed);
+  ExpectMetricsEqual(resumed.metrics, result.metrics, "orchestrator resume");
+  EXPECT_EQ(resumed.cycles, result.cycles);
 }
 
 TEST(OrchestratorRecoveryTest, ResumedRunKeepsCheckpointing) {
@@ -260,9 +262,8 @@ TEST(OrchestratorRecoveryTest, ResumedRunKeepsCheckpointing) {
   config.online_blocks = 2;
   config.period = 1.0;
   config.unlock_steps = 2;
-  config.virtual_unit_wall_ms = 2.0;
   config.store_latency_us = 0.0;
-  config.checkpoint_every_cycles = 1;
+  config.checkpoint_every_cycles = 5;
 
   RdpCurve capacity = BlockCapacityCurve(Grid(), kEpsG, kDeltaG);
   std::vector<Task> tasks;
@@ -272,17 +273,50 @@ TEST(OrchestratorRecoveryTest, ResumedRunKeepsCheckpointing) {
     t.arrival_time = static_cast<double>(i % 3);
     tasks.push_back(std::move(t));
   }
+  // Cycles run at t = 0..5, so the first run's only checkpoint (after cycle 5) leaves one
+  // cycle for the resumed run, which checkpoints after every cycle.
   ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpf), config);
   OrchestratorRunResult first = orchestrator.RunOnline(tasks);
   ASSERT_FALSE(first.last_checkpoint.empty());
   SnapshotParseResult parsed = DecodeSnapshotBinary(first.last_checkpoint);
   ASSERT_TRUE(parsed.ok) << parsed.error;
-  OrchestratorRunResult resumed = orchestrator.ResumeFrom(parsed.snapshot, tasks);
+  config.checkpoint_every_cycles = 1;
+  ClusterOrchestrator every_cycle(CreateScheduler(SchedulerKind::kDpf), config);
+  OrchestratorRunResult resumed = every_cycle.ResumeFrom(parsed.snapshot, tasks);
   // The resumed run checkpoints on its own cadence too, so a second crash anywhere in it
   // would recover the same way.
   EXPECT_GT(resumed.checkpoints_taken, 0u);
   ASSERT_FALSE(resumed.last_checkpoint.empty());
   EXPECT_TRUE(DecodeSnapshotBinary(resumed.last_checkpoint).ok);
+}
+
+TEST(OrchestratorRecoveryDeathTest, RejectsASnapshotOneBlockShort) {
+  // Reject, don't trust: at checkpoint time 2 the arrival process has produced the 2
+  // offline blocks and online blocks 1 and 2. A well-formed snapshot holding only 3 of them
+  // must be refused, not resumed with the next arrival landing under the wrong id.
+  OrchestratorConfig config;
+  config.offline_blocks = 2;
+  config.online_blocks = 3;
+  config.period = 1.0;
+  config.unlock_steps = 2;
+  config.store_latency_us = 0.0;
+
+  BlockManager blocks(Grid(), kEpsG, kDeltaG);
+  blocks.AddBlock(0.0, /*unlocked=*/true);
+  blocks.AddBlock(0.0, /*unlocked=*/true);
+  blocks.AddBlock(1.0);
+  SnapshotMeta meta;
+  meta.cycles_completed = 3;
+  meta.checkpoint_time = 2.0;
+  meta.next_cycle_time = 3.0;
+  meta.period = config.period;
+  meta.unlock_steps = config.unlock_steps;
+  meta.fair_share_n = config.unlock_steps;
+  ClusterSnapshot snapshot = CaptureSnapshot(blocks, {}, AllocationMetrics(), meta);
+  ASSERT_EQ(ValidateSnapshot(snapshot), "");
+
+  ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), config);
+  EXPECT_DEATH(orchestrator.ResumeFrom(snapshot, {}), "snapshot block count");
 }
 
 }  // namespace

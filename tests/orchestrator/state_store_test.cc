@@ -81,8 +81,8 @@ TEST(StateStoreTest, PutChargesOneTripPerChunk) {
 }
 
 TEST(StateStoreTest, ConcurrentPutGetAndRoundTrips) {
-  // The orchestrator's producer thread issues claim round trips while the scheduler thread
-  // persists checkpoints; the store must tolerate that concurrency.
+  // The store is documented thread-safe: concurrent callers may mix round trips, writes
+  // and reads, and every operation and byte is counted exactly once.
   SimulatedStateStore store(0.0);
   std::vector<std::thread> threads;
   for (int t = 0; t < 2; ++t) {
