@@ -1,7 +1,7 @@
 // Component microbenchmarks (google-benchmark): single-dimension knapsack solvers and the
-// exact privacy-knapsack branch-and-bound. Quantifies the solver choices DESIGN.md calls
-// out: the max-cardinality fast path vs FPTAS vs greedy, FPTAS cost vs eta, and the B&B's
-// growth with instance size.
+// exact privacy-knapsack branch-and-bound. Quantifies the solver choices src/knapsack/
+// single_dim.h describes: the max-cardinality fast path vs FPTAS vs greedy, FPTAS cost vs
+// eta, and the B&B's growth with instance size.
 
 #include <benchmark/benchmark.h>
 
@@ -20,13 +20,38 @@ std::vector<KnapsackItem> RandomItems(size_t n, bool uniform_profits, uint64_t s
   return items;
 }
 
+// Args: item count, capacity in thousandths (demands are uniform in [0, 1)). Besides the
+// large-capacity sweep, two cases mirror the e2e workloads' best-alpha solves per usable
+// order: ~13 requesters with ~3 taken (engine_churn) and ~300 with < 1 taken on average
+// (engine_backlog).
 void BM_MaxCardinality(benchmark::State& state) {
   auto items = RandomItems(static_cast<size_t>(state.range(0)), true, 1);
+  double capacity = static_cast<double>(state.range(1)) / 1000.0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(MaxCardinalityKnapsack(items, 10.0));
+    benchmark::DoNotOptimize(MaxCardinalityKnapsack(items, capacity));
   }
 }
-BENCHMARK(BM_MaxCardinality)->Arg(100)->Arg(1000)->Arg(10000);
+BENCHMARK(BM_MaxCardinality)
+    ->Args({100, 10'000})
+    ->Args({1000, 10'000})
+    ->Args({10'000, 10'000})
+    ->Args({13, 450})
+    ->Args({300, 2});
+
+// The count-only form BestAlphaForBlock calls, including the copy into its scratch buffer.
+void BM_MaxCardinalityCount(benchmark::State& state) {
+  auto items = RandomItems(static_cast<size_t>(state.range(0)), true, 1);
+  double capacity = static_cast<double>(state.range(1)) / 1000.0;
+  std::vector<double> demands(items.size());
+  for (auto _ : state) {
+    for (size_t i = 0; i < items.size(); ++i) {
+      demands[i] = items[i].demand;
+    }
+    benchmark::DoNotOptimize(MaxCardinalityCount(demands, capacity));
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MaxCardinalityCount)->Args({13, 450})->Args({300, 2});
 
 void BM_GreedyDensity(benchmark::State& state) {
   auto items = RandomItems(static_cast<size_t>(state.range(0)), false, 2);

@@ -158,22 +158,60 @@ size_t BestAlphaForBlock(std::span<const Task> tasks, std::span<const size_t> re
     }
     return best;
   }
+  const double weight = tasks[requesters[0]].weight;
+  bool uniform = std::all_of(requesters.begin(), requesters.end(),
+                             [&](size_t i) { return tasks[i].weight == weight; });
   double best_value = -1.0;
   size_t best = 0;
-  std::vector<KnapsackItem> items;
-  items.reserve(requesters.size());
-  for (size_t a = 0; a < num_orders; ++a) {
-    if (available.epsilon(a) <= 0.0) {
-      continue;
+  if (uniform) {
+    // Exact max cardinality. Gather every requester's demands at the usable orders into one
+    // order-major buffer, task by task, then count each order's ascending prefix; the profit
+    // is `weight` added once per taken demand, MaxCardinalityKnapsack's sum bit for bit.
+    std::vector<size_t> usable;
+    for (size_t a = 0; a < num_orders; ++a) {
+      if (available.epsilon(a) > 0.0) {
+        usable.push_back(a);
+      }
     }
-    items.clear();
-    for (size_t i : requesters) {
-      items.push_back({tasks[i].weight, tasks[i].demand.epsilon(a)});
+    if (!usable.empty()) {
+      DPACK_CHECK_MSG(weight >= 0.0, "profits must be non-negative");
     }
-    KnapsackSolution sol = SolveSingleBlock(items, available.epsilon(a), 2.0 / 3.0 * eta);
-    if (sol.total_profit > best_value) {
-      best_value = sol.total_profit;
-      best = a;
+    size_t n = requesters.size();
+    std::vector<double> demands(n * usable.size());
+    for (size_t t = 0; t < n; ++t) {
+      const RdpCurve& demand = tasks[requesters[t]].demand;
+      for (size_t k = 0; k < usable.size(); ++k) {
+        demands[k * n + t] = demand.epsilon(usable[k]);
+      }
+    }
+    for (size_t k = 0; k < usable.size(); ++k) {
+      size_t taken = MaxCardinalityCount(std::span<double>(demands).subspan(k * n, n),
+                                         available.epsilon(usable[k]));
+      double profit = 0.0;
+      for (size_t m = 0; m < taken; ++m) {
+        profit += weight;
+      }
+      if (profit > best_value) {
+        best_value = profit;
+        best = usable[k];
+      }
+    }
+  } else {
+    std::vector<KnapsackItem> items;
+    items.reserve(requesters.size());
+    for (size_t a = 0; a < num_orders; ++a) {
+      if (available.epsilon(a) <= 0.0) {
+        continue;
+      }
+      items.clear();
+      for (size_t i : requesters) {
+        items.push_back({tasks[i].weight, tasks[i].demand.epsilon(a)});
+      }
+      KnapsackSolution sol = FptasKnapsack(items, available.epsilon(a), 2.0 / 3.0 * eta);
+      if (sol.total_profit > best_value) {
+        best_value = sol.total_profit;
+        best = a;
+      }
     }
   }
   if (best_value < 0.0) {

@@ -79,10 +79,13 @@ std::vector<size_t> ComputeBestAlphas(std::span<const Task> tasks,
                                       const CapacitySnapshot& snapshot, double eta);
 
 // One block's COMPUTE_BESTALPHA subproblem: `requesters` indexes into `tasks` the pending
-// tasks requesting the block, in batch order. Returns the order maximizing the (approximate)
-// attainable weight against `available`; the largest-capacity order when `requesters` is
-// empty; order 0 when every order is depleted. Both ComputeBestAlphas and the incremental
-// engine call this, so cached and recomputed best alphas are identical by construction.
+// tasks requesting the block, in batch order. Returns the first order maximizing the
+// attainable weight against `available`, over the orders with capacity > 0: exact when the
+// requesters' weights are uniform (max cardinality, MaxCardinalityCount per order, O(n + m log
+// n) for m taken), the (2/3) eta FPTAS otherwise. Returns the largest-capacity order when
+// `requesters` is empty and order 0 when every order is depleted. ComputeBestAlphas, the
+// incremental engine and the service workers all call this, so their best alphas are
+// identical by construction.
 size_t BestAlphaForBlock(std::span<const Task> tasks, std::span<const size_t> requesters,
                          const RdpCurve& available, double eta);
 

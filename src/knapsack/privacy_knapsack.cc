@@ -349,7 +349,8 @@ bool UniformWeights(const PkInstance& instance) {
 
 // Single-block instances decompose exactly: a set is feasible iff it fits at SOME order, so
 // the optimum is the max over orders of the single-dimension optimum at that order. With
-// uniform weights each per-order problem is max-cardinality (sort by demand) — polynomial.
+// uniform weights each per-order problem is max-cardinality (MaxCardinalityKnapsack) —
+// polynomial.
 PkResult SolveSingleBlockUniform(const PkInstance& instance) {
   auto start = std::chrono::steady_clock::now();
   PkResult best;

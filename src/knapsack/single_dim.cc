@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <functional>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -45,36 +47,61 @@ std::vector<size_t> DensityOrder(std::span<const KnapsackItem> items) {
   return order;
 }
 
-}  // namespace
+double DemandOf(double demand) { return demand; }
+double DemandOf(const std::pair<double, size_t>& demand_index) { return demand_index.first; }
 
-bool UniformProfits(std::span<const KnapsackItem> items) {
-  for (size_t i = 1; i < items.size(); ++i) {
-    if (items[i].profit != items[0].profit) {
-      return false;
+// The max-cardinality rule, written once: take demands in ascending order while the running
+// sum fits. A demand above capacity can never be taken and sorts after every demand that can,
+// so the survivors are compacted to the front, heapified as a min-heap, and popped in
+// ascending order until one does not fit. The additions to `used` run in ascending order, as
+// a full sort's prefix scan would. Returns the taken elements (last taken first), a subspan of
+// `elems`, which is reordered in place. O(n + m log n) for m taken.
+template <typename T>
+std::span<T> TakeAscendingPrefix(std::span<T> elems, double capacity) {
+  size_t survivors = 0;
+  for (const T& elem : elems) {
+    double demand = DemandOf(elem);
+    DPACK_CHECK_MSG(demand >= 0.0, "demands must be non-negative");
+    if (demand <= capacity) {
+      elems[survivors++] = elem;
     }
   }
-  return true;
+  auto first = elems.begin();
+  auto heap_end = first + static_cast<std::ptrdiff_t>(survivors);
+  std::make_heap(first, heap_end, std::greater<>());
+  double used = 0.0;
+  while (heap_end != first && used + DemandOf(*first) <= capacity) {
+    used += DemandOf(*first);
+    std::pop_heap(first, heap_end, std::greater<>());
+    --heap_end;
+  }
+  return elems.subspan(static_cast<size_t>(heap_end - first),
+                       survivors - static_cast<size_t>(heap_end - first));
 }
+
+}  // namespace
 
 KnapsackSolution MaxCardinalityKnapsack(std::span<const KnapsackItem> items, double capacity) {
   ValidateItems(items);
-  std::vector<size_t> order(items.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](size_t a, size_t b) { return items[a].demand < items[b].demand; });
+  // Ties on demand pop in index order, so the selection is deterministic.
+  std::vector<std::pair<double, size_t>> demands(items.size());
+  for (size_t i = 0; i < items.size(); ++i) {
+    demands[i] = {items[i].demand, i};
+  }
+  std::span<std::pair<double, size_t>> taken =
+      TakeAscendingPrefix(std::span<std::pair<double, size_t>>(demands), capacity);
   KnapsackSolution solution;
-  double used = 0.0;
-  for (size_t idx : order) {
-    if (used + items[idx].demand <= capacity) {
-      used += items[idx].demand;
-      solution.total_profit += items[idx].profit;
-      solution.selected.push_back(idx);
-    } else {
-      break;  // Sorted ascending: nothing further fits either.
-    }
+  solution.selected.reserve(taken.size());
+  for (auto it = taken.rbegin(); it != taken.rend(); ++it) {  // Ascending demand.
+    solution.total_profit += items[it->second].profit;
+    solution.selected.push_back(it->second);
   }
   std::sort(solution.selected.begin(), solution.selected.end());
   return solution;
+}
+
+size_t MaxCardinalityCount(std::span<double> demands, double capacity) {
+  return TakeAscendingPrefix(demands, capacity).size();
 }
 
 KnapsackSolution GreedyDensityKnapsack(std::span<const KnapsackItem> items, double capacity) {
@@ -278,14 +305,6 @@ KnapsackSolution ExactKnapsack(std::span<const KnapsackItem> items, double capac
   solution.selected = std::move(state.best_set);
   std::sort(solution.selected.begin(), solution.selected.end());
   return solution;
-}
-
-KnapsackSolution SolveSingleBlock(std::span<const KnapsackItem> items, double capacity,
-                                  double eta) {
-  if (UniformProfits(items)) {
-    return MaxCardinalityKnapsack(items, capacity);
-  }
-  return FptasKnapsack(items, capacity, eta);
 }
 
 }  // namespace dpack

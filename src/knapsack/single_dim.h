@@ -3,8 +3,9 @@
 // DPack's COMPUTE_BESTALPHA step (Alg. 1) solves one single-block knapsack per (block, order)
 // pair: maximize total profit subject to sum of demands <= capacity. The paper uses a
 // (2/3) eta FPTAS (Prop. 2); we provide an exact max-cardinality fast path for uniform
-// profits, a profit-scaling FPTAS for weighted instances, a density greedy (the classical
-// 1/2-approximation), and an exact branch-and-bound used by tests and small instances.
+// profits (BestAlphaForBlock calls its count-only form), a profit-scaling FPTAS for weighted
+// instances, a density greedy (the classical 1/2-approximation), and an exact
+// branch-and-bound used by tests and small instances.
 
 #ifndef SRC_KNAPSACK_SINGLE_DIM_H_
 #define SRC_KNAPSACK_SINGLE_DIM_H_
@@ -26,12 +27,17 @@ struct KnapsackSolution {
   std::vector<size_t> selected;  // Indices into the input span, ascending.
 };
 
-// True if all items have the same profit (within exact equality; workload profits are exact).
-bool UniformProfits(std::span<const KnapsackItem> items);
-
-// Exact solver for uniform-profit instances: picks the maximum number of items that fit
-// (sort ascending by demand, take the longest feasible prefix). O(n log n).
+// Exact solver for uniform-profit instances: picks the maximum number of items that fit, the
+// longest feasible prefix in ascending demand order (ties by index). Items above capacity are
+// dropped in one pass and only the prefix that fits is popped from a min-heap of the rest:
+// O(n + m log n) for m selected, plus the O(m log m) sort of `selected`.
 KnapsackSolution MaxCardinalityKnapsack(std::span<const KnapsackItem> items, double capacity);
+
+// The same rule, count only: the number of demands MaxCardinalityKnapsack would select, with
+// no selection vector. Its profit under a uniform profit w is w added that many times, bit
+// for bit MaxCardinalityKnapsack's total_profit. `demands` is scratch: it is reordered and
+// overwritten. Aborts on a negative demand. O(n + m log n).
+size_t MaxCardinalityCount(std::span<double> demands, double capacity);
 
 // Classical greedy by profit density with the best-single-item fix: a 1/2-approximation.
 // O(n log n).
@@ -49,11 +55,6 @@ KnapsackSolution FptasKnapsack(std::span<const KnapsackItem> items, double capac
 // Exact branch-and-bound (fractional bound pruning). Exponential worst case; intended for
 // tests and small instances (n up to a few hundred).
 KnapsackSolution ExactKnapsack(std::span<const KnapsackItem> items, double capacity);
-
-// Dispatcher used by DPack's single-block subproblems: exact max-cardinality when profits are
-// uniform, otherwise the FPTAS with the given eta.
-KnapsackSolution SolveSingleBlock(std::span<const KnapsackItem> items, double capacity,
-                                  double eta);
 
 }  // namespace dpack
 

@@ -1,10 +1,13 @@
 #include "src/core/efficiency.h"
 
+#include <algorithm>
 #include <limits>
 
 #include <gtest/gtest.h>
 
 #include "src/block/block_manager.h"
+#include "src/common/rng.h"
+#include "src/knapsack/single_dim.h"
 
 namespace dpack {
 namespace {
@@ -125,6 +128,110 @@ TEST_F(EfficiencyTest, ComputeBestAlphasUnrequestedBlockGetsLargestCapacity) {
   CapacitySnapshot snapshot(blocks_);
   std::vector<size_t> best = ComputeBestAlphas(tasks, snapshot, 0.05);
   EXPECT_EQ(best[1], 1u);  // Capacity 2.0 > 1.0.
+}
+
+TEST_F(EfficiencyTest, BestAlphaForBlockUniformWeightsUseExactCardinality) {
+  // Order 0 (capacity 3) fits demands 1 + 2 of {4, 1, 2}; order 1 fits 0.5 + 1 of
+  // {1, 0.5, 1} under capacity 2, the same count, so the first max (order 0) wins. At
+  // capacity 2.5 order 1 fits all three exactly (demand sum == capacity) and wins.
+  std::vector<Task> tasks;
+  tasks.push_back(MakeTask(0, {0}, 4.0, 1.0));
+  tasks.push_back(MakeTask(1, {0}, 1.0, 0.5));
+  tasks.push_back(MakeTask(2, {0}, 2.0, 1.0));
+  std::vector<size_t> requesters = {0, 1, 2};
+  EXPECT_EQ(BestAlphaForBlock(tasks, requesters, RdpCurve(grid_, {3.0, 2.0}), 0.05), 0u);
+  EXPECT_EQ(BestAlphaForBlock(tasks, requesters, RdpCurve(grid_, {3.0, 2.5}), 0.05), 1u);
+}
+
+TEST_F(EfficiencyTest, BestAlphaForBlockEdgeCases) {
+  std::vector<Task> tasks;
+  tasks.push_back(MakeTask(0, {0}, 0.1, 0.1));
+  // No requesters: the largest-capacity order, ties to the first.
+  EXPECT_EQ(BestAlphaForBlock(tasks, {}, RdpCurve(grid_, {1.0, 2.0}), 0.05), 1u);
+  EXPECT_EQ(BestAlphaForBlock(tasks, {}, RdpCurve(grid_, {2.0, 2.0}), 0.05), 0u);
+  // Every order depleted: order 0.
+  std::vector<size_t> requesters = {0};
+  EXPECT_EQ(BestAlphaForBlock(tasks, requesters, RdpCurve(grid_, {0.0, 0.0}), 0.05), 0u);
+  // Order 0 depleted: nothing fits at order 1 either, but it is the only usable order.
+  tasks.push_back(MakeTask(1, {0}, 0.1, 3.0));
+  requesters = {1};
+  EXPECT_EQ(BestAlphaForBlock(tasks, requesters, RdpCurve(grid_, {0.0, 2.0}), 0.05), 1u);
+}
+
+// Seeded uniform-weight instances with depleted orders: BestAlphaForBlock must equal the first
+// argmax over usable orders of MaxCardinalityKnapsack's total_profit.
+TEST(BestAlphaForBlockTest, UniformWeightsMatchMaxCardinalityArgmax) {
+  AlphaGridPtr grid = AlphaGrid::Default();
+  size_t num_orders = grid->size();
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    double weight = rng.Bernoulli(0.2) ? 0.0 : rng.Uniform(0.1, 10.0);
+    std::vector<Task> tasks;
+    size_t n = static_cast<size_t>(rng.UniformInt(1, 60));
+    for (size_t i = 0; i < n; ++i) {
+      std::vector<double> demand(num_orders);
+      for (double& d : demand) {
+        // Small grid values give ties and zeros; the rest are arbitrary doubles.
+        d = rng.Bernoulli(0.5) ? static_cast<double>(rng.UniformInt(0, 8)) / 8.0
+                               : rng.Uniform(0.0, 2.0);
+      }
+      tasks.emplace_back(static_cast<TaskId>(i), weight, RdpCurve(grid, demand));
+    }
+    std::vector<size_t> requesters;
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.Bernoulli(0.7)) {
+        requesters.push_back(i);
+      }
+    }
+    std::vector<double> capacity(num_orders);
+    for (double& c : capacity) {
+      c = rng.Bernoulli(0.4) ? 0.0 : rng.Uniform(0.0, 6.0);
+    }
+    if (seed % 10 == 0) {
+      std::fill(capacity.begin(), capacity.end(), 0.0);
+    }
+    RdpCurve available(grid, capacity);
+
+    size_t expected = 0;
+    if (requesters.empty()) {
+      for (size_t a = 1; a < num_orders; ++a) {
+        if (capacity[a] > capacity[expected]) {
+          expected = a;
+        }
+      }
+    } else {
+      double best_profit = -1.0;
+      for (size_t a = 0; a < num_orders; ++a) {
+        if (capacity[a] <= 0.0) {
+          continue;
+        }
+        std::vector<KnapsackItem> items;
+        for (size_t i : requesters) {
+          items.push_back({weight, tasks[i].demand.epsilon(a)});
+        }
+        double profit = MaxCardinalityKnapsack(items, capacity[a]).total_profit;
+        if (profit > best_profit) {
+          best_profit = profit;
+          expected = a;
+        }
+      }
+    }
+    EXPECT_EQ(BestAlphaForBlock(tasks, requesters, available, 0.05), expected)
+        << "seed=" << seed;
+  }
+}
+
+TEST_F(EfficiencyTest, BestAlphaForBlockNegativeWeightAbortsOnlyAtAUsableOrder) {
+  std::vector<Task> tasks;
+  tasks.push_back(MakeTask(0, {0}, 0.1, 0.1, /*weight=*/-1.0));
+  tasks.push_back(MakeTask(1, {0}, 0.1, 0.1, /*weight=*/-1.0));
+  std::vector<size_t> requesters = {0, 1};
+  EXPECT_EQ(BestAlphaForBlock(tasks, requesters, RdpCurve(grid_, {0.0, 0.0}), 0.05), 0u);
+  EXPECT_DEATH(BestAlphaForBlock(tasks, requesters, RdpCurve(grid_, {0.0, 1.0}), 0.05),
+               "profits must be non-negative");
+  tasks[1].weight = 2.0;  // Non-uniform weights take the FPTAS, which validates the same.
+  EXPECT_DEATH(BestAlphaForBlock(tasks, requesters, RdpCurve(grid_, {0.0, 1.0}), 0.05),
+               "profits must be non-negative");
 }
 
 TEST_F(EfficiencyTest, Property4SingleOrderDpackEqualsArea) {

@@ -1,6 +1,8 @@
 #include "src/knapsack/single_dim.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <numeric>
 
 #include <gtest/gtest.h>
@@ -37,6 +39,12 @@ TEST(MaxCardinalityTest, ZeroCapacityOnlyZeroDemands) {
   std::vector<KnapsackItem> items = {{1.0, 0.0}, {1.0, 0.1}};
   KnapsackSolution sol = MaxCardinalityKnapsack(items, 0.0);
   EXPECT_EQ(sol.selected, (std::vector<size_t>{0}));
+}
+
+TEST(MaxCardinalityTest, TiesAtTheBoundarySelectTheLowestIndices) {
+  std::vector<KnapsackItem> items = {{1.0, 1.0}, {1.0, 0.5}, {1.0, 1.0}, {1.0, 1.0}};
+  KnapsackSolution sol = MaxCardinalityKnapsack(items, 2.5);
+  EXPECT_EQ(sol.selected, (std::vector<size_t>{0, 1, 2}));  // 0.5 + 1 + 1 == capacity.
 }
 
 TEST(MaxCardinalityTest, EmptyInput) {
@@ -99,12 +107,6 @@ TEST(FptasKnapsackTest, NothingFits) {
   std::vector<KnapsackItem> items = {{5.0, 10.0}};
   KnapsackSolution sol = FptasKnapsack(items, 1.0, 0.1);
   EXPECT_TRUE(sol.selected.empty());
-}
-
-TEST(SolveSingleBlockTest, UniformProfitsUsesExactCardinality) {
-  std::vector<KnapsackItem> items = {{1.0, 4.0}, {1.0, 1.0}, {1.0, 2.0}};
-  KnapsackSolution sol = SolveSingleBlock(items, 3.0, 0.1);
-  EXPECT_DOUBLE_EQ(sol.total_profit, 2.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -193,6 +195,61 @@ TEST_P(SingleDimPropertyTest, MaxCardinalityIsOptimalForUniformProfits) {
   double capacity = rng.Uniform(1.0, 20.0);
   KnapsackSolution sol = MaxCardinalityKnapsack(items, capacity);
   EXPECT_NEAR(sol.total_profit, BruteForceProfit(items, capacity), 1e-9);
+}
+
+// Uniform-profit items whose demands lie on a 1/8 grid in [0, 3], so every subset sum is
+// exact and ties, zero demands and demand == capacity all occur.
+std::vector<KnapsackItem> GridItems(Rng& rng, size_t n, double profit) {
+  std::vector<KnapsackItem> items;
+  for (size_t i = 0; i < n; ++i) {
+    items.push_back({profit, static_cast<double>(rng.UniformInt(0, 24)) / 8.0});
+  }
+  return items;
+}
+
+// The count-only routine must agree with MaxCardinalityKnapsack (count, and the profit of
+// that many uniform profits bit for bit) and with the brute-force optimum. Returns the count.
+size_t CheckedCount(const std::vector<KnapsackItem>& items, double capacity) {
+  std::vector<double> demands;
+  for (const auto& item : items) {
+    demands.push_back(item.demand);
+  }
+  size_t taken = MaxCardinalityCount(demands, capacity);
+  KnapsackSolution sol = MaxCardinalityKnapsack(items, capacity);
+  EXPECT_EQ(taken, sol.selected.size()) << "capacity=" << capacity;
+  double profit = 0.0;
+  for (size_t m = 0; m < taken; ++m) {
+    profit += items[0].profit;
+  }
+  EXPECT_EQ(std::bit_cast<uint64_t>(profit), std::bit_cast<uint64_t>(sol.total_profit));
+  EXPECT_EQ(profit, BruteForceProfit(items, capacity)) << "capacity=" << capacity;
+  return taken;
+}
+
+TEST_P(SingleDimPropertyTest, MaxCardinalityCountMatchesKnapsackAndBruteForce) {
+  Rng rng(GetParam() + 5000);
+  for (int round = 0; round < 20; ++round) {
+    size_t n = static_cast<size_t>(rng.UniformInt(0, 14));
+    std::vector<KnapsackItem> items = GridItems(rng, n, rng.Uniform(0.1, 10.0));
+    CheckedCount(items, static_cast<double>(rng.UniformInt(0, 48)) / 8.0);
+  }
+}
+
+TEST(MaxCardinalityCountTest, EdgeCases) {
+  EXPECT_EQ(CheckedCount({}, 1.0), 0u);
+  // Capacity 0 takes exactly the zero demands.
+  EXPECT_EQ(CheckedCount({{0.7, 0.0}, {0.7, 0.5}, {0.7, 0.0}}, 0.0), 2u);
+  // Every demand above capacity.
+  EXPECT_EQ(CheckedCount({{1.0, 2.0}, {1.0, 3.0}, {1.0, 2.5}}, 1.5), 0u);
+  // A demand equal to the capacity is taken.
+  EXPECT_EQ(CheckedCount({{1.0, 3.0}, {1.0, 5.0}}, 3.0), 1u);
+  // Ties.
+  EXPECT_EQ(CheckedCount({{0.3, 1.0}, {0.3, 1.0}, {0.3, 1.0}, {0.3, 1.0}}, 2.5), 2u);
+}
+
+TEST(MaxCardinalityCountDeathTest, NegativeDemandAborts) {
+  std::vector<double> demands = {0.5, -0.25};
+  EXPECT_DEATH(MaxCardinalityCount(demands, 1.0), "demands must be non-negative");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SingleDimPropertyTest, testing::Range<uint64_t>(1, 13));
