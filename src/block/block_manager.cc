@@ -202,17 +202,11 @@ void BlockManager::RetireHotSlot(size_t slot) {
 }
 
 size_t BlockManager::RetireNewlyExhausted() {
-  retire_group_seen_.resize(version_tree_->group_count(), 0);
   size_t retired_now = 0;
-  size_t total = slot_of_id_.size();
-  for (size_t g = 0; g < retire_group_seen_.size(); ++g) {
-    uint64_t sum = version_tree_->group_sum(g);
-    if (sum == retire_group_seen_[g]) {
-      continue;  // No member version advanced, so no member became eligible.
-    }
-    retire_group_seen_[g] = sum;
-    size_t begin = g << BlockVersionTree::kGroupShift;
-    size_t end = std::min(begin + (size_t{1} << BlockVersionTree::kGroupShift), total);
+  // A group whose sum did not move has no member whose version advanced, so no member
+  // became eligible.
+  ForEachMovedGroup(*version_tree_, retire_group_seen_, slot_of_id_.size(),
+                    [&](size_t begin, size_t end) {
     for (size_t i = begin; i < end; ++i) {
       uint64_t slot = slot_of_id_[i];
       if ((slot & kRetiredTierBit) != 0) {
@@ -226,7 +220,7 @@ size_t BlockManager::RetireNewlyExhausted() {
         ++retired_now;
       }
     }
-  }
+  });
   return retired_now;
 }
 

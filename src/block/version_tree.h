@@ -14,6 +14,7 @@
 #ifndef SRC_BLOCK_VERSION_TREE_H_
 #define SRC_BLOCK_VERSION_TREE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -60,6 +61,45 @@ class BlockVersionTree {
   std::vector<uint64_t> groups_;
   uint64_t total_ = 0;
 };
+
+// The one drill-down, shared by every consumer of the tree. `seen` is the consumer's copy of
+// the group sums at its last visit (grown and updated here). For each group whose sum moved
+// since then, `visit(begin, end)` gets the group's id range, capped at `count`, so the
+// consumer inspects only those members: O(groups) plus the visited members.
+template <typename Visit>
+void ForEachMovedGroup(const BlockVersionTree& tree, std::vector<uint64_t>& seen, size_t count,
+                       Visit&& visit) {
+  seen.resize(tree.group_count(), 0);
+  for (size_t group = 0; group < seen.size(); ++group) {
+    uint64_t sum = tree.group_sum(group);
+    if (sum == seen[group]) {
+      continue;
+    }
+    seen[group] = sum;
+    size_t begin = group << BlockVersionTree::kGroupShift;
+    size_t end = std::min(begin + (size_t{1} << BlockVersionTree::kGroupShift), count);
+    visit(begin, end);
+  }
+}
+
+// The drill-down for consumers that mirror block versions in `last_version` (one entry per
+// known block): calls `changed(id)`, in ascending id order, for every known block whose
+// `version_of(id)` moved, after recording the new version. O(groups + the members of
+// moved groups), never a scan of every block's version.
+template <typename VersionOf, typename Changed>
+void ForEachChangedBlock(const BlockVersionTree& tree, std::vector<uint64_t>& seen,
+                         std::vector<uint64_t>& last_version, VersionOf&& version_of,
+                         Changed&& changed) {
+  ForEachMovedGroup(tree, seen, last_version.size(), [&](size_t begin, size_t end) {
+    for (size_t id = begin; id < end; ++id) {
+      uint64_t version = version_of(id);
+      if (version != last_version[id]) {
+        last_version[id] = version;
+        changed(id);
+      }
+    }
+  });
+}
 
 }  // namespace dpack
 

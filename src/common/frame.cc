@@ -1,22 +1,19 @@
 #include "src/common/frame.h"
 
-#include "src/common/wire.h"
+#include <cstring>
+#include <utility>
+
+#include "src/common/wire.h"  // Also asserts the little-endian host the copies below need.
 
 namespace dpack {
 
 uint64_t LoadU64Le(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
   return v;
 }
 
-void StoreU64Le(char* p, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    p[i] = static_cast<char>((v >> (8 * i)) & 0xFF);
-  }
-}
+void StoreU64Le(char* p, uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
 
 void WriteFrameHeader(char* header, std::string_view payload) {
   StoreU64Le(header, payload.size());
@@ -28,6 +25,10 @@ void AppendFrame(std::string* out, std::string_view payload) {
   WriteFrameHeader(header, payload);
   out->append(header, kFrameHeaderBytes);
   out->append(payload);
+}
+
+EncodedFrame::EncodedFrame(std::string payload_bytes) : payload(std::move(payload_bytes)) {
+  WriteFrameHeader(header, payload);
 }
 
 FrameDecodeStatus DecodeFrame(std::string_view buffer, size_t max_payload,

@@ -23,7 +23,7 @@ namespace dpack {
 // u64 payload length + u64 FNV-1a checksum.
 inline constexpr size_t kFrameHeaderBytes = 16;
 
-// Fixed-width little-endian loads/stores (byte-order independent, alignment-safe).
+// Fixed-width little-endian loads/stores (alignment-safe; wire.h requires a little-endian host).
 uint64_t LoadU64Le(const char* p);
 void StoreU64Le(char* p, uint64_t v);
 
@@ -32,6 +32,15 @@ void WriteFrameHeader(char* header, std::string_view payload);
 
 // Appends one complete frame (header + payload) to `out`.
 void AppendFrame(std::string* out, std::string_view payload);
+
+// One payload and its frame header, computed once. A broadcast pushes the same EncodedFrame
+// into every worker's ring, so it pays for the encode and the checksum once, not per ring.
+struct EncodedFrame {
+  explicit EncodedFrame(std::string payload_bytes);
+
+  char header[kFrameHeaderBytes];
+  std::string payload;
+};
 
 enum class FrameDecodeStatus {
   kOk,        // One complete, checksum-clean frame; *payload set, *consumed advanced.

@@ -7,7 +7,6 @@
 #include <new>
 
 #include "src/common/check.h"
-#include "src/common/frame.h"  // The [len][FNV-1a][payload] frame codec, shared with sockets.
 #include "src/common/wire.h"
 
 namespace dpack {
@@ -83,18 +82,16 @@ void ShmRing::CopyOut(uint64_t cursor, char* dst, size_t n) const {
   }
 }
 
-bool ShmRing::TryPush(std::string_view payload) {
+bool ShmRing::TryPush(const EncodedFrame& frame) {
   uint64_t tail = header_->tail.load(std::memory_order_relaxed);  // Producer-owned.
   uint64_t head = header_->head.load(std::memory_order_acquire);
-  uint64_t need = kFrameHeaderBytes + payload.size();
+  uint64_t need = kFrameHeaderBytes + frame.payload.size();
   DPACK_CHECK(need <= cap_);  // A message larger than the ring can never succeed.
   if (cap_ - (tail - head) < need) {
     return false;
   }
-  char frame_header[kFrameHeaderBytes];
-  WriteFrameHeader(frame_header, payload);
-  CopyIn(tail, frame_header, kFrameHeaderBytes);
-  CopyIn(tail + kFrameHeaderBytes, payload.data(), payload.size());
+  CopyIn(tail, frame.header, kFrameHeaderBytes);
+  CopyIn(tail + kFrameHeaderBytes, frame.payload.data(), frame.payload.size());
   // The release publish is what makes a mid-write SIGKILL invisible: until this store the
   // consumer's acquire load cannot observe any byte of the frame.
   header_->tail.store(tail + need, std::memory_order_release);

@@ -30,6 +30,7 @@
 #include <string_view>
 
 #include "src/common/doorbell.h"
+#include "src/common/frame.h"  // The [len][FNV-1a][payload] frame codec, shared with sockets.
 
 namespace dpack {
 
@@ -75,9 +76,10 @@ class ShmRing {
   // handle in-process). Attach validates the stored capacity against `bytes`.
   ShmRing(void* mem, size_t bytes, bool initialize);
 
-  // Appends one frame. Returns false when the ring lacks space (caller decides whether to
-  // spin, count a stall, or fail); the ring is unchanged in that case.
-  bool TryPush(std::string_view payload);
+  // Appends one frame, its header as computed by the caller (so one EncodedFrame can be
+  // pushed into many rings). Returns false when the ring lacks space (caller decides
+  // whether to spin, count a stall, or fail); the ring is unchanged in that case.
+  bool TryPush(const EncodedFrame& frame);
 
   // Pops the next frame into *out. On kCorrupt the cursors are left untouched so the
   // damage stays observable (every subsequent pop reports corruption too — a poisoned

@@ -4,6 +4,11 @@
 // IEEE-754 bit patterns, and FNV-1a checksums — one encode discipline, so corruption
 // rejection and byte-exactness proofs carry across subsystems.
 //
+// Both sides move whole words: the writer appends each fixed-width field, and each
+// F64Vec/I64Vec body, with one append of its in-memory bytes, and the reader copies them
+// out with one memcpy. That is byte-for-byte the little-endian encoding only on a
+// little-endian host, which the static_assert below requires.
+//
 // BinaryReader is bounds-checked: it never reads past the payload, and a corrupted length
 // field can never trigger a huge allocation (CheckCount caps declared element counts by the
 // bytes actually remaining). On failure the reader latches a diagnostic naming the field.
@@ -11,6 +16,7 @@
 #ifndef SRC_COMMON_WIRE_H_
 #define SRC_COMMON_WIRE_H_
 
+#include <bit>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -18,6 +24,12 @@
 #include <vector>
 
 namespace dpack {
+
+// The service wire and the snapshot format are little-endian. On a little-endian host the
+// in-memory bytes of a field are its encoding, so each field is one copy, not a byte loop.
+static_assert(std::endian::native == std::endian::little,
+              "the dpack wire and snapshot formats are little-endian; a big-endian host "
+              "needs byte-swapping codec primitives");
 
 // Raw IEEE-754 bit pattern of a double — the lossless way every codec moves floats.
 inline uint64_t BitsOfDouble(double value) {
@@ -40,29 +52,17 @@ uint64_t Fnv1a64(std::string_view data);
 class BinaryWriter {
  public:
   void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
-  void U32(uint32_t v) {
-    for (int i = 0; i < 4; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
-  }
-  void U64(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      out_.push_back(static_cast<char>((v >> (8 * i)) & 0xFF));
-    }
-  }
-  void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void F64(double v) { U64(BitsOfDouble(v)); }
+  void U32(uint32_t v) { Raw(&v, sizeof(v)); }
+  void U64(uint64_t v) { Raw(&v, sizeof(v)); }
+  void I64(int64_t v) { Raw(&v, sizeof(v)); }
+  void F64(double v) { Raw(&v, sizeof(v)); }
   void F64Vec(const std::vector<double>& v) {
     U64(v.size());
-    for (double x : v) {
-      F64(x);
-    }
+    Raw(v.data(), v.size() * sizeof(double));
   }
   void I64Vec(const std::vector<int64_t>& v) {
     U64(v.size());
-    for (int64_t x : v) {
-      I64(x);
-    }
+    Raw(v.data(), v.size() * sizeof(int64_t));
   }
   // Appends raw bytes verbatim (length is NOT written; frame it yourself when needed).
   void Bytes(std::string_view bytes) { out_.append(bytes); }
@@ -70,6 +70,12 @@ class BinaryWriter {
   std::string& data() { return out_; }
 
  private:
+  void Raw(const void* bytes, size_t n) {
+    if (n > 0) {  // An empty vector's data() may be null.
+      out_.append(static_cast<const char*>(bytes), n);
+    }
+  }
+
   std::string out_;
 };
 
@@ -79,79 +85,13 @@ class BinaryReader {
  public:
   explicit BinaryReader(std::string_view data) : data_(data) {}
 
-  bool U8(uint8_t* out, const char* what) {
-    if (!Need(1, what)) {
-      return false;
-    }
-    *out = static_cast<uint8_t>(data_[pos_++]);
-    return true;
-  }
-  bool U32(uint32_t* out, const char* what) {
-    if (!Need(4, what)) {
-      return false;
-    }
-    uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) {
-      v |= static_cast<uint32_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
-    }
-    pos_ += 4;
-    *out = v;
-    return true;
-  }
-  bool U64(uint64_t* out, const char* what) {
-    if (!Need(8, what)) {
-      return false;
-    }
-    uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) {
-      v |= static_cast<uint64_t>(static_cast<unsigned char>(data_[pos_ + i])) << (8 * i);
-    }
-    pos_ += 8;
-    *out = v;
-    return true;
-  }
-  bool I64(int64_t* out, const char* what) {
-    uint64_t v;
-    if (!U64(&v, what)) {
-      return false;
-    }
-    *out = static_cast<int64_t>(v);
-    return true;
-  }
-  bool F64(double* out, const char* what) {
-    uint64_t bits;
-    if (!U64(&bits, what)) {
-      return false;
-    }
-    *out = DoubleOfBits(bits);
-    return true;
-  }
-  bool F64Vec(std::vector<double>* out, const char* what) {
-    uint64_t count;
-    if (!U64(&count, what) || !CheckCount(count, 8, what)) {
-      return false;
-    }
-    out->resize(static_cast<size_t>(count));
-    for (auto& x : *out) {
-      if (!F64(&x, what)) {
-        return false;
-      }
-    }
-    return true;
-  }
-  bool I64Vec(std::vector<int64_t>* out, const char* what) {
-    uint64_t count;
-    if (!U64(&count, what) || !CheckCount(count, 8, what)) {
-      return false;
-    }
-    out->resize(static_cast<size_t>(count));
-    for (auto& x : *out) {
-      if (!I64(&x, what)) {
-        return false;
-      }
-    }
-    return true;
-  }
+  bool U8(uint8_t* out, const char* what) { return Raw(out, sizeof(*out), what); }
+  bool U32(uint32_t* out, const char* what) { return Raw(out, sizeof(*out), what); }
+  bool U64(uint64_t* out, const char* what) { return Raw(out, sizeof(*out), what); }
+  bool I64(int64_t* out, const char* what) { return Raw(out, sizeof(*out), what); }
+  bool F64(double* out, const char* what) { return Raw(out, sizeof(*out), what); }
+  bool F64Vec(std::vector<double>* out, const char* what) { return Vec(out, what); }
+  bool I64Vec(std::vector<int64_t>* out, const char* what) { return Vec(out, what); }
   // Reads an element count for records of at least `min_record_bytes`.
   bool Count(uint64_t* out, size_t min_record_bytes, const char* what) {
     return U64(out, what) && CheckCount(*out, min_record_bytes, what);
@@ -177,6 +117,27 @@ class BinaryReader {
   }
 
  private:
+  // Copies the next `n` bytes into `out`, or latches a truncation error.
+  bool Raw(void* out, size_t n, const char* what) {
+    if (!Need(n, what)) {
+      return false;
+    }
+    std::memcpy(out, data_.data() + pos_, n);
+    pos_ += n;
+    return true;
+  }
+  // A u64 element count, then that many 8-byte elements in one copy. The count check runs
+  // first, so a damaged count fails as implausible before anything is allocated.
+  template <typename T>
+  bool Vec(std::vector<T>* out, const char* what) {
+    static_assert(sizeof(T) == 8);
+    uint64_t count;
+    if (!U64(&count, what) || !CheckCount(count, sizeof(T), what)) {
+      return false;
+    }
+    out->resize(static_cast<size_t>(count));
+    return count == 0 || Raw(out->data(), out->size() * sizeof(T), what);
+  }
   bool Need(size_t bytes, const char* what) {
     if (failed()) {
       return false;

@@ -154,25 +154,12 @@ void ShardedScheduleContext::SyncBlocks(const BlockManager& blocks) {
   // changed) instead of a version scan over every block. Arrivals were recorded at their
   // current version above (nonzero over a pre-committed or restored manager), so the drill
   // lists only blocks that changed since the engine last saw them.
-  const BlockVersionTree& tree = blocks.version_tree();
-  group_seen_.resize(tree.group_count(), 0);
-  for (size_t grp = 0; grp < group_seen_.size(); ++grp) {
-    uint64_t sum = tree.group_sum(grp);
-    if (sum == group_seen_[grp]) {
-      continue;
-    }
-    group_seen_[grp] = sum;
-    size_t begin = grp << BlockVersionTree::kGroupShift;
-    size_t end = std::min(begin + (size_t{1} << BlockVersionTree::kGroupShift), count);
-    for (size_t g = begin; g < end; ++g) {
-      uint64_t version = blocks.block(static_cast<BlockId>(g)).version();
-      if (version == last_version_[g]) {
-        continue;
-      }
-      last_version_[g] = version;
-      shards_[ShardOf(static_cast<BlockId>(g))].changed.push_back(static_cast<BlockId>(g));
-    }
-  }
+  ForEachChangedBlock(
+      blocks.version_tree(), group_seen_, last_version_,
+      [&](size_t g) { return blocks.block(static_cast<BlockId>(g)).version(); },
+      [&](size_t g) {
+        shards_[ShardOf(static_cast<BlockId>(g))].changed.push_back(static_cast<BlockId>(g));
+      });
 }
 
 void ShardedScheduleContext::SyncShardBlocks(size_t s, const BlockManager& blocks,

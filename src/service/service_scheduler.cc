@@ -3,12 +3,12 @@
 #include <signal.h>
 
 #include <algorithm>
+#include <climits>
 #include <utility>
 
+#include "src/block/version_tree.h"
 #include "src/common/check.h"
-#include "src/core/metrics.h"
 #include "src/core/schedule_context.h"
-#include "src/orchestrator/checkpoint.h"
 
 namespace dpack {
 
@@ -113,22 +113,32 @@ void ServiceScheduler::EnsureStarted(const BlockManager& blocks) {
   }
 }
 
+void BlockDiff::Diff(const BlockManager& blocks, BlockUpsertMsg* upserts,
+                     BlockRefreshMsg* refreshes) {
+  size_t count = blocks.block_count();
+  DPACK_CHECK_MSG(count >= last_version_.size(),
+                  "blocks disappeared: a block diff follows one BlockManager");
+  ForEachChangedBlock(
+      blocks.version_tree(), group_seen_, last_version_,
+      [&](size_t j) { return blocks.block(static_cast<BlockId>(j)).version(); },
+      [&](size_t j) {
+        refreshes->entries.push_back(
+            {static_cast<int64_t>(j),
+             blocks.block(static_cast<BlockId>(j)).AvailableCurve().epsilons()});
+      });
+  for (size_t j = last_version_.size(); j < count; ++j) {
+    const PrivacyBlock& b = blocks.block(static_cast<BlockId>(j));
+    upserts->entries.push_back(
+        {static_cast<int64_t>(j), b.AvailableCurve().epsilons(), b.capacity().epsilons()});
+    last_version_.push_back(b.version());
+  }
+}
+
 void ServiceScheduler::BroadcastDiffs(std::span<const Task> pending,
                                       const BlockManager& blocks) {
   BlockUpsertMsg upserts;
   BlockRefreshMsg refreshes;
-  size_t count = blocks.block_count();
-  for (size_t j = 0; j < count; ++j) {
-    const PrivacyBlock& b = blocks.block(static_cast<BlockId>(j));
-    if (j >= last_version_.size()) {
-      upserts.entries.push_back({static_cast<int64_t>(j), b.AvailableCurve().epsilons(),
-                                 b.capacity().epsilons()});
-      last_version_.push_back(b.version());
-    } else if (b.version() != last_version_[j]) {
-      refreshes.entries.push_back({static_cast<int64_t>(j), b.AvailableCurve().epsilons()});
-      last_version_[j] = b.version();
-    }
-  }
+  block_diff_.Diff(blocks, &upserts, &refreshes);
 
   TaskUpsertMsg tasks;
   for (const Task& task : pending) {
@@ -150,32 +160,39 @@ void ServiceScheduler::BroadcastDiffs(std::span<const Task> pending,
     tasks.entries.push_back(std::move(entry));
     sent_tasks_[task.id] = task.blocks.size();
   }
-  // Forget tasks no longer pending (granted or evicted; they never return).
-  std::vector<int64_t> sorted_ids = batch_ids_;
-  std::sort(sorted_ids.begin(), sorted_ids.end());
+  // Forget tasks no longer pending (granted or evicted; they never return): one merge walk
+  // of the id-ordered map against the batch's sorted ids.
+  auto live = id_index_.begin();
   for (auto it = sent_tasks_.begin(); it != sent_tasks_.end();) {
-    if (std::binary_search(sorted_ids.begin(), sorted_ids.end(),
-                           static_cast<int64_t>(it->first))) {
+    while (live != id_index_.end() && live->first < it->first) {
+      ++live;
+    }
+    if (live != id_index_.end() && live->first == it->first) {
       ++it;
     } else {
       it = sent_tasks_.erase(it);
     }
   }
 
+  // Every replica applies the same diff stream, so each message is encoded and checksummed
+  // once and the same frame goes to every worker, in upsert, refresh, task order.
+  std::vector<EncodedFrame> frames;
+  if (!upserts.entries.empty()) {
+    frames.emplace_back(EncodeMessage(ServiceMessage(std::move(upserts))));
+  }
+  if (!refreshes.entries.empty()) {
+    frames.emplace_back(EncodeMessage(ServiceMessage(std::move(refreshes))));
+  }
+  if (!tasks.entries.empty()) {
+    frames.emplace_back(EncodeMessage(ServiceMessage(std::move(tasks))));
+  }
   for (size_t w = 0; w < config_.num_workers; ++w) {
-    if (!transport_.alive(w)) {
-      continue;
-    }
-    // A send failure means the worker died mid-broadcast; recovery (pre-request) rebuilds
-    // its replica from a post-diff snapshot, so skipping the rest of its diff is safe.
-    if (!upserts.entries.empty() && !transport_.Send(w, upserts)) {
-      continue;
-    }
-    if (!refreshes.entries.empty() && !transport_.Send(w, refreshes)) {
-      continue;
-    }
-    if (!tasks.entries.empty()) {
-      transport_.Send(w, tasks);
+    for (const EncodedFrame& frame : frames) {
+      // A dead worker fails its first send. One that died mid-broadcast is recovered before
+      // the requests from a post-diff snapshot, so skipping the rest of its diff is safe.
+      if (!transport_.SendFrame(w, frame)) {
+        break;
+      }
     }
   }
 }
@@ -220,18 +237,7 @@ void ServiceScheduler::RecoverWorker(size_t w) {
     // Cold start through the checkpoint codec: the replica the replacement restores is
     // byte-identical to the state the round was broadcast against, because blocks mutate
     // only in AllocateInOrder — after every reply is in — never mid-round.
-    AllocationMetrics metrics;
-    SnapshotMeta meta;
-    meta.period = 1.0;
-    meta.unlock_steps = 1;
-    meta.num_shards = 1;
-    for (const Task& task : pending_) {
-      metrics.RecordSubmission(task.weight, false);
-      meta.checkpoint_time = std::max(meta.checkpoint_time, task.arrival_time);
-    }
-    meta.next_cycle_time = meta.checkpoint_time;
-    StateMsg state;
-    state.snapshot = EncodeSnapshotBinary(CaptureSnapshot(*blocks_, pending_, metrics, meta));
+    StateMsg state = CaptureReplicaState(*blocks_, pending_);
     ++transport_.counters().state_replays;
     if (transport_.Send(w, state)) {
       if (!orphans.empty()) {
@@ -372,13 +378,17 @@ std::vector<size_t> ServiceScheduler::ScheduleBatch(std::span<const Task> pendin
   // reference exactly like the incremental engines do. Diff bookkeeping self-heals: the
   // fallback's commits bump block versions (shipped next round) and granted ids purge.
   batch_ids_.clear();
-  batch_ids_.reserve(pending.size());
-  for (const Task& task : pending) {
-    batch_ids_.push_back(task.id);
+  id_index_.clear();
+  for (size_t i = 0; i < pending.size(); ++i) {
+    batch_ids_.push_back(pending[i].id);
+    id_index_.emplace_back(pending[i].id, i);
   }
-  std::vector<int64_t> sorted_ids = batch_ids_;
-  std::sort(sorted_ids.begin(), sorted_ids.end());
-  if (std::adjacent_find(sorted_ids.begin(), sorted_ids.end()) != sorted_ids.end()) {
+  // The one id sort of the cycle: it finds duplicates here, drives the diff purge and
+  // indexes the merge.
+  std::sort(id_index_.begin(), id_index_.end());
+  if (std::adjacent_find(id_index_.begin(), id_index_.end(), [](const auto& a, const auto& b) {
+        return a.first == b.first;
+      }) != id_index_.end()) {
     return RecomputeScheduleBatch(metric_, config_.eta, pending, blocks);
   }
 
@@ -406,6 +416,23 @@ std::vector<size_t> ServiceScheduler::ScheduleBatch(std::span<const Task> pendin
     }
   }
 
+  // Fault injection: SIGKILL by raw pid, bypassing the transport bookkeeping — the daemon
+  // must *discover* the death through its own waitpid/heartbeat path, which is the
+  // machinery under test. The kill lands after the diffs and before the requests, and the
+  // daemon waits for the exit (without reaping it), so the victim can never answer this
+  // round: its request is still registered and pushed, and always re-routed, which keeps
+  // every counter a function of the fault schedule alone.
+  if (!kill_fired_ && config_.kill_at_round == round_ &&
+      config_.kill_worker < config_.num_workers) {
+    kill_fired_ = true;
+    if (transport_.alive(config_.kill_worker)) {
+      pid_t victim = transport_.pid(config_.kill_worker);
+      KillChild(victim, SIGKILL);
+      AwaitChildExit(victim, static_cast<unsigned int>(std::min<uint64_t>(
+                                 config_.stall_budget * config_.poll_sleep_us, UINT_MAX)));
+    }
+  }
+
   for (size_t w = 0; w < config_.num_workers; ++w) {
     if (!transport_.alive(w)) {
       continue;
@@ -418,17 +445,6 @@ std::vector<size_t> ServiceScheduler::ScheduleBatch(std::span<const Task> pendin
     }
     if (!shards.empty()) {
       SendScoreRequest(w, std::move(shards));
-    }
-  }
-
-  // Fault injection: SIGKILL by raw pid, after the requests are in flight, bypassing the
-  // transport bookkeeping — the daemon must *discover* the death through its own
-  // waitpid/heartbeat path, which is the machinery under test.
-  if (!kill_fired_ && config_.kill_at_round == round_ &&
-      config_.kill_worker < config_.num_workers) {
-    kill_fired_ = true;
-    if (transport_.alive(config_.kill_worker)) {
-      KillChild(transport_.pid(config_.kill_worker), SIGKILL);
     }
   }
 
@@ -450,15 +466,14 @@ std::vector<size_t> ServiceScheduler::ScheduleBatch(std::span<const Task> pendin
   // id asc) — strict for unique ids, so the merged order is deterministic regardless of
   // which worker produced which entry.
   std::sort(merged.begin(), merged.end(), HeapEntryBefore);
-  std::map<TaskId, size_t> index_of_id;
-  for (size_t i = 0; i < pending.size(); ++i) {
-    index_of_id.emplace(pending[i].id, i);
-  }
   std::vector<size_t> order;
   order.reserve(merged.size());
   for (const HeapEntry& entry : merged) {
-    auto it = index_of_id.find(entry.id);
-    DPACK_CHECK_MSG(it != index_of_id.end(), "worker scored unknown task " << entry.id);
+    auto it = std::lower_bound(
+        id_index_.begin(), id_index_.end(), entry.id,
+        [](const std::pair<TaskId, size_t>& a, TaskId id) { return a.first < id; });
+    DPACK_CHECK_MSG(it != id_index_.end() && it->first == entry.id,
+                    "worker scored unknown task " << entry.id);
     order.push_back(it->second);
   }
   std::vector<size_t> granted = AllocateInOrder(pending, blocks, order);

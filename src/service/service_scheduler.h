@@ -32,6 +32,7 @@
 #include <cstdint>
 #include <map>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "src/core/scheduler.h"
@@ -65,15 +66,30 @@ struct ServiceConfig {
   size_t ring_bytes = 1 << 20;
   unsigned int poll_sleep_us = 50;
   uint64_t stall_budget = 40000;
-  // Fault injection for the crash suites: after the score requests of round `kill_at_round`
-  // (1-based; 0 = never) have been sent, SIGKILL worker `kill_worker` directly by pid —
-  // bypassing the transport bookkeeping, so the daemon's own detection path (waitpid +
-  // heartbeat) is what finds the corpse. Fires once.
+  // Fault injection for the crash suites: in round `kill_at_round` (1-based; 0 = never),
+  // after the diffs and before the score requests, SIGKILL worker `kill_worker` directly by
+  // pid and wait for it to exit without reaping it — bypassing the transport bookkeeping, so
+  // the daemon's own detection path (waitpid + heartbeat) is what finds the corpse. The
+  // victim's request is still sent and re-routed, and it never answers, so the counters do
+  // not depend on timing. Fires once.
   uint64_t kill_at_round = 0;
   size_t kill_worker = 0;
   // When set, the final counter values are copied here at destruction (the sim driver owns
   // the scheduler through a unique_ptr it destroys before reporting).
   ServiceCounters* counters_sink = nullptr;
+};
+
+// The daemon's block diff: each known block's version as last shipped, and the version-tree
+// group sums at that time. Diff appends newborn blocks to the upserts and blocks whose
+// version moved to the refreshes, both in id order, in O(groups + changed + new): it drills
+// down the BlockVersionTree instead of reading every block's version.
+class BlockDiff {
+ public:
+  void Diff(const BlockManager& blocks, BlockUpsertMsg* upserts, BlockRefreshMsg* refreshes);
+
+ private:
+  std::vector<uint64_t> last_version_;
+  std::vector<uint64_t> group_seen_;
 };
 
 class ServiceScheduler : public Scheduler {
@@ -104,7 +120,9 @@ class ServiceScheduler : public Scheduler {
   void BindWorker(size_t w, const BlockManager& blocks);
   // Blocks until worker w's Hello arrives (budgeted; a worker dying mid-handshake is fatal).
   void AwaitHello(size_t w);
-  // Ships the block/task diffs since the previous round to every live worker.
+  // Ships the block/task diffs since the previous round to every live worker: changed
+  // blocks are found in O(groups + changed) down the version tree, and each message is
+  // encoded once and pushed as the same frame to every worker.
   void BroadcastDiffs(std::span<const Task> pending, const BlockManager& blocks);
   // Sends a score request for `shards` to worker w, registering it as outstanding first so
   // a send-time death hands it to recovery. Never call with empty `shards`.
@@ -124,12 +142,15 @@ class ServiceScheduler : public Scheduler {
 
   // Diff bookkeeping (versions recorded at broadcast time, before the round's commits, so
   // allocation-phase changes are shipped at the next round).
-  std::vector<uint64_t> last_version_;
+  BlockDiff block_diff_;
   std::map<TaskId, size_t> sent_tasks_;  // id -> block-list length at last upsert.
 
   // Round state.
   uint64_t round_ = 0;
   std::vector<int64_t> batch_ids_;
+  // (id, batch index), sorted by id: the duplicate check, the diff purge and the merge
+  // index all read this one sort.
+  std::vector<std::pair<TaskId, size_t>> id_index_;
   std::span<const Task> pending_;  // Valid during ScheduleBatch only.
   BlockManager* blocks_ = nullptr;  // Valid during ScheduleBatch only.
   std::vector<size_t> owner_of_shard_;

@@ -72,7 +72,7 @@ bool WorkerEndpoint::Receive(ServiceMessage* out) {
 }
 
 bool WorkerEndpoint::Send(const ServiceMessage& message) {
-  std::string frame = EncodeMessage(message);
+  EncodedFrame frame(EncodeMessage(message));
   while (!out_.TryPush(frame)) {
     if (DaemonGone()) {
       return false;
@@ -179,14 +179,13 @@ WorkerLifeState ServiceTransport::life_state(size_t w) const {
       slots_[w].control->life_state.load(std::memory_order_acquire));
 }
 
-bool ServiceTransport::Send(size_t w, const ServiceMessage& message) {
+bool ServiceTransport::SendFrame(size_t w, const EncodedFrame& frame) {
   DPACK_CHECK(w < slots_.size());
   Slot& slot = slots_[w];
   if (!slot.alive) {
     return false;
   }
-  std::string frame = EncodeMessage(message);
-  DPACK_CHECK_MSG(frame.size() + 16 <= config_.ring_bytes,
+  DPACK_CHECK_MSG(frame.payload.size() + kFrameHeaderBytes <= config_.ring_bytes,
                   "service message larger than a whole ring; raise ring_bytes");
   uint64_t stalls = 0;
   while (!slot.to_worker->TryPush(frame)) {
@@ -202,7 +201,7 @@ bool ServiceTransport::Send(size_t w, const ServiceMessage& message) {
   }
   slot.control->inbound.Ring();
   ++counters_.messages_sent;
-  counters_.bytes_sent += frame.size();
+  counters_.bytes_sent += frame.payload.size();
   return true;
 }
 

@@ -140,12 +140,18 @@ class ServiceTransport {
   uint64_t heartbeat(size_t w) const;
   WorkerLifeState life_state(size_t w) const;
 
-  // Blocking push to worker w's inbound ring, then a ring of its inbound bell. A full ring
-  // is retried every poll_sleep_us (counting ring_stalls) until space frees, the worker is
-  // found dead (returns false), or the stall budget is exhausted (DPACK_CHECK failure: a
-  // live, bound worker that stops draining its ring for budget * poll_sleep_us is a bug,
-  // not backpressure).
-  bool Send(size_t w, const ServiceMessage& message);
+  // Blocking push of one encoded frame to worker w's inbound ring, then a ring of its
+  // inbound bell. A full ring is retried every poll_sleep_us (counting ring_stalls) until
+  // space frees, the worker is found dead (returns false), or the stall budget is exhausted
+  // (DPACK_CHECK failure: a live, bound worker that stops draining its ring for budget *
+  // poll_sleep_us is a bug, not backpressure). A broadcast encodes once and sends the same
+  // frame to every worker.
+  bool SendFrame(size_t w, const EncodedFrame& frame);
+
+  // Encodes `message` and sends it through SendFrame.
+  bool Send(size_t w, const ServiceMessage& message) {
+    return SendFrame(w, EncodedFrame(EncodeMessage(message)));
+  }
 
   // Non-blocking pop from worker w's outbound ring. kOk decodes into *out (an undecodable
   // frame reports kCorrupt with *error set); kEmpty/kCorrupt leave *out untouched.

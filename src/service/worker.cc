@@ -5,12 +5,16 @@
 
 #include "src/block/block_manager.h"
 #include "src/common/check.h"
+#include "src/core/metrics.h"
 #include "src/core/schedule_context.h"
 #include "src/orchestrator/checkpoint.h"
 
 namespace dpack {
 
 namespace {
+
+// slot_stamp_ of a free slot: never equal to a round stamp.
+constexpr uint64_t kFreeSlot = ~uint64_t{0};
 
 // Task-home shard, normalized so negative ids land in [0, num_shards) too.
 uint32_t HomeShard(TaskId id, uint32_t num_shards) {
@@ -31,7 +35,7 @@ void WorkerReplica::ApplyBind(const BindMsg& msg) {
   eta_ = msg.eta;
   grid_ = AlphaGrid::Create(msg.alpha_orders);
   snapshot_.emplace(grid_);
-  tasks_.clear();
+  ClearTasks();
   best_alpha_.clear();
   needed_stamp_.clear();
   requesters_.clear();
@@ -60,6 +64,31 @@ void WorkerReplica::ApplyBlockRefresh(const BlockRefreshMsg& msg) {
   }
 }
 
+void WorkerReplica::Upsert(Task task) {
+  auto [it, inserted] = slot_of_.try_emplace(task.id, 0);
+  if (!inserted) {
+    slots_[it->second] = std::move(task);  // Late block resolution re-sends the payload.
+    return;
+  }
+  if (free_slots_.empty()) {
+    it->second = slots_.size();
+    slots_.push_back(std::move(task));
+    slot_stamp_.push_back(0);
+    return;
+  }
+  it->second = free_slots_.back();
+  free_slots_.pop_back();
+  slots_[it->second] = std::move(task);
+  slot_stamp_[it->second] = 0;
+}
+
+void WorkerReplica::ClearTasks() {
+  slots_.clear();
+  slot_stamp_.clear();
+  slot_of_.clear();
+  free_slots_.clear();
+}
+
 void WorkerReplica::ApplyTaskUpsert(const TaskUpsertMsg& msg) {
   DPACK_CHECK(bound_);
   for (const TaskUpsertMsg::Entry& e : msg.entries) {
@@ -69,7 +98,7 @@ void WorkerReplica::ApplyTaskUpsert(const TaskUpsertMsg& msg) {
     for (int64_t b : e.blocks) {
       task.blocks.push_back(static_cast<BlockId>(b));
     }
-    tasks_.insert_or_assign(task.id, std::move(task));
+    Upsert(std::move(task));
   }
 }
 
@@ -89,10 +118,9 @@ bool WorkerReplica::ApplyState(const StateMsg& msg, std::string* error) {
   // bits the daemon's live manager would yield — cold start and recovery share one format.
   BlockManager restored = RestoreBlockManager(parsed.snapshot, grid_);
   snapshot_.emplace(restored);
-  tasks_.clear();
+  ClearTasks();
   for (Task& task : RestorePendingTasks(parsed.snapshot, grid_)) {
-    TaskId id = task.id;
-    tasks_.insert_or_assign(id, std::move(task));
+    Upsert(std::move(task));
   }
   return true;
 }
@@ -102,26 +130,24 @@ ScoreReplyMsg WorkerReplica::ScoreRound(const ScoreRequestMsg& msg) {
   ScoreReplyMsg reply;
   reply.round = msg.round;
 
-  // Rebuild the batch, in batch order, from the payload map.
-  batch_.clear();
-  batch_.reserve(msg.batch_ids.size());
+  // Resolve the batch to slots, in batch order, stamping each listed slot with the round.
+  ++round_stamp_;
+  round_slots_.clear();
   for (int64_t id : msg.batch_ids) {
-    auto it = tasks_.find(static_cast<TaskId>(id));
-    DPACK_CHECK_MSG(it != tasks_.end(), "score request references unknown task " << id);
-    batch_.push_back(it->second);
+    auto it = slot_of_.find(static_cast<TaskId>(id));
+    DPACK_CHECK_MSG(it != slot_of_.end(), "score request references unknown task " << id);
+    round_slots_.push_back(it->second);
+    slot_stamp_[it->second] = round_stamp_;
   }
 
-  // Drop payloads absent from the batch: a granted or evicted task never reappears, and
-  // the purge keeps replica memory proportional to the live queue. (Ordered map + sorted
-  // id probe: no hash-order dependence anywhere near the scoring path.)
-  std::vector<int64_t> sorted_ids = msg.batch_ids;
-  std::sort(sorted_ids.begin(), sorted_ids.end());
-  for (auto it = tasks_.begin(); it != tasks_.end();) {
-    if (std::binary_search(sorted_ids.begin(), sorted_ids.end(),
-                           static_cast<int64_t>(it->first))) {
-      ++it;
-    } else {
-      it = tasks_.erase(it);
+  // Free the slots absent from the batch: a granted or evicted task never reappears, and
+  // the purge keeps replica memory proportional to the live queue. One pass over the slot
+  // stamps, in slot order — no sort, no hash order.
+  for (size_t slot = 0; slot < slots_.size(); ++slot) {
+    if (slot_stamp_[slot] != round_stamp_ && slot_stamp_[slot] != kFreeSlot) {
+      slot_of_.erase(slots_[slot].id);
+      slot_stamp_[slot] = kFreeSlot;
+      free_slots_.push_back(slot);
     }
   }
 
@@ -137,7 +163,8 @@ ScoreReplyMsg WorkerReplica::ScoreRound(const ScoreRequestMsg& msg) {
   if (metric_ == GreedyMetric::kFcfs) {
     // FCFS never scores; uniform zero scores make the daemon's merge order (score desc,
     // arrival asc, id asc) collapse to exactly FcfsOrder (arrival asc, id asc).
-    for (const Task& task : batch_) {
+    for (size_t slot : round_slots_) {
+      const Task& task = slots_[slot];
       if (is_home(task)) {
         reply.entries.push_back({0.0, task.arrival_time, task.id});
       }
@@ -145,19 +172,19 @@ ScoreReplyMsg WorkerReplica::ScoreRound(const ScoreRequestMsg& msg) {
     return reply;
   }
 
-  std::span<const Task> batch_span(batch_);
   std::span<const size_t> best_alpha_span;
   if (metric_ == GreedyMetric::kDpack) {
     // Solve best alphas only for blocks some home task requests — but with requester lists
     // drawn from the FULL batch in batch order, exactly the inputs ComputeBestAlphas feeds
-    // BestAlphaForBlock, so the per-block solutions are bit-identical to the reference.
-    ++round_stamp_;
+    // BestAlphaForBlock (as slots instead of batch indices, in the same order), so the
+    // per-block solutions are bit-identical to the reference.
     size_t block_count = snapshot_->block_count();
     best_alpha_.assign(block_count, 0);
     needed_stamp_.resize(block_count, 0);
     requesters_.resize(block_count);
     std::vector<BlockId> needed;
-    for (const Task& task : batch_) {
+    for (size_t slot : round_slots_) {
+      const Task& task = slots_[slot];
       if (!is_home(task)) {
         continue;
       }
@@ -171,23 +198,24 @@ ScoreReplyMsg WorkerReplica::ScoreRound(const ScoreRequestMsg& msg) {
         }
       }
     }
-    for (size_t i = 0; i < batch_.size(); ++i) {
-      for (BlockId j : batch_[i].blocks) {
+    for (size_t slot : round_slots_) {
+      for (BlockId j : slots_[slot].blocks) {
         if (j >= 0 && static_cast<size_t>(j) < block_count &&
             needed_stamp_[static_cast<size_t>(j)] == round_stamp_) {
-          requesters_[static_cast<size_t>(j)].push_back(i);
+          requesters_[static_cast<size_t>(j)].push_back(slot);
         }
       }
     }
     for (BlockId j : needed) {
       best_alpha_[static_cast<size_t>(j)] =
-          BestAlphaForBlock(batch_span, requesters_[static_cast<size_t>(j)],
+          BestAlphaForBlock(slots_, requesters_[static_cast<size_t>(j)],
                             snapshot_->available(j), eta_);
     }
     best_alpha_span = std::span<const size_t>(best_alpha_);
   }
 
-  for (const Task& task : batch_) {
+  for (size_t slot : round_slots_) {
+    const Task& task = slots_[slot];
     if (!is_home(task)) {
       continue;
     }
@@ -195,6 +223,22 @@ ScoreReplyMsg WorkerReplica::ScoreRound(const ScoreRequestMsg& msg) {
     reply.entries.push_back({score, task.arrival_time, task.id});
   }
   return reply;
+}
+
+StateMsg CaptureReplicaState(const BlockManager& blocks, std::span<const Task> pending) {
+  AllocationMetrics metrics;
+  SnapshotMeta meta;
+  meta.period = 1.0;
+  meta.unlock_steps = 1;
+  meta.num_shards = 1;
+  for (const Task& task : pending) {
+    metrics.RecordSubmission(task.weight, false);
+    meta.checkpoint_time = std::max(meta.checkpoint_time, task.arrival_time);
+  }
+  meta.next_cycle_time = meta.checkpoint_time;
+  StateMsg state;
+  state.snapshot = EncodeSnapshotBinary(CaptureSnapshot(blocks, pending, metrics, meta));
+  return state;
 }
 
 int ServiceWorkerMain(WorkerEndpoint& endpoint) {

@@ -10,15 +10,22 @@
 // computes bit-identical scores — whichever worker computes them, and however many times a
 // shard is re-requested after a crash. No clocks, no randomness, no unordered iteration
 // (std::map only): scripts/dpack_lint.py enforces the same rules here as in src/core.
+//
+// Tasks are stored once, in slots. Which slot a task lands in depends on the replica's
+// history (a freed slot is reused), but a round reads tasks only through its list of slots
+// in batch order, so every requester list — and with it every summation order and bit — is
+// the same in a long-lived replica and in one cold-started from a snapshot.
 
 #ifndef SRC_SERVICE_WORKER_H_
 #define SRC_SERVICE_WORKER_H_
 
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "src/block/block_manager.h"
 #include "src/core/efficiency.h"
 #include "src/core/task.h"
 #include "src/rdp/alpha_grid.h"
@@ -29,7 +36,7 @@ namespace dpack {
 
 // The worker-side mirror of the cluster state a scoring round reads: a dense-by-id
 // CapacitySnapshot (same type the in-process engines score against) plus the pending-task
-// payloads, keyed by id in an ordered map.
+// payloads in a slot vector, with an ordered id -> slot map and a free list.
 class WorkerReplica {
  public:
   // Bind: fixes the scoring configuration and resets the replica (a respawned worker is
@@ -52,32 +59,44 @@ class WorkerReplica {
   // *error set on a corrupt/mismatched blob.
   bool ApplyState(const StateMsg& msg, std::string* error);
 
-  // Scores one round: rebuilds the batch from `batch_ids` (every id must be a known
-  // payload), drops payloads not in the batch (granted or evicted tasks never return), and
-  // returns entries for the tasks homed to the requested shards, in batch order.
-  // Pure: identical replica state + identical request => bit-identical reply.
+  // Scores one round: resolves `batch_ids` to slots, in batch order (every id must be a
+  // known payload), frees the slots not in the batch (granted or evicted tasks never
+  // return), and returns entries for the tasks homed to the requested shards, in batch
+  // order. Pure: identical replica state + identical request => bit-identical reply.
   ScoreReplyMsg ScoreRound(const ScoreRequestMsg& msg);
 
   bool bound() const { return bound_; }
   size_t block_count() const { return snapshot_ ? snapshot_->block_count() : 0; }
-  size_t task_count() const { return tasks_.size(); }
+  size_t task_count() const { return slot_of_.size(); }
 
  private:
+  // Stores `task` in its id's slot, or in a free (or new) one.
+  void Upsert(Task task);
+  void ClearTasks();
+
   bool bound_ = false;
   uint32_t num_shards_ = 1;
   GreedyMetric metric_ = GreedyMetric::kDpack;
   double eta_ = 0.05;
   AlphaGridPtr grid_;
   std::optional<CapacitySnapshot> snapshot_;
-  std::map<TaskId, Task> tasks_;  // Ordered: purge iteration must not depend on hash order.
+  // Task payloads. A free slot keeps its stale task until reused; no round lists it.
+  std::vector<Task> slots_;
+  std::vector<uint64_t> slot_stamp_;  // Round that last listed the slot; kFreeSlot if free.
+  std::map<TaskId, size_t> slot_of_;  // Ordered: no hash order anywhere near scoring.
+  std::vector<size_t> free_slots_;
 
   // Per-round scratch (persisted to avoid per-round allocation growth).
-  std::vector<Task> batch_;
+  std::vector<size_t> round_slots_;  // The batch, as slots in batch order.
   std::vector<size_t> best_alpha_;
   std::vector<uint64_t> needed_stamp_;
-  std::vector<std::vector<size_t>> requesters_;
+  std::vector<std::vector<size_t>> requesters_;  // Per block: slots, in batch order.
   uint64_t round_stamp_ = 0;
 };
+
+// The State message that cold-starts a replica from the daemon's live state: a
+// checkpoint-codec snapshot of `blocks` and the `pending` batch, in batch order.
+StateMsg CaptureReplicaState(const BlockManager& blocks, std::span<const Task> pending);
 
 // The serve loop: applies daemon messages to a fresh replica until Shutdown (exit 0), ring
 // corruption or a protocol violation (exit 2), or a lost daemon (exit 3). Publishes kReady

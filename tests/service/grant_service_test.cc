@@ -11,12 +11,15 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/core/scheduler.h"
+#include "src/service/service_scheduler.h"
 #include "src/sim/service_sim.h"
 #include "src/sim/sim_driver.h"
 #include "src/workload/curve_pool.h"
@@ -93,23 +96,169 @@ TEST(ServiceEquivalenceTest, EveryMetricMatches) {
   }
 }
 
+void ExpectSameCounters(const ServiceCounters& a, const ServiceCounters& b,
+                        const std::string& label) {
+  EXPECT_EQ(a.messages_sent, b.messages_sent) << label;
+  EXPECT_EQ(a.messages_received, b.messages_received) << label;
+  EXPECT_EQ(a.bytes_sent, b.bytes_sent) << label;
+  EXPECT_EQ(a.bytes_received, b.bytes_received) << label;
+  EXPECT_EQ(a.score_rounds, b.score_rounds) << label;
+  EXPECT_EQ(a.recoveries, b.recoveries) << label;
+  EXPECT_EQ(a.respawns, b.respawns) << label;
+  EXPECT_EQ(a.state_replays, b.state_replays) << label;
+  EXPECT_EQ(a.admission_rejects, b.admission_rejects) << label;
+  // ring_stalls is deliberately excluded: it counts producer back-off, which depends on
+  // scheduling timing, not on the protocol. Everything above is timing-independent.
+}
+
 // The counters are part of the deterministic surface (bench/baseline.json gates them):
-// identical inputs must produce identical counter values, run to run.
+// identical inputs must produce identical counter values, run to run — healthy and under a
+// killed worker with either recovery policy. A kill leg used to race the victim's reply to
+// the round it died in, so its legs run several times each.
 TEST(ServiceEquivalenceTest, CountersAreDeterministic) {
   ScenarioWorkload workload = Workload("cohort_skew");
   ServiceSimResult first = ServiceRun(GreedyMetric::kDpack, workload, 4, 4);
   ServiceSimResult second = ServiceRun(GreedyMetric::kDpack, workload, 4, 4);
-  EXPECT_EQ(first.counters.messages_sent, second.counters.messages_sent);
-  EXPECT_EQ(first.counters.messages_received, second.counters.messages_received);
-  EXPECT_EQ(first.counters.bytes_sent, second.counters.bytes_sent);
-  EXPECT_EQ(first.counters.bytes_received, second.counters.bytes_received);
-  EXPECT_EQ(first.counters.score_rounds, second.counters.score_rounds);
-  EXPECT_EQ(first.counters.recoveries, second.counters.recoveries);
-  EXPECT_EQ(first.counters.respawns, second.counters.respawns);
-  EXPECT_EQ(first.counters.state_replays, second.counters.state_replays);
-  EXPECT_EQ(first.counters.admission_rejects, second.counters.admission_rejects);
-  // ring_stalls is deliberately excluded: it counts producer back-off, which depends on
-  // scheduling timing, not on the protocol. Everything above is timing-independent.
+  ExpectSameCounters(first.counters, second.counters, "healthy");
+
+  ScenarioWorkload steady = Workload("steady_poisson");
+  SimResult reference = ReferenceRun(GreedyMetric::kDpack, steady);
+  constexpr int kRepetitions = 12;
+  struct Kill {
+    uint64_t round;
+    size_t worker;
+  };
+  // 1@2 is fig12's kill leg; 0@4 kills the first worker sent to, which has had the most
+  // time to answer before the kill.
+  for (const Kill& kill : {Kill{2, 1}, Kill{4, 0}}) {
+    for (ServiceRecovery recovery : {ServiceRecovery::kReassign, ServiceRecovery::kRespawn}) {
+      ServiceConfig config;
+      config.num_workers = 4;
+      config.num_shards = 4;
+      config.recovery = recovery;
+      config.kill_at_round = kill.round;
+      config.kill_worker = kill.worker;
+      std::string leg = "kill:" + std::to_string(kill.worker) + "@" +
+                        std::to_string(kill.round) +
+                        (recovery == ServiceRecovery::kReassign ? "/reassign" : "/respawn");
+      ServiceSimResult base =
+          RunServiceSimulation(GreedyMetric::kDpack, steady.tasks, steady.sim, config);
+      ASSERT_EQ(base.sim.grant_trace, reference.grant_trace) << leg;
+      ASSERT_EQ(base.counters.recoveries, 1u) << leg;
+      for (int rep = 1; rep < kRepetitions; ++rep) {
+        ServiceSimResult again =
+            RunServiceSimulation(GreedyMetric::kDpack, steady.tasks, steady.sim, config);
+        EXPECT_EQ(again.sim.grant_trace, reference.grant_trace) << leg << " rep " << rep;
+        ExpectSameCounters(base.counters, again.counters, leg + " rep " + std::to_string(rep));
+      }
+    }
+  }
+}
+
+// A daemon over more than two version-tree groups ships, each cycle, exactly the block
+// diff a full version scan finds: newborn blocks (one arriving into the half-filled last
+// group) as upserts, and every block a grant committed to (in the first group and in a far
+// one) as a refresh. Observed on the wire: the daemon's sent messages and bytes per cycle
+// equal the encoded size of the full scan's diff plus the task upserts and the request.
+TEST(ServiceSchedulerTest, ManyGroupBlockDiffShipsTheFullScanDiff) {
+  BlockManager blocks(Grid(), 10.0, 1e-7);
+  for (int b = 0; b < 160; ++b) blocks.AddBlock(0.0, /*unlocked=*/true);
+  BlockManager reference_blocks = blocks.Clone();
+  ServiceConfig config;
+  config.num_workers = 1;
+  ServiceScheduler service(GreedyMetric::kDpack, config);
+  GreedyScheduler reference(GreedyMetric::kDpack,
+                            GreedySchedulerOptions{.eta = 0.05, .incremental = true});
+
+  std::vector<uint64_t> scanned;    // The full scan's per-block versions.
+  std::map<TaskId, size_t> sent;    // Task upserts already shipped.
+  std::vector<Task> pending;
+  TaskId next_id = 0;
+  Rng rng(kSeed);
+  for (int cycle = 0; cycle < 12; ++cycle) {
+    if (cycle % 3 == 1) {
+      blocks.AddBlock(cycle, /*unlocked=*/true);
+      reference_blocks.AddBlock(cycle, /*unlocked=*/true);
+    }
+    BlockId last = static_cast<BlockId>(blocks.block_count()) - 1;
+    for (int t = 0; t < 3; ++t) {
+      Task task(next_id++, /*weight=*/1.0, Pool().capacity().Scaled(rng.Uniform(0.05, 0.3)));
+      task.arrival_time = cycle;
+      BlockId far = last - static_cast<BlockId>(rng.UniformInt(0, 2));
+      task.blocks = t == 0 ? std::vector<BlockId>{2} : std::vector<BlockId>{far};
+      pending.push_back(std::move(task));
+    }
+
+    // The wire the cycle must produce, from a full version scan.
+    uint64_t expected_messages = 0;
+    uint64_t expected_bytes = 0;
+    auto expect = [&](bool sent_at_all, const ServiceMessage& message) {
+      if (sent_at_all) {
+        ++expected_messages;
+        expected_bytes += EncodeMessage(message).size();
+      }
+    };
+    if (cycle == 0) {  // The first cycle starts the fleet.
+      BindMsg bind;
+      bind.num_workers = 1;
+      bind.num_shards = 1;
+      bind.metric = GreedyMetric::kDpack;
+      bind.eta = config.eta;
+      bind.alpha_orders = Grid()->orders();
+      expect(true, bind);
+    }
+    BlockUpsertMsg upserts;
+    BlockRefreshMsg refreshes;
+    for (size_t j = 0; j < blocks.block_count(); ++j) {
+      const PrivacyBlock& b = blocks.block(static_cast<BlockId>(j));
+      if (j >= scanned.size()) {
+        upserts.entries.push_back({static_cast<int64_t>(j), b.AvailableCurve().epsilons(),
+                                   b.capacity().epsilons()});
+        scanned.push_back(b.version());
+      } else if (b.version() != scanned[j]) {
+        refreshes.entries.push_back({static_cast<int64_t>(j), b.AvailableCurve().epsilons()});
+        scanned[j] = b.version();
+      }
+    }
+    if (cycle > 0) {
+      EXPECT_FALSE(refreshes.entries.empty()) << "cycle " << cycle;
+    }
+    TaskUpsertMsg tasks;
+    ScoreRequestMsg request;
+    request.round = service.counters().score_rounds + 1;
+    request.shards = {0};
+    for (const Task& task : pending) {
+      request.batch_ids.push_back(task.id);
+      if (sent.emplace(task.id, task.blocks.size()).second) {
+        tasks.entries.push_back({task.id, task.weight, task.arrival_time,
+                                 task.demand.epsilons(),
+                                 std::vector<int64_t>(task.blocks.begin(), task.blocks.end())});
+      }
+    }
+    expect(!upserts.entries.empty(), upserts);
+    expect(!refreshes.entries.empty(), refreshes);
+    expect(!tasks.entries.empty(), tasks);
+    expect(true, request);
+
+    uint64_t messages_before = service.counters().messages_sent;
+    uint64_t bytes_before = service.counters().bytes_sent;
+    std::vector<size_t> granted = service.ScheduleBatch(pending, blocks);
+    EXPECT_EQ(service.counters().messages_sent - messages_before, expected_messages)
+        << "cycle " << cycle;
+    EXPECT_EQ(service.counters().bytes_sent - bytes_before, expected_bytes)
+        << "cycle " << cycle;
+    ASSERT_EQ(granted, reference.ScheduleBatch(pending, reference_blocks)) << "cycle " << cycle;
+    EXPECT_FALSE(granted.empty()) << "cycle " << cycle;
+    std::vector<Task> still;
+    for (size_t i = 0; i < pending.size(); ++i) {
+      if (std::find(granted.begin(), granted.end(), i) == granted.end()) {
+        still.push_back(pending[i]);
+      }
+    }
+    pending = std::move(still);
+  }
+  EXPECT_GT(blocks.block_count(), 2 * (size_t{1} << BlockVersionTree::kGroupShift));
+  service.Shutdown();
 }
 
 // --- GrantService: the admission-controlled request API -----------------------------------

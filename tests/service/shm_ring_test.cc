@@ -11,9 +11,11 @@
 #include <csignal>
 #include <cstring>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "src/common/subprocess.h"
+#include "src/service/messages.h"
 
 namespace dpack {
 namespace {
@@ -27,7 +29,7 @@ std::vector<char> RingMemory(size_t bytes = kRingBytes) {
 TEST(ShmRingTest, MinBytesIsUsable) {
   std::vector<char> mem = RingMemory(ShmRing::MinBytes());
   ShmRing ring(mem.data(), mem.size(), /*initialize=*/true);
-  EXPECT_TRUE(ring.TryPush("x"));
+  EXPECT_TRUE(ring.TryPush(EncodedFrame("x")));
   std::string out;
   EXPECT_EQ(ring.TryPop(&out), RingPopStatus::kOk);
   EXPECT_EQ(out, "x");
@@ -38,7 +40,7 @@ TEST(ShmRingTest, RoundTripPreservesBytesAndOrder) {
   ShmRing ring(mem.data(), mem.size(), /*initialize=*/true);
   std::vector<std::string> messages = {"", "a", std::string("\x00\xff\x7f", 3),
                                        std::string(700, 'q')};
-  for (const std::string& m : messages) ASSERT_TRUE(ring.TryPush(m));
+  for (const std::string& m : messages) ASSERT_TRUE(ring.TryPush(EncodedFrame(m)));
   for (const std::string& m : messages) {
     std::string out;
     ASSERT_EQ(ring.TryPop(&out), RingPopStatus::kOk);
@@ -54,7 +56,7 @@ TEST(ShmRingTest, WrapAroundManyTimes) {
   // Each frame is a large fraction of the capacity, so the buffer offset wraps constantly.
   for (int i = 0; i < 500; ++i) {
     std::string payload(97 + static_cast<size_t>(i % 51), static_cast<char>('a' + i % 26));
-    ASSERT_TRUE(ring.TryPush(payload)) << i;
+    ASSERT_TRUE(ring.TryPush(EncodedFrame(payload))) << i;
     std::string out;
     ASSERT_EQ(ring.TryPop(&out), RingPopStatus::kOk) << i;
     EXPECT_EQ(out, payload) << i;
@@ -65,10 +67,10 @@ TEST(ShmRingTest, FullRingRefusesAndIsUnchanged) {
   std::vector<char> mem = RingMemory(ShmRing::MinBytes());
   ShmRing ring(mem.data(), mem.size(), /*initialize=*/true);
   size_t pushed = 0;
-  while (ring.TryPush(std::string(16, 'z'))) ++pushed;
+  while (ring.TryPush(EncodedFrame(std::string(16, 'z')))) ++pushed;
   ASSERT_GT(pushed, 0u);
   uint64_t tail_before = ring.tail_cursor();
-  EXPECT_FALSE(ring.TryPush(std::string(16, 'z')));
+  EXPECT_FALSE(ring.TryPush(EncodedFrame(std::string(16, 'z'))));
   EXPECT_EQ(ring.tail_cursor(), tail_before);
   // Every queued frame is still intact.
   for (size_t i = 0; i < pushed; ++i) {
@@ -82,8 +84,8 @@ TEST(ShmRingTest, LargestFrameFillsRingExactly) {
   std::vector<char> mem = RingMemory();
   ShmRing ring(mem.data(), mem.size(), /*initialize=*/true);
   std::string payload(ring.capacity() - 16, 'x');  // 16 = frame header bytes.
-  ASSERT_TRUE(ring.TryPush(payload));
-  EXPECT_FALSE(ring.TryPush(""));  // Even an empty frame needs header space now.
+  ASSERT_TRUE(ring.TryPush(EncodedFrame(payload)));
+  EXPECT_FALSE(ring.TryPush(EncodedFrame("")));  // Even an empty frame needs header space now.
   std::string out;
   ASSERT_EQ(ring.TryPop(&out), RingPopStatus::kOk);
   EXPECT_EQ(out, payload);
@@ -92,7 +94,7 @@ TEST(ShmRingTest, LargestFrameFillsRingExactly) {
 TEST(ShmRingTest, AttachSeesInitializerFrames) {
   std::vector<char> mem = RingMemory();
   ShmRing producer(mem.data(), mem.size(), /*initialize=*/true);
-  ASSERT_TRUE(producer.TryPush("across handles"));
+  ASSERT_TRUE(producer.TryPush(EncodedFrame("across handles")));
   ShmRing consumer(mem.data(), mem.size(), /*initialize=*/false);
   std::string out;
   ASSERT_EQ(consumer.TryPop(&out), RingPopStatus::kOk);
@@ -110,7 +112,7 @@ TEST(ShmRingTest, PayloadBitFlipRejectedAndPoisons) {
   for (size_t bit = 0; bit < payload.size() * 8; bit += 17) {
     std::vector<char> mem = RingMemory();
     ShmRing ring(mem.data(), mem.size(), /*initialize=*/true);
-    ASSERT_TRUE(ring.TryPush(payload));
+    ASSERT_TRUE(ring.TryPush(EncodedFrame(payload)));
     // Frame layout from cursor 0: [len u64][checksum u64][payload].
     ring.raw_buffer()[16 + bit / 8] ^= static_cast<char>(1u << (bit % 8));
     uint64_t head_before = ring.head_cursor();
@@ -126,7 +128,7 @@ TEST(ShmRingTest, PayloadBitFlipRejectedAndPoisons) {
 TEST(ShmRingTest, LengthBeyondPublishedRejected) {
   std::vector<char> mem = RingMemory();
   ShmRing ring(mem.data(), mem.size(), /*initialize=*/true);
-  ASSERT_TRUE(ring.TryPush("abc"));
+  ASSERT_TRUE(ring.TryPush(EncodedFrame("abc")));
   uint64_t huge = ring.capacity() * 2;
   std::memcpy(ring.raw_buffer(), &huge, sizeof(huge));
   std::string out;
@@ -138,7 +140,7 @@ TEST(ShmRingTest, LengthBeyondPublishedRejected) {
 TEST(ShmRingTest, TruncatedLengthRejected) {
   std::vector<char> mem = RingMemory();
   ShmRing ring(mem.data(), mem.size(), /*initialize=*/true);
-  ASSERT_TRUE(ring.TryPush("a longer payload, truncated in flight"));
+  ASSERT_TRUE(ring.TryPush(EncodedFrame("a longer payload, truncated in flight")));
   uint64_t shorter = 5;
   std::memcpy(ring.raw_buffer(), &shorter, sizeof(shorter));
   std::string out;
@@ -148,10 +150,46 @@ TEST(ShmRingTest, TruncatedLengthRejected) {
 TEST(ShmRingTest, ChecksumBitFlipRejected) {
   std::vector<char> mem = RingMemory();
   ShmRing ring(mem.data(), mem.size(), /*initialize=*/true);
-  ASSERT_TRUE(ring.TryPush("payload"));
+  ASSERT_TRUE(ring.TryPush(EncodedFrame("payload")));
   ring.raw_buffer()[8] ^= 0x40;  // Checksum word starts at frame offset 8.
   std::string out;
   EXPECT_EQ(ring.TryPop(&out), RingPopStatus::kCorrupt);
+}
+
+// A broadcast encodes once: the same EncodedFrame pushed into several rings pops as the
+// same message from each, and a bit flipped in one ring's copy is rejected there alone —
+// every consumer still verifies the checksum the producer computed once.
+TEST(ShmRingTest, OneFrameBroadcastDecodesFromEveryRing) {
+  constexpr size_t kRings = 4;
+  TaskUpsertMsg tasks;
+  tasks.entries.push_back({41, 2.5, 11.0, {0.1, -0.0}, {0, 3, 9}});
+  tasks.entries.push_back({-7, 1.0, 0.0, {}, {}});
+  const EncodedFrame frame(EncodeMessage(tasks));
+  std::vector<std::vector<char>> memory(kRings, RingMemory());
+  std::vector<ShmRing> rings;
+  for (std::vector<char>& mem : memory) {
+    rings.emplace_back(mem.data(), mem.size(), /*initialize=*/true);
+  }
+  for (ShmRing& ring : rings) {
+    ASSERT_TRUE(ring.TryPush(frame));
+  }
+  rings.back().raw_buffer()[kFrameHeaderBytes + 5] ^= 0x01;  // One copy's payload only.
+  for (size_t k = 0; k + 1 < kRings; ++k) {
+    std::string out;
+    ASSERT_EQ(rings[k].TryPop(&out), RingPopStatus::kOk) << "ring " << k;
+    EXPECT_EQ(out, frame.payload) << "ring " << k;
+    ServiceMessage decoded;
+    std::string error;
+    ASSERT_TRUE(DecodeMessage(out, &decoded, &error)) << error;
+    auto* upsert = std::get_if<TaskUpsertMsg>(&decoded);
+    ASSERT_NE(upsert, nullptr);
+    ASSERT_EQ(upsert->entries.size(), 2u);
+    EXPECT_EQ(upsert->entries[0].id, 41);
+    EXPECT_EQ(upsert->entries[1].id, -7);
+    EXPECT_EQ(EncodeMessage(decoded), out) << "ring " << k;
+  }
+  std::string out;
+  EXPECT_EQ(rings.back().TryPop(&out), RingPopStatus::kCorrupt);
 }
 
 // --- Cross-process: the property the whole service leans on ------------------------------
@@ -165,9 +203,9 @@ TEST(ShmRingCrossProcessTest, ChildProducerParentConsumer) {
   pid_t child = SpawnChild([&region]() {
     ShmRing producer(region.data(), region.size(), /*initialize=*/false);
     for (int i = 0; i < kMessages; ++i) {
-      std::string payload = "msg-" + std::to_string(i) + "-" +
-                            std::string(static_cast<size_t>(i % 200), '#');
-      while (!producer.TryPush(payload)) {
+      EncodedFrame frame("msg-" + std::to_string(i) + "-" +
+                         std::string(static_cast<size_t>(i % 200), '#'));
+      while (!producer.TryPush(frame)) {
       }
     }
     return 0;
@@ -196,9 +234,9 @@ TEST(ShmRingCrossProcessTest, ProducerSigkillLeavesOnlyCompleteFrames) {
     pid_t child = SpawnChild([&region]() -> int {
       ShmRing producer(region.data(), region.size(), /*initialize=*/false);
       for (uint64_t i = 0;; ++i) {
-        std::string payload =
-            "frame-" + std::to_string(i) + "-" + std::string(100 + i % 700, 'p');
-        while (!producer.TryPush(payload)) {
+        EncodedFrame frame("frame-" + std::to_string(i) + "-" +
+                           std::string(100 + i % 700, 'p'));
+        while (!producer.TryPush(frame)) {
         }
       }
     });
