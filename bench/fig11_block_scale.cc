@@ -31,9 +31,8 @@ constexpr size_t kScales[] = {10'000, 100'000, 1'000'000};
 
 // The fixed change set, independent of the population size. Tasks draw blocks from the
 // most-recent kWindow ids (the paper's RangeSelector shape); each cycle dirties kDirty of
-// them. Offsets are chosen so the window's alignment to the version tree's groups and to
-// the shard partition (id % shards) is identical at every scale (all kScales and kWindow
-// are multiples of 64 and of every shard count used here).
+// them. Offsets are chosen so the window's alignment to the version tree's groups is
+// identical at every scale (all kScales and kWindow are multiples of 64).
 constexpr size_t kWindow = 512;
 constexpr size_t kTasks = 256;
 constexpr size_t kBlocksPerTask = 4;
@@ -50,13 +49,6 @@ AlphaGridPtr SweepGrid() {
 RdpCurve CapacityFraction(double fraction) {
   return BlockCapacityCurve(SweepGrid(), kEpsG, kDeltaG).Scaled(fraction);
 }
-
-struct EngineLeg {
-  const char* label;
-  size_t shards;
-};
-
-constexpr EngineLeg kEngineLegs[] = {{"incremental", 1}, {"sharded4", 4}};
 
 struct SweepPoint {
   size_t num_blocks = 0;
@@ -93,7 +85,7 @@ void DirtyCycle(BlockManager& blocks, size_t num_blocks, size_t cycle,
   }
 }
 
-SweepPoint RunPoint(const EngineLeg& leg, size_t num_blocks) {
+SweepPoint RunPoint(size_t num_blocks) {
   BlockManager blocks(SweepGrid(), kEpsG, kDeltaG);
   for (size_t j = 0; j < num_blocks; ++j) {
     blocks.AddBlock(0.0, /*unlocked=*/true);
@@ -102,10 +94,9 @@ SweepPoint RunPoint(const EngineLeg& leg, size_t num_blocks) {
   const RdpCurve tiny = CapacityFraction(1e-5);
 
   GreedyScheduler scheduler(GreedyMetric::kDpack,
-                            GreedySchedulerOptions{
-                                .eta = 0.05, .incremental = true, .num_shards = leg.shards});
+                            GreedySchedulerOptions{.eta = 0.05, .incremental = true});
   // Two warm-up cycles: the first pays the one-time population sync and scores everything;
-  // the second fills the N-way merge's second ping-pong buffer so the measured cycles
+  // the second fills the heap merge's second ping-pong buffer so the measured cycles
   // perform zero merge allocations.
   scheduler.ScheduleBatch(pending, blocks);
   DirtyCycle(blocks, num_blocks, /*cycle=*/0, tiny);
@@ -140,8 +131,8 @@ std::vector<std::pair<std::string, double>> GatedCounters(const SweepPoint& poin
 }
 
 // O(changed) means counter values do not depend on the population size. Returns false (and
-// says which counter broke) if any gated counter differs between sweep points of one engine.
-bool CheckFlatAcrossScales(const EngineLeg& leg, const std::vector<SweepPoint>& points) {
+// says which counter broke) if any gated counter differs between sweep points.
+bool CheckFlatAcrossScales(const std::vector<SweepPoint>& points) {
   if (points.empty()) {
     return true;
   }
@@ -151,9 +142,9 @@ bool CheckFlatAcrossScales(const EngineLeg& leg, const std::vector<SweepPoint>& 
     for (size_t c = 0; c < reference.size(); ++c) {
       if (counters[c].second != reference[c].second) {
         std::fprintf(stderr,
-                     "FLATNESS VIOLATION: %s/%s is %g at %zu blocks but %g at %zu blocks "
+                     "FLATNESS VIOLATION: %s is %g at %zu blocks but %g at %zu blocks "
                      "— the hot path scales with the population, not with the change set\n",
-                     leg.label, counters[c].first.c_str(), counters[c].second,
+                     counters[c].first.c_str(), counters[c].second,
                      point.num_blocks, reference[c].second, points.front().num_blocks);
         return false;
       }
@@ -163,23 +154,19 @@ bool CheckFlatAcrossScales(const EngineLeg& leg, const std::vector<SweepPoint>& 
 }
 
 bool RunSweep() {
-  CsvTable table({"engine", "blocks", "refreshed_per_cycle", "rescored_per_cycle",
-                  "reused_per_cycle", "best_alpha_per_cycle", "merge_allocs",
-                  "full_recomputes", "wall_ms"});
-  bool flat = true;
-  for (const EngineLeg& leg : kEngineLegs) {
-    std::vector<SweepPoint> points;
-    for (size_t num_blocks : kScales) {
-      points.push_back(RunPoint(leg, num_blocks));
-      const SweepPoint& point = points.back();
-      CsvTable& row = table.NewRow().Add(leg.label).Add(point.num_blocks);
-      for (const auto& [name, value] : GatedCounters(point)) {
-        row.Add(FormatDouble(value));
-      }
-      row.Add(FormatDouble(point.wall_ms));
+  CsvTable table({"blocks", "refreshed_per_cycle", "rescored_per_cycle", "reused_per_cycle",
+                  "best_alpha_per_cycle", "merge_allocs", "full_recomputes", "wall_ms"});
+  std::vector<SweepPoint> points;
+  for (size_t num_blocks : kScales) {
+    points.push_back(RunPoint(num_blocks));
+    const SweepPoint& point = points.back();
+    CsvTable& row = table.NewRow().Add(point.num_blocks);
+    for (const auto& [name, value] : GatedCounters(point)) {
+      row.Add(FormatDouble(value));
     }
-    flat = CheckFlatAcrossScales(leg, points) && flat;
+    row.Add(FormatDouble(point.wall_ms));
   }
+  bool flat = CheckFlatAcrossScales(points);
   table.Print("Fig. 11: steady-state engine work vs block population (fixed change set)");
   std::printf("flatness: %s — gated counters %s across the 100x population sweep\n",
               flat ? "OK" : "VIOLATED", flat ? "identical" : "DIFFER");
@@ -188,23 +175,19 @@ bool RunSweep() {
 
 bool DumpCountersJson(const std::string& path) {
   std::vector<BenchJsonEntry> entries;
-  bool flat = true;
-  for (const EngineLeg& leg : kEngineLegs) {
-    std::vector<SweepPoint> points;
-    for (size_t num_blocks : kScales) {
-      points.push_back(RunPoint(leg, num_blocks));
-      const SweepPoint& point = points.back();
-      BenchJsonEntry entry;
-      entry.name = "fig11_block_scale/dpack/" + std::string(leg.label) +
-                   "/blocks:" + std::to_string(num_blocks);
-      entry.fields.push_back({"wall_ms", point.wall_ms});
-      for (const auto& field : GatedCounters(point)) {
-        entry.fields.push_back(field);
-      }
-      entries.push_back(std::move(entry));
+  std::vector<SweepPoint> points;
+  for (size_t num_blocks : kScales) {
+    points.push_back(RunPoint(num_blocks));
+    const SweepPoint& point = points.back();
+    BenchJsonEntry entry;
+    entry.name = "fig11_block_scale/dpack/incremental/blocks:" + std::to_string(num_blocks);
+    entry.fields.push_back({"wall_ms", point.wall_ms});
+    for (const auto& field : GatedCounters(point)) {
+      entry.fields.push_back(field);
     }
-    flat = CheckFlatAcrossScales(leg, points) && flat;
+    entries.push_back(std::move(entry));
   }
+  bool flat = CheckFlatAcrossScales(points);
   return WriteBenchCountersJson(path, entries) && flat;
 }
 

@@ -67,7 +67,7 @@ constexpr int kSteadyIterations = 60;  // 3 full rotations of the dirty-block cu
 // benchmark so they land in the JSON artifact. No-op for the recompute path (no engine).
 void ReportEngineCounters(benchmark::State& state, const GreedyScheduler& scheduler,
                           const ScheduleContextStats& at_entry) {
-  const ShardedScheduleContext* engine = scheduler.engine();
+  const IncrementalEngine* engine = scheduler.engine();
   if (engine == nullptr || state.iterations() == 0) {
     return;
   }
@@ -159,67 +159,6 @@ void BM_AreaSteadyRecompute(benchmark::State& state) {
 }
 BENCHMARK(BM_AreaSteadyRecompute)
     ->Arg(1000)
-    ->Iterations(kSteadyIterations)
-    ->Unit(benchmark::kMillisecond);
-
-// --- Shard-count sweep (sharded engine, same steady-state regime) -------------------------
-//
-// Args: {pending tasks, num_shards}, num_shards >= 2: the fork-join worker pool. One shard
-// is BM_*SteadyIncremental above (the same engine at its default). Same grants by
-// construction — see the sharded differential suite. The speedup scales with the cores
-// actually available — on a single-core host the sweep only measures the pool's two
-// barriers per cycle.
-
-void RunSteadyStateEngine(benchmark::State& state, GreedyMetric metric) {
-  std::vector<Task> tasks = SteadyStateTasks(static_cast<size_t>(state.range(0)));
-  size_t num_shards = static_cast<size_t>(state.range(1));
-  BlockManager blocks(AlphaGrid::Default(), kEpsG, kDeltaG);
-  for (size_t b = 0; b < kSteadyStateBlocks; ++b) {
-    blocks.AddBlock(0.0, /*unlocked=*/true);
-  }
-  RdpCurve tiny = SteadyStateTinyDemand();
-  GreedyScheduler scheduler(
-      metric, GreedySchedulerOptions{.incremental = true, .num_shards = num_shards});
-  scheduler.ScheduleBatch(tasks, blocks);  // Warm the cache: steady state, not first cycle.
-  size_t dirty_cursor = 0;
-  // Second warm-up with a dirty block fills the merge's second ping-pong buffer (see
-  // RunSteadyState) so the timed cycles' merge_allocs delta is zero.
-  blocks.block(static_cast<BlockId>(dirty_cursor++ % kSteadyStateBlocks)).Commit(tiny);
-  scheduler.ScheduleBatch(tasks, blocks);
-  ScheduleContextStats at_entry = scheduler.engine()->stats();
-  for (auto _ : state) {
-    state.PauseTiming();
-    blocks.block(static_cast<BlockId>(dirty_cursor++ % kSteadyStateBlocks)).Commit(tiny);
-    state.ResumeTiming();
-    benchmark::DoNotOptimize(scheduler.ScheduleBatch(tasks, blocks));
-  }
-  ReportEngineCounters(state, scheduler, at_entry);
-}
-
-void BM_DpackSteadySharded(benchmark::State& state) {
-  RunSteadyStateEngine(state, GreedyMetric::kDpack);
-}
-BENCHMARK(BM_DpackSteadySharded)
-    ->Args({1000, 2})
-    ->Args({1000, 4})
-    ->Iterations(kSteadyIterations)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_DpfSteadySharded(benchmark::State& state) {
-  RunSteadyStateEngine(state, GreedyMetric::kDpf);
-}
-BENCHMARK(BM_DpfSteadySharded)
-    ->Args({1000, 2})
-    ->Args({1000, 4})
-    ->Iterations(kSteadyIterations)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_AreaSteadySharded(benchmark::State& state) {
-  RunSteadyStateEngine(state, GreedyMetric::kArea);
-}
-BENCHMARK(BM_AreaSteadySharded)
-    ->Args({1000, 2})
-    ->Args({1000, 4})
     ->Iterations(kSteadyIterations)
     ->Unit(benchmark::kMillisecond);
 

@@ -1,11 +1,10 @@
 // Scenario explorer: generate any registered scenario at any seed, inspect the stream,
-// run it through a chosen engine shape, and optionally export it as a portable CSV trace
+// run it through a chosen engine, and optionally export it as a portable CSV trace
 // (explicit block lists included — trace format v2).
 //
 //   example_scenario_explorer list
 //   example_scenario_explorer <scenario> [--seed N] [--metric dpack|dpf|area|fcfs]
-//                             [--engine recompute|incremental] [--shards N]
-//                             [--export path.csv]
+//                             [--engine recompute|incremental] [--export path.csv]
 //
 // Because scenarios are addressed by (name, seed), the exact stream this tool prints is
 // the one the matrix/fuzz suites and bench/fig10_scenarios measure.
@@ -24,8 +23,7 @@ using namespace dpack;
 
 constexpr char kUsage[] =
     "example_scenario_explorer <scenario> [--seed N] [--metric dpack|dpf|area|fcfs]\n"
-    "                          [--engine recompute|incremental] [--shards N]\n"
-    "                          [--export path.csv]";
+    "                          [--engine recompute|incremental] [--export path.csv]";
 
 int ListScenarios() {
   std::printf("registered scenarios (see src/README.md for the stress-axis catalogue):\n");
@@ -54,7 +52,6 @@ int main(int argc, char** argv) {
   uint64_t seed = 1;
   GreedyMetric metric = GreedyMetric::kDpack;
   std::string engine = "incremental";
-  size_t num_shards = 1;
   std::string export_path;
   for (int i = 2; i < argc; i += 2) {
     std::string flag = argv[i];
@@ -74,8 +71,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       engine = value;
-    } else if (flag == "--shards") {
-      num_shards = ParseSizeArg(argv[0], value, "--shards", kUsage);
     } else if (flag == "--export") {
       export_path = value;
     } else {
@@ -111,14 +106,13 @@ int main(int argc, char** argv) {
 
   GreedySchedulerOptions options;
   options.incremental = engine != "recompute";
-  options.num_shards = num_shards;
   auto scheduler = std::make_unique<GreedyScheduler>(metric, options);
   std::string metric_name = scheduler->name();
   SimResult result =
       RunOnlineSimulation(std::move(scheduler), workload.tasks, workload.sim);
 
-  std::printf("\nengine=%s shards=%zu metric=%s: %zu cycles\n", engine.c_str(), num_shards,
-              metric_name.c_str(), result.cycles_run);
+  std::printf("\nengine=%s metric=%s: %zu cycles\n", engine.c_str(), metric_name.c_str(),
+              result.cycles_run);
   std::printf("%s\n", result.metrics.Summary().c_str());
   std::printf("pending at end: %zu\n", result.pending_at_end);
   const ScheduleContextStats& engine_stats = result.scheduler_stats;

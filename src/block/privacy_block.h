@@ -69,7 +69,7 @@ class PrivacyBlock {
   // capacity: each Commit and each *effective* unlock increase (SetUnlockedFraction calls
   // that do not raise the fraction leave it untouched). Invariant: equal versions observed
   // at two points in time imply bit-identical AvailableCurve() results, which is what lets
-  // the incremental scheduling engine (ShardedScheduleContext) skip rescoring tasks whose blocks
+  // the incremental scheduling engine (IncrementalEngine) skip rescoring tasks whose blocks
   // did not change between cycles.
   uint64_t version() const { return version_; }
 

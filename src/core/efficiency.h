@@ -25,7 +25,7 @@ class CapacitySnapshot {
  public:
   explicit CapacitySnapshot(const BlockManager& blocks);
 
-  // Empty snapshot for incremental maintenance (ShardedScheduleContext): blocks are appended as
+  // Empty snapshot for incremental maintenance (IncrementalEngine): blocks are appended as
   // they arrive and their available curves refreshed in place when their version changes.
   // A snapshot kept in sync this way is bit-identical to one rebuilt from scratch, because
   // a block whose version is unchanged recomputes the exact same AvailableCurve().

@@ -4,7 +4,7 @@
 //
 // The inner scheduler instance is owned by this driver and persists across RunCycle calls —
 // deliberately, because an incremental GreedyScheduler carries an engine
-// (ShardedScheduleContext) whose cached scores and best-alpha solutions only pay off when the
+// (IncrementalEngine) whose cached scores and best-alpha solutions only pay off when the
 // same engine sees every consecutive cycle. The driver also never mutates a pending task
 // between cycles (late block resolution excepted), which is the immutability contract the
 // engine's id-keyed cache relies on.

@@ -1,7 +1,7 @@
 // Greedy scheduling (Alg. 1: score, sort, CANRUN walk): the definitions that the
-// recompute reference path, the incremental engine (`ShardedScheduleContext`,
-// src/core/sharded_schedule_context.h) and the service's daemon and workers
-// (src/service/) share.
+// recompute reference path, the incremental engine (`IncrementalEngine`,
+// src/core/incremental_engine.h) and the service's daemon and workers (src/service/)
+// share.
 //
 // The recompute path (`RecomputeScheduleBatch`, the original GreedyScheduler behavior) costs
 // O(pending × blocks × orders) per cycle — including DPack's per-(block, order) knapsack
@@ -50,8 +50,7 @@ std::vector<size_t> RecomputeScheduleBatch(GreedyMetric metric, double eta,
                                            BlockManager& blocks);
 
 // Counters describing how much work the incremental engine reused vs redid. Monotonic over
-// the engine's lifetime. The engine sums its per-shard counters into this struct, so
-// consumers read one summary regardless of the shard count.
+// the engine's lifetime.
 struct ScheduleContextStats {
   uint64_t cycles = 0;                 // ScheduleBatch calls (non-empty batches).
   uint64_t tasks_rescored = 0;         // Scores computed.
@@ -59,26 +58,15 @@ struct ScheduleContextStats {
   uint64_t blocks_refreshed = 0;       // Snapshot entries refreshed (version changes).
   uint64_t best_alpha_recomputes = 0;  // Per-block best-alpha subproblems solved.
   uint64_t full_recomputes = 0;        // Fallbacks to RecomputeScheduleBatch.
-  // Growths of the per-shard heap merges' output buffers (the N-way merge's output is not
-  // counted). The buffers persist across cycles, so steady-state cycles perform zero merge
-  // allocations — pinned by tests and gated at zero in bench/baseline.json.
+  // Growths of the heap merge's output buffer. The buffers persist across cycles, so
+  // steady-state cycles perform zero merge allocations — pinned by tests and gated at zero
+  // in bench/baseline.json.
   uint64_t merge_allocs = 0;
-  uint64_t shards = 1;                 // Shard count of the engine that produced these stats.
-
-  // Per-shard counters are summed into the run-wide totals above.
-  void Accumulate(const ScheduleContextStats& other) {
-    tasks_rescored += other.tasks_rescored;
-    tasks_reused += other.tasks_reused;
-    blocks_refreshed += other.blocks_refreshed;
-    best_alpha_recomputes += other.best_alpha_recomputes;
-    merge_allocs += other.merge_allocs;
-  }
 
   // Counters are monotonic over an engine's lifetime; subtracting an earlier snapshot
-  // isolates one run's (or one timed loop's) work. `shards` is carried over, not
-  // subtracted — it identifies the engine, it is not a counter. The single definition all
-  // delta consumers (orchestrator results, bench reports) must share, so a future counter
-  // cannot be forgotten in one of them.
+  // isolates one run's (or one timed loop's) work. The single definition all delta
+  // consumers (orchestrator results, bench reports) must share, so a future counter cannot
+  // be forgotten in one of them.
   ScheduleContextStats Delta(const ScheduleContextStats& before) const {
     ScheduleContextStats delta = *this;
     delta.cycles -= before.cycles;
@@ -91,14 +79,13 @@ struct ScheduleContextStats {
     return delta;
   }
 };
-// A new field must be added to Delta (and to Accumulate if it is a per-shard counter) and
-// to tests/core/schedule_context_stats_test.cc; this assert fails the build until the
-// test's field list is updated with it.
-static_assert(sizeof(ScheduleContextStats) == 8 * sizeof(uint64_t),
-              "ScheduleContextStats changed: update Delta/Accumulate and their test");
+// A new field must be added to Delta and to tests/core/schedule_context_stats_test.cc; this
+// assert fails the build until the test's field list is updated with it.
+static_assert(sizeof(ScheduleContextStats) == 7 * sizeof(uint64_t),
+              "ScheduleContextStats changed: update Delta and its test");
 
-// One scored entry of a score order: the incremental engine's per-shard heaps and the
-// service daemon's merged worker replies.
+// One scored entry of a score order: the incremental engine's heap and the service
+// daemon's merged worker replies.
 struct HeapEntry {
   double score = 0.0;
   double arrival = 0.0;
@@ -109,7 +96,7 @@ struct HeapEntry {
 
 // True if `a` precedes `b` in allocation order (score desc, arrival asc, id asc) — exactly
 // the recompute path's sort order. A strict total order for unique task ids, which is what
-// makes the incremental engine's N-way merge and the service daemon's merge deterministic.
+// makes the incremental engine's heap merge and the service daemon's merge deterministic.
 bool HeapEntryBefore(const HeapEntry& a, const HeapEntry& b);
 
 // Scores one task under `metric` against `snapshot` (and `best_alpha` for DPack): the one

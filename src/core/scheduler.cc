@@ -7,13 +7,9 @@ namespace dpack {
 GreedyScheduler::GreedyScheduler(GreedyMetric metric, GreedySchedulerOptions options)
     : metric_(metric), options_(options) {
   DPACK_CHECK(options_.eta > 0.0);
-  DPACK_CHECK(options_.num_shards >= 1);
-  if (!options_.incremental) {
-    return;
+  if (options_.incremental) {
+    engine_ = std::make_unique<IncrementalEngine>(metric_, options_.eta);
   }
-  // FCFS never scores, so more shards would only add idle threads to a pass-through.
-  size_t num_shards = metric_ == GreedyMetric::kFcfs ? 1 : options_.num_shards;
-  engine_ = std::make_unique<ShardedScheduleContext>(metric_, options_.eta, num_shards);
 }
 
 std::string GreedyScheduler::name() const {
@@ -119,9 +115,8 @@ std::string SchedulerKindName(SchedulerKind kind) {
 }
 
 std::unique_ptr<Scheduler> CreateScheduler(SchedulerKind kind, double eta,
-                                           PkOptions optimal_options, size_t num_shards) {
+                                           PkOptions optimal_options) {
   GreedySchedulerOptions greedy_options;
-  greedy_options.num_shards = num_shards;
   switch (kind) {
     case SchedulerKind::kDpack:
       greedy_options.eta = eta;

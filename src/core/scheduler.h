@@ -15,8 +15,8 @@
 #include <vector>
 
 #include "src/block/block_manager.h"
+#include "src/core/incremental_engine.h"
 #include "src/core/schedule_context.h"
-#include "src/core/sharded_schedule_context.h"
 #include "src/core/task.h"
 #include "src/knapsack/privacy_knapsack.h"
 
@@ -44,19 +44,11 @@ struct GreedySchedulerOptions {
   // (2/3) eta (Prop. 5 uses the 1/2 + eta bound).
   double eta = 0.05;
   // When set (the default) the scheduler runs on the incremental engine
-  // (ShardedScheduleContext): scoring state persists across ScheduleBatch calls and only
-  // tasks touching changed blocks are rescored. When cleared, every batch is recomputed from
+  // (IncrementalEngine): scoring state persists across ScheduleBatch calls and only tasks
+  // touching changed blocks are rescored. When cleared, every batch is recomputed from
   // scratch (the reference path — identical grants, used by the differential tests and as
   // the benchmarks' baseline).
   bool incremental = true;
-  // Shard count for the incremental engine (>= 1), and the only shard-count knob in the
-  // library. The engine partitions blocks and tasks across `num_shards` shards and its
-  // refresh and rescoring phases across a pool of num_shards - 1 threads plus the caller,
-  // granting byte-identical task sequences at every count (see
-  // src/core/sharded_schedule_context.h). With 1 (the default, on every host) it runs
-  // single-threaded, inline on the caller. Ignored when incremental is false (the recompute
-  // reference is single-threaded) and for FCFS (which never scores, so it always gets 1).
-  size_t num_shards = 1;
 };
 
 class GreedyScheduler : public Scheduler {
@@ -70,13 +62,13 @@ class GreedyScheduler : public Scheduler {
   GreedyMetric metric() const { return metric_; }
 
   // The incremental engine, for cache control and stats. Non-null iff options.incremental.
-  ShardedScheduleContext* engine() { return engine_.get(); }
-  const ShardedScheduleContext* engine() const { return engine_.get(); }
+  IncrementalEngine* engine() { return engine_.get(); }
+  const IncrementalEngine* engine() const { return engine_.get(); }
 
  private:
   GreedyMetric metric_;
   GreedySchedulerOptions options_;
-  std::unique_ptr<ShardedScheduleContext> engine_;
+  std::unique_ptr<IncrementalEngine> engine_;
 };
 
 // The Optimal baseline: maps the batch to a privacy-knapsack instance over the blocks'
@@ -115,11 +107,9 @@ enum class SchedulerKind {
 
 std::string SchedulerKindName(SchedulerKind kind);
 
-// Factory covering every algorithm in the evaluation. `num_shards` is the greedy policies'
-// incremental engine shard count (ignored for Optimal).
+// Factory covering every algorithm in the evaluation.
 std::unique_ptr<Scheduler> CreateScheduler(SchedulerKind kind, double eta = 0.05,
-                                           PkOptions optimal_options = {},
-                                           size_t num_shards = 1);
+                                           PkOptions optimal_options = {});
 
 }  // namespace dpack
 

@@ -5,8 +5,8 @@
 //
 // Scheduling engine architecture
 // ------------------------------
-// Batch scheduling runs on one incremental engine, `ShardedScheduleContext`
-// (src/core/sharded_schedule_context.h), layered over versioned block state:
+// Batch scheduling runs on one single-threaded incremental engine, `IncrementalEngine`
+// (src/core/incremental_engine.h), layered over versioned block state:
 //
 //   - `PrivacyBlock::version()` is a monotonic counter bumped on every state change that
 //     can alter the block's available capacity: each `Commit` and each effective unlock
@@ -25,16 +25,9 @@
 //     path (`RecomputeScheduleBatch`), which remains available via
 //     `GreedySchedulerOptions::incremental = false` and is pinned against the engine by
 //     tests/core/incremental_equivalence_test.cc.
-//   - Shards (`GreedySchedulerOptions::num_shards`, default 1, the library's one
-//     shard-count knob; drivers run whatever engine shape their scheduler was built with):
-//     block g belongs to shard g mod N and task t to shard t.id mod N. Each shard owns its
-//     blocks' refreshes and best-alpha solves and its tasks' score cache and heap, and the
-//     refresh and rescoring phases run on a worker pool of N - 1 threads plus the caller
-//     (none at one shard). The deterministic merge rule: every score is computed by the
-//     same function on bit-identical snapshot state, and the per-shard heaps are combined
-//     by an N-way merge under the strict total order (score desc, arrival asc, id asc), so
-//     the grant sequence is byte-identical for every shard count and thread timing. The
-//     CANRUN allocation walk stays sequential (its commits are order-dependent).
+//   - Order: every score is computed by one function on the snapshot state, and the heap
+//     is kept under the strict total order (score desc, arrival asc, id asc), so the heap
+//     order is the reference sort's order and the CANRUN walk commits the same grants.
 //
 // Consumers adding new block mutations must route them through `Commit` /
 // `SetUnlockedFraction` / `AddBlock*` (or bump the counters equivalently); a mutation that
@@ -53,11 +46,11 @@
 #include "src/core/compute_aware.h"
 #include "src/core/efficiency.h"
 #include "src/core/fairness.h"
+#include "src/core/incremental_engine.h"
 #include "src/core/metrics.h"
 #include "src/core/online_scheduler.h"
 #include "src/core/schedule_context.h"
 #include "src/core/scheduler.h"
-#include "src/core/sharded_schedule_context.h"
 #include "src/core/task.h"
 #include "src/knapsack/privacy_knapsack.h"
 #include "src/knapsack/single_dim.h"

@@ -27,7 +27,6 @@ bool WithinCapacity(double value, double cap) { return value <= cap + 1e-9 * (1.
 
 ClusterSnapshot CaptureSnapshot(const BlockManager& blocks, std::span<const Task> pending,
                                 const AllocationMetrics& metrics, const SnapshotMeta& meta) {
-  DPACK_CHECK(meta.num_shards >= 1);
   ClusterSnapshot snapshot;
   snapshot.meta = meta;
   snapshot.grid_orders = blocks.grid()->orders();
@@ -36,7 +35,6 @@ ClusterSnapshot CaptureSnapshot(const BlockManager& blocks, std::span<const Task
   snapshot.manager_epoch = blocks.epoch();
 
   snapshot.blocks.reserve(blocks.block_count());
-  snapshot.shard_clocks.assign(static_cast<size_t>(meta.num_shards), SnapshotShardClock{});
   for (size_t j = 0; j < blocks.block_count(); ++j) {
     const PrivacyBlock& block = blocks.block(static_cast<BlockId>(j));
     SnapshotBlockState state;
@@ -50,11 +48,8 @@ ClusterSnapshot CaptureSnapshot(const BlockManager& blocks, std::span<const Task
     state.capacity = block.capacity().epsilons();
     state.consumed = block.consumed().epsilons();
     snapshot.blocks.push_back(std::move(state));
-    // Derived per-shard clocks under the engine's round-robin partition (block j in shard
-    // j mod num_shards).
-    SnapshotShardClock& clock = snapshot.shard_clocks[j % snapshot.shard_clocks.size()];
-    clock.epoch += 1;
-    clock.version += block.version();
+    snapshot.manager_clock.block_count += 1;
+    snapshot.manager_clock.version_sum += block.version();
   }
 
   snapshot.pending.reserve(pending.size());
@@ -95,9 +90,6 @@ std::string ValidateSnapshot(const ClusterSnapshot& snapshot) {
   }
   if (meta.fair_share_n < 0) {
     return "meta.fair_share_n must be >= 0";
-  }
-  if (meta.num_shards < 1) {
-    return "meta.num_shards must be >= 1";
   }
   if (!FiniteValue(meta.checkpoint_time) || !FiniteValue(meta.next_cycle_time) ||
       meta.next_cycle_time < meta.checkpoint_time) {
@@ -198,19 +190,13 @@ std::string ValidateSnapshot(const ClusterSnapshot& snapshot) {
     }
   }
 
-  if (snapshot.shard_clocks.size() != static_cast<size_t>(meta.num_shards)) {
-    return "shard_clocks must have num_shards entries";
+  uint64_t version_sum = 0;
+  for (const SnapshotBlockState& block : snapshot.blocks) {
+    version_sum += block.version;
   }
-  std::vector<SnapshotShardClock> derived(snapshot.shard_clocks.size());
-  for (size_t j = 0; j < snapshot.blocks.size(); ++j) {
-    derived[j % derived.size()].epoch += 1;
-    derived[j % derived.size()].version += snapshot.blocks[j].version;
-  }
-  for (size_t s = 0; s < derived.size(); ++s) {
-    if (derived[s].epoch != snapshot.shard_clocks[s].epoch ||
-        derived[s].version != snapshot.shard_clocks[s].version) {
-      return "shard clocks inconsistent with block states";
-    }
+  if (snapshot.manager_clock.block_count != snapshot.blocks.size() ||
+      snapshot.manager_clock.version_sum != version_sum) {
+    return "manager clock inconsistent with block states";
   }
 
   for (const SnapshotTaskState& task : snapshot.pending) {
@@ -284,7 +270,6 @@ std::string EncodePayload(const ClusterSnapshot& snapshot) {
   payload.F64(meta.period);
   payload.I64(meta.unlock_steps);
   payload.I64(meta.fair_share_n);
-  payload.U64(meta.num_shards);
 
   payload.F64Vec(snapshot.grid_orders);
   payload.F64(snapshot.eps_g);
@@ -303,11 +288,8 @@ std::string EncodePayload(const ClusterSnapshot& snapshot) {
     payload.F64Vec(block.consumed);
   }
 
-  payload.U64(snapshot.shard_clocks.size());
-  for (const SnapshotShardClock& clock : snapshot.shard_clocks) {
-    payload.U64(clock.epoch);
-    payload.U64(clock.version);
-  }
+  payload.U64(snapshot.manager_clock.block_count);
+  payload.U64(snapshot.manager_clock.version_sum);
 
   payload.U64(snapshot.pending.size());
   for (const SnapshotTaskState& task : snapshot.pending) {
@@ -400,7 +382,6 @@ SnapshotParseResult DecodeSnapshotBinary(std::string_view bytes) {
             r.F64(&s.meta.period, "meta.period") &&
             r.I64(&s.meta.unlock_steps, "meta.unlock_steps") &&
             r.I64(&s.meta.fair_share_n, "meta.fair_share_n") &&
-            r.U64(&s.meta.num_shards, "meta.num_shards") &&
             r.F64Vec(&s.grid_orders, "grid_orders") && r.F64(&s.eps_g, "eps_g") &&
             r.F64(&s.delta_g, "delta_g") && r.U64(&s.manager_epoch, "manager_epoch");
 
@@ -424,15 +405,8 @@ SnapshotParseResult DecodeSnapshotBinary(std::string_view bytes) {
       block.retired = retired == 1;
     }
   }
-  if (ok && (ok = r.Count(&count, 8 * 2, "shard clock count"))) {
-    s.shard_clocks.resize(static_cast<size_t>(count));
-    for (SnapshotShardClock& clock : s.shard_clocks) {
-      ok = r.U64(&clock.epoch, "shard.epoch") && r.U64(&clock.version, "shard.version");
-      if (!ok) {
-        break;
-      }
-    }
-  }
+  ok = ok && r.U64(&s.manager_clock.block_count, "manager_clock.block_count") &&
+       r.U64(&s.manager_clock.version_sum, "manager_clock.version_sum");
   if (ok && (ok = r.Count(&count, 8 * 7, "pending task count"))) {
     s.pending.resize(static_cast<size_t>(count));
     for (SnapshotTaskState& task : s.pending) {

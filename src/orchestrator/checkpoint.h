@@ -4,9 +4,9 @@
 // Kubernetes API server, so the scheduler can crash and resume without violating the global
 // privacy guarantee. `ClusterSnapshot` is our equivalent of that durable state: every
 // privacy block's per-order consumed budget, unlock progress, arrival time, and monotonic
-// version; the block manager's arrival epoch; the derived per-shard (epoch, version) clocks
-// of the sharded partition; the pending task queue in arrival order; and the cumulative
-// allocation metrics.
+// version; the block manager's arrival epoch; the derived manager clock (block count,
+// version sum); the pending task queue in arrival order; and the cumulative allocation
+// metrics.
 //
 // Recovery invariant (pinned by tests/orchestrator/recovery_test.cc): restoring a snapshot
 // rebuilds a byte-identical BlockManager — same epoch, same per-block versions, bit-equal
@@ -42,7 +42,9 @@ namespace dpack {
 // Bump on any schema change; the decoder rejects other versions.
 // v2: per-block slab placement (retired tier + dense slot), added with block retirement.
 // v3: meta.async dropped with the async engine (num_shards is the only engine shape).
-inline constexpr uint32_t kSnapshotFormatVersion = 3;
+// v4: meta.num_shards and the per-shard clocks dropped with the sharded engine; one
+//     manager clock replaces them.
+inline constexpr uint32_t kSnapshotFormatVersion = 4;
 
 // One privacy block's durable state. `capacity` / `consumed` are per-order epsilons on the
 // snapshot's grid. `retired` / `slot` are the block's slab placement (see
@@ -71,14 +73,13 @@ struct SnapshotTaskState {
   uint64_t num_recent_blocks = 0;
 };
 
-// The derived clock of one shard of the incremental engine's round-robin block partition
-// (block g in shard g mod N, see src/core/sharded_schedule_context.h): epoch = member count,
-// version = sum of member block versions. Recomputable from the block states; stored as a fault-detection value, so the
-// decoder cross-checks the two and rejects snapshots whose block versions disagree with
-// the clocks even though the checksum holds (e.g. a buggy or hand-built encoder).
-struct SnapshotShardClock {
-  uint64_t epoch = 0;
-  uint64_t version = 0;
+// The block manager's derived clock: its block count and the sum of its block versions.
+// Recomputable from the block states; stored as a fault-detection value, so the decoder
+// cross-checks the two and rejects snapshots whose block versions disagree with the clock
+// even though the checksum holds (e.g. a buggy or hand-built encoder).
+struct SnapshotManagerClock {
+  uint64_t block_count = 0;
+  uint64_t version_sum = 0;
 };
 
 // Cumulative AllocationMetrics state. Delays are the raw sample vector; the cycle-runtime
@@ -104,7 +105,6 @@ struct SnapshotMeta {
   double period = 1.0;
   int64_t unlock_steps = 1;
   int64_t fair_share_n = 0;
-  uint64_t num_shards = 1;         // Engine shape at capture (1 = single-shard).
 };
 
 struct ClusterSnapshot {
@@ -115,7 +115,7 @@ struct ClusterSnapshot {
   double delta_g = 0.0;
   uint64_t manager_epoch = 0;
   std::vector<SnapshotBlockState> blocks;
-  std::vector<SnapshotShardClock> shard_clocks;  // meta.num_shards entries.
+  SnapshotManagerClock manager_clock;
   std::vector<SnapshotTaskState> pending;
   SnapshotMetricsState metrics;
 };
@@ -131,10 +131,8 @@ struct SnapshotParseResult {
 // --- Capture ------------------------------------------------------------------------------
 
 // Snapshots the cluster state: `blocks` (all block state + epoch + grid + guarantee),
-// `pending` (the online driver's queue, in order), `metrics`, and `meta`. The per-shard
-// clocks are derived from the block states under the round-robin partition with
-// meta.num_shards shards — the member counts and version sums a cold restored engine's
-// partition of the same blocks has.
+// `pending` (the online driver's queue, in order), `metrics`, and `meta`. The manager clock
+// is derived from the block states.
 ClusterSnapshot CaptureSnapshot(const BlockManager& blocks, std::span<const Task> pending,
                                 const AllocationMetrics& metrics, const SnapshotMeta& meta);
 
@@ -146,8 +144,8 @@ SnapshotParseResult DecodeSnapshotBinary(std::string_view bytes);
 // Structural validation run by the decoder: dense ordered block ids, curve sizes matching
 // the grid, fractions in range, no NaNs where semantics forbid them, every block's
 // capacity within BlockCapacityCurve(grid, eps_g, delta_g) and its consumption within
-// capacity at some usable order (both up to PrivacyBlock::CanAccept's slack), shard clocks
-// consistent with the block states, metrics internally consistent. Returns "" when valid,
+// capacity at some usable order (both up to PrivacyBlock::CanAccept's slack), the manager
+// clock consistent with the block states, metrics internally consistent. Returns "" when valid,
 // else a diagnostic. Public so hand-built snapshots (tests, tools) can be checked too.
 std::string ValidateSnapshot(const ClusterSnapshot& snapshot);
 

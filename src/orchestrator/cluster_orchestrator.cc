@@ -178,8 +178,6 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
       meta.period = config_.period;
       meta.unlock_steps = config_.unlock_steps;
       meta.fair_share_n = online.config().fair_share_n;
-      const ScheduleContextStats* stats = online.context_stats();
-      meta.num_shards = stats != nullptr ? stats->shards : 1;
       std::string encoded = EncodeSnapshotBinary(
           CaptureSnapshot(blocks, online.pending(), online.metrics(), meta));
       result.last_checkpoint = encoded;

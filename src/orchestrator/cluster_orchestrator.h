@@ -67,7 +67,7 @@ struct OrchestratorRunResult {
   // Incremental-engine counters covering exactly this run (zeros when the scheduler does
   // not run on an incremental engine). The engine survives every cycle of the run — and the
   // scheduler survives across runs — so the run-entry snapshot is subtracted to isolate
-  // this run's cache behavior. `shards` is the engine's shard count, not a delta.
+  // this run's cache behavior.
   ScheduleContextStats scheduler_stats;
 };
 

@@ -230,7 +230,6 @@ StateMsg CaptureReplicaState(const BlockManager& blocks, std::span<const Task> p
   SnapshotMeta meta;
   meta.period = 1.0;
   meta.unlock_steps = 1;
-  meta.num_shards = 1;
   for (const Task& task : pending) {
     metrics.RecordSubmission(task.weight, false);
     meta.checkpoint_time = std::max(meta.checkpoint_time, task.arrival_time);

@@ -153,8 +153,6 @@ SimResult RunOnlineSimulation(std::unique_ptr<Scheduler> scheduler, std::vector<
     meta.period = config.period;
     meta.unlock_steps = config.unlock_steps;
     meta.fair_share_n = online.config().fair_share_n;
-    const ScheduleContextStats* stats = online.context_stats();
-    meta.num_shards = stats != nullptr ? stats->shards : 1;
     result.snapshot = CaptureSnapshot(blocks, online.pending(), online.metrics(), meta);
   }
 

@@ -1,14 +1,12 @@
 // Unit tests for how the incremental scheduling engine tracks block state: its one
 // version-tree drill-down reports exactly the blocks whose version moved, online arrivals
 // join as new blocks rather than changes, pre-committed and restored managers are not
-// re-reported, and the default engine is one shard that owns everything. Every block-sync
-// case runs at one shard and at four; the counters are shard-count independent.
+// re-reported, and the default scheduler runs on this engine.
 
-#include "src/core/sharded_schedule_context.h"
+#include "src/core/incremental_engine.h"
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -37,26 +35,24 @@ Task OversizedTask(TaskId id, std::vector<BlockId> block_ids) {
 
 constexpr double kEta = 0.05;
 
-// Parameter: the engine's shard count.
-class EngineBlockSyncTest : public testing::TestWithParam<size_t> {
+class EngineBlockSyncTest : public testing::Test {
  protected:
   EngineBlockSyncTest() : blocks_(Grid(), kEpsG, kDeltaG) {
     for (int b = 0; b < 4; ++b) {
       blocks_.AddBlock(0.0, /*unlocked=*/true);
     }
   }
-  size_t shards() const { return GetParam(); }
   BlockManager blocks_;
 };
 
-TEST_P(EngineBlockSyncTest, CommitRefreshesExactlyTheTouchedBlocks) {
+TEST_F(EngineBlockSyncTest, CommitRefreshesExactlyTheTouchedBlocks) {
   // The version-tree drill-down lists exactly the blocks whose version moved, wherever they
-  // sit in the id space and whichever shard owns them; a quiet cycle refreshes nothing.
+  // sit in the id space; a quiet cycle refreshes nothing.
   BlockManager many(Grid(), kEpsG, kDeltaG);
   for (int b = 0; b < 200; ++b) {
     many.AddBlock(0.0, /*unlocked=*/true);
   }
-  ShardedScheduleContext context(GreedyMetric::kDpack, kEta, shards());
+  IncrementalEngine context(GreedyMetric::kDpack, kEta);
   std::vector<Task> pending;
   for (TaskId id : {0, 99, 100, 101, 150}) {
     pending.push_back(OversizedTask(id, {id}));
@@ -79,13 +75,13 @@ TEST_P(EngineBlockSyncTest, CommitRefreshesExactlyTheTouchedBlocks) {
   EXPECT_EQ(context.stats().tasks_reused, 3u + 5u);
 }
 
-TEST_P(EngineBlockSyncTest, ArrivalsAreAbsorbedIncrementally) {
+TEST_F(EngineBlockSyncTest, ArrivalsAreAbsorbedIncrementally) {
   // Online block arrivals join the engine between cycles as new (dirty) blocks: only they
   // get best-alpha solves, none is reported as a refresh, and tasks on older blocks keep
   // their scores.
   BlockManager online(Grid(), kEpsG, kDeltaG);
   online.AddBlock(0.0, /*unlocked=*/true);
-  ShardedScheduleContext context(GreedyMetric::kDpack, kEta, shards());
+  IncrementalEngine context(GreedyMetric::kDpack, kEta);
   std::vector<Task> pending = {OversizedTask(0, {0})};
   context.ScheduleBatch(pending, online);
   EXPECT_EQ(context.stats().best_alpha_recomputes, 1u);
@@ -100,7 +96,7 @@ TEST_P(EngineBlockSyncTest, ArrivalsAreAbsorbedIncrementally) {
   EXPECT_EQ(context.stats().tasks_reused, 1u);
 }
 
-TEST_P(EngineBlockSyncTest, PreCommittedAndRestoredBlocksAreNotReportedChanged) {
+TEST_F(EngineBlockSyncTest, PreCommittedAndRestoredBlocksAreNotReportedChanged) {
   // A cold engine records each block at its current version, so a manager whose blocks
   // were committed before the engine first saw them — or rebuilt from a checkpoint — is not
   // refreshed, and a warm engine moved onto the restored copy reuses every score.
@@ -110,7 +106,7 @@ TEST_P(EngineBlockSyncTest, PreCommittedAndRestoredBlocksAreNotReportedChanged) 
   for (TaskId i = 0; i < 4; ++i) {
     pending.push_back(OversizedTask(i, {i}));
   }
-  ShardedScheduleContext warm(GreedyMetric::kArea, kEta, shards());
+  IncrementalEngine warm(GreedyMetric::kArea, kEta);
   warm.ScheduleBatch(pending, blocks_);
   EXPECT_EQ(warm.stats().blocks_refreshed, 0u);
 
@@ -120,7 +116,7 @@ TEST_P(EngineBlockSyncTest, PreCommittedAndRestoredBlocksAreNotReportedChanged) 
   }
   BlockManager restored =
       BlockManager::Restore(Grid(), kEpsG, kDeltaG, blocks_.epoch(), std::move(states));
-  ShardedScheduleContext cold(GreedyMetric::kArea, kEta, shards());
+  IncrementalEngine cold(GreedyMetric::kArea, kEta);
   cold.ScheduleBatch(pending, restored);
   EXPECT_EQ(cold.stats().blocks_refreshed, 0u);
   EXPECT_EQ(cold.stats().tasks_rescored, 4u);
@@ -130,14 +126,9 @@ TEST_P(EngineBlockSyncTest, PreCommittedAndRestoredBlocksAreNotReportedChanged) 
   EXPECT_EQ(warm.stats().tasks_reused, 4u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Shards, EngineBlockSyncTest, testing::Values(1, 4),
-                         [](const testing::TestParamInfo<size_t>& param_info) {
-                           return "shards" + std::to_string(param_info.param);
-                         });
-
-TEST(EngineBlockSyncOneShardTest, OneShardOwnsEverything) {
-  // The default engine is a single shard: it owns every block and every task, and runs
-  // inline. FCFS stays at one shard whatever the knob says (it never scores).
+TEST_F(EngineBlockSyncTest, DefaultSchedulerRunsTheEngine) {
+  // A default GreedyScheduler runs on the incremental engine, FCFS included (as a
+  // pass-through: it never scores).
   BlockManager blocks(Grid(), kEpsG, kDeltaG);
   for (int b = 0; b < 5; ++b) {
     blocks.AddBlock(0.0, /*unlocked=*/true);
@@ -145,7 +136,6 @@ TEST(EngineBlockSyncOneShardTest, OneShardOwnsEverything) {
   GreedyScheduler scheduler(GreedyMetric::kDpack);
   ASSERT_NE(scheduler.engine(), nullptr);
   const ScheduleContextStats& stats = scheduler.engine()->stats();
-  EXPECT_EQ(stats.shards, 1u);
   std::vector<Task> pending;
   for (TaskId i = 0; i < 5; ++i) {
     pending.push_back(OversizedTask(i, {i}));
@@ -158,9 +148,8 @@ TEST(EngineBlockSyncOneShardTest, OneShardOwnsEverything) {
   EXPECT_EQ(stats.best_alpha_recomputes, 6u);
   EXPECT_EQ(stats.tasks_rescored, 5u + 1u);
 
-  GreedyScheduler fcfs(GreedyMetric::kFcfs, GreedySchedulerOptions{.num_shards = 4});
-  ASSERT_NE(fcfs.engine(), nullptr);
-  EXPECT_EQ(fcfs.engine()->stats().shards, 1u);
+  GreedyScheduler fcfs(GreedyMetric::kFcfs);
+  EXPECT_NE(fcfs.engine(), nullptr);
 }
 
 }  // namespace

@@ -1,7 +1,6 @@
 // Differential suite for the incremental scheduling engine: across randomized online
-// traces the engine (ShardedScheduleContext), at one shard and at several larger shard
-// counts, must grant exactly the same task sets as the recompute-everything reference
-// path, for every greedy metric. The traces exercise
+// traces the engine (IncrementalEngine) must grant exactly the same task sets as the
+// recompute-everything reference path, for every greedy metric. The traces exercise
 // the full protocol the caches depend on: commits (via grants), stepwise budget unlocking,
 // online block arrival, task arrival and eviction, late block resolution, and weighted as
 // well as uniform-weight batches.
@@ -36,31 +35,19 @@ struct TraceOptions {
   bool weighted = false;         // Random weights (FPTAS path) vs all-1 (max-cardinality).
   double evict_probability = 0.1;  // Per-cycle chance of dropping one random pending task.
   double unresolved_probability = 0.1;  // Tasks arriving before resolving their blocks.
-  // Incremental engines under test, one per shard count (1 is the default, inline engine;
-  // more run the worker pool). Every engine must produce byte-identical grants to the
-  // recompute reference each cycle.
-  std::vector<size_t> shard_counts = {1};
 };
 
-// Runs the same randomized trace through the recompute reference and one incremental engine
-// per requested shard count, each operating on identically-constructed block managers,
-// asserting identical grants every cycle.
+// Runs the same randomized trace through the recompute reference and the incremental
+// engine, each operating on an identically-constructed block manager, asserting identical
+// grants every cycle.
 void RunDifferentialTrace(GreedyMetric metric, const TraceOptions& options) {
   GreedyScheduler recompute(metric, GreedySchedulerOptions{.eta = 0.05, .incremental = false});
+  GreedyScheduler engine(metric, GreedySchedulerOptions{.eta = 0.05, .incremental = true});
   BlockManager rec_blocks(Grid(), kEpsG, kDeltaG);
-  std::vector<std::unique_ptr<GreedyScheduler>> engines;
-  std::vector<std::unique_ptr<BlockManager>> engine_blocks;
-  for (size_t shards : options.shard_counts) {
-    engines.push_back(std::make_unique<GreedyScheduler>(
-        metric,
-        GreedySchedulerOptions{.eta = 0.05, .incremental = true, .num_shards = shards}));
-    engine_blocks.push_back(std::make_unique<BlockManager>(Grid(), kEpsG, kDeltaG));
-  }
+  BlockManager engine_blocks(Grid(), kEpsG, kDeltaG);
   for (size_t b = 0; b < options.initial_blocks; ++b) {
     rec_blocks.AddBlock(0.0, /*unlocked=*/true);
-    for (auto& blocks : engine_blocks) {
-      blocks->AddBlock(0.0, /*unlocked=*/true);
-    }
+    engine_blocks.AddBlock(0.0, /*unlocked=*/true);
   }
 
   Rng rng(options.seed);
@@ -73,14 +60,10 @@ void RunDifferentialTrace(GreedyMetric metric, const TraceOptions& options) {
     // Online block arrival: one per cycle while the arrival process lasts.
     if (cycle > 0 && cycle <= options.online_blocks) {
       rec_blocks.AddBlock(now);
-      for (auto& blocks : engine_blocks) {
-        blocks->AddBlock(now);
-      }
+      engine_blocks.AddBlock(now);
     }
     rec_blocks.UpdateUnlocks(now, 1.0, options.unlock_steps);
-    for (auto& blocks : engine_blocks) {
-      blocks->UpdateUnlocks(now, 1.0, options.unlock_steps);
-    }
+    engine_blocks.UpdateUnlocks(now, 1.0, options.unlock_steps);
 
     // Late resolution: unresolved tasks pick up the most recent blocks once any exist.
     for (Task& task : pending) {
@@ -117,12 +100,9 @@ void RunDifferentialTrace(GreedyMetric metric, const TraceOptions& options) {
     }
 
     std::vector<size_t> rec_granted = recompute.ScheduleBatch(pending, rec_blocks);
-    for (size_t e = 0; e < engines.size(); ++e) {
-      std::vector<size_t> granted = engines[e]->ScheduleBatch(pending, *engine_blocks[e]);
-      ASSERT_EQ(granted, rec_granted)
-          << "metric=" << static_cast<int>(metric) << " seed=" << options.seed
-          << " cycle=" << cycle << " shards=" << options.shard_counts[e];
-    }
+    std::vector<size_t> granted = engine.ScheduleBatch(pending, engine_blocks);
+    ASSERT_EQ(granted, rec_granted) << "metric=" << static_cast<int>(metric)
+                                    << " seed=" << options.seed << " cycle=" << cycle;
 
     // Retire grants exactly as OnlineScheduler does (order-preserving compaction).
     std::vector<bool> taken(pending.size(), false);
@@ -139,37 +119,29 @@ void RunDifferentialTrace(GreedyMetric metric, const TraceOptions& options) {
     pending = std::move(rest);
   }
 
-  // Every manager consumed bit-identical budget.
-  for (size_t e = 0; e < engines.size(); ++e) {
-    ASSERT_EQ(engine_blocks[e]->block_count(), rec_blocks.block_count());
-    for (size_t j = 0; j < rec_blocks.block_count(); ++j) {
-      const RdpCurve& a = engine_blocks[e]->block(static_cast<BlockId>(j)).consumed();
-      const RdpCurve& b = rec_blocks.block(static_cast<BlockId>(j)).consumed();
-      for (size_t alpha = 0; alpha < a.size(); ++alpha) {
-        ASSERT_EQ(a.epsilon(alpha), b.epsilon(alpha))
-            << "shards=" << options.shard_counts[e] << " block " << j << " order " << alpha;
-      }
+  // Both managers consumed bit-identical budget.
+  ASSERT_EQ(engine_blocks.block_count(), rec_blocks.block_count());
+  for (size_t j = 0; j < rec_blocks.block_count(); ++j) {
+    const RdpCurve& a = engine_blocks.block(static_cast<BlockId>(j)).consumed();
+    const RdpCurve& b = rec_blocks.block(static_cast<BlockId>(j)).consumed();
+    for (size_t alpha = 0; alpha < a.size(); ++alpha) {
+      ASSERT_EQ(a.epsilon(alpha), b.epsilon(alpha)) << "block " << j << " order " << alpha;
     }
   }
 
   // The traces must have actually exercised the caches, not fallen back every cycle.
-  for (size_t e = 0; e < engines.size(); ++e) {
-    ASSERT_NE(engines[e]->engine(), nullptr);
-    const ScheduleContextStats& stats = engines[e]->engine()->stats();
-    // FCFS never scores, so its scheduler's engine stays at one shard.
-    size_t expected_shards = metric == GreedyMetric::kFcfs ? 1 : options.shard_counts[e];
-    EXPECT_EQ(stats.shards, expected_shards);
-    EXPECT_EQ(stats.full_recomputes, 0u);
-    if (metric != GreedyMetric::kFcfs) {
-      EXPECT_GT(stats.tasks_reused, 0u);
-    }
+  ASSERT_NE(engine.engine(), nullptr);
+  const ScheduleContextStats& stats = engine.engine()->stats();
+  EXPECT_EQ(stats.full_recomputes, 0u);
+  if (metric != GreedyMetric::kFcfs) {
+    EXPECT_GT(stats.tasks_reused, 0u);
   }
 }
 
 class IncrementalEquivalenceTest : public testing::TestWithParam<GreedyMetric> {};
 
 TEST_P(IncrementalEquivalenceTest, UniformWeightTraces) {
-  for (uint64_t seed : {1u, 7u, 23u}) {
+  for (uint64_t seed : {1u, 7u, 17u, 23u}) {
     TraceOptions options;
     options.seed = seed;
     options.weighted = false;
@@ -186,19 +158,9 @@ TEST_P(IncrementalEquivalenceTest, WeightedTraces) {
   }
 }
 
-TEST_P(IncrementalEquivalenceTest, ShardedTracesMatchMonolithic) {
-  // The sharded engine's acceptance sweep: byte-identical grant sequences across the whole
-  // randomized protocol for every shard count, including a count (7) that does not divide
-  // the block or task population evenly.
-  TraceOptions options;
-  options.seed = 17;
-  options.shard_counts = {1, 2, 4, 7};
-  RunDifferentialTrace(GetParam(), options);
-}
-
-TEST_P(IncrementalEquivalenceTest, ShardedWeightedHighContention) {
-  // Weighted scoring (FPTAS best-alpha path) under heavy contention, 4 shards: most of the
-  // queue persists across cycles while grants keep dirtying the few contended blocks.
+TEST_P(IncrementalEquivalenceTest, WeightedHighContentionTrace) {
+  // Weighted scoring (FPTAS best-alpha path) under heavy contention: most of the queue
+  // persists across cycles while grants keep dirtying the few contended blocks.
   TraceOptions options;
   options.seed = 29;
   options.weighted = true;
@@ -206,7 +168,6 @@ TEST_P(IncrementalEquivalenceTest, ShardedWeightedHighContention) {
   options.online_blocks = 3;
   options.max_tasks_per_cycle = 8.0;
   options.cycles = 50;
-  options.shard_counts = {4};
   RunDifferentialTrace(GetParam(), options);
 }
 
@@ -275,21 +236,10 @@ TEST(IncrementalEquivalenceTest, SimulatorEndToEndMatchesRecompute) {
         std::make_unique<GreedyScheduler>(
             metric, GreedySchedulerOptions{.eta = 0.05, .incremental = false}),
         tasks, sim);
-    SimResult sharded = RunOnlineSimulation(
-        std::make_unique<GreedyScheduler>(
-            metric,
-            GreedySchedulerOptions{.eta = 0.05, .incremental = true, .num_shards = 4}),
-        tasks, sim);
 
     EXPECT_EQ(inc.metrics.allocated(), rec.metrics.allocated());
     EXPECT_EQ(inc.metrics.allocated_weight(), rec.metrics.allocated_weight());
     EXPECT_EQ(inc.pending_at_end, rec.pending_at_end);
-    EXPECT_EQ(sharded.metrics.allocated(), rec.metrics.allocated());
-    EXPECT_EQ(sharded.metrics.allocated_weight(), rec.metrics.allocated_weight());
-    EXPECT_EQ(sharded.pending_at_end, rec.pending_at_end);
-    if (metric != GreedyMetric::kFcfs) {
-      EXPECT_EQ(sharded.scheduler_stats.shards, 4u);
-    }
   }
 }
 

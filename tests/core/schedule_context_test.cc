@@ -1,13 +1,11 @@
 // Unit tests for the incremental scheduling engine's cache behavior: which state changes
 // dirty which blocks, which tasks get rescored, and when the engine falls back to the
-// recompute path. Every case runs at one shard (the default) and at four; the counters are
-// shard-count independent.
+// recompute path.
 
-#include "src/core/sharded_schedule_context.h"
+#include "src/core/incremental_engine.h"
 
 #include <gtest/gtest.h>
 
-#include <string>
 #include <vector>
 
 #include "src/block/block_manager.h"
@@ -35,22 +33,20 @@ Task OversizedTask(TaskId id, std::vector<BlockId> block_ids) {
 
 constexpr double kEta = 0.05;
 
-// Parameter: the engine's shard count.
-class ScheduleContextTest : public testing::TestWithParam<size_t> {
+class ScheduleContextTest : public testing::Test {
  protected:
   ScheduleContextTest() : blocks_(Grid(), kEpsG, kDeltaG) {
     for (int b = 0; b < 4; ++b) {
       blocks_.AddBlock(0.0, /*unlocked=*/true);
     }
   }
-  size_t shards() const { return GetParam(); }
   BlockManager blocks_;
 };
 
-TEST_P(ScheduleContextTest, SteadyStateReusesEveryScore) {
+TEST_F(ScheduleContextTest, SteadyStateReusesEveryScore) {
   for (GreedyMetric metric :
        {GreedyMetric::kDpack, GreedyMetric::kDpf, GreedyMetric::kArea}) {
-    ShardedScheduleContext context(metric, kEta, shards());
+    IncrementalEngine context(metric, kEta);
     std::vector<Task> pending;
     for (TaskId i = 0; i < 10; ++i) {
       pending.push_back(OversizedTask(i, {i % 4}));
@@ -67,13 +63,13 @@ TEST_P(ScheduleContextTest, SteadyStateReusesEveryScore) {
   }
 }
 
-TEST_P(ScheduleContextTest, SteadyStateCyclesDoZeroMergeAllocations) {
+TEST_F(ScheduleContextTest, SteadyStateCyclesDoZeroMergeAllocations) {
   // The heap merges' scratch buffers persist across cycles: after warm-up, re-merging the
   // same-size batch must not allocate. merge_allocs counts scratch capacity growth and is
   // gated at zero per steady-state cycle in bench/baseline.json.
   for (GreedyMetric metric :
        {GreedyMetric::kDpack, GreedyMetric::kDpf, GreedyMetric::kArea}) {
-    ShardedScheduleContext context(metric, kEta, shards());
+    IncrementalEngine context(metric, kEta);
     std::vector<Task> pending;
     for (TaskId i = 0; i < 12; ++i) {
       pending.push_back(OversizedTask(i, {i % 4}));
@@ -94,8 +90,8 @@ TEST_P(ScheduleContextTest, SteadyStateCyclesDoZeroMergeAllocations) {
   }
 }
 
-TEST_P(ScheduleContextTest, CommitDirtiesOnlyTouchedBlocksTasks) {
-  ShardedScheduleContext context(GreedyMetric::kArea, kEta, shards());
+TEST_F(ScheduleContextTest, CommitDirtiesOnlyTouchedBlocksTasks) {
+  IncrementalEngine context(GreedyMetric::kArea, kEta);
   std::vector<Task> pending;
   for (TaskId i = 0; i < 8; ++i) {
     pending.push_back(OversizedTask(i, {i % 4}));  // Two tasks per block.
@@ -110,9 +106,9 @@ TEST_P(ScheduleContextTest, CommitDirtiesOnlyTouchedBlocksTasks) {
   EXPECT_EQ(context.stats().tasks_reused, 6u);
 }
 
-TEST_P(ScheduleContextTest, DpfScoresSurviveCommits) {
+TEST_F(ScheduleContextTest, DpfScoresSurviveCommits) {
   // DPF normalizes against total capacity, so commits never invalidate its scores.
-  ShardedScheduleContext context(GreedyMetric::kDpf, kEta, shards());
+  IncrementalEngine context(GreedyMetric::kDpf, kEta);
   std::vector<Task> pending;
   for (TaskId i = 0; i < 6; ++i) {
     pending.push_back(OversizedTask(i, {i % 4}));
@@ -124,10 +120,10 @@ TEST_P(ScheduleContextTest, DpfScoresSurviveCommits) {
   EXPECT_EQ(context.stats().tasks_reused, 6u);
 }
 
-TEST_P(ScheduleContextTest, UnlockIncreaseDirtiesBlock) {
+TEST_F(ScheduleContextTest, UnlockIncreaseDirtiesBlock) {
   BlockManager locked(Grid(), kEpsG, kDeltaG);
   locked.AddBlock(0.0);  // Starts locked.
-  ShardedScheduleContext context(GreedyMetric::kArea, kEta, shards());
+  IncrementalEngine context(GreedyMetric::kArea, kEta);
   std::vector<Task> pending = {OversizedTask(0, {0})};
 
   locked.UpdateUnlocks(0.0, 1.0, 4);
@@ -143,10 +139,10 @@ TEST_P(ScheduleContextTest, UnlockIncreaseDirtiesBlock) {
   EXPECT_EQ(context.stats().tasks_rescored, scored_before + 1);
 }
 
-TEST_P(ScheduleContextTest, NewTaskRescoresItsBlocksPeersUnderDpack) {
+TEST_F(ScheduleContextTest, NewTaskRescoresItsBlocksPeersUnderDpack) {
   // DPack's best alpha for a block depends on who requests it: a new requester must rescore
   // the block's existing tasks too, but not tasks on untouched blocks.
-  ShardedScheduleContext context(GreedyMetric::kDpack, kEta, shards());
+  IncrementalEngine context(GreedyMetric::kDpack, kEta);
   std::vector<Task> pending;
   pending.push_back(OversizedTask(0, {0}));
   pending.push_back(OversizedTask(1, {0}));
@@ -161,8 +157,8 @@ TEST_P(ScheduleContextTest, NewTaskRescoresItsBlocksPeersUnderDpack) {
   EXPECT_EQ(context.stats().tasks_reused, 1u);
 }
 
-TEST_P(ScheduleContextTest, BestAlphaRecomputedOnlyForDirtyBlocks) {
-  ShardedScheduleContext context(GreedyMetric::kDpack, kEta, shards());
+TEST_F(ScheduleContextTest, BestAlphaRecomputedOnlyForDirtyBlocks) {
+  IncrementalEngine context(GreedyMetric::kDpack, kEta);
   std::vector<Task> pending;
   for (TaskId i = 0; i < 4; ++i) {
     pending.push_back(OversizedTask(i, {i}));
@@ -176,8 +172,8 @@ TEST_P(ScheduleContextTest, BestAlphaRecomputedOnlyForDirtyBlocks) {
   EXPECT_EQ(context.stats().best_alpha_recomputes, first_cycle + 1);
 }
 
-TEST_P(ScheduleContextTest, LateBlockResolutionTriggersRescore) {
-  ShardedScheduleContext context(GreedyMetric::kArea, kEta, shards());
+TEST_F(ScheduleContextTest, LateBlockResolutionTriggersRescore) {
+  IncrementalEngine context(GreedyMetric::kArea, kEta);
   std::vector<Task> pending;
   Task unresolved(0, 1.0, CapacityFraction(2.0));
   unresolved.num_recent_blocks = 2;  // blocks empty for now.
@@ -190,8 +186,8 @@ TEST_P(ScheduleContextTest, LateBlockResolutionTriggersRescore) {
   EXPECT_EQ(context.stats().tasks_rescored, 2u);
 }
 
-TEST_P(ScheduleContextTest, DuplicateTaskIdsFallBackToRecompute) {
-  ShardedScheduleContext context(GreedyMetric::kDpack, kEta, shards());
+TEST_F(ScheduleContextTest, DuplicateTaskIdsFallBackToRecompute) {
+  IncrementalEngine context(GreedyMetric::kDpack, kEta);
   std::vector<Task> pending;
   pending.push_back(OversizedTask(7, {0}));
   pending.push_back(OversizedTask(7, {1}));  // Same id.
@@ -209,8 +205,8 @@ TEST_P(ScheduleContextTest, DuplicateTaskIdsFallBackToRecompute) {
   EXPECT_EQ(granted.size(), 2u);
 }
 
-TEST_P(ScheduleContextTest, InvalidateRebuildsFromScratch) {
-  ShardedScheduleContext context(GreedyMetric::kArea, kEta, shards());
+TEST_F(ScheduleContextTest, InvalidateRebuildsFromScratch) {
+  IncrementalEngine context(GreedyMetric::kArea, kEta);
   std::vector<Task> pending = {OversizedTask(0, {0}), OversizedTask(1, {1})};
   context.ScheduleBatch(pending, blocks_);
   context.ScheduleBatch(pending, blocks_);
@@ -221,8 +217,8 @@ TEST_P(ScheduleContextTest, InvalidateRebuildsFromScratch) {
   EXPECT_EQ(context.stats().tasks_rescored, 4u);  // 2 initial + 2 after invalidation.
 }
 
-TEST_P(ScheduleContextTest, GrantedTasksLeaveTheCache) {
-  ShardedScheduleContext context(GreedyMetric::kArea, kEta, shards());
+TEST_F(ScheduleContextTest, GrantedTasksLeaveTheCache) {
+  IncrementalEngine context(GreedyMetric::kArea, kEta);
   std::vector<Task> pending;
   Task small(0, 1.0, CapacityFraction(0.2));
   small.blocks = {0};
@@ -242,10 +238,10 @@ TEST_P(ScheduleContextTest, GrantedTasksLeaveTheCache) {
   EXPECT_EQ(context.stats().tasks_reused, 1u);
 }
 
-TEST_P(ScheduleContextTest, VersionedManagersSurviveCloning) {
+TEST_F(ScheduleContextTest, VersionedManagersSurviveCloning) {
   // A context observing a clone of the manager it warmed up on stays exact: Clone preserves
   // the epoch and per-block versions, so unchanged state is not spuriously refreshed.
-  ShardedScheduleContext context(GreedyMetric::kArea, kEta, shards());
+  IncrementalEngine context(GreedyMetric::kArea, kEta);
   std::vector<Task> pending = {OversizedTask(0, {0})};
   context.ScheduleBatch(pending, blocks_);
 
@@ -256,11 +252,6 @@ TEST_P(ScheduleContextTest, VersionedManagersSurviveCloning) {
   EXPECT_EQ(context.stats().blocks_refreshed, 0u);
   EXPECT_EQ(context.stats().tasks_reused, 1u);
 }
-
-INSTANTIATE_TEST_SUITE_P(Shards, ScheduleContextTest, testing::Values(1, 4),
-                         [](const testing::TestParamInfo<size_t>& param_info) {
-                           return "shards" + std::to_string(param_info.param);
-                         });
 
 }  // namespace
 }  // namespace dpack

@@ -93,11 +93,9 @@ ScenarioSpec RandomSpec(Rng& rng) {
   return spec;
 }
 
-std::unique_ptr<Scheduler> MakeScheduler(GreedyMetric metric, bool incremental,
-                                         size_t num_shards = 1) {
+std::unique_ptr<Scheduler> MakeScheduler(GreedyMetric metric, bool incremental) {
   return std::make_unique<GreedyScheduler>(
-      metric, GreedySchedulerOptions{
-                  .eta = 0.05, .incremental = incremental, .num_shards = num_shards});
+      metric, GreedySchedulerOptions{.eta = 0.05, .incremental = incremental});
 }
 
 // Budget safety against a captured cluster state. The Rényi filter admits on "exists
@@ -148,7 +146,6 @@ void RunFuzzIteration(uint64_t seed) {
   Rng rng(seed);
   ScenarioSpec spec = RandomSpec(rng);
   GreedyMetric metric = static_cast<GreedyMetric>(rng.UniformInt(0, 3));
-  size_t num_shards = static_cast<size_t>(rng.UniformInt(1, 4));
 
   ScenarioWorkload workload = GenerateScenario(Pool(), spec);
   workload.sim.record_grant_trace = true;
@@ -161,9 +158,8 @@ void RunFuzzIteration(uint64_t seed) {
   // run's total cycle count, so this is the uninterrupted run plus a final snapshot).
   SimConfig full_sim = workload.sim;
   full_sim.stop_after_cycles = reference.cycles_run + 1000;
-  SimResult full = RunOnlineSimulation(
-      MakeScheduler(metric, /*incremental=*/true, num_shards), workload.tasks,
-      full_sim);
+  SimResult full =
+      RunOnlineSimulation(MakeScheduler(metric, /*incremental=*/true), workload.tasks, full_sim);
   ASSERT_TRUE(full.snapshot.has_value());
 
   // Engine equivalence on an arbitrary workload shape.
@@ -182,9 +178,8 @@ void RunFuzzIteration(uint64_t seed) {
     // Mid-run kill: unlock monotonicity across checkpoints, and resume equivalence.
     SimConfig mid_sim = workload.sim;
     mid_sim.stop_after_cycles = std::max<size_t>(1, reference.cycles_run / 2);
-    SimResult mid = RunOnlineSimulation(
-        MakeScheduler(metric, /*incremental=*/true, num_shards), workload.tasks,
-        mid_sim);
+    SimResult mid =
+        RunOnlineSimulation(MakeScheduler(metric, /*incremental=*/true), workload.tasks, mid_sim);
     ASSERT_TRUE(mid.snapshot.has_value());
     CheckBudgetSafety(*mid.snapshot, "mid state");
 
@@ -198,9 +193,8 @@ void RunFuzzIteration(uint64_t seed) {
           << "unlocked budget regressed on block " << b;
     }
 
-    SimResult resumed = ResumeOnlineSimulation(
-        MakeScheduler(metric, /*incremental=*/true, num_shards), *mid.snapshot,
-        workload.tasks, workload.sim);
+    SimResult resumed = ResumeOnlineSimulation(MakeScheduler(metric, /*incremental=*/true),
+                                               *mid.snapshot, workload.tasks, workload.sim);
     std::vector<std::vector<TaskId>> stitched = mid.grant_trace;
     stitched.insert(stitched.end(), resumed.grant_trace.begin(), resumed.grant_trace.end());
     EXPECT_EQ(stitched, reference.grant_trace);

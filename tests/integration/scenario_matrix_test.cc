@@ -1,14 +1,11 @@
 // Engine-matrix differential harness over the scenario registry: every registered
-// scenario must produce byte-identical grant traces across the full engine matrix — the
-// recompute reference and the incremental engine at shard counts {1, 2, 4, 7} — and must
-// survive a kill-at-a-cycle + resume leg (through the binary wire format, reusing the
-// recovery machinery) on a randomly drawn shard count that stitches back to the same
-// trace. Runs under the TSan CI leg (the multi-shard legs run the worker pool) and the
-// shuffled ctest leg.
+// scenario must produce byte-identical grant traces across the engine matrix — the
+// recompute reference and the incremental engine — and must survive a kill-at-a-cycle +
+// resume leg (through the binary wire format, reusing the recovery machinery) that
+// stitches back to the same trace. Runs in the shuffled ctest leg.
 
 #include <gtest/gtest.h>
 
-#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -32,14 +29,9 @@ const CurvePool& Pool() {
   return pool;
 }
 
-// The incremental engine's shard counts under test; 1 is the default, inline engine.
-constexpr size_t kShardCounts[] = {1, 2, 4, 7};
-
-std::unique_ptr<Scheduler> MakeScheduler(GreedyMetric metric, bool incremental,
-                                         size_t num_shards = 1) {
+std::unique_ptr<Scheduler> MakeScheduler(GreedyMetric metric, bool incremental) {
   return std::make_unique<GreedyScheduler>(
-      metric, GreedySchedulerOptions{
-                  .eta = 0.05, .incremental = incremental, .num_shards = num_shards});
+      metric, GreedySchedulerOptions{.eta = 0.05, .incremental = incremental});
 }
 
 // The deterministic face of the metrics (cycle runtimes are wall clock and excluded).
@@ -79,28 +71,23 @@ TEST_P(ScenarioMatrixTest, EveryScenarioMatchesRecomputeAcrossTheEngineMatrix) {
     // a scenario that grants nothing proves nothing.
     ASSERT_GT(ref.reference.metrics.allocated(), 0u);
 
-    for (size_t shards : kShardCounts) {
-      std::string label = name + " shards=" + std::to_string(shards);
-      SimResult run =
-          RunOnlineSimulation(MakeScheduler(GetParam(), /*incremental=*/true, shards),
-                              ref.workload.tasks, ref.workload.sim);
-      EXPECT_EQ(run.grant_trace, ref.reference.grant_trace) << label;
-      EXPECT_EQ(run.cycles_run, ref.reference.cycles_run) << label;
-      EXPECT_EQ(run.pending_at_end, ref.reference.pending_at_end) << label;
-      ExpectMetricsEqual(run.metrics, ref.reference.metrics, label);
-      if (GetParam() != GreedyMetric::kFcfs) {
-        EXPECT_EQ(run.scheduler_stats.shards, shards) << label;
-        EXPECT_EQ(run.scheduler_stats.full_recomputes, 0u) << label;
-      }
+    SimResult run = RunOnlineSimulation(MakeScheduler(GetParam(), /*incremental=*/true),
+                                        ref.workload.tasks, ref.workload.sim);
+    EXPECT_EQ(run.grant_trace, ref.reference.grant_trace) << name;
+    EXPECT_EQ(run.cycles_run, ref.reference.cycles_run) << name;
+    EXPECT_EQ(run.pending_at_end, ref.reference.pending_at_end) << name;
+    ExpectMetricsEqual(run.metrics, ref.reference.metrics, name);
+    if (GetParam() != GreedyMetric::kFcfs) {
+      EXPECT_EQ(run.scheduler_stats.full_recomputes, 0u) << name;
     }
   }
 }
 
 TEST_P(ScenarioMatrixTest, KillAndResumeRestoresEveryScenario) {
   // The crash-restart leg of the matrix: for every scenario, kill the run at a
-  // randomly-drawn cycle (sometimes mid-submission-drain) on a randomly-drawn shard
-  // count, ship the snapshot through the binary wire format, resume, and require the
-  // stitched grant trace to equal the uninterrupted reference.
+  // randomly-drawn cycle (sometimes mid-submission-drain), ship the snapshot through the
+  // binary wire format, resume, and require the stitched grant trace to equal the
+  // uninterrupted reference.
   for (const std::string& name : ScenarioRegistryNames()) {
     SCOPED_TRACE("scenario=" + name);
     ScenarioReference ref = MakeReference(name, GetParam());
@@ -111,24 +98,21 @@ TEST_P(ScenarioMatrixTest, KillAndResumeRestoresEveryScenario) {
       size_t k = static_cast<size_t>(
           rng.UniformInt(1, static_cast<int64_t>(ref.reference.cycles_run) - 1));
       bool mid_drain = rng.Bernoulli(0.5);
-      size_t num_shards =
-          kShardCounts[static_cast<size_t>(rng.UniformInt(0, std::ssize(kShardCounts) - 1))];
-      std::string label = name + " k=" + std::to_string(k) +
-                          " mid_drain=" + std::to_string(mid_drain) +
-                          " shards=" + std::to_string(num_shards);
+      std::string label =
+          name + " k=" + std::to_string(k) + " mid_drain=" + std::to_string(mid_drain);
 
       SimConfig split = ref.workload.sim;
       split.stop_after_cycles = k;
       split.stop_mid_drain = mid_drain;
-      SimResult prefix = RunOnlineSimulation(
-          MakeScheduler(GetParam(), /*incremental=*/true, num_shards), ref.workload.tasks, split);
+      SimResult prefix = RunOnlineSimulation(MakeScheduler(GetParam(), /*incremental=*/true),
+                                             ref.workload.tasks, split);
       ASSERT_TRUE(prefix.snapshot.has_value()) << label;
 
       SnapshotParseResult parsed = DecodeSnapshotBinary(EncodeSnapshotBinary(*prefix.snapshot));
       ASSERT_TRUE(parsed.ok) << label << ": " << parsed.error;
 
       SimResult resumed =
-          ResumeOnlineSimulation(MakeScheduler(GetParam(), /*incremental=*/true, num_shards),
+          ResumeOnlineSimulation(MakeScheduler(GetParam(), /*incremental=*/true),
                                  parsed.snapshot, ref.workload.tasks, ref.workload.sim);
 
       std::vector<std::vector<TaskId>> stitched = prefix.grant_trace;

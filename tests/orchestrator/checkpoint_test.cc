@@ -31,8 +31,7 @@ AlphaGridPtr Grid() { return AlphaGrid::Default(); }
 // Builds a randomized but internally consistent cluster state — blocks with committed
 // budget and partial unlocks, a pending queue, metrics that balance against it — and
 // captures it, exercising CaptureSnapshot itself along the way.
-ClusterSnapshot RandomSnapshot(uint64_t seed, size_t num_blocks, size_t num_pending,
-                               size_t num_shards = 3) {
+ClusterSnapshot RandomSnapshot(uint64_t seed, size_t num_blocks, size_t num_pending) {
   Rng rng(seed);
   BlockManager blocks(Grid(), kEpsG, kDeltaG);
   RdpCurve capacity = BlockCapacityCurve(Grid(), kEpsG, kDeltaG);
@@ -93,7 +92,6 @@ ClusterSnapshot RandomSnapshot(uint64_t seed, size_t num_blocks, size_t num_pend
   meta.period = rng.Uniform(0.5, 5.0);
   meta.unlock_steps = rng.UniformInt(1, 50);
   meta.fair_share_n = rng.UniformInt(1, 50);
-  meta.num_shards = num_shards;
   return CaptureSnapshot(blocks, pending, metrics, meta);
 }
 
@@ -124,7 +122,6 @@ TEST(CheckpointCodecTest, EmptyClusterRoundTrips) {
   SnapshotMeta meta;
   meta.checkpoint_time = 0.0;
   meta.next_cycle_time = 1.0;
-  meta.num_shards = 4;  // More shards than blocks (all clocks zero).
   ClusterSnapshot snapshot = CaptureSnapshot(blocks, {}, metrics, meta);
   ASSERT_EQ(ValidateSnapshot(snapshot), "");
   std::string encoded = EncodeSnapshotBinary(snapshot);
@@ -207,8 +204,13 @@ TEST(CheckpointCodecTest, ValidationCatchesInconsistentStates) {
   }
   {
     ClusterSnapshot s = base;
-    s.shard_clocks[0].version += 1;
-    expect_invalid(std::move(s), "shard clock out of step with block versions");
+    s.manager_clock.version_sum += 1;
+    expect_invalid(std::move(s), "manager clock out of step with block versions");
+  }
+  {
+    ClusterSnapshot s = base;
+    s.manager_clock.block_count += 1;
+    expect_invalid(std::move(s), "manager clock out of step with block count");
   }
   {
     ClusterSnapshot s = base;

@@ -153,32 +153,9 @@ TEST(OrchestratorOnlineTest, ZeroOnlineBlocksRunsOnOfflineBlocksOnly) {
   EXPECT_EQ(result.metrics.allocated(), 6u);  // Ample budget on the offline blocks.
 }
 
-TEST(OrchestratorOnlineTest, ShardedSchedulerMatchesMonolithic) {
-  // The scheduler's num_shards knob reaches the engine unchanged through the orchestrator,
-  // and the sharded engine allocates exactly what the single-shard engine does.
-  auto run = [](size_t num_shards) {
-    std::vector<Task> tasks;
-    for (int i = 0; i < 20; ++i) {
-      tasks.push_back(FractionTask(i, 0.03, 2, static_cast<double>(i % 3)));
-    }
-    ClusterOrchestrator orchestrator(
-        CreateScheduler(SchedulerKind::kDpack, 0.05, {}, num_shards), FastConfig());
-    return orchestrator.RunOnline(std::move(tasks));
-  };
-  OrchestratorRunResult mono = run(1);
-  OrchestratorRunResult sharded = run(3);
-  EXPECT_EQ(sharded.metrics.allocated(), mono.metrics.allocated());
-  EXPECT_EQ(sharded.metrics.allocated_weight(), mono.metrics.allocated_weight());
-  EXPECT_EQ(sharded.scheduler_stats.shards, 3u);
-  EXPECT_EQ(mono.scheduler_stats.shards, 1u);
-  EXPECT_EQ(sharded.scheduler_stats.full_recomputes, 0u);
-}
-
-TEST(OrchestratorOnlineTest, DefaultConfigIsSingleShardOnEveryHost) {
-  // Regression: drivers built after blocks exist (every orchestrator run, every resumed
-  // simulation) used to resolve a default shard count against the host's core count, so
-  // checkpoints and stats depended on the machine. A default scheduler is one shard
-  // everywhere, and the snapshot records the engine that actually ran.
+TEST(OrchestratorOnlineTest, DefaultSchedulerCheckpointsAndResumes) {
+  // Drivers built after blocks exist (every orchestrator run, every resumed simulation)
+  // checkpoint a state that decodes, and resume from it.
   OrchestratorConfig config = FastConfig();
   config.checkpoint_every_cycles = 1;
   ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), config);
@@ -187,12 +164,10 @@ TEST(OrchestratorOnlineTest, DefaultConfigIsSingleShardOnEveryHost) {
     tasks.push_back(FractionTask(i, 0.03, 2, static_cast<double>(i % 3)));
   }
   OrchestratorRunResult run = orchestrator.RunOnline(std::move(tasks));
-  EXPECT_EQ(run.scheduler_stats.shards, 1u);
   ASSERT_FALSE(run.last_checkpoint.empty());
   SnapshotParseResult decoded = DecodeSnapshotBinary(run.last_checkpoint);
   ASSERT_TRUE(decoded.ok) << decoded.error;
-  EXPECT_EQ(decoded.snapshot.meta.num_shards, 1u);
-  EXPECT_EQ(decoded.snapshot.shard_clocks.size(), 1u);
+  EXPECT_EQ(decoded.snapshot.manager_clock.block_count, decoded.snapshot.blocks.size());
 
   // The same for a resumed simulation: its driver is built over the restored blocks.
   SimConfig sim;
@@ -206,11 +181,11 @@ TEST(OrchestratorOnlineTest, DefaultConfigIsSingleShardOnEveryHost) {
   split.stop_after_cycles = 4;
   SimResult first = RunOnlineSimulation(CreateScheduler(SchedulerKind::kDpack), sim_tasks, split);
   ASSERT_TRUE(first.snapshot.has_value());
-  EXPECT_EQ(first.snapshot->meta.num_shards, 1u);
   ASSERT_GE(first.snapshot->blocks.size(), 2u);
   SimResult resumed = ResumeOnlineSimulation(CreateScheduler(SchedulerKind::kDpack),
                                              *first.snapshot, sim_tasks, sim);
-  EXPECT_EQ(resumed.scheduler_stats.shards, 1u);
+  EXPECT_EQ(resumed.scheduler_stats.full_recomputes, 0u);
+  EXPECT_GT(resumed.cycles_run, first.cycles_run);
 }
 
 TEST(OrchestratorOnlineTest, DpackAllocatesAtLeastAsMuchAsDpfUnderContention) {
@@ -254,11 +229,9 @@ TEST(OrchestratorOnlineTest, DpackAllocatesAtLeastAsMuchAsDpfUnderContention) {
 constexpr GreedyMetric kAllMetrics[] = {GreedyMetric::kDpack, GreedyMetric::kDpf,
                                         GreedyMetric::kArea, GreedyMetric::kFcfs};
 
-std::unique_ptr<Scheduler> MakeScheduler(GreedyMetric metric, bool incremental = true,
-                                         size_t num_shards = 1) {
+std::unique_ptr<Scheduler> MakeScheduler(GreedyMetric metric, bool incremental = true) {
   return std::make_unique<GreedyScheduler>(
-      metric, GreedySchedulerOptions{
-                  .eta = 0.05, .incremental = incremental, .num_shards = num_shards});
+      metric, GreedySchedulerOptions{.eta = 0.05, .incremental = incremental});
 }
 
 // A contended weighted stream over t = 0..last_arrival: queues persist across cycles, grants
@@ -334,22 +307,19 @@ TEST(OrchestratorEquivalenceTest, MatchesTheSimDriverWithoutOfflineBlocks) {
   }
 }
 
-TEST(OrchestratorEquivalenceTest, RecomputeReferenceMatchesEveryShardCount) {
-  // Leg (b): the recompute reference and the incremental engine at shards {1, 2, 4, 7}.
+TEST(OrchestratorEquivalenceTest, RecomputeReferenceMatchesTheEngine) {
+  // Leg (b): the recompute reference and the incremental engine.
   std::vector<Task> tasks = ContendedWorkload(/*seed=*/7);
   for (GreedyMetric metric : kAllMetrics) {
     ClusterOrchestrator reference_orchestrator(MakeScheduler(metric, /*incremental=*/false),
                                                EquivalenceConfig());
     OrchestratorRunResult reference = reference_orchestrator.RunOnline(tasks);
     ASSERT_GT(reference.metrics.evicted(), 0u);
-    for (size_t shards : {1, 2, 4, 7}) {
-      ClusterOrchestrator orchestrator(MakeScheduler(metric, /*incremental=*/true, shards),
-                                       EquivalenceConfig());
-      OrchestratorRunResult run = orchestrator.RunOnline(tasks);
-      ExpectSameRun(run.metrics, run.cycles, reference.metrics, reference.cycles,
-                    "metric " + std::to_string(static_cast<int>(metric)) + " shards " +
-                        std::to_string(shards));
-    }
+    ClusterOrchestrator orchestrator(MakeScheduler(metric, /*incremental=*/true),
+                                     EquivalenceConfig());
+    OrchestratorRunResult run = orchestrator.RunOnline(tasks);
+    ExpectSameRun(run.metrics, run.cycles, reference.metrics, reference.cycles,
+                  "metric " + std::to_string(static_cast<int>(metric)));
   }
 }
 

@@ -1,9 +1,7 @@
 // Crash–restart recovery proofs (ISSUE 4): checkpointing a run at cycle k, restoring from
 // the serialized snapshot, and running to completion must produce byte-identical grant
-// sequences and deterministic metrics to the uninterrupted run — for every k, for shard
-// counts {1, 2, 4}, and for mid-submission-drain kill points. The suite runs under the
-// TSan CI leg (the sharded engine's worker pool runs on every resumed run) and the
-// ASan/UBSan leg.
+// sequences and deterministic metrics to the uninterrupted run — for every k and for
+// mid-submission-drain kill points. The suite runs under the ASan/UBSan leg.
 
 #include <gtest/gtest.h>
 
@@ -60,10 +58,9 @@ RecoveryWorkload MakeWorkload(uint64_t seed, bool weighted) {
   return w;
 }
 
-std::unique_ptr<Scheduler> MakeScheduler(GreedyMetric metric, size_t num_shards = 1) {
+std::unique_ptr<Scheduler> MakeScheduler(GreedyMetric metric) {
   return std::make_unique<GreedyScheduler>(
-      metric,
-      GreedySchedulerOptions{.eta = 0.05, .incremental = true, .num_shards = num_shards});
+      metric, GreedySchedulerOptions{.eta = 0.05, .incremental = true});
 }
 
 // The deterministic face of the metrics (cycle runtimes are wall clock and excluded).
@@ -82,25 +79,21 @@ void ExpectMetricsEqual(const AllocationMetrics& actual, const AllocationMetrics
 // Kills the run at cycle `k` (optionally mid-submission-drain), ships the snapshot through
 // the binary wire format, resumes, and diffs grants + metrics against `reference`.
 void CheckSplitRun(GreedyMetric metric, const RecoveryWorkload& workload,
-                   const SimResult& reference, size_t k, bool mid_drain, size_t num_shards,
+                   const SimResult& reference, size_t k, bool mid_drain,
                    const std::string& label) {
   SimConfig split_config = workload.config;
   split_config.stop_after_cycles = k;
   split_config.stop_mid_drain = mid_drain;
-  SimResult prefix =
-      RunOnlineSimulation(MakeScheduler(metric, num_shards), workload.tasks, split_config);
+  SimResult prefix = RunOnlineSimulation(MakeScheduler(metric), workload.tasks, split_config);
   ASSERT_TRUE(prefix.snapshot.has_value()) << label;
   ASSERT_EQ(prefix.cycles_run, k) << label;
-  // The snapshot records the engine that ran (FCFS never shards).
-  EXPECT_EQ(prefix.snapshot->meta.num_shards, metric == GreedyMetric::kFcfs ? 1u : num_shards)
-      << label;
 
   // The crash ships the snapshot through the wire format, as a real recovery would.
   SnapshotParseResult parsed = DecodeSnapshotBinary(EncodeSnapshotBinary(*prefix.snapshot));
   ASSERT_TRUE(parsed.ok) << label << ": " << parsed.error;
 
-  SimResult suffix = ResumeOnlineSimulation(MakeScheduler(metric, num_shards),
-                                            parsed.snapshot, workload.tasks, workload.config);
+  SimResult suffix = ResumeOnlineSimulation(MakeScheduler(metric), parsed.snapshot,
+                                            workload.tasks, workload.config);
 
   // Byte-identical grant sequence: the prefix's cycles plus the resumed cycles equal the
   // uninterrupted run's trace, cycle by cycle, id by id.
@@ -117,21 +110,18 @@ void CheckSplitRun(GreedyMetric metric, const RecoveryWorkload& workload,
 class RecoveryEquivalenceTest : public testing::TestWithParam<GreedyMetric> {};
 
 TEST_P(RecoveryEquivalenceTest, EveryKillCycleRestoresToIdenticalRun) {
-  // The headline property: for shards {1, 2, 4}, checkpoint at cycle k +
-  // restore + run to completion == uninterrupted run, for EVERY cycle boundary k.
+  // The headline property: checkpoint at cycle k + restore + run to completion ==
+  // uninterrupted run, for EVERY cycle boundary k.
   RecoveryWorkload workload = MakeWorkload(/*seed=*/7, /*weighted=*/true);
   SimResult reference =
       RunOnlineSimulation(MakeScheduler(GetParam()), workload.tasks, workload.config);
   ASSERT_GT(reference.cycles_run, 2u);
   ASSERT_GT(reference.metrics.allocated(), 0u);
   ASSERT_GT(reference.metrics.evicted(), 0u);  // Timeouts exercised.
-  for (size_t num_shards : {1u, 2u, 4u}) {
-    for (size_t k = 1; k < reference.cycles_run; ++k) {
-      std::string label = "metric=" + std::to_string(static_cast<int>(GetParam())) +
-                          " shards=" + std::to_string(num_shards) + " k=" + std::to_string(k);
-      CheckSplitRun(GetParam(), workload, reference, k, /*mid_drain=*/false, num_shards,
-                    label);
-    }
+  for (size_t k = 1; k < reference.cycles_run; ++k) {
+    std::string label = "metric=" + std::to_string(static_cast<int>(GetParam())) +
+                        " k=" + std::to_string(k);
+    CheckSplitRun(GetParam(), workload, reference, k, /*mid_drain=*/false, label);
   }
 }
 
@@ -145,14 +135,13 @@ TEST_P(RecoveryEquivalenceTest, MidDrainKillPointsRestoreToIdenticalRun) {
   for (size_t k = 1; k < reference.cycles_run; ++k) {
     std::string label = "mid-drain metric=" + std::to_string(static_cast<int>(GetParam())) +
                         " k=" + std::to_string(k);
-    CheckSplitRun(GetParam(), workload, reference, k, /*mid_drain=*/true, /*num_shards=*/2,
-                  label);
+    CheckSplitRun(GetParam(), workload, reference, k, /*mid_drain=*/true, label);
   }
 }
 
 TEST_P(RecoveryEquivalenceTest, RandomizedKillSoak) {
-  // Randomized kill points across randomized workloads, engine shapes, and drain states —
-  // the crash-restart soak. Every trial must stitch back to its own reference.
+  // Randomized kill points across randomized workloads and drain states — the
+  // crash-restart soak. Every trial must stitch back to its own reference.
   for (uint64_t seed : {101u, 202u, 303u}) {
     RecoveryWorkload workload = MakeWorkload(seed, /*weighted=*/seed % 2 == 0);
     SimResult reference =
@@ -163,11 +152,9 @@ TEST_P(RecoveryEquivalenceTest, RandomizedKillSoak) {
       size_t k = static_cast<size_t>(
           rng.UniformInt(1, static_cast<int64_t>(reference.cycles_run) - 1));
       bool mid_drain = rng.Bernoulli(0.5);
-      size_t num_shards = static_cast<size_t>(rng.UniformInt(1, 4));
       std::string label = "soak seed=" + std::to_string(seed) + " k=" + std::to_string(k) +
-                          " mid_drain=" + std::to_string(mid_drain) +
-                          " shards=" + std::to_string(num_shards);
-      CheckSplitRun(GetParam(), workload, reference, k, mid_drain, num_shards, label);
+                          " mid_drain=" + std::to_string(mid_drain);
+      CheckSplitRun(GetParam(), workload, reference, k, mid_drain, label);
     }
   }
 }

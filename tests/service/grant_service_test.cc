@@ -43,11 +43,9 @@ ScenarioWorkload Workload(const std::string& name) {
   return workload;
 }
 
-SimResult ReferenceRun(GreedyMetric metric, const ScenarioWorkload& workload,
-                       size_t num_shards = 1) {
+SimResult ReferenceRun(GreedyMetric metric, const ScenarioWorkload& workload) {
   auto scheduler = std::make_unique<GreedyScheduler>(
-      metric,
-      GreedySchedulerOptions{.eta = 0.05, .incremental = true, .num_shards = num_shards});
+      metric, GreedySchedulerOptions{.eta = 0.05, .incremental = true});
   return RunOnlineSimulation(std::move(scheduler), workload.tasks, workload.sim);
 }
 
@@ -59,12 +57,10 @@ ServiceSimResult ServiceRun(GreedyMetric metric, const ScenarioWorkload& workloa
   return RunServiceSimulation(metric, workload.tasks, workload.sim, config);
 }
 
-TEST(ServiceEquivalenceTest, FleetShapesMatchSingleShardAndShardedEngines) {
+TEST(ServiceEquivalenceTest, FleetShapesMatchTheEngine) {
   for (const std::string& name : {std::string("steady_poisson"), std::string("bursty_hotspot")}) {
     ScenarioWorkload workload = Workload(name);
     SimResult sync_reference = ReferenceRun(GreedyMetric::kDpack, workload);
-    SimResult sharded_reference = ReferenceRun(GreedyMetric::kDpack, workload, /*num_shards=*/2);
-    ASSERT_EQ(sync_reference.grant_trace, sharded_reference.grant_trace) << name;
     struct Shape {
       size_t workers;
       size_t shards;
