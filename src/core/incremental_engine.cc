@@ -11,7 +11,7 @@ namespace {
 
 constexpr uint64_t kNoReject = std::numeric_limits<uint64_t>::max();
 
-// The engine's id-indexed arrays (signatures, reverse index, version mirror) are sized by
+// The engine's id-indexed arrays (signatures, stamps, version mirror) are sized by
 // the block count, so every task block id is checked once, before any of them is written.
 void CheckBlockIds(std::span<const Task> pending, size_t block_count) {
   for (const Task& task : pending) {
@@ -124,6 +124,7 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
   DPACK_CHECK_MSG(count >= known, "blocks disappeared: Invalidate() before a new manager");
   dirty_ids_.clear();
   dirty_stamp_.resize(count, 0);
+  rescore_stamp_.resize(count, 0);
   touched_stamp_.resize(count, 0);
   sig_scratch_.resize(count, kMemberSigSeed);
   for (size_t g = known; g < count; ++g) {
@@ -135,6 +136,7 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
     best_alpha_.push_back(0);
     requesters_.emplace_back();
     MarkDirty(static_cast<BlockId>(g));
+    rescore_stamp_[g] = cycle_stamp_;
   }
   // Drill into version-tree groups whose sum advanced since the last cycle — O(groups +
   // changed) instead of a version scan over every block. Arrivals were recorded at their
@@ -151,6 +153,7 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
         version_now_[g] = last_version_[g];
         snapshot_->RefreshAvailable(id, blocks.block(id).AvailableCurve());
         MarkDirty(id);
+        rescore_stamp_[g] = cycle_stamp_;
         ++stats_.blocks_refreshed;
       });
   if (metric_ != GreedyMetric::kDpack) {
@@ -207,34 +210,20 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
       }
     }
   }
-  // Per-block solves are independent, so dirty-list order (vs id order) is immaterial.
+  // Per-block solves are independent, so dirty-list order (vs id order) is immaterial. A
+  // membership change alone rescores the block's tasks only if it moved the best alpha.
   for (BlockId g : dirty_ids_) {
     size_t gi = static_cast<size_t>(g);
-    best_alpha_[gi] = BestAlphaForBlock(pending, requesters_[gi], snapshot_->available(g), eta_);
+    size_t best = BestAlphaForBlock(pending, requesters_[gi], snapshot_->available(g), eta_);
+    if (best != best_alpha_[gi]) {
+      best_alpha_[gi] = best;
+      rescore_stamp_[gi] = stamp;
+    }
     ++stats_.best_alpha_recomputes;
   }
 }
 
 bool IncrementalEngine::ScoreTasks(std::span<const Task> pending, uint64_t previous_cycle) {
-  if (metric_ != GreedyMetric::kDpf) {
-    // Stamp the dirty blocks' tasks stale before their reuse-vs-rescore decisions.
-    if (rindex_.size() < last_version_.size()) {
-      rindex_.resize(last_version_.size());
-    }
-    for (BlockId id : dirty_ids_) {
-      std::vector<TaskId>& tasks = rindex_[static_cast<size_t>(id)];
-      for (size_t i = 0; i < tasks.size();) {
-        size_t slot = cache_.Find(tasks[i]);
-        if (slot == TaskCacheMap::kNpos || cache_.at(slot).last_seen != previous_cycle) {
-          tasks[i] = tasks.back();  // Dead entry (granted, evicted, or purged): prune.
-          tasks.pop_back();
-          continue;
-        }
-        cache_.at(slot).stale_stamp = cycle_stamp_;
-        ++i;
-      }
-    }
-  }
   // Reserving up front means no slot moves mid-cycle: the cache entries the score pass
   // records (cache_of_index_) stay valid through the merge and the allocation walk.
   slots_moved_ |= cache_.Reserve(pending.size());
@@ -252,25 +241,21 @@ bool IncrementalEngine::ScoreTasks(std::span<const Task> pending, uint64_t previ
     // A cache entry is only trustworthy if the task was pending in the immediately
     // preceding cycle with an unchanged block list (the vector buffer travels with the task
     // on moves; reallocation on late resolution changes the pointer).
-    bool needs_index = cached.last_seen != previous_cycle ||
-                       cached.blocks_ptr != task.blocks.data() ||
-                       cached.blocks_len != task.blocks.size();
+    bool untrusted = cached.last_seen != previous_cycle ||
+                     cached.blocks_ptr != task.blocks.data() ||
+                     cached.blocks_len != task.blocks.size();
     cached.last_seen = stamp;
     cached.index = i;
-    if (needs_index) {
+    if (untrusted) {
       cached.reject_vsum = kNoReject;  // New or re-resolved task: no feasibility memo.
-    } else if (metric_ == GreedyMetric::kDpf || cached.stale_stamp != stamp) {
-      // Live entry the marking pass did not stamp stale this cycle. DPF never goes stale:
-      // its scores read only total capacities, which never change for a fixed block list.
+    } else if (metric_ == GreedyMetric::kDpf ||
+               std::none_of(task.blocks.begin(), task.blocks.end(), [&](BlockId j) {
+                 return rescore_stamp_[static_cast<size_t>(j)] == stamp;
+               })) {
+      // No block of the task changed an input of its score this cycle. DPF never goes
+      // stale: its scores read only total capacities, which never change for a fixed list.
       ++stats_.tasks_reused;
       continue;
-    }
-    if (needs_index && metric_ != GreedyMetric::kDpf) {
-      // New or re-resolved block list: register the task in the reverse index under each
-      // requested block so future dirty blocks reach it. DPF never consults the index.
-      for (BlockId j : task.blocks) {
-        rindex_[static_cast<size_t>(j)].push_back(task.id);
-      }
     }
     cached.score = ScoreGreedyTask(metric_, task, *snapshot_, best_alpha_);
     cached.generation = next_generation_++;
@@ -288,7 +273,7 @@ void IncrementalEngine::MergeHeap() {
   // (fresh) under the reference sort's total order. Stale entries are dropped here; when
   // slots moved (rehash or purge), heap entries re-resolve their cache slot via Find. The
   // ping-pong scratch persists across cycles, so steady-state merges never allocate.
-  std::sort(fresh_.begin(), fresh_.end(), HeapEntryBefore);
+  SortHeapEntries(fresh_, sort_scratch_);
   size_t out_capacity = merged_.capacity();
   merged_.clear();
   order_.clear();

@@ -16,14 +16,18 @@
 //   - Cached scores. Each pending task's score is cached by task id and reused while every
 //     input to it is provably unchanged: DPF scores depend only on total capacities (never
 //     dirty), Area scores on the available curves of the task's blocks, DPack scores on
-//     those curves plus the blocks' cached best-alpha solutions. A per-block reverse index
-//     reaches the tasks of the dirty blocks; only they (plus new tasks and tasks whose block
-//     list was re-resolved) are rescored.
+//     those curves plus the blocks' cached best-alpha solutions. The early cutoff: a block's
+//     rescore stamp is set when it arrives, when its capacity is refreshed, and (DPack) when
+//     its recomputed best alpha differs from the cached one — a membership change that leaves
+//     the best alpha alone changes no score. A live task is rescored only if one of its own
+//     blocks carries this cycle's stamp, a scan of its block list; new tasks and tasks whose
+//     block list was re-resolved are always scored.
 //   - A lazily-revalidated score heap. Scored entries live in a fully-sorted array (a valid
 //     binary max-heap) ordered by HeapEntryBefore, the reference sort's total order. Each
-//     cycle's rescored entries are sorted and merged in; stale entries — superseded
-//     generations, granted or evicted tasks — are dropped during the merge, never eagerly.
-//     The merge emits the batch indices in heap order, which is the allocation order.
+//     cycle's rescored entries are sorted (SortHeapEntries) and merged in; stale entries —
+//     superseded generations, granted or evicted tasks — are dropped during the merge, never
+//     eagerly. The merge emits the batch indices in heap order, which is the allocation
+//     order.
 //   - Feasibility memos in the allocation walk. A task whose CANRUN check failed remembers
 //     the sum of its blocks' versions at rejection time. Versions only grow, so an unchanged
 //     sum proves every one of its blocks unchanged — the task is still infeasible and the
@@ -33,9 +37,9 @@
 // Cycle, all on the caller's thread:
 //   1. SyncBlocks appends arrivals to the snapshot (dirty) and refreshes the blocks the one
 //      version-tree drill-down reports changed; for DPack it folds the membership signatures
-//      and solves the dirty blocks' best alphas.
-//   2. ScoreTasks stamps the dirty blocks' tasks stale through the reverse index, runs the
-//      reuse-vs-rescore pass, and merges the sorted heap with the rescored entries.
+//      and solves the dirty blocks' best alphas. It sets the rescore stamps.
+//   2. ScoreTasks runs the reuse-vs-rescore pass against the blocks' rescore stamps, and
+//      merges the sorted heap with the rescored entries.
 //   3. AllocateWithMemos walks the merged order with feasibility memos and commits grants.
 //
 // Batches with duplicate task ids fall back to RecomputeScheduleBatch.
@@ -67,15 +71,12 @@ struct TaskCache {
   // Cycle stamp: live iff == current cycle. ~0 = never pending (fresh entry; stamps are
   // small counters, so it matches no cycle); 0 = dead (granted).
   uint64_t last_seen = ~0ULL;
-  // Set to the current cycle stamp by the reverse-index marking pass when one of the
-  // task's blocks went dirty this cycle — the O(changed) replacement for scanning the
-  // task's block list against a dirty bitmap. 0 (the default) matches no cycle.
-  uint64_t stale_stamp = 0;
   size_t index = 0;          // Position in the current cycle's batch.
   // Identity of the task's resolved block list, for change detection: the block vector's
   // buffer travels with the task on moves, so an unchanged (pointer, size) pair means an
-  // unchanged list under the immutability protocol. Late resolution reallocates (empty ->
-  // non-empty) and is therefore always caught.
+  // unchanged list under the immutability protocol, and the score pass may trust the cached
+  // score unless one of those blocks carries the cycle's rescore stamp. Late resolution
+  // reallocates (empty -> non-empty) and is therefore always caught.
   const BlockId* blocks_ptr = nullptr;
   size_t blocks_len = 0;
 };
@@ -155,8 +156,8 @@ class IncrementalEngine {
   // Absorbs arrivals and refreshes changed blocks; for DPack, folds the membership
   // signatures and solves the dirty blocks' best alphas.
   void SyncBlocks(const BlockManager& blocks, std::span<const Task> pending);
-  // Stale marking and the reuse-vs-rescore pass, then the heap merge. Returns false, having
-  // stopped early, on a repeated task id.
+  // The reuse-vs-rescore pass, then the heap merge. Returns false, having stopped early, on a
+  // repeated task id.
   bool ScoreTasks(std::span<const Task> pending, uint64_t previous_cycle);
   // Records block `id` as dirty this cycle, once.
   void MarkDirty(BlockId id) {
@@ -184,6 +185,9 @@ class IncrementalEngine {
   std::vector<uint64_t> version_now_;
   std::vector<uint64_t> group_seen_;   // Version-tree group sums at the last sync.
   std::vector<uint64_t> dirty_stamp_;  // Per block: cycle stamp when last marked dirty.
+  // Per block: cycle stamp when an input of its tasks' scores last changed (arrival, refresh,
+  // or a new best alpha). Dirty blocks whose best alpha held keep their older stamp.
+  std::vector<uint64_t> rescore_stamp_;
   std::vector<uint64_t> member_sig_;   // DPack: per-block requester-set signature.
   std::vector<uint64_t> sig_scratch_;  // Per-cycle signature accumulator (lazily seeded).
   std::vector<uint64_t> touched_stamp_;  // Per block: cycle stamp of last signature fold.
@@ -196,16 +200,13 @@ class IncrementalEngine {
   // dirty by *losing* all requesters).
   std::vector<BlockId> touched_ids_;
   std::vector<BlockId> active_ids_;
-  // Reverse index: per block id, the ids of the pending tasks requesting it. Tasks are
-  // inserted when (re)scored with a new or re-resolved block list and lazily swap-popped
-  // when found dead by the marking pass.
-  std::vector<std::vector<TaskId>> rindex_;
 
   // Task-side state.
   TaskCacheMap cache_;
   std::vector<HeapEntry> heap_;    // Persistent, fully sorted (live + lazily-stale).
   std::vector<HeapEntry> fresh_;   // This cycle's rescored entries, pre-merge.
   std::vector<HeapEntry> merged_;  // Scratch for the merge.
+  std::vector<HeapEntry> sort_scratch_;  // SortHeapEntries' second buffer for fresh_.
   std::vector<size_t> order_;      // Batch indices of heap_'s entries: the allocation order.
   // Cache entry per batch index, this cycle. No slot moves between the score pass and the
   // walk (the cache reserves up front and purges only after the walk).

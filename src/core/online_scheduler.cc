@@ -111,14 +111,18 @@ size_t OnlineScheduler::RunCycle(double now) {
     metrics_.RecordAllocation(task.weight, now - task.arrival_time, fair);
     last_granted_.push_back(task.id);
   }
-  std::vector<Task> rest;
-  rest.reserve(pending_.size() - granted.size());
+  // Compacted in place, so the queue keeps its capacity for the next submits; moves carry
+  // each survivor's block-vector buffer along, which the engine's score cache keys on.
+  size_t kept = 0;
   for (size_t i = 0; i < pending_.size(); ++i) {
     if (!taken[i]) {
-      rest.push_back(std::move(pending_[i]));
+      if (kept != i) {
+        pending_[kept] = std::move(pending_[i]);
+      }
+      ++kept;
     }
   }
-  pending_ = std::move(rest);
+  pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(kept), pending_.end());
 
   // Retire blocks that can provably never change again (exhausted with the full budget
   // unlocked), compacting them out of the hot slab. Run after every cycle so the slab

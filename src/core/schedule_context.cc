@@ -1,6 +1,9 @@
 #include "src/core/schedule_context.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <numeric>
 
 #include "src/common/check.h"
@@ -106,14 +109,57 @@ std::vector<size_t> RecomputeScheduleBatch(GreedyMetric metric, double eta,
   return AllocateInOrder(pending, blocks, OrderByScoreDesc(pending, scores));
 }
 
-bool HeapEntryBefore(const HeapEntry& a, const HeapEntry& b) {
-  if (a.score != b.score) {
-    return a.score > b.score;
+void SortHeapEntries(std::vector<HeapEntry>& entries, std::vector<HeapEntry>& scratch) {
+  // Below this size std::sort beats the radix sort's fixed histogram cost.
+  constexpr size_t kRadixMinSize = 64;
+  const size_t n = entries.size();
+  if (n < kRadixMinSize) {
+    std::sort(entries.begin(), entries.end(), HeapEntryBefore);
+    return;
   }
-  if (a.arrival != b.arrival) {
-    return a.arrival < b.arrival;
+  // Ascending key == descending score: a negative score's pattern already grows as the score
+  // falls and sorts after every non-negative one, whose pattern is flipped below the sign.
+  auto key = [](const HeapEntry& entry) {
+    uint64_t bits = std::bit_cast<uint64_t>(entry.score);
+    return (bits >> 63) != 0 ? bits : ~bits ^ (1ULL << 63);
+  };
+  constexpr size_t kDigits = sizeof(uint64_t);
+  std::array<std::array<size_t, 256>, kDigits> counts{};
+  for (const HeapEntry& entry : entries) {
+    uint64_t k = key(entry);
+    for (size_t d = 0; d < kDigits; ++d) {
+      ++counts[d][(k >> (8 * d)) & 0xFF];
+    }
   }
-  return a.id < b.id;
+  scratch.resize(n);
+  for (size_t d = 0; d < kDigits; ++d) {
+    std::array<size_t, 256>& count = counts[d];
+    uint64_t first_digit = (key(entries[0]) >> (8 * d)) & 0xFF;
+    if (count[first_digit] == n) {
+      continue;  // Every key shares this digit: the pass would not move anything.
+    }
+    size_t offset = 0;
+    for (size_t& c : count) {
+      size_t bucket = c;
+      c = offset;
+      offset += bucket;
+    }
+    for (const HeapEntry& entry : entries) {
+      scratch[count[(key(entry) >> (8 * d)) & 0xFF]++] = entry;
+    }
+    entries.swap(scratch);
+  }
+  for (size_t begin = 0; begin < n;) {
+    size_t end = begin + 1;
+    while (end < n && entries[end].score == entries[begin].score) {
+      ++end;
+    }
+    if (end - begin > 1) {
+      std::sort(entries.begin() + static_cast<std::ptrdiff_t>(begin),
+                entries.begin() + static_cast<std::ptrdiff_t>(end), HeapEntryBefore);
+    }
+    begin = end;
+  }
 }
 
 double ScoreGreedyTask(GreedyMetric metric, const Task& task, const CapacitySnapshot& snapshot,

@@ -97,7 +97,24 @@ struct HeapEntry {
 // True if `a` precedes `b` in allocation order (score desc, arrival asc, id asc) — exactly
 // the recompute path's sort order. A strict total order for unique task ids, which is what
 // makes the incremental engine's heap merge and the service daemon's merge deterministic.
-bool HeapEntryBefore(const HeapEntry& a, const HeapEntry& b);
+inline bool HeapEntryBefore(const HeapEntry& a, const HeapEntry& b) {
+  if (a.score != b.score) {
+    return a.score > b.score;
+  }
+  if (a.arrival != b.arrival) {
+    return a.arrival < b.arrival;
+  }
+  return a.id < b.id;
+}
+
+// Sorts `entries` into HeapEntryBefore order: the one allocation-order sort of the
+// incremental engine and the service daemon. An LSD radix sort on the score's
+// order-preserving bit pattern (descending) orders the scores, then each run of `==` scores
+// is sorted with HeapEntryBefore, which settles ±0.0 and the (arrival, id) tie-break. Small
+// inputs take std::sort. `scratch` is the radix pass's second buffer; the two may trade
+// storage, and both keep their capacity, so callers that hold them across calls sort
+// without allocating in the steady state.
+void SortHeapEntries(std::vector<HeapEntry>& entries, std::vector<HeapEntry>& scratch);
 
 // Scores one task under `metric` against `snapshot` (and `best_alpha` for DPack): the one
 // scoring function of the recompute path, the incremental engine and the service workers.

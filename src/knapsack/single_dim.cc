@@ -101,6 +101,31 @@ KnapsackSolution MaxCardinalityKnapsack(std::span<const KnapsackItem> items, dou
 }
 
 size_t MaxCardinalityCount(std::span<double> demands, double capacity) {
+  // Best-alpha columns mostly take zero or one demand, which the two smallest demands decide
+  // with the additions TakeAscendingPrefix would make (0.0 + d1, then d1 + d2). Any other
+  // column, and any column with a negative or NaN demand (whose check lives there), takes the
+  // heap path.
+  double d1 = std::numeric_limits<double>::infinity();
+  double d2 = d1;
+  bool valid = true;
+  for (double demand : demands) {
+    if (!(demand >= 0.0)) {
+      valid = false;
+      break;
+    }
+    if (demand < d2) {
+      d2 = demand < d1 ? d1 : demand;
+      d1 = std::min(d1, demand);
+    }
+  }
+  if (valid) {
+    if (!(0.0 + d1 <= capacity)) {
+      return 0;
+    }
+    if (!(d1 + d2 <= capacity)) {
+      return 1;
+    }
+  }
   return TakeAscendingPrefix(demands, capacity).size();
 }
 

@@ -36,7 +36,8 @@ KnapsackSolution MaxCardinalityKnapsack(std::span<const KnapsackItem> items, dou
 // The same rule, count only: the number of demands MaxCardinalityKnapsack would select, with
 // no selection vector. Its profit under a uniform profit w is w added that many times, bit
 // for bit MaxCardinalityKnapsack's total_profit. `demands` is scratch: it is reordered and
-// overwritten. Aborts on a negative demand. O(n + m log n).
+// overwritten. Aborts on a negative or NaN demand. One pass finds the two smallest demands,
+// which settle any count below 2 in O(n); larger counts cost O(n + m log n).
 size_t MaxCardinalityCount(std::span<double> demands, double capacity);
 
 // Classical greedy by profit density with the best-single-item fix: a 1/2-approximation.

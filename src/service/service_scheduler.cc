@@ -453,22 +453,21 @@ std::vector<size_t> ServiceScheduler::ScheduleBatch(std::span<const Task> pendin
   DPACK_CHECK_MSG(entries_.size() == pending.size(),
                   "merged " << entries_.size() << " score entries for a batch of "
                             << pending.size());
-  std::vector<HeapEntry> merged;
-  merged.reserve(entries_.size());
+  merged_.clear();
   for (const ScoreReplyMsg::Entry& e : entries_) {
     HeapEntry entry;
     entry.score = e.score;
     entry.arrival = e.arrival_time;
     entry.id = static_cast<TaskId>(e.id);
-    merged.push_back(entry);
+    merged_.push_back(entry);
   }
   // HeapEntryBefore is the reference sort's exact total order (score desc, arrival asc,
   // id asc) — strict for unique ids, so the merged order is deterministic regardless of
   // which worker produced which entry.
-  std::sort(merged.begin(), merged.end(), HeapEntryBefore);
+  SortHeapEntries(merged_, sort_scratch_);
   std::vector<size_t> order;
-  order.reserve(merged.size());
-  for (const HeapEntry& entry : merged) {
+  order.reserve(merged_.size());
+  for (const HeapEntry& entry : merged_) {
     auto it = std::lower_bound(
         id_index_.begin(), id_index_.end(), entry.id,
         [](const std::pair<TaskId, size_t>& a, TaskId id) { return a.first < id; });

@@ -159,6 +159,9 @@ class ServiceScheduler : public Scheduler {
   std::vector<std::vector<std::vector<uint32_t>>> outstanding_;
   std::vector<bool> dead_handled_;  // Recovery ran for this (still-dead) slot.
   std::vector<ScoreReplyMsg::Entry> entries_;
+  // The merge's allocation order and SortHeapEntries' second buffer, kept across rounds.
+  std::vector<HeapEntry> merged_;
+  std::vector<HeapEntry> sort_scratch_;
 };
 
 }  // namespace dpack

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "src/rdp/rdp_curve.h"
 
 namespace dpack {
@@ -112,6 +114,34 @@ TEST_F(OnlineSchedulerTest, PendingTasksRetryAcrossCycles) {
   EXPECT_EQ(online.RunCycle(2.0), 0u);
   EXPECT_EQ(online.metrics().allocated(), 1u);
   EXPECT_EQ(online.metrics().submitted(), 2u);
+}
+
+TEST_F(OnlineSchedulerTest, GrantsCompactTheQueueInArrivalOrderAndKeepCachedScores) {
+  blocks_.AddBlock(0.0);
+  blocks_.AddBlock(0.0);
+  OnlineScheduler online = MakeOnline(/*unlock_steps=*/1);
+  // Tasks 2 and 4 fit block 1; tasks 1, 3 and 5 request twice block 0's capacity.
+  for (TaskId id = 1; id <= 5; ++id) {
+    Task task = FractionTask(id, id % 2 == 0 ? 0.1 : 2.0, 0, 0.0);
+    task.blocks = {id % 2 == 0 ? BlockId{1} : BlockId{0}};
+    online.Submit(std::move(task));
+  }
+  EXPECT_EQ(online.RunCycle(0.0), 2u);
+  std::vector<TaskId> survivors;
+  for (const Task& task : online.pending()) {
+    survivors.push_back(task.id);
+  }
+  EXPECT_EQ(survivors, (std::vector<TaskId>{1, 3, 5}));
+
+  // Block 0 did not change, so the survivors' cached scores hold. The engine trusts a cache
+  // entry only if the task's block buffer is the one it scored, so full reuse shows the
+  // buffers moved with the tasks.
+  ASSERT_NE(online.context_stats(), nullptr);
+  ScheduleContextStats before = *online.context_stats();
+  EXPECT_EQ(online.RunCycle(1.0), 0u);
+  ScheduleContextStats cycle = online.context_stats()->Delta(before);
+  EXPECT_EQ(cycle.tasks_reused, 3u);
+  EXPECT_EQ(cycle.tasks_rescored, 0u);
 }
 
 TEST_F(OnlineSchedulerTest, FairShareDefaultsToUnlockSteps) {

@@ -6,9 +6,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
+#include <utility>
 #include <vector>
 
 #include "src/block/block_manager.h"
+#include "src/common/rng.h"
 #include "src/core/scheduler.h"
 
 namespace dpack {
@@ -140,8 +145,9 @@ TEST_F(ScheduleContextTest, UnlockIncreaseDirtiesBlock) {
 }
 
 TEST_F(ScheduleContextTest, NewTaskRescoresItsBlocksPeersUnderDpack) {
-  // DPack's best alpha for a block depends on who requests it: a new requester must rescore
-  // the block's existing tasks too, but not tasks on untouched blocks.
+  // DPack's best alpha for a block depends on who requests it, so a new requester re-solves
+  // the block's best alpha. Oversized requesters fit at no order, so the best alpha holds
+  // and the early cutoff keeps the peers' scores: only the new task is scored.
   IncrementalEngine context(GreedyMetric::kDpack, kEta);
   std::vector<Task> pending;
   pending.push_back(OversizedTask(0, {0}));
@@ -149,12 +155,112 @@ TEST_F(ScheduleContextTest, NewTaskRescoresItsBlocksPeersUnderDpack) {
   pending.push_back(OversizedTask(2, {1}));
   context.ScheduleBatch(pending, blocks_);
   EXPECT_EQ(context.stats().tasks_rescored, 3u);
+  uint64_t solved = context.stats().best_alpha_recomputes;
 
   pending.push_back(OversizedTask(3, {0}));  // New requester of block 0.
   context.ScheduleBatch(pending, blocks_);
-  // Tasks 0, 1 (peers on block 0) and 3 (new) rescored; task 2 on block 1 reused.
-  EXPECT_EQ(context.stats().tasks_rescored, 3u + 3u);
+  // Task 3 (new) scored; tasks 0, 1 (peers on block 0) and 2 (block 1) reused.
+  EXPECT_EQ(context.stats().best_alpha_recomputes, solved + 1);
+  EXPECT_EQ(context.stats().tasks_rescored, 3u + 1u);
+  EXPECT_EQ(context.stats().tasks_reused, 3u);
+}
+
+// A demand of `fraction` of a fresh block's capacity at the orders in `fits`, and twice the
+// capacity elsewhere, so the task fits a fresh block at exactly those orders.
+Task FitsAtOrders(TaskId id, std::vector<BlockId> block_ids, std::vector<size_t> fits,
+                  double fraction) {
+  RdpCurve capacity = CapacityFraction(1.0);
+  std::vector<double> eps;
+  for (size_t a = 0; a < capacity.size(); ++a) {
+    bool fit = std::find(fits.begin(), fits.end(), a) != fits.end();
+    eps.push_back(std::max(capacity.epsilon(a), 1.0) * (fit ? fraction : 2.0));
+  }
+  Task t(id, 1.0, RdpCurve(Grid(), eps));
+  t.blocks = std::move(block_ids);
+  return t;
+}
+
+// The first two orders at which a fresh block has capacity.
+std::pair<size_t, size_t> FirstTwoUsableOrders() {
+  RdpCurve capacity = CapacityFraction(1.0);
+  std::vector<size_t> usable;
+  for (size_t a = 0; a < capacity.size() && usable.size() < 2; ++a) {
+    if (capacity.epsilon(a) > 0.0) {
+      usable.push_back(a);
+    }
+  }
+  EXPECT_EQ(usable.size(), 2u);
+  return {usable[0], usable[1]};
+}
+
+TEST_F(ScheduleContextTest, NewRequesterThatFlipsTheBestAlphaRescoresPeers) {
+  auto [x, y] = FirstTwoUsableOrders();
+  // Block 3 is nearly exhausted, so no task here is ever granted.
+  blocks_.block(3).Commit(CapacityFraction(0.99));
+  IncrementalEngine context(GreedyMetric::kDpack, kEta);
+  std::vector<Task> pending;
+  // Tasks 0 and 1 fit block 0 at orders x and y: two each, so x (the first) is best.
+  pending.push_back(FitsAtOrders(0, {0, 3}, {x, y}, 0.3));
+  pending.push_back(FitsAtOrders(1, {0, 3}, {x, y}, 0.3));
+  pending.push_back(OversizedTask(5, {1}));
+  EXPECT_TRUE(context.ScheduleBatch(pending, blocks_).empty());
+  EXPECT_EQ(context.stats().tasks_rescored, 3u);
+
+  // Task 2 fits only at y: three fit at y, two at x, so block 0's best alpha moves to y and
+  // its peers' scores change inputs. Block 3's best alpha holds (nothing fits there).
+  pending.push_back(FitsAtOrders(2, {0, 3}, {y}, 0.3));
+  EXPECT_TRUE(context.ScheduleBatch(pending, blocks_).empty());
+  EXPECT_EQ(context.stats().tasks_rescored, 3u + 3u);  // Tasks 0, 1 and the new task 2.
+  EXPECT_EQ(context.stats().tasks_reused, 1u);         // Task 5, on block 1.
+  EXPECT_EQ(context.stats().blocks_refreshed, 0u);
+}
+
+TEST_F(ScheduleContextTest, CapacityRefreshRescoresEvenWhenTheBestAlphaHolds) {
+  IncrementalEngine context(GreedyMetric::kDpack, kEta);
+  std::vector<Task> pending;
+  pending.push_back(OversizedTask(0, {0}));
+  pending.push_back(OversizedTask(1, {0}));
+  pending.push_back(OversizedTask(2, {1}));
+  context.ScheduleBatch(pending, blocks_);
+  uint64_t solved = context.stats().best_alpha_recomputes;
+
+  // Nothing fits block 0 before or after, so its best alpha holds; its available curve,
+  // which the scores read, still changed.
+  blocks_.block(0).Commit(CapacityFraction(0.01));
+  context.ScheduleBatch(pending, blocks_);
+  EXPECT_EQ(context.stats().blocks_refreshed, 1u);
+  EXPECT_EQ(context.stats().best_alpha_recomputes, solved + 1);
+  EXPECT_EQ(context.stats().tasks_rescored, 3u + 2u);
   EXPECT_EQ(context.stats().tasks_reused, 1u);
+}
+
+TEST_F(ScheduleContextTest, BlockThatLosesAllRequestersIsResolvedAndReadopted) {
+  IncrementalEngine context(GreedyMetric::kDpack, kEta);
+  std::vector<Task> pending;
+  pending.push_back(OversizedTask(0, {0}));
+  pending.push_back(OversizedTask(1, {0}));
+  pending.push_back(OversizedTask(2, {1}));
+  context.ScheduleBatch(pending, blocks_);
+  uint64_t solved = context.stats().best_alpha_recomputes;
+
+  // Block 0's requesters leave (evicted): its best alpha is re-solved with no requesters,
+  // which may move it, but no live task reads it and task 2 keeps its score.
+  pending.erase(pending.begin(), pending.begin() + 2);
+  context.ScheduleBatch(pending, blocks_);
+  EXPECT_EQ(context.stats().best_alpha_recomputes, solved + 1);
+  EXPECT_EQ(context.stats().tasks_rescored, 3u);
+  EXPECT_EQ(context.stats().tasks_reused, 1u);
+
+  // A new requester of block 0 is scored against the re-solved best alpha, and grants stay
+  // the reference's.
+  pending.push_back(OversizedTask(4, {0}));
+  pending.back().demand = CapacityFraction(0.5);
+  BlockManager reference = blocks_.Clone();
+  std::vector<size_t> expected = RecomputeScheduleBatch(GreedyMetric::kDpack, kEta, pending,
+                                                        reference);
+  EXPECT_EQ(context.ScheduleBatch(pending, blocks_), expected);
+  EXPECT_EQ(context.stats().tasks_rescored, 3u + 1u);
+  EXPECT_EQ(context.stats().tasks_reused, 2u);
 }
 
 TEST_F(ScheduleContextTest, BestAlphaRecomputedOnlyForDirtyBlocks) {
@@ -251,6 +357,86 @@ TEST_F(ScheduleContextTest, VersionedManagersSurviveCloning) {
   context.ScheduleBatch(pending, clone);
   EXPECT_EQ(context.stats().blocks_refreshed, 0u);
   EXPECT_EQ(context.stats().tasks_reused, 1u);
+}
+
+// SortHeapEntries must put any entries in exactly std::sort(HeapEntryBefore)'s order. Ids
+// are unique, so that order is unique and the two are compared entry by entry.
+std::vector<HeapEntry> RandomEntries(Rng& rng, size_t n, bool heavy_ties) {
+  const double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> pool = {0.0, -0.0, kInf, -kInf, 1.0, 0.5, -2.0, 1e-300, 3.25e10};
+  std::vector<HeapEntry> entries;
+  for (size_t i = 0; i < n; ++i) {
+    HeapEntry entry;
+    if (heavy_ties || rng.Uniform() < 0.2) {
+      entry.score = pool[static_cast<size_t>(rng.UniformInt(0, 8))];
+    } else {
+      entry.score = rng.Uniform(-1.0, 1.0) * std::pow(10.0, rng.UniformInt(-5, 5));
+    }
+    entry.arrival = static_cast<double>(rng.UniformInt(0, heavy_ties ? 3 : 1000));
+    entry.id = static_cast<TaskId>(i);
+    entry.generation = rng.UniformInt(0, 1 << 20);
+    entry.slot = i;
+    entries.push_back(entry);
+  }
+  rng.Shuffle(entries);
+  return entries;
+}
+
+TEST(SortHeapEntriesTest, MatchesStdSortUnderHeapEntryBefore) {
+  Rng rng(2020);
+  std::vector<HeapEntry> scratch;
+  // Sizes on both sides of the small-input threshold.
+  for (size_t n : {0, 1, 2, 7, 63, 64, 65, 200, 1500}) {
+    for (bool heavy_ties : {false, true}) {
+      for (int round = 0; round < 5; ++round) {
+        std::vector<HeapEntry> entries = RandomEntries(rng, n, heavy_ties);
+        std::vector<HeapEntry> expected = entries;
+        std::sort(expected.begin(), expected.end(), HeapEntryBefore);
+        SortHeapEntries(entries, scratch);
+        ASSERT_EQ(entries.size(), expected.size());
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(entries[i].id, expected[i].id) << "n=" << n << " at " << i;
+          EXPECT_EQ(entries[i].generation, expected[i].generation);
+          EXPECT_EQ(entries[i].slot, expected[i].slot);
+        }
+      }
+    }
+  }
+}
+
+TEST(SortHeapEntriesTest, SignedZerosTieAndBreakByArrivalThenId) {
+  // +0.0 and -0.0 are the same score: their entries interleave by (arrival, id), whatever
+  // their sign bits.
+  std::vector<HeapEntry> entries;
+  for (TaskId id = 0; id < 100; ++id) {
+    HeapEntry entry;
+    entry.score = id % 2 == 0 ? 0.0 : -0.0;
+    entry.arrival = static_cast<double>(99 - id);
+    entry.id = id;
+    entries.push_back(entry);
+  }
+  std::vector<HeapEntry> scratch;
+  SortHeapEntries(entries, scratch);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    EXPECT_EQ(entries[i].id, static_cast<TaskId>(99 - i));
+  }
+}
+
+TEST(SortHeapEntriesTest, SteadyStateSortsDoNotAllocate) {
+  Rng rng(7);
+  std::vector<HeapEntry> entries = RandomEntries(rng, 500, false);
+  std::vector<HeapEntry> scratch;
+  SortHeapEntries(entries, scratch);
+  for (int round = 0; round < 4; ++round) {
+    std::vector<HeapEntry> next = RandomEntries(rng, 500, false);
+    entries.assign(next.begin(), next.end());
+    const HeapEntry* a = entries.data();
+    const HeapEntry* b = scratch.data();
+    SortHeapEntries(entries, scratch);
+    // The two buffers may trade places, but no third one appears.
+    EXPECT_TRUE((entries.data() == a && scratch.data() == b) ||
+                (entries.data() == b && scratch.data() == a));
+  }
 }
 
 }  // namespace

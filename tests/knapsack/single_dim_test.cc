@@ -1,9 +1,12 @@
 #include "src/knapsack/single_dim.h"
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <numeric>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -247,9 +250,91 @@ TEST(MaxCardinalityCountTest, EdgeCases) {
   EXPECT_EQ(CheckedCount({{0.3, 1.0}, {0.3, 1.0}, {0.3, 1.0}, {0.3, 1.0}}, 2.5), 2u);
 }
 
+// MaxCardinalityCount settles counts below 2 from the two smallest demands and takes the
+// heap otherwise; both must agree with MaxCardinalityKnapsack on arbitrary doubles, where
+// the additions round.
+size_t DifferentialCount(std::vector<double> demands, double capacity) {
+  std::vector<KnapsackItem> items;
+  for (double demand : demands) {
+    items.push_back({1.0, demand});
+  }
+  size_t expected = MaxCardinalityKnapsack(items, capacity).selected.size();
+  size_t taken = MaxCardinalityCount(demands, capacity);
+  EXPECT_EQ(taken, expected) << "capacity=" << capacity << " n=" << items.size();
+  return taken;
+}
+
+TEST(MaxCardinalityCountTest, TwoSmallestFastPathMatchesKnapsack) {
+  EXPECT_EQ(DifferentialCount({}, 0.0), 0u);
+  EXPECT_EQ(DifferentialCount({}, std::numeric_limits<double>::infinity()), 0u);
+  EXPECT_EQ(DifferentialCount({0.4}, 0.4), 1u);
+  EXPECT_EQ(DifferentialCount({0.4}, 0.3), 0u);
+  EXPECT_EQ(DifferentialCount({0.4}, std::numeric_limits<double>::infinity()), 1u);
+  EXPECT_EQ(DifferentialCount({0.0}, 0.0), 1u);
+  EXPECT_EQ(DifferentialCount({0.0, 0.0, 0.1}, 0.0), 2u);
+  EXPECT_EQ(DifferentialCount({0.2, 0.0, 0.2}, 0.0), 1u);
+  EXPECT_EQ(DifferentialCount({0.7, 0.7, 0.7}, 1.0), 1u);
+  EXPECT_EQ(DifferentialCount({0.5, 0.5, 0.5}, 1.0), 2u);
+  // Exact-boundary pairs: d1 + d2 == capacity after rounding is taken, one ulp less is not.
+  EXPECT_EQ(DifferentialCount({0.2, 0.9, 0.1}, 0.1 + 0.2), 2u);
+  EXPECT_EQ(DifferentialCount({0.2, 0.9, 0.1}, 0.3), 1u);  // 0.1 + 0.2 > 0.3 in doubles.
+  EXPECT_EQ(DifferentialCount({0.2, 0.1}, std::nextafter(0.1 + 0.2, 0.0)), 1u);
+
+  Rng rng(20);
+  for (int round = 0; round < 400; ++round) {
+    size_t n = static_cast<size_t>(rng.UniformInt(0, 40));
+    std::vector<double> demands;
+    for (size_t i = 0; i < n; ++i) {
+      // A coarse grid makes ties and zeros common; the rest rounds.
+      demands.push_back(rng.Uniform(0.0, 1.0) < 0.3
+                            ? static_cast<double>(rng.UniformInt(0, 4)) / 4.0
+                            : rng.Uniform(0.0, 1.0));
+    }
+    std::vector<double> sorted = demands;
+    std::sort(sorted.begin(), sorted.end());
+    // Capacities around the one- and two-demand boundaries, and large enough to take many
+    // demands through the heap.
+    std::vector<double> capacities = {0.0, rng.Uniform(0.0, 2.0), rng.Uniform(0.0, 20.0)};
+    if (n >= 1) {
+      capacities.push_back(sorted[0]);
+      capacities.push_back(std::nextafter(sorted[0], 0.0));
+    }
+    if (n >= 2) {
+      capacities.push_back(sorted[0] + sorted[1]);
+      capacities.push_back(std::nextafter(sorted[0] + sorted[1], 0.0));
+      capacities.push_back(std::nextafter(sorted[0] + sorted[1], 100.0));
+    }
+    for (double capacity : capacities) {
+      DifferentialCount(demands, capacity);
+    }
+  }
+}
+
+TEST(MaxCardinalityCountTest, LargeCapacitiesTakeTheHeapPath) {
+  std::vector<double> demands(64, 0.25);
+  EXPECT_EQ(DifferentialCount(demands, 4.0), 16u);
+  EXPECT_EQ(DifferentialCount(demands, 100.0), 64u);
+}
+
 TEST(MaxCardinalityCountDeathTest, NegativeDemandAborts) {
   std::vector<double> demands = {0.5, -0.25};
   EXPECT_DEATH(MaxCardinalityCount(demands, 1.0), "demands must be non-negative");
+}
+
+TEST(MaxCardinalityCountDeathTest, InvalidDemandAnywhereAborts) {
+  // Wherever the bad demand sits, and even when the valid ones alone would settle the count
+  // as 0 or 1, the column aborts.
+  for (double bad : {-0.25, std::numeric_limits<double>::quiet_NaN()}) {
+    for (size_t at = 0; at < 3; ++at) {
+      std::vector<double> demands = {5.0, 0.5, 7.0};
+      demands[at] = bad;
+      for (double capacity : {0.0, 1.0, 100.0}) {
+        std::vector<double> column = demands;
+        EXPECT_DEATH(MaxCardinalityCount(column, capacity), "demands must be non-negative")
+            << "bad=" << bad << " at=" << at << " capacity=" << capacity;
+      }
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SingleDimPropertyTest, testing::Range<uint64_t>(1, 13));
