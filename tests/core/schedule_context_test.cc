@@ -215,6 +215,34 @@ TEST_F(ScheduleContextTest, NewRequesterThatFlipsTheBestAlphaRescoresPeers) {
   EXPECT_EQ(context.stats().blocks_refreshed, 0u);
 }
 
+TEST_F(ScheduleContextTest, DepartureThatKeepsTheBestAlphaReusesPeers) {
+  // A block whose membership changed but whose capacity and best alpha did not: its
+  // remaining requesters keep their scores (the reverse index used to rescore them).
+  auto [x, y] = FirstTwoUsableOrders();
+  blocks_.block(3).Commit(CapacityFraction(0.99));
+  IncrementalEngine context(GreedyMetric::kDpack, kEta);
+  std::vector<Task> pending;
+  // Three tasks fit block 0 at x and y, so x (the first) is best; nothing fits block 3.
+  for (TaskId id = 0; id < 3; ++id) {
+    pending.push_back(FitsAtOrders(id, {0, 3}, {x, y}, 0.3));
+  }
+  pending.push_back(OversizedTask(5, {1}));
+  EXPECT_TRUE(context.ScheduleBatch(pending, blocks_).empty());
+  uint64_t solved = context.stats().best_alpha_recomputes;
+  EXPECT_EQ(context.stats().tasks_rescored, 4u);
+
+  // Task 2 leaves: blocks 0 and 3 are re-solved, two still fit at x and y, x stays best.
+  pending.erase(pending.begin() + 2);
+  BlockManager reference = blocks_.Clone();
+  std::vector<size_t> expected = RecomputeScheduleBatch(GreedyMetric::kDpack, kEta, pending,
+                                                        reference);
+  EXPECT_EQ(context.ScheduleBatch(pending, blocks_), expected);
+  EXPECT_EQ(context.stats().best_alpha_recomputes, solved + 2);
+  EXPECT_EQ(context.stats().blocks_refreshed, 0u);
+  EXPECT_EQ(context.stats().tasks_rescored, 4u);
+  EXPECT_EQ(context.stats().tasks_reused, 3u);  // Tasks 0 and 1 on block 0, task 5.
+}
+
 TEST_F(ScheduleContextTest, CapacityRefreshRescoresEvenWhenTheBestAlphaHolds) {
   IncrementalEngine context(GreedyMetric::kDpack, kEta);
   std::vector<Task> pending;
