@@ -10,7 +10,7 @@ src/core, src/block, and src/service unless noted):
                            std::condition_variable, std::lock_guard, std::unique_lock &
                            friends are banned everywhere except
                            src/common/thread_annotations.h — every lock must go through the
-                           annotated Mutex/MutexLock/CondVar wrappers so clang's
+                           annotated Mutex/MutexLock wrappers so clang's
                            -Wthread-safety analysis sees it.
   raw-sleep                (all of src/) usleep, nanosleep, clock_nanosleep, sleep_for and
                            sleep_until are banned except in src/common/sleep.cc and
@@ -267,7 +267,7 @@ def lint_file(rel, text):
             if m:
                 add(idx, "raw-mutex",
                     f"std::{m.group(1)} outside {THREAD_ANNOTATIONS_HEADER}; use the "
-                    f"annotated Mutex/MutexLock/CondVar wrappers so -Wthread-safety "
+                    f"annotated Mutex/MutexLock wrappers so -Wthread-safety "
                     f"checks the lock discipline")
 
     # raw-sleep: the library, except the two files that implement bounded waits.

@@ -1,31 +1,27 @@
 // Clang Thread Safety Analysis wrappers — the compile-time half of the concurrency
 // contract (see src/README.md, "Concurrency contract").
 //
-// Every mutex and condition variable in dpack goes through the `Mutex`/`MutexLock`/
-// `CondVar` wrappers below, and every field a mutex guards is annotated `GUARDED_BY(mu_)`.
-// Under clang, `-Wthread-safety -Werror=thread-safety` then *proves* the lock discipline on
-// every build: a guarded field touched without its mutex, an unbalanced Lock/Unlock path,
-// or a CondVar::Wait without the required capability is a compile error, before any
-// interleaving runs. TSan stays on in CI as the dynamic backstop (it sees the interleavings
+// Every mutex in dpack goes through the `Mutex`/`MutexLock` wrappers below, and every field
+// a mutex guards is annotated `GUARDED_BY(mu_)`. Under clang, `-Wthread-safety
+// -Werror=thread-safety` then *proves* the lock discipline on every build: a guarded field
+// touched without its mutex or an unbalanced Lock/Unlock path is a compile error, before
+// any interleaving runs. TSan stays on in CI as the dynamic backstop (it sees the interleavings
 // a run explores; this analysis rules the rest out by construction). Under compilers
 // without the attributes (gcc) the annotations expand to nothing and the wrappers are
-// zero-cost veneers over std::mutex / std::condition_variable.
+// zero-cost veneers over std::mutex.
 //
 // dpack-lint's `raw-mutex` rule (scripts/dpack_lint.py) keeps this the *only* file allowed
-// to name std::mutex / std::condition_variable, so no lock can bypass the analysis.
+// to name std::mutex, and bans std::condition_variable everywhere, so no lock or wait can
+// bypass the analysis.
 //
 // Style notes for annotated code:
 //   - Prefer `MutexLock lock(mu_);` (scoped). Use its Unlock()/Lock() pair for the
 //     fork-join "work outside the lock" pattern; the destructor releases if still held,
 //     which keeps exceptional exits balanced.
-//   - CondVar::Wait takes the Mutex itself and REQUIRES it held. Write wait loops as
-//     `while (!cond) cv_.Wait(mu_);` — the analysis sees through this form, whereas a
-//     predicate lambda would be analyzed as an unlocked separate function.
 
 #ifndef SRC_COMMON_THREAD_ANNOTATIONS_H_
 #define SRC_COMMON_THREAD_ANNOTATIONS_H_
 
-#include <condition_variable>
 #include <mutex>
 
 #if defined(__clang__) && (!defined(SWIG))
@@ -50,8 +46,6 @@
 
 namespace dpack {
 
-class CondVar;
-
 // An annotated std::mutex. Lock discipline on this type is machine-checked under clang.
 class CAPABILITY("mutex") Mutex {
  public:
@@ -63,7 +57,6 @@ class CAPABILITY("mutex") Mutex {
   void Unlock() RELEASE() { mu_.unlock(); }
 
  private:
-  friend class CondVar;  // Wait() needs the native handle to build an adopting lock.
   std::mutex mu_;
 };
 
@@ -95,28 +88,6 @@ class SCOPED_CAPABILITY MutexLock {
  private:
   Mutex& mu_;
   bool held_;
-};
-
-// An annotated condition variable bound to `Mutex`. Wait() REQUIRES the mutex held — the
-// analysis rejects a wait outside the critical section — and atomically releases/reacquires
-// it around the block, exactly like std::condition_variable::wait.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void Wait(Mutex& mu) REQUIRES(mu) {
-    std::unique_lock<std::mutex> native(mu.mu_, std::adopt_lock);
-    cv_.wait(native);
-    native.release();  // The caller's scope still owns the (reacquired) mutex.
-  }
-
-  void NotifyOne() { cv_.notify_one(); }
-  void NotifyAll() { cv_.notify_all(); }
-
- private:
-  std::condition_variable cv_;
 };
 
 }  // namespace dpack

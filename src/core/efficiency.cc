@@ -144,11 +144,14 @@ std::vector<size_t> ComputeBestAlphas(std::span<const Task> tasks,
   return best_alpha;
 }
 
-size_t BestAlphaForBlock(std::span<const Task> tasks, std::span<const size_t> requesters,
-                         const RdpCurve& available, double eta) {
+size_t BestAlphaForBlock(const RequesterColumns& requesters, const RdpCurve& available,
+                         double eta) {
   DPACK_CHECK(eta > 0.0);
   size_t num_orders = available.size();
-  if (requesters.empty()) {
+  size_t n = requesters.weights.size();
+  DPACK_CHECK(n <= requesters.stride || requesters.orders.empty());
+  DPACK_CHECK(requesters.lows.size() == requesters.orders.size() || n == 0);
+  if (n == 0) {
     // No demand: pick the order with the largest available capacity.
     size_t best = 0;
     for (size_t a = 1; a < num_orders; ++a) {
@@ -158,60 +161,43 @@ size_t BestAlphaForBlock(std::span<const Task> tasks, std::span<const size_t> re
     }
     return best;
   }
-  const double weight = tasks[requesters[0]].weight;
-  bool uniform = std::all_of(requesters.begin(), requesters.end(),
-                             [&](size_t i) { return tasks[i].weight == weight; });
+  const double weight = requesters.weights[0];
+  bool uniform = std::all_of(requesters.weights.begin(), requesters.weights.end(),
+                             [&](double w) { return w == weight; });
+  std::vector<KnapsackItem> items;
   double best_value = -1.0;
   size_t best = 0;
-  if (uniform) {
-    // Exact max cardinality. Gather every requester's demands at the usable orders into one
-    // order-major buffer, task by task, then count each order's ascending prefix; the profit
-    // is `weight` added once per taken demand, MaxCardinalityKnapsack's sum bit for bit.
-    std::vector<size_t> usable;
-    for (size_t a = 0; a < num_orders; ++a) {
-      if (available.epsilon(a) > 0.0) {
-        usable.push_back(a);
-      }
+  size_t k = 0;
+  for (size_t a = 0; a < num_orders; ++a) {
+    double capacity = available.epsilon(a);
+    if (!(capacity > 0.0)) {
+      continue;
     }
-    if (!usable.empty()) {
+    while (k < requesters.orders.size() && requesters.orders[k] < a) {
+      ++k;
+    }
+    DPACK_CHECK_MSG(k < requesters.orders.size() && requesters.orders[k] == a,
+                    "no demand column for usable order " << a);
+    std::span<const double> column = requesters.demands.subspan(k * requesters.stride, n);
+    double profit = 0.0;
+    if (uniform) {
+      // Exact max cardinality: the profit is `weight` added once per taken demand,
+      // MaxCardinalityKnapsack's sum bit for bit.
       DPACK_CHECK_MSG(weight >= 0.0, "profits must be non-negative");
-    }
-    size_t n = requesters.size();
-    std::vector<double> demands(n * usable.size());
-    for (size_t t = 0; t < n; ++t) {
-      const RdpCurve& demand = tasks[requesters[t]].demand;
-      for (size_t k = 0; k < usable.size(); ++k) {
-        demands[k * n + t] = demand.epsilon(usable[k]);
-      }
-    }
-    for (size_t k = 0; k < usable.size(); ++k) {
-      size_t taken = MaxCardinalityCount(std::span<double>(demands).subspan(k * n, n),
-                                         available.epsilon(usable[k]));
-      double profit = 0.0;
+      size_t taken = requesters.lows[k].Count(column, capacity);
       for (size_t m = 0; m < taken; ++m) {
         profit += weight;
       }
-      if (profit > best_value) {
-        best_value = profit;
-        best = usable[k];
-      }
-    }
-  } else {
-    std::vector<KnapsackItem> items;
-    items.reserve(requesters.size());
-    for (size_t a = 0; a < num_orders; ++a) {
-      if (available.epsilon(a) <= 0.0) {
-        continue;
-      }
+    } else {
       items.clear();
-      for (size_t i : requesters) {
-        items.push_back({tasks[i].weight, tasks[i].demand.epsilon(a)});
+      for (size_t t = 0; t < n; ++t) {
+        items.push_back({requesters.weights[t], column[t]});
       }
-      KnapsackSolution sol = FptasKnapsack(items, available.epsilon(a), 2.0 / 3.0 * eta);
-      if (sol.total_profit > best_value) {
-        best_value = sol.total_profit;
-        best = a;
-      }
+      profit = FptasKnapsack(items, capacity, 2.0 / 3.0 * eta).total_profit;
+    }
+    if (profit > best_value) {
+      best_value = profit;
+      best = a;
     }
   }
   if (best_value < 0.0) {
@@ -219,6 +205,29 @@ size_t BestAlphaForBlock(std::span<const Task> tasks, std::span<const size_t> re
     best = 0;
   }
   return best;
+}
+
+size_t BestAlphaForBlock(std::span<const Task> tasks, std::span<const size_t> requesters,
+                         const RdpCurve& available, double eta) {
+  std::vector<size_t> orders;
+  for (size_t a = 0; a < available.size(); ++a) {
+    if (available.epsilon(a) > 0.0) {
+      orders.push_back(a);
+    }
+  }
+  size_t n = requesters.size();
+  std::vector<double> weights(n);
+  std::vector<double> demands(n * orders.size());
+  std::vector<SmallestDemands> lows(orders.size());
+  for (size_t t = 0; t < n; ++t) {
+    const Task& task = tasks[requesters[t]];
+    weights[t] = task.weight;
+    for (size_t k = 0; k < orders.size(); ++k) {
+      demands[k * n + t] = task.demand.epsilon(orders[k]);
+      lows[k].Add(demands[k * n + t]);
+    }
+  }
+  return BestAlphaForBlock(RequesterColumns{weights, orders, demands, n, lows}, available, eta);
 }
 
 }  // namespace dpack

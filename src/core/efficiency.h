@@ -14,6 +14,7 @@
 
 #include "src/block/block_manager.h"
 #include "src/core/task.h"
+#include "src/knapsack/single_dim.h"
 
 namespace dpack {
 
@@ -78,14 +79,35 @@ double DpackEfficiency(const Task& task, const CapacitySnapshot& snapshot,
 std::vector<size_t> ComputeBestAlphas(std::span<const Task> tasks,
                                       const CapacitySnapshot& snapshot, double eta);
 
-// One block's COMPUTE_BESTALPHA subproblem: `requesters` indexes into `tasks` the pending
-// tasks requesting the block, in batch order. Returns the first order maximizing the
-// attainable weight against `available`, over the orders with capacity > 0: exact when the
-// requesters' weights are uniform (max cardinality, MaxCardinalityCount per order: O(n) when
-// at most one demand fits, O(n + m log n) for m taken), the (2/3) eta FPTAS otherwise.
-// Returns the largest-capacity order when `requesters` is empty and order 0 when every order
-// is depleted. ComputeBestAlphas, the incremental engine and the service workers all call
-// this, so their best alphas are identical by construction.
+// One block's requesters as demand columns, in batch order: requester t has weight
+// weights[t] and demand demands[k * stride + t] at order orders[k]. `orders` ascends and must
+// name every order at which the block has available capacity; columns for orders without
+// it are never read. lows[k] is column k's SmallestDemands (it may be empty when there are no
+// requesters).
+struct RequesterColumns {
+  std::span<const double> weights;
+  std::span<const size_t> orders;
+  std::span<const double> demands;
+  size_t stride = 0;  // >= weights.size().
+  std::span<SmallestDemands> lows;
+};
+
+// One block's COMPUTE_BESTALPHA subproblem. Returns the first order maximizing the
+// attainable weight against `available`, over the orders with capacity > 0. It is exact when
+// the requesters' weights are uniform: max cardinality, by SmallestDemands::Count on each
+// column, which is O(taken) while the column's held smallest demands settle it, one pass over
+// the column when fewer than 8 fit, and O(n + m log n) for m taken otherwise. Otherwise it is
+// the (2/3) eta FPTAS, fed the requesters in column order. Returns the largest-capacity order
+// when there are no requesters and order 0 when every order is depleted. Aborts if `orders`
+// misses an order with available capacity.
+size_t BestAlphaForBlock(const RequesterColumns& requesters, const RdpCurve& available,
+                         double eta);
+
+// The same subproblem with `requesters` indexing into `tasks` the pending tasks requesting
+// the block, in batch order: gathers their weights and demands at the usable orders into
+// columns (with their summaries) and calls the form above. ComputeBestAlphas and the service
+// workers call this form, and the incremental engine keeps the columns as state, so all of
+// their best alphas come from one core and are identical by construction.
 size_t BestAlphaForBlock(std::span<const Task> tasks, std::span<const size_t> requesters,
                          const RdpCurve& available, double eta);
 

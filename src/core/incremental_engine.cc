@@ -1,6 +1,7 @@
 #include "src/core/incremental_engine.h"
 
 #include <algorithm>
+#include <bit>
 #include <limits>
 
 #include "src/common/check.h"
@@ -11,14 +12,13 @@ namespace {
 
 constexpr uint64_t kNoReject = std::numeric_limits<uint64_t>::max();
 
-// The engine's id-indexed arrays (signatures, stamps, version mirror) are sized by
-// the block count, so every task block id is checked once, before any of them is written.
-void CheckBlockIds(std::span<const Task> pending, size_t block_count) {
-  for (const Task& task : pending) {
-    for (BlockId j : task.blocks) {
-      DPACK_CHECK_MSG(j >= 0 && static_cast<size_t>(j) < block_count,
-                      "task " << task.id << " requests block " << j << " of " << block_count);
-    }
+// The engine's id-indexed arrays (stamps, version mirror, requester columns) are sized by
+// the block count, so the block ids of every new or re-resolved task are checked before any
+// of them is written. Other tasks were checked when they arrived, and blocks never go away.
+void CheckBlockIds(const Task& task, size_t block_count) {
+  for (BlockId j : task.blocks) {
+    DPACK_CHECK_MSG(j >= 0 && static_cast<size_t>(j) < block_count,
+                    "task " << task.id << " requests block " << j << " of " << block_count);
   }
 }
 
@@ -87,19 +87,205 @@ void TaskCacheMap::Rehash(size_t new_capacity) {
 }
 
 void TaskCacheMap::PurgeNotSeen(uint64_t cycle) {
-  std::vector<Slot> old = std::move(slots_);
-  slots_.assign(old.size(), Slot{});
-  size_ = 0;
-  for (Slot& slot : old) {
-    if (slot.used && slot.value.last_seen == cycle) {
-      size_t i = Probe(slot.id);
-      while (slots_[i].used) {
-        i = (i + 1) & (slots_.size() - 1);
-      }
-      slots_[i] = std::move(slot);
-      ++size_;
+  // In place, so a purge never holds a second table. The scan starts just past an empty slot
+  // (the table is at most half full), so no probe run wraps past its start, and an erase
+  // only pulls entries from later in the scan back into the slot being examined.
+  size_t mask = slots_.size() - 1;
+  size_t start = 0;
+  while (slots_[start].used) {
+    ++start;
+  }
+  size_t i = (start + 1) & mask;
+  for (size_t visited = 1; visited < slots_.size();) {
+    if (slots_[i].used && slots_[i].value.last_seen != cycle) {
+      EraseAt(i);  // Re-examine slot i: a later entry may have moved into it.
+    } else {
+      i = (i + 1) & mask;
+      ++visited;
     }
   }
+}
+
+void TaskCacheMap::EraseAt(size_t hole) {
+  // Backward-shift deletion: walk the probe run after the hole and move back every entry
+  // whose home slot does not lie cyclically in (hole, j], so every lookup still finds it.
+  size_t mask = slots_.size() - 1;
+  for (size_t j = (hole + 1) & mask; slots_[j].used; j = (j + 1) & mask) {
+    size_t home = Probe(slots_[j].id);
+    bool stays = hole <= j ? (hole < home && home <= j) : (hole < home || home <= j);
+    if (!stays) {
+      slots_[hole] = std::move(slots_[j]);
+      hole = j;
+    }
+  }
+  slots_[hole] = Slot{};
+  --size_;
+}
+
+namespace {
+
+// Available capacity is max(0, unlocked - consumed) with unlocked <= total, so an order whose
+// consumption reached its total capacity can never be usable again.
+bool Exhausted(const PrivacyBlock& block, size_t order) {
+  return !(block.consumed().epsilon(order) < block.capacity().epsilon(order));
+}
+
+}  // namespace
+
+BlockMembers::BlockMembers(const PrivacyBlock& block) {
+  for (size_t a = 0; a < block.capacity().size(); ++a) {
+    if (!Exhausted(block, a)) {
+      orders_.push_back(a);
+    }
+  }
+}
+
+void BlockMembers::DropExhaustedOrders(const PrivacyBlock& block) {
+  size_t kept = 0;
+  for (size_t k = 0; k < orders_.size(); ++k) {
+    if (Exhausted(block, orders_[k])) {
+      continue;
+    }
+    if (kept != k) {
+      orders_[kept] = orders_[k];
+      if (stride_ > 0) {
+        lows_[kept] = lows_[k];
+        std::copy_n(values_.begin() + static_cast<std::ptrdiff_t>(At(1 + k, 0)), stride_,
+                    values_.begin() + static_cast<std::ptrdiff_t>(At(1 + kept, 0)));
+      }
+    }
+    ++kept;
+  }
+  if (kept == orders_.size()) {
+    return;
+  }
+  orders_.resize(kept);
+  if (stride_ > 0) {
+    lows_.resize(kept);
+    values_.resize(At(1 + kept, 0));  // The next Restride gives the rest back.
+  }
+}
+
+RequesterColumns BlockMembers::columns() {
+  std::span<const double> values(values_);
+  return {values.empty() ? values : values.subspan(head_, count_), orders_,
+          orders_.empty() ? std::span<const double>() : values.subspan(At(1, head_)), stride_,
+          lows_};
+}
+
+void BlockMembers::Restride(size_t new_stride) {
+  // Every array's size follows the stride, so a block's footprint follows its member count.
+  DPACK_CHECK(count_ <= new_stride);
+  size_t rows = 1 + orders_.size();
+  std::vector<TaskId> ids(new_stride);
+  std::vector<double> values(rows * new_stride);
+  std::copy_n(ids_.begin() + static_cast<std::ptrdiff_t>(head_), count_, ids.begin());
+  for (size_t r = 0; r < rows && stride_ > 0; ++r) {
+    std::copy_n(values_.begin() + static_cast<std::ptrdiff_t>(At(r, head_)), count_,
+                values.begin() + static_cast<std::ptrdiff_t>(r * new_stride));
+  }
+  ids_.swap(ids);
+  values_.swap(values);
+  stride_ = new_stride;
+  head_ = 0;
+  if (stride_ == 0) {
+    lows_ = {};
+  } else if (lows_.empty()) {
+    lows_.resize(orders_.size());
+  }
+}
+
+void BlockMembers::Slide() {
+  auto slide = [&](auto* array) { std::copy(array + head_, array + head_ + count_, array); };
+  slide(ids_.data());
+  for (size_t r = 0; r <= orders_.size(); ++r) {
+    slide(values_.data() + At(r, 0));
+  }
+  head_ = 0;
+}
+
+void BlockMembers::Reserve(size_t additional) {
+  if (head_ + count_ + additional <= stride_) {
+    return;
+  }
+  // Reuse the room departures left at the front if it is a quarter of the arrays (so each
+  // slot gained costs at most three moves), else grow to fit.
+  if (count_ + additional <= stride_ && 4 * head_ >= stride_) {
+    Slide();
+  } else {
+    Restride(std::max<size_t>(8, std::bit_ceil(std::max(2 * stride_, count_ + additional))));
+  }
+}
+
+void BlockMembers::Insert(size_t at, const Task& task) {
+  DPACK_CHECK(at <= count_);
+  Reserve(1);
+  size_t pos = head_ + at;
+  auto open = [&](auto* array) {  // Only a mid-list insert moves anything.
+    if (at < count_) {
+      std::copy_backward(array + pos, array + head_ + count_, array + head_ + count_ + 1);
+    }
+  };
+  open(ids_.data());
+  ids_[pos] = task.id;
+  open(values_.data());
+  values_[pos] = task.weight;
+  for (size_t k = 0; k < orders_.size(); ++k) {
+    open(values_.data() + At(1 + k, 0));
+    double demand = task.demand.epsilon(orders_[k]);
+    values_[At(1 + k, pos)] = demand;
+    lows_[k].Add(demand);
+  }
+  ++count_;
+}
+
+void BlockMembers::RemoveLeaving(std::vector<size_t>& at) {
+  // Find the leaving members (the scan stops at the last one). A leading run of them only
+  // advances head_; the gaps after it close row by row, one move per kept run. Each demand
+  // row drops its leaving demands from its summary first.
+  std::span<const TaskId> live = ids();
+  at.clear();
+  for (size_t t = 0; t < live.size() && at.size() < leaving.size(); ++t) {
+    if (live[t] == leaving[at.size()]) {
+      at.push_back(t);
+    }
+  }
+  DPACK_CHECK_MSG(at.size() == leaving.size(), "a leaving task is not a member of its block");
+  leaving.clear();
+  for (size_t k = 0; k < orders_.size(); ++k) {
+    for (size_t t : at) {
+      lows_[k].Drop(values_[At(1 + k, head_ + t)]);
+    }
+  }
+  size_t front = 0;
+  while (front < at.size() && at[front] == front) {
+    ++front;
+  }
+  auto close_gaps = [&](auto* array) {
+    size_t out = at[front];
+    for (size_t r = front; r < at.size(); ++r) {
+      size_t end = r + 1 < at.size() ? at[r + 1] : count_;
+      out = static_cast<size_t>(std::copy(array + at[r] + 1, array + end, array + out) - array);
+    }
+  };
+  if (front < at.size()) {
+    close_gaps(ids_.data() + head_);
+    for (size_t r = 0; r <= orders_.size(); ++r) {
+      close_gaps(values_.data() + At(r, head_));
+    }
+  }
+  head_ += front;
+  count_ -= at.size();
+  size_t fit = count_ == 0 ? 0 : std::max<size_t>(8, 2 * count_);
+  if (4 * count_ <= stride_ && fit < stride_) {
+    Restride(fit);  // The queue has moved on from this block: give the columns back.
+  }
+}
+
+void BlockMembers::Clear() {
+  head_ = 0;
+  count_ = 0;
+  std::fill(lows_.begin(), lows_.end(), SmallestDemands{});
 }
 
 IncrementalEngine::IncrementalEngine(GreedyMetric metric, double eta)
@@ -115,6 +301,105 @@ void IncrementalEngine::Invalidate() {
   stats_ = stats;
 }
 
+bool IncrementalEngine::ObserveBatch(std::span<const Task> pending, size_t block_count,
+                                     uint64_t previous_cycle) {
+  // Reserving up front means no slot moves mid-cycle: the slots recorded here
+  // (slot_of_index_) stay valid through the merge and the allocation walk.
+  slots_moved_ |= cache_.Reserve(pending.size());
+  slot_of_index_.resize(pending.size());
+  const uint64_t stamp = cycle_stamp_;
+  const bool dpack = metric_ == GreedyMetric::kDpack;
+  leaving_.clear();
+  joining_.clear();
+  prev_batch_.swap(batch_);
+  batch_.clear();
+  member_refs_ = 0;
+  members_ordered_ = true;
+  tail_start_ = 0;
+  size_t walk = 0;  // Next unmatched entry of prev_batch_.
+  for (size_t i = 0; i < pending.size(); ++i) {
+    const Task& task = pending[i];
+    size_t slot = cache_.FindOrInsert(task.id);
+    slot_of_index_[i] = slot;
+    TaskCache& cached = cache_.at(slot);
+    if (cached.last_seen == stamp) {
+      return false;  // Duplicate id.
+    }
+    // A cache entry is only trustworthy if the task was pending, and not granted, in the
+    // immediately preceding cycle with an unchanged block list (the vector buffer travels
+    // with the task on moves; reallocation on late resolution changes the pointer).
+    bool was_pending = cached.last_seen == previous_cycle;
+    cached.rescore = !was_pending || cached.granted || cached.blocks_ptr != task.blocks.data() ||
+                     cached.blocks_len != task.blocks.size();
+    cached.granted = false;
+    cached.last_seen = stamp;
+    cached.index = static_cast<uint32_t>(i);
+    if (cached.rescore) {
+      CheckBlockIds(task, block_count);
+      cached.reject_vsum = kNoReject;  // No feasibility memo.
+    }
+    // A re-resolved task keeps its old member blocks recorded until it has left them.
+    bool rejoins = false;
+    if (dpack) {
+      batch_.push_back({task.id, 0, 0});
+      if (!was_pending) {
+        joining_.push_back(i);
+      } else {
+        tail_start_ = i + 1;
+        // The previous batch's tasks skipped on the way to this one have departed (granted
+        // or evicted). Running off its end means this batch reordered the previous one.
+        while (walk < prev_batch_.size() && prev_batch_[walk].id != task.id) {
+          leaving_.push_back(prev_batch_[walk++]);
+        }
+        if (walk == prev_batch_.size()) {
+          members_ordered_ = false;
+        } else {
+          const BatchMember& before = prev_batch_[walk++];
+          if (cached.rescore && !std::ranges::equal(task.blocks, MemberOf(before))) {
+            leaving_.push_back(before);  // Leaves its old blocks, joins its new ones.
+            joining_.push_back(i);
+            rejoins = true;
+          } else {
+            batch_.back() = before;
+            member_refs_ += before.member_len;
+          }
+        }
+      }
+    }
+    if (cached.rescore && !rejoins) {
+      cached.blocks_ptr = task.blocks.data();
+      cached.blocks_len = static_cast<uint32_t>(task.blocks.size());
+    }
+  }
+  if (dpack) {
+    leaving_.insert(leaving_.end(), prev_batch_.begin() + static_cast<std::ptrdiff_t>(walk),
+                    prev_batch_.end());
+  }
+  return true;
+}
+
+void IncrementalEngine::Join(size_t index, const Task& task) {
+  TaskCache& cached = cache_.at(slot_of_index_[index]);
+  cached.blocks_ptr = task.blocks.data();
+  cached.blocks_len = static_cast<uint32_t>(task.blocks.size());
+  batch_[index] = {task.id, static_cast<uint32_t>(member_pool_.size()), cached.blocks_len};
+  member_pool_.insert(member_pool_.end(), task.blocks.begin(), task.blocks.end());
+  member_refs_ += task.blocks.size();
+}
+
+void IncrementalEngine::CompactMemberPool() {
+  if (member_pool_.size() <= 2 * member_refs_ + 4096) {
+    return;
+  }
+  pool_scratch_.clear();
+  for (BatchMember& member : batch_) {
+    std::span<const BlockId> blocks = MemberOf(member);
+    member.member_at = static_cast<uint32_t>(pool_scratch_.size());
+    pool_scratch_.insert(pool_scratch_.end(), blocks.begin(), blocks.end());
+  }
+  member_pool_.swap(pool_scratch_);
+}
+
 void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const Task> pending) {
   if (!snapshot_.has_value()) {
     snapshot_.emplace(blocks.grid());
@@ -122,19 +407,19 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
   size_t count = blocks.block_count();
   size_t known = last_version_.size();
   DPACK_CHECK_MSG(count >= known, "blocks disappeared: Invalidate() before a new manager");
+  const bool dpack = metric_ == GreedyMetric::kDpack;
   dirty_ids_.clear();
   dirty_stamp_.resize(count, 0);
   rescore_stamp_.resize(count, 0);
-  touched_stamp_.resize(count, 0);
-  sig_scratch_.resize(count, kMemberSigSeed);
   for (size_t g = known; g < count; ++g) {
     const PrivacyBlock& b = blocks.block(static_cast<BlockId>(g));
     snapshot_->Append(b.AvailableCurve(), b.capacity());
     last_version_.push_back(b.version());
     version_now_.push_back(b.version());
-    member_sig_.push_back(kMemberSigSeed);
     best_alpha_.push_back(0);
-    requesters_.emplace_back();
+    if (dpack) {
+      members_.emplace_back(b);
+    }
     MarkDirty(static_cast<BlockId>(g));
     rescore_stamp_[g] = cycle_stamp_;
   }
@@ -152,69 +437,53 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
         BlockId id = static_cast<BlockId>(g);
         version_now_[g] = last_version_[g];
         snapshot_->RefreshAvailable(id, blocks.block(id).AvailableCurve());
+        if (dpack) {
+          members_[g].DropExhaustedOrders(blocks.block(id));
+        }
         MarkDirty(id);
         rescore_stamp_[g] = cycle_stamp_;
         ++stats_.blocks_refreshed;
       });
-  if (metric_ != GreedyMetric::kDpack) {
+  if (!dpack) {
     return;
   }
-  // Membership signatures: best alphas depend on the requester set, so a membership change
-  // (arrival, grant, eviction) dirties a block even when no capacity changed. Touched
-  // entries are seeded lazily, and blocks that *lost* all requesters are handled off the
-  // active list — O(batch refs + prev active), never O(members).
-  const uint64_t stamp = cycle_stamp_;  // A local, so the loop's stores cannot force reloads.
-  touched_ids_.clear();
-  for (const Task& task : pending) {
-    for (BlockId j : task.blocks) {
-      size_t ji = static_cast<size_t>(j);
-      if (touched_stamp_[ji] != stamp) {
-        touched_stamp_[ji] = stamp;
-        touched_ids_.push_back(j);
-        sig_scratch_[ji] = kMemberSigSeed;
+  // Membership: best alphas depend on the requester set, so a block whose requesters left
+  // or joined is dirty even when no capacity changed. The events are queued per block in
+  // batch order; each dirty block applies its own below, before its solve.
+  if (!members_ordered_) {
+    RebuildMembers(pending);
+  } else {
+    for (const BatchMember& gone : leaving_) {
+      for (BlockId j : MemberOf(gone)) {
+        MarkDirty(j);
+        members_[static_cast<size_t>(j)].leaving.push_back(gone.id);
       }
-      sig_scratch_[ji] = MemberSigMix(sig_scratch_[ji], static_cast<uint64_t>(task.id));
     }
-  }
-  for (BlockId g : active_ids_) {
-    size_t gi = static_cast<size_t>(g);
-    if (touched_stamp_[gi] != stamp && member_sig_[gi] != kMemberSigSeed) {
-      member_sig_[gi] = kMemberSigSeed;
-      MarkDirty(g);
-    }
-  }
-  active_ids_.clear();
-  for (BlockId g : touched_ids_) {
-    size_t gi = static_cast<size_t>(g);
-    if (sig_scratch_[gi] != member_sig_[gi]) {
-      member_sig_[gi] = sig_scratch_[gi];
-      MarkDirty(g);
-    }
-    if (member_sig_[gi] != kMemberSigSeed) {
-      active_ids_.push_back(g);
-    }
-  }
-  // Requester lists and best-alpha subproblems for the dirty blocks. Requesters are
-  // collected in batch order, matching ComputeBestAlphas' item order exactly.
-  if (dirty_ids_.empty()) {
-    return;
-  }
-  for (BlockId g : dirty_ids_) {
-    requesters_[static_cast<size_t>(g)].clear();
-  }
-  for (size_t i = 0; i < pending.size(); ++i) {
-    for (BlockId j : pending[i].blocks) {
-      size_t ji = static_cast<size_t>(j);
-      if (dirty_stamp_[ji] == stamp) {
-        requesters_[ji].push_back(i);
+    for (size_t i : joining_) {
+      const Task& task = pending[i];
+      Join(i, task);
+      for (BlockId j : task.blocks) {
+        MarkDirty(j);
+        members_[static_cast<size_t>(j)].joining.push_back(i);
       }
     }
   }
+  CompactMemberPool();
   // Per-block solves are independent, so dirty-list order (vs id order) is immaterial. A
   // membership change alone rescores the block's tasks only if it moved the best alpha.
+  const uint64_t stamp = cycle_stamp_;
   for (BlockId g : dirty_ids_) {
     size_t gi = static_cast<size_t>(g);
-    size_t best = BestAlphaForBlock(pending, requesters_[gi], snapshot_->available(g), eta_);
+    BlockMembers& members = members_[gi];
+    if (!members.leaving.empty()) {
+      members.RemoveLeaving(positions_);
+    }
+    members.Reserve(members.joining.size());
+    for (size_t i : members.joining) {
+      members.Insert(MemberPosition(members, i), pending[i]);
+    }
+    members.joining.clear();
+    size_t best = BestAlphaForBlock(members.columns(), snapshot_->available(g), eta_);
     if (best != best_alpha_[gi]) {
       best_alpha_[gi] = best;
       rescore_stamp_[gi] = stamp;
@@ -223,49 +492,78 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
   }
 }
 
-bool IncrementalEngine::ScoreTasks(std::span<const Task> pending, uint64_t previous_cycle) {
-  // Reserving up front means no slot moves mid-cycle: the cache entries the score pass
-  // records (cache_of_index_) stay valid through the merge and the allocation walk.
-  slots_moved_ |= cache_.Reserve(pending.size());
-  // Score pass: one cache lookup per task decides between reuse and rescore; rescored tasks
+size_t IncrementalEngine::MemberPosition(const BlockMembers& members, size_t index) const {
+  // Tasks from tail_start_ on are all new and join in batch order, so they append. An
+  // earlier joiner (re-resolved, or new in mid-batch) goes after the members that precede
+  // it in this batch, found by bisection on their batch positions.
+  size_t lo = 0;
+  std::span<const TaskId> ids = members.ids();
+  size_t hi = ids.size();
+  if (index >= tail_start_) {
+    return hi;
+  }
+  while (lo < hi) {
+    size_t mid = lo + (hi - lo) / 2;
+    if (cache_.at(cache_.Find(ids[mid])).index < index) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
+void IncrementalEngine::RebuildMembers(std::span<const Task> pending) {
+  // Rare: only a batch that reorders the previous one's tasks gets here. Every list is
+  // rebuilt in batch order; a block is dirty iff its requester sequence changed.
+  std::vector<std::vector<TaskId>> before(members_.size());
+  for (size_t g = 0; g < members_.size(); ++g) {
+    before[g].assign(members_[g].ids().begin(), members_[g].ids().end());
+    members_[g].Clear();
+    members_[g].leaving.clear();
+    members_[g].joining.clear();
+  }
+  member_refs_ = 0;
+  for (size_t i = 0; i < pending.size(); ++i) {
+    const Task& task = pending[i];
+    Join(i, task);
+    for (BlockId j : task.blocks) {
+      BlockMembers& members = members_[static_cast<size_t>(j)];
+      members.Insert(members.ids().size(), task);
+    }
+  }
+  for (size_t g = 0; g < members_.size(); ++g) {
+    if (!std::ranges::equal(members_[g].ids(), before[g])) {
+      MarkDirty(static_cast<BlockId>(g));
+    }
+  }
+}
+
+void IncrementalEngine::ScoreTasks(std::span<const Task> pending) {
+  // Score pass: tasks ObserveBatch flagged are always scored; any other reuses its cached
+  // score unless one of its blocks changed a score input this cycle. Rescored tasks
   // contribute a fresh entry under a new generation, lazily superseding their old one.
   const uint64_t stamp = cycle_stamp_;
   for (size_t i = 0; i < pending.size(); ++i) {
     const Task& task = pending[i];
-    size_t slot = cache_.FindOrInsert(task.id);
+    size_t slot = slot_of_index_[i];
     TaskCache& cached = cache_.at(slot);
-    cache_of_index_[i] = &cached;
-    if (cached.last_seen == stamp) {
-      return false;  // Duplicate id.
-    }
-    // A cache entry is only trustworthy if the task was pending in the immediately
-    // preceding cycle with an unchanged block list (the vector buffer travels with the task
-    // on moves; reallocation on late resolution changes the pointer).
-    bool untrusted = cached.last_seen != previous_cycle ||
-                     cached.blocks_ptr != task.blocks.data() ||
-                     cached.blocks_len != task.blocks.size();
-    cached.last_seen = stamp;
-    cached.index = i;
-    if (untrusted) {
-      cached.reject_vsum = kNoReject;  // New or re-resolved task: no feasibility memo.
-    } else if (metric_ == GreedyMetric::kDpf ||
-               std::none_of(task.blocks.begin(), task.blocks.end(), [&](BlockId j) {
-                 return rescore_stamp_[static_cast<size_t>(j)] == stamp;
-               })) {
-      // No block of the task changed an input of its score this cycle. DPF never goes
-      // stale: its scores read only total capacities, which never change for a fixed list.
+    if (!cached.rescore &&
+        (metric_ == GreedyMetric::kDpf ||
+         std::none_of(task.blocks.begin(), task.blocks.end(), [&](BlockId j) {
+           return rescore_stamp_[static_cast<size_t>(j)] == stamp;
+         }))) {
+      // DPF never goes stale: its scores read only total capacities, which never change for
+      // a fixed list.
       ++stats_.tasks_reused;
       continue;
     }
     cached.score = ScoreGreedyTask(metric_, task, *snapshot_, best_alpha_);
     cached.generation = next_generation_++;
-    cached.blocks_ptr = task.blocks.data();
-    cached.blocks_len = task.blocks.size();
     fresh_.push_back({cached.score, task.arrival_time, task.id, cached.generation, slot});
     ++stats_.tasks_rescored;
   }
   MergeHeap();
-  return true;
 }
 
 void IncrementalEngine::MergeHeap() {
@@ -328,7 +626,7 @@ std::vector<size_t> IncrementalEngine::AllocateWithMemos(std::span<const Task> p
     if (task.blocks.empty()) {
       continue;  // Unresolved block request.
     }
-    TaskCache& cached = *cache_of_index_[idx];
+    TaskCache& cached = cache_.at(slot_of_index_[idx]);
     uint64_t vsum = 0;
     for (BlockId j : task.blocks) {
       vsum += version_now_[static_cast<size_t>(j)];
@@ -351,7 +649,7 @@ std::vector<size_t> IncrementalEngine::AllocateWithMemos(std::span<const Task> p
       blocks.block(j).Commit(task.demand);
       version_now_[static_cast<size_t>(j)] = blocks.block(j).version();
     }
-    cached.last_seen = 0;  // The grant removes the task from the queue.
+    cached.granted = true;  // The grant removes the task from the queue.
     granted.push_back(idx);
   }
   return granted;
@@ -367,15 +665,12 @@ std::vector<size_t> IncrementalEngine::ScheduleBatch(std::span<const Task> pendi
     // Arrival order needs no scores, hence no cache: the engine is a pass-through.
     return RecomputeScheduleBatch(metric_, eta_, pending, blocks);
   }
-  CheckBlockIds(pending, blocks.block_count());
 
   ScheduleContextStats stats_at_entry = stats_;
   uint64_t previous_cycle = cycle_stamp_;
   ++cycle_stamp_;
 
-  SyncBlocks(blocks, pending);
-  cache_of_index_.resize(pending.size());
-  if (!ScoreTasks(pending, previous_cycle)) {
+  if (!ObserveBatch(pending, blocks.block_count(), previous_cycle)) {
     // Id-keyed caches cannot reproduce the recompute path's tie-breaking between tasks
     // that share an id: recompute this batch from scratch and start the caches over —
     // grants stay exactly the reference sequence. The partial pass's work is discarded,
@@ -385,7 +680,8 @@ std::vector<size_t> IncrementalEngine::ScheduleBatch(std::span<const Task> pendi
     ++stats_.full_recomputes;
     return RecomputeScheduleBatch(metric_, eta_, pending, blocks);
   }
-
+  SyncBlocks(blocks, pending);
+  ScoreTasks(pending);
   std::vector<size_t> granted = AllocateWithMemos(pending, blocks);
 
   // Bound cache growth: once dead entries (granted or evicted tasks) dominate — long runs

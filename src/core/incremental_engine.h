@@ -10,9 +10,16 @@
 //     commits, effective unlocks and arrivals. The engine remembers the version it last
 //     observed per block and drills into the manager's `BlockVersionTree` groups whose sum
 //     advanced, so finding the changed blocks costs O(groups + changed), never O(blocks).
-//     New arrivals are detected through the dense id space (block count growth). For DPack,
-//     a per-block signature over the ids of the pending tasks requesting the block also marks
-//     membership changes dirty (best alphas depend on the requester set, not just capacity).
+//     New arrivals are detected through the dense id space (block count growth).
+//   - Requester columns (DPack). Best alphas depend on the requester set, not just capacity,
+//     so each block keeps its requesters as engine state (BlockMembers): in batch order,
+//     their ids, weights and copied demand columns, plus each column's smallest demands
+//     (SmallestDemands), which is what BestAlphaForBlock reads. The batch keeps a stable
+//     relative order (OnlineScheduler appends arrivals and compacts grants and evictions
+//     stably), so a walk of the previous batch's ids against this one finds the departures,
+//     and the new or re-resolved tasks are the arrivals. Only these events touch the
+//     columns, and they mark exactly their blocks dirty. A batch that breaks the order
+//     rebuilds the columns and marks dirty the blocks whose requester sequence changed.
 //   - Cached scores. Each pending task's score is cached by task id and reused while every
 //     input to it is provably unchanged: DPF scores depend only on total capacities (never
 //     dirty), Area scores on the available curves of the task's blocks, DPack scores on
@@ -35,12 +42,17 @@
 //     and so re-enable the scan.
 //
 // Cycle, all on the caller's thread:
-//   1. SyncBlocks appends arrivals to the snapshot (dirty) and refreshes the blocks the one
-//      version-tree drill-down reports changed; for DPack it folds the membership signatures
-//      and solves the dirty blocks' best alphas. It sets the rescore stamps.
-//   2. ScoreTasks runs the reuse-vs-rescore pass against the blocks' rescore stamps, and
+//   1. ObserveBatch looks up every task's cache entry, decides which tasks must be scored
+//      (new, re-resolved, granted last cycle), checks those tasks' block ids (the others'
+//      were checked when they arrived), and for DPack walks the previous batch's ids to
+//      record the departures and arrivals.
+//   2. SyncBlocks appends arrivals to the snapshot (dirty) and refreshes the blocks the one
+//      version-tree drill-down reports changed; for DPack it applies the membership events
+//      to the requester columns (dirtying their blocks) and solves the dirty blocks' best
+//      alphas. It sets the rescore stamps.
+//   3. ScoreTasks runs the reuse-vs-rescore pass against the blocks' rescore stamps, and
 //      merges the sorted heap with the rescored entries.
-//   3. AllocateWithMemos walks the merged order with feasibility memos and commits grants.
+//   4. AllocateWithMemos walks the merged order with feasibility memos and commits grants.
 //
 // Batches with duplicate task ids fall back to RecomputeScheduleBatch.
 //
@@ -69,28 +81,66 @@ struct TaskCache {
   // Version sum at last CANRUN rejection; ~0 = no memo.
   uint64_t reject_vsum = ~0ULL;
   // Cycle stamp: live iff == current cycle. ~0 = never pending (fresh entry; stamps are
-  // small counters, so it matches no cycle); 0 = dead (granted).
+  // small counters, so it matches no cycle).
   uint64_t last_seen = ~0ULL;
-  size_t index = 0;          // Position in the current cycle's batch.
   // Identity of the task's resolved block list, for change detection: the block vector's
   // buffer travels with the task on moves, so an unchanged (pointer, size) pair means an
   // unchanged list under the immutability protocol, and the score pass may trust the cached
   // score unless one of those blocks carries the cycle's rescore stamp. Late resolution
   // reallocates (empty -> non-empty) and is therefore always caught.
   const BlockId* blocks_ptr = nullptr;
-  size_t blocks_len = 0;
+  uint32_t blocks_len = 0;
+  uint32_t index = 0;  // Position in the current cycle's batch.
+  bool granted = false;  // Granted in cycle last_seen: a comeback is scored afresh.
+  bool rescore = false;  // This cycle: new, re-resolved or granted before; always scored.
 };
 
-// DPack requester-set signatures: single-multiply sequence mix (splitmix64-style avalanche
-// on the value, then a multiply fold). Sequence-sensitive, so a reordering of the same ids —
-// which would change the item order fed to the best-alpha knapsacks — also changes the
-// signature.
-inline constexpr uint64_t kMemberSigSeed = 1469598103934665603ULL;
-inline uint64_t MemberSigMix(uint64_t sig, uint64_t value) {
-  value *= 0x9E3779B97F4A7C15ULL;
-  value ^= value >> 29;
-  return (sig ^ value) * 0xBF58476D1CE4E5B9ULL;
-}
+// DPack: one block's requesters (the pending tasks naming it) in batch order, as the columns
+// BestAlphaForBlock reads: task ids, weights, and a copy of each requester's demand at every
+// order the block has not exhausted for good (consumed < total capacity; elsewhere no unlock
+// can give it available capacity again), with each column's SmallestDemands. Requesters
+// mostly leave from the front (timeouts evict the oldest), so the live members sit at an
+// offset in their arrays: a departure from the front moves nothing, and arrivals append.
+class BlockMembers {
+ public:
+  explicit BlockMembers(const PrivacyBlock& block);
+
+  std::span<const TaskId> ids() const { return {ids_.data() + head_, count_}; }
+  RequesterColumns columns();
+  // Makes room for `additional` more members.
+  void Reserve(size_t additional);
+  // Inserts `task` as member number `at` (<= ids().size()).
+  void Insert(size_t at, const Task& task);
+  // Drops the members named in `leaving`, whose ids appear there in member order; the rest
+  // keep their order. `at` is scratch.
+  void RemoveLeaving(std::vector<size_t>& at);
+  // Drops every member, keeping the storage.
+  void Clear();
+  // Drops the columns of the orders `block` (this block, after a commit) has exhausted.
+  void DropExhaustedOrders(const PrivacyBlock& block);
+
+  // This cycle's membership events, in batch order: ids to drop, then batch indices to add.
+  std::vector<TaskId> leaving;
+  std::vector<size_t> joining;
+
+ private:
+  // Moves the live members to the front of arrays of `new_stride` slots.
+  void Restride(size_t new_stride);
+  // Moves the live members to the front of their arrays.
+  void Slide();
+  // Offset in values_ of row `row`'s slot `slot`.
+  size_t At(size_t row, size_t slot) const { return row * stride_ + slot; }
+
+  std::vector<size_t> orders_;  // Orders not exhausted, ascending.
+  std::vector<TaskId> ids_;     // stride_ slots; the members are [head_, head_ + count_).
+  // Rows of stride_ slots, parallel to ids_: row 0 holds the weights, row 1 + k the demands
+  // at orders_[k].
+  std::vector<double> values_;
+  std::vector<SmallestDemands> lows_;  // Per demand row, while there is storage.
+  size_t head_ = 0;
+  size_t count_ = 0;
+  size_t stride_ = 0;
+};
 
 // Open-addressing map TaskId -> TaskCache. The engine does a couple of lookups per
 // pending task per cycle, which makes std::unordered_map's indirections the bottleneck
@@ -123,6 +173,7 @@ class TaskCacheMap {
   };
   size_t Probe(TaskId id) const;
   void Rehash(size_t new_capacity);
+  void EraseAt(size_t slot);
 
   std::vector<Slot> slots_;  // Power-of-two size.
   size_t size_ = 0;
@@ -143,7 +194,8 @@ class IncrementalEngine {
   // version history (the same manager, or a Clone/Restore of it), and all block mutation
   // goes through Commit / SetUnlockedFraction / AddBlock so versions advance. Call
   // Invalidate() if any of this is violated (e.g. switching to an unrelated manager).
-  // Every task block id must name a block of `blocks` (DPACK_CHECKed once per cycle).
+  // Every task block id must name a block of `blocks` (DPACK_CHECKed when the task is new
+  // or its block list changed).
   std::vector<size_t> ScheduleBatch(std::span<const Task> pending, BlockManager& blocks);
 
   // Drops all cached state; the next cycle rebuilds from scratch.
@@ -153,12 +205,34 @@ class IncrementalEngine {
   const ScheduleContextStats& stats() const { return stats_; }
 
  private:
-  // Absorbs arrivals and refreshes changed blocks; for DPack, folds the membership
-  // signatures and solves the dirty blocks' best alphas.
+  // Step 1 of the cycle: cache lookups, rescore decisions, block-id checks for the tasks
+  // that need them, and (DPack) the membership events. Returns false, having stopped early,
+  // on a repeated task id.
+  bool ObserveBatch(std::span<const Task> pending, size_t block_count,
+                    uint64_t previous_cycle);
+  // Absorbs arrivals and refreshes changed blocks; for DPack, applies the membership events
+  // (or rebuilds the requester columns) and solves the dirty blocks' best alphas.
   void SyncBlocks(const BlockManager& blocks, std::span<const Task> pending);
-  // The reuse-vs-rescore pass, then the heap merge. Returns false, having stopped early, on a
-  // repeated task id.
-  bool ScoreTasks(std::span<const Task> pending, uint64_t previous_cycle);
+  // Re-registers every task of a batch that broke the previous batch's relative order.
+  void RebuildMembers(std::span<const Task> pending);
+  // DPack: one task of a batch, and where the member pool lists the blocks whose requester
+  // columns hold it (its block list when it joined them).
+  struct BatchMember {
+    TaskId id = 0;
+    uint32_t member_at = 0;
+    uint32_t member_len = 0;
+  };
+  std::span<const BlockId> MemberOf(const BatchMember& member) const {
+    return {member_pool_.data() + member.member_at, member.member_len};
+  }
+  // Records batch task `index`'s block list as the blocks it joins, and as its trusted one.
+  void Join(size_t index, const Task& task);
+  // Drops the departed tasks' block lists from the member pool once they dominate it.
+  void CompactMemberPool();
+  // Where batch task `index` goes among `members`, whose tasks are all in this batch.
+  size_t MemberPosition(const BlockMembers& members, size_t index) const;
+  // The reuse-vs-rescore pass, then the heap merge.
+  void ScoreTasks(std::span<const Task> pending);
   // Records block `id` as dirty this cycle, once.
   void MarkDirty(BlockId id) {
     size_t j = static_cast<size_t>(id);
@@ -188,18 +262,27 @@ class IncrementalEngine {
   // Per block: cycle stamp when an input of its tasks' scores last changed (arrival, refresh,
   // or a new best alpha). Dirty blocks whose best alpha held keep their older stamp.
   std::vector<uint64_t> rescore_stamp_;
-  std::vector<uint64_t> member_sig_;   // DPack: per-block requester-set signature.
-  std::vector<uint64_t> sig_scratch_;  // Per-cycle signature accumulator (lazily seeded).
-  std::vector<uint64_t> touched_stamp_;  // Per block: cycle stamp of last signature fold.
   std::vector<size_t> best_alpha_;     // DPack: cached best order per block.
-  std::vector<std::vector<size_t>> requesters_;  // DPack: per block, its requesters (when dirty).
+  std::vector<BlockMembers> members_;  // DPack: per block, its requester columns.
   // This cycle's dirty blocks (capacity or membership), duplicate-free via dirty_stamp_.
   std::vector<BlockId> dirty_ids_;
-  // DPack membership bookkeeping, O(touched) per cycle: blocks whose signature was folded
-  // this cycle, and blocks whose current signature is non-seed (the only ones that can go
-  // dirty by *losing* all requesters).
-  std::vector<BlockId> touched_ids_;
-  std::vector<BlockId> active_ids_;
+  // DPack membership events of this cycle, from ObserveBatch: the previous batch's tasks
+  // leaving their blocks (departed or re-resolved, in batch order), batch indices of
+  // tasks joining theirs (new or re-resolved), and whether the batch kept the previous
+  // one's relative order (else the columns are rebuilt). Tasks from `tail_start_` on are
+  // all new, so they join at the end of their blocks' columns.
+  std::vector<BatchMember> leaving_;
+  std::vector<size_t> joining_;
+  bool members_ordered_ = true;
+  size_t tail_start_ = 0;
+  std::vector<BatchMember> prev_batch_;  // DPack: the previous batch, in order.
+  std::vector<BatchMember> batch_;       // DPack: this batch.
+  // DPack: the batch tasks' member blocks, appended as tasks join and compacted to this
+  // batch's (member_refs_ of them) when departed tasks' lists dominate.
+  std::vector<BlockId> member_pool_;
+  std::vector<BlockId> pool_scratch_;  // The compaction's target, then the next scratch.
+  size_t member_refs_ = 0;
+  std::vector<size_t> positions_;      // BlockMembers::RemoveLeaving's scratch.
 
   // Task-side state.
   TaskCacheMap cache_;
@@ -208,9 +291,9 @@ class IncrementalEngine {
   std::vector<HeapEntry> merged_;  // Scratch for the merge.
   std::vector<HeapEntry> sort_scratch_;  // SortHeapEntries' second buffer for fresh_.
   std::vector<size_t> order_;      // Batch indices of heap_'s entries: the allocation order.
-  // Cache entry per batch index, this cycle. No slot moves between the score pass and the
-  // walk (the cache reserves up front and purges only after the walk).
-  std::vector<TaskCache*> cache_of_index_;
+  // Cache slot per batch index, this cycle. No slot moves between ObserveBatch and the walk
+  // (the cache reserves up front and purges only after the walk).
+  std::vector<size_t> slot_of_index_;
   uint64_t next_generation_ = 1;
   bool slots_moved_ = false;  // Set on rehash/purge; entries re-resolve at next merge.
 };

@@ -1,6 +1,7 @@
 #include "src/knapsack/single_dim.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdint>
 #include <functional>
@@ -100,33 +101,104 @@ KnapsackSolution MaxCardinalityKnapsack(std::span<const KnapsackItem> items, dou
   return solution;
 }
 
-size_t MaxCardinalityCount(std::span<double> demands, double capacity) {
-  // Best-alpha columns mostly take zero or one demand, which the two smallest demands decide
-  // with the additions TakeAscendingPrefix would make (0.0 + d1, then d1 + d2). Any other
-  // column, and any column with a negative or NaN demand (whose check lives there), takes the
-  // heap path.
-  double d1 = std::numeric_limits<double>::infinity();
-  double d2 = d1;
-  bool valid = true;
+namespace {
+
+constexpr size_t kHeld = SmallestDemands::kHeld;
+constexpr size_t kUndecided = static_cast<size_t>(-1);
+
+// Inserts `demand` into the ascending low[0, held); with every slot in use, the largest falls
+// off (the caller has checked that `demand` is below it). Returns the new held count.
+size_t InsertHeld(std::array<double, kHeld>& low, size_t held, double demand) {
+  size_t at = std::min(held, kHeld - 1);
+  for (; at > 0 && demand < low[at - 1]; --at) {
+    low[at] = low[at - 1];
+  }
+  low[at] = demand;
+  return std::min(held + 1, kHeld);
+}
+
+// One pass over the column, read in place: its min(n, kHeld) smallest demands, ascending,
+// into `low`. False on a negative or NaN demand.
+bool KeepSmallest(std::span<const double> demands, std::array<double, kHeld>& low) {
+  low.fill(std::numeric_limits<double>::infinity());
   for (double demand : demands) {
     if (!(demand >= 0.0)) {
-      valid = false;
-      break;
+      return false;
     }
-    if (demand < d2) {
-      d2 = demand < d1 ? d1 : demand;
-      d1 = std::min(d1, demand);
+    if (demand < low[kHeld - 1]) {
+      InsertHeld(low, kHeld, demand);
     }
   }
-  if (valid) {
-    if (!(0.0 + d1 <= capacity)) {
-      return 0;
+  return true;
+}
+
+// The count, if the column's `held` smallest demands decide it: the additions are the ones
+// TakeAscendingPrefix makes (0.0 + d1, then d1 + d2, ...), so any count below `held` is
+// settled, and so is a column they make up entirely. kUndecided otherwise.
+size_t CountFromSmallest(const std::array<double, kHeld>& low, size_t held, size_t column_size,
+                         double capacity) {
+  double used = 0.0;
+  for (size_t m = 0; m < held; ++m) {
+    if (!(used + low[m] <= capacity)) {
+      return m;
     }
-    if (!(d1 + d2 <= capacity)) {
-      return 1;
+    used += low[m];
+  }
+  return held == column_size ? held : kUndecided;
+}
+
+// MaxCardinalityCount, leaving the column's min(n, kHeld) smallest demands in `low`. Best-alpha
+// columns mostly take a few demands, which those settle; any other column, and any column with
+// a negative or NaN demand (whose check lives there), is copied once and takes the heap path.
+size_t CountKeepingSmallest(std::span<const double> demands, double capacity,
+                            std::array<double, kHeld>& low) {
+  if (KeepSmallest(demands, low)) {
+    size_t taken =
+        CountFromSmallest(low, std::min(demands.size(), kHeld), demands.size(), capacity);
+    if (taken != kUndecided) {
+      return taken;
     }
   }
-  return TakeAscendingPrefix(demands, capacity).size();
+  std::vector<double> heap(demands.begin(), demands.end());
+  return TakeAscendingPrefix(std::span<double>(heap), capacity).size();
+}
+
+}  // namespace
+
+size_t MaxCardinalityCount(std::span<const double> demands, double capacity) {
+  std::array<double, kHeld> low;
+  return CountKeepingSmallest(demands, capacity, low);
+}
+
+void SmallestDemands::Hold(double demand) {
+  held_ = static_cast<uint32_t>(InsertHeld(low_, held_, demand));
+}
+
+void SmallestDemands::Release(double demand) {
+  // -0.0 and 0.0 compare equal, and no addition tells them apart.
+  size_t at = 0;
+  while (at < held_ && !(low_[at] == demand)) {
+    ++at;
+  }
+  DPACK_CHECK_MSG(at < held_, "dropped a demand the column does not hold");
+  for (--held_; at < held_; ++at) {
+    low_[at] = low_[at + 1];
+  }
+}
+
+size_t SmallestDemands::Count(std::span<const double> column, double capacity) {
+  DPACK_CHECK(column.size() == size_);
+  if (invalid_ == 0) {
+    size_t taken = CountFromSmallest(low_, held_, size_, capacity);
+    if (taken != kUndecided) {
+      return taken;
+    }
+  }
+  // The held demands all fit and others may too (or the column holds an invalid demand, which
+  // aborts): count from the column, holding its smallest demands again.
+  size_t taken = CountKeepingSmallest(column, capacity, low_);
+  held_ = static_cast<uint32_t>(std::min<size_t>(size_, kHeld));
+  return taken;
 }
 
 KnapsackSolution GreedyDensityKnapsack(std::span<const KnapsackItem> items, double capacity) {

@@ -10,7 +10,9 @@
 #ifndef SRC_KNAPSACK_SINGLE_DIM_H_
 #define SRC_KNAPSACK_SINGLE_DIM_H_
 
+#include <array>
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -35,10 +37,53 @@ KnapsackSolution MaxCardinalityKnapsack(std::span<const KnapsackItem> items, dou
 
 // The same rule, count only: the number of demands MaxCardinalityKnapsack would select, with
 // no selection vector. Its profit under a uniform profit w is w added that many times, bit
-// for bit MaxCardinalityKnapsack's total_profit. `demands` is scratch: it is reordered and
-// overwritten. Aborts on a negative or NaN demand. One pass finds the two smallest demands,
-// which settle any count below 2 in O(n); larger counts cost O(n + m log n).
-size_t MaxCardinalityCount(std::span<double> demands, double capacity);
+// for bit MaxCardinalityKnapsack's total_profit. `demands` is only read. Aborts on a negative
+// or NaN demand. One pass keeps the eight smallest demands, which settle any count below 8 in
+// O(n); larger counts copy the column once and cost O(n + m log n).
+size_t MaxCardinalityCount(std::span<const double> demands, double capacity);
+
+// The smallest demands of a column that changes one demand at a time, kept so that
+// MaxCardinalityCount on it usually reads no more than they. The column is a multiset: the
+// count does not depend on the order of its demands. Add and Drop are O(kHeld); Count is
+// O(taken) while the held demands settle it, and otherwise makes one pass over the column
+// (refilling them) or takes MaxCardinalityCount's heap path.
+class SmallestDemands {
+ public:
+  static constexpr size_t kHeld = 8;
+
+  void Add(double demand) {
+    bool complete = held_ + invalid_ == size_;
+    ++size_;
+    if (!(demand >= 0.0)) {
+      ++invalid_;
+    } else if (complete ? held_ < kHeld || demand < low_[kHeld - 1]
+                        : held_ > 0 && demand < low_[held_ - 1]) {
+      Hold(demand);  // Every demand not held is at least the largest held one.
+    }
+  }
+  // `demand` must be in the column.
+  void Drop(double demand) {
+    --size_;
+    if (!(demand >= 0.0)) {
+      --invalid_;
+    } else if (held_ > 0 && demand <= low_[held_ - 1]) {
+      Release(demand);  // Held demands are the smallest, so one of them equals `demand`.
+    }
+  }
+  // Exactly MaxCardinalityCount(column, capacity); `column` holds, in any order, the demands
+  // added and not dropped. Aborts on a negative or NaN demand, as MaxCardinalityCount does.
+  size_t Count(std::span<const double> column, double capacity);
+
+ private:
+  void Hold(double demand);
+  void Release(double demand);
+
+  // low_[0, held_): the column's held_ smallest valid demands, ascending.
+  std::array<double, kHeld> low_{};
+  uint32_t held_ = 0;
+  uint32_t size_ = 0;     // Demands in the column.
+  uint32_t invalid_ = 0;  // Negative or NaN demands among them.
+};
 
 // Classical greedy by profit density with the best-single-item fix: a 1/2-approximation.
 // O(n log n).

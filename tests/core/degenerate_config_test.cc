@@ -133,27 +133,56 @@ INSTANTIATE_TEST_SUITE_P(AllMetrics, DegenerateConfigTest,
                          MetricName);
 
 // A task naming a block the manager does not have (past the end, or negative) stops every
-// scored metric's engine with the cycle's block-id DPACK_CHECK, which runs before any
-// id-indexed write (a stray write could crash, or corrupt the engine's state silently).
+// scored metric's engine with the block-id DPACK_CHECK, which runs on every new or
+// re-resolved task before any id-indexed write (a stray write could crash, or corrupt the
+// engine's state silently). The bad id may come on the first cycle, or after warm cycles on
+// a new task or on a pending task whose block vector was reallocated.
 class OutOfRangeBlockIdDeathTest : public testing::TestWithParam<GreedyMetric> {
  protected:
-  void ExpectCheckFailure(BlockId bad_id) {
+  enum class Arrival { kFirstCycle, kNewTaskWhenWarm, kReallocatedWhenWarm };
+
+  void ExpectCheckFailure(BlockId bad_id, Arrival arrival = Arrival::kFirstCycle) {
     GreedyScheduler engine(GetParam(),
                            GreedySchedulerOptions{.eta = 0.05, .incremental = true});
     BlockManager blocks(Grid(), kEpsG, kDeltaG);
     blocks.AddBlock(0.0, /*unlocked=*/true);
     blocks.AddBlock(0.0, /*unlocked=*/true);
     std::vector<Task> pending;
-    pending.push_back(FractionTask(1, 0.1, {0, bad_id}));
+    TaskId bad_task = 1;
+    if (arrival == Arrival::kFirstCycle) {
+      pending.push_back(FractionTask(1, 0.1, {0, bad_id}));
+    } else {
+      // Warm cycles over oversized tasks (never granted), so the queue stays put.
+      pending.push_back(FractionTask(7, 2.0, {0, 1}));
+      pending.push_back(FractionTask(8, 2.0, {1}));
+      engine.ScheduleBatch(pending, blocks);
+      engine.ScheduleBatch(pending, blocks);
+      if (arrival == Arrival::kNewTaskWhenWarm) {
+        pending.push_back(FractionTask(1, 0.1, {0, bad_id}));
+      } else {
+        pending[1].blocks = std::vector<BlockId>{bad_id};  // A new buffer.
+        bad_task = 8;
+      }
+    }
     EXPECT_DEATH(engine.ScheduleBatch(pending, blocks),
-                 "DPACK_CHECK failed.*task 1 requests block " + std::to_string(bad_id) +
-                     " of 2");
+                 "DPACK_CHECK failed.*task " + std::to_string(bad_task) + " requests block " +
+                     std::to_string(bad_id) + " of 2");
   }
 };
 
 TEST_P(OutOfRangeBlockIdDeathTest, IdPastTheEnd) { ExpectCheckFailure(5000); }
 
 TEST_P(OutOfRangeBlockIdDeathTest, NegativeId) { ExpectCheckFailure(-1); }
+
+TEST_P(OutOfRangeBlockIdDeathTest, NewTaskAfterWarmCycles) {
+  ExpectCheckFailure(5000, Arrival::kNewTaskWhenWarm);
+  ExpectCheckFailure(-1, Arrival::kNewTaskWhenWarm);
+}
+
+TEST_P(OutOfRangeBlockIdDeathTest, ReallocatedBlockListAfterWarmCycles) {
+  ExpectCheckFailure(5000, Arrival::kReallocatedWhenWarm);
+  ExpectCheckFailure(2, Arrival::kReallocatedWhenWarm);
+}
 
 INSTANTIATE_TEST_SUITE_P(ScoredMetrics, OutOfRangeBlockIdDeathTest,
                          testing::Values(GreedyMetric::kDpack, GreedyMetric::kDpf,

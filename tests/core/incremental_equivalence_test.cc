@@ -73,7 +73,7 @@ void RunDifferentialTrace(GreedyMetric metric, const TraceOptions& options) {
     }
 
     // Random eviction (timeout stand-in): drops a pending task without any commit, so only
-    // the membership signatures can catch it.
+    // the walk for departures can catch it.
     if (!pending.empty() && rng.Bernoulli(options.evict_probability)) {
       size_t victim = static_cast<size_t>(
           rng.UniformInt(0, static_cast<int64_t>(pending.size()) - 1));

@@ -372,6 +372,111 @@ TEST_F(ScheduleContextTest, GrantedTasksLeaveTheCache) {
   EXPECT_EQ(context.stats().tasks_reused, 1u);
 }
 
+// Runs one engine cycle and checks its grants against the recompute path on a clone.
+std::vector<size_t> CheckedCycle(IncrementalEngine& context, const std::vector<Task>& pending,
+                                 BlockManager& blocks) {
+  BlockManager reference = blocks.Clone();
+  std::vector<size_t> expected = RecomputeScheduleBatch(context.metric(), kEta, pending,
+                                                        reference);
+  std::vector<size_t> granted = context.ScheduleBatch(pending, blocks);
+  EXPECT_EQ(granted, expected);
+  return granted;
+}
+
+TEST_F(ScheduleContextTest, WeightedBlockLosesAMiddleRequester) {
+  // Weighted requesters take the FPTAS path, which reads each block's requester columns in
+  // batch order. Block 3 is nearly exhausted, so nothing here is ever granted.
+  auto [x, y] = FirstTwoUsableOrders();
+  blocks_.block(3).Commit(CapacityFraction(0.99));
+  IncrementalEngine context(GreedyMetric::kDpack, kEta);
+  std::vector<Task> pending;
+  pending.push_back(FitsAtOrders(0, {0, 3}, {x, y}, 0.3));
+  pending.push_back(FitsAtOrders(1, {0, 3}, {x}, 0.3));
+  pending.push_back(FitsAtOrders(2, {0, 3}, {x, y}, 0.3));
+  pending.push_back(FitsAtOrders(3, {0, 3}, {y}, 0.3));
+  pending.push_back(OversizedTask(4, {1}));
+  pending[0].weight = 2.0;
+  pending[1].weight = 5.0;
+  // Block 0 packs weight 2 + 5 + 1 = 8 at x and 2 + 1 + 1 = 4 at y: x is its best alpha.
+  CheckedCycle(context, pending, blocks_);
+  EXPECT_EQ(context.stats().tasks_rescored, 5u);
+  uint64_t solved = context.stats().best_alpha_recomputes;
+
+  // Task 1 leaves from the middle of blocks 0 and 3. Block 0 now packs 3 at x and 4 at y,
+  // so its best alpha moves to y and its remaining requesters are rescored.
+  pending.erase(pending.begin() + 1);
+  CheckedCycle(context, pending, blocks_);
+  EXPECT_EQ(context.stats().best_alpha_recomputes, solved + 2);
+  EXPECT_EQ(context.stats().blocks_refreshed, 0u);
+  EXPECT_EQ(context.stats().tasks_rescored, 5u + 3u);
+  EXPECT_EQ(context.stats().tasks_reused, 1u);  // Task 4, on block 1.
+}
+
+TEST_F(ScheduleContextTest, LateResolvedTaskJoinsItsBlocksInBatchOrder) {
+  // Under DPack a task submitted before any block exists joins its blocks' requester columns
+  // when it resolves, ahead of the later tasks already there.
+  auto [x, y] = FirstTwoUsableOrders();
+  BlockManager blocks(Grid(), kEpsG, kDeltaG);
+  IncrementalEngine context(GreedyMetric::kDpack, kEta);
+  std::vector<Task> pending;
+  pending.push_back(FitsAtOrders(0, {}, {y}, 0.3));
+  pending.back().num_recent_blocks = 2;
+  CheckedCycle(context, pending, blocks);
+
+  for (int b = 0; b < 3; ++b) {
+    blocks.AddBlock(1.0, /*unlocked=*/true);
+  }
+  blocks.block(2).Commit(CapacityFraction(0.99));  // Nothing is granted on block 2.
+  pending.push_back(FitsAtOrders(1, {1, 2}, {x, y}, 0.3));
+  pending.push_back(FitsAtOrders(2, {1, 2}, {x, y}, 0.3));
+  CheckedCycle(context, pending, blocks);
+  uint64_t solved = context.stats().best_alpha_recomputes;
+  uint64_t rescored = context.stats().tasks_rescored;
+
+  // Task 0 resolves to blocks {1, 2}: block 1 now fits three at y and two at x, so its best
+  // alpha moves and tasks 1 and 2 are rescored with task 0.
+  pending[0].blocks = blocks.MostRecentBlocks(2);
+  ASSERT_EQ(pending[0].blocks, (std::vector<BlockId>{1, 2}));
+  CheckedCycle(context, pending, blocks);
+  EXPECT_EQ(context.stats().best_alpha_recomputes, solved + 2);
+  EXPECT_EQ(context.stats().tasks_rescored, rescored + 3);
+
+  // Tasks 0 and 1 leave together; the columns must hold them in batch order for that.
+  pending.erase(pending.begin(), pending.begin() + 2);
+  CheckedCycle(context, pending, blocks);
+  EXPECT_EQ(context.stats().best_alpha_recomputes, solved + 4);
+  EXPECT_EQ(context.stats().full_recomputes, 0u);
+}
+
+TEST_F(ScheduleContextTest, PermutedBatchRebuildsTheRequesterColumns) {
+  // A batch that reorders the previous one is not the stable order the events assume: the
+  // columns are rebuilt, and exactly the blocks whose requester sequence changed re-solve.
+  IncrementalEngine context(GreedyMetric::kDpack, kEta);
+  std::vector<Task> pending;
+  pending.push_back(OversizedTask(0, {0}));
+  pending.push_back(OversizedTask(1, {0, 1}));
+  pending.push_back(OversizedTask(2, {1}));
+  pending.push_back(OversizedTask(3, {0}));
+  pending.push_back(OversizedTask(4, {2}));
+  CheckedCycle(context, pending, blocks_);
+  uint64_t solved = context.stats().best_alpha_recomputes;
+
+  // Blocks 0 and 1 see their requesters reversed; block 2's single requester stays as it
+  // was. Nothing fits, so no best alpha moves and every score is reused.
+  std::reverse(pending.begin(), pending.end());
+  CheckedCycle(context, pending, blocks_);
+  EXPECT_EQ(context.stats().best_alpha_recomputes, solved + 2);
+  EXPECT_EQ(context.stats().tasks_rescored, 5u);
+  EXPECT_EQ(context.stats().tasks_reused, 5u);
+
+  // The rebuilt columns take the next cycle's events: task 1 leaves blocks 0 and 1.
+  pending.erase(pending.begin() + 3);
+  CheckedCycle(context, pending, blocks_);
+  EXPECT_EQ(context.stats().best_alpha_recomputes, solved + 4);
+  EXPECT_EQ(context.stats().tasks_reused, 5u + 4u);
+  EXPECT_EQ(context.stats().full_recomputes, 0u);
+}
+
 TEST_F(ScheduleContextTest, VersionedManagersSurviveCloning) {
   // A context observing a clone of the manager it warmed up on stays exact: Clone preserves
   // the epoch and per-block versions, so unchanged state is not spuriously refreshed.

@@ -250,7 +250,7 @@ TEST(MaxCardinalityCountTest, EdgeCases) {
   EXPECT_EQ(CheckedCount({{0.3, 1.0}, {0.3, 1.0}, {0.3, 1.0}, {0.3, 1.0}}, 2.5), 2u);
 }
 
-// MaxCardinalityCount settles counts below 2 from the two smallest demands and takes the
+// MaxCardinalityCount settles counts below 8 from the eight smallest demands and takes the
 // heap otherwise; both must agree with MaxCardinalityKnapsack on arbitrary doubles, where
 // the additions round.
 size_t DifferentialCount(std::vector<double> demands, double capacity) {
@@ -304,6 +304,15 @@ TEST(MaxCardinalityCountTest, TwoSmallestFastPathMatchesKnapsack) {
       capacities.push_back(std::nextafter(sorted[0] + sorted[1], 0.0));
       capacities.push_back(std::nextafter(sorted[0] + sorted[1], 100.0));
     }
+    // Around the eighth demand, where the held smallest stop settling the count.
+    double prefix = 0.0;
+    for (size_t m = 0; m < n && m < 9; ++m) {
+      prefix += sorted[m];
+      if (m >= 6) {
+        capacities.push_back(prefix);
+        capacities.push_back(std::nextafter(prefix, 0.0));
+      }
+    }
     for (double capacity : capacities) {
       DifferentialCount(demands, capacity);
     }
@@ -334,6 +343,64 @@ TEST(MaxCardinalityCountDeathTest, InvalidDemandAnywhereAborts) {
             << "bad=" << bad << " at=" << at << " capacity=" << capacity;
       }
     }
+  }
+}
+
+// SmallestDemands::Count must equal MaxCardinalityCount on whatever the column holds after
+// any sequence of adds and drops: counts settled by the held demands, depleted summaries
+// that refill from the column, and columns that take the heap path. Demands come from a
+// coarse grid (ties, zeros, -0.0) or are arbitrary doubles, and the column's order is
+// shuffled, since the count must not depend on it.
+TEST(SmallestDemandsTest, CountMatchesMaxCardinalityCountUnderAddsAndDrops) {
+  Rng rng(21);
+  for (int round = 0; round < 40; ++round) {
+    SmallestDemands low;
+    std::vector<double> column;
+    for (int step = 0; step < 300; ++step) {
+      if (column.empty() || rng.Uniform(0.0, 1.0) < 0.55) {
+        double demand = rng.Uniform(0.0, 1.0) < 0.5
+                            ? static_cast<double>(rng.UniformInt(0, 8)) / 8.0
+                            : rng.Uniform(0.0, 1.0);
+        if (demand == 0.0 && rng.Bernoulli(0.5)) {
+          demand = -0.0;
+        }
+        low.Add(demand);
+        column.push_back(demand);
+      } else {
+        size_t at = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(column.size()) - 1));
+        low.Drop(column[at]);
+        column[at] = column.back();
+        column.pop_back();
+      }
+      if (step % 7 != 0) {
+        continue;
+      }
+      std::vector<double> sorted = column;
+      std::sort(sorted.begin(), sorted.end());
+      std::vector<double> capacities = {0.0, rng.Uniform(0.0, 3.0), rng.Uniform(0.0, 40.0)};
+      double prefix = 0.0;
+      for (size_t m = 0; m < sorted.size() && m < 12; ++m) {
+        prefix += sorted[m];
+        capacities.push_back(prefix);
+        capacities.push_back(std::nextafter(prefix, 0.0));
+      }
+      for (double capacity : capacities) {
+        EXPECT_EQ(low.Count(column, capacity), MaxCardinalityCount(column, capacity))
+            << "round=" << round << " step=" << step << " capacity=" << capacity;
+      }
+    }
+  }
+}
+
+TEST(SmallestDemandsDeathTest, InvalidDemandAborts) {
+  for (double bad : {-0.25, std::numeric_limits<double>::quiet_NaN()}) {
+    SmallestDemands low;
+    std::vector<double> column = {0.5, bad, 7.0};
+    for (double demand : column) {
+      low.Add(demand);
+    }
+    EXPECT_DEATH(low.Count(column, 1.0), "demands must be non-negative") << "bad=" << bad;
   }
 }
 

@@ -6,7 +6,7 @@
 #                 lives in the clang static-analysis CI job, and this skip keeps local gcc
 #                 ctest runs green without weakening it.
 #   2. (control)  fixtures/thread_safety_clean.cc compiles under -Werror=thread-safety —
-#                 the flag is active and the Mutex/MutexLock/CondVar wrappers are sound.
+#                 the flag is active and the Mutex/MutexLock wrappers are sound.
 #   3. (negative) fixtures/thread_safety_violation.cc FAILS to compile — a seeded
 #                 GUARDED_BY write without the lock is rejected. If this ever *compiles*,
 #                 the annotations have rotted into no-ops and the test fails loudly.
