@@ -1,18 +1,14 @@
-// Multi-process grant service: transport counters across fleet shapes and crash-recovery
-// legs (ISSUE 8, beyond the paper). Each leg runs a registry scenario through the daemon +
-// worker fleet — some legs SIGKILL a worker mid-run — and self-checks that the grant trace
-// is byte-identical to the in-process engine before reporting anything: a counter dump over
-// a wrong schedule would gate CI on garbage.
+// Grant service over its socket edge (beyond the paper): each leg forks a daemon onto a Unix
+// socket — a GrantService scoring in process behind a NetServiceFront — and drives a
+// registry scenario through it from this process as a remote tenant (src/service/client.h).
+// Each leg self-checks that the remotely observed grant trace is byte-identical to the
+// in-process engine before reporting anything: a counter dump over a wrong schedule would
+// gate CI on garbage.
 //
-// The fig12_service_net legs (ISSUE 10) repeat the exercise through the socket edge: a
-// daemon forked onto a Unix socket, this process driving the workload as a remote tenant
-// (src/service/client.h), gating the client's frame/byte counters per cycle.
-//
-// --json <path> emits the per-cycle message/byte/recovery counters in google-benchmark's
+// --json <path> emits the client's per-cycle frame/byte counters in google-benchmark's
 // {"benchmarks": [...]} shape for scripts/check_bench_regression.py. Every gated field is
-// an exact function of the fixed workload and the protocol (messages and bytes per cycle,
-// score rounds, recoveries) — never timing. ring_stalls is reported for humans but not
-// gated: it counts producer back-off, which depends on OS scheduling.
+// an exact function of the fixed workload and the wire schema (doubles travel as
+// fixed-width bits) — never timing.
 
 #include <unistd.h>
 
@@ -31,98 +27,10 @@ namespace {
 
 constexpr uint64_t kScenarioSeed = 21;
 
-struct ServiceLeg {
-  const char* scenario;
-  size_t workers;
-  size_t shards;
-  uint64_t kill_round;  // 0 = no kill.
-  size_t kill_worker;
-  ServiceRecovery recovery;
-};
+constexpr const char* kNetLegs[] = {"steady_poisson", "bursty_hotspot"};
 
-constexpr ServiceLeg kLegs[] = {
-    {"steady_poisson", 2, 2, 0, 0, ServiceRecovery::kReassign},
-    {"steady_poisson", 4, 4, 0, 0, ServiceRecovery::kReassign},
-    {"steady_poisson", 4, 4, 2, 1, ServiceRecovery::kReassign},
-    {"steady_poisson", 4, 4, 2, 1, ServiceRecovery::kRespawn},
-    {"bursty_hotspot", 2, 4, 0, 0, ServiceRecovery::kReassign},
-    {"bursty_hotspot", 2, 4, 3, 0, ServiceRecovery::kRespawn},
-};
-
-std::string LegName(const ServiceLeg& leg) {
-  std::string name = "fig12_service/" + std::string(leg.scenario) +
-                     "/workers:" + std::to_string(leg.workers) +
-                     "/shards:" + std::to_string(leg.shards);
-  if (leg.kill_round == 0) {
-    name += "/healthy";
-  } else {
-    name += "/kill:" + std::to_string(leg.kill_worker) + "@" +
-            std::to_string(leg.kill_round) +
-            (leg.recovery == ServiceRecovery::kRespawn ? "/respawn" : "/reassign");
-  }
-  return name;
-}
-
-struct LegResult {
-  ServiceCounters counters;
-  size_t cycles = 0;
-  double wall_ms = 0.0;
-  bool trace_ok = false;
-};
-
-LegResult RunLeg(const ServiceLeg& leg) {
-  AlphaGridPtr grid = AlphaGrid::Default();
-  CurvePool pool(grid, BlockCapacityCurve(grid, kEpsG, kDeltaG));
-  ScenarioWorkload workload =
-      GenerateScenario(pool, ScenarioByName(leg.scenario, kScenarioSeed));
-  workload.sim.record_grant_trace = true;
-
-  auto reference_scheduler = std::make_unique<GreedyScheduler>(
-      GreedyMetric::kDpack, GreedySchedulerOptions{.eta = 0.05, .incremental = true});
-  SimResult reference =
-      RunOnlineSimulation(std::move(reference_scheduler), workload.tasks, workload.sim);
-
-  ServiceConfig config;
-  config.num_workers = leg.workers;
-  config.num_shards = leg.shards;
-  config.recovery = leg.recovery;
-  config.kill_at_round = leg.kill_round;
-  config.kill_worker = leg.kill_worker;
-  auto start = std::chrono::steady_clock::now();
-  ServiceSimResult service =
-      RunServiceSimulation(GreedyMetric::kDpack, workload.tasks, workload.sim, config);
-  auto end = std::chrono::steady_clock::now();
-
-  LegResult result;
-  result.counters = service.counters;
-  result.cycles = service.sim.cycles_run;
-  result.wall_ms = std::chrono::duration<double, std::milli>(end - start).count();
-  result.trace_ok = service.sim.grant_trace == reference.grant_trace &&
-                    (leg.kill_round == 0 || service.counters.recoveries > 0);
-  if (!result.trace_ok) {
-    std::fprintf(stderr,
-                 "EQUIVALENCE VIOLATION: %s — service grants differ from the in-process "
-                 "engine (or a requested kill never recovered)\n",
-                 LegName(leg).c_str());
-  }
-  return result;
-}
-
-// Remote-client legs (ISSUE 10): the same scenarios driven through the socket edge — a
-// forked daemon on a Unix socket, the bench process as the tenant client. The self-check
-// diffs the remotely observed grant trace against the in-process engine; the reported
-// frame/byte counters are the client's, which are exact functions of the workload and the
-// wire schema (doubles travel as fixed-width bits), so they gate like every other counter.
-constexpr ServiceLeg kNetLegs[] = {
-    {"steady_poisson", 2, 2, 0, 0, ServiceRecovery::kReassign},
-    {"steady_poisson", 4, 4, 2, 1, ServiceRecovery::kRespawn},
-    {"bursty_hotspot", 2, 4, 0, 0, ServiceRecovery::kReassign},
-};
-
-std::string NetLegName(const ServiceLeg& leg) {
-  std::string name = LegName(leg);
-  name.replace(0, std::string("fig12_service").size(), "fig12_service_net");
-  return name;
+std::string NetLegName(const std::string& scenario) {
+  return "fig12_service_net/" + scenario + "/healthy";
 }
 
 struct NetLegResult {
@@ -132,11 +40,10 @@ struct NetLegResult {
   bool trace_ok = false;
 };
 
-NetLegResult RunNetLeg(const ServiceLeg& leg, size_t index) {
+NetLegResult RunNetLeg(const std::string& scenario, size_t index) {
   AlphaGridPtr grid = AlphaGrid::Default();
   CurvePool pool(grid, BlockCapacityCurve(grid, kEpsG, kDeltaG));
-  ScenarioWorkload workload =
-      GenerateScenario(pool, ScenarioByName(leg.scenario, kScenarioSeed));
+  ScenarioWorkload workload = GenerateScenario(pool, ScenarioByName(scenario, kScenarioSeed));
   workload.sim.record_grant_trace = true;
 
   auto reference_scheduler = std::make_unique<GreedyScheduler>(
@@ -148,24 +55,11 @@ NetLegResult RunNetLeg(const ServiceLeg& leg, size_t index) {
       "/tmp/dpack_fig12_net_" + std::to_string(getpid()) + "_" + std::to_string(index) +
       ".sock";
   SimConfig sim = workload.sim;
-  ServiceConfig service_config;
-  service_config.num_workers = leg.workers;
-  service_config.num_shards = leg.shards;
-  service_config.recovery = leg.recovery;
-  service_config.kill_at_round = leg.kill_round;
-  service_config.kill_worker = leg.kill_worker;
-  pid_t daemon = SpawnChild([socket_path, sim, service_config]() -> int {
+  pid_t daemon = SpawnChild([socket_path, sim]() -> int {
     AlphaGridPtr child_grid = AlphaGrid::Default();
     BlockManager blocks(child_grid, sim.eps_g, sim.delta_g);
-    GrantServiceConfig config;
-    config.service = service_config;
-    config.admission_queue_capacity = sim.admission_queue_capacity;
-    config.period = sim.period;
-    config.unlock_steps = sim.unlock_steps;
-    config.fair_share_n = sim.fair_share_n;
-    GrantService service(GreedyMetric::kDpack, &blocks, config);
-    std::vector<double> schedule = BlockArrivalSchedule(sim);
-    size_t next_block = 0;
+    GrantService service(GreedyMetric::kDpack, &blocks, GrantServiceConfigFor(sim));
+    BlockArrivalFeed feed(sim);
     NetAddress address;
     address.is_unix = true;
     address.path = socket_path;
@@ -173,13 +67,7 @@ NetLegResult RunNetLeg(const ServiceLeg& leg, size_t index) {
     front_config.serve_idle_budget = 400000;  // An orphaned daemon exits, never leaks.
     NetServiceFront front(&service, &blocks, child_grid,
                           std::make_unique<NetListener>(address), front_config,
-                          [&blocks, &schedule, &next_block](double now) {
-                            while (next_block < schedule.size() &&
-                                   schedule[next_block] <= now) {
-                              blocks.AddBlock(schedule[next_block]);
-                              ++next_block;
-                            }
-                          });
+                          [&blocks, &feed](double now) { feed.AdvanceTo(now, blocks); });
     return front.ServeUntilShutdown() ? 0 : 3;
   });
 
@@ -187,9 +75,9 @@ NetLegResult RunNetLeg(const ServiceLeg& leg, size_t index) {
   auto start = std::chrono::steady_clock::now();
   ServiceClient client;
   std::string error;
-  RemoteRunResult remote;
+  ReplayResult remote;
   bool ran = client.Connect("unix:" + socket_path, &error) &&
-             RunRemoteWorkload(client, workload.tasks, workload.sim, &remote, &error);
+             ReplayWorkload(client, workload.tasks, workload.sim, &remote, &error);
   if (ran) {
     ran = client.SendShutdown(&error);
   }
@@ -204,7 +92,7 @@ NetLegResult RunNetLeg(const ServiceLeg& leg, size_t index) {
                     status.state == ChildState::kExited && status.exit_code == 0;
   if (!result.trace_ok) {
     std::fprintf(stderr,
-                 "EQUIVALENCE VIOLATION: %s — %s\n", NetLegName(leg).c_str(),
+                 "EQUIVALENCE VIOLATION: %s — %s\n", NetLegName(scenario).c_str(),
                  !ran ? error.c_str()
                       : "remote grants differ from the in-process engine (or the daemon "
                         "exited uncleanly)");
@@ -223,44 +111,10 @@ std::vector<std::pair<std::string, double>> GatedNetCounters(const NetLegResult&
   };
 }
 
-std::vector<std::pair<std::string, double>> GatedCounters(const LegResult& result) {
-  double cycles = static_cast<double>(result.cycles);
-  const ServiceCounters& c = result.counters;
-  return {
-      {"messages_sent_per_cycle", static_cast<double>(c.messages_sent) / cycles},
-      {"messages_received_per_cycle", static_cast<double>(c.messages_received) / cycles},
-      {"bytes_sent_per_cycle", static_cast<double>(c.bytes_sent) / cycles},
-      {"bytes_received_per_cycle", static_cast<double>(c.bytes_received) / cycles},
-      {"score_rounds_per_cycle", static_cast<double>(c.score_rounds) / cycles},
-      {"recoveries_per_cycle", static_cast<double>(c.recoveries) / cycles},
-      {"respawns_per_cycle", static_cast<double>(c.respawns) / cycles},
-      {"state_replays_per_cycle", static_cast<double>(c.state_replays) / cycles},
-  };
-}
-
 bool RunTable() {
-  CsvTable table({"leg", "cycles", "msgs_sent/cycle", "msgs_recv/cycle", "bytes_sent/cycle",
-                  "recoveries", "respawns", "ring_stalls", "wall_ms"});
-  bool ok = true;
-  for (const ServiceLeg& leg : kLegs) {
-    LegResult result = RunLeg(leg);
-    ok = result.trace_ok && ok;
-    double cycles = static_cast<double>(result.cycles);
-    table.NewRow()
-        .Add(LegName(leg))
-        .Add(result.cycles)
-        .Add(FormatDouble(static_cast<double>(result.counters.messages_sent) / cycles))
-        .Add(FormatDouble(static_cast<double>(result.counters.messages_received) / cycles))
-        .Add(FormatDouble(static_cast<double>(result.counters.bytes_sent) / cycles))
-        .Add(result.counters.recoveries)
-        .Add(result.counters.respawns)
-        .Add(result.counters.ring_stalls)
-        .Add(FormatDouble(result.wall_ms));
-  }
-  table.Print("Fig. 12: grant-service transport counters across fleet and crash legs");
-
   CsvTable net_table({"leg", "cycles", "frames_sent/cycle", "frames_recv/cycle",
                       "bytes_sent/cycle", "bytes_recv/cycle", "wall_ms"});
+  bool ok = true;
   for (size_t i = 0; i < std::size(kNetLegs); ++i) {
     NetLegResult result = RunNetLeg(kNetLegs[i], i);
     ok = result.trace_ok && ok;
@@ -274,7 +128,7 @@ bool RunTable() {
         .Add(FormatDouble(static_cast<double>(result.client.bytes_received) / cycles))
         .Add(FormatDouble(result.wall_ms));
   }
-  net_table.Print("Fig. 12 addendum: remote-client legs over the checksummed socket edge");
+  net_table.Print("Fig. 12: remote-client legs over the checksummed socket edge");
   std::printf("equivalence: %s — every leg %s the in-process grant trace\n",
               ok ? "OK" : "VIOLATED", ok ? "matches" : "DIVERGES FROM");
   return ok;
@@ -283,18 +137,6 @@ bool RunTable() {
 bool DumpCountersJson(const std::string& path) {
   std::vector<BenchJsonEntry> entries;
   bool ok = true;
-  for (const ServiceLeg& leg : kLegs) {
-    LegResult result = RunLeg(leg);
-    ok = result.trace_ok && ok;
-    BenchJsonEntry entry;
-    entry.name = LegName(leg);
-    entry.fields.push_back({"wall_ms", result.wall_ms});
-    entry.fields.push_back({"ring_stalls_total", static_cast<double>(result.counters.ring_stalls)});
-    for (const auto& field : GatedCounters(result)) {
-      entry.fields.push_back(field);
-    }
-    entries.push_back(std::move(entry));
-  }
   for (size_t i = 0; i < std::size(kNetLegs); ++i) {
     NetLegResult result = RunNetLeg(kNetLegs[i], i);
     ok = result.trace_ok && ok;
@@ -323,8 +165,8 @@ std::string ParseJsonPath(int argc, char** argv) {
 
 int main(int argc, char** argv) {
   using namespace dpack::bench;
-  Banner("Fig. 12: multi-process grant service, fleet + crash-recovery legs",
-         "ISSUE 8, beyond the paper");
+  Banner("Fig. 12: grant service over the socket edge, remote-client legs",
+         "beyond the paper");
   std::string json_path = ParseJsonPath(argc, argv);
   if (!json_path.empty()) {
     return DumpCountersJson(json_path) ? 0 : 1;

@@ -1,34 +1,26 @@
-// Grant service CLI: run a registered scenario through the multi-process service fleet
-// (orchestrator daemon + crash-isolated scheduler workers), optionally SIGKILL a worker
-// mid-run, and prove the grant trace byte-identical to the in-process engine.
+// Grant service CLI: run a registered scenario through the grant service (admission control
+// over the online driver and the incremental engine, scoring in process) and prove the
+// grant trace byte-identical to the sim driver's in-process engine.
 //
 //   example_grant_service list
 //   example_grant_service <scenario> [--seed N] [--metric dpack|dpf|area|fcfs]
-//                         [--workers N] [--shards N]
-//                         [--kill-round R] [--kill-worker W]
-//                         [--recovery reassign|respawn] [--differential]
+//                         [--differential]
 //
 // Remote client edge (src/service/net_transport.h): the same scenario driven over a
 // checksummed socket instead of in-process calls, for the CI remote-client kill leg.
 //
-//   example_grant_service <scenario> --listen unix:/path|tcp:PORT
-//                         [--serve-idle-budget N] [fleet flags as above]
+//   example_grant_service <scenario> --listen unix:/path|tcp:PORT [--serve-idle-budget N]
 //   example_grant_service <scenario> --connect unix:/path|tcp:PORT
 //                         [--differential] [--shutdown]
 //   example_grant_service <scenario> --kill-client unix:/path|tcp:PORT
 //
 // --listen serves the scenario's block-arrival schedule as a socket daemon until a client
 // sends Shutdown (exit 0) or the idle budget expires (exit 1). --connect replays the
-// scenario's workload remotely and, with --differential, exits nonzero unless the daemon's
-// grants are byte-identical to an uninterrupted in-process run; --shutdown stops the daemon
-// afterwards. --kill-client connects, writes a deliberately unfinished frame, and SIGKILLs
-// itself mid-submission — the CI leg proving a vanishing client cannot wedge the daemon.
-//
-// This is the binary the CI `service` job drives: it launches the daemon + N workers,
-// injects the kill, and with --differential exits nonzero unless the (possibly recovered)
-// service run granted the exact same task ids in the exact same order as an uninterrupted
-// single-process run. The fleet demo at startup prints the worker pids so the job log shows
-// the real processes that were spawned (and, with a kill, which one died).
+// scenario's workload remotely; --shutdown stops the daemon afterwards. --kill-client
+// connects, writes a deliberately unfinished frame, and SIGKILLs itself mid-submission —
+// the CI leg proving a vanishing client cannot wedge the daemon. With --differential the
+// run exits nonzero unless its grants are byte-identical to an uninterrupted in-process
+// RunOnlineSimulation. Any other flag is a usage error (exit 2).
 
 #include <csignal>
 #include <netinet/in.h>
@@ -36,13 +28,13 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "src/common/cli.h"
 #include "src/common/frame.h"
@@ -55,9 +47,7 @@ using namespace dpack;  // Example code; the library itself never does this.
 
 constexpr char kUsage[] =
     "example_grant_service <scenario> [--seed N] [--metric dpack|dpf|area|fcfs]\n"
-    "                      [--workers N] [--shards N] [--kill-round R] [--kill-worker W]\n"
-    "                      [--recovery reassign|respawn] [--differential]\n"
-    "                      [--listen ADDR [--serve-idle-budget N]]\n"
+    "                      [--differential] [--listen ADDR [--serve-idle-budget N]]\n"
     "                      [--connect ADDR [--shutdown]] [--kill-client ADDR]\n"
     "  ADDR is unix:<path> or tcp:<port> (loopback)";
 
@@ -78,63 +68,6 @@ GreedyMetric ParseMetric(const std::string& value) {
   std::exit(2);
 }
 
-void PrintCounters(const ServiceCounters& c) {
-  std::printf(
-      "  counters: messages %llu sent / %llu received, bytes %llu / %llu, ring stalls %llu\n"
-      "            score rounds %llu, recoveries %llu, respawns %llu, state replays %llu,\n"
-      "            admission rejects %llu\n",
-      static_cast<unsigned long long>(c.messages_sent),
-      static_cast<unsigned long long>(c.messages_received),
-      static_cast<unsigned long long>(c.bytes_sent),
-      static_cast<unsigned long long>(c.bytes_received),
-      static_cast<unsigned long long>(c.ring_stalls),
-      static_cast<unsigned long long>(c.score_rounds),
-      static_cast<unsigned long long>(c.recoveries),
-      static_cast<unsigned long long>(c.respawns),
-      static_cast<unsigned long long>(c.state_replays),
-      static_cast<unsigned long long>(c.admission_rejects));
-}
-
-// Spins a tiny GrantService fleet just to show the daemon/worker process structure in the
-// log: the real scenario run below builds an identical fleet inside the sim driver.
-void FleetDemo(GreedyMetric metric, const ServiceConfig& service_config) {
-  BlockManager blocks(AlphaGrid::Default(), /*eps_g=*/10.0, /*delta_g=*/1e-7);
-  for (int b = 0; b < 4; ++b) blocks.AddBlock(/*arrival_time=*/0.0, /*unlocked=*/true);
-  GrantServiceConfig config;
-  config.service = service_config;
-  config.service.kill_at_round = 0;  // The demo never injects the kill.
-  GrantService service(metric, &blocks, config);
-  RdpCurve capacity = BlockCapacityCurve(AlphaGrid::Default(), 10.0, 1e-7);
-  for (int i = 0; i < 3; ++i) {
-    Task task(i, /*weight=*/1.0, capacity.Scaled(0.2));
-    task.blocks = {0, 1};
-    task.arrival_time = 0.0;
-    service.Submit(std::move(task));
-  }
-  size_t granted = service.RunCycle(/*now=*/0.0);
-  ServiceTransport& transport = service.scheduler().transport();
-  std::printf("fleet: daemon pid %lld, %zu workers\n",
-              static_cast<long long>(getpid()), transport.num_workers());
-  for (size_t w = 0; w < transport.num_workers(); ++w) {
-    std::printf("  worker %zu: pid %lld %s\n", w, static_cast<long long>(transport.pid(w)),
-                transport.alive(w) ? "alive" : "dead");
-  }
-  std::printf("  demo cycle granted %zu/3 probe tasks\n", granted);
-}
-
-// Returns the 0-based cycle index of the first divergence, or -1 when identical.
-long long CompareTraces(const std::vector<std::vector<TaskId>>& service_trace,
-                        const std::vector<std::vector<TaskId>>& reference_trace) {
-  size_t cycles = std::max(service_trace.size(), reference_trace.size());
-  for (size_t c = 0; c < cycles; ++c) {
-    if (c >= service_trace.size() || c >= reference_trace.size() ||
-        service_trace[c] != reference_trace[c]) {
-      return static_cast<long long>(c);
-    }
-  }
-  return -1;
-}
-
 void PrintNetCounters(const char* who, const NetCounters& c) {
   std::printf(
       "  %s net: accepts %llu, disconnects %llu (budget %llu), frames %llu sent / "
@@ -153,12 +86,74 @@ void PrintNetCounters(const char* who, const NetCounters& c) {
       static_cast<unsigned long long>(c.cycles_run));
 }
 
+// Prints a replay's totals; returns the number of grants.
+uint64_t PrintReplay(const char* who, const ReplayResult& result) {
+  uint64_t granted = 0;
+  for (const std::vector<TaskId>& cycle : result.grant_trace) {
+    granted += cycle.size();
+  }
+  std::printf("%s run: %zu cycles, %llu granted, %llu submitted (%llu accepted, %llu rejected)\n",
+              who, result.cycles_run, static_cast<unsigned long long>(granted),
+              static_cast<unsigned long long>(result.submitted),
+              static_cast<unsigned long long>(result.accepted),
+              static_cast<unsigned long long>(result.rejected));
+  return granted;
+}
+
+// --differential: the replay's grant trace must be byte-identical to an uninterrupted
+// in-process RunOnlineSimulation of the same workload. Returns the exit code.
+int CheckAgainstEngine(GreedyMetric metric, const ScenarioWorkload& workload,
+                       const ReplayResult& result, uint64_t granted) {
+  auto reference = std::make_unique<GreedyScheduler>(metric, GreedySchedulerOptions{});
+  SimResult reference_result =
+      RunOnlineSimulation(std::move(reference), workload.tasks, workload.sim);
+  if (result.grant_trace != reference_result.grant_trace) {
+    size_t cycle = 0;
+    while (cycle < result.grant_trace.size() && cycle < reference_result.grant_trace.size() &&
+           result.grant_trace[cycle] == reference_result.grant_trace[cycle]) {
+      ++cycle;
+    }
+    std::fprintf(stderr,
+                 "FAIL: grant trace diverged from the in-process engine at cycle %zu "
+                 "(service %zu cycles, reference %zu cycles)\n",
+                 cycle, result.grant_trace.size(), reference_result.grant_trace.size());
+    return 1;
+  }
+  if (granted != reference_result.metrics.allocated()) {
+    std::fprintf(stderr, "FAIL: allocated %llu vs reference %llu\n",
+                 static_cast<unsigned long long>(granted),
+                 static_cast<unsigned long long>(reference_result.metrics.allocated()));
+    return 1;
+  }
+  std::printf("OK: grant trace byte-identical to the in-process engine (%zu cycles)\n",
+              reference_result.grant_trace.size());
+  return 0;
+}
+
+// No socket mode: replay the scenario through a GrantService in this process.
+int RunInProcess(GreedyMetric metric, const ScenarioWorkload& workload, bool differential) {
+  const SimConfig& sim = workload.sim;
+  BlockManager blocks(sim.grid != nullptr ? sim.grid : AlphaGrid::Default(), sim.eps_g,
+                      sim.delta_g);
+  GrantService service(metric, &blocks, GrantServiceConfigFor(sim));
+  LocalServiceFront front(&service, &blocks, sim);
+  ReplayResult result;
+  std::string error;
+  if (!ReplayWorkload(front, workload.tasks, sim, &result, &error)) {
+    std::fprintf(stderr, "FAIL: %s\n", error.c_str());
+    return 1;
+  }
+  uint64_t granted = PrintReplay("service", result);
+  std::printf("  pending %zu, admission rejects %llu\n", service.pending_count(),
+              static_cast<unsigned long long>(service.counters().admission_rejects));
+  return differential ? CheckAgainstEngine(metric, workload, result, granted) : 0;
+}
+
 // --listen: serve the scenario as a socket daemon — the scenario supplies the block-arrival
 // schedule (applied through the advance hook as client request instants pass each arrival)
 // while the tasks come from remote clients. Exits 0 on a clean client Shutdown.
 int RunDaemon(const std::string& address_text, GreedyMetric metric,
-              const ServiceConfig& service_config, const ScenarioWorkload& workload,
-              uint64_t serve_idle_budget) {
+              const ScenarioWorkload& workload, uint64_t serve_idle_budget) {
   NetAddress address;
   std::string error;
   if (!ParseNetAddress(address_text, &address, &error)) {
@@ -168,48 +163,23 @@ int RunDaemon(const std::string& address_text, GreedyMetric metric,
   const SimConfig& sim = workload.sim;
   AlphaGridPtr grid = sim.grid != nullptr ? sim.grid : AlphaGrid::Default();
   BlockManager blocks(grid, sim.eps_g, sim.delta_g);
-  // The same online-driver knobs RunOnlineSimulation would derive from this SimConfig, so
-  // a remote replay of the workload is grant-identical to the in-process run.
-  GrantServiceConfig config;
-  config.service = service_config;
-  config.admission_queue_capacity = sim.admission_queue_capacity;
-  config.period = sim.period;
-  config.unlock_steps = sim.unlock_steps;
-  config.fair_share_n = sim.fair_share_n;
-  GrantService service(metric, &blocks, config);
-  // The worker fleet forks lazily on the first scheduling cycle; pids are printed after
-  // serving, once the fleet existed.
-  std::printf("daemon: pid %lld, %zu workers configured\n",
-              static_cast<long long>(getpid()), service_config.num_workers);
+  GrantService service(metric, &blocks, GrantServiceConfigFor(sim));
+  std::printf("daemon: pid %lld\n", static_cast<long long>(getpid()));
 
-  std::vector<double> schedule = BlockArrivalSchedule(sim);
-  size_t next_block = 0;
-  auto advance = [&blocks, &schedule, &next_block](double now) {
-    while (next_block < schedule.size() && schedule[next_block] <= now) {
-      blocks.AddBlock(schedule[next_block]);
-      ++next_block;
-    }
-  };
+  BlockArrivalFeed feed(sim);
   NetFrontConfig front_config;
   front_config.serve_idle_budget = serve_idle_budget;
   NetServiceFront front(&service, &blocks, grid, std::make_unique<NetListener>(address),
-                        front_config, advance);
+                        front_config,
+                        [&blocks, &feed](double now) { feed.AdvanceTo(now, blocks); });
   std::printf("daemon: listening on %s\n", front.listener().address_string().c_str());
   std::fflush(stdout);
 
   bool clean_shutdown = front.ServeUntilShutdown();
   std::printf("daemon: served %zu remote cycles, %llu granted, %zu blocks arrived\n",
               front.grant_trace().size(),
-              static_cast<unsigned long long>(service.metrics().allocated()), next_block);
-  ServiceTransport& transport = service.scheduler().transport();
-  if (transport.started()) {  // The fleet forks lazily on the first scheduling cycle.
-    for (size_t w = 0; w < transport.num_workers(); ++w) {
-      std::printf("  worker %zu: pid %lld %s\n", w, static_cast<long long>(transport.pid(w)),
-                  transport.alive(w) ? "alive" : "dead");
-    }
-  }
+              static_cast<unsigned long long>(service.metrics().allocated()), feed.arrived());
   PrintNetCounters("daemon", front.counters());
-  PrintCounters(service.counters());
   if (!clean_shutdown) {
     std::fprintf(stderr, "FAIL: serve idle budget expired without a client Shutdown\n");
     return 1;
@@ -217,9 +187,8 @@ int RunDaemon(const std::string& address_text, GreedyMetric metric,
   return 0;
 }
 
-// --connect: replay the scenario's workload against a --listen daemon of the same scenario.
-// With --differential the remote grant trace must be byte-identical to an uninterrupted
-// in-process run; with --shutdown the daemon is stopped afterwards.
+// --connect: replay the scenario's workload against a --listen daemon of the same scenario;
+// with --shutdown the daemon is stopped afterwards.
 int RunRemoteClient(const std::string& address_text, GreedyMetric metric,
                     const ScenarioWorkload& workload, bool differential, bool shutdown) {
   ServiceClient client;
@@ -230,51 +199,14 @@ int RunRemoteClient(const std::string& address_text, GreedyMetric metric,
   }
   std::printf("client: pid %lld connected to %s\n", static_cast<long long>(getpid()),
               address_text.c_str());
-  RemoteRunResult result;
-  if (!RunRemoteWorkload(client, workload.tasks, workload.sim, &result, &error)) {
+  ReplayResult result;
+  if (!ReplayWorkload(client, workload.tasks, workload.sim, &result, &error)) {
     std::fprintf(stderr, "FAIL: remote run: %s\n", error.c_str());
     return 1;
   }
-  uint64_t granted = 0;
-  for (const std::vector<TaskId>& cycle : result.grant_trace) {
-    granted += cycle.size();
-  }
-  std::printf("remote run: %zu cycles, %llu granted, %llu submitted "
-              "(%llu accepted, %llu rejected)\n",
-              result.cycles_run, static_cast<unsigned long long>(granted),
-              static_cast<unsigned long long>(result.submitted),
-              static_cast<unsigned long long>(result.accepted),
-              static_cast<unsigned long long>(result.rejected));
+  uint64_t granted = PrintReplay("remote", result);
   PrintNetCounters("client", client.counters());
-
-  int exit_code = 0;
-  if (differential) {
-    GreedySchedulerOptions options;
-    options.incremental = true;
-    auto reference = std::make_unique<GreedyScheduler>(metric, options);
-    SimConfig reference_config = workload.sim;
-    reference_config.record_grant_trace = true;
-    SimResult reference_result =
-        RunOnlineSimulation(std::move(reference), workload.tasks, reference_config);
-    long long diverged = CompareTraces(result.grant_trace, reference_result.grant_trace);
-    if (diverged >= 0) {
-      std::fprintf(stderr,
-                   "FAIL: remote grant trace diverged from the in-process engine at cycle "
-                   "%lld (remote %zu cycles, reference %zu cycles)\n",
-                   diverged, result.grant_trace.size(),
-                   reference_result.grant_trace.size());
-      exit_code = 1;
-    } else if (granted != reference_result.metrics.allocated()) {
-      std::fprintf(stderr, "FAIL: remote allocated %llu vs reference %llu\n",
-                   static_cast<unsigned long long>(granted),
-                   static_cast<unsigned long long>(reference_result.metrics.allocated()));
-      exit_code = 1;
-    } else {
-      std::printf("OK: remote grant trace byte-identical to the in-process engine "
-                  "(%zu cycles)\n",
-                  reference_result.grant_trace.size());
-    }
-  }
+  int exit_code = differential ? CheckAgainstEngine(metric, workload, result, granted) : 0;
   if (shutdown) {
     if (!client.SendShutdown(&error)) {
       std::fprintf(stderr, "FAIL: shutdown: %s\n", error.c_str());
@@ -359,11 +291,7 @@ int main(int argc, char** argv) {
   std::string name = argv[1];
   uint64_t seed = 1;
   GreedyMetric metric = GreedyMetric::kDpack;
-  ServiceConfig service_config;
-  service_config.num_workers = 4;
   bool differential = false;
-  uint64_t kill_round = 0;
-  size_t kill_worker = 0;
   std::string listen_addr, connect_addr, kill_client_addr;
   uint64_t serve_idle_budget = 0;
   bool send_shutdown = false;
@@ -377,6 +305,11 @@ int main(int argc, char** argv) {
       send_shutdown = true;
       continue;
     }
+    if (flag != "--seed" && flag != "--metric" && flag != "--listen" && flag != "--connect" &&
+        flag != "--kill-client" && flag != "--serve-idle-budget") {
+      std::fprintf(stderr, "unknown flag '%s'\n%s\n", flag.c_str(), kUsage);
+      return 2;
+    }
     if (i + 1 >= argc) {
       std::fprintf(stderr, "flag '%s' requires a value\n", flag.c_str());
       return 2;
@@ -386,42 +319,15 @@ int main(int argc, char** argv) {
       seed = ParseUint64Arg(argv[0], value, "--seed", kUsage);
     } else if (flag == "--metric") {
       metric = ParseMetric(value);
-    } else if (flag == "--workers") {
-      service_config.num_workers = ParseSizeArg(argv[0], value, "--workers", kUsage);
-    } else if (flag == "--shards") {
-      service_config.num_shards = ParseSizeArg(argv[0], value, "--shards", kUsage);
-    } else if (flag == "--kill-round") {
-      kill_round = ParseUint64Arg(argv[0], value, "--kill-round", kUsage);
-    } else if (flag == "--kill-worker") {
-      kill_worker = ParseSizeArg(argv[0], value, "--kill-worker", kUsage);
     } else if (flag == "--listen") {
       listen_addr = value;
     } else if (flag == "--connect") {
       connect_addr = value;
     } else if (flag == "--kill-client") {
       kill_client_addr = value;
-    } else if (flag == "--serve-idle-budget") {
-      serve_idle_budget = ParseUint64Arg(argv[0], value, "--serve-idle-budget", kUsage);
-    } else if (flag == "--recovery") {
-      if (value == "reassign") {
-        service_config.recovery = ServiceRecovery::kReassign;
-      } else if (value == "respawn") {
-        service_config.recovery = ServiceRecovery::kRespawn;
-      } else {
-        std::fprintf(stderr, "unknown recovery '%s' (want reassign|respawn)\n", value.c_str());
-        return 2;
-      }
     } else {
-      std::fprintf(stderr, "unknown flag '%s'\n", flag.c_str());
-      return 2;
+      serve_idle_budget = ParseUint64Arg(argv[0], value, "--serve-idle-budget", kUsage);
     }
-  }
-  service_config.kill_at_round = kill_round;
-  service_config.kill_worker = kill_worker;
-  if (kill_round > 0 && kill_worker >= service_config.num_workers) {
-    std::fprintf(stderr, "--kill-worker %zu out of range for %zu workers\n", kill_worker,
-                 service_config.num_workers);
-    return 2;
   }
   int socket_modes = (listen_addr.empty() ? 0 : 1) + (connect_addr.empty() ? 0 : 1) +
                      (kill_client_addr.empty() ? 0 : 1);
@@ -446,54 +352,10 @@ int main(int argc, char** argv) {
               : metric == GreedyMetric::kArea ? "area"
                                               : "fcfs");
   if (!listen_addr.empty()) {
-    return RunDaemon(listen_addr, metric, service_config, workload, serve_idle_budget);
+    return RunDaemon(listen_addr, metric, workload, serve_idle_budget);
   }
   if (!connect_addr.empty()) {
     return RunRemoteClient(connect_addr, metric, workload, differential, send_shutdown);
   }
-  FleetDemo(metric, service_config);
-
-  if (kill_round > 0) {
-    std::printf("kill plan: SIGKILL worker %zu at score round %llu (recovery=%s)\n",
-                kill_worker, static_cast<unsigned long long>(kill_round),
-                service_config.recovery == ServiceRecovery::kRespawn ? "respawn" : "reassign");
-  }
-  ServiceSimResult service_result =
-      RunServiceSimulation(metric, workload.tasks, workload.sim, service_config);
-  std::printf("service run: %zu cycles, %llu granted, pending %zu\n",
-              service_result.sim.cycles_run,
-              static_cast<unsigned long long>(service_result.sim.metrics.allocated()),
-              service_result.sim.pending_at_end);
-  PrintCounters(service_result.counters);
-  if (kill_round > 0 && service_result.counters.recoveries == 0) {
-    std::fprintf(stderr, "FAIL: kill was requested but no recovery was recorded\n");
-    return 1;
-  }
-
-  if (!differential) return 0;
-
-  GreedySchedulerOptions options;
-  options.incremental = true;
-  auto reference = std::make_unique<GreedyScheduler>(metric, options);
-  SimResult reference_result =
-      RunOnlineSimulation(std::move(reference), workload.tasks, workload.sim);
-  long long diverged =
-      CompareTraces(service_result.sim.grant_trace, reference_result.grant_trace);
-  if (diverged >= 0) {
-    std::fprintf(stderr,
-                 "FAIL: grant trace diverged from the in-process engine at cycle %lld "
-                 "(service %zu cycles, reference %zu cycles)\n",
-                 diverged, service_result.sim.grant_trace.size(),
-                 reference_result.grant_trace.size());
-    return 1;
-  }
-  if (service_result.sim.metrics.allocated() != reference_result.metrics.allocated()) {
-    std::fprintf(stderr, "FAIL: allocated %llu vs reference %llu\n",
-                 static_cast<unsigned long long>(service_result.sim.metrics.allocated()),
-                 static_cast<unsigned long long>(reference_result.metrics.allocated()));
-    return 1;
-  }
-  std::printf("OK: grant trace byte-identical to the in-process engine (%zu cycles)\n",
-              reference_result.grant_trace.size());
-  return 0;
+  return RunInProcess(metric, workload, differential);
 }

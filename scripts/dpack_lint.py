@@ -13,11 +13,10 @@ src/core, src/block, and src/service unless noted):
                            annotated Mutex/MutexLock wrappers so clang's
                            -Wthread-safety analysis sees it.
   raw-sleep                (all of src/) usleep, nanosleep, clock_nanosleep, sleep_for and
-                           sleep_until are banned except in src/common/sleep.cc and
-                           src/common/doorbell.cc. A wait on the service's critical path
-                           must end when its event arrives (a Doorbell on shm rings,
-                           WaitForFds on sockets); the few sleeps with nothing to wait on go
-                           through SleepFullMicros, which EINTR cannot shorten.
+                           sleep_until are banned except in src/common/sleep.cc. A wait on
+                           the service's critical path must end when its event arrives
+                           (WaitForFds on sockets); the few sleeps with nothing to wait on
+                           go through SleepFullMicros, which EINTR cannot shorten.
   unordered-iteration      Iterating an unordered container on a grant-ordering path:
                            iteration order is hash-seed/pointer dependent, so any grant
                            decision derived from it differs run to run. Lookups are fine;
@@ -70,10 +69,10 @@ import tempfile
 
 # Directories whose code decides or orders grants: hash-order and clock nondeterminism
 # here changes the grant sequence, which the whole reproduction pins byte-for-byte.
-# src/service is in scope because the daemon's merge and the workers' scoring replicas are
-# grant-ordering code too — a hash-order or wall-clock leak there breaks the multi-process
-# grant-equivalence proof the same way it would in-process (deadlines in the service are
-# iteration budgets, not clocks, precisely so this rule can hold there).
+# src/service is in scope because the daemon's admission and socket edge decide what reaches
+# the engine and at which virtual instant — a hash-order or wall-clock leak there breaks the
+# remote grant-equivalence proof the same way it would in-process (deadlines in the service
+# are iteration budgets, not clocks, precisely so this rule can hold there).
 GRANT_ORDERING_DIRS = ("src/core", "src/block", "src/service")
 # float-equality reaches further: trace I/O reparses budget doubles from text, where a bare
 # == against a grid value is the same representation trap (the other grant-ordering rules
@@ -84,7 +83,7 @@ ALL_CODE_DIRS = ("src", "tests", "bench", "examples")
 THREAD_ANNOTATIONS_HEADER = "src/common/thread_annotations.h"
 # raw-sleep applies to the library; these are the sanctioned homes of a bounded wait.
 RAW_SLEEP_DIRS = ("src",)
-RAW_SLEEP_HOMES = ("src/common/sleep.cc", "src/common/doorbell.cc")
+RAW_SLEEP_HOMES = ("src/common/sleep.cc",)
 
 ALLOW_RE = re.compile(r"//\s*dpack-lint:\s*allow\(([a-z-]+)\)\s*:\s*\S")
 
@@ -270,14 +269,14 @@ def lint_file(rel, text):
                     f"annotated Mutex/MutexLock wrappers so -Wthread-safety "
                     f"checks the lock discipline")
 
-    # raw-sleep: the library, except the two files that implement bounded waits.
+    # raw-sleep: the library, except the file that implements bounded waits.
     if in_scope(rel_posix, RAW_SLEEP_DIRS) and rel_posix not in RAW_SLEEP_HOMES:
         for idx, line in enumerate(lines, 1):
             m = RAW_SLEEP_RE.search(line)
             if m:
                 add(idx, "raw-sleep",
                     f"{m.group(1) or m.group(2)}() outside {' / '.join(RAW_SLEEP_HOMES)}; "
-                    f"wait on the event (Doorbell, WaitForFds) or, with nothing to wait "
+                    f"wait on the event (WaitForFds) or, with nothing to wait "
                     f"on, call SleepFullMicros")
 
     in_grant_scope = in_scope(rel_posix, GRANT_ORDERING_DIRS)

@@ -36,8 +36,8 @@ cmake --build "${BUILD_DIR}" \
 "./${BUILD_DIR}/bench_fig11_block_scale" --json "${TMP_DIR}/fig11_counters.json" \
   > /dev/null
 
-# fig12 exits non-zero unless every fleet/crash leg's grant trace matches the in-process
-# engine — a baseline must never be regenerated over a diverging service.
+# fig12 exits non-zero unless every socket leg's grant trace matches the in-process engine
+# — a baseline must never be regenerated over a diverging service.
 "./${BUILD_DIR}/bench_fig12_service" --json "${TMP_DIR}/fig12_counters.json" > /dev/null
 
 python3 - "${TMP_DIR}/micro_scheduler.json" "${TMP_DIR}/fig5_counters.json" \

@@ -1,7 +1,6 @@
 #include "src/common/frame.h"
 
 #include <cstring>
-#include <utility>
 
 #include "src/common/wire.h"  // Also asserts the little-endian host the copies below need.
 
@@ -15,20 +14,12 @@ uint64_t LoadU64Le(const char* p) {
 
 void StoreU64Le(char* p, uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
 
-void WriteFrameHeader(char* header, std::string_view payload) {
-  StoreU64Le(header, payload.size());
-  StoreU64Le(header + 8, Fnv1a64(payload));
-}
-
 void AppendFrame(std::string* out, std::string_view payload) {
   char header[kFrameHeaderBytes];
-  WriteFrameHeader(header, payload);
+  StoreU64Le(header, payload.size());
+  StoreU64Le(header + 8, Fnv1a64(payload));
   out->append(header, kFrameHeaderBytes);
   out->append(payload);
-}
-
-EncodedFrame::EncodedFrame(std::string payload_bytes) : payload(std::move(payload_bytes)) {
-  WriteFrameHeader(header, payload);
 }
 
 FrameDecodeStatus DecodeFrame(std::string_view buffer, size_t max_payload,

@@ -1,8 +1,7 @@
-// The checksum frame every dpack transport speaks: [u64 payload length][u64 FNV-1a
-// checksum][payload bytes], all little-endian (the wire.h discipline). Originally private
-// to the shm ring (src/common/shm_ring.cc); hoisted here so the socket transport
-// (src/service/net_transport.h) frames its byte stream with the exact same contract — one
-// frame codec, one corruption-rejection discipline, shared by shared memory and sockets.
+// The checksum frame the grant service's socket edge speaks: [u64 payload length][u64
+// FNV-1a checksum][payload bytes], all little-endian (the wire.h discipline). The daemon
+// front and the client (src/service/net_transport.h, src/service/client.h) frame their byte
+// streams with this one codec and its one corruption-rejection discipline.
 //
 // Decoding never trusts the length field: DecodeFrame bounds it by both the bytes actually
 // buffered and a caller-supplied maximum, so a hostile or damaged header can neither trigger
@@ -27,20 +26,8 @@ inline constexpr size_t kFrameHeaderBytes = 16;
 uint64_t LoadU64Le(const char* p);
 void StoreU64Le(char* p, uint64_t v);
 
-// Writes the 16-byte frame header for `payload` into `header` (at least kFrameHeaderBytes).
-void WriteFrameHeader(char* header, std::string_view payload);
-
 // Appends one complete frame (header + payload) to `out`.
 void AppendFrame(std::string* out, std::string_view payload);
-
-// One payload and its frame header, computed once. A broadcast pushes the same EncodedFrame
-// into every worker's ring, so it pays for the encode and the checksum once, not per ring.
-struct EncodedFrame {
-  explicit EncodedFrame(std::string payload_bytes);
-
-  char header[kFrameHeaderBytes];
-  std::string payload;
-};
 
 enum class FrameDecodeStatus {
   kOk,        // One complete, checksum-clean frame; *payload set, *consumed advanced.

@@ -1,11 +1,7 @@
-// Thin fork/waitpid/kill helpers for the grant service's worker processes.
-//
-// Workers are forked WITHOUT exec: the daemon maps its shared-memory regions while still
-// single-threaded, forks, and each child inherits the mappings at the same addresses — no
-// path/serialization handshake, and the child runs ordinary library code against the shared
-// rings. The daemon must therefore not fork service workers from a multi-threaded state
-// (see src/service/transport.cc, which forks only at service start and respawn, both on the
-// daemon's single scheduling thread).
+// Thin fork/waitpid/kill helpers for the processes around the grant service: a socket
+// daemon forked by a test or a bench, a client that dies mid-frame, a workload generator
+// feeding a pipe. A child is forked WITHOUT exec and runs ordinary library code on its
+// copy of the parent's memory, so fork only from a single-threaded process.
 
 #ifndef SRC_COMMON_SUBPROCESS_H_
 #define SRC_COMMON_SUBPROCESS_H_
@@ -34,17 +30,8 @@ struct ChildStatus {
   int term_signal = 0;
 };
 
-// Non-blocking waitpid(WNOHANG). Once a child has been reported kExited/kSignaled it is
-// reaped — polling it again DPACK_CHECKs (track terminal states caller-side).
-ChildStatus PollChild(pid_t pid);
-
-// Blocking waitpid; same reap-once contract as PollChild.
+// Blocking waitpid. It reaps the child, so waiting on it again DPACK_CHECKs.
 ChildStatus WaitChild(pid_t pid);
-
-// Blocks until the child terminates or `max_us` microseconds pass, whichever is first,
-// without reaping it (PollChild/WaitChild still report its status). Waits on a pidfd, so a
-// child that exits ends the wait at once; a kernel without pidfds gets a plain sleep.
-void AwaitChildExit(pid_t pid, unsigned int max_us);
 
 // Sends `signal` (e.g. SIGKILL) to the child. Harmless on already-dead children.
 void KillChild(pid_t pid, int signal);

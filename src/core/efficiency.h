@@ -105,9 +105,9 @@ size_t BestAlphaForBlock(const RequesterColumns& requesters, const RdpCurve& ava
 
 // The same subproblem with `requesters` indexing into `tasks` the pending tasks requesting
 // the block, in batch order: gathers their weights and demands at the usable orders into
-// columns (with their summaries) and calls the form above. ComputeBestAlphas and the service
-// workers call this form, and the incremental engine keeps the columns as state, so all of
-// their best alphas come from one core and are identical by construction.
+// columns (with their summaries) and calls the form above. ComputeBestAlphas calls this
+// form, and the incremental engine keeps the columns as state, so all of their best alphas
+// come from one core and are identical by construction.
 size_t BestAlphaForBlock(std::span<const Task> tasks, std::span<const size_t> requesters,
                          const RdpCurve& available, double eta);
 

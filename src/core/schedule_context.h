@@ -1,7 +1,6 @@
 // Greedy scheduling (Alg. 1: score, sort, CANRUN walk): the definitions that the
-// recompute reference path, the incremental engine (`IncrementalEngine`,
-// src/core/incremental_engine.h) and the service's daemon and workers (src/service/)
-// share.
+// recompute reference path and the incremental engine (`IncrementalEngine`,
+// src/core/incremental_engine.h) share.
 //
 // The recompute path (`RecomputeScheduleBatch`, the original GreedyScheduler behavior) costs
 // O(pending × blocks × orders) per cycle — including DPack's per-(block, order) knapsack
@@ -84,8 +83,7 @@ struct ScheduleContextStats {
 static_assert(sizeof(ScheduleContextStats) == 7 * sizeof(uint64_t),
               "ScheduleContextStats changed: update Delta and its test");
 
-// One scored entry of a score order: the incremental engine's heap and the service
-// daemon's merged worker replies.
+// One scored entry of a score order: the incremental engine's heap.
 struct HeapEntry {
   double score = 0.0;
   double arrival = 0.0;
@@ -117,7 +115,7 @@ inline bool HeapEntryBefore(const HeapEntry& a, const HeapEntry& b) {
 void SortHeapEntries(std::vector<HeapEntry>& entries, std::vector<HeapEntry>& scratch);
 
 // Scores one task under `metric` against `snapshot` (and `best_alpha` for DPack): the one
-// scoring function of the recompute path, the incremental engine and the service workers.
+// scoring function of the recompute path and the incremental engine.
 // FCFS never scores (DPACK_CHECKs).
 double ScoreGreedyTask(GreedyMetric metric, const Task& task, const CapacitySnapshot& snapshot,
                        std::span<const size_t> best_alpha);

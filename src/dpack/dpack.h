@@ -63,8 +63,6 @@
 #include "src/service/client.h"
 #include "src/service/grant_service.h"
 #include "src/service/net_transport.h"
-#include "src/service/service_scheduler.h"
-#include "src/sim/service_sim.h"
 #include "src/sim/sim_driver.h"
 #include "src/sim/simulation.h"
 #include "src/workload/alibaba.h"

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <thread>
+#include <utility>
 
 #include "src/common/check.h"
 
@@ -12,7 +13,7 @@ SimulatedStateStore::SimulatedStateStore(double latency_us) : latency_us_(latenc
 }
 
 void SimulatedStateStore::RoundTrip(uint64_t ops) {
-  operations_.fetch_add(ops, std::memory_order_relaxed);
+  operations_ += ops;
   if (latency_us_ <= 0.0 || ops == 0) {
     return;
   }
@@ -24,17 +25,13 @@ void SimulatedStateStore::RoundTrip(uint64_t ops) {
 void SimulatedStateStore::Put(const std::string& key, std::string value) {
   uint64_t size = static_cast<uint64_t>(value.size());
   uint64_t chunks = size == 0 ? 1 : (size + kPutChunkBytes - 1) / kPutChunkBytes;
-  bytes_written_.fetch_add(size, std::memory_order_relaxed);
-  {
-    MutexLock lock(mu_);
-    values_[key] = std::move(value);
-  }
+  bytes_written_ += size;
+  values_[key] = std::move(value);
   RoundTrip(chunks);
 }
 
 std::optional<std::string> SimulatedStateStore::Get(const std::string& key) {
   RoundTrip(1);
-  MutexLock lock(mu_);
   auto it = values_.find(key);
   if (it == values_.end()) {
     return std::nullopt;

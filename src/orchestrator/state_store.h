@@ -15,13 +15,10 @@
 #ifndef SRC_ORCHESTRATOR_STATE_STORE_H_
 #define SRC_ORCHESTRATOR_STATE_STORE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
-
-#include "src/common/thread_annotations.h"
 
 namespace dpack {
 
@@ -38,23 +35,22 @@ class SimulatedStateStore {
   void RoundTrip(uint64_t ops = 1);
 
   // Persists `value` under `key` (overwriting), blocking for ceil(size / kPutChunkBytes)
-  // round trips (at least one). Thread-safe against concurrent Put/Get/RoundTrip.
+  // round trips (at least one).
   void Put(const std::string& key, std::string value);
 
   // Reads the value stored under `key` (one round trip), or nullopt when absent.
   std::optional<std::string> Get(const std::string& key);
 
-  uint64_t operations() const { return operations_.load(std::memory_order_relaxed); }
+  uint64_t operations() const { return operations_; }
   // Cumulative bytes written through Put (overwrites both count).
-  uint64_t bytes_written() const { return bytes_written_.load(std::memory_order_relaxed); }
+  uint64_t bytes_written() const { return bytes_written_; }
   double latency_us() const { return latency_us_; }
 
  private:
   double latency_us_;
-  std::atomic<uint64_t> operations_{0};
-  std::atomic<uint64_t> bytes_written_{0};
-  Mutex mu_;
-  std::map<std::string, std::string> values_ GUARDED_BY(mu_);
+  uint64_t operations_ = 0;
+  uint64_t bytes_written_ = 0;
+  std::map<std::string, std::string> values_;
 };
 
 }  // namespace dpack

@@ -213,8 +213,8 @@ bool ServiceClient::SendShutdown(std::string* error) {
   return SendRequest(ShutdownMsg{}, error);
 }
 
-bool RunRemoteWorkload(ServiceClient& client, std::vector<Task> tasks,
-                       const SimConfig& config, RemoteRunResult* result, std::string* error) {
+bool ReplayWorkload(WorkloadFront& front, std::vector<Task> tasks, const SimConfig& config,
+                    ReplayResult* result, std::string* error) {
   std::vector<double> block_schedule = BlockArrivalSchedule(config);
   double horizon = SimulationHorizon(config, tasks, block_schedule);
   double next_after_horizon = 0.0;
@@ -239,7 +239,7 @@ bool RunRemoteWorkload(ServiceClient& client, std::vector<Task> tasks,
         ++next_task;
       }
       uint64_t accepted = 0, rejected = 0;
-      if (!client.Submit(instant, batch, &accepted, &rejected, error)) {
+      if (!front.Submit(instant, batch, &accepted, &rejected, error)) {
         return false;
       }
       result->submitted += batch.size();
@@ -254,17 +254,37 @@ bool RunRemoteWorkload(ServiceClient& client, std::vector<Task> tasks,
       return false;
     }
     std::vector<TaskId> granted;
-    if (!client.RunCycle(t, &granted, error)) {
+    if (!front.RunCycle(t, &granted, error)) {
       return false;
     }
     result->grant_trace.push_back(std::move(granted));
     ++result->cycles_run;
   }
   // Stragglers past the last cycle: the in-process driver still submits them (they sit in
-  // the pending queue and in the submission metrics), so the remote run does too.
+  // the pending queue and in the submission metrics), so the replay does too.
   if (!submit_through(std::numeric_limits<double>::infinity())) {
     return false;
   }
+  return true;
+}
+
+bool LocalServiceFront::Submit(double now, const std::vector<Task>& tasks, uint64_t* accepted,
+                               uint64_t* rejected, std::string* /*error*/) {
+  feed_.AdvanceTo(now, *blocks_);
+  uint64_t admitted = 0;
+  for (const Task& task : tasks) {
+    admitted += service_->Submit(task) ? 1 : 0;
+  }
+  *accepted = admitted;
+  *rejected = tasks.size() - admitted;
+  return true;
+}
+
+bool LocalServiceFront::RunCycle(double now, std::vector<TaskId>* granted,
+                                 std::string* /*error*/) {
+  feed_.AdvanceTo(now, *blocks_);
+  service_->RunCycle(now);
+  *granted = service_->last_granted();
   return true;
 }
 

@@ -1,6 +1,7 @@
 // The tenant side of the grant service's socket edge (src/service/net_transport.h): a
-// strict request/reply client speaking checksum-framed ServiceMessages, plus the remote
-// workload driver that replays the sim driver's exact event order over the wire.
+// strict request/reply client speaking checksum-framed ServiceMessages, plus the workload
+// driver that replays the sim driver's exact event order against a service — over the wire
+// through the client, or in process.
 //
 // Blocking waits follow the service discipline — iteration budgets, no clock reads. A send
 // or a reply wait ppolls the socket, so it ends when the bytes can move, and each wait lasts
@@ -35,7 +36,23 @@ struct NetClientConfig {
   uint64_t io_budget = 100000;
 };
 
-class ServiceClient {
+// The two requests a workload replay makes of a grant service, at virtual-time instants.
+// ServiceClient makes them over the socket edge; LocalServiceFront, in process.
+class WorkloadFront {
+ public:
+  // Submits a batch of tasks arriving at instant `now`; reports the admission split
+  // (accepted + rejected == tasks.size()).
+  virtual bool Submit(double now, const std::vector<Task>& tasks, uint64_t* accepted,
+                      uint64_t* rejected, std::string* error) = 0;
+
+  // Runs one scheduling cycle at instant `now`; *granted receives the grant order.
+  virtual bool RunCycle(double now, std::vector<TaskId>* granted, std::string* error) = 0;
+
+ protected:
+  ~WorkloadFront() = default;  // Fronts are never deleted through this interface.
+};
+
+class ServiceClient final : public WorkloadFront {
  public:
   explicit ServiceClient(NetClientConfig config = {});
   ~ServiceClient();
@@ -44,16 +61,13 @@ class ServiceClient {
   // within the io budget so a client raced against daemon startup still binds.
   bool Connect(const std::string& address, std::string* error);
 
-  // Submits a batch of tasks arriving at virtual-time instant `now`. On success reports
-  // the daemon's admission split (accepted + rejected == tasks.size()).
+  // WorkloadFront over the socket: each call is one request/reply with the daemon.
   bool Submit(double now, const std::vector<Task>& tasks, uint64_t* accepted,
-              uint64_t* rejected, std::string* error);
+              uint64_t* rejected, std::string* error) override;
+  bool RunCycle(double now, std::vector<TaskId>* granted, std::string* error) override;
 
-  // Drives one scheduling cycle at instant `now`; *granted receives the grant order.
-  bool RunCycle(double now, std::vector<TaskId>* granted, std::string* error);
-
-  // Asks the daemon to stop serving and shut its fleet down (fire and forget: the frame is
-  // flushed, there is no reply).
+  // Asks the daemon to stop serving (fire and forget: the frame is flushed, there is no
+  // reply).
   bool SendShutdown(std::string* error);
 
   void Close();
@@ -73,25 +87,44 @@ class ServiceClient {
   uint64_t next_seq_ = 1;
 };
 
-// What a remotely driven workload run produced; grant_trace is the byte-comparable signal
-// to diff against an in-process RunOnlineSimulation of the same workload and config.
-struct RemoteRunResult {
+// What a replayed workload run produced; grant_trace is the byte-comparable signal to diff
+// against an in-process RunOnlineSimulation of the same workload and config.
+struct ReplayResult {
   std::vector<std::vector<TaskId>> grant_trace;
   size_t cycles_run = 0;
   uint64_t submitted = 0;
   uint64_t accepted = 0;
-  uint64_t rejected = 0;  // Admission-bound refusals observed by this client.
+  uint64_t rejected = 0;  // Admission-bound refusals observed by the replay.
 };
 
-// Replays RunOnlineSimulation's event structure over `client`: the same cycle instants
+// Replays RunOnlineSimulation's event structure against `front`: the same cycle instants
 // (CycleInstants over the same horizon), with every task submitted at its arrival instant
 // before the first cycle at or after it — batched per distinct arrival time, preserving
 // workload order within a batch, which is exactly the event queue's stable
-// (time, priority, insertion) order. The daemon applies its block schedule up to each
+// (time, priority, insertion) order. The service applies its block schedule up to each
 // instant first, so grants come out byte-identical to the in-process run. Tasks arriving
 // after the final cycle are still submitted (they affect pending counts, never grants).
-bool RunRemoteWorkload(ServiceClient& client, std::vector<Task> tasks,
-                       const SimConfig& config, RemoteRunResult* result, std::string* error);
+bool ReplayWorkload(WorkloadFront& front, std::vector<Task> tasks, const SimConfig& config,
+                    ReplayResult* result, std::string* error);
+
+// A GrantService answering replay requests in process: each request first feeds the
+// workload's block arrivals up to its instant, exactly as the socket daemon's advance hook
+// does, so an in-process replay grants what a remote one does.
+class LocalServiceFront final : public WorkloadFront {
+ public:
+  // `service` and `blocks` (the manager it schedules against) must outlive the front.
+  LocalServiceFront(GrantService* service, BlockManager* blocks, const SimConfig& sim)
+      : service_(service), blocks_(blocks), feed_(sim) {}
+
+  bool Submit(double now, const std::vector<Task>& tasks, uint64_t* accepted,
+              uint64_t* rejected, std::string* error) override;
+  bool RunCycle(double now, std::vector<TaskId>* granted, std::string* error) override;
+
+ private:
+  GrantService* service_;
+  BlockManager* blocks_;
+  BlockArrivalFeed feed_;
+};
 
 }  // namespace dpack
 

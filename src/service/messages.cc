@@ -1,6 +1,5 @@
 #include "src/service/messages.h"
 
-#include "src/common/check.h"
 #include "src/common/wire.h"
 
 namespace dpack {
@@ -9,84 +8,14 @@ namespace {
 
 constexpr char kServiceMagic[4] = {'D', 'S', 'V', 'C'};
 
+// Tags 1-8 belonged to the retired daemon-worker protocol; they decode as unknown types.
 enum class MsgType : uint8_t {
-  kBind = 1,
-  kBlockUpsert = 2,
-  kBlockRefresh = 3,
-  kTaskUpsert = 4,
-  kState = 5,
-  kScoreRequest = 6,
-  kScoreReply = 7,
-  kHello = 8,
   kShutdown = 9,
   kSubmit = 10,
   kSubmitReply = 11,
   kRunCycle = 12,
   kCycleReply = 13,
 };
-
-void EncodeBody(BinaryWriter& w, const BindMsg& m) {
-  w.U32(m.worker_index);
-  w.U32(m.num_workers);
-  w.U32(m.num_shards);
-  w.U8(static_cast<uint8_t>(m.metric));
-  w.F64(m.eta);
-  w.F64Vec(m.alpha_orders);
-}
-
-void EncodeBody(BinaryWriter& w, const BlockUpsertMsg& m) {
-  w.U64(m.entries.size());
-  for (const auto& e : m.entries) {
-    w.I64(e.id);
-    w.F64Vec(e.available);
-    w.F64Vec(e.total);
-  }
-}
-
-void EncodeBody(BinaryWriter& w, const BlockRefreshMsg& m) {
-  w.U64(m.entries.size());
-  for (const auto& e : m.entries) {
-    w.I64(e.id);
-    w.F64Vec(e.available);
-  }
-}
-
-void EncodeBody(BinaryWriter& w, const TaskUpsertMsg& m) {
-  w.U64(m.entries.size());
-  for (const auto& e : m.entries) {
-    w.I64(e.id);
-    w.F64(e.weight);
-    w.F64(e.arrival_time);
-    w.F64Vec(e.demand);
-    w.I64Vec(e.blocks);
-  }
-}
-
-void EncodeBody(BinaryWriter& w, const StateMsg& m) {
-  w.U64(m.snapshot.size());
-  w.Bytes(m.snapshot);
-}
-
-void EncodeBody(BinaryWriter& w, const ScoreRequestMsg& m) {
-  w.U64(m.round);
-  w.I64Vec(m.batch_ids);
-  w.U64(m.shards.size());
-  for (uint32_t s : m.shards) {
-    w.U32(s);
-  }
-}
-
-void EncodeBody(BinaryWriter& w, const ScoreReplyMsg& m) {
-  w.U64(m.round);
-  w.U64(m.entries.size());
-  for (const auto& e : m.entries) {
-    w.F64(e.score);
-    w.F64(e.arrival_time);
-    w.I64(e.id);
-  }
-}
-
-void EncodeBody(BinaryWriter& w, const HelloMsg& m) { w.U32(m.worker_index); }
 
 void EncodeBody(BinaryWriter&, const ShutdownMsg&) {}
 
@@ -122,156 +51,11 @@ void EncodeBody(BinaryWriter& w, const CycleReplyMsg& m) {
   w.I64Vec(m.granted);
 }
 
-MsgType TypeOf(const ServiceMessage& message) {
-  switch (message.index()) {
-    case 0:
-      return MsgType::kBind;
-    case 1:
-      return MsgType::kBlockUpsert;
-    case 2:
-      return MsgType::kBlockRefresh;
-    case 3:
-      return MsgType::kTaskUpsert;
-    case 4:
-      return MsgType::kState;
-    case 5:
-      return MsgType::kScoreRequest;
-    case 6:
-      return MsgType::kScoreReply;
-    case 7:
-      return MsgType::kHello;
-    case 8:
-      return MsgType::kShutdown;
-    case 9:
-      return MsgType::kSubmit;
-    case 10:
-      return MsgType::kSubmitReply;
-    case 11:
-      return MsgType::kRunCycle;
-    case 12:
-      return MsgType::kCycleReply;
-    default:
-      DPACK_CHECK(false);
-      return MsgType::kShutdown;
-  }
-}
-
-bool DecodeBody(BinaryReader& r, BindMsg* m) {
-  uint8_t metric = 0;
-  if (!r.U32(&m->worker_index, "bind.worker_index") ||
-      !r.U32(&m->num_workers, "bind.num_workers") ||
-      !r.U32(&m->num_shards, "bind.num_shards") || !r.U8(&metric, "bind.metric") ||
-      !r.F64(&m->eta, "bind.eta") || !r.F64Vec(&m->alpha_orders, "bind.alpha_orders")) {
-    return false;
-  }
-  if (metric > static_cast<uint8_t>(GreedyMetric::kFcfs)) {
-    r.FailWith("bind.metric out of range");
-    return false;
-  }
-  m->metric = static_cast<GreedyMetric>(metric);
-  return true;
-}
-
-bool DecodeBody(BinaryReader& r, BlockUpsertMsg* m) {
-  uint64_t count = 0;
-  if (!r.Count(&count, 8 + 8 + 8, "block_upsert.entries")) {
-    return false;
-  }
-  m->entries.resize(static_cast<size_t>(count));
-  for (auto& e : m->entries) {
-    if (!r.I64(&e.id, "block_upsert.id") || !r.F64Vec(&e.available, "block_upsert.available") ||
-        !r.F64Vec(&e.total, "block_upsert.total")) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool DecodeBody(BinaryReader& r, BlockRefreshMsg* m) {
-  uint64_t count = 0;
-  if (!r.Count(&count, 8 + 8, "block_refresh.entries")) {
-    return false;
-  }
-  m->entries.resize(static_cast<size_t>(count));
-  for (auto& e : m->entries) {
-    if (!r.I64(&e.id, "block_refresh.id") ||
-        !r.F64Vec(&e.available, "block_refresh.available")) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool DecodeBody(BinaryReader& r, TaskUpsertMsg* m) {
-  uint64_t count = 0;
-  if (!r.Count(&count, 8 * 5, "task_upsert.entries")) {
-    return false;
-  }
-  m->entries.resize(static_cast<size_t>(count));
-  for (auto& e : m->entries) {
-    if (!r.I64(&e.id, "task_upsert.id") || !r.F64(&e.weight, "task_upsert.weight") ||
-        !r.F64(&e.arrival_time, "task_upsert.arrival_time") ||
-        !r.F64Vec(&e.demand, "task_upsert.demand") ||
-        !r.I64Vec(&e.blocks, "task_upsert.blocks")) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool DecodeBody(BinaryReader& r, StateMsg* m) {
-  uint64_t size = 0;
-  if (!r.Count(&size, 1, "state.snapshot")) {
-    return false;
-  }
-  std::string_view bytes;
-  if (!r.BytesView(static_cast<size_t>(size), &bytes, "state.snapshot")) {
-    return false;
-  }
-  m->snapshot.assign(bytes);
-  return true;
-}
-
-bool DecodeBody(BinaryReader& r, ScoreRequestMsg* m) {
-  if (!r.U64(&m->round, "score_request.round") ||
-      !r.I64Vec(&m->batch_ids, "score_request.batch_ids")) {
-    return false;
-  }
-  uint64_t count = 0;
-  if (!r.Count(&count, 4, "score_request.shards")) {
-    return false;
-  }
-  m->shards.resize(static_cast<size_t>(count));
-  for (auto& s : m->shards) {
-    if (!r.U32(&s, "score_request.shard")) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool DecodeBody(BinaryReader& r, ScoreReplyMsg* m) {
-  if (!r.U64(&m->round, "score_reply.round")) {
-    return false;
-  }
-  uint64_t count = 0;
-  if (!r.Count(&count, 8 * 3, "score_reply.entries")) {
-    return false;
-  }
-  m->entries.resize(static_cast<size_t>(count));
-  for (auto& e : m->entries) {
-    if (!r.F64(&e.score, "score_reply.score") ||
-        !r.F64(&e.arrival_time, "score_reply.arrival_time") ||
-        !r.I64(&e.id, "score_reply.id")) {
-      return false;
-    }
-  }
-  return true;
-}
-
-bool DecodeBody(BinaryReader& r, HelloMsg* m) {
-  return r.U32(&m->worker_index, "hello.worker_index");
-}
+MsgType TypeOf(const ShutdownMsg&) { return MsgType::kShutdown; }
+MsgType TypeOf(const SubmitMsg&) { return MsgType::kSubmit; }
+MsgType TypeOf(const SubmitReplyMsg&) { return MsgType::kSubmitReply; }
+MsgType TypeOf(const RunCycleMsg&) { return MsgType::kRunCycle; }
+MsgType TypeOf(const CycleReplyMsg&) { return MsgType::kCycleReply; }
 
 bool DecodeBody(BinaryReader&, ShutdownMsg*) { return true; }
 
@@ -326,8 +110,12 @@ std::string EncodeMessage(const ServiceMessage& message) {
   BinaryWriter w;
   w.Bytes(std::string_view(kServiceMagic, sizeof(kServiceMagic)));
   w.U32(kServiceWireVersion);
-  w.U8(static_cast<uint8_t>(TypeOf(message)));
-  std::visit([&w](const auto& m) { EncodeBody(w, m); }, message);
+  std::visit(
+      [&w](const auto& m) {
+        w.U8(static_cast<uint8_t>(TypeOf(m)));
+        EncodeBody(w, m);
+      },
+      message);
   return std::move(w.data());
 }
 
@@ -357,30 +145,6 @@ bool DecodeMessage(std::string_view bytes, ServiceMessage* out, std::string* err
   }
   bool ok = false;
   switch (static_cast<MsgType>(type)) {
-    case MsgType::kBind:
-      ok = DecodeInto<BindMsg>(r, out);
-      break;
-    case MsgType::kBlockUpsert:
-      ok = DecodeInto<BlockUpsertMsg>(r, out);
-      break;
-    case MsgType::kBlockRefresh:
-      ok = DecodeInto<BlockRefreshMsg>(r, out);
-      break;
-    case MsgType::kTaskUpsert:
-      ok = DecodeInto<TaskUpsertMsg>(r, out);
-      break;
-    case MsgType::kState:
-      ok = DecodeInto<StateMsg>(r, out);
-      break;
-    case MsgType::kScoreRequest:
-      ok = DecodeInto<ScoreRequestMsg>(r, out);
-      break;
-    case MsgType::kScoreReply:
-      ok = DecodeInto<ScoreReplyMsg>(r, out);
-      break;
-    case MsgType::kHello:
-      ok = DecodeInto<HelloMsg>(r, out);
-      break;
     case MsgType::kShutdown:
       ok = DecodeInto<ShutdownMsg>(r, out);
       break;

@@ -1,30 +1,22 @@
-// Versioned message schema of the grant service's daemon <-> worker protocol.
-//
-// Every message is one ring frame (src/common/shm_ring.h adds length + FNV-1a framing);
-// inside the frame, messages carry their own magic tag, format version, and type byte, and
-// are encoded with the checkpoint codec's discipline (src/common/wire.h: fixed-width
-// little-endian fields, doubles as raw IEEE-754 bit patterns). Raw double bits are what
-// make the protocol exact: a worker scoring against shipped curve bits computes the very
-// same IEEE-754 values the daemon would, so the merged grant order is byte-identical to the
-// single-process engines (see src/service/service_scheduler.h).
-//
-// Decoding rejects — with a diagnostic, never a crash or a silently-wrong score — bad
-// magic, unknown versions or types, truncation, implausible element counts, and trailing
-// bytes. The corruption property tests (tests/service/messages_test.cc) mirror
-// checkpoint_test.cc's truncate/bit-flip suites over every message type.
-//
-// Protocol (daemon drives; see src/README.md "Grant service" for the cycle walkthrough):
-//   daemon -> worker: Bind, BlockUpsert, BlockRefresh, TaskUpsert, State, ScoreRequest,
-//                     Shutdown
-//   worker -> daemon: Hello (once, after Bind is applied), ScoreReply
-//
-// The remote client edge (src/service/net_transport.h, src/README.md "Remote client edge")
-// reuses the same envelope over sockets — client-driven request/reply:
+// Versioned message schema of the grant service's socket edge (src/service/net_transport.h,
+// src/README.md "Remote client edge"): client-driven request/reply.
 //   client -> daemon: Submit, RunCycle, Shutdown
 //   daemon -> client: SubmitReply, CycleReply
 // Each client request carries the virtual-time instant it fires at, so the daemon can
 // replay the sim driver's exact event order (block arrivals at or before the instant first,
 // then the request) and keep remote grants byte-identical to in-process Submit.
+//
+// Every message is one checksummed frame (src/common/frame.h adds length + FNV-1a framing);
+// inside the frame, messages carry their own magic tag, format version, and type byte
+// (Shutdown 9, Submit 10, SubmitReply 11, RunCycle 12, CycleReply 13; tags 1-8 belonged to
+// the retired daemon-worker protocol and are unknown types now). Fields are encoded with
+// the checkpoint codec's discipline (src/common/wire.h: fixed-width little-endian fields,
+// doubles as raw IEEE-754 bit patterns), so task demands reach the daemon bit for bit.
+//
+// Decoding rejects — with a diagnostic, never a crash or a silently-wrong message — bad
+// magic, unknown versions or types, truncation, implausible element counts, and trailing
+// bytes. The corruption property tests (tests/service/messages_test.cc) mirror
+// checkpoint_test.cc's truncate/bit-flip suites over every message type.
 
 #ifndef SRC_SERVICE_MESSAGES_H_
 #define SRC_SERVICE_MESSAGES_H_
@@ -35,102 +27,17 @@
 #include <variant>
 #include <vector>
 
-#include "src/core/schedule_context.h"
-
 namespace dpack {
 
 inline constexpr uint32_t kServiceWireVersion = 2;  // v2: client-edge messages (ISSUE 10).
 
-// Daemon -> worker, once per worker lifetime (first message after fork/respawn): the
-// scheduling configuration every score must be computed under.
-struct BindMsg {
-  uint32_t worker_index = 0;
-  uint32_t num_workers = 0;
-  // Task-home shard count (fixed for the service lifetime; tasks home to id % num_shards).
-  // Decoupled from the worker count so shard reassignment after a crash moves whole shards.
-  uint32_t num_shards = 0;
-  GreedyMetric metric = GreedyMetric::kDpack;
-  double eta = 0.0;
-  std::vector<double> alpha_orders;  // The AlphaGrid the replica curves live on.
-};
-
-// Daemon -> worker: newly arrived blocks, in id order (ids are dense; the first entry's id
-// must equal the replica's current block count). Curves are per-order epsilons as raw bits.
-struct BlockUpsertMsg {
-  struct Entry {
-    int64_t id = 0;
-    std::vector<double> available;
-    std::vector<double> total;
-  };
-  std::vector<Entry> entries;
-};
-
-// Daemon -> worker: available-curve refreshes for blocks whose version advanced.
-struct BlockRefreshMsg {
-  struct Entry {
-    int64_t id = 0;
-    std::vector<double> available;
-  };
-  std::vector<Entry> entries;
-};
-
-// Daemon -> worker: pending-task payloads the worker does not yet hold (new arrivals, and
-// tasks whose block list was late-resolved — the one sanctioned post-submission mutation).
-struct TaskUpsertMsg {
-  struct Entry {
-    int64_t id = 0;
-    double weight = 1.0;
-    double arrival_time = 0.0;
-    std::vector<double> demand;
-    std::vector<int64_t> blocks;
-  };
-  std::vector<Entry> entries;
-};
-
-// Daemon -> worker (respawn cold start): the full cluster state as a checkpoint-codec
-// snapshot blob (EncodeSnapshotBinary). The worker decodes it with the same codec the
-// recovery subsystem uses, restores a byte-identical BlockManager, and rebuilds its curve
-// replica and task payloads from it — recovery and cold start share one state format.
-struct StateMsg {
-  std::string snapshot;
-};
-
-// Daemon -> worker: score one cycle. Carries the full batch in batch order (ids reference
-// payloads shipped via TaskUpsert/State) and the shard set this worker owns this round —
-// explicit, so the daemon can re-request a dead worker's shards from a survivor and get
-// bit-identical entries (scoring is a pure function of replica state + batch + shard set).
-struct ScoreRequestMsg {
-  uint64_t round = 0;
-  std::vector<int64_t> batch_ids;
-  std::vector<uint32_t> shards;
-};
-
-// Worker -> daemon: the scored entries of the requested shards, in batch order. Scores and
-// arrivals travel as raw bits; the daemon merges all replies under HeapEntryBefore.
-struct ScoreReplyMsg {
-  uint64_t round = 0;
-  struct Entry {
-    double score = 0.0;
-    double arrival_time = 0.0;
-    int64_t id = 0;
-  };
-  std::vector<Entry> entries;
-};
-
-// Worker -> daemon: bind acknowledged, replica ready.
-struct HelloMsg {
-  uint32_t worker_index = 0;
-};
-
-// Daemon -> worker: exit the serve loop (clean shutdown; workers killed by the crash tests
-// never see it). Also client -> daemon on the socket edge: stop serving and shut the fleet
-// down cleanly (no reply; the daemon flushes pending replies and exits its serve loop).
+// Client -> daemon: stop serving (no reply; the daemon flushes pending replies and exits its
+// serve loop).
 struct ShutdownMsg {};
 
 // Client -> daemon: submit grant requests at virtual-time instant `now` (the tasks' arrival
 // instant; the daemon applies block arrivals <= now first, then funnels every entry through
-// the same admission-controlled GrantService::Submit as in-process callers). Unlike the
-// worker-facing TaskUpsertMsg — which ships already-admitted queue state — entries here are
+// the same admission-controlled GrantService::Submit as in-process callers). Entries are
 // full task payloads including the eviction timeout and the unresolved most-recent-blocks
 // request, because submission (and its late block resolution) has not happened yet.
 struct SubmitMsg {
@@ -169,10 +76,8 @@ struct CycleReplyMsg {
   std::vector<int64_t> granted;
 };
 
-using ServiceMessage = std::variant<BindMsg, BlockUpsertMsg, BlockRefreshMsg, TaskUpsertMsg,
-                                    StateMsg, ScoreRequestMsg, ScoreReplyMsg, HelloMsg,
-                                    ShutdownMsg, SubmitMsg, SubmitReplyMsg, RunCycleMsg,
-                                    CycleReplyMsg>;
+using ServiceMessage =
+    std::variant<ShutdownMsg, SubmitMsg, SubmitReplyMsg, RunCycleMsg, CycleReplyMsg>;
 
 std::string EncodeMessage(const ServiceMessage& message);
 

@@ -149,7 +149,7 @@ FrameSocket::Next FrameSocket::NextFrame(std::string* payload, size_t max_frame_
       return Next::kNone;
     case FrameDecodeStatus::kCorrupt:
       // A stream reader cannot know where the next frame boundary is once one frame is
-      // damaged — the connection is poison, exactly like a corrupt shm ring.
+      // damaged — the connection is poison.
       dead_ = true;
       return Next::kCorrupt;
   }
@@ -393,7 +393,7 @@ bool NetServiceFront::HandleMessage(Connection& conn, const ServiceMessage& mess
     shutdown_received_ = true;
     return true;
   }
-  // Worker-protocol or reply-typed messages have no business arriving from a tenant.
+  // Reply-typed messages have no business arriving from a tenant.
   std::fprintf(stderr, "net: unexpected message type %zu from client; dropping peer\n",
                message.index());
   ++counters_.protocol_rejects;

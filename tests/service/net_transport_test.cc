@@ -1,11 +1,11 @@
-// The socket edge's reject-don't-trust contract, mirrored from shm_ring_test.cc onto a
-// byte stream: truncation, bit-flips, hostile lengths, worker-protocol messages, malformed
-// task payloads, and time regressions are all rejected with the peer dropped — and after
-// every rejection the daemon keeps serving well-behaved clients. Plus the cross-process
+// The socket edge's reject-don't-trust contract on a byte stream: truncation, bit-flips,
+// hostile lengths, retired daemon-worker tags, reply-typed messages, malformed task
+// payloads, and time regressions are all rejected with the peer dropped — and after every
+// rejection the daemon keeps serving well-behaved clients. Plus the cross-process
 // properties: a client SIGKILLed mid-frame leaves no trace but a discarded partial buffer,
 // and a remotely driven workload's grant trace is byte-identical to the in-process engine
-// across fleet shapes and worker-kill policies — also when every wait may last two seconds,
-// which only a daemon and client that wake on arrival finish quickly.
+// for every registry scenario — also when every wait may last two seconds, which only a
+// daemon and client that wake on arrival finish quickly.
 
 #include "src/service/net_transport.h"
 
@@ -46,13 +46,12 @@ constexpr uint64_t kSeed = 77;
 AlphaGridPtr Grid() { return AlphaGrid::Default(); }
 
 // An in-process daemon front on an ephemeral loopback port, driven by PollOnce() directly
-// so the adversarial tests control every event-loop step. The worker fleet forks lazily on
-// the first scheduling cycle, so protocol-only tests never pay for a fork.
+// so the adversarial tests control every event-loop step.
 struct Harness {
   explicit Harness(NetFrontConfig front_config = {}, GrantServiceConfig service_config = {},
                    size_t num_blocks = 4)
       : blocks(Grid(), /*eps_g=*/10.0, /*delta_g=*/1e-7),
-        service(GreedyMetric::kDpack, &blocks, ServiceConfigured(service_config)),
+        service(GreedyMetric::kDpack, &blocks, service_config),
         front(&service, &blocks, Grid(), std::make_unique<NetListener>(TcpEphemeral()),
               front_config, [](double) {}) {
     for (size_t b = 0; b < num_blocks; ++b) {
@@ -65,11 +64,6 @@ struct Harness {
     address.is_unix = false;
     address.port = 0;
     return address;
-  }
-
-  static GrantServiceConfig ServiceConfigured(GrantServiceConfig config) {
-    config.service.num_workers = 2;
-    return config;
   }
 
   BlockManager blocks;
@@ -406,10 +400,31 @@ TEST(NetFrontTest, OversizedLengthRejectedTheInstantTheHeaderArrives) {
   ExpectStillServing(harness, /*seq=*/2, /*task_id=*/6);
 }
 
-TEST(NetFrontTest, WorkerProtocolMessageFromClientIsDropped) {
+// Tags 1-8 belonged to the retired daemon-worker protocol: a frame carrying one is an
+// undecodable message on the tenant edge, so each drops its peer and counts one reject.
+TEST(NetFrontTest, RetiredWorkerTagsFromClientAreDropped) {
+  Harness harness;
+  std::string payload = EncodeMessage(ServiceMessage(ShutdownMsg{})) + std::string(4, '\0');
+  for (uint8_t tag = 1; tag <= 8; ++tag) {
+    payload[8] = static_cast<char>(tag);  // The type byte after [magic u32][version u32].
+    std::string frame;
+    AppendFrame(&frame, payload);
+    int fd = ConnectTo(harness);
+    SendAll(fd, frame);
+    ASSERT_TRUE(PumpUntil(harness.front,
+                          [&] { return harness.front.counters().disconnects == tag; }))
+        << "tag " << int{tag};
+    EXPECT_EQ(harness.front.counters().protocol_rejects, tag);
+    close(fd);
+  }
+  EXPECT_FALSE(harness.front.shutdown_received());
+  ExpectStillServing(harness, /*seq=*/2, /*task_id=*/6);
+}
+
+TEST(NetFrontTest, ReplyTypedMessageFromClientIsDropped) {
   Harness harness;
   int fd = ConnectTo(harness);
-  SendAll(fd, Framed(ServiceMessage(HelloMsg{})));  // A worker message on the tenant edge.
+  SendAll(fd, Framed(ServiceMessage(CycleReplyMsg{})));  // A daemon reply on the way in.
   ASSERT_TRUE(PumpUntil(harness.front,
                         [&] { return harness.front.counters().disconnects == 1; }));
   EXPECT_EQ(harness.front.counters().protocol_rejects, 1u);
@@ -630,36 +645,24 @@ SimResult ReferenceRun(const ScenarioWorkload& workload) {
 // returns once it is listening (so a client never waits out a connect retry). Exits 0 on
 // a clean client Shutdown, 3 if the idle budget expired first.
 pid_t SpawnDaemon(const std::string& socket_path, const ScenarioWorkload& workload,
-                  ServiceConfig service_config, NetFrontConfig front_config = {}) {
+                  NetFrontConfig front_config = {}) {
   if (front_config.serve_idle_budget == 0) {
     front_config.serve_idle_budget = 400000;  // An orphaned daemon exits, never leaks.
   }
   int ready[2];
   EXPECT_EQ(pipe(ready), 0);
   SimConfig sim = workload.sim;
-  pid_t daemon = SpawnChild([socket_path, sim, service_config, front_config, ready]() -> int {
+  pid_t daemon = SpawnChild([socket_path, sim, front_config, ready]() -> int {
     close(ready[0]);
     BlockManager blocks(Grid(), sim.eps_g, sim.delta_g);
-    GrantServiceConfig config;
-    config.service = service_config;
-    config.admission_queue_capacity = sim.admission_queue_capacity;
-    config.period = sim.period;
-    config.unlock_steps = sim.unlock_steps;
-    config.fair_share_n = sim.fair_share_n;
-    GrantService service(GreedyMetric::kDpack, &blocks, config);
-    std::vector<double> schedule = BlockArrivalSchedule(sim);
-    size_t next_block = 0;
+    GrantService service(GreedyMetric::kDpack, &blocks, GrantServiceConfigFor(sim));
+    BlockArrivalFeed feed(sim);
     NetAddress address;
     address.is_unix = true;
     address.path = socket_path;
     NetServiceFront front(&service, &blocks, Grid(), std::make_unique<NetListener>(address),
-                          front_config, [&blocks, &schedule, &next_block](double now) {
-                            while (next_block < schedule.size() &&
-                                   schedule[next_block] <= now) {
-                              blocks.AddBlock(schedule[next_block]);
-                              ++next_block;
-                            }
-                          });
+                          front_config,
+                          [&blocks, &feed](double now) { feed.AdvanceTo(now, blocks); });
     char listening = 1;
     if (write(ready[1], &listening, 1) != 1) {
       return 4;
@@ -674,43 +677,22 @@ pid_t SpawnDaemon(const std::string& socket_path, const ScenarioWorkload& worklo
   return daemon;
 }
 
-TEST(NetRemoteEquivalenceTest, RemoteTraceMatchesInProcessAcrossFleetShapesAndKills) {
-  ScenarioWorkload workload = Workload("steady_poisson");
-  SimResult reference = ReferenceRun(workload);
-  ASSERT_FALSE(reference.grant_trace.empty());
-
-  struct Case {
-    const char* label;
-    size_t workers;
-    size_t shards;
-    uint64_t kill_round;   // 0 = no worker kill.
-    ServiceRecovery recovery;
-  };
-  const Case cases[] = {
-      {"w2s2", 2, 2, 0, ServiceRecovery::kReassign},
-      {"w3s6-kill-reassign", 3, 6, 4, ServiceRecovery::kReassign},
-      {"w2s2-kill-respawn", 2, 2, 4, ServiceRecovery::kRespawn},
-  };
-  for (const Case& c : cases) {
-    SCOPED_TRACE(c.label);
-    std::string socket_path =
-        testing::TempDir() + "/dpack_net_eq_" + c.label + ".sock";
-    ServiceConfig service_config;
-    service_config.num_workers = c.workers;
-    service_config.num_shards = c.shards;
-    service_config.kill_at_round = c.kill_round;
-    service_config.kill_worker = 1;
-    service_config.recovery = c.recovery;
-    pid_t daemon = SpawnDaemon(socket_path, workload, service_config);
+TEST(NetRemoteEquivalenceTest, RemoteTraceMatchesInProcessForEveryScenario) {
+  for (const std::string& name : ScenarioRegistryNames()) {
+    SCOPED_TRACE(name);
+    ScenarioWorkload workload = Workload(name);
+    SimResult reference = ReferenceRun(workload);
+    ASSERT_FALSE(reference.grant_trace.empty());
+    std::string socket_path = testing::TempDir() + "/dpack_net_eq_" + name + ".sock";
+    pid_t daemon = SpawnDaemon(socket_path, workload);
 
     ServiceClient client;
     std::string error;
     ASSERT_TRUE(client.Connect("unix:" + socket_path, &error)) << error;
-    RemoteRunResult result;
-    ASSERT_TRUE(RunRemoteWorkload(client, workload.tasks, workload.sim, &result, &error))
+    ReplayResult result;
+    ASSERT_TRUE(ReplayWorkload(client, workload.tasks, workload.sim, &result, &error))
         << error;
-    // The whole point: grants over the socket, through the fleet (kill included), are
-    // byte-identical to the uninterrupted in-process engine.
+    // The whole point: grants over the socket are byte-identical to the in-process engine.
     EXPECT_EQ(result.grant_trace, reference.grant_trace);
     EXPECT_EQ(result.submitted, workload.tasks.size());
     EXPECT_EQ(result.rejected, 0u);
@@ -732,24 +714,21 @@ class AlarmDeadline {
   AlarmDeadline& operator=(const AlarmDeadline&) = delete;
 };
 
-// No lost wake-ups on the socket edge. The front, the client and the fleet may each wait
-// two seconds per iteration, so one request whose bytes fail to wake their reader stalls
-// the run by two seconds, and ten such stalls fail the test; sleep-polling at this setting
-// would need two such waits per request, many minutes in all. Waking on arrival, the run
-// takes milliseconds.
+// No lost wake-ups on the socket edge. The front and the client may each wait two seconds
+// per iteration, so one request whose bytes fail to wake their reader stalls the run by two
+// seconds, and ten such stalls fail the test; sleep-polling at this setting would need two
+// such waits per request, many minutes in all. Waking on arrival, the run takes
+// milliseconds.
 TEST(NetRemoteEquivalenceTest, TwoSecondWaitsStillAnswerEveryRequestOnArrival) {
   AlarmDeadline deadline(20);
   ScenarioWorkload workload = Workload("steady_poisson");
   SimResult reference = ReferenceRun(workload);
   constexpr unsigned int kLongWaitUs = 2'000'000;
   std::string socket_path = testing::TempDir() + "/dpack_net_long_waits.sock";
-  ServiceConfig service_config;
-  service_config.poll_sleep_us = kLongWaitUs;
-  service_config.stall_budget = 1000;
   NetFrontConfig front_config;
   front_config.poll_sleep_us = kLongWaitUs;
   front_config.serve_idle_budget = 30;
-  pid_t daemon = SpawnDaemon(socket_path, workload, service_config, front_config);
+  pid_t daemon = SpawnDaemon(socket_path, workload, front_config);
 
   NetClientConfig client_config;
   client_config.poll_sleep_us = kLongWaitUs;
@@ -757,8 +736,8 @@ TEST(NetRemoteEquivalenceTest, TwoSecondWaitsStillAnswerEveryRequestOnArrival) {
   ServiceClient client(client_config);
   std::string error;
   ASSERT_TRUE(client.Connect("unix:" + socket_path, &error)) << error;
-  RemoteRunResult result;
-  ASSERT_TRUE(RunRemoteWorkload(client, workload.tasks, workload.sim, &result, &error))
+  ReplayResult result;
+  ASSERT_TRUE(ReplayWorkload(client, workload.tasks, workload.sim, &result, &error))
       << error;
   EXPECT_EQ(result.grant_trace, reference.grant_trace);
   EXPECT_GE(client.counters().frames_sent, 50u);
