@@ -72,7 +72,8 @@ void PrintNetCounters(const char* who, const NetCounters& c) {
   std::printf(
       "  %s net: accepts %llu, disconnects %llu (budget %llu), frames %llu sent / "
       "%llu received, bytes %llu / %llu,\n"
-      "      protocol rejects %llu, submits %llu accepted / %llu rejected, cycles %llu\n",
+      "      protocol rejects %llu, submits %llu accepted / %llu rejected, cycles %llu,\n"
+      "      spin waits %llu (%llu ended in the spin)\n",
       who, static_cast<unsigned long long>(c.accepts),
       static_cast<unsigned long long>(c.disconnects),
       static_cast<unsigned long long>(c.budget_disconnects),
@@ -83,7 +84,9 @@ void PrintNetCounters(const char* who, const NetCounters& c) {
       static_cast<unsigned long long>(c.protocol_rejects),
       static_cast<unsigned long long>(c.submits_accepted),
       static_cast<unsigned long long>(c.submits_rejected),
-      static_cast<unsigned long long>(c.cycles_run));
+      static_cast<unsigned long long>(c.cycles_run),
+      static_cast<unsigned long long>(c.spin_waits),
+      static_cast<unsigned long long>(c.spin_hits));
 }
 
 // Prints a replay's totals; returns the number of grants.
@@ -176,8 +179,8 @@ int RunDaemon(const std::string& address_text, GreedyMetric metric,
   std::fflush(stdout);
 
   bool clean_shutdown = front.ServeUntilShutdown();
-  std::printf("daemon: served %zu remote cycles, %llu granted, %zu blocks arrived\n",
-              front.grant_trace().size(),
+  std::printf("daemon: served %llu remote cycles, %llu granted, %zu blocks arrived\n",
+              static_cast<unsigned long long>(front.counters().cycles_run),
               static_cast<unsigned long long>(service.metrics().allocated()), feed.arrived());
   PrintNetCounters("daemon", front.counters());
   if (!clean_shutdown) {

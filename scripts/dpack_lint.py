@@ -17,6 +17,11 @@ src/core, src/block, and src/service unless noted):
                            the service's critical path must end when its event arrives
                            (WaitForFds on sockets); the few sleeps with nothing to wait on
                            go through SleepFullMicros, which EINTR cannot shorten.
+  raw-yield                (all of src/, tests/, bench/, examples/) sched_yield and
+                           pthread_yield are banned except in src/common/sleep.cc. A yield
+                           is the working part of a spin; every spin lives in
+                           WaitForFds's spin-then-block wait, whose window is a fixed count
+                           and whose yield keeps a one-core host from starving the peer.
   unordered-iteration      Iterating an unordered container on a grant-ordering path:
                            iteration order is hash-seed/pointer dependent, so any grant
                            decision derived from it differs run to run. Lookups are fine;
@@ -84,6 +89,8 @@ THREAD_ANNOTATIONS_HEADER = "src/common/thread_annotations.h"
 # raw-sleep applies to the library; these are the sanctioned homes of a bounded wait.
 RAW_SLEEP_DIRS = ("src",)
 RAW_SLEEP_HOMES = ("src/common/sleep.cc",)
+# raw-yield applies everywhere C++ lives; a spin has the one audited home.
+RAW_YIELD_HOME = "src/common/sleep.cc"
 
 ALLOW_RE = re.compile(r"//\s*dpack-lint:\s*allow\(([a-z-]+)\)\s*:\s*\S")
 
@@ -93,6 +100,7 @@ RAW_MUTEX_RE = re.compile(
     r"unique_lock|scoped_lock|shared_lock)\b")
 RAW_SLEEP_RE = re.compile(
     r"(?<![\w])(usleep|nanosleep|clock_nanosleep)\s*\(|\b(sleep_for|sleep_until)\s*\(")
+RAW_YIELD_RE = re.compile(r"(?<![\w])(sched_yield|pthread_yield)\s*\(")
 UNORDERED_DECL_RE = re.compile(
     r"\bstd::(unordered_map|unordered_set|unordered_multimap|unordered_multiset)\s*<")
 # A (member) declaration we can harvest a variable name from:
@@ -278,6 +286,15 @@ def lint_file(rel, text):
                     f"{m.group(1) or m.group(2)}() outside {' / '.join(RAW_SLEEP_HOMES)}; "
                     f"wait on the event (WaitForFds) or, with nothing to wait "
                     f"on, call SleepFullMicros")
+
+    # raw-yield: everywhere, except the file whose wait spins.
+    if in_scope(rel_posix, ALL_CODE_DIRS) and rel_posix != RAW_YIELD_HOME:
+        for idx, line in enumerate(lines, 1):
+            m = RAW_YIELD_RE.search(line)
+            if m:
+                add(idx, "raw-yield",
+                    f"{m.group(1)}() outside {RAW_YIELD_HOME}; a spin belongs in "
+                    f"WaitForFds(..., spin=true), the one bounded spin-then-block wait")
 
     in_grant_scope = in_scope(rel_posix, GRANT_ORDERING_DIRS)
     in_float_eq_scope = in_scope(rel_posix, FLOAT_EQ_DIRS)

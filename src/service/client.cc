@@ -89,9 +89,12 @@ bool ServiceClient::Connect(const std::string& address_text, std::string* error)
 
 void ServiceClient::Close() { socket_.reset(); }
 
-void ServiceClient::WaitForSocket(short events) {
+void ServiceClient::WaitForSocket(short events, bool spin) {
   pollfd fd{socket_->fd(), events, 0};
-  WaitForFds(&fd, 1, config_.poll_sleep_us);
+  counters_.spin_waits += spin ? 1 : 0;
+  if (WaitForFds(&fd, 1, config_.poll_sleep_us, spin)) {
+    ++counters_.spin_hits;
+  }
 }
 
 bool ServiceClient::SendRequest(const ServiceMessage& message, std::string* error) {
@@ -112,7 +115,7 @@ bool ServiceClient::SendRequest(const ServiceMessage& message, std::string* erro
     if (socket_->pending_output() == 0) {
       return true;
     }
-    WaitForSocket(POLLOUT);
+    WaitForSocket(POLLOUT, /*spin=*/false);
   }
   *error = "send budget exhausted (daemon not draining)";
   return false;
@@ -144,7 +147,8 @@ bool ServiceClient::ReceiveReply(ServiceMessage* out, std::string* error) {
       *error = "daemon closed the connection";
       return false;
     }
-    WaitForSocket(POLLIN);
+    // Only the first wait spins: a reply that misses the window is not a quick one.
+    WaitForSocket(POLLIN, /*spin=*/poll == 0);
   }
   *error = "reply budget exhausted (daemon silent)";
   return false;

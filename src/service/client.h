@@ -4,12 +4,15 @@
 // through the client, or in process.
 //
 // Blocking waits follow the service discipline — iteration budgets, no clock reads. A send
-// or a reply wait ppolls the socket, so it ends when the bytes can move, and each wait lasts
-// at most poll_sleep_us: io_budget waits are at most io_budget * poll_sleep_us. Only
-// Connect's retry, which has no socket to wait on yet, sleeps (SleepFullMicros, so EINTR
-// never shortens it). Every failure path (daemon gone, corrupt reply, budget exhausted,
-// reply out of sequence) returns false with a diagnostic; the client never spins forever
-// on a dead daemon.
+// or a reply wait ppolls the socket, so it ends when the bytes can move. The first wait for
+// each reply spins before it blocks (WaitForFds, src/common/sleep.h): the daemon answers a
+// request within microseconds, and the spin picks the reply up without a sleep and a
+// wake-up; later reply waits and every send wait block at once. Each wait lasts at most the
+// spin window plus poll_sleep_us: io_budget waits are at most
+// io_budget * (spin window + poll_sleep_us). Only Connect's retry, which has no socket to
+// wait on yet, sleeps (SleepFullMicros, so EINTR never shortens it). Every failure path
+// (daemon gone, corrupt reply, budget exhausted, reply out of sequence) returns false with
+// a diagnostic; the client never spins forever on a dead daemon.
 
 #ifndef SRC_SERVICE_CLIENT_H_
 #define SRC_SERVICE_CLIENT_H_
@@ -28,8 +31,8 @@ namespace dpack {
 
 struct NetClientConfig {
   size_t max_frame_bytes = 1 << 20;   // Replies beyond this are corruption, not patience.
-  // Longest single wait, microseconds: a socket wait ends when the socket is ready or after
-  // this long; a connect retry sleeps this long.
+  // Longest blocking wait, microseconds: a socket wait ends when the socket is ready or
+  // after this long (behind at most one spin window); a connect retry sleeps this long.
   unsigned int poll_sleep_us = 200;
   // Wait iterations for connect / a send / a reply before giving up. At the default this is
   // up to tens of seconds of daemon silence — a dead daemon, not a slow one.
@@ -76,8 +79,9 @@ class ServiceClient final : public WorkloadFront {
 
  private:
   bool SendRequest(const ServiceMessage& message, std::string* error);
-  // One ppoll of the connected socket for `events`, for at most poll_sleep_us.
-  void WaitForSocket(short events);
+  // One wait on the connected socket for `events`: a spin first with `spin`, then a ppoll
+  // for at most poll_sleep_us.
+  void WaitForSocket(short events, bool spin);
   // Waits (budgeted) for the next frame and decodes it. Any transport damage is terminal.
   bool ReceiveReply(ServiceMessage* out, std::string* error);
 

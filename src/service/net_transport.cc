@@ -360,13 +360,12 @@ void NetServiceFront::HandleRunCycle(Connection& conn, const RunCycleMsg& msg) {
   advance_(msg.now);
   time_high_water_ = msg.now;
   service_->RunCycle(msg.now);
-  grant_trace_.push_back(service_->last_granted());
-  ++counters_.cycles_run;
   CycleReplyMsg reply;
   reply.seq = msg.seq;
-  reply.cycle = grant_trace_.size() - 1;
-  reply.granted.reserve(grant_trace_.back().size());
-  for (TaskId id : grant_trace_.back()) {
+  reply.cycle = counters_.cycles_run++;  // Remote cycles numbered from 0.
+  const std::vector<TaskId>& granted = service_->last_granted();
+  reply.granted.reserve(granted.size());
+  for (TaskId id : granted) {
     reply.granted.push_back(static_cast<int64_t>(id));
   }
   SendMessage(conn, reply);
@@ -490,7 +489,7 @@ bool NetServiceFront::PollOnce() {
   return progress;
 }
 
-void NetServiceFront::WaitForSockets(bool flush_only) {
+void NetServiceFront::WaitForSockets(bool flush_only, bool spin) {
   std::vector<pollfd> fds;
   fds.reserve(connections_.size() + 1);
   if (!flush_only) {
@@ -508,21 +507,30 @@ void NetServiceFront::WaitForSockets(bool flush_only) {
       fds.push_back({conn.socket->fd(), events, 0});
     }
   }
-  WaitForFds(fds.data(), fds.size(), config_.poll_sleep_us);
+  counters_.spin_waits += spin ? 1 : 0;
+  if (WaitForFds(fds.data(), fds.size(), config_.poll_sleep_us, spin)) {
+    ++counters_.spin_hits;
+  }
 }
 
 bool NetServiceFront::ServeUntilShutdown() {
   uint64_t idle_polls = 0;
+  // Set by a step that received a request, cleared by the next wait: only that wait spins,
+  // since a closed-loop tenant's next request follows its reply within microseconds.
+  bool spin_next_wait = false;
   while (!shutdown_received_) {
+    uint64_t frames_before = counters_.frames_received;
     if (PollOnce()) {
       idle_polls = 0;
+      spin_next_wait |= counters_.frames_received != frames_before;
       continue;
     }
     if (config_.serve_idle_budget > 0 && ++idle_polls >= config_.serve_idle_budget) {
       std::fprintf(stderr, "net: serve idle budget exhausted; stopping\n");
       return false;
     }
-    WaitForSockets(/*flush_only=*/false);
+    WaitForSockets(/*flush_only=*/false, spin_next_wait);
+    spin_next_wait = false;
   }
   // Flush the replies still owed to well-behaved clients, on the same progress budget a
   // single connection gets; whoever has not drained by then is dropped with the daemon.
@@ -535,7 +543,7 @@ bool NetServiceFront::ServeUntilShutdown() {
     if (!any_pending) {
       break;
     }
-    WaitForSockets(/*flush_only=*/true);
+    WaitForSockets(/*flush_only=*/true, /*spin=*/false);
   }
   counters_.disconnects += connections_.size();
   connections_.clear();

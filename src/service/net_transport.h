@@ -7,10 +7,15 @@
 // accepts pending connections, drains readable bytes, dispatches complete frames into the
 // GrantService, and flushes reply bytes, all on nonblocking sockets — no new threads, no
 // mutexes, and no clock reads anywhere near the scheduling path. Between steps with nothing
-// to do, ServeUntilShutdown blocks in one ppoll over the listener and every connection, so
-// a request is handled when its bytes arrive. Liveness is iteration budgets: every wait
-// lasts at most poll_sleep_us, and a connection that holds a partial frame or an unflushed
-// reply without making progress for `progress_budget` consecutive polls is disconnected.
+// to do, ServeUntilShutdown waits in ppoll over the listener and every connection, so a
+// request is handled when its bytes arrive. The first idle wait after a step that took in a
+// request spins before it blocks (WaitForFds, src/common/sleep.h): a tenant in a closed
+// loop sends its next request within microseconds of reading the reply, and the spin
+// catches it without a sleep and a wake-up. Every other wait (before the first request, on
+// later idle steps, in the final flush) blocks at once, so an idle daemon costs nothing
+// extra. Liveness is iteration budgets: every wait lasts at most the spin window plus
+// poll_sleep_us, and a connection that holds a partial frame or an unflushed reply without
+// making progress for `progress_budget` consecutive polls is disconnected.
 //
 // Clients are never trusted (the self-stabilizing stance: correctness must survive
 // arbitrarily misbehaving peers):
@@ -63,10 +68,10 @@ struct NetAddress {
 // including a unix path that is empty, contains a NUL byte, or does not fit sun_path.
 bool ParseNetAddress(std::string_view text, NetAddress* out, std::string* error);
 
-// Deterministic traffic counters of one socket endpoint (daemon front or client). Frame
-// and byte counts are pure functions of the message sequence, so the fig12 bench gates
-// them like every other engine-work counter; disconnect counters are only nonzero under
-// injected faults.
+// Traffic counters of one socket endpoint (daemon front or client). Frame and byte counts
+// are pure functions of the message sequence, so the fig12 bench gates them like every
+// other engine-work counter; disconnect counters are only nonzero under injected faults.
+// The spin counters depend on timing and are for operators, never gated.
 struct NetCounters {
   uint64_t accepts = 0;             // Connections accepted.
   uint64_t disconnects = 0;         // Connections closed for any reason (EOF included).
@@ -79,6 +84,10 @@ struct NetCounters {
   uint64_t submits_accepted = 0;    // Tasks admitted through the socket edge.
   uint64_t submits_rejected = 0;    // Tasks refused by the admission bound.
   uint64_t cycles_run = 0;          // Scheduling cycles driven by remote RunCycle.
+  uint64_t spin_waits = 0;          // Waits that spun before blocking.
+  // Spinning waits that ended during the spin. Near spin_waits, the spin window fits the
+  // traffic; near zero, the peer's bytes come later than the window and the spin is waste.
+  uint64_t spin_hits = 0;
 };
 
 // One nonblocking stream socket with frame reassembly: partial reads accumulate into an
@@ -134,9 +143,10 @@ struct NetFrontConfig {
   // Consecutive no-progress polls a connection may hold a partial frame or unflushed
   // output; exhaustion is a disconnect (counted in budget_disconnects).
   uint64_t progress_budget = 40000;
-  // Longest single wait between PollOnce() iterations in ServeUntilShutdown, microseconds:
-  // the ppoll there ends when a socket is ready or after this long. Every budget below is
-  // therefore at most budget * poll_sleep_us of real time.
+  // Longest blocking part of a wait between PollOnce() iterations in ServeUntilShutdown,
+  // microseconds: the ppoll there ends when a socket is ready or after this long, behind at
+  // most one spin window. Every budget below is therefore at most
+  // budget * (spin window + poll_sleep_us) of real time.
   unsigned int poll_sleep_us = 200;
   // ServeUntilShutdown gives up after this many consecutive idle polls (no progress on any
   // connection). 0 = serve forever; harnesses set a bound so an orphaned daemon exits
@@ -188,14 +198,13 @@ class NetServiceFront {
 
   // Runs PollOnce until a client sends Shutdown (returns true) or the idle budget runs out
   // (returns false; only with serve_idle_budget > 0), waiting in ppoll whenever a step made
-  // no progress. Remaining replies are flushed on a budget before returning.
+  // no progress; the first such wait after a step that received a request frame spins
+  // first. Remaining replies are flushed on a budget before returning.
   bool ServeUntilShutdown();
 
   bool shutdown_received() const { return shutdown_received_; }
   const NetCounters& counters() const { return counters_; }
   const NetListener& listener() const { return *listener_; }
-  // Granted ids of every remotely driven cycle, in cycle order (the remote grant trace).
-  const std::vector<std::vector<TaskId>>& grant_trace() const { return grant_trace_; }
 
  private:
   struct Connection {
@@ -204,10 +213,10 @@ class NetServiceFront {
   };
 
   void AcceptPending();
-  // One ppoll over the listener (POLLIN) and every connection (POLLIN, plus POLLOUT where
-  // output is pending; `flush_only` watches just the POLLOUT side), for at most
-  // poll_sleep_us.
-  void WaitForSockets(bool flush_only);
+  // One wait over the listener (POLLIN) and every connection (POLLIN, plus POLLOUT where
+  // output is pending; `flush_only` watches just the POLLOUT side): a spin first with
+  // `spin`, then a ppoll for at most poll_sleep_us.
+  void WaitForSockets(bool flush_only, bool spin);
   // Processes every complete frame buffered on `conn`. Returns true on progress; sets
   // *drop when the connection must be closed (corruption, protocol violation, backlog).
   bool DrainFrames(Connection& conn, bool* drop);
@@ -230,7 +239,6 @@ class NetServiceFront {
   std::function<void(double)> advance_;
   std::vector<Connection> connections_;
   NetCounters counters_;
-  std::vector<std::vector<TaskId>> grant_trace_;
   // Virtual time is daemon-global and monotone: a request instant below the high-water
   // mark would rewind budget unlocking, so it is a protocol violation, not a replay.
   double time_high_water_ = 0.0;

@@ -17,6 +17,7 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 VIOLATIONS = {
     "raw_mutex_violation.cc": ("src/common/queue.cc", {"raw-mutex"}),
     "raw_sleep_violation.cc": ("src/service/poll.cc", {"raw-sleep"}),
+    "raw_yield_violation.cc": ("src/service/spin.cc", {"raw-yield"}),
     "unordered_iteration_violation.cc": ("src/core/order.cc", {"unordered-iteration"}),
     "unordered_member_violation.cc": ("src/core/tracker.cc", {"unordered-member"}),
     "nondeterministic_source_violation.cc": ("src/core/jitter.cc",
@@ -122,6 +123,24 @@ class FixtureViolations(unittest.TestCase):
         proc = run_lint("--fixture", sleep_cc, "--as", "src/common/other_sleep.cc")
         self.assertEqual(proc.returncode, 1, proc.stdout)
         self.assertIn("[raw-sleep]", proc.stdout)
+
+    def test_raw_yield_fires_everywhere_but_sleep_cc(self):
+        # Both yields fire in the library and in tests, benches and examples alike; only
+        # the spin-then-block wait's own file may yield, and its content linted as any
+        # other file fires.
+        fixture = os.path.join(FIXTURES, "raw_yield_violation.cc")
+        for as_path in ("src/common/queue.cc", "tests/service/spin_test.cc",
+                        "bench/e2e/spin.cc", "examples/spin.cpp"):
+            with self.subTest(as_path=as_path):
+                proc = run_lint("--fixture", fixture, "--as", as_path)
+                self.assertEqual(proc.returncode, 1, proc.stdout)
+                self.assertEqual(proc.stdout.count("[raw-yield]"), 2, proc.stdout)
+        proc = run_lint("--fixture", fixture, "--as", "src/common/sleep.cc")
+        self.assertEqual(proc.returncode, 0, proc.stdout)
+        sleep_cc = os.path.join(REPO_ROOT, "src", "common", "sleep.cc")
+        proc = run_lint("--fixture", sleep_cc, "--as", "src/common/other_sleep.cc")
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertIn("[raw-yield]", proc.stdout)
 
 
 class NearMisses(unittest.TestCase):

@@ -622,6 +622,41 @@ TEST(NetFrontTest, ServeIdleBudgetBoundsAnOrphanedDaemon) {
   EXPECT_FALSE(harness.front.shutdown_received());
 }
 
+// The spin belongs to the wait right after a request: a daemon that never receives one,
+// alone or holding a silent connection, never spins and still stops on the idle budget.
+TEST(NetFrontTest, DaemonWithoutRequestsNeverSpins) {
+  NetFrontConfig front_config;
+  front_config.serve_idle_budget = 5;
+  front_config.poll_sleep_us = 1;
+  Harness harness(front_config);
+  EXPECT_FALSE(harness.front.ServeUntilShutdown());  // No client ever arrives.
+  EXPECT_EQ(harness.front.counters().spin_waits, 0u);
+  int fd = ConnectTo(harness);  // Connects, never sends.
+  EXPECT_FALSE(harness.front.ServeUntilShutdown());
+  EXPECT_EQ(harness.front.counters().accepts, 1u);
+  EXPECT_EQ(harness.front.counters().frames_received, 0u);
+  EXPECT_EQ(harness.front.counters().spin_waits, 0u);
+  EXPECT_EQ(harness.front.counters().spin_hits, 0u);
+  close(fd);
+}
+
+// One request, then silence: the first idle wait after the request spins (and, with nothing
+// more arriving, runs out of spin), every later idle wait blocks at once.
+TEST(NetFrontTest, OneRequestThenIdlenessSpinsExactlyOnce) {
+  NetFrontConfig front_config;
+  front_config.serve_idle_budget = 5;
+  front_config.poll_sleep_us = 1000;
+  Harness harness(front_config);
+  int fd = ConnectTo(harness);
+  SendAll(fd, Framed(OneTaskSubmit(/*seq=*/1, /*id=*/5)));
+  EXPECT_FALSE(harness.front.ServeUntilShutdown());
+  EXPECT_EQ(harness.front.counters().frames_received, 1u);
+  EXPECT_EQ(harness.front.counters().submits_accepted, 1u);
+  EXPECT_EQ(harness.front.counters().spin_waits, 1u);
+  EXPECT_EQ(harness.front.counters().spin_hits, 0u);
+  close(fd);
+}
+
 // --- Remote equivalence: the socket edge must grant byte-identically to in-process runs --
 
 const CurvePool& Pool() {
