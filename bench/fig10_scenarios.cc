@@ -1,9 +1,9 @@
 // Scenario sweep (ISSUE 5): steady-state engine-work counters and allocation outcomes per
 // registered scenario family. Complements fig5 (which measures one synthetic steady-state
-// regime) by recording how the incremental engine's reuse/rescore behavior responds to the
-// workload *shape*: bursty arrivals dirty more blocks per cycle, hot-spot block lists
-// concentrate rescoring, batched cohorts arrive as refresh spikes, tiny-demand trickles
-// drain queues and leave little to reuse.
+// regime) by recording how the incremental engine's work (tasks scored, tasks settled by a
+// rejection memo, blocks refreshed) responds to the workload *shape*: bursty arrivals dirty
+// more blocks per cycle, hot-spot block lists concentrate contention, batched cohorts arrive
+// as refresh spikes, tiny-demand trickles drain queues and leave little to settle.
 //
 // --json <path> emits deterministic work counters for a fixed subset of representative
 // scenarios in google-benchmark's {"benchmarks": [...]} shape, consumed by the CI

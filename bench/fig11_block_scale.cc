@@ -95,9 +95,9 @@ SweepPoint RunPoint(size_t num_blocks) {
 
   GreedyScheduler scheduler(GreedyMetric::kDpack,
                             GreedySchedulerOptions{.eta = 0.05, .incremental = true});
-  // Two warm-up cycles: the first pays the one-time population sync and scores everything;
-  // the second fills the heap merge's second ping-pong buffer so the measured cycles
-  // perform zero merge allocations.
+  // Two warm-up cycles: the first pays the one-time population sync, checks every task
+  // and sizes the candidate buffers for the whole batch; the second is a dirty cycle like
+  // the measured ones, which then perform zero merge allocations.
   scheduler.ScheduleBatch(pending, blocks);
   DirtyCycle(blocks, num_blocks, /*cycle=*/0, tiny);
   scheduler.ScheduleBatch(pending, blocks);

@@ -98,7 +98,8 @@ void Run(Scale scale) {
 // BM_*Steady* so both harnesses measure the same scenario): a persistent queue of oversized
 // (never-granted) pending tasks is rescheduled every cycle while exactly 1 of 20 blocks
 // (5%) receives a commit between cycles. The recompute baseline rescores the whole queue
-// every cycle; the incremental engine rescores only tasks touching the dirtied block. Same
+// every cycle; the incremental engine re-checks only the tasks whose rejecting block was
+// dirtied, and scores none (no task fits). Same
 // grants by construction (see tests/core/incremental_equivalence_test.cc); this measures
 // the cycle-time win.
 

@@ -52,9 +52,10 @@ BENCHMARK(BM_FcfsBatch)->Arg(100)->Arg(1000)->Arg(5000)->Unit(benchmark::kMillis
 //
 // The regime of the tentpole claim: a persistent scheduler sees the same large pending queue
 // cycle after cycle while only a small fraction of blocks (1/20 = 5% here) changes between
-// cycles. The recompute path rescores everything; the incremental engine rescores only the
-// tasks touching the dirtied block. The workload (bench_util's SteadyStateTasks) is shared
-// with the fig5 addendum so both harnesses measure the same scenario.
+// cycles. The recompute path rescores everything; the incremental engine re-checks only the
+// tasks whose rejecting block was dirtied, and scores none (no task fits). The workload
+// (bench_util's SteadyStateTasks) is shared with the fig5 addendum so both harnesses measure
+// the same scenario.
 //
 // The steady benchmarks run a fixed iteration count (a multiple of the 20-block dirty
 // rotation) and report the engine's work counters per cycle. Unlike wall time, the counters
@@ -80,7 +81,7 @@ void ReportEngineCounters(benchmark::State& state, const GreedyScheduler& schedu
   state.counters["best_alpha_per_cycle"] =
       static_cast<double>(delta.best_alpha_recomputes) / cycles;
   state.counters["full_recomputes"] = static_cast<double>(delta.full_recomputes);
-  // Gated at zero: the merge's ping-pong buffers persist across cycles, so steady-state
+  // Gated at zero: the candidate and sort buffers persist across cycles, so steady-state
   // cycles must not grow them (see ScheduleContextStats::merge_allocs).
   state.counters["merge_allocs"] = static_cast<double>(delta.merge_allocs);
 }
@@ -93,11 +94,11 @@ void RunSteadyState(benchmark::State& state, GreedyMetric metric, bool increment
   }
   RdpCurve tiny = SteadyStateTinyDemand();
   GreedyScheduler scheduler(metric, GreedySchedulerOptions{.incremental = incremental});
-  scheduler.ScheduleBatch(tasks, blocks);  // Warm the cache: steady state, not first cycle.
+  scheduler.ScheduleBatch(tasks, blocks);  // Warm the engine: steady state, not first cycle.
   size_t dirty_cursor = 0;
-  // Second warm-up with a dirty block: the merge ping-pongs between two persistent
-  // buffers, and only a re-run with fresh entries fills the second one. After this,
-  // steady-state cycles perform zero merge allocations (merge_allocs delta below).
+  // Second warm-up with a dirty block, like the timed cycles. The first cycle sized the
+  // candidate buffers for the whole batch, so steady-state cycles perform zero merge
+  // allocations (merge_allocs delta below).
   blocks.block(static_cast<BlockId>(dirty_cursor++ % kSteadyStateBlocks)).Commit(tiny);
   scheduler.ScheduleBatch(tasks, blocks);
   ScheduleContextStats at_entry;

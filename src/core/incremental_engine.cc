@@ -2,15 +2,12 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 
 #include "src/common/check.h"
 
 namespace dpack {
 
 namespace {
-
-constexpr uint64_t kNoReject = std::numeric_limits<uint64_t>::max();
 
 // The engine's id-indexed arrays (stamps, version mirror, requester columns) are sized by
 // the block count, so the block ids of every new or re-resolved task are checked before any
@@ -51,7 +48,7 @@ size_t TaskCacheMap::FindOrInsert(TaskId id) {
     }
     i = (i + 1) & (slots_.size() - 1);
   }
-  DPACK_CHECK_MSG(2 * (size_ + 1) <= slots_.size(), "TaskCacheMap insert without Reserve");
+  DPACK_CHECK_MSG(4 * (size_ + 1) <= 3 * slots_.size(), "TaskCacheMap insert without Reserve");
   slots_[i].used = true;
   slots_[i].id = id;
   slots_[i].value = TaskCache{};
@@ -59,17 +56,15 @@ size_t TaskCacheMap::FindOrInsert(TaskId id) {
   return i;
 }
 
-bool TaskCacheMap::Reserve(size_t additional) {
-  size_t needed = 2 * (size_ + additional + 1);
-  if (needed <= slots_.size()) {
-    return false;
+void TaskCacheMap::Reserve(size_t additional) {
+  size_t needed = 4 * (size_ + additional + 1);
+  size_t slots = slots_.size();
+  while (3 * slots < needed) {
+    slots *= 2;
   }
-  size_t capacity = slots_.size();
-  while (capacity < needed) {
-    capacity *= 2;
+  if (slots > slots_.size()) {
+    Rehash(slots);
   }
-  Rehash(capacity);
-  return true;
 }
 
 void TaskCacheMap::Rehash(size_t new_capacity) {
@@ -86,10 +81,18 @@ void TaskCacheMap::Rehash(size_t new_capacity) {
   }
 }
 
+void TaskCacheMap::PurgeDead(uint64_t cycle, size_t live) {
+  // With the engine's whole-batch Reserve, this bound keeps a queue of L live tasks within
+  // 4/3 * (2.5 L + 64) slots, rounded up to a power of two.
+  if (size_ > live + live / 2 + 64) {
+    PurgeNotSeen(cycle);
+  }
+}
+
 void TaskCacheMap::PurgeNotSeen(uint64_t cycle) {
   // In place, so a purge never holds a second table. The scan starts just past an empty slot
-  // (the table is at most half full), so no probe run wraps past its start, and an erase
-  // only pulls entries from later in the scan back into the slot being examined.
+  // (the table is at most three quarters full), so no probe run wraps past its start, and an
+  // erase only pulls entries from later in the scan back into the slot being examined.
   size_t mask = slots_.size() - 1;
   size_t start = 0;
   while (slots_[start].used) {
@@ -241,8 +244,10 @@ void BlockMembers::Insert(size_t at, const Task& task) {
 
 void BlockMembers::RemoveLeaving(std::vector<size_t>& at) {
   // Find the leaving members (the scan stops at the last one). A leading run of them only
-  // advances head_; the gaps after it close row by row, one move per kept run. Each demand
-  // row drops its leaving demands from its summary first.
+  // advances head_. The other gaps close row by row, moving the shorter side: the members
+  // after the first gap shift left, or those before the last gap shift right and head_
+  // advances past the vacated front. Either way each kept run moves once. Each demand row
+  // drops its leaving demands from its summary first.
   std::span<const TaskId> live = ids();
   at.clear();
   for (size_t t = 0; t < live.size() && at.size() < leaving.size(); ++t) {
@@ -261,21 +266,40 @@ void BlockMembers::RemoveLeaving(std::vector<size_t>& at) {
   while (front < at.size() && at[front] == front) {
     ++front;
   }
-  auto close_gaps = [&](auto* array) {
+  const size_t gone = at.size();
+  // Kept members on each side: after the first gap past the leading run, before the last.
+  const size_t after = front < gone ? count_ - at[front] - (gone - front) : 0;
+  const size_t before = front < gone ? at.back() + 1 - gone : 0;
+  auto close_left = [&](auto* array) {
     size_t out = at[front];
-    for (size_t r = front; r < at.size(); ++r) {
-      size_t end = r + 1 < at.size() ? at[r + 1] : count_;
+    for (size_t r = front; r < gone; ++r) {
+      size_t end = r + 1 < gone ? at[r + 1] : count_;
       out = static_cast<size_t>(std::copy(array + at[r] + 1, array + end, array + out) - array);
     }
   };
-  if (front < at.size()) {
+  auto close_right = [&](auto* array) {
+    size_t out = at.back() + 1;
+    for (size_t r = gone; r-- > front;) {
+      size_t begin = r == 0 ? 0 : at[r - 1] + 1;
+      out = static_cast<size_t>(
+          std::copy_backward(array + begin, array + at[r], array + out) - array);
+    }
+  };
+  auto close_gaps = [&](auto* array) {
+    if (before < after) {
+      close_right(array);
+    } else {
+      close_left(array);
+    }
+  };
+  if (front < gone) {
     close_gaps(ids_.data() + head_);
     for (size_t r = 0; r <= orders_.size(); ++r) {
       close_gaps(values_.data() + At(r, head_));
     }
   }
-  head_ += front;
-  count_ -= at.size();
+  head_ += front < gone && before < after ? gone : front;
+  count_ -= gone;
   size_t fit = count_ == 0 ? 0 : std::max<size_t>(8, 2 * count_);
   if (4 * count_ <= stride_ && fit < stride_) {
     Restride(fit);  // The queue has moved on from this block: give the columns back.
@@ -304,8 +328,8 @@ void IncrementalEngine::Invalidate() {
 bool IncrementalEngine::ObserveBatch(std::span<const Task> pending, size_t block_count,
                                      uint64_t previous_cycle) {
   // Reserving up front means no slot moves mid-cycle: the slots recorded here
-  // (slot_of_index_) stay valid through the merge and the allocation walk.
-  slots_moved_ |= cache_.Reserve(pending.size());
+  // (slot_of_index_) stay valid through the feasibility pass and the allocation walk.
+  cache_.Reserve(pending.size());
   slot_of_index_.resize(pending.size());
   const uint64_t stamp = cycle_stamp_;
   const bool dpack = metric_ == GreedyMetric::kDpack;
@@ -325,18 +349,17 @@ bool IncrementalEngine::ObserveBatch(std::span<const Task> pending, size_t block
     if (cached.last_seen == stamp) {
       return false;  // Duplicate id.
     }
-    // A cache entry is only trustworthy if the task was pending, and not granted, in the
-    // immediately preceding cycle with an unchanged block list (the vector buffer travels
-    // with the task on moves; reallocation on late resolution changes the pointer).
+    // A cache entry is only trustworthy if the task was pending in the immediately
+    // preceding cycle with an unchanged block list (the vector buffer travels with the task
+    // on moves; reallocation on late resolution changes the pointer).
     bool was_pending = cached.last_seen == previous_cycle;
-    cached.rescore = !was_pending || cached.granted || cached.blocks_ptr != task.blocks.data() ||
-                     cached.blocks_len != task.blocks.size();
-    cached.granted = false;
+    bool fresh = !was_pending || cached.blocks_ptr != task.blocks.data() ||
+                 cached.blocks_len != task.blocks.size();
     cached.last_seen = stamp;
     cached.index = static_cast<uint32_t>(i);
-    if (cached.rescore) {
+    if (fresh) {
       CheckBlockIds(task, block_count);
-      cached.reject_vsum = kNoReject;  // No feasibility memo.
+      cached.reject_block = TaskCache::kNoMemo;
     }
     // A re-resolved task keeps its old member blocks recorded until it has left them.
     bool rejoins = false;
@@ -355,7 +378,7 @@ bool IncrementalEngine::ObserveBatch(std::span<const Task> pending, size_t block
           members_ordered_ = false;
         } else {
           const BatchMember& before = prev_batch_[walk++];
-          if (cached.rescore && !std::ranges::equal(task.blocks, MemberOf(before))) {
+          if (fresh && !std::ranges::equal(task.blocks, MemberOf(before))) {
             leaving_.push_back(before);  // Leaves its old blocks, joins its new ones.
             joining_.push_back(i);
             rejoins = true;
@@ -366,7 +389,7 @@ bool IncrementalEngine::ObserveBatch(std::span<const Task> pending, size_t block
         }
       }
     }
-    if (cached.rescore && !rejoins) {
+    if (fresh && !rejoins) {
       cached.blocks_ptr = task.blocks.data();
       cached.blocks_len = static_cast<uint32_t>(task.blocks.size());
     }
@@ -410,7 +433,6 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
   const bool dpack = metric_ == GreedyMetric::kDpack;
   dirty_ids_.clear();
   dirty_stamp_.resize(count, 0);
-  rescore_stamp_.resize(count, 0);
   for (size_t g = known; g < count; ++g) {
     const PrivacyBlock& b = blocks.block(static_cast<BlockId>(g));
     snapshot_->Append(b.AvailableCurve(), b.capacity());
@@ -421,7 +443,6 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
       members_.emplace_back(b);
     }
     MarkDirty(static_cast<BlockId>(g));
-    rescore_stamp_[g] = cycle_stamp_;
   }
   // Drill into version-tree groups whose sum advanced since the last cycle — O(groups +
   // changed) instead of a version scan over every block. Arrivals were recorded at their
@@ -441,7 +462,6 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
           members_[g].DropExhaustedOrders(blocks.block(id));
         }
         MarkDirty(id);
-        rescore_stamp_[g] = cycle_stamp_;
         ++stats_.blocks_refreshed;
       });
   if (!dpack) {
@@ -469,9 +489,7 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
     }
   }
   CompactMemberPool();
-  // Per-block solves are independent, so dirty-list order (vs id order) is immaterial. A
-  // membership change alone rescores the block's tasks only if it moved the best alpha.
-  const uint64_t stamp = cycle_stamp_;
+  // Per-block solves are independent, so dirty-list order (vs id order) is immaterial.
   for (BlockId g : dirty_ids_) {
     size_t gi = static_cast<size_t>(g);
     BlockMembers& members = members_[gi];
@@ -483,11 +501,7 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
       members.Insert(MemberPosition(members, i), pending[i]);
     }
     members.joining.clear();
-    size_t best = BestAlphaForBlock(members.columns(), snapshot_->available(g), eta_);
-    if (best != best_alpha_[gi]) {
-      best_alpha_[gi] = best;
-      rescore_stamp_[gi] = stamp;
-    }
+    best_alpha_[gi] = BestAlphaForBlock(members.columns(), snapshot_->available(g), eta_);
     ++stats_.best_alpha_recomputes;
   }
 }
@@ -539,118 +553,60 @@ void IncrementalEngine::RebuildMembers(std::span<const Task> pending) {
   }
 }
 
-void IncrementalEngine::ScoreTasks(std::span<const Task> pending) {
-  // Score pass: tasks ObserveBatch flagged are always scored; any other reuses its cached
-  // score unless one of its blocks changed a score input this cycle. Rescored tasks
-  // contribute a fresh entry under a new generation, lazily superseding their old one.
-  const uint64_t stamp = cycle_stamp_;
+bool IncrementalEngine::Accepts(const Task& task, const BlockManager& blocks,
+                                TaskCache& cached) const {
+  for (BlockId j : task.blocks) {
+    if (!blocks.block(j).CanAccept(task.demand)) {
+      cached.reject_block = j;
+      cached.reject_version = version_now_[static_cast<size_t>(j)];
+      return false;
+    }
+  }
+  return true;
+}
+
+void IncrementalEngine::CollectCandidates(std::span<const Task> pending,
+                                          const BlockManager& blocks) {
+  // Only the tasks every block accepts now can be granted this cycle (see the header), so
+  // only they are scored. A memo whose block kept its version settles a task unchecked.
+  candidates_.clear();
   for (size_t i = 0; i < pending.size(); ++i) {
     const Task& task = pending[i];
-    size_t slot = slot_of_index_[i];
-    TaskCache& cached = cache_.at(slot);
-    if (!cached.rescore &&
-        (metric_ == GreedyMetric::kDpf ||
-         std::none_of(task.blocks.begin(), task.blocks.end(), [&](BlockId j) {
-           return rescore_stamp_[static_cast<size_t>(j)] == stamp;
-         }))) {
-      // DPF never goes stale: its scores read only total capacities, which never change for
-      // a fixed list.
-      ++stats_.tasks_reused;
-      continue;
-    }
-    cached.score = ScoreGreedyTask(metric_, task, *snapshot_, best_alpha_);
-    cached.generation = next_generation_++;
-    fresh_.push_back({cached.score, task.arrival_time, task.id, cached.generation, slot});
-    ++stats_.tasks_rescored;
-  }
-  MergeHeap();
-}
-
-void IncrementalEngine::MergeHeap() {
-  // In-order merge of the surviving sorted entries (heap) with this cycle's rescored ones
-  // (fresh) under the reference sort's total order. Stale entries are dropped here; when
-  // slots moved (rehash or purge), heap entries re-resolve their cache slot via Find. The
-  // ping-pong scratch persists across cycles, so steady-state merges never allocate.
-  SortHeapEntries(fresh_, sort_scratch_);
-  size_t out_capacity = merged_.capacity();
-  merged_.clear();
-  order_.clear();
-  size_t hi = 0;
-  size_t fi = 0;
-  while (hi < heap_.size() || fi < fresh_.size()) {
-    bool take_heap;
-    if (hi >= heap_.size()) {
-      take_heap = false;
-    } else if (fi >= fresh_.size()) {
-      take_heap = true;
-    } else {
-      take_heap = HeapEntryBefore(heap_[hi], fresh_[fi]);
-    }
-    if (take_heap) {
-      HeapEntry entry = heap_[hi++];
-      if (slots_moved_) {
-        size_t slot = cache_.Find(entry.id);
-        if (slot == TaskCacheMap::kNpos) {
-          continue;  // Stale: purged.
-        }
-        entry.slot = slot;
-      }
-      const TaskCache& cached = cache_.at(entry.slot);
-      if (cached.last_seen != cycle_stamp_ || cached.generation != entry.generation) {
-        continue;  // Stale: superseded, granted, or evicted.
-      }
-      order_.push_back(cached.index);
-      merged_.push_back(entry);
-    } else {
-      const HeapEntry& entry = fresh_[fi++];
-      order_.push_back(cache_.at(entry.slot).index);
-      merged_.push_back(entry);
-    }
-  }
-  // dpack-lint: allow(float-equality): size_t buffer-capacity bookkeeping, not a budget double.
-  if (merged_.capacity() != out_capacity) {
-    ++stats_.merge_allocs;  // Output buffer grew.
-  }
-  heap_.swap(merged_);
-  fresh_.clear();
-  slots_moved_ = false;
-}
-
-std::vector<size_t> IncrementalEngine::AllocateWithMemos(std::span<const Task> pending,
-                                                         BlockManager& blocks) {
-  // The CANRUN walk over order_ — identical grants to AllocateInOrder on the same order —
-  // with the reject memos living in each task's cache entry.
-  std::vector<size_t> granted;
-  for (size_t idx : order_) {
-    const Task& task = pending[idx];
     if (task.blocks.empty()) {
       continue;  // Unresolved block request.
     }
-    TaskCache& cached = cache_.at(slot_of_index_[idx]);
-    uint64_t vsum = 0;
-    for (BlockId j : task.blocks) {
-      vsum += version_now_[static_cast<size_t>(j)];
-    }
-    if (cached.reject_vsum == vsum) {
+    TaskCache& cached = cache_.at(slot_of_index_[i]);
+    if (cached.reject_block != TaskCache::kNoMemo &&
+        version_now_[static_cast<size_t>(cached.reject_block)] == cached.reject_version) {
+      ++stats_.tasks_reused;
       continue;
     }
-    bool can_run = true;
-    for (BlockId j : task.blocks) {
-      if (!blocks.block(j).CanAccept(task.demand)) {
-        can_run = false;
-        break;
-      }
+    if (!Accepts(task, blocks, cached)) {
+      continue;
     }
-    if (!can_run) {
-      cached.reject_vsum = vsum;
+    cached.reject_block = TaskCache::kNoMemo;
+    double score = ScoreGreedyTask(metric_, task, *snapshot_, best_alpha_);
+    candidates_.push_back({score, task.arrival_time, task.id, i});
+    ++stats_.tasks_rescored;
+  }
+}
+
+std::vector<size_t> IncrementalEngine::AllocateCandidates(std::span<const Task> pending,
+                                                          BlockManager& blocks) {
+  // The CANRUN walk over the candidates in allocation order — identical grants to
+  // AllocateInOrder over the whole batch, since every other task is rejected at its turn. A
+  // candidate is re-checked against the commits made earlier in this walk.
+  std::vector<size_t> granted;
+  for (const HeapEntry& entry : candidates_) {
+    const Task& task = pending[entry.slot];
+    if (!Accepts(task, blocks, cache_.at(slot_of_index_[entry.slot]))) {
       continue;
     }
     for (BlockId j : task.blocks) {
       blocks.block(j).Commit(task.demand);
       version_now_[static_cast<size_t>(j)] = blocks.block(j).version();
     }
-    cached.granted = true;  // The grant removes the task from the queue.
-    granted.push_back(idx);
+    granted.push_back(entry.slot);
   }
   return granted;
 }
@@ -681,15 +637,18 @@ std::vector<size_t> IncrementalEngine::ScheduleBatch(std::span<const Task> pendi
     return RecomputeScheduleBatch(metric_, eta_, pending, blocks);
   }
   SyncBlocks(blocks, pending);
-  ScoreTasks(pending);
-  std::vector<size_t> granted = AllocateWithMemos(pending, blocks);
-
-  // Bound cache growth: once dead entries (granted or evicted tasks) dominate — long runs
-  // with churn — rebuild keeping only the live ones. Heap entries re-resolve lazily.
-  if (cache_.size() > 2 * pending.size() + 64) {
-    cache_.PurgeNotSeen(cycle_stamp_);
-    slots_moved_ = true;
+  // The candidate buffers keep room for a whole batch, rounded up to a power of two, so they
+  // grow only when the queue reaches a new maximum, and a growing queue regrows them rarely.
+  size_t held = candidates_.capacity() + sort_scratch_.capacity();
+  candidates_.reserve(std::bit_ceil(pending.size()));
+  sort_scratch_.reserve(std::bit_ceil(pending.size()));
+  CollectCandidates(pending, blocks);
+  SortHeapEntries(candidates_, sort_scratch_);
+  if (candidates_.capacity() + sort_scratch_.capacity() > held) {
+    ++stats_.merge_allocs;
   }
+  std::vector<size_t> granted = AllocateCandidates(pending, blocks);
+  cache_.PurgeDead(cycle_stamp_, pending.size());
   return granted;
 }
 

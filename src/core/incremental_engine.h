@@ -1,11 +1,33 @@
-// Incremental scheduling engine (§6.4 Q4 scalability): persists scoring state across
-// scheduling cycles instead of recomputing every task's score from scratch. It grants
-// *exactly* the same sequence as `RecomputeScheduleBatch` — pinned by
+// Incremental scheduling engine (§6.4 Q4 scalability): persists block-side state across
+// scheduling cycles instead of rebuilding it from scratch, and scores only the tasks that
+// can run. It grants *exactly* the same sequence as `RecomputeScheduleBatch` — pinned by
 // tests/core/incremental_equivalence_test.cc.
 //
-// In the online steady state only a few blocks change per cycle (the ones that received
-// commits or unlocked more budget), so most cached scores are still exact:
+// Cycle, all on the caller's thread:
+//   1. ObserveBatch looks up every task's cache entry, finds the new and re-resolved tasks
+//      (it checks their block ids and drops their rejection memos), and for DPack walks the
+//      previous batch's ids to record the departures and arrivals.
+//   2. SyncBlocks appends arrivals to the snapshot (dirty) and refreshes the blocks the one
+//      version-tree drill-down reports changed; for DPack it applies the membership events
+//      to the requester columns (dirtying their blocks) and solves the dirty blocks' best
+//      alphas. Scores read the best alphas, which depend on every requester, feasible or not.
+//   3. CollectCandidates makes one pass over the batch in order. A task whose rejection memo
+//      holds is settled without a check; any other is checked with CanAccept against its
+//      blocks as they stand at the start of the cycle. A rejected task gets a memo; a task
+//      every block accepts is scored (ScoreGreedyTask) and becomes a candidate.
+//   4. SortHeapEntries orders the candidates by HeapEntryBefore, the reference sort's order.
+//   5. The CANRUN walk re-checks each candidate against the commits made earlier in the walk
+//      and commits the grants.
 //
+// Why skipping the infeasible tasks keeps the grants. During a walk a block changes only
+// through Commit, which adds a non-negative demand to `consumed` (RdpCurve rejects negative
+// and NaN epsilons) and leaves the unlocked capacity alone. IEEE addition is monotone, so if
+// `consumed(a) + d(a) <= cap(a) + slack` fails at every order at the start of the cycle, it
+// still fails at the task's turn. A task its blocks reject at the start is therefore
+// rejected at its turn in the reference order too, and the reference grant sequence is the
+// walk, in HeapEntryBefore order, over the tasks feasible at the start.
+//
+// Block-side state:
 //   - Dirty-block detection. `PrivacyBlock::version()` is a monotonic counter bumped on
 //     commits, effective unlocks and arrivals. The engine remembers the version it last
 //     observed per block and drills into the manager's `BlockVersionTree` groups whose sum
@@ -20,44 +42,18 @@
 //     and the new or re-resolved tasks are the arrivals. Only these events touch the
 //     columns, and they mark exactly their blocks dirty. A batch that breaks the order
 //     rebuilds the columns and marks dirty the blocks whose requester sequence changed.
-//   - Cached scores. Each pending task's score is cached by task id and reused while every
-//     input to it is provably unchanged: DPF scores depend only on total capacities (never
-//     dirty), Area scores on the available curves of the task's blocks, DPack scores on
-//     those curves plus the blocks' cached best-alpha solutions. The early cutoff: a block's
-//     rescore stamp is set when it arrives, when its capacity is refreshed, and (DPack) when
-//     its recomputed best alpha differs from the cached one — a membership change that leaves
-//     the best alpha alone changes no score. A live task is rescored only if one of its own
-//     blocks carries this cycle's stamp, a scan of its block list; new tasks and tasks whose
-//     block list was re-resolved are always scored.
-//   - A lazily-revalidated score heap. Scored entries live in a fully-sorted array (a valid
-//     binary max-heap) ordered by HeapEntryBefore, the reference sort's total order. Each
-//     cycle's rescored entries are sorted (SortHeapEntries) and merged in; stale entries —
-//     superseded generations, granted or evicted tasks — are dropped during the merge, never
-//     eagerly. The merge emits the batch indices in heap order, which is the allocation
-//     order.
-//   - Feasibility memos in the allocation walk. A task whose CANRUN check failed remembers
-//     the sum of its blocks' versions at rejection time. Versions only grow, so an unchanged
-//     sum proves every one of its blocks unchanged — the task is still infeasible and the
-//     per-order filter scan is skipped. Commits made earlier in the same walk bump versions
-//     and so re-enable the scan.
 //
-// Cycle, all on the caller's thread:
-//   1. ObserveBatch looks up every task's cache entry, decides which tasks must be scored
-//      (new, re-resolved, granted last cycle), checks those tasks' block ids (the others'
-//      were checked when they arrived), and for DPack walks the previous batch's ids to
-//      record the departures and arrivals.
-//   2. SyncBlocks appends arrivals to the snapshot (dirty) and refreshes the blocks the one
-//      version-tree drill-down reports changed; for DPack it applies the membership events
-//      to the requester columns (dirtying their blocks) and solves the dirty blocks' best
-//      alphas. It sets the rescore stamps.
-//   3. ScoreTasks runs the reuse-vs-rescore pass against the blocks' rescore stamps, and
-//      merges the sorted heap with the rescored entries.
-//   4. AllocateWithMemos walks the merged order with feasibility memos and commits grants.
+// Task-side state: the rejection memo. A rejected task remembers the first block that
+// rejected it and that block's version. Versions only grow and an unchanged version proves
+// the block's state bit-identical, so while the version holds the block still rejects the
+// task, whatever its other blocks do; the pass skips it without a check. Commits made
+// earlier in the same walk bump versions and so re-enable the check. The memo names the
+// block holding the task back. New and re-resolved tasks start without one.
 //
 // Batches with duplicate task ids fall back to RecomputeScheduleBatch.
 //
 // The engine lives inside `GreedyScheduler`, whose instance persists across
-// `OnlineScheduler::RunCycle` calls — that persistence is what makes the cache pay off.
+// `OnlineScheduler::RunCycle` calls — that persistence is what makes the state pay off.
 
 #ifndef SRC_CORE_INCREMENTAL_ENGINE_H_
 #define SRC_CORE_INCREMENTAL_ENGINE_H_
@@ -74,25 +70,23 @@
 
 namespace dpack {
 
-// Cached per-task scoring state, keyed by task id.
+// Per-task state, keyed by task id.
 struct TaskCache {
-  double score = 0.0;
-  uint64_t generation = 0;  // Matches the live heap entry for this task.
-  // Version sum at last CANRUN rejection; ~0 = no memo.
-  uint64_t reject_vsum = ~0ULL;
+  // Rejection memo: the first block that rejected the task, and that block's version then.
+  BlockId reject_block = kNoMemo;
+  uint64_t reject_version = 0;
   // Cycle stamp: live iff == current cycle. ~0 = never pending (fresh entry; stamps are
   // small counters, so it matches no cycle).
   uint64_t last_seen = ~0ULL;
   // Identity of the task's resolved block list, for change detection: the block vector's
   // buffer travels with the task on moves, so an unchanged (pointer, size) pair means an
-  // unchanged list under the immutability protocol, and the score pass may trust the cached
-  // score unless one of those blocks carries the cycle's rescore stamp. Late resolution
-  // reallocates (empty -> non-empty) and is therefore always caught.
+  // unchanged list under the immutability protocol, and the memo may be trusted. Late
+  // resolution reallocates (empty -> non-empty) and is therefore always caught.
   const BlockId* blocks_ptr = nullptr;
   uint32_t blocks_len = 0;
   uint32_t index = 0;  // Position in the current cycle's batch.
-  bool granted = false;  // Granted in cycle last_seen: a comeback is scored afresh.
-  bool rescore = false;  // This cycle: new, re-resolved or granted before; always scored.
+
+  static constexpr BlockId kNoMemo = -1;
 };
 
 // DPack: one block's requesters (the pending tasks naming it) in batch order, as the columns
@@ -145,8 +139,8 @@ class BlockMembers {
 // Open-addressing map TaskId -> TaskCache. The engine does a couple of lookups per
 // pending task per cycle, which makes std::unordered_map's indirections the bottleneck
 // for cheap metrics; a flat linear-probe table keeps the overhead below the recompute
-// path's scoring cost. Slot indices are stable except across Reserve/Purge rehashes,
-// which the engine tracks to lazily re-resolve heap entries.
+// path's scoring cost. Slot indices are stable except across Reserve/Purge rehashes; the
+// engine records them per cycle, after its Reserve, and purges only after its walk.
 class TaskCacheMap {
  public:
   static constexpr size_t kNpos = static_cast<size_t>(-1);
@@ -159,11 +153,13 @@ class TaskCacheMap {
   TaskCache& at(size_t slot) { return slots_[slot].value; }
   const TaskCache& at(size_t slot) const { return slots_[slot].value; }
   size_t size() const { return size_; }
-  // Ensures capacity for `additional` more inserts without rehashing. Returns true if the
-  // table rehashed (all slot indices invalidated).
-  bool Reserve(size_t additional);
-  // Drops every entry whose last_seen != `cycle`. Invalidates slot indices.
-  void PurgeNotSeen(uint64_t cycle);
+  size_t capacity() const { return slots_.size(); }
+  // Ensures capacity for `additional` more inserts without rehashing, at a load of at most
+  // three quarters. Invalidates slot indices if the table grows.
+  void Reserve(size_t additional);
+  // Once the entries whose last_seen != `cycle` (granted or evicted tasks) reach half the
+  // `live` ones, drops them. Invalidates slot indices when it purges.
+  void PurgeDead(uint64_t cycle, size_t live);
 
  private:
   struct Slot {
@@ -171,7 +167,9 @@ class TaskCacheMap {
     bool used = false;
     TaskCache value;
   };
+  static_assert(sizeof(Slot) <= 64, "a slot should fit a cache line");
   size_t Probe(TaskId id) const;
+  void PurgeNotSeen(uint64_t cycle);
   void Rehash(size_t new_capacity);
   void EraseAt(size_t slot);
 
@@ -184,8 +182,8 @@ class IncrementalEngine {
   // `eta` is DPack's approximation parameter (> 0).
   IncrementalEngine(GreedyMetric metric, double eta);
 
-  // One scheduling cycle: refreshes dirty state, rescores affected tasks, and allocates in
-  // score order, committing grants to `blocks`. Returns indices into `pending` of the
+  // One scheduling cycle: refreshes dirty state, scores the tasks that can run, and
+  // allocates in score order, committing grants to `blocks`. Returns indices into `pending` of the
   // granted tasks, in grant order — identical to RecomputeScheduleBatch on the same state.
   //
   // Correct reuse assumes the cycle protocol of OnlineScheduler: between calls, pending
@@ -205,8 +203,8 @@ class IncrementalEngine {
   const ScheduleContextStats& stats() const { return stats_; }
 
  private:
-  // Step 1 of the cycle: cache lookups, rescore decisions, block-id checks for the tasks
-  // that need them, and (DPack) the membership events. Returns false, having stopped early,
+  // Step 1 of the cycle: cache lookups, memo resets and block-id checks for the new and
+  // re-resolved tasks, and (DPack) the membership events. Returns false, having stopped early,
   // on a repeated task id.
   bool ObserveBatch(std::span<const Task> pending, size_t block_count,
                     uint64_t previous_cycle);
@@ -231,8 +229,12 @@ class IncrementalEngine {
   void CompactMemberPool();
   // Where batch task `index` goes among `members`, whose tasks are all in this batch.
   size_t MemberPosition(const BlockMembers& members, size_t index) const;
-  // The reuse-vs-rescore pass, then the heap merge.
-  void ScoreTasks(std::span<const Task> pending);
+  // Step 3: the feasibility pass. Scores the tasks every block accepts into candidates_, in
+  // batch order, and gives the others a memo.
+  void CollectCandidates(std::span<const Task> pending, const BlockManager& blocks);
+  // True if every block of `task` accepts its demand; otherwise records the first rejecting
+  // block and its version as `cached`'s memo.
+  bool Accepts(const Task& task, const BlockManager& blocks, TaskCache& cached) const;
   // Records block `id` as dirty this cycle, once.
   void MarkDirty(BlockId id) {
     size_t j = static_cast<size_t>(id);
@@ -241,9 +243,8 @@ class IncrementalEngine {
       dirty_ids_.push_back(id);
     }
   }
-  // Merges the heap with the rescored entries, dropping stale ones; fills `order_`.
-  void MergeHeap();
-  std::vector<size_t> AllocateWithMemos(std::span<const Task> pending, BlockManager& blocks);
+  // Step 5: the CANRUN walk over the sorted candidates.
+  std::vector<size_t> AllocateCandidates(std::span<const Task> pending, BlockManager& blocks);
 
   GreedyMetric metric_;
   double eta_;
@@ -254,14 +255,11 @@ class IncrementalEngine {
   // needs the manager's grid) and then maintained incrementally.
   std::optional<CapacitySnapshot> snapshot_;
   std::vector<uint64_t> last_version_;  // Size doubles as the known-block count.
-  // Contiguous version mirror for the allocation walk. Persistent: arrivals append,
-  // refreshes overwrite changed entries, walk commits update.
+  // Contiguous version mirror for the memos. Persistent: arrivals append, refreshes
+  // overwrite changed entries, walk commits update.
   std::vector<uint64_t> version_now_;
   std::vector<uint64_t> group_seen_;   // Version-tree group sums at the last sync.
   std::vector<uint64_t> dirty_stamp_;  // Per block: cycle stamp when last marked dirty.
-  // Per block: cycle stamp when an input of its tasks' scores last changed (arrival, refresh,
-  // or a new best alpha). Dirty blocks whose best alpha held keep their older stamp.
-  std::vector<uint64_t> rescore_stamp_;
   std::vector<size_t> best_alpha_;     // DPack: cached best order per block.
   std::vector<BlockMembers> members_;  // DPack: per block, its requester columns.
   // This cycle's dirty blocks (capacity or membership), duplicate-free via dirty_stamp_.
@@ -286,16 +284,13 @@ class IncrementalEngine {
 
   // Task-side state.
   TaskCacheMap cache_;
-  std::vector<HeapEntry> heap_;    // Persistent, fully sorted (live + lazily-stale).
-  std::vector<HeapEntry> fresh_;   // This cycle's rescored entries, pre-merge.
-  std::vector<HeapEntry> merged_;  // Scratch for the merge.
-  std::vector<HeapEntry> sort_scratch_;  // SortHeapEntries' second buffer for fresh_.
-  std::vector<size_t> order_;      // Batch indices of heap_'s entries: the allocation order.
+  // This cycle's candidates (slot = batch index), then in allocation order. Both buffers
+  // persist and hold room for a whole batch, so they grow only with the queue's maximum.
+  std::vector<HeapEntry> candidates_;
+  std::vector<HeapEntry> sort_scratch_;  // SortHeapEntries' second buffer.
   // Cache slot per batch index, this cycle. No slot moves between ObserveBatch and the walk
   // (the cache reserves up front and purges only after the walk).
   std::vector<size_t> slot_of_index_;
-  uint64_t next_generation_ = 1;
-  bool slots_moved_ = false;  // Set on rehash/purge; entries re-resolve at next merge.
 };
 
 }  // namespace dpack

@@ -111,11 +111,10 @@ std::vector<size_t> RecomputeScheduleBatch(GreedyMetric metric, double eta,
 
 void SortHeapEntries(std::vector<HeapEntry>& entries, std::vector<HeapEntry>& scratch) {
   // Below this size std::sort beats the radix sort's fixed histogram cost. Measured on a
-  // 4-core Xeon by replaying the inputs bench/e2e's workloads sort: engine_churn and the
-  // service merge sort ~40 entries per cycle, where radix-only costs 3.5-4.1 us per sort
-  // against std::sort's 2.3-2.6 us (engine_churn cycle_p50 +8%); engine_backlog sorts
-  // ~1.4k, where the radix sort halves std::sort's 145 us. Cutoffs from 64 to 256 measured
-  // alike, as few sorts fall between.
+  // 4-core Xeon by replaying the candidates bench/e2e's workloads sort (src/README.md):
+  // engine_churn sorts ~20 per cycle, where radix-only costs 3.0 us per sort against
+  // std::sort's 1.0 us; engine_backlog sorts ~136, where this cutoff takes 6.8 us per sort
+  // against std::sort's 9.4 us. Cutoffs from 32 to 128 measured alike.
   constexpr size_t kRadixMinSize = 64;
   const size_t n = entries.size();
   if (n < kRadixMinSize) {

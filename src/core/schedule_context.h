@@ -5,10 +5,10 @@
 // The recompute path (`RecomputeScheduleBatch`, the original GreedyScheduler behavior) costs
 // O(pending × blocks × orders) per cycle — including DPack's per-(block, order) knapsack
 // subproblems — even when almost nothing changed between cycles. The incremental engine
-// persists scoring state across cycles instead and grants exactly the same task sequence;
-// the differential suites compare the two. Both score with `ScoreGreedyTask` and order by
-// `HeapEntryBefore`'s total order (score desc, arrival asc, id asc), and the engine
-// reports its reuse through `ScheduleContextStats`.
+// persists block state across cycles instead, scores only the tasks that can run, and grants
+// exactly the same task sequence; the differential suites compare the two. Both score with
+// `ScoreGreedyTask` and order by `HeapEntryBefore`'s total order (score desc, arrival asc,
+// id asc), and the engine reports its work through `ScheduleContextStats`.
 
 #ifndef SRC_CORE_SCHEDULE_CONTEXT_H_
 #define SRC_CORE_SCHEDULE_CONTEXT_H_
@@ -35,8 +35,8 @@ enum class GreedyMetric {
 // the CANRUN loop of Alg. 1. Infeasible tasks are skipped, never block the later ones: every
 // policy, including FCFS, backfills past tasks whose filters reject (which is why FCFS does
 // not prioritize low-demand tasks under contention, §6.3). Tasks with an unresolved (empty)
-// block list are skipped. Shared by the recompute and incremental paths (the incremental
-// path layers feasibility memos on the same walk).
+// block list are skipped. The recompute path's walk; the incremental engine walks only the
+// tasks feasible at the start of the cycle, with the same checks and commits.
 std::vector<size_t> AllocateInOrder(std::span<const Task> pending, BlockManager& blocks,
                                     std::span<const size_t> order);
 
@@ -48,18 +48,20 @@ std::vector<size_t> RecomputeScheduleBatch(GreedyMetric metric, double eta,
                                            std::span<const Task> pending,
                                            BlockManager& blocks);
 
-// Counters describing how much work the incremental engine reused vs redid. Monotonic over
-// the engine's lifetime.
+// Counters describing how much work the incremental engine did and skipped. Monotonic over
+// the engine's lifetime. The names date from the score cache the feasibility pass replaced.
 struct ScheduleContextStats {
-  uint64_t cycles = 0;                 // ScheduleBatch calls (non-empty batches).
-  uint64_t tasks_rescored = 0;         // Scores computed.
-  uint64_t tasks_reused = 0;           // Scores served from cache.
+  uint64_t cycles = 0;  // ScheduleBatch calls (non-empty batches).
+  // Scores computed: the tasks every block accepted at the start of their cycle.
+  uint64_t tasks_rescored = 0;
+  // Pending tasks the rejection memo settled without a CanAccept check.
+  uint64_t tasks_reused = 0;
   uint64_t blocks_refreshed = 0;       // Snapshot entries refreshed (version changes).
   uint64_t best_alpha_recomputes = 0;  // Per-block best-alpha subproblems solved.
   uint64_t full_recomputes = 0;        // Fallbacks to RecomputeScheduleBatch.
-  // Growths of the heap merge's output buffer. The buffers persist across cycles, so
-  // steady-state cycles perform zero merge allocations — pinned by tests and gated at zero
-  // in bench/baseline.json.
+  // Growths of the persistent candidate and sort buffers. They keep room for a whole batch,
+  // so cycles whose queue is no longer than an earlier one's allocate nothing — pinned by
+  // tests and gated at zero in bench/baseline.json.
   uint64_t merge_allocs = 0;
 
   // Counters are monotonic over an engine's lifetime; subtracting an earlier snapshot
@@ -83,18 +85,17 @@ struct ScheduleContextStats {
 static_assert(sizeof(ScheduleContextStats) == 7 * sizeof(uint64_t),
               "ScheduleContextStats changed: update Delta and its test");
 
-// One scored entry of a score order: the incremental engine's heap.
+// One scored entry of a score order: an incremental engine candidate.
 struct HeapEntry {
   double score = 0.0;
   double arrival = 0.0;
   TaskId id = 0;
-  uint64_t generation = 0;
-  size_t slot = 0;  // Cache slot index; revalidated via Find when slots have moved.
+  size_t slot = 0;  // The task's index in its batch.
 };
 
 // True if `a` precedes `b` in allocation order (score desc, arrival asc, id asc) — exactly
 // the recompute path's sort order. A strict total order for unique task ids, which is what
-// makes the incremental engine's heap merge and the service daemon's merge deterministic.
+// makes the incremental engine's candidate order deterministic.
 inline bool HeapEntryBefore(const HeapEntry& a, const HeapEntry& b) {
   if (a.score != b.score) {
     return a.score > b.score;
@@ -105,8 +106,8 @@ inline bool HeapEntryBefore(const HeapEntry& a, const HeapEntry& b) {
   return a.id < b.id;
 }
 
-// Sorts `entries` into HeapEntryBefore order: the one allocation-order sort of the
-// incremental engine and the service daemon. An LSD radix sort on the score's
+// Sorts `entries` into HeapEntryBefore order: the incremental engine's allocation-order
+// sort. An LSD radix sort on the score's
 // order-preserving bit pattern (descending) orders the scores, then each run of `==` scores
 // is sorted with HeapEntryBefore, which settles ±0.0 and the (arrival, id) tie-break. Small
 // inputs take std::sort. `scratch` is the radix pass's second buffer; the two may trade

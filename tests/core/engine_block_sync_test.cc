@@ -25,8 +25,9 @@ RdpCurve CapacityFraction(double fraction) {
   return BlockCapacityCurve(Grid(), kEpsG, kDeltaG).Scaled(fraction);
 }
 
-// A task too large to ever be granted: scoring happens, commits never do, so the pending
-// queue and the block state stay put between cycles unless the test dirties them.
+// A task too large to ever be granted: every block rejects it, so it is never scored and
+// never committed, and the pending queue and the block state stay put between cycles unless
+// the test dirties them.
 Task OversizedTask(TaskId id, std::vector<BlockId> block_ids) {
   Task t(id, 1.0, CapacityFraction(2.0));
   t.blocks = std::move(block_ids);
@@ -66,8 +67,8 @@ TEST_F(EngineBlockSyncTest, CommitRefreshesExactlyTheTouchedBlocks) {
   context.ScheduleBatch(pending, many);
   EXPECT_EQ(context.stats().blocks_refreshed, 2u);
   EXPECT_EQ(context.stats().best_alpha_recomputes, 202u);
-  EXPECT_EQ(context.stats().tasks_rescored, 5u + 2u);
-  EXPECT_EQ(context.stats().tasks_reused, 3u);
+  EXPECT_EQ(context.stats().tasks_rescored, 0u);
+  EXPECT_EQ(context.stats().tasks_reused, 3u);  // Tasks 100 and 101 are checked again.
 
   context.ScheduleBatch(pending, many);
   EXPECT_EQ(context.stats().blocks_refreshed, 2u);
@@ -78,7 +79,7 @@ TEST_F(EngineBlockSyncTest, CommitRefreshesExactlyTheTouchedBlocks) {
 TEST_F(EngineBlockSyncTest, ArrivalsAreAbsorbedIncrementally) {
   // Online block arrivals join the engine between cycles as new (dirty) blocks: only they
   // get best-alpha solves, none is reported as a refresh, and tasks on older blocks keep
-  // their scores.
+  // their memos.
   BlockManager online(Grid(), kEpsG, kDeltaG);
   online.AddBlock(0.0, /*unlocked=*/true);
   IncrementalEngine context(GreedyMetric::kDpack, kEta);
@@ -92,14 +93,14 @@ TEST_F(EngineBlockSyncTest, ArrivalsAreAbsorbedIncrementally) {
   context.ScheduleBatch(pending, online);
   EXPECT_EQ(context.stats().blocks_refreshed, 0u);
   EXPECT_EQ(context.stats().best_alpha_recomputes, 1u + 2u);
-  EXPECT_EQ(context.stats().tasks_rescored, 1u + 1u);  // Only the new task.
-  EXPECT_EQ(context.stats().tasks_reused, 1u);
+  EXPECT_EQ(context.stats().tasks_rescored, 0u);
+  EXPECT_EQ(context.stats().tasks_reused, 1u);  // Only the new task is checked.
 }
 
 TEST_F(EngineBlockSyncTest, PreCommittedAndRestoredBlocksAreNotReportedChanged) {
   // A cold engine records each block at its current version, so a manager whose blocks
   // were committed before the engine first saw them — or rebuilt from a checkpoint — is not
-  // refreshed, and a warm engine moved onto the restored copy reuses every score.
+  // refreshed, and a warm engine moved onto the restored copy keeps every memo.
   blocks_.block(1).Commit(CapacityFraction(0.01));
   blocks_.block(3).Commit(CapacityFraction(0.01));
   std::vector<Task> pending;
@@ -119,7 +120,8 @@ TEST_F(EngineBlockSyncTest, PreCommittedAndRestoredBlocksAreNotReportedChanged) 
   IncrementalEngine cold(GreedyMetric::kArea, kEta);
   cold.ScheduleBatch(pending, restored);
   EXPECT_EQ(cold.stats().blocks_refreshed, 0u);
-  EXPECT_EQ(cold.stats().tasks_rescored, 4u);
+  EXPECT_EQ(cold.stats().tasks_rescored, 0u);
+  EXPECT_EQ(cold.stats().tasks_reused, 0u);
 
   warm.ScheduleBatch(pending, restored);
   EXPECT_EQ(warm.stats().blocks_refreshed, 0u);
@@ -146,7 +148,8 @@ TEST_F(EngineBlockSyncTest, DefaultSchedulerRunsTheEngine) {
   scheduler.ScheduleBatch(pending, blocks);
   EXPECT_EQ(stats.blocks_refreshed, 1u);
   EXPECT_EQ(stats.best_alpha_recomputes, 6u);
-  EXPECT_EQ(stats.tasks_rescored, 5u + 1u);
+  EXPECT_EQ(stats.tasks_rescored, 0u);
+  EXPECT_EQ(stats.tasks_reused, 4u);  // Every task but block 2's.
 
   GreedyScheduler fcfs(GreedyMetric::kFcfs);
   EXPECT_NE(fcfs.engine(), nullptr);

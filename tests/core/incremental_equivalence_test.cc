@@ -129,7 +129,8 @@ void RunDifferentialTrace(GreedyMetric metric, const TraceOptions& options) {
     }
   }
 
-  // The traces must have actually exercised the caches, not fallen back every cycle.
+  // The traces must have actually exercised the rejection memos, not fallen back every
+  // cycle.
   ASSERT_NE(engine.engine(), nullptr);
   const ScheduleContextStats& stats = engine.engine()->stats();
   EXPECT_EQ(stats.full_recomputes, 0u);

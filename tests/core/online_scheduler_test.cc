@@ -133,8 +133,8 @@ TEST_F(OnlineSchedulerTest, GrantsCompactTheQueueInArrivalOrderAndKeepCachedScor
   }
   EXPECT_EQ(survivors, (std::vector<TaskId>{1, 3, 5}));
 
-  // Block 0 did not change, so the survivors' cached scores hold. The engine trusts a cache
-  // entry only if the task's block buffer is the one it scored, so full reuse shows the
+  // Block 0 did not change, so the survivors' rejection memos hold. The engine trusts a
+  // memo only if the task's block buffer is the one it checked, so three memo hits show the
   // buffers moved with the tasks.
   ASSERT_NE(online.context_stats(), nullptr);
   ScheduleContextStats before = *online.context_stats();
