@@ -77,8 +77,10 @@ import tempfile
 # src/service is in scope because the daemon's admission and socket edge decide what reaches
 # the engine and at which virtual instant — a hash-order or wall-clock leak there breaks the
 # remote grant-equivalence proof the same way it would in-process (deadlines in the service
-# are iteration budgets, not clocks, precisely so this rule can hold there).
-GRANT_ORDERING_DIRS = ("src/core", "src/block", "src/service")
+# are iteration budgets, not clocks, precisely so this rule can hold there). src/sim is in
+# scope because its schedule walk orders every driver's arrivals and cycles, and that order
+# decides admission and most-recent-block resolution.
+GRANT_ORDERING_DIRS = ("src/core", "src/block", "src/service", "src/sim")
 # float-equality reaches further: trace I/O reparses budget doubles from text, where a bare
 # == against a grid value is the same representation trap (the other grant-ordering rules
 # stay scoped — workload generation may iterate its own maps without ordering grants).

@@ -64,7 +64,6 @@
 #include "src/service/grant_service.h"
 #include "src/service/net_transport.h"
 #include "src/sim/sim_driver.h"
-#include "src/sim/simulation.h"
 #include "src/workload/alibaba.h"
 #include "src/workload/amazon.h"
 #include "src/workload/curve_pool.h"

@@ -5,7 +5,7 @@
 #include <limits>
 
 #include "src/common/check.h"
-#include "src/sim/simulation.h"
+#include "src/sim/sim_driver.h"
 
 namespace dpack {
 
@@ -124,68 +124,66 @@ OrchestratorRunResult ClusterOrchestrator::RunOnlineInternal(const ClusterSnapsh
 
   // The horizon derives from the full workload, so a resumed run ends where the original
   // would have.
-  double last_arrival = 0.0;
-  for (const Task& task : tasks) {
-    last_arrival = std::max(last_arrival, task.arrival_time);
-  }
-  double online_span = static_cast<double>(config_.online_blocks);
-  double end_virtual = std::max(last_arrival, online_span) +
+  double end_virtual = std::max(LastArrival(tasks), static_cast<double>(config_.online_blocks)) +
                        config_.period * static_cast<double>(config_.unlock_steps + 1);
 
   // Arrivals at or before the checkpoint are in the snapshot (blocks and claims fire before
   // the cycle at the same instant); only later ones are replayed.
   double absorbed_until = snapshot != nullptr ? snapshot->meta.checkpoint_time
                                               : -std::numeric_limits<double>::infinity();
-
-  Simulation sim;
+  std::vector<double> block_instants;
   for (size_t b = 1; b <= config_.online_blocks; ++b) {
-    double t = static_cast<double>(b);
-    if (t > absorbed_until) {
-      sim.At(t, EventPriority::kBlockArrival, [&blocks, t] { blocks.AddBlock(t); });
+    if (static_cast<double>(b) > absorbed_until) {
+      block_instants.push_back(static_cast<double>(b));
     }
   }
-  for (Task& task : tasks) {
-    if (task.arrival_time <= absorbed_until) {
-      continue;
-    }
-    Task* task_ptr = &task;
-    sim.At(task.arrival_time, EventPriority::kTaskArrival, [&store, &online, task_ptr] {
-      store.RoundTrip(1);  // Claim creation.
-      online.Submit(std::move(*task_ptr));
-    });
-  }
+  std::erase_if(tasks, [&](const Task& task) { return task.arrival_time <= absorbed_until; });
+  // Cycle instants come from one repeated addition, so a resumed run continues the
+  // uninterrupted run's exact sequence from the checkpoint's next_cycle_time.
+  double next_after_horizon = 0.0;
+  std::vector<double> cycle_instants =
+      CycleInstantsFrom(snapshot != nullptr ? snapshot->meta.next_cycle_time : 0.0,
+                        config_.period, end_virtual, &next_after_horizon);
 
   OrchestratorRunResult result;
   size_t cycles = snapshot != nullptr ? static_cast<size_t>(snapshot->meta.cycles_completed)
                                       : 0;
-  // Cycle instants come from one repeated addition, so a resumed run continues the
-  // uninterrupted run's exact sequence from the checkpoint's next_cycle_time.
-  double first_cycle = snapshot != nullptr ? snapshot->meta.next_cycle_time : 0.0;
-  for (double t = first_cycle; t <= end_virtual; t += config_.period) {
-    sim.At(t, EventPriority::kScheduling, [&, t] {
-      store.RoundTrip(config_.store_ops_per_cycle);
-      size_t granted = online.RunCycle(t);
-      store.RoundTrip(config_.store_ops_per_task * granted);
-      ++cycles;
-      if (config_.checkpoint_every_cycles == 0 ||
-          cycles % config_.checkpoint_every_cycles != 0) {
-        return;
-      }
-      SnapshotMeta meta;
-      meta.cycles_completed = cycles;
-      meta.checkpoint_time = t;
-      meta.next_cycle_time = t + config_.period;
-      meta.period = config_.period;
-      meta.unlock_steps = config_.unlock_steps;
-      meta.fair_share_n = online.config().fair_share_n;
-      std::string encoded = EncodeSnapshotBinary(
-          CaptureSnapshot(blocks, online.pending(), online.metrics(), meta));
-      result.last_checkpoint = encoded;
-      store.Put(kCheckpointKey, std::move(encoded));
-      ++result.checkpoints_taken;
-    });
-  }
-  sim.Run();
+  WalkSchedule(
+      block_instants, tasks, cycle_instants,
+      [&](double t) {
+        blocks.AddBlock(t);
+        return true;
+      },
+      [&](double, std::span<Task> run) {
+        for (Task& task : run) {
+          store.RoundTrip(1);  // Claim creation.
+          online.Submit(std::move(task));
+        }
+        return true;
+      },
+      [&](double t) {
+        store.RoundTrip(config_.store_ops_per_cycle);
+        size_t granted = online.RunCycle(t);
+        store.RoundTrip(config_.store_ops_per_task * granted);
+        ++cycles;
+        if (config_.checkpoint_every_cycles == 0 ||
+            cycles % config_.checkpoint_every_cycles != 0) {
+          return true;
+        }
+        SnapshotMeta meta;
+        meta.cycles_completed = cycles;
+        meta.checkpoint_time = t;
+        meta.next_cycle_time = t + config_.period;
+        meta.period = config_.period;
+        meta.unlock_steps = config_.unlock_steps;
+        meta.fair_share_n = online.config().fair_share_n;
+        std::string encoded = EncodeSnapshotBinary(
+            CaptureSnapshot(blocks, online.pending(), online.metrics(), meta));
+        result.last_checkpoint = encoded;
+        store.Put(kCheckpointKey, std::move(encoded));
+        ++result.checkpoints_taken;
+        return true;
+      });
 
   result.metrics = online.metrics();
   if (const ScheduleContextStats* stats = online.context_stats()) {

@@ -1,8 +1,8 @@
 // In-process cluster orchestrator reproducing the paper's Kubernetes deployment (§6.4).
 //
-// Architecture (mirroring PrivateKube's control loop), run as one discrete-event loop on
-// virtual time in the sim driver's event order — block arrivals, then claim arrivals, then
-// the scheduling cycle of each instant:
+// Architecture (mirroring PrivateKube's control loop), run on virtual time through the sim
+// driver's WalkSchedule — block arrivals, then claim arrivals, then the scheduling cycle of
+// each instant:
 //   - the offline blocks are present and unlocked at t = 0; online block b arrives at t = b;
 //   - each claim arrives at its arrival_time, costs one state-store round trip (claim
 //     creation), and is submitted;

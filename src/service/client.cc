@@ -6,10 +6,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <limits>
 #include <utility>
 
 #include "src/common/check.h"
@@ -224,52 +222,29 @@ bool ReplayWorkload(WorkloadFront& front, std::vector<Task> tasks, const SimConf
   double next_after_horizon = 0.0;
   std::vector<double> cycle_instants = CycleInstants(config, horizon, &next_after_horizon);
 
-  // The event queue fires same-instant events in insertion order; a stable sort by arrival
-  // reproduces exactly that order for the task stream (workloads are already arrival-sorted,
-  // making this a no-op in practice).
-  std::stable_sort(tasks.begin(), tasks.end(),
-                   [](const Task& a, const Task& b) { return a.arrival_time < b.arrival_time; });
-
-  // Submits every task with arrival <= cutoff that has not been submitted yet, batched per
-  // distinct arrival instant (each batch is one Submit carrying its instant, so the daemon
-  // advances its block schedule to that instant first — the block-before-task event order).
-  size_t next_task = 0;
-  auto submit_through = [&](double cutoff) {
-    while (next_task < tasks.size() && tasks[next_task].arrival_time <= cutoff) {
-      double instant = tasks[next_task].arrival_time;
-      std::vector<Task> batch;
-      while (next_task < tasks.size() && tasks[next_task].arrival_time == instant) {
-        batch.push_back(tasks[next_task]);
-        ++next_task;
-      }
-      uint64_t accepted = 0, rejected = 0;
-      if (!front.Submit(instant, batch, &accepted, &rejected, error)) {
-        return false;
-      }
-      result->submitted += batch.size();
-      result->accepted += accepted;
-      result->rejected += rejected;
-    }
-    return true;
-  };
-
-  for (double t : cycle_instants) {
-    if (!submit_through(t)) {
-      return false;
-    }
-    std::vector<TaskId> granted;
-    if (!front.RunCycle(t, &granted, error)) {
-      return false;
-    }
-    result->grant_trace.push_back(std::move(granted));
-    ++result->cycles_run;
-  }
-  // Stragglers past the last cycle: the in-process driver still submits them (they sit in
-  // the pending queue and in the submission metrics), so the replay does too.
-  if (!submit_through(std::numeric_limits<double>::infinity())) {
-    return false;
-  }
-  return true;
+  // No blocks: the front feeds the block schedule up to each request's instant itself.
+  return WalkSchedule(
+      {}, tasks, cycle_instants, {},
+      [&](double t, std::span<Task> run) {
+        uint64_t accepted = 0, rejected = 0;
+        if (!front.Submit(t, std::vector<Task>(run.begin(), run.end()), &accepted, &rejected,
+                          error)) {
+          return false;
+        }
+        result->submitted += run.size();
+        result->accepted += accepted;
+        result->rejected += rejected;
+        return true;
+      },
+      [&](double t) {
+        std::vector<TaskId> granted;
+        if (!front.RunCycle(t, &granted, error)) {
+          return false;
+        }
+        result->grant_trace.push_back(std::move(granted));
+        ++result->cycles_run;
+        return true;
+      });
 }
 
 bool LocalServiceFront::Submit(double now, const std::vector<Task>& tasks, uint64_t* accepted,

@@ -101,13 +101,12 @@ struct ReplayResult {
   uint64_t rejected = 0;  // Admission-bound refusals observed by the replay.
 };
 
-// Replays RunOnlineSimulation's event structure against `front`: the same cycle instants
-// (CycleInstants over the same horizon), with every task submitted at its arrival instant
-// before the first cycle at or after it — batched per distinct arrival time, preserving
-// workload order within a batch, which is exactly the event queue's stable
-// (time, priority, insertion) order. The service applies its block schedule up to each
-// instant first, so grants come out byte-identical to the in-process run. Tasks arriving
-// after the final cycle are still submitted (they affect pending counts, never grants).
+// Replays RunOnlineSimulation's run against `front` through the same WalkSchedule: the same
+// cycle instants (CycleInstants over the same horizon), with each run of equal arrivals
+// submitted as one batch, in workload order, before the first cycle at or after it. The
+// service applies its block schedule up to each instant first, so grants come out
+// byte-identical to the in-process run. Tasks arriving after the final cycle are still
+// submitted (they affect pending counts, never grants).
 bool ReplayWorkload(WorkloadFront& front, std::vector<Task> tasks, const SimConfig& config,
                     ReplayResult* result, std::string* error);
 

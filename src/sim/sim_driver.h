@@ -1,5 +1,5 @@
-// Online simulation driver: wires a workload (tasks with arrival times) and a block arrival
-// process into the event engine and the online batch scheduler, reproducing the paper's
+// Online simulation driver: walks a workload (tasks with arrival times) and a block arrival
+// process through the online batch scheduler in one fixed run order, reproducing the paper's
 // simulator setup (§5, §6.3): one block arrives per virtual time unit, a scheduling cycle
 // runs every T, budget unlocks in 1/N steps, and the run drains after the last arrival until
 // all budget is unlocked and a final cycle has run.
@@ -13,8 +13,10 @@
 #ifndef SRC_SIM_SIM_DRIVER_H_
 #define SRC_SIM_SIM_DRIVER_H_
 
+#include <functional>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/block/block_manager.h"
@@ -89,28 +91,50 @@ struct SimResult {
   std::optional<ClusterSnapshot> snapshot;
 };
 
-// The three deterministic schedules RunOnlineSimulation derives from a config — exported so
-// other drivers of the same event semantics (checkpoint resume, and the remote client edge,
-// which replays this exact cycle structure over a socket; see src/service/client.h) compute
-// bit-identical instants from the same config.
+// The schedules RunOnlineSimulation derives from a config, and the walk that runs them.
+// Every driver of the §5 run loop (the sim driver and its resume, the orchestrator, and
+// ReplayWorkload, which drives a service front over a socket; see src/service/client.h)
+// derives bit-identical instants from the same config and fires them in the same order.
 //
-// Block-arrival instants: the explicit schedule when one is set (validated sorted and
-// non-negative), otherwise the fixed-interval process. Both the uninterrupted and the
+// Block-arrival instants: the explicit schedule when one is set (validated sorted, finite
+// and non-negative), otherwise the fixed-interval process. Both the uninterrupted and the
 // resumed run derive the schedule from the same config, so block arrivals stay
 // bit-identical across a checkpoint split.
 std::vector<double> BlockArrivalSchedule(const SimConfig& config);
+
+// The latest task arrival (0 for no tasks). Aborts, naming the task, on an arrival that is
+// not finite and non-negative: every driver takes its horizon from this before it filters
+// the workload, so no bad arrival reaches a window, a horizon or the walk.
+double LastArrival(const std::vector<Task>& tasks);
 
 // The run's scheduling horizon, a function of the FULL workload (a resumed run must derive
 // the same horizon the uninterrupted run used, so it receives the full task vector too).
 double SimulationHorizon(const SimConfig& config, const std::vector<Task>& tasks,
                          const std::vector<double>& block_schedule);
 
-// Every cycle instant in [0, horizon], generated by the same repeated addition both the
-// uninterrupted and the resumed run perform — bit-identical instants are what make
-// UpdateUnlocks (and hence grants) reproducible across a split. `next_after_horizon`
-// receives the first accumulated instant past the horizon.
+// Every cycle instant in [first, horizon], generated by one repeated addition of `period`.
+// The uninterrupted run starts at 0 and a resumed run at its snapshot's next_cycle_time, so
+// both produce bit-identical instants — what makes UpdateUnlocks (and hence grants)
+// reproducible across a split. `next_after_horizon` receives the first accumulated instant
+// past the horizon. Aborts unless the period is positive, the horizon finite, and every
+// step advances the instant.
+std::vector<double> CycleInstantsFrom(double first, double period, double horizon,
+                                      double* next_after_horizon);
+// CycleInstantsFrom(0, config.period, horizon, next_after_horizon).
 std::vector<double> CycleInstants(const SimConfig& config, double horizon,
                                   double* next_after_horizon);
+
+// The one run order. Fires ascending `block_instants`, the `tasks` (stable-sorted by arrival
+// in place, so equal arrivals keep workload order) and ascending `cycle_instants` by
+// instant; at equal instants blocks come first (a task resolves against every block present
+// at its instant), then tasks (the cycle sees them), then the cycle. Each run of equal
+// arrivals is handed over as one span. A callback that returns false stops the walk, which
+// then returns false; the callback of an empty list is never called and may be empty.
+bool WalkSchedule(std::span<const double> block_instants, std::span<Task> tasks,
+                  std::span<const double> cycle_instants,
+                  const std::function<bool(double)>& on_block,
+                  const std::function<bool(double, std::span<Task>)>& on_tasks,
+                  const std::function<bool(double)>& on_cycle);
 
 // Runs one online simulation of `scheduler` over `tasks` (arrival times set by the workload
 // generator). Tasks with empty `blocks` and positive `num_recent_blocks` are resolved to the

@@ -247,8 +247,8 @@ void AssignBlocks(Task& task, const ScenarioSpec& spec,
   size_t max_k = std::min<size_t>(spec.max_blocks_per_task, spec.num_blocks);
   size_t k = static_cast<size_t>(DiscreteGaussian(rng, spec.mu_blocks, spec.sigma_blocks, 1,
                                                   static_cast<int64_t>(max_k)));
-  // Blocks visible to this task: arrivals at or before its instant (block events fire
-  // before task events at equal timestamps, see EventPriority).
+  // Blocks visible to this task: arrivals at or before its instant (blocks fire before
+  // tasks at equal instants, see WalkSchedule).
   size_t arrived = static_cast<size_t>(
       std::upper_bound(block_times.begin(), block_times.end(), task.arrival_time) -
       block_times.begin());

@@ -52,7 +52,7 @@ class FixtureViolations(unittest.TestCase):
         self.assertIn("[unordered-member]", proc.stdout)
 
     def test_grant_ordering_rules_scoped_to_grant_dirs(self):
-        # The same unordered iteration outside src/core|src/block|src/service is not in
+        # The same unordered iteration outside src/core|src/block|src/service|src/sim is not in
         # scope (the raw-mutex rule is the only tree-wide one).
         proc = run_lint("--fixture",
                         os.path.join(FIXTURES, "unordered_iteration_violation.cc"),
@@ -70,6 +70,29 @@ class FixtureViolations(unittest.TestCase):
         self.assertEqual(proc.returncode, 1,
                          f"float-equality must fire in src/workload:\n{proc.stdout}")
         self.assertIn("[float-equality]", proc.stdout)
+
+    def test_grant_ordering_rules_cover_the_sim_driver(self):
+        # The sim driver's schedule walk orders every driver's arrivals and cycles, which
+        # decides admission and most-recent-block resolution, so every scoped rule must fire
+        # on src/sim paths too.
+        sim_scope = {
+            "unordered_iteration_violation.cc": ("src/sim/walk.cc", "unordered-iteration"),
+            "unordered_member_violation.cc": ("src/sim/walk_state.h", "unordered-member"),
+            "nondeterministic_source_violation.cc": ("src/sim/clock.cc",
+                                                     "nondeterministic-source"),
+            "pointer_keyed_order_violation.cc": ("src/sim/order.cc", "pointer-keyed-order"),
+            "float_equality_violation.cc": ("src/sim/resume.cc", "float-equality"),
+        }
+        for fixture, (as_path, rule) in sim_scope.items():
+            with self.subTest(fixture=fixture, as_path=as_path):
+                proc = run_lint("--fixture", os.path.join(FIXTURES, fixture),
+                                "--as", as_path)
+                self.assertEqual(proc.returncode, 1,
+                                 f"{fixture} at {as_path} should be rejected:\n"
+                                 f"{proc.stdout}")
+                self.assertIn(f"[{rule}]", proc.stdout,
+                              f"{fixture} at {as_path} should trip {rule}:\n"
+                              f"{proc.stdout}")
 
     def test_grant_ordering_rules_cover_the_service(self):
         # The service is grant-ordering code: its admission and socket edge decide what

@@ -188,6 +188,14 @@ TEST(OrchestratorOnlineTest, DefaultSchedulerCheckpointsAndResumes) {
   EXPECT_GT(resumed.cycles_run, first.cycles_run);
 }
 
+TEST(OrchestratorDeathTest, InfiniteArrivalAbortsNamingTheTask) {
+  // An infinite arrival would make the cycle horizon infinite; the run refuses it up front.
+  ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kFcfs), FastConfig());
+  std::vector<Task> tasks = {FractionTask(0, 0.1, 1, 0.0),
+                             FractionTask(5, 0.1, 1, std::numeric_limits<double>::infinity())};
+  EXPECT_DEATH(orchestrator.RunOnline(tasks), "task 5 has arrival_time");
+}
+
 TEST(OrchestratorOnlineTest, DpackAllocatesAtLeastAsMuchAsDpfUnderContention) {
   auto run = [](SchedulerKind kind) {
     OrchestratorConfig config = FastConfig();

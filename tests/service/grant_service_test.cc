@@ -105,6 +105,21 @@ Task ProbeTask(int64_t id, double fraction, std::vector<BlockId> blocks) {
   return task;
 }
 
+TEST(GrantServiceDeathTest, ReplayRefusesANonPositivePeriod) {
+  // ReplayWorkload derives its cycle instants before any scheduler validates the config, so
+  // it must refuse a period that would never advance them.
+  ScenarioWorkload workload = Workload(ScenarioRegistryNames().front(), 0);
+  BlockManager blocks(Grid(), workload.sim.eps_g, workload.sim.delta_g);
+  GrantService service(GreedyMetric::kDpack, &blocks, GrantServiceConfigFor(workload.sim));
+  LocalServiceFront front(&service, &blocks, workload.sim);
+  SimConfig stalled = workload.sim;
+  stalled.period = 0.0;
+  ReplayResult result;
+  std::string error;
+  EXPECT_DEATH(ReplayWorkload(front, workload.tasks, stalled, &result, &error),
+               "period must be positive");
+}
+
 TEST(GrantServiceTest, BoundedQueueRejectsAndCounts) {
   BlockManager blocks(Grid(), 10.0, 1e-7);
   for (int b = 0; b < 2; ++b) blocks.AddBlock(0.0, /*unlocked=*/true);

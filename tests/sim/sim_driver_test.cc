@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 namespace dpack {
 namespace {
 
@@ -93,6 +96,200 @@ TEST(SimDriverTest, TimeoutsEvict) {
   SimResult result = RunOnlineSimulation(CreateScheduler(SchedulerKind::kFcfs), tasks, config);
   EXPECT_EQ(result.metrics.allocated(), 0u);
   EXPECT_EQ(result.metrics.evicted(), 1u);
+}
+
+// The run order, pinned through the sim driver: at one instant blocks arrive before tasks,
+// and tasks before the cycle. Block 0 is 90% spent at t = 0, so a task that resolves to it
+// cannot run; unlock_steps = 1 unlocks each block fully at its first cycle.
+SimConfig OrderConfig(std::vector<double> block_times) {
+  SimConfig config;
+  config.block_arrival_times = std::move(block_times);
+  config.unlock_steps = 1;
+  config.period = 1.0;
+  config.record_grant_trace = true;
+  return config;
+}
+
+TEST(SimDriverOrderTest, BlockTaskAndCycleAtOneInstantGrantInThatCycle) {
+  // Block 1, task 2 and a cycle all at t = 1: the task resolves to block 1 (it arrived
+  // first) and the cycle at t = 1 grants it.
+  std::vector<Task> tasks = {FractionTask(1, 0.9, 1, 0.0), FractionTask(2, 0.5, 1, 1.0)};
+  SimResult result =
+      RunOnlineSimulation(CreateScheduler(SchedulerKind::kFcfs), tasks, OrderConfig({0.0, 1.0}));
+  ASSERT_GE(result.grant_trace.size(), 2u);
+  EXPECT_EQ(result.grant_trace[0], std::vector<TaskId>{1});
+  EXPECT_EQ(result.grant_trace[1], std::vector<TaskId>{2});
+  EXPECT_EQ(result.metrics.allocated(), 2u);
+}
+
+TEST(SimDriverOrderTest, TaskResolvesToTheBlocksPresentAtItsArrival) {
+  // Task 2 at 0.5 resolves to block 0, the only one present then, not to block 1 (arriving
+  // at 0.7, before the next cycle): it never runs, though block 1 could hold it.
+  std::vector<Task> tasks = {FractionTask(1, 0.9, 1, 0.0), FractionTask(2, 0.5, 1, 0.5)};
+  SimResult result =
+      RunOnlineSimulation(CreateScheduler(SchedulerKind::kFcfs), tasks, OrderConfig({0.0, 0.7}));
+  EXPECT_EQ(result.blocks_created, 2u);
+  EXPECT_EQ(result.metrics.allocated(), 1u);
+  EXPECT_EQ(result.pending_at_end, 1u);
+}
+
+TEST(SimDriverOrderTest, EqualArrivalsKeepWorkloadOrderUnderTheAdmissionBound) {
+  // Listed out of arrival order; tasks 9 and 4 both arrive at 0.5 with room for one: the
+  // one listed first (9) is admitted and granted, 4 is turned away.
+  std::vector<Task> tasks = {FractionTask(7, 0.1, 1, 2.5), FractionTask(9, 0.1, 1, 0.5),
+                             FractionTask(4, 0.1, 1, 0.5)};
+  SimConfig config = OrderConfig({0.0});
+  config.admission_queue_capacity = 1;
+  SimResult result = RunOnlineSimulation(CreateScheduler(SchedulerKind::kFcfs), tasks, config);
+  EXPECT_EQ(result.admission_rejected, 1u);
+  ASSERT_GE(result.grant_trace.size(), 4u);
+  EXPECT_EQ(result.grant_trace[1], std::vector<TaskId>{9});
+  EXPECT_EQ(result.grant_trace[3], std::vector<TaskId>{7});
+  EXPECT_EQ(result.metrics.allocated(), 2u);
+}
+
+TEST(SimDriverOrderTest, TaskAfterTheLastCycleIsSubmittedAndEndsTheRun) {
+  std::vector<Task> tasks = {FractionTask(1, 0.1, 1, 0.0), FractionTask(2, 0.1, 1, 5.0)};
+  SimConfig config = OrderConfig({0.0});
+  config.horizon_override = 2.0;  // Cycles at 0, 1 and 2.
+  SimResult result = RunOnlineSimulation(CreateScheduler(SchedulerKind::kFcfs), tasks, config);
+  EXPECT_EQ(result.cycles_run, 3u);
+  EXPECT_EQ(result.metrics.submitted(), 2u);
+  EXPECT_EQ(result.metrics.allocated(), 1u);
+  EXPECT_EQ(result.pending_at_end, 1u);
+  EXPECT_DOUBLE_EQ(result.end_time, 5.0);
+}
+
+TEST(WalkScheduleTest, FiresByInstantWithBlocksThenTasksThenTheCycleAtTies) {
+  std::vector<double> blocks = {0.0, 1.0, 1.0, 3.0};
+  std::vector<Task> tasks = {FractionTask(0, 0.1, 1, 1.0), FractionTask(1, 0.1, 1, 0.5),
+                             FractionTask(2, 0.1, 1, 1.0), FractionTask(3, 0.1, 1, 3.0),
+                             FractionTask(4, 0.1, 1, 5.0)};
+  std::vector<double> cycles = {0.0, 1.0, 2.0, 3.0};
+  std::string log;
+  auto append = [&log](const std::string& event, double t) {
+    log += event + "@" + std::to_string(static_cast<int>(t * 10)) + " ";
+  };
+  bool finished = WalkSchedule(
+      blocks, tasks, cycles,
+      [&](double t) {
+        append("B", t);
+        return true;
+      },
+      [&](double t, std::span<Task> run) {
+        std::string ids;
+        for (const Task& task : run) {
+          ids += std::to_string(task.id);
+        }
+        append("T" + ids, t);
+        return true;
+      },
+      [&](double t) {
+        append("C", t);
+        return true;
+      });
+  EXPECT_TRUE(finished);
+  // One span per run of equal arrivals, in workload order (0 before 2); task 4 comes after
+  // the last cycle.
+  EXPECT_EQ(log, "B@0 C@0 T1@5 B@10 B@10 T02@10 C@10 C@20 B@30 T3@30 C@30 T4@50 ");
+}
+
+TEST(WalkScheduleTest, FalseReturnStopsTheWalk) {
+  std::vector<double> blocks = {0.0, 2.0};
+  std::vector<Task> tasks = {FractionTask(0, 0.1, 1, 0.0), FractionTask(1, 0.1, 1, 1.5)};
+  std::vector<double> cycles = {0.0, 1.0, 2.0};
+  int blocks_seen = 0;
+  int task_runs = 0;
+  std::vector<double> cycles_seen;
+  bool finished = WalkSchedule(
+      blocks, tasks, cycles,
+      [&](double) {
+        ++blocks_seen;
+        return true;
+      },
+      [&](double, std::span<Task>) {
+        ++task_runs;
+        return true;
+      },
+      [&](double t) {
+        cycles_seen.push_back(t);
+        return t < 1.0;
+      });
+  EXPECT_FALSE(finished);
+  EXPECT_EQ(blocks_seen, 1);
+  EXPECT_EQ(task_runs, 1);
+  EXPECT_EQ(cycles_seen, (std::vector<double>{0.0, 1.0}));
+}
+
+TEST(CycleInstantsTest, ResumedSequenceContinuesTheUninterruptedOne) {
+  SimConfig config;
+  config.period = 0.1;
+  double next = 0.0;
+  std::vector<double> all = CycleInstants(config, 3.0, &next);
+  double resumed_next = 0.0;
+  std::vector<double> tail = CycleInstantsFrom(all[10], config.period, 3.0, &resumed_next);
+  EXPECT_EQ(tail, std::vector<double>(all.begin() + 10, all.end()));
+  EXPECT_EQ(resumed_next, next);
+}
+
+// An unbounded schedule aborts with a diagnostic instead of growing without end.
+TEST(SimDriverDeathTest, CycleInstantsNeedAPositivePeriodAndAFiniteHorizon) {
+  SimConfig config;
+  double next = 0.0;
+  config.period = 0.0;
+  EXPECT_DEATH(CycleInstants(config, 10.0, &next), "period must be positive");
+  config.period = -1.0;
+  EXPECT_DEATH(CycleInstants(config, 10.0, &next), "period must be positive");
+  config.period = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_DEATH(CycleInstants(config, 10.0, &next), "period must be positive");
+  config.period = 1.0;
+  EXPECT_DEATH(CycleInstants(config, std::numeric_limits<double>::infinity(), &next),
+               "horizon must be finite");
+  // 2^53 + 1 == 2^53 in double: the instant stops advancing.
+  EXPECT_DEATH(CycleInstantsFrom(9007199254740992.0, 1.0, 9007199254740994.0, &next),
+               "does not advance");
+}
+
+TEST(SimDriverDeathTest, InfiniteInputsAbort) {
+  std::vector<Task> tasks = {FractionTask(0, 0.1, 1, 0.0)};
+  SimConfig inf_override = SmallConfig();
+  inf_override.horizon_override = std::numeric_limits<double>::infinity();
+  EXPECT_DEATH(RunOnlineSimulation(CreateScheduler(SchedulerKind::kFcfs), tasks, inf_override),
+               "horizon must be finite");
+  SimConfig inf_block = SmallConfig();
+  inf_block.block_arrival_times = {0.0, std::numeric_limits<double>::infinity()};
+  EXPECT_DEATH(RunOnlineSimulation(CreateScheduler(SchedulerKind::kFcfs), tasks, inf_block),
+               "finite and non-negative");
+}
+
+TEST(SimDriverDeathTest, CaptureWithoutCyclesAborts) {
+  // A negative drain margin can put the horizon before t = 0: no cycle runs, so there is no
+  // cycle to stop after.
+  SimConfig config = SmallConfig();
+  config.num_blocks = 1;
+  config.drain_margin = -100.0;
+  config.stop_after_cycles = 1;
+  std::vector<Task> tasks = {FractionTask(0, 0.1, 1, 0.0)};
+  EXPECT_DEATH(RunOnlineSimulation(CreateScheduler(SchedulerKind::kFcfs), tasks, config),
+               "a capture needs a cycle");
+}
+
+TEST(SimDriverDeathTest, BadArrivalsAbortNamingTheTask) {
+  for (double arrival : {std::numeric_limits<double>::infinity(),
+                         std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    std::vector<Task> tasks = {FractionTask(0, 0.1, 1, 0.0), FractionTask(42, 0.1, 1, arrival)};
+    EXPECT_DEATH(RunOnlineSimulation(CreateScheduler(SchedulerKind::kFcfs), tasks, SmallConfig()),
+                 "task 42 has arrival_time");
+    // A resume checks the arrivals before its window drops the absorbed ones.
+    SimConfig capture = SmallConfig();
+    capture.stop_after_cycles = 2;
+    std::vector<Task> good = {FractionTask(0, 0.1, 1, 0.0)};
+    SimResult stopped = RunOnlineSimulation(CreateScheduler(SchedulerKind::kFcfs), good, capture);
+    ASSERT_TRUE(stopped.snapshot.has_value());
+    EXPECT_DEATH(ResumeOnlineSimulation(CreateScheduler(SchedulerKind::kFcfs), *stopped.snapshot,
+                                        tasks, SmallConfig()),
+                 "task 42 has arrival_time");
+  }
 }
 
 }  // namespace
