@@ -8,14 +8,18 @@
 
 #include <cstdio>
 #include <memory>
+#include <string>
 
 #include "bench/bench_util.h"
 
 namespace dpack::bench {
 namespace {
 
+// Runs `kind` offline. For the Optimal scheduler, `proof` says whether the search proved its
+// answer and, if not, which budget stopped it: the search aborts once it explores more than
+// max_nodes nodes, so a stopped search within that count hit the wall clock.
 size_t RunScheduler(SchedulerKind kind, const std::vector<Task>& tasks, size_t num_blocks,
-                    double time_limit, bool* optimal_flag = nullptr) {
+                    double time_limit, std::string* proof = nullptr) {
   SimConfig sim;
   sim.num_blocks = num_blocks;
   sim.eps_g = kEpsG;
@@ -24,9 +28,15 @@ size_t RunScheduler(SchedulerKind kind, const std::vector<Task>& tasks, size_t n
   options.time_limit_seconds = time_limit;
   std::unique_ptr<Scheduler> scheduler = CreateScheduler(kind, 0.05, options);
   SimResult result = RunOfflineSchedule(*scheduler, tasks, sim);
-  if (optimal_flag != nullptr) {
+  if (proof != nullptr) {
     auto* optimal = dynamic_cast<OptimalScheduler*>(scheduler.get());
-    *optimal_flag = optimal == nullptr || optimal->last_solve_optimal();
+    if (optimal == nullptr || optimal->last_solve_optimal()) {
+      *proof = "yes";
+    } else if (optimal->last_nodes_explored() > options.max_nodes) {
+      *proof = "no (node budget)";
+    } else {
+      *proof = "no (time limit)";
+    }
   }
   return result.metrics.allocated();
 }
@@ -48,12 +58,11 @@ void SweepBlocks(Scale scale) {
     config.seed = 42;
     std::vector<Task> tasks = GenerateMicrobenchmark(SharedPool(), config);
 
-    bool proven = false;
-    size_t optimal = RunScheduler(SchedulerKind::kOptimal, tasks, num_blocks, 30.0, &proven);
+    std::string proof;
+    size_t optimal = RunScheduler(SchedulerKind::kOptimal, tasks, num_blocks, 30.0, &proof);
     size_t dpack = RunScheduler(SchedulerKind::kDpack, tasks, num_blocks, 30.0);
     size_t dpf = RunScheduler(SchedulerKind::kDpf, tasks, num_blocks, 30.0);
-    table.NewRow().Add(sigma).Add(optimal).Add(dpack).Add(dpf).Add(
-        std::string(proven ? "yes" : "no (time limit)"));
+    table.NewRow().Add(sigma).Add(optimal).Add(dpack).Add(dpf).Add(proof);
   }
   table.Print("Fig. 4(a): allocated tasks vs sigma_blocks (mu_blocks=10, eps_min=0.1)");
 }

@@ -4,7 +4,7 @@
 The engine-matrix tests prove byte-identical grants for the interleavings and hash orders a
 run happens to explore; these rules reject the *sources* of nondeterminism at review time,
 on every line of the scheduling paths. Rules (scoped to the grant-ordering directories
-src/core, src/block, and src/service unless noted):
+src/core, src/block, src/service and src/sim unless noted):
 
   raw-mutex                (all of src/, tests/, bench/, examples/) std::mutex,
                            std::condition_variable, std::lock_guard, std::unique_lock &
@@ -40,14 +40,19 @@ src/core, src/block, and src/service unless noted):
                            into grant decisions.
   float-equality           (grant-ordering dirs + src/workload) Bare ==/!= on budget
                            quantities (demand/budget/consumed/unlocked/capacity/eps).
-                           Budget feasibility must go through the blessed tolerance helpers
-                           (PrivacyBlock::CanAccept/CanCharge and their 1e-9*(1+cap)
-                           slack); exact float equality is a representation-dependent trap.
+                           Budget feasibility must go through the one blessed helper,
+                           WithinCapacity (src/block/privacy_block.h); exact float equality
+                           is a representation-dependent trap.
                            src/workload is in scope because trace readers compare reparsed
                            doubles against grid values — those must compare bit patterns
                            (BitsOfDouble), not float ==, or a text roundtrip silently
                            accepts a neighboring grid. Ordering comparators on scores
                            use </> tie-breaks and are out of scope by construction.
+  admission-slack          (all of src/) The admission slack 1e-9 * (1.0 + cap) spelled
+                           anywhere but src/block/privacy_block.h. The admission rule is
+                           the budget guarantee itself (§3.4, Property 6); its one home is
+                           AdmissionSlack / WithinCapacity / OrderExhausted there, so a
+                           second spelling cannot drift from it.
 
 Suppression: `// dpack-lint: allow(<rule>): <reason>` on the offending line or the line
 above. The reason is mandatory — an allow is a reviewed claim, not an escape hatch.
@@ -93,6 +98,9 @@ RAW_SLEEP_DIRS = ("src",)
 RAW_SLEEP_HOMES = ("src/common/sleep.cc",)
 # raw-yield applies everywhere C++ lives; a spin has the one audited home.
 RAW_YIELD_HOME = "src/common/sleep.cc"
+# admission-slack applies to the library; the admission rule has the one home.
+ADMISSION_SLACK_DIRS = ("src",)
+ADMISSION_RULE_HOME = "src/block/privacy_block.h"
 
 ALLOW_RE = re.compile(r"//\s*dpack-lint:\s*allow\(([a-z-]+)\)\s*:\s*\S")
 
@@ -103,6 +111,8 @@ RAW_MUTEX_RE = re.compile(
 RAW_SLEEP_RE = re.compile(
     r"(?<![\w])(usleep|nanosleep|clock_nanosleep)\s*\(|\b(sleep_for|sleep_until)\s*\(")
 RAW_YIELD_RE = re.compile(r"(?<![\w])(sched_yield|pthread_yield)\s*\(")
+# 1e-9 * (1.0 + ...), with the literals spelled 1e-9 or 1E-09 and 1, 1. or 1.0.
+ADMISSION_SLACK_RE = re.compile(r"(?<![\w.])1[eE]-0?9\s*\*\s*\(\s*1(?:\.0*)?\s*\+")
 UNORDERED_DECL_RE = re.compile(
     r"\bstd::(unordered_map|unordered_set|unordered_multimap|unordered_multiset)\s*<")
 # A (member) declaration we can harvest a variable name from:
@@ -298,6 +308,15 @@ def lint_file(rel, text):
                     f"{m.group(1)}() outside {RAW_YIELD_HOME}; a spin belongs in "
                     f"WaitForFds(..., spin=true), the one bounded spin-then-block wait")
 
+    # admission-slack: the library, except the admission rule's home.
+    if in_scope(rel_posix, ADMISSION_SLACK_DIRS) and rel_posix != ADMISSION_RULE_HOME:
+        for idx, line in enumerate(lines, 1):
+            if ADMISSION_SLACK_RE.search(line):
+                add(idx, "admission-slack",
+                    f"admission slack spelled outside {ADMISSION_RULE_HOME}; call "
+                    f"WithinCapacity / OrderExhausted (or AdmissionSlack) so the budget "
+                    f"check has one home")
+
     in_grant_scope = in_scope(rel_posix, GRANT_ORDERING_DIRS)
     in_float_eq_scope = in_scope(rel_posix, FLOAT_EQ_DIRS)
     if not in_grant_scope and not in_float_eq_scope:
@@ -355,10 +374,10 @@ def lint_file(rel, text):
                 eq_line = blank.sub(" ", eq_line)
             if FLOAT_EQ_RE.search(eq_line):
                 add(idx, "float-equality",
-                    "bare ==/!= on a budget quantity; use the blessed tolerance helpers "
-                    "(PrivacyBlock::CanAccept/CanCharge, 1e-9*(1+cap) slack), bit-pattern "
-                    "comparison (BitsOfDouble) for exact-roundtrip checks, or an ordered "
-                    "</> comparison")
+                    "bare ==/!= on a budget quantity; use the blessed helper "
+                    "WithinCapacity (src/block/privacy_block.h), bit-pattern comparison "
+                    "(BitsOfDouble) for exact-roundtrip checks, or an ordered </> "
+                    "comparison")
 
     return findings
 

@@ -98,10 +98,7 @@ bool PrivacyBlock::CanAccept(const RdpCurve& demand) const {
     if (cap <= 0.0) {
       continue;  // Order unusable under the global guarantee.
     }
-    // Tiny relative slack absorbs accumulation round-off (e.g. N equal demands summing to
-    // exactly the capacity); the 1e-9-level overshoot is immaterial to the DP guarantee.
-    double slack = 1e-9 * (1.0 + cap);
-    if (consumed_.epsilon(i) + demand.epsilon(i) <= cap + slack) {
+    if (WithinCapacity(consumed_.epsilon(i) + demand.epsilon(i), cap)) {
       return true;
     }
   }
@@ -120,11 +117,9 @@ bool PrivacyBlock::Exhausted() const {
     if (cap <= 0.0) {
       continue;  // Order unusable under the global guarantee.
     }
-    // Same tolerance as CanAccept: remaining capacity within the admission slack cannot
-    // accept any meaningful demand, so a block consumed to within float noise of capacity
-    // is retired rather than kept alive forever.
-    double slack = 1e-9 * (1.0 + cap);
-    if (consumed_.epsilon(i) + slack < cap) {
+    // Same slack as CanAccept, so a block consumed to within float noise of capacity is
+    // retired rather than kept alive forever.
+    if (!OrderExhausted(consumed_.epsilon(i), cap)) {
       return false;
     }
   }

@@ -25,6 +25,21 @@ using BlockId = int64_t;
 
 class BlockVersionTree;
 
+// The admission rule, written once. A tiny relative slack absorbs accumulation round-off
+// (e.g. N equal demands summing to exactly the capacity); the 1e-9-level overshoot is
+// immaterial to the DP guarantee. Every budget check outside the exact solvers goes through
+// the two predicates below.
+inline double AdmissionSlack(double cap) { return 1e-9 * (1.0 + cap); }
+
+// True iff `value` fits within `cap` up to the admission slack.
+inline bool WithinCapacity(double value, double cap) { return value <= cap + AdmissionSlack(cap); }
+
+// True iff an order that has consumed `consumed` of `cap` keeps no more than the admission
+// slack: it can never admit a meaningful demand again.
+inline bool OrderExhausted(double consumed, double cap) {
+  return !(consumed + AdmissionSlack(cap) < cap);
+}
+
 class PrivacyBlock {
  public:
   // A block with explicit per-order capacity, arriving at `arrival_time` (virtual time).
@@ -89,16 +104,15 @@ class PrivacyBlock {
   // that scheduling heuristics normalize demands by.
   RdpCurve AvailableCurve() const;
 
-  // Filter admission check: true iff there exists an order alpha with
-  // consumed(alpha) + demand(alpha) <= unlocked capacity(alpha).
+  // Filter admission check: true iff there exists a usable order alpha with
+  // WithinCapacity(consumed(alpha) + demand(alpha), unlocked capacity(alpha)).
   bool CanAccept(const RdpCurve& demand) const;
 
   // Charges `demand` to the block. Requires CanAccept(demand).
   void Commit(const RdpCurve& demand);
 
-  // True when every usable order's remaining *total* capacity is within CanAccept's
-  // admission tolerance (1e-9 * (1 + cap)); the block can never admit another meaningful
-  // demand and may be retired (§2.3).
+  // True when every usable order of the *total* capacity is OrderExhausted; the block can
+  // never admit another meaningful demand and may be retired (§2.3).
   bool Exhausted() const;
 
   std::string DebugString() const;

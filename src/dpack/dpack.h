@@ -43,7 +43,6 @@
 #include "src/common/log.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
-#include "src/core/compute_aware.h"
 #include "src/core/efficiency.h"
 #include "src/core/fairness.h"
 #include "src/core/incremental_engine.h"
@@ -56,7 +55,6 @@
 #include "src/knapsack/single_dim.h"
 #include "src/orchestrator/cluster_orchestrator.h"
 #include "src/orchestrator/state_store.h"
-#include "src/rdp/accountant.h"
 #include "src/rdp/alpha_grid.h"
 #include "src/rdp/mechanisms.h"
 #include "src/rdp/rdp_curve.h"

@@ -185,6 +185,12 @@ class Search {
     }
   }
 
+  // Admits with a strict `<=` and no WithinCapacity slack, on purpose. The search sums
+  // demands over *remaining* capacity from zero in its own order; OptimalScheduler then
+  // commits the selection to the blocks in index order, which rounds differently. A slack
+  // here could admit a selection one ulp past the block's cap + slack, and the commit would
+  // trip "optimal solution rejected by filter". With none it cannot: the block's slack is far
+  // larger than any reordering error.
   bool CanAdd(const PkTask& task) const {
     for (size_t j : task.blocks) {
       bool fits = false;
@@ -418,6 +424,8 @@ PkResult SolvePrivacyKnapsackBruteForce(const PkInstance& instance) {
       continue;
     }
     // A block constrains only the tasks that request it; usable orders need capacity > 0.
+    // Strict `<=` with no slack, like the exact search's CanAdd (see there): both answer the
+    // same problem, and a selection they admit always commits through the blocks' filter.
     bool feasible = true;
     for (size_t j = 0; j < instance.num_blocks && feasible; ++j) {
       if (!touched[j]) {

@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "src/block/privacy_block.h"
 #include "src/common/check.h"
 #include "src/common/wire.h"
 #include "src/rdp/rdp_curve.h"
@@ -17,9 +18,6 @@ constexpr char kBinaryMagic[8] = {'D', 'P', 'C', 'K', 'S', 'N', 'A', 'P'};
 
 bool NotNan(double v) { return !std::isnan(v); }
 bool FiniteValue(double v) { return std::isfinite(v); }
-
-// `value <= cap` up to PrivacyBlock::CanAccept's admission slack.
-bool WithinCapacity(double value, double cap) { return value <= cap + 1e-9 * (1.0 + cap); }
 
 }  // namespace
 
@@ -183,7 +181,7 @@ std::string ValidateSnapshot(const ClusterSnapshot& snapshot) {
         if (cap <= 0.0) {
           continue;
         }
-        if (block.consumed[a] + 1e-9 * (1.0 + cap) < cap) {
+        if (!OrderExhausted(block.consumed[a], cap)) {
           return "retired block must be exhausted";
         }
       }

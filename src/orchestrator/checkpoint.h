@@ -144,7 +144,8 @@ SnapshotParseResult DecodeSnapshotBinary(std::string_view bytes);
 // Structural validation run by the decoder: dense ordered block ids, curve sizes matching
 // the grid, fractions in range, no NaNs where semantics forbid them, every block's
 // capacity within BlockCapacityCurve(grid, eps_g, delta_g) and its consumption within
-// capacity at some usable order (both up to PrivacyBlock::CanAccept's slack), the manager
+// capacity at some usable order (both by WithinCapacity, the admission rule in
+// privacy_block.h), every retired block OrderExhausted at each usable order, the manager
 // clock consistent with the block states, metrics internally consistent. Returns "" when valid,
 // else a diagnostic. Public so hand-built snapshots (tests, tools) can be checked too.
 std::string ValidateSnapshot(const ClusterSnapshot& snapshot);

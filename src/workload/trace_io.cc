@@ -210,6 +210,9 @@ std::vector<Task> ReadTrace(std::istream& is, const AlphaGridPtr& grid) {
     Task task(static_cast<TaskId>(ParseInt64Cell(cells[0], row, 1)),
               ParseDoubleCell(cells[1], row, 2), RdpCurve(grid, std::move(eps)));
     task.arrival_time = ParseDoubleCell(cells[2], row, 3);
+    // strtod takes "inf", "nan" and negatives; an arrival must be a finite instant >= 0.
+    DPACK_CHECK_MSG(std::isfinite(task.arrival_time) && task.arrival_time >= 0.0,
+                    "arrival_time out of range at trace row " << row << " column 3");
     double timeout = ParseDoubleCell(cells[3], row, 4);
     task.timeout = timeout < 0.0 ? std::numeric_limits<double>::infinity() : timeout;
     task.num_recent_blocks = static_cast<size_t>(ParseUint64Cell(cells[4], row, 5));

@@ -99,6 +99,23 @@ TEST(BlockManagerTest, ClonePreservesEpochAndVersions) {
   }
 }
 
+TEST(BlockManagerCloneTest, CloneIsIndependentDeepCopy) {
+  BlockManager original(Grid(), 10.0, 1e-7);
+  original.AddBlock(0.0, /*unlocked=*/true);
+  RdpCurve demand = BlockCapacityCurve(Grid(), 10.0, 1e-7).Scaled(0.3);
+  original.block(0).Commit(demand);
+
+  BlockManager copy = original.Clone();
+  ASSERT_EQ(copy.block_count(), 1u);
+  size_t i64 = Grid()->IndexOf(64.0);
+  EXPECT_DOUBLE_EQ(copy.block(0).consumed().epsilon(i64),
+                   original.block(0).consumed().epsilon(i64));
+  // Mutating the copy leaves the original untouched.
+  copy.block(0).Commit(demand);
+  EXPECT_NE(copy.block(0).consumed().epsilon(i64),
+            original.block(0).consumed().epsilon(i64));
+}
+
 TEST(BlockManagerTest, LargerPeriodUnlocksMoreSlowly) {
   // Just before t = 5: with period T = 5 the block has witnessed one step; with T = 1 it
   // has witnessed five.

@@ -1,7 +1,14 @@
 #include "src/block/privacy_block.h"
 
+#include <cmath>
+#include <limits>
+
 #include <gtest/gtest.h>
 
+#include "src/block/block_manager.h"
+#include "src/common/rng.h"
+#include "src/core/metrics.h"
+#include "src/orchestrator/checkpoint.h"
 #include "src/rdp/mechanisms.h"
 
 namespace dpack {
@@ -133,6 +140,151 @@ TEST(PrivacyBlockTest, ExhaustedToleratesFloatNoise) {
   }
   block.Commit(RdpCurve(Grid(), eps));
   EXPECT_TRUE(block.Exhausted());
+}
+
+TEST(PrivacyBlockTest, NotExhaustedWithUsableRemainder) {
+  PrivacyBlock block(0, Grid(), 10.0, 1e-7, 0.0);
+  // Consume 90% everywhere: every usable order keeps a meaningful remainder.
+  block.Commit(block.capacity().Scaled(0.9));
+  EXPECT_FALSE(block.Exhausted());
+}
+
+TEST(PrivacyBlockTest, SmallerDemandMayFollowRejection) {
+  // A rejection does not halt the filter: it only means that computation must not run, and
+  // a smaller demand that still fits at some order is admitted afterwards.
+  PrivacyBlock block(0, Grid(), 6.0, 1e-6, 0.0);
+  RdpCurve big = GaussianCurve(Grid(), 1.0).Repeat(4);
+  RdpCurve small = GaussianCurve(Grid(), 20.0);
+  while (block.CanAccept(big)) {
+    block.Commit(big);
+  }
+  EXPECT_FALSE(block.CanAccept(big));
+  EXPECT_TRUE(block.CanAccept(small));
+  block.Commit(small);
+}
+
+TEST(PrivacyBlockTest, AdmitsExactlyWhileSomeOrderFits) {
+  // Charging one step at a time, the block accepts exactly while its consumption plus the
+  // step stays WithinCapacity at some usable order.
+  PrivacyBlock block(0, Grid(), 6.0, 1e-6, 0.0);
+  RdpCurve step = LaplaceCurve(Grid(), 3.0);
+  for (int i = 0; i < 100; ++i) {
+    RdpCurve next = block.consumed() + step;
+    bool fits = false;
+    for (size_t a = 0; a < Grid()->size(); ++a) {
+      double cap = block.capacity().epsilon(a);
+      fits = fits || (cap > 0.0 && WithinCapacity(next.epsilon(a), cap));
+    }
+    ASSERT_EQ(block.CanAccept(step), fits) << "step " << i;
+    if (!fits) {
+      EXPECT_GT(i, 0);
+      return;
+    }
+    block.Commit(step);
+  }
+  FAIL() << "100 steps never filled the block";
+}
+
+TEST(PrivacyBlockTest, ConsumedCurveTranslatesToGrowingDp) {
+  // The consumed curve is the block's running loss: its (eps, delta)-DP translation (Eq. 2)
+  // never shrinks as commits compose, and ten Gaussian steps cost far less than ten times
+  // one (RDP composition scales with the square root).
+  PrivacyBlock block(0, Grid(), 1000.0, 1e-7, 0.0);
+  block.Commit(GaussianCurve(Grid(), 2.0));
+  double after1 = block.consumed().ToDp(1e-6).epsilon;
+  double last = after1;
+  for (int i = 0; i < 9; ++i) {
+    block.Commit(GaussianCurve(Grid(), 2.0));
+    double eps = block.consumed().ToDp(1e-6).epsilon;
+    EXPECT_GE(eps, last);
+    last = eps;
+  }
+  EXPECT_GT(last, after1);
+  EXPECT_LT(last, 10.0 * after1);
+}
+
+TEST(PrivacyBlockTest, GuaranteeHoldsAfterRandomAdaptiveSequence) {
+  // Property 6 under an adaptive mix with rejections: after any sequence of admitted
+  // demands, translating the consumed loss at some usable order certifies (eps_g, delta_g).
+  double eps_g = 5.0;
+  double delta_g = 1e-6;
+  Rng rng(3);
+  PrivacyBlock block(0, Grid(), eps_g, delta_g, 0.0);
+  for (int round = 0; round < 200; ++round) {
+    RdpCurve loss = rng.Bernoulli(0.5) ? GaussianCurve(Grid(), rng.Uniform(2.0, 20.0))
+                                       : LaplaceCurve(Grid(), rng.Uniform(2.0, 30.0));
+    if (block.CanAccept(loss)) {
+      block.Commit(loss);
+    }
+  }
+  bool certified = false;
+  for (size_t i = 0; i < Grid()->size(); ++i) {
+    double cap = block.capacity().epsilon(i);
+    if (cap > 0.0 && block.consumed().epsilon(i) <= cap + 1e-6) {
+      double eps_dp =
+          block.consumed().epsilon(i) + std::log(1.0 / delta_g) / (Grid()->order(i) - 1.0);
+      EXPECT_LE(eps_dp, eps_g + 1e-6);
+      certified = true;
+    }
+  }
+  EXPECT_TRUE(certified);
+}
+
+// The admission rule has one home. At one ulp either side of both of its boundaries
+// (cap + slack for admission, cap - slack for exhaustion), CanAccept, Exhausted and
+// ValidateSnapshot must give the verdicts of WithinCapacity and OrderExhausted.
+TEST(AdmissionRuleTest, EveryCheckAgreesWithTheHelpersAtTheBoundaries) {
+  size_t i64 = Grid()->IndexOf(64.0);
+  double full = BlockCapacityCurve(Grid(), 10.0, 1e-7).epsilon(i64);
+  const double up = std::numeric_limits<double>::infinity();
+  for (double cap : {full, 0.37 * full, 1e-3}) {
+    // Only alpha = 64 is usable, so each verdict rests on that order alone.
+    std::vector<double> cap_eps(Grid()->size(), 0.0);
+    cap_eps[i64] = cap;
+    RdpCurve capacity(Grid(), cap_eps);
+    double admit_edge = cap + AdmissionSlack(cap);
+    double exhaust_edge = cap - AdmissionSlack(cap);
+    // The helpers' own boundaries: the admission edge itself fits and one ulp above does
+    // not; the exhaustion edge is exhausted and one ulp below is not (for these caps).
+    EXPECT_TRUE(WithinCapacity(admit_edge, cap));
+    EXPECT_FALSE(WithinCapacity(std::nextafter(admit_edge, up), cap));
+    EXPECT_TRUE(OrderExhausted(exhaust_edge, cap));
+    EXPECT_FALSE(OrderExhausted(std::nextafter(exhaust_edge, -up), cap));
+
+    for (double value : {std::nextafter(admit_edge, -up), admit_edge,
+                         std::nextafter(admit_edge, up), std::nextafter(exhaust_edge, -up),
+                         exhaust_edge, std::nextafter(exhaust_edge, up)}) {
+      SCOPED_TRACE(testing::Message() << "cap " << cap << " value " << value);
+      bool within = WithinCapacity(value, cap);
+      bool exhausted = OrderExhausted(value, cap);
+      std::vector<double> value_eps(Grid()->size(), 0.0);
+      value_eps[i64] = value;
+      RdpCurve at_value(Grid(), value_eps);
+
+      // Admission from empty: consumed 0 + demand `value` sums to `value` exactly.
+      PrivacyBlock fresh(0, capacity, 0.0);
+      EXPECT_EQ(fresh.CanAccept(at_value), within);
+      // A block already holding `value`: a zero demand fits iff `value` does, and the
+      // block is exhausted iff its one usable order is.
+      PrivacyBlock holding =
+          PrivacyBlock::Restore(0, capacity, 0.0, 1.0, at_value, /*version=*/1);
+      EXPECT_EQ(holding.CanAccept(RdpCurve(Grid())), within);
+      EXPECT_EQ(holding.Exhausted(), exhausted);
+
+      // The snapshot validator: a hot block must hold its consumption within capacity, and
+      // a retired one must be exhausted.
+      BlockManager manager(Grid(), 10.0, 1e-7);
+      manager.AddBlockWithCapacity(capacity, 0.0, /*unlocked=*/true);
+      ClusterSnapshot snapshot = CaptureSnapshot(manager, {}, AllocationMetrics(), {});
+      snapshot.blocks[0].consumed[i64] = value;
+      ASSERT_EQ(ValidateSnapshot(snapshot) == "", within) << ValidateSnapshot(snapshot);
+      snapshot.blocks[0].retired = true;
+      std::string retired_error = ValidateSnapshot(snapshot);
+      if (within) {
+        EXPECT_EQ(retired_error == "", exhausted) << retired_error;
+      }
+    }
+  }
 }
 
 TEST(PrivacyBlockDeathTest, CommitRejectedDemandAborts) {

@@ -24,6 +24,8 @@ VIOLATIONS = {
                                              {"nondeterministic-source"}),
     "pointer_keyed_order_violation.cc": ("src/block/scores.cc", {"pointer-keyed-order"}),
     "float_equality_violation.cc": ("src/block/budget.cc", {"float-equality"}),
+    "admission_slack_violation.cc": ("src/orchestrator/snapshot_check.cc",
+                                     {"admission-slack"}),
 }
 
 
@@ -164,6 +166,27 @@ class FixtureViolations(unittest.TestCase):
         proc = run_lint("--fixture", sleep_cc, "--as", "src/common/other_sleep.cc")
         self.assertEqual(proc.returncode, 1, proc.stdout)
         self.assertIn("[raw-yield]", proc.stdout)
+
+    def test_admission_slack_fires_in_src_outside_its_home(self):
+        # Both spellings fire anywhere in the library, grant-ordering or not; only the
+        # admission rule's header may spell the slack, and its content linted as any other
+        # library file fires. Tests and benches may carry their own copy.
+        fixture = os.path.join(FIXTURES, "admission_slack_violation.cc")
+        for as_path in ("src/block/privacy_block.cc", "src/orchestrator/checkpoint.cc",
+                        "src/knapsack/privacy_knapsack.cc", "src/rdp/filter.h"):
+            with self.subTest(as_path=as_path):
+                proc = run_lint("--fixture", fixture, "--as", as_path)
+                self.assertEqual(proc.returncode, 1, proc.stdout)
+                self.assertEqual(proc.stdout.count("[admission-slack]"), 2, proc.stdout)
+        for as_path in ("src/block/privacy_block.h", "tests/block/privacy_block_test.cc",
+                        "bench/e2e/streams.cc"):
+            with self.subTest(as_path=as_path):
+                proc = run_lint("--fixture", fixture, "--as", as_path)
+                self.assertEqual(proc.returncode, 0, proc.stdout)
+        header = os.path.join(REPO_ROOT, "src", "block", "privacy_block.h")
+        proc = run_lint("--fixture", header, "--as", "src/block/other_block.h")
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertIn("[admission-slack]", proc.stdout)
 
 
 class NearMisses(unittest.TestCase):

@@ -41,9 +41,11 @@ inline bool Grew(const std::vector<int>& v, size_t before) {
 // Null checks never trip float-equality even when the name contains a budget token.
 inline bool HasDemands(const CleanTracker* demands) { return demands != nullptr; }
 
-// Ordered comparisons on budget quantities are the sanctioned form.
+// Ordered comparisons on budget quantities are the sanctioned form. A comment that names
+// the admission slack 1e-9 * (1.0 + cap) is not a spelling of it (admission-slack), and
+// neither is a different constant in the same shape.
 inline bool Feasible(double consumed, double demand, double capacity) {
-  return consumed + demand <= capacity + 1e-9 * (1.0 + capacity);
+  return consumed + demand <= capacity + 2e-9 * (1.0 + capacity);
 }
 
 // Scoped-enum dispatch against a Type::kConstant is not a float comparison, even when the

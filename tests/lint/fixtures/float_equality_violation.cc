@@ -1,6 +1,6 @@
 // Seeded violation: bare float equality on budget quantities. Budget feasibility must go
-// through the blessed tolerance helpers (PrivacyBlock::CanAccept/CanCharge with their
-// 1e-9*(1+cap) slack); exact == on doubles is representation-dependent.
+// through the one blessed helper, WithinCapacity (src/block/privacy_block.h); exact == on
+// doubles is representation-dependent.
 namespace dpack {
 
 bool ExactlyExhausted(double consumed, double capacity) {

@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "src/rdp/accountant.h"
+#include "src/block/privacy_block.h"
 #include "src/rdp/mechanisms.h"
 
 namespace dpack {
@@ -78,7 +78,7 @@ TEST_P(SamplingSweepTest, SubsampledNeverWorseThanBaseAtIntegerOrders) {
 INSTANTIATE_TEST_SUITE_P(Rates, SamplingSweepTest,
                          testing::Values(1e-4, 1e-3, 0.01, 0.05, 0.1, 0.25, 0.5));
 
-// --- Budget monotonicity for filters and capacity curves. ---
+// --- Budget monotonicity for block filters and capacity curves. ---
 
 class BudgetSweepTest : public testing::TestWithParam<double> {};
 
@@ -93,9 +93,10 @@ TEST_P(BudgetSweepTest, FilterAdmitsMoreWithLargerBudget) {
   double eps_g = GetParam();
   RdpCurve step = GaussianCurve(Grid(), 4.0);
   auto count = [&](double eps) {
-    PrivacyFilter filter(Grid(), eps, 1e-7);
+    PrivacyBlock block(0, Grid(), eps, 1e-7, 0.0);
     int admitted = 0;
-    while (filter.TryCharge(step) && admitted < 100000) {
+    while (block.CanAccept(step) && admitted < 100000) {
+      block.Commit(step);
       ++admitted;
     }
     return admitted;
@@ -106,15 +107,16 @@ TEST_P(BudgetSweepTest, FilterAdmitsMoreWithLargerBudget) {
 TEST_P(BudgetSweepTest, FilterNeverBreaksGuarantee) {
   double eps_g = GetParam();
   double delta_g = 1e-7;
-  PrivacyFilter filter(Grid(), eps_g, delta_g);
+  PrivacyBlock block(0, Grid(), eps_g, delta_g, 0.0);
   RdpCurve step = SubsampledGaussianCurve(Grid(), 1.0, 0.05).Repeat(50);
-  while (filter.TryCharge(step)) {
+  while (block.CanAccept(step)) {
+    block.Commit(step);
   }
   double best_eps = 1e300;
   for (size_t i = 0; i < Grid()->size(); ++i) {
-    if (filter.budget().epsilon(i) > 0.0 &&
-        filter.consumed().epsilon(i) <= filter.budget().epsilon(i) + 1e-6) {
-      best_eps = std::min(best_eps, filter.consumed().epsilon(i) +
+    if (block.capacity().epsilon(i) > 0.0 &&
+        block.consumed().epsilon(i) <= block.capacity().epsilon(i) + 1e-6) {
+      best_eps = std::min(best_eps, block.consumed().epsilon(i) +
                                         std::log(1.0 / delta_g) / (Grid()->order(i) - 1.0));
     }
   }

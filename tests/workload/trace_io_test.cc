@@ -263,6 +263,20 @@ TEST(TraceIoDeathTest, RejectsMalformedNumericCells) {
   EXPECT_DEATH(ReadTrace(in, Grid()), "malformed numeric cell at trace row 4 column 2");
 }
 
+TEST(TraceIoDeathTest, RejectsNonFiniteOrNegativeArrivalTime) {
+  // strtod parses all three cells, so they pass the numeric check; an arrival must still be
+  // a finite, non-negative instant, and the rejection names the row and the column.
+  std::vector<Task> tasks = SampleWorkload(2);
+  std::stringstream v2;
+  ASSERT_TRUE(WriteTrace(v2, tasks, Grid()));
+  const std::string text = v2.str();
+  for (const char* bad : {"inf", "nan", "-5"}) {
+    SCOPED_TRACE(std::string("cell '") + bad + "'");
+    std::stringstream in(ReplaceCell(text, 4, 3, bad));
+    EXPECT_DEATH(ReadTrace(in, Grid()), "arrival_time out of range at trace row 4 column 3");
+  }
+}
+
 TEST(TraceIoDeathTest, RejectsMalformedIdCell) {
   std::vector<Task> tasks = SampleWorkload(1);
   std::stringstream v2;
