@@ -1,4 +1,5 @@
-// Ablation (DESIGN.md §4.4): where do DPack's gains come from?
+// Ablation (not a paper figure; see src/README.md, "Substitutions and deviations"): where
+// do DPack's gains come from?
 // Compares four orderings through the identical allocation loop:
 //   DPF   — inverse dominant share (no block-area, no best-alpha awareness);
 //   Area  — Eq. 4 (block-area aware, sums every order);
@@ -82,7 +83,7 @@ void AlibabaMix(Scale scale) {
 int main(int argc, char** argv) {
   using namespace dpack::bench;
   Scale scale = ParseScale(argc, argv);
-  Banner("Ablation: decomposing DPack's efficiency metric", "DESIGN.md §4");
+  Banner("Ablation: decomposing DPack's efficiency metric", "paper §3.1-3.2 (ablation, not a paper figure)");
   BlockHeterogeneity(scale);
   AlphaHeterogeneity(scale);
   AlibabaMix(scale);

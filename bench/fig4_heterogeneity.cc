@@ -7,6 +7,7 @@
 // and 67% (b)).
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <string>
 
@@ -15,28 +16,23 @@
 namespace dpack::bench {
 namespace {
 
-// Runs `kind` offline. For the Optimal scheduler, `proof` says whether the search proved its
-// answer and, if not, which budget stopped it: the search aborts once it explores more than
-// max_nodes nodes, so a stopped search within that count hit the wall clock.
+// Runs `kind` offline. The Optimal search has no wall clock here, so Fig. 4 never depends on
+// the host's speed: it stops only at PkOptions::max_nodes. `proof` says whether it proved its
+// answer within that node budget.
 size_t RunScheduler(SchedulerKind kind, const std::vector<Task>& tasks, size_t num_blocks,
-                    double time_limit, std::string* proof = nullptr) {
+                    std::string* proof = nullptr) {
   SimConfig sim;
   sim.num_blocks = num_blocks;
   sim.eps_g = kEpsG;
   sim.delta_g = kDeltaG;
   PkOptions options;
-  options.time_limit_seconds = time_limit;
+  options.time_limit_seconds = std::numeric_limits<double>::infinity();
   std::unique_ptr<Scheduler> scheduler = CreateScheduler(kind, 0.05, options);
   SimResult result = RunOfflineSchedule(*scheduler, tasks, sim);
   if (proof != nullptr) {
     auto* optimal = dynamic_cast<OptimalScheduler*>(scheduler.get());
-    if (optimal == nullptr || optimal->last_solve_optimal()) {
-      *proof = "yes";
-    } else if (optimal->last_nodes_explored() > options.max_nodes) {
-      *proof = "no (node budget)";
-    } else {
-      *proof = "no (time limit)";
-    }
+    bool proven = optimal == nullptr || optimal->last_solve_optimal();
+    *proof = proven ? "yes" : "no (node budget)";
   }
   return result.metrics.allocated();
 }
@@ -59,9 +55,9 @@ void SweepBlocks(Scale scale) {
     std::vector<Task> tasks = GenerateMicrobenchmark(SharedPool(), config);
 
     std::string proof;
-    size_t optimal = RunScheduler(SchedulerKind::kOptimal, tasks, num_blocks, 30.0, &proof);
-    size_t dpack = RunScheduler(SchedulerKind::kDpack, tasks, num_blocks, 30.0);
-    size_t dpf = RunScheduler(SchedulerKind::kDpf, tasks, num_blocks, 30.0);
+    size_t optimal = RunScheduler(SchedulerKind::kOptimal, tasks, num_blocks, &proof);
+    size_t dpack = RunScheduler(SchedulerKind::kDpack, tasks, num_blocks);
+    size_t dpf = RunScheduler(SchedulerKind::kDpf, tasks, num_blocks);
     table.NewRow().Add(sigma).Add(optimal).Add(dpack).Add(dpf).Add(proof);
   }
   table.Print("Fig. 4(a): allocated tasks vs sigma_blocks (mu_blocks=10, eps_min=0.1)");
@@ -83,9 +79,9 @@ void SweepAlpha(Scale scale) {
     config.seed = 42;
     std::vector<Task> tasks = GenerateMicrobenchmark(SharedPool(), config);
 
-    size_t optimal = RunScheduler(SchedulerKind::kOptimal, tasks, 1, 30.0);
-    size_t dpack = RunScheduler(SchedulerKind::kDpack, tasks, 1, 30.0);
-    size_t dpf = RunScheduler(SchedulerKind::kDpf, tasks, 1, 30.0);
+    size_t optimal = RunScheduler(SchedulerKind::kOptimal, tasks, 1);
+    size_t dpack = RunScheduler(SchedulerKind::kDpack, tasks, 1);
+    size_t dpf = RunScheduler(SchedulerKind::kDpf, tasks, 1);
     table.NewRow().Add(sigma).Add(optimal).Add(dpack).Add(dpf);
   }
   table.Print("Fig. 4(b): allocated tasks vs sigma_alpha (single block, eps_min=0.005)");

@@ -3,8 +3,8 @@
 //   (b) allocated tasks vs available blocks (fixed submitted count).
 // Expected shape: DPack allocates the most tasks at every point, with a 1.3-1.7x (paper)
 // gap over DPF that widens with load; FCFS never prioritizes low-demand tasks. See
-// EXPERIMENTS.md for the FCFS deviation discussion (our retry-under-unlocking FCFS is
-// stronger than the paper's).
+// src/README.md, "Substitutions and deviations", for the FCFS deviation (our
+// skip-infeasible, retry-under-unlocking FCFS is stronger than the paper's).
 
 #include <cstdio>
 

@@ -1,5 +1,5 @@
 // Fig. 8 + Tab. 2 reproduction (Q4): the cluster-orchestrator deployment (our in-process
-// Kubernetes substitute; see DESIGN.md).
+// Kubernetes substitute; see src/README.md, "Substitutions and deviations").
 //   (a) scheduler runtime as a function of submitted tasks in an emulated offline pass —
 //       DPack is modestly slower than DPF, and simulated state-store traffic dominates;
 //   (b) scheduling-delay CDF in an online run with T = 5 — near-identical across policies;

@@ -53,6 +53,11 @@ src/core, src/block, src/service and src/sim unless noted):
                            the budget guarantee itself (§3.4, Property 6); its one home is
                            AdmissionSlack / WithinCapacity / OrderExhausted there, so a
                            second spelling cannot drift from it.
+  doc-link                 (src/, bench/, tests/, examples/, scripts/; C++, Python and
+                           shell comments) A comment that names a Markdown file must name
+                           one that exists, relative to the repo root or to the file's own
+                           directory. A pointer to a deleted or never-written document
+                           sends the reader nowhere.
 
 Suppression: `// dpack-lint: allow(<rule>): <reason>` on the offending line or the line
 above. The reason is mandatory — an allow is a reviewed claim, not an escape hatch.
@@ -101,6 +106,13 @@ RAW_YIELD_HOME = "src/common/sleep.cc"
 # admission-slack applies to the library; the admission rule has the one home.
 ADMISSION_SLACK_DIRS = ("src",)
 ADMISSION_RULE_HOME = "src/block/privacy_block.h"
+
+# doc-link applies to every directory that holds code or scripts, in these languages.
+DOC_LINK_DIRS = ("src", "bench", "tests", "examples", "scripts")
+CPP_SUFFIXES = (".cc", ".h", ".cpp", ".hpp")
+HASH_COMMENT_SUFFIXES = (".py", ".sh")
+# A Markdown file name: path characters ending in <name>.md, not part of a URL.
+DOC_NAME_RE = re.compile(r"(?<![\w./:-])[\w./-]*[\w-]\.md\b")
 
 ALLOW_RE = re.compile(r"//\s*dpack-lint:\s*allow\(([a-z-]+)\)\s*:\s*\S")
 
@@ -164,82 +176,129 @@ CLANG_QUERY_MATCHERS = [
 ]
 
 
-def strip_code(text):
-    """Blanks comments and string/char literal bodies, preserving line structure."""
-    out = []
+def digit_separator(text, i):
+    """True when the quote at text[i] separates digits (60'000, 0xFF'FF), not a char literal."""
+    start = i
+    while start > 0 and (text[start - 1].isalnum() or text[start - 1] in "_."):
+        start -= 1
+    return start < i and text[start].isdigit()
+
+
+def split_comments(text):
+    """Splits C++ source into (code, comments), each preserving line structure.
+
+    `code` blanks comments and string/char literal bodies; `comments` keeps only the comment
+    bodies and blanks everything else."""
+    code = []
+    comments = []
     i = 0
     n = len(text)
     state = None  # None | 'line' | 'block' | 'str' | 'chr' | 'raw'
     raw_delim = ""
+
+    def blank(chunk):
+        return "".join(ch if ch == "\n" else " " for ch in chunk)
+
+    def emit_code(chunk, as_code=None):
+        code.append(chunk if as_code is None else as_code)
+        comments.append(blank(chunk))
+
+    def emit_comment(chunk):
+        code.append(blank(chunk))
+        comments.append(chunk)
+
     while i < n:
         c = text[i]
         nxt = text[i + 1] if i + 1 < n else ""
         if state is None:
             if c == "/" and nxt == "/":
                 state = "line"
-                out.append("  ")
+                emit_code(c + nxt, "  ")
                 i += 2
             elif c == "/" and nxt == "*":
                 state = "block"
-                out.append("  ")
+                emit_code(c + nxt, "  ")
                 i += 2
             elif c == "R" and nxt == '"':
                 close = text.find("(", i + 2)
                 if close == -1:
-                    out.append(c)
+                    emit_code(c)
                     i += 1
                     continue
                 raw_delim = ")" + text[i + 2:close] + '"'
                 state = "raw"
-                out.append(" " * (close + 1 - i))
+                emit_code(text[i:close + 1], " " * (close + 1 - i))
                 i = close + 1
             elif c == '"':
                 state = "str"
-                out.append(c)
+                emit_code(c)
                 i += 1
-            elif c == "'":
+            elif c == "'" and not digit_separator(text, i):
                 state = "chr"
-                out.append(c)
+                emit_code(c)
                 i += 1
             else:
-                out.append(c)
+                emit_code(c)
                 i += 1
         elif state == "line":
             if c == "\n":
                 state = None
-                out.append(c)
-            else:
-                out.append(" ")
+            emit_comment(c)
             i += 1
         elif state == "block":
             if c == "*" and nxt == "/":
                 state = None
-                out.append("  ")
+                emit_code(c + nxt, "  ")
                 i += 2
             else:
-                out.append(c if c == "\n" else " ")
+                emit_comment(c)
                 i += 1
         elif state == "raw":
             if text.startswith(raw_delim, i):
                 state = None
-                out.append(" " * len(raw_delim))
+                emit_code(raw_delim, " " * len(raw_delim))
                 i += len(raw_delim)
             else:
-                out.append(c if c == "\n" else " ")
+                emit_code(c, blank(c))
                 i += 1
         elif state in ("str", "chr"):
             quote = '"' if state == "str" else "'"
             if c == "\\":
-                out.append("  ")
+                emit_code(text[i:i + 2], blank(text[i:i + 2]))
                 i += 2
             elif c == quote:
                 state = None
-                out.append(c)
+                emit_code(c)
                 i += 1
             else:
-                out.append(" ")
+                emit_code(c, blank(c))
                 i += 1
-    return "".join(out)
+    return "".join(code), "".join(comments)
+
+
+def strip_code(text):
+    """Blanks comments and string/char literal bodies, preserving line structure."""
+    return split_comments(text)[0]
+
+
+def hash_comments(text):
+    """The `#` comments of a Python or shell file, one entry per line (quotes respected; a
+    comment's `#` starts the line or follows whitespace)."""
+    out = []
+    for line in text.splitlines():
+        quote = None
+        comment = ""
+        for pos, ch in enumerate(line):
+            if quote is not None:
+                if ch == quote:
+                    quote = None
+            elif ch in "\"'":
+                quote = ch
+            elif ch == "#" and (pos == 0 or line[pos - 1].isspace()):  # Not shell's $#.
+                comment = line[pos:]
+                break
+        out.append(comment)
+    return out
 
 
 class Finding:
@@ -268,16 +327,38 @@ def in_scope(rel, dirs):
     return any(rel == d or rel.startswith(d + "/") for d in dirs)
 
 
-def lint_file(rel, text):
+def doc_link_findings(root, rel_posix, comment_lines, add):
+    """Flags every Markdown file a comment names that exists neither under `root` nor
+    beside the file."""
+    here = os.path.dirname(rel_posix)
+    for idx, line in enumerate(comment_lines, 1):
+        for m in DOC_NAME_RE.finditer(line):
+            name = m.group(0)
+            if not any(os.path.isfile(os.path.join(root, base, name)) for base in ("", here)):
+                add(idx, "doc-link",
+                    f"{name} names no file, relative to the repo root or to {here or '.'}; "
+                    f"point the comment at a document that exists")
+
+
+def lint_file(rel, text, root):
     findings = []
     raw_lines = text.splitlines()
-    stripped = strip_code(text)
-    lines = stripped.splitlines()
     rel_posix = rel.replace(os.sep, "/")
 
     def add(lineno, rule, message):
         if not allowed(raw_lines, lineno, rule):
             findings.append(Finding(rel_posix, lineno, rule, message))
+
+    if rel_posix.endswith(HASH_COMMENT_SUFFIXES):
+        if in_scope(rel_posix, DOC_LINK_DIRS):
+            doc_link_findings(root, rel_posix, hash_comments(text), add)
+        return findings
+
+    stripped, comments = split_comments(text)
+    lines = stripped.splitlines()
+
+    if in_scope(rel_posix, DOC_LINK_DIRS):
+        doc_link_findings(root, rel_posix, comments.splitlines(), add)
 
     # raw-mutex: everywhere except the annotations header itself.
     if in_scope(rel_posix, ALL_CODE_DIRS) and rel_posix != THREAD_ANNOTATIONS_HEADER:
@@ -382,15 +463,15 @@ def lint_file(rel, text):
     return findings
 
 
-def iter_tree(root):
-    for base in ALL_CODE_DIRS:
+def iter_tree(root, suffixes=CPP_SUFFIXES + HASH_COMMENT_SUFFIXES):
+    for base in DOC_LINK_DIRS:
         top = os.path.join(root, base)
         if not os.path.isdir(top):
             continue
         for dirpath, dirnames, filenames in os.walk(top):
             dirnames[:] = sorted(d for d in dirnames if d != "fixtures")
             for name in sorted(filenames):
-                if name.endswith((".cc", ".h", ".cpp", ".hpp")):
+                if name.endswith(suffixes):
                     yield os.path.join(dirpath, name)
 
 
@@ -400,8 +481,8 @@ def run_clang_query(root, build_dir):
     if binary is None:
         print("dpack-lint: clang-query not on PATH", file=sys.stderr)
         return None
-    sources = [p for p in iter_tree(root)
-               if p.endswith(".cc") and in_scope(os.path.relpath(p, root), ("src",))]
+    sources = [p for p in iter_tree(root, (".cc",))
+               if in_scope(os.path.relpath(p, root), ("src",))]
     with tempfile.NamedTemporaryFile("w", suffix=".cq", delete=False) as fh:
         fh.write("set bind-root true\n")
         for _, matcher in CLANG_QUERY_MATCHERS:
@@ -444,12 +525,12 @@ def main(argv):
         if not args.treat_as:
             parser.error("--fixture requires --as")
         with open(args.fixture) as fh:
-            findings.extend(lint_file(args.treat_as, fh.read()))
+            findings.extend(lint_file(args.treat_as, fh.read(), args.root))
     else:
         for path in iter_tree(args.root):
             rel = os.path.relpath(path, args.root)
             with open(path) as fh:
-                findings.extend(lint_file(rel, fh.read()))
+                findings.extend(lint_file(rel, fh.read(), args.root))
         if args.clang_query:
             hits = run_clang_query(args.root, args.build_dir)
             if hits is None:

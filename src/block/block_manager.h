@@ -1,13 +1,10 @@
 // Registry of live privacy blocks with online arrival and budget unlocking (§3.4).
 //
-// Storage is a two-tier slab (ISSUE 6): blocks live densely in a hot vector until they are
-// retired — provably unable to ever change again (Exhausted() with the full budget
-// unlocked) — at which point they compact into a retired slab. A per-id slot table keeps
-// block(id) O(1) and id-stable across compaction, so retirement is invisible to every
-// consumer that addresses blocks by id: scheduling outcomes, versions, and ids are
-// byte-identical whether or not a block has been retired. The hot slab is what scans touch
-// (unlock sweeps, refresh drill-downs), so its density is what keeps per-cycle cost
-// proportional to the live population, not to history.
+// Storage is one vector indexed by id, so block(id) is a single bounds-checked index. An
+// exhausted block stays where it is: CanAccept rejects every demand it sees, so nothing in
+// the scheduler depends on where such a block is stored, and no per-cycle scan walks the
+// whole vector (UpdateUnlocks walks only the still-unlocking ids, the engines drill down
+// through the version tree).
 //
 // Change detection is hierarchical: every version bump is reported to a BlockVersionTree
 // (src/block/version_tree.h), so consumers locate changed blocks by scanning group sums
@@ -25,19 +22,12 @@
 
 namespace dpack {
 
-// Where a block lives in the two-tier slab: its tier and its dense slot within that tier.
-// Captured into checkpoints so a restored manager reproduces the exact layout.
-struct BlockPlacement {
-  bool retired = false;
-  uint64_t slot = 0;
-};
-
 class BlockManager {
  public:
   // Blocks created by this manager share `grid` and derive capacity from (eps_g, delta_g).
   BlockManager(AlphaGridPtr grid, double eps_g, double delta_g);
 
-  // The slabs hold blocks by value and the tree is heap-pinned; moving the manager keeps
+  // The vector holds blocks by value and the tree is heap-pinned; moving the manager keeps
   // every block's sink pointer valid, but copying must go through Clone() (re-sinks).
   BlockManager(BlockManager&&) = default;
   BlockManager& operator=(BlockManager&&) = default;
@@ -55,17 +45,17 @@ class BlockManager {
   // instead of the derived (eps_g, delta_g) capacity. Used for synthetic instances.
   BlockId AddBlockWithCapacity(RdpCurve capacity, double arrival_time, bool unlocked = false);
 
-  size_t block_count() const { return slot_of_id_.size(); }
-  size_t hot_count() const { return hot_.size(); }
-  size_t retired_count() const { return retired_.size(); }
+  size_t block_count() const { return blocks_.size(); }
 
-  // References are invalidated by AddBlock* and RetireNewlyExhausted (slab growth and
-  // compaction move blocks); hold them only within a scheduling cycle.
+  // Blocks that can never change again: fully unlocked and Exhausted(). An O(blocks) scan,
+  // kept only because the end-to-end benchmark reports it once per pass, outside any timed
+  // request (as GrantService::scheduler() is kept for it); nothing in src/ reads it.
+  size_t retired_count() const;
+
+  // References are invalidated by AddBlock* (vector growth moves blocks); hold them only
+  // within a scheduling cycle.
   PrivacyBlock& block(BlockId id);
   const PrivacyBlock& block(BlockId id) const;
-
-  bool retired(BlockId id) const;
-  BlockPlacement placement_of(BlockId id) const;
 
   // Monotonic arrival epoch, bumped whenever a block is added. Combined with the per-block
   // versions this gives consumers an exact change signal: if the epoch and every block
@@ -80,8 +70,7 @@ class BlockManager {
   const BlockVersionTree& version_tree() const { return *version_tree_; }
 
   // Ids of the `n` most recent blocks (or all if fewer exist), most recent last. Ids are
-  // dense, so this is O(n) regardless of the total block count, and retirement does not
-  // change what it returns.
+  // dense, so this is O(n) regardless of the total block count.
   std::vector<BlockId> MostRecentBlocks(size_t n) const;
 
   // Applies the paper's unlocking rule at scheduling time `now`: every block's unlocked
@@ -90,50 +79,28 @@ class BlockManager {
   // blocks leave the work list permanently (the rule is monotone and capped at 1).
   void UpdateUnlocks(double now, double period, int64_t unlock_steps);
 
-  // Retires every hot block that can provably never change again: Exhausted() with the full
-  // budget unlocked (so no future unlock or admissible commit can touch it). Scans only
-  // groups whose version sum advanced since the previous sweep — a block becomes eligible
-  // only at a version bump, so an unchanged group cannot contain a newly eligible block.
-  // Retirement order is id order within a sweep, which makes the slab layout a deterministic
-  // function of the commit/unlock history (identical across engines and across
-  // checkpoint/resume). Returns the number of blocks retired by this sweep.
-  size_t RetireNewlyExhausted();
-
   // Deep copy of the manager and all block states (capacities, consumption, unlocking).
   // Used by schedulers that need to trial-run allocation without committing budget.
   BlockManager Clone() const;
 
   // Rebuilds a manager from checkpointed state (see src/orchestrator/checkpoint.h):
   // `blocks` must carry dense ids 0..n-1 in order, on `grid`, and `epoch` must equal the
-  // block count (the epoch only ever advances on AddBlock*). `placements` (parallel to
-  // `blocks`; empty means every block is hot in id order) reproduces the captured slab
-  // layout — each tier's slots must form a dense permutation. The result is byte-identical
-  // to the captured manager — including the epoch, every block's version, and the
-  // hot/retired placement — so change signals observed against the restored manager compare
-  // exactly like the original's.
+  // block count (the epoch only ever advances on AddBlock*). The result is byte-identical
+  // to the captured manager — including the epoch and every block's version — so change
+  // signals observed against the restored manager compare exactly like the original's.
   static BlockManager Restore(AlphaGridPtr grid, double eps_g, double delta_g,
-                              uint64_t epoch, std::vector<PrivacyBlock> blocks,
-                              std::vector<BlockPlacement> placements = {});
+                              uint64_t epoch, std::vector<PrivacyBlock> blocks);
 
  private:
-  static constexpr uint64_t kRetiredTierBit = uint64_t{1} << 63;
-
-  // Moves hot slot `slot` into the retired slab (swap-pop compaction).
-  void RetireHotSlot(size_t slot);
-
   AlphaGridPtr grid_;
   double eps_g_;
   double delta_g_;
   uint64_t epoch_ = 0;
-  std::vector<PrivacyBlock> hot_;
-  std::vector<PrivacyBlock> retired_;
-  // Indexed by id: slot within hot_, or (kRetiredTierBit | slot within retired_).
-  std::vector<uint64_t> slot_of_id_;
+  // Indexed by id.
+  std::vector<PrivacyBlock> blocks_;
   // Ids with unlocked_fraction < 1 — UpdateUnlocks' work list. Membership is a set (the
   // unlock rule is per-block and order-independent); ids swap-pop out on reaching 1.
   std::vector<BlockId> unlocking_ids_;
-  // Version-tree group sums at the last retirement sweep.
-  std::vector<uint64_t> retire_group_seen_;
   // Heap-pinned so block sink pointers survive manager moves.
   std::unique_ptr<BlockVersionTree> version_tree_;
 };

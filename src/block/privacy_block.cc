@@ -117,8 +117,8 @@ bool PrivacyBlock::Exhausted() const {
     if (cap <= 0.0) {
       continue;  // Order unusable under the global guarantee.
     }
-    // Same slack as CanAccept, so a block consumed to within float noise of capacity is
-    // retired rather than kept alive forever.
+    // Same slack as CanAccept, so a block consumed to within float noise of capacity
+    // counts as exhausted.
     if (!OrderExhausted(consumed_.epsilon(i), cap)) {
       return false;
     }

@@ -62,7 +62,7 @@ class PrivacyBlock {
 
   // A copy is a detached trial state (e.g. BlockManager::Clone before re-sinking): it keeps
   // the version but reports bumps to no tree until its owner re-attaches one. A move keeps
-  // the sink — slab reallocation and retirement compaction move blocks that stay managed.
+  // the sink — vector reallocation moves blocks that stay managed.
   PrivacyBlock(const PrivacyBlock& other);
   PrivacyBlock& operator=(const PrivacyBlock& other);
   PrivacyBlock(PrivacyBlock&&) = default;
@@ -112,7 +112,8 @@ class PrivacyBlock {
   void Commit(const RdpCurve& demand);
 
   // True when every usable order of the *total* capacity is OrderExhausted; the block can
-  // never admit another meaningful demand and may be retired (§2.3).
+  // never admit another meaningful demand (§2.3). It stays in its manager: CanAccept
+  // already rejects every demand it sees.
   bool Exhausted() const;
 
   std::string DebugString() const;

@@ -123,13 +123,6 @@ size_t OnlineScheduler::RunCycle(double now) {
     }
   }
   pending_.erase(pending_.begin() + static_cast<std::ptrdiff_t>(kept), pending_.end());
-
-  // Retire blocks that can provably never change again (exhausted with the full budget
-  // unlocked), compacting them out of the hot slab. Run after every cycle so the slab
-  // layout is a deterministic function of the commit/unlock history — identical across
-  // engines, and across checkpoint/resume, since snapshots are captured between cycles
-  // (i.e. after a sweep).
-  blocks_->RetireNewlyExhausted();
   return granted.size();
 }
 

@@ -40,9 +40,6 @@ ClusterSnapshot CaptureSnapshot(const BlockManager& blocks, std::span<const Task
     state.arrival_time = block.arrival_time();
     state.unlocked_fraction = block.unlocked_fraction();
     state.version = block.version();
-    BlockPlacement placement = blocks.placement_of(static_cast<BlockId>(j));
-    state.retired = placement.retired;
-    state.slot = placement.slot;
     state.capacity = block.capacity().epsilons();
     state.consumed = block.consumed().epsilons();
     snapshot.blocks.push_back(std::move(state));
@@ -117,15 +114,6 @@ std::string ValidateSnapshot(const ClusterSnapshot& snapshot) {
           .epsilons();
 
   size_t orders = snapshot.grid_orders.size();
-  std::vector<bool> hot_slot_seen;
-  std::vector<bool> retired_slot_seen;
-  size_t hot_total = 0;
-  size_t retired_total = 0;
-  for (const SnapshotBlockState& block : snapshot.blocks) {
-    (block.retired ? retired_total : hot_total) += 1;
-  }
-  hot_slot_seen.assign(hot_total, false);
-  retired_slot_seen.assign(retired_total, false);
   for (size_t j = 0; j < snapshot.blocks.size(); ++j) {
     const SnapshotBlockState& block = snapshot.blocks[j];
     if (block.id != static_cast<BlockId>(j)) {
@@ -160,31 +148,6 @@ std::string ValidateSnapshot(const ClusterSnapshot& snapshot) {
     }
     if (charged && !within_some_order) {
       return "block consumed exceeds its capacity at every order";
-    }
-    // Each tier's slots must form a dense permutation (the slab layout Restore rebuilds).
-    std::vector<bool>& seen = block.retired ? retired_slot_seen : hot_slot_seen;
-    if (block.slot >= seen.size()) {
-      return "block slot out of range for its tier";
-    }
-    if (seen[static_cast<size_t>(block.slot)]) {
-      return "duplicate block slot within a tier";
-    }
-    seen[static_cast<size_t>(block.slot)] = true;
-    if (block.retired) {
-      // Retirement requires provable immutability: the full budget unlocked and every
-      // usable order consumed to within the admission slack (PrivacyBlock::Exhausted).
-      if (block.unlocked_fraction != 1.0) {
-        return "retired block must be fully unlocked";
-      }
-      for (size_t a = 0; a < orders; ++a) {
-        double cap = block.capacity[a];
-        if (cap <= 0.0) {
-          continue;
-        }
-        if (!OrderExhausted(block.consumed[a], cap)) {
-          return "retired block must be exhausted";
-        }
-      }
     }
   }
 
@@ -280,8 +243,6 @@ std::string EncodePayload(const ClusterSnapshot& snapshot) {
     payload.F64(block.arrival_time);
     payload.F64(block.unlocked_fraction);
     payload.U64(block.version);
-    payload.U8(block.retired ? 1 : 0);
-    payload.U64(block.slot);
     payload.F64Vec(block.capacity);
     payload.F64Vec(block.consumed);
   }
@@ -384,23 +345,17 @@ SnapshotParseResult DecodeSnapshotBinary(std::string_view bytes) {
             r.F64(&s.delta_g, "delta_g") && r.U64(&s.manager_epoch, "manager_epoch");
 
   uint64_t count = 0;
-  if (ok && (ok = r.Count(&count, 8 * 6 + 9, "block count"))) {
+  if (ok && (ok = r.Count(&count, 8 * 6, "block count"))) {
     s.blocks.resize(static_cast<size_t>(count));
     for (SnapshotBlockState& block : s.blocks) {
-      uint8_t retired = 0;
       ok = r.I64(&block.id, "block.id") && r.F64(&block.arrival_time, "block.arrival_time") &&
            r.F64(&block.unlocked_fraction, "block.unlocked_fraction") &&
-           r.U64(&block.version, "block.version") && r.U8(&retired, "block.retired") &&
-           r.U64(&block.slot, "block.slot") && r.F64Vec(&block.capacity, "block.capacity") &&
+           r.U64(&block.version, "block.version") &&
+           r.F64Vec(&block.capacity, "block.capacity") &&
            r.F64Vec(&block.consumed, "block.consumed");
       if (!ok) {
         break;
       }
-      if (retired > 1) {
-        result.error = "block.retired must be 0 or 1";
-        return result;
-      }
-      block.retired = retired == 1;
     }
   }
   ok = ok && r.U64(&s.manager_clock.block_count, "manager_clock.block_count") &&
@@ -473,17 +428,13 @@ BlockManager RestoreBlockManager(const ClusterSnapshot& snapshot, AlphaGridPtr g
   grid = GridForSnapshot(snapshot, std::move(grid));
   std::vector<PrivacyBlock> blocks;
   blocks.reserve(snapshot.blocks.size());
-  std::vector<BlockPlacement> placements;
-  placements.reserve(snapshot.blocks.size());
   for (const SnapshotBlockState& state : snapshot.blocks) {
     blocks.push_back(PrivacyBlock::Restore(state.id, RdpCurve(grid, state.capacity),
                                            state.arrival_time, state.unlocked_fraction,
                                            RdpCurve(grid, state.consumed), state.version));
-    placements.push_back({state.retired, state.slot});
   }
   return BlockManager::Restore(std::move(grid), snapshot.eps_g, snapshot.delta_g,
-                               snapshot.manager_epoch, std::move(blocks),
-                               std::move(placements));
+                               snapshot.manager_epoch, std::move(blocks));
 }
 
 std::vector<Task> RestorePendingTasks(const ClusterSnapshot& snapshot, AlphaGridPtr grid) {

@@ -44,20 +44,17 @@ namespace dpack {
 // v3: meta.async dropped with the async engine (num_shards is the only engine shape).
 // v4: meta.num_shards and the per-shard clocks dropped with the sharded engine; one
 //     manager clock replaces them.
-inline constexpr uint32_t kSnapshotFormatVersion = 4;
+// v5: the per-block slab placement (v2) dropped with block retirement; the manager holds
+//     every block in one vector indexed by id.
+inline constexpr uint32_t kSnapshotFormatVersion = 5;
 
 // One privacy block's durable state. `capacity` / `consumed` are per-order epsilons on the
-// snapshot's grid. `retired` / `slot` are the block's slab placement (see
-// src/block/block_manager.h): each tier's slots form a dense permutation, validated by
-// ValidateSnapshot, and a retired block must be provably immutable (fully unlocked and
-// exhausted) — restoring reproduces the exact hot/retired layout.
+// snapshot's grid.
 struct SnapshotBlockState {
   BlockId id = 0;
   double arrival_time = 0.0;
   double unlocked_fraction = 1.0;
   uint64_t version = 0;
-  bool retired = false;
-  uint64_t slot = 0;
   std::vector<double> capacity;
   std::vector<double> consumed;
 };
@@ -145,9 +142,9 @@ SnapshotParseResult DecodeSnapshotBinary(std::string_view bytes);
 // the grid, fractions in range, no NaNs where semantics forbid them, every block's
 // capacity within BlockCapacityCurve(grid, eps_g, delta_g) and its consumption within
 // capacity at some usable order (both by WithinCapacity, the admission rule in
-// privacy_block.h), every retired block OrderExhausted at each usable order, the manager
-// clock consistent with the block states, metrics internally consistent. Returns "" when valid,
-// else a diagnostic. Public so hand-built snapshots (tests, tools) can be checked too.
+// privacy_block.h), the manager clock consistent with the block states, metrics internally
+// consistent. Returns "" when valid, else a diagnostic. Public so hand-built snapshots
+// (tests, tools) can be checked too.
 std::string ValidateSnapshot(const ClusterSnapshot& snapshot);
 
 // --- Restore ------------------------------------------------------------------------------

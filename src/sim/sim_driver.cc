@@ -239,7 +239,6 @@ SimResult RunOnline(std::unique_ptr<Scheduler> scheduler, const ClusterSnapshot*
     result.scheduler_stats = *stats;
   }
   result.blocks_created = blocks.block_count();
-  result.retired_at_end = blocks.retired_count();
   result.end_time = std::max(end_time, after);  // A resume ends no earlier than its checkpoint.
   result.pending_at_end = online.pending_count();
   result.admission_rejected = online.admission_rejected();

@@ -71,9 +71,6 @@ struct SimConfig {
 struct SimResult {
   AllocationMetrics metrics;
   size_t blocks_created = 0;
-  // Blocks compacted into the retired tier by the end of the run (exhausted with the full
-  // budget unlocked; see BlockManager::RetireNewlyExhausted).
-  size_t retired_at_end = 0;
   double end_time = 0.0;
   size_t cycles_run = 0;
   size_t pending_at_end = 0;

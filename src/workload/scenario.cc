@@ -490,11 +490,11 @@ ScenarioSpec TrickleDrain() {
 }
 
 ScenarioSpec RetirementChurn() {
-  // Stress for the block-retirement path: capacity-fraction demands make every block
-  // exhaustible in exactly capacity_divisor grants, most-recent-k selection concentrates
-  // commits on the newest blocks, and fast unlocking (unlock_steps = 2) makes exhausted
-  // blocks eligible to retire while the run is still granting — so the hot slab compacts
-  // continuously under load, including across the matrix harness's kill+resume trials.
+  // Block exhaustion under load: capacity-fraction demands make every block exhaustible in
+  // exactly capacity_divisor grants, most-recent-k selection concentrates commits on the
+  // newest blocks, and fast unlocking (unlock_steps = 2) leaves blocks fully unlocked and
+  // exhausted while the run is still granting, including across the matrix harness's
+  // kill+resume trials. The e2e churn stream selects this scenario by name.
   ScenarioSpec spec;
   spec.name = "retirement_churn";
   spec.arrival = ArrivalProcess::kPoisson;

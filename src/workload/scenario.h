@@ -54,7 +54,7 @@ enum class DemandDistribution {
   kCapacityFraction,   // Every task demands capacity / capacity_divisor at *every* order —
                        // the one demand shape under which capacity_divisor grants exhaust a
                        // block at every usable order simultaneously (the admission slack
-                       // absorbs the summation round-off), driving block retirement.
+                       // absorbs the summation round-off), driving block exhaustion.
 };
 
 enum class WeightDistribution {

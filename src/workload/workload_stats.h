@@ -1,6 +1,7 @@
 // Descriptive statistics of a generated workload, used to verify that synthetic generators
 // reproduce the marginals the paper reports (block-request skew, best-alpha distribution,
-// demand heterogeneity) and to populate EXPERIMENTS.md.
+// demand heterogeneity). The generators stand in for the paper's traces; see src/README.md,
+// "Substitutions and deviations".
 
 #ifndef SRC_WORKLOAD_WORKLOAD_STATS_H_
 #define SRC_WORKLOAD_WORKLOAD_STATS_H_

@@ -271,18 +271,12 @@ TEST(AdmissionRuleTest, EveryCheckAgreesWithTheHelpersAtTheBoundaries) {
       EXPECT_EQ(holding.CanAccept(RdpCurve(Grid())), within);
       EXPECT_EQ(holding.Exhausted(), exhausted);
 
-      // The snapshot validator: a hot block must hold its consumption within capacity, and
-      // a retired one must be exhausted.
+      // The snapshot validator: a block must hold its consumption within capacity.
       BlockManager manager(Grid(), 10.0, 1e-7);
       manager.AddBlockWithCapacity(capacity, 0.0, /*unlocked=*/true);
       ClusterSnapshot snapshot = CaptureSnapshot(manager, {}, AllocationMetrics(), {});
       snapshot.blocks[0].consumed[i64] = value;
       ASSERT_EQ(ValidateSnapshot(snapshot) == "", within) << ValidateSnapshot(snapshot);
-      snapshot.blocks[0].retired = true;
-      std::string retired_error = ValidateSnapshot(snapshot);
-      if (within) {
-        EXPECT_EQ(retired_error == "", exhausted) << retired_error;
-      }
     }
   }
 }

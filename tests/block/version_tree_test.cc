@@ -1,7 +1,7 @@
 // Unit pins for the two-level version clock (ISSUE 6): group sums must equal the sum of
-// member versions under every mutation path — commits, unlocks, restore seeding, clones,
-// and slab compaction — because every O(changed) consumer (the incremental engine's
-// SyncBlocks, the retirement sweep) trusts the sums to locate dirty blocks without a scan.
+// member versions under every mutation path — commits, unlocks, restore seeding and clones —
+// because the O(changed) consumer (the incremental engine's SyncBlocks) trusts the sums to
+// locate dirty blocks without a scan.
 
 #include "src/block/version_tree.h"
 
@@ -101,27 +101,6 @@ TEST(BlockVersionTreeTest, CloneAndRestoreReproduceTheSums) {
   ExpectTreeMatchesBlocks(clone);
   ExpectTreeMatchesBlocks(manager);
   EXPECT_EQ(clone.version_tree().total(), manager.version_tree().total() + 1);
-}
-
-TEST(BlockVersionTreeTest, SumsSurviveSlabCompaction) {
-  BlockManager manager(Grid(), 10.0, 1e-7);
-  for (int i = 0; i < 10; ++i) {
-    manager.AddBlock(0.0, /*unlocked=*/true);
-  }
-  // Exhaust a few blocks exactly: capacity-proportional demand, two halves.
-  std::vector<double> half = manager.block(0).capacity().epsilons();
-  for (double& e : half) {
-    e *= 0.5;
-  }
-  RdpCurve half_curve(Grid(), half);
-  for (BlockId id : {BlockId{2}, BlockId{7}}) {
-    manager.block(id).Commit(half_curve);
-    manager.block(id).Commit(half_curve);
-    EXPECT_TRUE(manager.block(id).Exhausted());
-  }
-  EXPECT_EQ(manager.RetireNewlyExhausted(), 2u);
-  EXPECT_EQ(manager.retired_count(), 2u);
-  ExpectTreeMatchesBlocks(manager);
 }
 
 }  // namespace

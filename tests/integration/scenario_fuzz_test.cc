@@ -123,20 +123,6 @@ void CheckBudgetSafety(const ClusterSnapshot& snapshot, const std::string& label
     EXPECT_TRUE(within_some_order)
         << label << " block " << block.id
         << " exceeds its (eps_g, delta_g) budget at every order";
-    // Retirement invariant: a retired block must be provably immutable — fully unlocked
-    // and consumed to within the admission slack at every usable order (so no future
-    // commit or unlock can ever touch it again).
-    if (block.retired) {
-      EXPECT_EQ(block.unlocked_fraction, 1.0)
-          << label << " retired block " << block.id << " is not fully unlocked";
-      for (size_t a = 0; a < capacity.size(); ++a) {
-        double cap = capacity.epsilon(a);
-        if (cap > 0.0) {
-          EXPECT_GE(block.consumed[a] + 1e-9 * (1.0 + cap), cap)
-              << label << " retired block " << block.id << " not exhausted at order " << a;
-        }
-      }
-    }
   }
 }
 

@@ -26,6 +26,7 @@ VIOLATIONS = {
     "float_equality_violation.cc": ("src/block/budget.cc", {"float-equality"}),
     "admission_slack_violation.cc": ("src/orchestrator/snapshot_check.cc",
                                      {"admission-slack"}),
+    "doc_link_violation.cc": ("src/core/notes.cc", {"doc-link"}),
 }
 
 
@@ -187,6 +188,53 @@ class FixtureViolations(unittest.TestCase):
         proc = run_lint("--fixture", header, "--as", "src/block/other_block.h")
         self.assertEqual(proc.returncode, 1, proc.stdout)
         self.assertIn("[admission-slack]", proc.stdout)
+
+    def test_doc_link_resolves_from_the_root_or_the_files_directory(self):
+        # Exactly the two dead pointers fire wherever the fixture sits, the URL, the glob,
+        # the string literal and the root-relative src/README.md included.
+        fixture = os.path.join(FIXTURES, "doc_link_violation.cc")
+        for as_path in ("src/core/notes.cc", "tests/lint/notes_test.cc", "bench/notes.cc",
+                        "examples/notes.cpp"):
+            with self.subTest(as_path=as_path):
+                proc = run_lint("--fixture", fixture, "--as", as_path)
+                self.assertEqual(proc.returncode, 1, proc.stdout)
+                self.assertEqual(proc.stdout.count("[doc-link]"), 2, proc.stdout)
+        # A bare file name resolves beside the file: bench/e2e has a README, src/core and
+        # the repo root have none. Python and shell comments are checked too, under
+        # scripts/ as well; a Python string is not a comment.
+        cases = (
+            (".cc", "// See README.md for the workloads.\n", "bench/e2e/notes.cc", 0),
+            (".cc", "// See README.md for the workloads.\n", "src/core/notes.cc", 1),
+            (".py", "# See DESIGN.md.\nx = '# MISSING.md'\n", "scripts/tool.py", 1),
+            (".sh", "# See src/README.md.\necho $# # EXPERIMENTS.md\n", "scripts/run.sh", 1),
+        )
+        for suffix, text, as_path, expected in cases:
+            with self.subTest(as_path=as_path, text=text):
+                with tempfile.NamedTemporaryFile("w", suffix=suffix, delete=False) as fh:
+                    fh.write(text)
+                    path = fh.name
+                try:
+                    proc = run_lint("--fixture", path, "--as", as_path)
+                finally:
+                    os.unlink(path)
+                self.assertEqual(proc.returncode, 1 if expected else 0, proc.stdout)
+                self.assertEqual(proc.stdout.count("[doc-link]"), expected, proc.stdout)
+
+    def test_digit_separators_are_not_char_literals(self):
+        # 60'000 is a number: the quote must not open a char literal that hides the rest of
+        # the file from every rule.
+        with tempfile.NamedTemporaryFile("w", suffix=".cc", delete=False) as fh:
+            fh.write("constexpr int kTasks = 60'000;\n"
+                     "// See DESIGN.md.\n"
+                     "int x = rand();\n")
+            path = fh.name
+        try:
+            proc = run_lint("--fixture", path, "--as", "src/core/count.cc")
+        finally:
+            os.unlink(path)
+        self.assertEqual(proc.returncode, 1, proc.stdout)
+        self.assertIn("count.cc:2: [doc-link]", proc.stdout)
+        self.assertIn("count.cc:3: [nondeterministic-source]", proc.stdout)
 
 
 class NearMisses(unittest.TestCase):

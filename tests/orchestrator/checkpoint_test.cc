@@ -157,11 +157,17 @@ TEST(CheckpointCodecTest, EveryBinaryBitFlipIsRejected) {
 
 TEST(CheckpointCodecTest, WrongVersionIsRejectedWithDiagnostic) {
   ClusterSnapshot snapshot = RandomSnapshot(34, 2, 2);
-  std::string encoded = EncodeSnapshotBinary(snapshot);
-  encoded[8] = static_cast<char>(kSnapshotFormatVersion + 1);  // Version field (LE) byte 0.
-  SnapshotParseResult parsed = DecodeSnapshotBinary(encoded);
-  ASSERT_FALSE(parsed.ok);
-  EXPECT_NE(parsed.error.find("version"), std::string::npos) << parsed.error;
+  // The next version, and v4, whose per-block slab placement v5 dropped: v4 bytes must be
+  // refused by the version check, not misparsed as v5 blocks.
+  ASSERT_EQ(kSnapshotFormatVersion, 5u);
+  for (uint32_t version : {kSnapshotFormatVersion + 1, 4u}) {
+    std::string encoded = EncodeSnapshotBinary(snapshot);
+    encoded[8] = static_cast<char>(version);  // Version field (LE) byte 0.
+    SnapshotParseResult parsed = DecodeSnapshotBinary(encoded);
+    ASSERT_FALSE(parsed.ok);
+    EXPECT_EQ(parsed.error, "unsupported snapshot format version " +
+                                std::to_string(version) + " (expected 5)");
+  }
 }
 
 TEST(CheckpointCodecTest, ValidationCatchesInconsistentStates) {
@@ -343,7 +349,7 @@ size_t MutationIterations() {
 TEST(CheckpointCodecTest, ChecksumRepairedMutationsAreRejectedOrExact) {
   // Bit flips alone never get past the checksum (EveryBinaryBitFlipIsRejected); repairing
   // the length and checksum after mutating drives the field decoder itself: count bounds,
-  // the retired flag, trailing bytes, and the validation behind them.
+  // trailing bytes, and the validation behind them.
   std::string encoded = EncodeSnapshotBinary(RandomSnapshot(51, 4, 3));
   if (const char* replay = std::getenv("DPACK_FUZZ_REPLAY_SEED")) {
     RunMutationIteration(encoded, static_cast<uint64_t>(std::atoll(replay)));

@@ -7,11 +7,15 @@
 #include "src/workload/scenario.h"
 
 #include <cmath>
+#include <memory>
 #include <set>
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "src/core/scheduler.h"
+#include "src/orchestrator/checkpoint.h"
+#include "src/sim/sim_driver.h"
 #include "src/workload/curve_pool.h"
 #include "src/workload/trace_io.h"
 
@@ -167,6 +171,36 @@ TEST(ScenarioRegistryTest, RegistryCoversTheClaimedStressAxes) {
     }
   }
   EXPECT_TRUE(off_grid);
+}
+
+TEST(ScenarioRegistryTest, ChurnExhaustsBlocksWhileStillGranting) {
+  // retirement_churn must earn its shape: at some cycle boundary it holds blocks that can
+  // never change again (fully unlocked and Exhausted()), and the run grants more tasks after
+  // that boundary. The e2e churn stream scales this scenario up by name.
+  ScenarioWorkload workload = GenerateScenario(Pool(), ScenarioByName("retirement_churn", 1234));
+  auto make_scheduler = [] {
+    return std::make_unique<GreedyScheduler>(
+        GreedyMetric::kDpack, GreedySchedulerOptions{.eta = 0.05, .incremental = true});
+  };
+  SimResult full = RunOnlineSimulation(make_scheduler(), workload.tasks, workload.sim);
+  for (size_t k = 1; k < full.cycles_run; ++k) {
+    SimConfig sim = workload.sim;
+    sim.stop_after_cycles = k;
+    SimResult prefix = RunOnlineSimulation(make_scheduler(), workload.tasks, sim);
+    ASSERT_TRUE(prefix.snapshot.has_value()) << "cycle " << k;
+    BlockManager blocks = RestoreBlockManager(*prefix.snapshot);
+    size_t spent = 0;
+    for (size_t id = 0; id < blocks.block_count(); ++id) {
+      const PrivacyBlock& block = blocks.block(static_cast<BlockId>(id));
+      spent += block.unlocked_fraction() >= 1.0 && block.Exhausted() ? 1 : 0;
+    }
+    if (spent > 0) {
+      EXPECT_LT(spent, blocks.block_count()) << "cycle " << k;
+      EXPECT_GT(full.metrics.allocated(), prefix.metrics.allocated()) << "cycle " << k;
+      return;
+    }
+  }
+  ADD_FAILURE() << "retirement_churn never exhausted a fully unlocked block";
 }
 
 TEST(ScenarioRegistryDeathTest, UnknownNameAborts) {
