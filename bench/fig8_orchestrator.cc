@@ -45,8 +45,8 @@ void OfflineRuntime(Scale scale) {
     for (SchedulerKind kind : {SchedulerKind::kDpack, SchedulerKind::kDpf}) {
       OrchestratorConfig config = BaseConfig();
       config.period = 25.0;  // Large T emulates the offline setting, as in the paper.
-      ClusterOrchestrator orchestrator(CreateScheduler(kind), config);
-      OrchestratorRunResult result = orchestrator.RunOfflinePass(tasks);
+      OrchestratorRunResult result =
+          RunOrchestratorOfflinePass(*CreateScheduler(kind), tasks, config);
       runtime[i] = result.metrics.total_runtime_seconds();
       ops[i] = result.store_operations;
       ++i;
@@ -68,8 +68,7 @@ void OnlineDelaysAndEfficiency(Scale scale) {
   for (SchedulerKind kind : {SchedulerKind::kDpack, SchedulerKind::kDpf}) {
     OrchestratorConfig config = BaseConfig();
     config.period = 5.0;
-    ClusterOrchestrator orchestrator(CreateScheduler(kind), config);
-    OrchestratorRunResult result = orchestrator.RunOnline(tasks);
+    OrchestratorRunResult result = RunOrchestratorOnline(CreateScheduler(kind), tasks, config);
     const AllocationMetrics& m = result.metrics;
     efficiency.NewRow()
         .Add(SchedulerKindName(kind))

@@ -1,4 +1,4 @@
-// Two-level version clock over the block population (ISSUE 6): the root is the sum of all
+// Two-level version clock over the block population: the root is the sum of all
 // block versions, the inner level sums versions per group of 64 consecutive ids. Every
 // version bump (Commit, effective unlock) is pushed into the tree by the block itself, so
 // consumers detect "anything changed?" in O(1) and locate the changed blocks in

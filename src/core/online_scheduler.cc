@@ -41,15 +41,6 @@ void OnlineScheduler::RestoreState(std::vector<Task> pending, AllocationMetrics 
   metrics_ = std::move(metrics);
 }
 
-std::unique_ptr<Scheduler> OnlineScheduler::ReleaseInner() {
-  if (auto* greedy = dynamic_cast<GreedyScheduler*>(inner_.get())) {
-    if (greedy->engine() != nullptr) {
-      greedy->engine()->Invalidate();
-    }
-  }
-  return std::move(inner_);
-}
-
 void OnlineScheduler::ResolveBlocks(Task& task) {
   if (!task.blocks.empty() || task.num_recent_blocks == 0) {
     return;
@@ -112,7 +103,7 @@ size_t OnlineScheduler::RunCycle(double now) {
     last_granted_.push_back(task.id);
   }
   // Compacted in place, so the queue keeps its capacity for the next submits; moves carry
-  // each survivor's block-vector buffer along, which the engine's score cache keys on.
+  // each survivor's block-vector buffer along, which the engine's rejection memo keys on.
   size_t kept = 0;
   for (size_t i = 0; i < pending_.size(); ++i) {
     if (!taken[i]) {

@@ -4,10 +4,10 @@
 //
 // The inner scheduler instance is owned by this driver and persists across RunCycle calls —
 // deliberately, because an incremental GreedyScheduler carries an engine
-// (IncrementalEngine) whose cached scores and best-alpha solutions only pay off when the
-// same engine sees every consecutive cycle. The driver also never mutates a pending task
-// between cycles (late block resolution excepted), which is the immutability contract the
-// engine's id-keyed cache relies on.
+// (IncrementalEngine) whose requester columns, best-alpha solutions and rejection memos only
+// pay off when the same engine sees every consecutive cycle. The driver also never mutates a
+// pending task between cycles (late block resolution excepted), which is the immutability
+// contract the engine's id-keyed rejection memo relies on.
 
 #ifndef SRC_CORE_ONLINE_SCHEDULER_H_
 #define SRC_CORE_ONLINE_SCHEDULER_H_
@@ -66,17 +66,11 @@ class OnlineScheduler {
   // Tasks turned away by the admission bound (kept out of AllocationMetrics: the snapshot
   // schema captures cluster state, and a rejected task never became cluster state).
   uint64_t admission_rejected() const { return admission_rejected_; }
-  Scheduler& inner() { return *inner_; }
   const OnlineSchedulerConfig& config() const { return config_; }
 
   // Incremental-engine statistics of the inner scheduler, when it is a GreedyScheduler
   // running on an incremental engine; nullptr otherwise (recompute mode, Optimal, wrappers).
   const ScheduleContextStats* context_stats() const;
-
-  // Returns ownership of the inner scheduler so it can outlive this driver (e.g. across
-  // orchestrator runs), invalidating any incremental engine first — its caches are bound to
-  // this driver's block manager. The driver must not be used after this call.
-  std::unique_ptr<Scheduler> ReleaseInner();
 
   // Seeds the driver from checkpointed state: replaces the pending queue (in its captured
   // arrival order) and the cumulative metrics. Must run before any Submit/RunCycle on this

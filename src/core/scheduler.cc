@@ -1,5 +1,7 @@
 #include "src/core/scheduler.h"
 
+#include <algorithm>
+
 #include "src/common/check.h"
 
 namespace dpack {
@@ -75,7 +77,18 @@ std::vector<size_t> OptimalScheduler::ScheduleBatch(std::span<const Task> pendin
   if (instance_.tasks.empty()) {
     return {};
   }
-  PkResult result = SolvePrivacyKnapsackExact(instance_, options_);
+  // DPack's selection on the same batch seeds the search, so Optimal never grants less
+  // weight than DPack, even when the node or time budget stops the search.
+  BlockManager scratch = blocks.Clone();
+  std::vector<size_t> seed;
+  for (size_t i : RecomputeScheduleBatch(GreedyMetric::kDpack, GreedySchedulerOptions{}.eta,
+                                         pending, scratch)) {
+    auto it = std::lower_bound(batch_index_.begin(), batch_index_.end(), i);
+    if (it != batch_index_.end() && *it == i) {
+      seed.push_back(static_cast<size_t>(it - batch_index_.begin()));
+    }
+  }
+  PkResult result = SolvePrivacyKnapsackExact(instance_, options_, seed);
   last_solve_optimal_ = result.optimal;
   last_nodes_explored_ = result.nodes_explored;
 

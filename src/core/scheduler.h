@@ -44,10 +44,10 @@ struct GreedySchedulerOptions {
   // (2/3) eta (Prop. 5 uses the 1/2 + eta bound).
   double eta = 0.05;
   // When set (the default) the scheduler runs on the incremental engine
-  // (IncrementalEngine): scoring state persists across ScheduleBatch calls and only tasks
-  // touching changed blocks are rescored. When cleared, every batch is recomputed from
-  // scratch (the reference path — identical grants, used by the differential tests and as
-  // the benchmarks' baseline).
+  // (IncrementalEngine): block-side state and rejection memos persist across ScheduleBatch
+  // calls, and only the tasks every block accepts are scored. When cleared, every batch is
+  // recomputed from scratch (the reference path — identical grants, used by the differential
+  // tests and as the benchmarks' baseline).
   bool incremental = true;
 };
 
@@ -73,8 +73,10 @@ class GreedyScheduler : public Scheduler {
 
 // The Optimal baseline: maps the batch to a privacy-knapsack instance over the blocks'
 // available capacity and solves it exactly (branch and bound). Falls back to the incumbent
-// when the node/time budget is exhausted; `last_solve_optimal()` reports whether the last
-// batch was solved to proven optimality.
+// when the node/time budget is exhausted; the incumbent starts from the heavier of the
+// solver's greedy pass and DPack's selection on the same batch, so Optimal never grants less
+// weight than DPack. `last_solve_optimal()` reports whether the last batch was solved to
+// proven optimality.
 class OptimalScheduler : public Scheduler {
  public:
   explicit OptimalScheduler(PkOptions options = {});

@@ -66,9 +66,11 @@ class Search {
     BuildBoundLists();
   }
 
-  PkResult Run() {
-    // Seed the incumbent with a feasible greedy pass so pruning bites immediately.
+  PkResult Run(std::span<const size_t> seed) {
+    // Seed the incumbent with a feasible greedy pass, or the caller's seed when it is
+    // heavier, so pruning bites immediately.
     GreedyIncumbent();
+    SeedIncumbent(seed);
     aborted_ = false;
     Dfs(0, 0.0);
     PkResult result;
@@ -237,6 +239,29 @@ class Search {
     best_set_ = std::move(picked);
   }
 
+  // Takes `seed` as the incumbent when every task of it fits under CanAdd and it outweighs
+  // the incumbent; a seed that does not fit is ignored.
+  void SeedIncumbent(std::span<const size_t> seed) {
+    std::vector<double> saved = consumed_;
+    double weight = 0.0;
+    bool fits = true;
+    for (size_t idx : seed) {
+      DPACK_CHECK_MSG(idx < n_, "seed task index out of range");
+      const PkTask& task = instance_.tasks[idx];
+      fits = CanAdd(task);
+      if (!fits) {
+        break;
+      }
+      Apply(task, +1.0);
+      weight += task.weight;
+    }
+    consumed_ = std::move(saved);
+    if (fits && weight > best_weight_) {
+      best_weight_ = weight;
+      best_set_.assign(seed.begin(), seed.end());
+    }
+  }
+
   // Upper bound on the weight attainable from positions >= pos given current consumption:
   // tasks not touching the bound block contribute fully; tasks touching it are bounded by the
   // best single-order fractional fill (valid because the final set must fit at SOME order).
@@ -383,7 +408,8 @@ PkResult SolveSingleBlockUniform(const PkInstance& instance) {
 
 }  // namespace
 
-PkResult SolvePrivacyKnapsackExact(const PkInstance& instance, const PkOptions& options) {
+PkResult SolvePrivacyKnapsackExact(const PkInstance& instance, const PkOptions& options,
+                                   std::span<const size_t> seed) {
   ValidateInstance(instance);
   if (instance.tasks.empty()) {
     PkResult result;
@@ -394,7 +420,7 @@ PkResult SolvePrivacyKnapsackExact(const PkInstance& instance, const PkOptions& 
     return SolveSingleBlockUniform(instance);
   }
   Search search(instance, options);
-  return search.Run();
+  return search.Run(seed);
 }
 
 PkResult SolvePrivacyKnapsackBruteForce(const PkInstance& instance) {

@@ -17,6 +17,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 namespace dpack {
@@ -55,8 +56,12 @@ struct PkResult {
 };
 
 // Runs the branch-and-bound. Deterministic for a fixed instance (the time limit only stops
-// the search; the incumbent sequence itself is deterministic).
-PkResult SolvePrivacyKnapsackExact(const PkInstance& instance, const PkOptions& options = {});
+// the search; the incumbent sequence itself is deterministic). `seed` is a selection of
+// distinct task indices found elsewhere (OptimalScheduler passes DPack's): when it fits under
+// the search's own strict `<=` and outweighs the greedy incumbent, the search starts from
+// it, so a stopped search never returns less than a seed that fits.
+PkResult SolvePrivacyKnapsackExact(const PkInstance& instance, const PkOptions& options = {},
+                                   std::span<const size_t> seed = {});
 
 // Exhaustive 2^n reference for tests. Requires instance.tasks.size() <= 25.
 PkResult SolvePrivacyKnapsackBruteForce(const PkInstance& instance);

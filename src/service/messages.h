@@ -29,7 +29,7 @@
 
 namespace dpack {
 
-inline constexpr uint32_t kServiceWireVersion = 2;  // v2: client-edge messages (ISSUE 10).
+inline constexpr uint32_t kServiceWireVersion = 2;  // v2: client-edge messages.
 
 // Client -> daemon: stop serving (no reply; the daemon flushes pending replies and exits its
 // serve loop).

@@ -16,6 +16,18 @@ AlphaGridPtr GridOrDefault(const SimConfig& config) {
   return config.grid != nullptr ? config.grid : AlphaGrid::Default();
 }
 
+// The latest task arrival (0 for no tasks); aborts on a bad one (see SimulationHorizon).
+double LastArrival(const std::vector<Task>& tasks) {
+  double last_arrival = 0.0;
+  for (const Task& task : tasks) {
+    DPACK_CHECK_MSG(std::isfinite(task.arrival_time) && task.arrival_time >= 0.0,
+                    "task " << task.id << " has arrival_time " << task.arrival_time
+                            << "; arrivals must be finite and non-negative");
+    last_arrival = std::max(last_arrival, task.arrival_time);
+  }
+  return last_arrival;
+}
+
 }  // namespace
 
 std::vector<double> BlockArrivalSchedule(const SimConfig& config) {
@@ -37,17 +49,6 @@ std::vector<double> BlockArrivalSchedule(const SimConfig& config) {
     schedule.push_back(static_cast<double>(b) * config.block_interval);
   }
   return schedule;
-}
-
-double LastArrival(const std::vector<Task>& tasks) {
-  double last_arrival = 0.0;
-  for (const Task& task : tasks) {
-    DPACK_CHECK_MSG(std::isfinite(task.arrival_time) && task.arrival_time >= 0.0,
-                    "task " << task.id << " has arrival_time " << task.arrival_time
-                            << "; arrivals must be finite and non-negative");
-    last_arrival = std::max(last_arrival, task.arrival_time);
-  }
-  return last_arrival;
 }
 
 double SimulationHorizon(const SimConfig& config, const std::vector<Task>& tasks,
@@ -133,7 +134,8 @@ OnlineSchedulerConfig OnlineConfigFor(const SimConfig& config) {
 
 // RunOnlineSimulation (no snapshot) and ResumeOnlineSimulation in one body.
 SimResult RunOnline(std::unique_ptr<Scheduler> scheduler, const ClusterSnapshot* snapshot,
-                    std::vector<Task> tasks, const SimConfig& config) {
+                    std::vector<Task> tasks, const SimConfig& config,
+                    const OnlineRunHooks& hooks) {
   DPACK_CHECK(scheduler != nullptr);
   std::vector<double> block_schedule = BlockArrivalSchedule(config);
   double horizon = SimulationHorizon(config, tasks, block_schedule);
@@ -199,40 +201,51 @@ SimResult RunOnline(std::unique_ptr<Scheduler> scheduler, const ClusterSnapshot*
 
   SimResult result;
   result.cycles_run = snapshot != nullptr ? snapshot->meta.cycles_completed : 0;
+  auto capture = [&](double checkpoint_time, double next_cycle) {
+    SnapshotMeta meta;
+    meta.cycles_completed = result.cycles_run;
+    meta.checkpoint_time = checkpoint_time;
+    meta.next_cycle_time = next_cycle;
+    meta.period = config.period;
+    meta.unlock_steps = config.unlock_steps;
+    meta.fair_share_n = online.config().fair_share_n;
+    return CaptureSnapshot(blocks, online.pending(), online.metrics(), meta);
+  };
   double end_time = 0.0;
   WalkSchedule(
       {first_block, end_block}, tasks, cycle_instants,
       [&](double t) {
-        blocks.AddBlock(t);
+        blocks.AddBlock(t, /*unlocked=*/blocks.block_count() < hooks.unlocked_blocks);
         end_time = t;
         return true;
       },
       [&](double t, std::span<Task> run) {
         for (Task& task : run) {
+          if (hooks.before_submit) {
+            hooks.before_submit();
+          }
           online.Submit(std::move(task));
         }
         end_time = t;
         return true;
       },
       [&](double t) {
-        online.RunCycle(t);
+        size_t granted = online.RunCycle(t);
         ++result.cycles_run;
         if (config.record_grant_trace) {
           result.grant_trace.push_back(online.last_granted());
         }
         end_time = t;
+        if (hooks.after_cycle) {
+          // The next instant is t + period: the cycle instants are that same addition.
+          hooks.after_cycle(
+              {granted, result.cycles_run, [&] { return capture(t, t + config.period); }});
+        }
         return true;
       });
 
   if (capturing) {
-    SnapshotMeta meta;
-    meta.cycles_completed = result.cycles_run;
-    meta.checkpoint_time = through;
-    meta.next_cycle_time = next_cycle_time;
-    meta.period = config.period;
-    meta.unlock_steps = config.unlock_steps;
-    meta.fair_share_n = online.config().fair_share_n;
-    result.snapshot = CaptureSnapshot(blocks, online.pending(), online.metrics(), meta);
+    result.snapshot = capture(through, next_cycle_time);
   }
   result.metrics = online.metrics();
   if (const ScheduleContextStats* stats = online.context_stats()) {
@@ -248,14 +261,14 @@ SimResult RunOnline(std::unique_ptr<Scheduler> scheduler, const ClusterSnapshot*
 }  // namespace
 
 SimResult RunOnlineSimulation(std::unique_ptr<Scheduler> scheduler, std::vector<Task> tasks,
-                              const SimConfig& config) {
-  return RunOnline(std::move(scheduler), nullptr, std::move(tasks), config);
+                              const SimConfig& config, const OnlineRunHooks& hooks) {
+  return RunOnline(std::move(scheduler), nullptr, std::move(tasks), config, hooks);
 }
 
 SimResult ResumeOnlineSimulation(std::unique_ptr<Scheduler> scheduler,
                                  const ClusterSnapshot& snapshot, std::vector<Task> tasks,
-                                 const SimConfig& config) {
-  return RunOnline(std::move(scheduler), &snapshot, std::move(tasks), config);
+                                 const SimConfig& config, const OnlineRunHooks& hooks) {
+  return RunOnline(std::move(scheduler), &snapshot, std::move(tasks), config, hooks);
 }
 
 SimResult RunOfflineSchedule(Scheduler& scheduler, std::vector<Task> tasks,

@@ -4,8 +4,8 @@
 // runs every T, budget unlocks in 1/N steps, and the run drains after the last arrival until
 // all budget is unlocked and a final cycle has run.
 //
-// Runs can be split at any cycle boundary (checkpoint/recovery, ISSUE 4): stopping a run
-// after k cycles captures a ClusterSnapshot, and ResumeOnlineSimulation continues from it —
+// Runs can be split at any cycle boundary (checkpoint/recovery): stopping a run after k
+// cycles captures a ClusterSnapshot, and ResumeOnlineSimulation continues from it —
 // replaying only the arrivals after the checkpoint and the remaining cycles at their exact
 // original instants — with byte-identical grants and deterministic metrics to the
 // uninterrupted run (pinned by tests/orchestrator/recovery_test.cc).
@@ -89,9 +89,10 @@ struct SimResult {
 };
 
 // The schedules RunOnlineSimulation derives from a config, and the walk that runs them.
-// Every driver of the §5 run loop (the sim driver and its resume, the orchestrator, and
-// ReplayWorkload, which drives a service front over a socket; see src/service/client.h)
-// derives bit-identical instants from the same config and fires them in the same order.
+// Every driver of the §5 run loop (RunOnlineSimulation and its resume, which the orchestrator
+// also runs, and ReplayWorkload, which drives a service front over a socket; see
+// src/service/client.h) derives bit-identical instants from the same config and fires them in
+// the same order.
 //
 // Block-arrival instants: the explicit schedule when one is set (validated sorted, finite
 // and non-negative), otherwise the fixed-interval process. Both the uninterrupted and the
@@ -99,13 +100,11 @@ struct SimResult {
 // bit-identical across a checkpoint split.
 std::vector<double> BlockArrivalSchedule(const SimConfig& config);
 
-// The latest task arrival (0 for no tasks). Aborts, naming the task, on an arrival that is
-// not finite and non-negative: every driver takes its horizon from this before it filters
-// the workload, so no bad arrival reaches a window, a horizon or the walk.
-double LastArrival(const std::vector<Task>& tasks);
-
 // The run's scheduling horizon, a function of the FULL workload (a resumed run must derive
 // the same horizon the uninterrupted run used, so it receives the full task vector too).
+// Aborts, naming the task, on an arrival that is not finite and non-negative: every driver
+// takes its horizon from this before it filters the workload, so no bad arrival reaches a
+// window, a horizon or the walk.
 double SimulationHorizon(const SimConfig& config, const std::vector<Task>& tasks,
                          const std::vector<double>& block_schedule);
 
@@ -133,11 +132,29 @@ bool WalkSchedule(std::span<const double> block_instants, std::span<Task> tasks,
                   const std::function<bool(double, std::span<Task>)>& on_tasks,
                   const std::function<bool(double)>& on_cycle);
 
+// One finished scheduling cycle, as OnlineRunHooks::after_cycle sees it.
+struct CycleDone {
+  size_t granted = 0;           // Tasks it granted.
+  size_t cycles_completed = 0;  // Cycles of the run so far, a resumed run's included.
+  // The run's state after this cycle, captured by the helper stop_after_cycles uses: a
+  // resume from it continues at the next cycle instant.
+  std::function<ClusterSnapshot()> capture;
+};
+
+// What a deployment layers on the online run (the orchestrator's store traffic and periodic
+// checkpoints; see src/orchestrator/cluster_orchestrator.h). None of it changes a grant.
+// Empty hooks run the plain simulation.
+struct OnlineRunHooks {
+  size_t unlocked_blocks = 0;           // The first this-many blocks arrive fully unlocked.
+  std::function<void()> before_submit;  // Runs before each task's Submit.
+  std::function<void(const CycleDone&)> after_cycle;
+};
+
 // Runs one online simulation of `scheduler` over `tasks` (arrival times set by the workload
 // generator). Tasks with empty `blocks` and positive `num_recent_blocks` are resolved to the
 // most recent blocks at submission, as in the paper's workloads.
 SimResult RunOnlineSimulation(std::unique_ptr<Scheduler> scheduler, std::vector<Task> tasks,
-                              const SimConfig& config);
+                              const SimConfig& config, const OnlineRunHooks& hooks = {});
 
 // Continues a run from `snapshot` (captured by a stop_after_cycles run with the same
 // workload and config): restores the block manager, the pending queue, and the cumulative
@@ -147,7 +164,7 @@ SimResult RunOnlineSimulation(std::unique_ptr<Scheduler> scheduler, std::vector<
 // engine caches; grants are byte-identical to the uninterrupted run regardless.
 SimResult ResumeOnlineSimulation(std::unique_ptr<Scheduler> scheduler,
                                  const ClusterSnapshot& snapshot, std::vector<Task> tasks,
-                                 const SimConfig& config);
+                                 const SimConfig& config, const OnlineRunHooks& hooks = {});
 
 // Offline convenience: every block present and fully unlocked at t = 0, one scheduling shot.
 // Returns the same metrics structure (delays are all zero).

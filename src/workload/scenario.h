@@ -1,5 +1,5 @@
-// Scenario workload subsystem: a seeded, declarative generator of diverse online workloads
-// (ISSUE 5). The paper evaluates on two heterogeneity knobs plus two traces; the scenario
+// Scenario workload subsystem: a seeded, declarative generator of diverse online workloads.
+// The paper evaluates on two heterogeneity knobs plus two traces; the scenario
 // registry opens the workload *space*: every axis the online system reacts to — task
 // arrival process, block arrival pattern, mechanism mix over the 620-curve pool, demand and
 // weight distributions, block-selection policy, and timeout regime — is a composable knob,

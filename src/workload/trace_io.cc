@@ -16,10 +16,10 @@ namespace dpack {
 
 namespace {
 
-// Format v2 (current): adds the explicit `blocks` column between num_recent_blocks and the
-// demand curve. v1 files (fixed 5-column prefix, no explicit lists) remain loadable.
-constexpr char kMagicV1[] = "dpack_trace_v1";
-constexpr char kMagicV2[] = "dpack_trace_v2";
+// Format v2, the only one read: the explicit `blocks` column sits between num_recent_blocks
+// and the demand curve. Other versions of the magic are rejected by name.
+constexpr char kMagicPrefix[] = "dpack_trace_";
+constexpr char kMagic[] = "dpack_trace_v2";
 
 // Separator inside the blocks cell: the cell must not contain the CSV delimiter.
 constexpr char kBlockSep = ';';
@@ -109,7 +109,7 @@ bool WriteTrace(std::ostream& os, std::span<const Task> tasks, const AlphaGridPt
   // Precision 17 roundtrips every double exactly — set before the order header so the
   // reader's bit-pattern grid check holds for any grid, not just short-decimal orders.
   os.precision(17);
-  os << kMagicV2;
+  os << kMagic;
   for (double alpha : grid->orders()) {
     os << "," << alpha;
   }
@@ -156,9 +156,9 @@ std::vector<Task> ReadTrace(std::istream& is, const AlphaGridPtr& grid) {
   std::string line;
   DPACK_CHECK_MSG(std::getline(is, line), "empty trace");
   std::vector<std::string> header = SplitCsvLine(line);
-  DPACK_CHECK_MSG(!header.empty() && (header[0] == kMagicV1 || header[0] == kMagicV2),
-                  "not a dpack trace");
-  bool v2 = header[0] == kMagicV2;
+  DPACK_CHECK_MSG(!header.empty() && header[0].starts_with(kMagicPrefix), "not a dpack trace");
+  DPACK_CHECK_MSG(header[0] == kMagic,
+                  "unsupported trace format " << header[0] << " (expected " << kMagic << ")");
   DPACK_CHECK_MSG(header.size() == grid->size() + 1, "trace grid size mismatch");
   for (size_t a = 0; a < grid->size(); ++a) {
     // Bit-pattern equality (the snapshot codec's convention): the writer prints orders at
@@ -170,20 +170,12 @@ std::vector<Task> ReadTrace(std::istream& is, const AlphaGridPtr& grid) {
   }
   DPACK_CHECK_MSG(std::getline(is, line), "missing column header");
   std::vector<std::string> columns = SplitCsvLine(line);
-  bool claims_blocks =
-      std::find(columns.begin(), columns.end(), "blocks") != columns.end();
-  // A v1 file never defined explicit-list semantics; one that claims the column was
-  // written by a confused producer, and silently guessing its row layout could misread a
-  // privacy demand — reject instead.
-  DPACK_CHECK_MSG(v2 || !claims_blocks, "v1 trace cannot carry explicit block lists");
-  DPACK_CHECK_MSG(!v2 || claims_blocks, "v2 trace missing the blocks column");
+  DPACK_CHECK_MSG(std::find(columns.begin(), columns.end(), "blocks") != columns.end(),
+                  "v2 trace missing the blocks column");
   // The fixed columns must sit at their exact positions: a reordered header would make
   // the positional row parse below read a demand or a block list out of the wrong cell.
-  const std::vector<std::string> expected_prefix =
-      v2 ? std::vector<std::string>{"id", "weight", "arrival_time", "timeout",
-                                    "num_recent_blocks", "blocks"}
-         : std::vector<std::string>{"id", "weight", "arrival_time", "timeout",
-                                    "num_recent_blocks"};
+  const std::vector<std::string> expected_prefix = {
+      "id", "weight", "arrival_time", "timeout", "num_recent_blocks", "blocks"};
   size_t fixed_columns = expected_prefix.size();
   DPACK_CHECK_MSG(columns.size() == fixed_columns + grid->size(),
                   "trace column header mismatch");
@@ -216,9 +208,7 @@ std::vector<Task> ReadTrace(std::istream& is, const AlphaGridPtr& grid) {
     double timeout = ParseDoubleCell(cells[3], row, 4);
     task.timeout = timeout < 0.0 ? std::numeric_limits<double>::infinity() : timeout;
     task.num_recent_blocks = static_cast<size_t>(ParseUint64Cell(cells[4], row, 5));
-    if (v2) {
-      task.blocks = ParseBlocksCell(cells[5]);
-    }
+    task.blocks = ParseBlocksCell(cells[5]);
     tasks.push_back(std::move(task));
   }
   return tasks;

@@ -7,8 +7,8 @@
 // against the grid it was written with. The `blocks` column carries the task's explicit
 // block-id list (';'-separated, ascending) when `task.blocks` is set, and is empty for
 // most-recent-blocks tasks — so any generated scenario (src/workload/scenario.h) round-trips
-// exactly. v1 traces (no blocks column) still load; a v1 header claiming a blocks column is
-// rejected, since v1 never defined explicit-list semantics.
+// exactly. Any other format version, v1 (no blocks column) included, is rejected with a
+// diagnostic naming it.
 
 #ifndef SRC_WORKLOAD_TRACE_IO_H_
 #define SRC_WORKLOAD_TRACE_IO_H_

@@ -216,6 +216,36 @@ TEST_F(SchedulerTest, OptimalNeverWorseThanGreedies) {
   }
 }
 
+TEST(OptimalSchedulerTest, NeverBelowDpackWhenTheNodeBudgetStopsTheSearch) {
+  // Two blocks with capacity 1 at both of two orders; every task requests both. A demands
+  // (0.1, 1.0), B, C and D demand (1.0, 0.3). The solver's greedy incumbent takes A first
+  // (smallest optimistic share) and then nothing else fits: weight 1. DPack prices every
+  // task at the best order alpha2 and packs B, C and D: weight 3. One search node cannot
+  // improve the incumbent, so only DPack's selection as a seed lifts Optimal to 3.
+  AlphaGridPtr grid = AlphaGrid::Create({4.0, 8.0});
+  BlockManager blocks(grid, 10.0, 1e-7);
+  RdpCurve unit(grid, {1.0, 1.0});
+  blocks.AddBlockWithCapacity(unit, 0.0, /*unlocked=*/true);
+  blocks.AddBlockWithCapacity(unit, 0.0, /*unlocked=*/true);
+  std::vector<Task> tasks;
+  auto add_task = [&](TaskId id, double d1, double d2) {
+    Task t(id, 1.0, RdpCurve(grid, {d1, d2}));
+    t.blocks = {0, 1};
+    tasks.push_back(t);
+  };
+  add_task(1, 0.1, 1.0);
+  add_task(2, 1.0, 0.3);
+  add_task(3, 1.0, 0.3);
+  add_task(4, 1.0, 0.3);
+
+  BlockManager dpack_blocks = blocks.Clone();
+  EXPECT_EQ(CreateScheduler(SchedulerKind::kDpack)->ScheduleBatch(tasks, dpack_blocks).size(),
+            3u);
+  OptimalScheduler optimal(PkOptions{.max_nodes = 1});
+  EXPECT_EQ(optimal.ScheduleBatch(tasks, blocks).size(), 3u);
+  EXPECT_FALSE(optimal.last_solve_optimal());
+}
+
 TEST_F(SchedulerTest, SchedulerNamesAndFactory) {
   EXPECT_EQ(CreateScheduler(SchedulerKind::kDpack)->name(), "DPack");
   EXPECT_EQ(CreateScheduler(SchedulerKind::kDpf)->name(), "DPF");

@@ -101,6 +101,36 @@ TEST(PrivacyKnapsackTest, NodeBudgetReportsNonOptimal) {
   EXPECT_GT(result.total_weight, 0.0);  // Greedy incumbent still returned.
 }
 
+TEST(PrivacyKnapsackTest, StoppedSearchKeepsTheHeavierSeedThatFits) {
+  // Every task requests both blocks (capacity 1 at both orders). The greedy incumbent takes
+  // task 0, (0.1, 1.0), and then nothing fits: weight 1. Tasks 1-3, (1.0, 0.3) each, fit
+  // together at the second order: weight 3. A one-node search keeps the heavier seed; a
+  // seed past the strict capacity, or lighter than the incumbent, is ignored.
+  PkInstance instance;
+  instance.num_blocks = 2;
+  instance.num_orders = 2;
+  instance.capacity.assign(4, 1.0);
+  instance.tasks.push_back({1.0, {0, 1}, {0.1, 1.0}});
+  for (int i = 0; i < 4; ++i) {
+    instance.tasks.push_back({1.0, {0, 1}, {1.0, 0.3}});
+  }
+  PkOptions options;
+  options.max_nodes = 1;
+  EXPECT_DOUBLE_EQ(SolvePrivacyKnapsackExact(instance, options).total_weight, 1.0);
+
+  std::vector<size_t> fits = {1, 2, 3};
+  PkResult seeded = SolvePrivacyKnapsackExact(instance, options, fits);
+  EXPECT_FALSE(seeded.optimal);
+  EXPECT_DOUBLE_EQ(seeded.total_weight, 3.0);
+  EXPECT_EQ(seeded.selected, fits);
+
+  std::vector<size_t> too_much = {1, 2, 3, 4};  // 1.2 at the second order.
+  EXPECT_DOUBLE_EQ(SolvePrivacyKnapsackExact(instance, options, too_much).total_weight, 1.0);
+  std::vector<size_t> lighter = {1};
+  EXPECT_EQ(SolvePrivacyKnapsackExact(instance, options, lighter).selected,
+            (std::vector<size_t>{0}));
+}
+
 // ---------------------------------------------------------------------------
 // Property tests: branch-and-bound equals brute force on random instances, and the greedy
 // incumbent is never better than the returned solution.

@@ -37,12 +37,12 @@ OrchestratorConfig FastConfig() {
 }
 
 TEST(OrchestratorOfflineTest, SchedulesAndTimesThePass) {
-  ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), FastConfig());
   std::vector<Task> tasks;
   for (int i = 0; i < 20; ++i) {
     tasks.push_back(FractionTask(i, 0.05, 2, 0.0));
   }
-  OrchestratorRunResult result = orchestrator.RunOfflinePass(std::move(tasks));
+  OrchestratorRunResult result = RunOrchestratorOfflinePass(
+      *CreateScheduler(SchedulerKind::kDpack), std::move(tasks), FastConfig());
   EXPECT_EQ(result.metrics.submitted(), 20u);
   EXPECT_EQ(result.metrics.allocated(), 20u);
   EXPECT_GT(result.metrics.total_runtime_seconds(), 0.0);
@@ -54,61 +54,38 @@ TEST(OrchestratorOfflineTest, StoreLatencyDominatesRuntime) {
   // The Q4 observation: with a slow store, the pass runtime is mostly store traffic.
   OrchestratorConfig config = FastConfig();
   config.store_latency_us = 2000.0;  // 2 ms per op.
-  ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), config);
   std::vector<Task> tasks;
   for (int i = 0; i < 10; ++i) {
     tasks.push_back(FractionTask(i, 0.01, 1, 0.0));
   }
-  OrchestratorRunResult result = orchestrator.RunOfflinePass(std::move(tasks));
+  OrchestratorRunResult result =
+      RunOrchestratorOfflinePass(*CreateScheduler(SchedulerKind::kDpack), std::move(tasks), config);
   // Timed region: 4 cycle ops + 30 grant ops = 68 ms of injected latency minimum.
   EXPECT_GE(result.metrics.total_runtime_seconds(), 0.06);
 }
 
-TEST(OrchestratorOfflineTest, SecondRunReusesRestoredScheduler) {
-  // Regression: Run* moved the scheduler into the run's online driver and never took it
-  // back, so a second run on the same orchestrator dereferenced a moved-from (null)
-  // scheduler. The scheduler is now restored (with its engine caches invalidated) after
-  // every run.
-  ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), FastConfig());
-  for (int run = 0; run < 2; ++run) {
-    std::vector<Task> tasks;
-    for (int i = 0; i < 10; ++i) {
-      tasks.push_back(FractionTask(run * 100 + i, 0.05, 2, 0.0));
-    }
-    OrchestratorRunResult result = orchestrator.RunOfflinePass(std::move(tasks));
-    EXPECT_EQ(result.metrics.submitted(), 10u) << "run " << run;
-    EXPECT_EQ(result.metrics.allocated(), 10u) << "run " << run;
-    // Engine counters are per run, not lifetime: the restored scheduler's engine keeps its
-    // monotonic totals, but each result reports only its own run's single pass.
-    EXPECT_EQ(result.scheduler_stats.cycles, 1u) << "run " << run;
+TEST(OrchestratorOfflineTest, DelaysAreZeroForClaimsArrivingAfterTimeZero) {
+  // The offline pass schedules every claim in one shot: no claim waits, whatever arrival
+  // time its workload gave it.
+  std::vector<Task> tasks;
+  for (int i = 0; i < 12; ++i) {
+    tasks.push_back(FractionTask(i, 0.05, 2, 0.5 * static_cast<double>(i)));
   }
-}
-
-TEST(OrchestratorOnlineTest, OnlineThenOfflineReusesRestoredScheduler) {
-  ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpf), FastConfig());
-  std::vector<Task> online_tasks;
-  for (int i = 0; i < 8; ++i) {
-    online_tasks.push_back(FractionTask(i, 0.02, 1, 0.0));
+  OrchestratorRunResult result = RunOrchestratorOfflinePass(
+      *CreateScheduler(SchedulerKind::kDpack), std::move(tasks), FastConfig());
+  ASSERT_EQ(result.metrics.allocated(), 12u);
+  for (double delay : result.metrics.delays().samples()) {
+    EXPECT_EQ(delay, 0.0);
   }
-  OrchestratorRunResult online = orchestrator.RunOnline(std::move(online_tasks));
-  EXPECT_EQ(online.metrics.submitted(), 8u);
-
-  std::vector<Task> offline_tasks;
-  for (int i = 0; i < 8; ++i) {
-    offline_tasks.push_back(FractionTask(100 + i, 0.02, 1, 0.0));
-  }
-  OrchestratorRunResult offline = orchestrator.RunOfflinePass(std::move(offline_tasks));
-  EXPECT_EQ(offline.metrics.submitted(), 8u);
-  EXPECT_EQ(offline.metrics.allocated(), 8u);
 }
 
 TEST(OrchestratorOnlineTest, ProcessesWorkloadEndToEnd) {
-  ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), FastConfig());
   std::vector<Task> tasks;
   for (int i = 0; i < 30; ++i) {
     tasks.push_back(FractionTask(i, 0.02, 2, static_cast<double>(i % 3)));
   }
-  OrchestratorRunResult result = orchestrator.RunOnline(std::move(tasks));
+  OrchestratorRunResult result =
+      RunOrchestratorOnline(CreateScheduler(SchedulerKind::kDpack), std::move(tasks), FastConfig());
   EXPECT_EQ(result.metrics.submitted(), 30u);
   EXPECT_EQ(result.metrics.allocated(), 30u);  // Ample budget.
   EXPECT_GT(result.cycles, 0u);
@@ -118,12 +95,12 @@ TEST(OrchestratorOnlineTest, ProcessesWorkloadEndToEnd) {
 TEST(OrchestratorOnlineTest, DelaysRecordedInVirtualTime) {
   OrchestratorConfig config = FastConfig();
   config.unlock_steps = 3;
-  ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), config);
   // One task needing the full budget of one block. It arrives with online block 1 (t = 1),
   // whose budget unlocks in thirds at t = 1, 2, 3, so it waits exactly 2 periods. (At t = 0
   // its most recent block would be an offline one, fully unlocked, and it would not wait.)
   std::vector<Task> tasks = {FractionTask(0, 0.95, 1, 1.0)};
-  OrchestratorRunResult result = orchestrator.RunOnline(std::move(tasks));
+  OrchestratorRunResult result =
+      RunOrchestratorOnline(CreateScheduler(SchedulerKind::kDpack), std::move(tasks), config);
   ASSERT_EQ(result.metrics.allocated(), 1u);
   EXPECT_GE(result.metrics.delays().Quantile(0.5), 1.0);
   EXPECT_EQ(result.metrics.delays().Quantile(0.5), 2.0);
@@ -132,8 +109,8 @@ TEST(OrchestratorOnlineTest, DelaysRecordedInVirtualTime) {
 TEST(OrchestratorOnlineTest, EmptyTaskVectorShutsDownCleanly) {
   // Shutdown-path coverage: with nothing to submit the run must still add the online
   // blocks and run every cycle up to the horizon.
-  ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), FastConfig());
-  OrchestratorRunResult result = orchestrator.RunOnline({});
+  OrchestratorRunResult result =
+      RunOrchestratorOnline(CreateScheduler(SchedulerKind::kDpack), {}, FastConfig());
   EXPECT_EQ(result.metrics.submitted(), 0u);
   EXPECT_EQ(result.metrics.allocated(), 0u);
   EXPECT_GT(result.cycles, 0u);
@@ -145,12 +122,12 @@ TEST(OrchestratorOnlineTest, ZeroOnlineBlocksRunsOnOfflineBlocksOnly) {
   // arrivals and unlocking alone.
   OrchestratorConfig config = FastConfig();
   config.online_blocks = 0;
-  ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), config);
   std::vector<Task> tasks;
   for (int i = 0; i < 6; ++i) {
     tasks.push_back(FractionTask(i, 0.02, 2, static_cast<double>(i % 2)));
   }
-  OrchestratorRunResult result = orchestrator.RunOnline(std::move(tasks));
+  OrchestratorRunResult result =
+      RunOrchestratorOnline(CreateScheduler(SchedulerKind::kDpack), std::move(tasks), config);
   EXPECT_EQ(result.metrics.submitted(), 6u);
   EXPECT_EQ(result.metrics.allocated(), 6u);  // Ample budget on the offline blocks.
 }
@@ -160,12 +137,12 @@ TEST(OrchestratorOnlineTest, DefaultSchedulerCheckpointsAndResumes) {
   // checkpoint a state that decodes, and resume from it.
   OrchestratorConfig config = FastConfig();
   config.checkpoint_every_cycles = 1;
-  ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), config);
   std::vector<Task> tasks;
   for (int i = 0; i < 10; ++i) {
     tasks.push_back(FractionTask(i, 0.03, 2, static_cast<double>(i % 3)));
   }
-  OrchestratorRunResult run = orchestrator.RunOnline(std::move(tasks));
+  OrchestratorRunResult run =
+      RunOrchestratorOnline(CreateScheduler(SchedulerKind::kDpack), std::move(tasks), config);
   ASSERT_FALSE(run.last_checkpoint.empty());
   SnapshotParseResult decoded = DecodeSnapshotBinary(run.last_checkpoint);
   ASSERT_TRUE(decoded.ok) << decoded.error;
@@ -192,10 +169,10 @@ TEST(OrchestratorOnlineTest, DefaultSchedulerCheckpointsAndResumes) {
 
 TEST(OrchestratorDeathTest, InfiniteArrivalAbortsNamingTheTask) {
   // An infinite arrival would make the cycle horizon infinite; the run refuses it up front.
-  ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kFcfs), FastConfig());
   std::vector<Task> tasks = {FractionTask(0, 0.1, 1, 0.0),
                              FractionTask(5, 0.1, 1, std::numeric_limits<double>::infinity())};
-  EXPECT_DEATH(orchestrator.RunOnline(tasks), "task 5 has arrival_time");
+  EXPECT_DEATH(RunOrchestratorOnline(CreateScheduler(SchedulerKind::kFcfs), tasks, FastConfig()),
+               "task 5 has arrival_time");
 }
 
 TEST(OrchestratorOnlineTest, DpackAllocatesAtLeastAsMuchAsDpfUnderContention) {
@@ -219,8 +196,8 @@ TEST(OrchestratorOnlineTest, DpackAllocatesAtLeastAsMuchAsDpfUnderContention) {
         tasks.push_back(t);
       }
     }
-    ClusterOrchestrator orch(CreateScheduler(kind), config);
-    return orch.RunOnline(std::move(tasks)).metrics.allocated();
+    return RunOrchestratorOnline(CreateScheduler(kind), std::move(tasks), config)
+        .metrics.allocated();
   };
   size_t dpack = run(SchedulerKind::kDpack);
   size_t dpf = run(SchedulerKind::kDpf);
@@ -309,8 +286,7 @@ TEST(OrchestratorOnlineTest, Table2CountsArePinned) {
     config.unlock_steps = 30;
     config.period = 5.0;
     config.store_latency_us = 0.0;
-    ClusterOrchestrator orchestrator(CreateScheduler(kind), config);
-    return orchestrator.RunOnline(tasks);
+    return RunOrchestratorOnline(CreateScheduler(kind), tasks, config);
   };
   OrchestratorRunResult dpack = run(SchedulerKind::kDpack);
   OrchestratorRunResult dpf = run(SchedulerKind::kDpf);
@@ -320,6 +296,47 @@ TEST(OrchestratorOnlineTest, Table2CountsArePinned) {
   EXPECT_EQ(dpf.cycles, 36u);
   // The paper's claim (1269 vs 1100 on its trace): DPack allocates at least as much as DPF.
   EXPECT_GE(dpack.metrics.allocated(), dpf.metrics.allocated());
+}
+
+TEST(OrchestratorOnlineTest, Table2StoreTrafficIsPinned) {
+  // The store traffic of Tab. 2's configuration: 4000 claims + 36 cycles x 4 + 3 per
+  // grant (861 DPack, 630 DPF), and no checkpoint.
+  RdpCurve capacity = BlockCapacityCurve(Grid(), 10.0, 1e-7);
+  CurvePool pool(Grid(), capacity);
+  AlibabaConfig workload;
+  workload.num_tasks = 4000;
+  workload.arrival_span = 20.0;
+  workload.seed = 23;
+  std::vector<Task> tasks = GenerateAlibabaDp(pool, workload);
+  OrchestratorConfig config;
+  config.offline_blocks = 10;
+  config.online_blocks = 20;
+  config.unlock_steps = 30;
+  config.period = 5.0;
+  config.store_latency_us = 0.0;
+  for (SchedulerKind kind : {SchedulerKind::kDpack, SchedulerKind::kDpf}) {
+    OrchestratorRunResult run = RunOrchestratorOnline(CreateScheduler(kind), tasks, config);
+    EXPECT_EQ(run.store_operations, kind == SchedulerKind::kDpack ? 6727u : 6034u);
+    EXPECT_EQ(run.store_bytes_written, 0u);
+    EXPECT_EQ(run.checkpoints_taken, 0u);
+    EXPECT_EQ(run.last_checkpoint.size(), 0u);
+  }
+}
+
+TEST(OrchestratorOnlineTest, CheckpointEveryCycleStoreTrafficIsPinned) {
+  OrchestratorConfig config = FastConfig();
+  config.checkpoint_every_cycles = 1;
+  std::vector<Task> tasks;
+  for (int i = 0; i < 30; ++i) {
+    tasks.push_back(FractionTask(i, 0.02, 2, static_cast<double>(i % 3)));
+  }
+  OrchestratorRunResult run =
+      RunOrchestratorOnline(CreateScheduler(SchedulerKind::kDpack), std::move(tasks), config);
+  // 30 claims + 7 cycles x 4 + 30 grants x 3 + 7 one-chunk checkpoint Puts.
+  EXPECT_EQ(run.store_operations, 155u);
+  EXPECT_EQ(run.store_bytes_written, 10836u);
+  EXPECT_EQ(run.checkpoints_taken, 7u);
+  EXPECT_EQ(run.last_checkpoint.size(), 1788u);
 }
 
 TEST(OrchestratorEquivalenceTest, MatchesTheSimDriverWithoutOfflineBlocks) {
@@ -339,8 +356,7 @@ TEST(OrchestratorEquivalenceTest, MatchesTheSimDriverWithoutOfflineBlocks) {
   sim.drain_margin = 1.0;
   std::vector<Task> tasks = ContendedWorkload(/*seed=*/5);
   for (GreedyMetric metric : kAllMetrics) {
-    ClusterOrchestrator orchestrator(MakeScheduler(metric), config);
-    OrchestratorRunResult run = orchestrator.RunOnline(tasks);
+    OrchestratorRunResult run = RunOrchestratorOnline(MakeScheduler(metric), tasks, config);
     SimResult reference = RunOnlineSimulation(MakeScheduler(metric), tasks, sim);
     ASSERT_GT(reference.metrics.allocated(), 0u);
     ExpectSameRun(run.metrics, run.cycles, reference.metrics, reference.cycles_run,
@@ -352,13 +368,11 @@ TEST(OrchestratorEquivalenceTest, RecomputeReferenceMatchesTheEngine) {
   // Leg (b): the recompute reference and the incremental engine.
   std::vector<Task> tasks = ContendedWorkload(/*seed=*/7);
   for (GreedyMetric metric : kAllMetrics) {
-    ClusterOrchestrator reference_orchestrator(MakeScheduler(metric, /*incremental=*/false),
-                                               EquivalenceConfig());
-    OrchestratorRunResult reference = reference_orchestrator.RunOnline(tasks);
+    OrchestratorRunResult reference = RunOrchestratorOnline(
+        MakeScheduler(metric, /*incremental=*/false), tasks, EquivalenceConfig());
     ASSERT_GT(reference.metrics.evicted(), 0u);
-    ClusterOrchestrator orchestrator(MakeScheduler(metric, /*incremental=*/true),
-                                     EquivalenceConfig());
-    OrchestratorRunResult run = orchestrator.RunOnline(tasks);
+    OrchestratorRunResult run = RunOrchestratorOnline(
+        MakeScheduler(metric, /*incremental=*/true), tasks, EquivalenceConfig());
     ExpectSameRun(run.metrics, run.cycles, reference.metrics, reference.cycles,
                   "metric " + std::to_string(static_cast<int>(metric)));
   }
@@ -375,16 +389,15 @@ TEST(OrchestratorEquivalenceTest, ResumeFromLastCheckpointMatchesTheUninterrupte
   base.unlock_steps = 2;
   std::vector<Task> tasks = ContendedWorkload(/*seed=*/9, /*last_arrival=*/10);
   for (GreedyMetric metric : kAllMetrics) {
-    ClusterOrchestrator plain(MakeScheduler(metric), base);
-    OrchestratorRunResult uninterrupted = plain.RunOnline(tasks);
+    OrchestratorRunResult uninterrupted = RunOrchestratorOnline(MakeScheduler(metric), tasks, base);
     ASSERT_EQ(uninterrupted.cycles, 14u);
     for (size_t every : {1, 3, 5}) {
       std::string label = "metric " + std::to_string(static_cast<int>(metric)) + " every " +
                           std::to_string(every);
       OrchestratorConfig config = base;
       config.checkpoint_every_cycles = every;
-      ClusterOrchestrator first(MakeScheduler(metric), config);
-      OrchestratorRunResult checkpointed = first.RunOnline(tasks);
+      OrchestratorRunResult checkpointed =
+          RunOrchestratorOnline(MakeScheduler(metric), tasks, config);
       ExpectSameRun(checkpointed.metrics, checkpointed.cycles, uninterrupted.metrics,
                     uninterrupted.cycles, label + " checkpointed");
       EXPECT_EQ(checkpointed.checkpoints_taken, uninterrupted.cycles / every) << label;
@@ -394,8 +407,8 @@ TEST(OrchestratorEquivalenceTest, ResumeFromLastCheckpointMatchesTheUninterrupte
                 static_cast<double>(uninterrupted.cycles / every * every - 1))
           << label;
 
-      ClusterOrchestrator second(MakeScheduler(metric), config);
-      OrchestratorRunResult resumed = second.ResumeFrom(parsed.snapshot, tasks);
+      OrchestratorRunResult resumed =
+          ResumeOrchestratorOnline(MakeScheduler(metric), parsed.snapshot, tasks, config);
       ExpectSameRun(resumed.metrics, resumed.cycles, uninterrupted.metrics,
                     uninterrupted.cycles, label + " resumed");
     }

@@ -216,8 +216,8 @@ TEST(OrchestratorRecoveryTest, PeriodicCheckpointsFlowThroughTheStateStore) {
     tasks.push_back(std::move(t));
   }
 
-  ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), config);
-  OrchestratorRunResult result = orchestrator.RunOnline(tasks);
+  OrchestratorRunResult result =
+      RunOrchestratorOnline(CreateScheduler(SchedulerKind::kDpack), tasks, config);
   EXPECT_GT(result.checkpoints_taken, 0u);
   EXPECT_GT(result.store_bytes_written, 0u);
   ASSERT_FALSE(result.last_checkpoint.empty());
@@ -228,11 +228,12 @@ TEST(OrchestratorRecoveryTest, PeriodicCheckpointsFlowThroughTheStateStore) {
   ASSERT_TRUE(parsed.ok) << parsed.error;
   EXPECT_EQ(parsed.snapshot.meta.period, config.period);
 
-  // Crash-restart: resume the same orchestrator from the persisted snapshot. The recovered
+  // Crash-restart: resume from the persisted snapshot with a fresh scheduler. The recovered
   // run must complete, the cumulative accounting must stay monotone and conserved, and the
   // run is event-driven on virtual time, so it must end exactly where the uninterrupted
   // run ended.
-  OrchestratorRunResult resumed = orchestrator.ResumeFrom(parsed.snapshot, tasks);
+  OrchestratorRunResult resumed = ResumeOrchestratorOnline(
+      CreateScheduler(SchedulerKind::kDpack), parsed.snapshot, tasks, config);
   EXPECT_GE(resumed.metrics.submitted(), parsed.snapshot.metrics.submitted);
   EXPECT_GE(resumed.metrics.allocated(), parsed.snapshot.metrics.allocated);
   EXPECT_LE(resumed.metrics.submitted(), tasks.size());
@@ -262,14 +263,14 @@ TEST(OrchestratorRecoveryTest, ResumedRunKeepsCheckpointing) {
   }
   // Cycles run at t = 0..5, so the first run's only checkpoint (after cycle 5) leaves one
   // cycle for the resumed run, which checkpoints after every cycle.
-  ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpf), config);
-  OrchestratorRunResult first = orchestrator.RunOnline(tasks);
+  OrchestratorRunResult first =
+      RunOrchestratorOnline(CreateScheduler(SchedulerKind::kDpf), tasks, config);
   ASSERT_FALSE(first.last_checkpoint.empty());
   SnapshotParseResult parsed = DecodeSnapshotBinary(first.last_checkpoint);
   ASSERT_TRUE(parsed.ok) << parsed.error;
   config.checkpoint_every_cycles = 1;
-  ClusterOrchestrator every_cycle(CreateScheduler(SchedulerKind::kDpf), config);
-  OrchestratorRunResult resumed = every_cycle.ResumeFrom(parsed.snapshot, tasks);
+  OrchestratorRunResult resumed = ResumeOrchestratorOnline(
+      CreateScheduler(SchedulerKind::kDpf), parsed.snapshot, tasks, config);
   // The resumed run checkpoints on its own cadence too, so a second crash anywhere in it
   // would recover the same way.
   EXPECT_GT(resumed.checkpoints_taken, 0u);
@@ -302,8 +303,9 @@ TEST(OrchestratorRecoveryDeathTest, RejectsASnapshotOneBlockShort) {
   ClusterSnapshot snapshot = CaptureSnapshot(blocks, {}, AllocationMetrics(), meta);
   ASSERT_EQ(ValidateSnapshot(snapshot), "");
 
-  ClusterOrchestrator orchestrator(CreateScheduler(SchedulerKind::kDpack), config);
-  EXPECT_DEATH(orchestrator.ResumeFrom(snapshot, {}), "snapshot block count");
+  EXPECT_DEATH(ResumeOrchestratorOnline(CreateScheduler(SchedulerKind::kDpack), snapshot, {},
+                                        config),
+               "snapshot block count");
 }
 
 }  // namespace

@@ -94,44 +94,17 @@ TEST(TraceIoTest, ExplicitBlockListsRoundTripExactly) {
   EXPECT_EQ(loaded[2].num_recent_blocks, tasks[2].num_recent_blocks);
 }
 
-TEST(TraceIoTest, V1TracesStillLoad) {
-  // Round-trip a v2 write, then rewrite its header to the v1 layout (drop the blocks
-  // column) and check the legacy path parses it with most-recent semantics.
-  std::vector<Task> tasks = SampleWorkload(2);
-  std::stringstream v2;
-  ASSERT_TRUE(WriteTrace(v2, tasks, Grid()));
-  std::string text = v2.str();
-  size_t magic = text.find("dpack_trace_v2");
-  ASSERT_NE(magic, std::string::npos);
-  text.replace(magic, 14, "dpack_trace_v1");
-  size_t blocks_col = text.find(",blocks");
-  ASSERT_NE(blocks_col, std::string::npos);
-  text.erase(blocks_col, 7);
-  // v2 rows of most-recent tasks have an empty blocks cell (",,"): collapse it to v1 rows.
-  size_t pos;
-  while ((pos = text.find(",,")) != std::string::npos) {
-    text.erase(pos, 1);
-  }
-  std::stringstream v1(text);
-  std::vector<Task> loaded = ReadTrace(v1, Grid());
-  ASSERT_EQ(loaded.size(), tasks.size());
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    EXPECT_EQ(loaded[i].num_recent_blocks, tasks[i].num_recent_blocks);
-    EXPECT_TRUE(loaded[i].blocks.empty());
-    EXPECT_EQ(loaded[i].demand.epsilons(), tasks[i].demand.epsilons());
-  }
-}
-
-TEST(TraceIoDeathTest, RejectsV1TraceClaimingExplicitLists) {
-  // A v1 magic with a blocks column is a confused producer: v1 never defined explicit-list
-  // semantics, and guessing the row layout could misread a privacy demand.
+TEST(TraceIoDeathTest, RejectsV1Traces) {
+  // Only v2 is read: a v1 magic is refused by name, whatever its columns, so no row is ever
+  // parsed under a guessed layout.
   std::vector<Task> tasks = SampleWorkload(1);
   std::stringstream v2;
   ASSERT_TRUE(WriteTrace(v2, tasks, Grid()));
   std::string text = v2.str();
   text.replace(text.find("dpack_trace_v2"), 14, "dpack_trace_v1");
   std::stringstream tampered(text);
-  EXPECT_DEATH(ReadTrace(tampered, Grid()), "v1 trace cannot carry explicit block lists");
+  EXPECT_DEATH(ReadTrace(tampered, Grid()),
+               "unsupported trace format dpack_trace_v1 \\(expected dpack_trace_v2\\)");
 }
 
 TEST(TraceIoDeathTest, RejectsV2TraceWithoutBlocksColumn) {
