@@ -35,26 +35,6 @@ const CurvePool& SharedPool() {
   return *pool;
 }
 
-std::vector<Task> SteadyStateTasks(size_t n) {
-  Rng rng(17);
-  RdpCurve capacity = BlockCapacityCurve(AlphaGrid::Default(), kEpsG, kDeltaG);
-  std::vector<Task> tasks;
-  tasks.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    Task task(static_cast<TaskId>(i), 1.0, capacity.Scaled(rng.Uniform(1.5, 3.0)));
-    size_t count = static_cast<size_t>(rng.UniformInt(1, 5));
-    for (size_t idx : rng.SampleWithoutReplacement(kSteadyStateBlocks, count)) {
-      task.blocks.push_back(static_cast<BlockId>(idx));
-    }
-    tasks.push_back(std::move(task));
-  }
-  return tasks;
-}
-
-RdpCurve SteadyStateTinyDemand() {
-  return BlockCapacityCurve(AlphaGrid::Default(), kEpsG, kDeltaG).Scaled(1e-9);
-}
-
 bool WriteBenchCountersJson(const std::string& path,
                             const std::vector<BenchJsonEntry>& entries) {
   FILE* out = std::fopen(path.c_str(), "w");

@@ -32,20 +32,6 @@ const CurvePool& SharedPool();
 // Prints a one-line banner for an experiment.
 void Banner(const std::string& experiment, const std::string& paper_reference);
 
-// The steady-state online regime used by the incremental-vs-recompute comparisons
-// (fig5 addendum and micro_scheduler's BM_*Steady*): a persistent pending queue that is
-// rescheduled every cycle while a small fraction of blocks is dirtied between cycles.
-constexpr size_t kSteadyStateBlocks = 20;
-
-// Oversized (never-granted) tasks over `kSteadyStateBlocks` blocks: scoring cost is
-// exercised every cycle, grants never shrink the queue. Deterministic (fixed seed), so
-// every harness measures the same workload.
-std::vector<Task> SteadyStateTasks(size_t n);
-
-// A demand small enough to commit thousands of times without exhausting a block; used to
-// dirty blocks between cycles the way a real cycle's grants would.
-RdpCurve SteadyStateTinyDemand();
-
 // One entry for WriteBenchCountersJson: a benchmark name plus numeric fields, emitted in
 // insertion order.
 struct BenchJsonEntry {

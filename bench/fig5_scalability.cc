@@ -94,14 +94,38 @@ void Run(Scale scale) {
 
 // --- Incremental engine vs recompute baseline (§6.4 Q4) -----------------------------------
 //
-// Steady-state online trace (bench_util's SteadyStateTasks, shared with micro_scheduler's
-// BM_*Steady* so both harnesses measure the same scenario): a persistent queue of oversized
-// (never-granted) pending tasks is rescheduled every cycle while exactly 1 of 20 blocks
-// (5%) receives a commit between cycles. The recompute baseline rescores the whole queue
-// every cycle; the incremental engine re-checks only the tasks whose rejecting block was
-// dirtied, and scores none (no task fits). Same
-// grants by construction (see tests/core/incremental_equivalence_test.cc); this measures
-// the cycle-time win.
+// Steady-state online trace: a persistent queue of oversized (never-granted) pending tasks
+// is rescheduled every cycle while exactly 1 of 20 blocks (5%) receives a commit between
+// cycles. The recompute baseline rescores the whole queue every cycle; the incremental
+// engine re-checks only the tasks whose rejecting block was dirtied, and scores none (no
+// task fits). Same grants by construction (see tests/core/incremental_equivalence_test.cc);
+// this measures the cycle-time win.
+
+constexpr size_t kSteadyStateBlocks = 20;
+
+// Oversized (never-granted) tasks over `kSteadyStateBlocks` blocks: scoring cost is
+// exercised every cycle, grants never shrink the queue. Deterministic (fixed seed).
+std::vector<Task> SteadyStateTasks(size_t n) {
+  Rng rng(17);
+  RdpCurve capacity = BlockCapacityCurve(AlphaGrid::Default(), kEpsG, kDeltaG);
+  std::vector<Task> tasks;
+  tasks.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    Task task(static_cast<TaskId>(i), 1.0, capacity.Scaled(rng.Uniform(1.5, 3.0)));
+    size_t count = static_cast<size_t>(rng.UniformInt(1, 5));
+    for (size_t idx : rng.SampleWithoutReplacement(kSteadyStateBlocks, count)) {
+      task.blocks.push_back(static_cast<BlockId>(idx));
+    }
+    tasks.push_back(std::move(task));
+  }
+  return tasks;
+}
+
+// A demand small enough to commit thousands of times without exhausting a block; dirties
+// a block between cycles the way a real cycle's grants would.
+RdpCurve SteadyStateTinyDemand() {
+  return BlockCapacityCurve(AlphaGrid::Default(), kEpsG, kDeltaG).Scaled(1e-9);
+}
 
 double SteadyStateMsPerCycle(GreedyMetric metric, bool incremental,
                              const std::vector<Task>& tasks, size_t num_blocks,
@@ -188,7 +212,10 @@ bool DumpCountersJson(Scale scale, const std::string& path) {
          {"reused_per_cycle", static_cast<double>(stats.tasks_reused) / kCycles},
          {"blocks_refreshed_per_cycle", static_cast<double>(stats.blocks_refreshed) / kCycles},
          {"best_alpha_per_cycle", static_cast<double>(stats.best_alpha_recomputes) / kCycles},
-         {"full_recomputes", static_cast<double>(stats.full_recomputes)}}};
+         {"full_recomputes", static_cast<double>(stats.full_recomputes)},
+         // Gated at zero: the candidate and sort buffers persist across cycles, so
+         // steady-state cycles must not grow them (ScheduleContextStats::merge_allocs).
+         {"merge_allocs", static_cast<double>(stats.merge_allocs)}}};
     entries.push_back(std::move(entry));
   }
   return WriteBenchCountersJson(path, entries);

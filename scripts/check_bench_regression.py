@@ -3,9 +3,8 @@
 
 Usage: check_bench_regression.py BASELINE.json CURRENT.json [CURRENT2.json ...]
 
-Every file holds a {"benchmarks": [...]} array — google-benchmark's JSON output
-(bench_micro_scheduler) and fig5's --json dump share that shape. Benchmarks are matched by
-"name". Only the *work counters* are compared (fields named *_per_cycle plus
+Every file holds a {"benchmarks": [...]} array, google-benchmark's JSON shape, which the
+fig5, fig10, fig11 and fig12 --json dumps write. Benchmarks are matched by "name". Only the *work counters* are compared (fields named *_per_cycle plus
 full_recomputes and merge_allocs): they are exact functions of the fixed workload and the
 engine's reuse/rescore logic, so they are stable across machines. Wall/CPU time fields are
 ignored — they are noise on shared runners.

@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""dpack-lint: static determinism & concurrency rules the differential suites can only sample.
+"""dpack-lint: static determinism rules the differential suites can only sample.
 
 The engine-matrix tests prove byte-identical grants for the interleavings and hash orders a
 run happens to explore; these rules reject the *sources* of nondeterminism at review time,
 on every line of the scheduling paths. Rules (scoped to the grant-ordering directories
 src/core, src/block, src/service and src/sim unless noted):
 
-  raw-mutex                (all of src/, tests/, bench/, examples/) std::mutex,
-                           std::condition_variable, std::lock_guard, std::unique_lock &
-                           friends are banned everywhere except
-                           src/common/thread_annotations.h — every lock must go through the
-                           annotated Mutex/MutexLock wrappers so clang's
-                           -Wthread-safety analysis sees it.
+  threads                  (all of src/, tests/, bench/, examples/) std::thread,
+                           std::jthread, std::async, pthread_create and every mutex,
+                           condition and lock type (std::mutex, std::condition_variable,
+                           std::lock_guard, std::unique_lock & friends), with no exempt
+                           file. Every process is one thread: SpawnChild forks without
+                           exec, which is only safe from a single-threaded process
+                           (src/common/subprocess.h), and with one thread there is nothing
+                           for a lock to guard.
   raw-sleep                (all of src/) usleep, nanosleep, clock_nanosleep, sleep_for and
                            sleep_until are banned except in src/common/sleep.cc. A wait on
                            the service's critical path must end when its event arrives
@@ -62,25 +64,19 @@ src/core, src/block, src/service and src/sim unless noted):
 Suppression: `// dpack-lint: allow(<rule>): <reason>` on the offending line or the line
 above. The reason is mandatory — an allow is a reviewed claim, not an escape hatch.
 
-Exit status: 0 clean, 1 findings, 2 usage/tool error.
+Exit status: 0 clean, 1 findings, 2 usage error.
 
 Usage:
   dpack_lint.py --root REPO                 lint the tree (the CI gate)
   dpack_lint.py --root REPO --fixture F --as src/core/f.cc
                                             lint one file as if at the given repo path
                                             (the tests/lint fixture self-test)
-  dpack_lint.py --root REPO --clang-query -p BUILD_DIR
-                                            additionally run the clang-query AST matchers
-                                            (needs clang-query + compile_commands.json)
 """
 
 import argparse
 import os
 import re
-import shutil
-import subprocess
 import sys
-import tempfile
 
 # Directories whose code decides or orders grants: hash-order and clock nondeterminism
 # here changes the grant sequence, which the whole reproduction pins byte-for-byte.
@@ -95,9 +91,8 @@ GRANT_ORDERING_DIRS = ("src/core", "src/block", "src/service", "src/sim")
 # == against a grid value is the same representation trap (the other grant-ordering rules
 # stay scoped — workload generation may iterate its own maps without ordering grants).
 FLOAT_EQ_DIRS = GRANT_ORDERING_DIRS + ("src/workload",)
-# raw-mutex applies everywhere C++ lives; the annotations header is the one sanctioned home.
+# threads applies everywhere C++ lives, with no exempt file.
 ALL_CODE_DIRS = ("src", "tests", "bench", "examples")
-THREAD_ANNOTATIONS_HEADER = "src/common/thread_annotations.h"
 # raw-sleep applies to the library; these are the sanctioned homes of a bounded wait.
 RAW_SLEEP_DIRS = ("src",)
 RAW_SLEEP_HOMES = ("src/common/sleep.cc",)
@@ -116,10 +111,10 @@ DOC_NAME_RE = re.compile(r"(?<![\w./:-])[\w./-]*[\w-]\.md\b")
 
 ALLOW_RE = re.compile(r"//\s*dpack-lint:\s*allow\(([a-z-]+)\)\s*:\s*\S")
 
-RAW_MUTEX_RE = re.compile(
-    r"std::(mutex|recursive_mutex|timed_mutex|recursive_timed_mutex|shared_mutex|"
-    r"shared_timed_mutex|condition_variable|condition_variable_any|lock_guard|"
-    r"unique_lock|scoped_lock|shared_lock)\b")
+THREADS_RE = re.compile(
+    r"\bstd::(thread|jthread|async|mutex|recursive_mutex|timed_mutex|recursive_timed_mutex|"
+    r"shared_mutex|shared_timed_mutex|condition_variable|condition_variable_any|lock_guard|"
+    r"unique_lock|scoped_lock|shared_lock)\b|(?<![\w])(pthread_create)\s*\(")
 RAW_SLEEP_RE = re.compile(
     r"(?<![\w])(usleep|nanosleep|clock_nanosleep)\s*\(|\b(sleep_for|sleep_until)\s*\(")
 RAW_YIELD_RE = re.compile(r"(?<![\w])(sched_yield|pthread_yield)\s*\(")
@@ -162,19 +157,6 @@ FLOAT_EQ_BLANK_RES = (
 RANGE_FOR_RE = re.compile(r"\bfor\s*\([^;)]*:\s*([^)]+)\)")
 # Iterator walks need a begin(); a bare end() is the find()-sentinel lookup idiom.
 ITER_BEGIN_RE = re.compile(r"(\w+)\s*(?:\.|->)\s*c?r?begin\s*\(")
-
-# clang-query AST matchers: the precise, type-resolved versions of the source rules. Run
-# opportunistically (--clang-query) over compile_commands.json; the source rules above are
-# the deterministic gate, these catch what text-level matching cannot (typedefs, auto).
-CLANG_QUERY_MATCHERS = [
-    ("unordered-iteration",
-     'match cxxForRangeStmt(hasRangeInit(expr(hasType(qualType(hasDeclaration(namedDecl('
-     'matchesName("unordered_(map|set)"))))))))'),
-    ("raw-mutex",
-     'match varDecl(hasType(qualType(hasDeclaration(namedDecl(hasAnyName('
-     '"std::mutex", "std::condition_variable"))))))'),
-]
-
 
 def digit_separator(text, i):
     """True when the quote at text[i] separates digits (60'000, 0xFF'FF), not a char literal."""
@@ -360,15 +342,15 @@ def lint_file(rel, text, root):
     if in_scope(rel_posix, DOC_LINK_DIRS):
         doc_link_findings(root, rel_posix, comments.splitlines(), add)
 
-    # raw-mutex: everywhere except the annotations header itself.
-    if in_scope(rel_posix, ALL_CODE_DIRS) and rel_posix != THREAD_ANNOTATIONS_HEADER:
+    # threads: everywhere, no exemption.
+    if in_scope(rel_posix, ALL_CODE_DIRS):
         for idx, line in enumerate(lines, 1):
-            m = RAW_MUTEX_RE.search(line)
+            m = THREADS_RE.search(line)
             if m:
-                add(idx, "raw-mutex",
-                    f"std::{m.group(1)} outside {THREAD_ANNOTATIONS_HEADER}; use the "
-                    f"annotated Mutex/MutexLock wrappers so -Wthread-safety "
-                    f"checks the lock discipline")
+                what = f"std::{m.group(1)}" if m.group(1) else f"{m.group(2)}()"
+                add(idx, "threads",
+                    f"{what}: every dpack process is one thread with no locks, and "
+                    f"SpawnChild's fork without exec is only safe from such a process")
 
     # raw-sleep: the library, except the file that implements bounded waits.
     if in_scope(rel_posix, RAW_SLEEP_DIRS) and rel_posix not in RAW_SLEEP_HOMES:
@@ -420,8 +402,7 @@ def lint_file(rel, text, root):
                         "lookup-only — <why no iteration order escapes>'"))
 
         # unordered-iteration: range-for or begin()/end() over a name declared unordered in
-        # this file (declaration-local heuristic; the clang-query matcher is the
-        # type-resolved version).
+        # this file (a declaration-local heuristic).
         for idx, line in enumerate(lines, 1):
             m = RANGE_FOR_RE.search(line)
             if m:
@@ -463,7 +444,7 @@ def lint_file(rel, text, root):
     return findings
 
 
-def iter_tree(root, suffixes=CPP_SUFFIXES + HASH_COMMENT_SUFFIXES):
+def iter_tree(root):
     for base in DOC_LINK_DIRS:
         top = os.path.join(root, base)
         if not os.path.isdir(top):
@@ -471,40 +452,8 @@ def iter_tree(root, suffixes=CPP_SUFFIXES + HASH_COMMENT_SUFFIXES):
         for dirpath, dirnames, filenames in os.walk(top):
             dirnames[:] = sorted(d for d in dirnames if d != "fixtures")
             for name in sorted(filenames):
-                if name.endswith(suffixes):
+                if name.endswith(CPP_SUFFIXES + HASH_COMMENT_SUFFIXES):
                     yield os.path.join(dirpath, name)
-
-
-def run_clang_query(root, build_dir):
-    """Runs the AST matchers over every translation unit in compile_commands.json."""
-    binary = shutil.which("clang-query")
-    if binary is None:
-        print("dpack-lint: clang-query not on PATH", file=sys.stderr)
-        return None
-    sources = [p for p in iter_tree(root, (".cc",))
-               if in_scope(os.path.relpath(p, root), ("src",))]
-    with tempfile.NamedTemporaryFile("w", suffix=".cq", delete=False) as fh:
-        fh.write("set bind-root true\n")
-        for _, matcher in CLANG_QUERY_MATCHERS:
-            fh.write(matcher + "\n")
-        script = fh.name
-    try:
-        proc = subprocess.run(
-            [binary, "-p", build_dir, "-f", script] + sources,
-            capture_output=True, text=True)
-    finally:
-        os.unlink(script)
-    if proc.returncode != 0:
-        print(proc.stderr, file=sys.stderr)
-        return None
-    hits = []
-    for line in proc.stdout.splitlines():
-        # Matches print as "<path>:<line>:<col>: note: "root" binds here".
-        m = re.match(r"(.+?):(\d+):\d+: note:", line)
-        if m and THREAD_ANNOTATIONS_HEADER not in m.group(1):
-            hits.append(Finding(os.path.relpath(m.group(1), root), int(m.group(2)),
-                                "clang-query", "AST matcher hit (see rule list)"))
-    return hits
 
 
 def main(argv):
@@ -514,10 +463,6 @@ def main(argv):
     parser.add_argument("--fixture", help="lint a single file instead of the tree")
     parser.add_argument("--as", dest="treat_as",
                         help="repo-relative path the fixture is linted as")
-    parser.add_argument("--clang-query", action="store_true",
-                        help="additionally run the clang-query AST matchers")
-    parser.add_argument("-p", dest="build_dir", default="build",
-                        help="compile_commands.json directory for --clang-query")
     args = parser.parse_args(argv[1:])
 
     findings = []
@@ -531,11 +476,6 @@ def main(argv):
             rel = os.path.relpath(path, args.root)
             with open(path) as fh:
                 findings.extend(lint_file(rel, fh.read(), args.root))
-        if args.clang_query:
-            hits = run_clang_query(args.root, args.build_dir)
-            if hits is None:
-                return 2
-            findings.extend(hits)
 
     for finding in findings:
         print(finding)

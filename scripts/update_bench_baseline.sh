@@ -6,9 +6,9 @@
 #   ./scripts/update_bench_baseline.sh [build-dir]
 #
 # The baseline stores only deterministic work counters (reuse/rescore/refresh per cycle),
-# never wall time, so it can be generated on any machine. CI runs the same commands
-# (micro_scheduler filtered to the Steady benchmarks, fig5 at --quick scale); keep those in
-# sync with .github/workflows/ci.yml if you change them here.
+# never wall time, so it can be generated on any machine. CI runs the same commands (fig5
+# at --quick scale, fig10, fig11 and fig12); keep those in sync with
+# .github/workflows/ci.yml if you change them here.
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
@@ -17,14 +17,8 @@ TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "${TMP_DIR}"' EXIT
 
 cmake --build "${BUILD_DIR}" \
-  --target bench_micro_scheduler bench_fig5_scalability bench_fig10_scenarios \
-  bench_fig11_block_scale bench_fig12_service -j"$(nproc)"
-
-"./${BUILD_DIR}/bench_micro_scheduler" \
-  --benchmark_filter=Steady \
-  --benchmark_format=json \
-  --benchmark_out="${TMP_DIR}/micro_scheduler.json" \
-  --benchmark_out_format=json > /dev/null
+  --target bench_fig5_scalability bench_fig10_scenarios bench_fig11_block_scale \
+  bench_fig12_service -j"$(nproc)"
 
 "./${BUILD_DIR}/bench_fig5_scalability" --quick --json "${TMP_DIR}/fig5_counters.json" \
   > /dev/null
@@ -40,8 +34,7 @@ cmake --build "${BUILD_DIR}" \
 # — a baseline must never be regenerated over a diverging service.
 "./${BUILD_DIR}/bench_fig12_service" --json "${TMP_DIR}/fig12_counters.json" > /dev/null
 
-python3 - "${TMP_DIR}/micro_scheduler.json" "${TMP_DIR}/fig5_counters.json" \
-  "${TMP_DIR}/fig10_counters.json" "${TMP_DIR}/fig11_counters.json" \
+python3 - "${TMP_DIR}/fig5_counters.json" "${TMP_DIR}/fig10_counters.json" "${TMP_DIR}/fig11_counters.json" \
   "${TMP_DIR}/fig12_counters.json" "${OUT}" <<'EOF'
 import json
 import sys

@@ -3,35 +3,9 @@
 // Link against the CMake target `dpack::dpack` and include this header to use the scheduler,
 // RDP accounting, workload generators, simulator, and orchestrator.
 //
-// Scheduling engine architecture
-// ------------------------------
-// Batch scheduling runs on one single-threaded incremental engine, `IncrementalEngine`
-// (src/core/incremental_engine.h), layered over versioned block state:
-//
-//   - `PrivacyBlock::version()` is a monotonic counter bumped on every state change that
-//     can alter the block's available capacity: each `Commit` and each effective unlock
-//     increase. Invariant: equal versions observed at two points in time imply bit-identical
-//     `AvailableCurve()` results.
-//   - `BlockManager::epoch()` is a monotonic counter bumped on every block arrival.
-//     Invariant: unchanged epoch plus unchanged per-block versions imply the manager's
-//     whole capacity state is bit-identical. `Clone()` preserves both, so observations made
-//     against the original remain valid against the clone.
-//   - The engine (owned by `GreedyScheduler`, persistent across cycles inside
-//     `OnlineScheduler`, the sim driver, and the orchestrator) uses those counters to
-//     detect exactly which blocks changed between scheduling cycles, rescoring only the
-//     tasks that touch them, keeping scored entries in lazily-revalidated heaps, and
-//     skipping CANRUN filter scans for tasks whose blocks provably did not change since
-//     their last rejection. Grants are identical to the recompute-from-scratch reference
-//     path (`RecomputeScheduleBatch`), which remains available via
-//     `GreedySchedulerOptions::incremental = false` and is pinned against the engine by
-//     tests/core/incremental_equivalence_test.cc.
-//   - Order: every score is computed by one function on the snapshot state, and the heap
-//     is kept under the strict total order (score desc, arrival asc, id asc), so the heap
-//     order is the reference sort's order and the CANRUN walk commits the same grants.
-//
-// Consumers adding new block mutations must route them through `Commit` /
-// `SetUnlockedFraction` / `AddBlock*` (or bump the counters equivalently); a mutation that
-// bypasses the version counters silently breaks the incremental engine.
+// Batch scheduling runs on one single-threaded incremental engine; its design, and the
+// block version counters every block mutation must bump, are described in
+// src/core/incremental_engine.h.
 
 #ifndef SRC_DPACK_DPACK_H_
 #define SRC_DPACK_DPACK_H_
@@ -40,7 +14,6 @@
 #include "src/block/privacy_block.h"
 #include "src/common/csv.h"
 #include "src/common/distributions.h"
-#include "src/common/log.h"
 #include "src/common/rng.h"
 #include "src/common/stats.h"
 #include "src/core/efficiency.h"

@@ -3,6 +3,8 @@
 #include <chrono>
 
 #include "src/common/check.h"
+#include "src/common/stats.h"
+#include "src/core/metrics.h"
 #include "src/orchestrator/state_store.h"
 #include "src/sim/sim_driver.h"
 
@@ -74,12 +76,16 @@ OrchestratorRunResult RunOrchestratorOfflinePass(Scheduler& scheduler, std::vect
   store.RoundTrip(config.store_ops_per_cycle);
   SimResult pass = RunOfflineSchedule(scheduler, std::move(tasks), sim);
   store.RoundTrip(config.store_ops_per_task * pass.metrics.allocated());
-  double pass_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  RunningStat runtime;
+  runtime.Add(std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
 
+  // The pass's metrics with that one sample in place of RunOfflineSchedule's, which times
+  // the scheduling call alone.
+  const AllocationMetrics& m = pass.metrics;
   OrchestratorRunResult result;
-  result.metrics = std::move(pass.metrics);
-  result.metrics.RecordCycleRuntime(pass_seconds);  // Full pass incl. store traffic.
+  result.metrics = AllocationMetrics::Restore(
+      m.submitted(), m.allocated(), m.evicted(), m.submitted_weight(), m.allocated_weight(),
+      m.submitted_fair_share(), m.allocated_fair_share(), m.delays().samples(), runtime.state());
   result.store_operations = store.operations();
   result.cycles = 1;
   return result;

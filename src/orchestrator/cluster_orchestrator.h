@@ -69,8 +69,8 @@ inline constexpr char kCheckpointKey[] = "dpack/checkpoint";
 
 // Offline measurement (Fig. 8(a) methodology): every claim is created in the store, then one
 // RunOfflineSchedule pass over all blocks, fully unlocked, runs between the pass's per-cycle
-// and per-grant store charges. The metrics hold the pass's own cycle runtime plus the wall
-// time of the whole pass including that store traffic; every recorded delay is 0.
+// and per-grant store charges. The metrics hold one cycle runtime, the wall time of the pass
+// with that store traffic; every recorded delay is 0.
 OrchestratorRunResult RunOrchestratorOfflinePass(Scheduler& scheduler, std::vector<Task> tasks,
                                                  const OrchestratorConfig& config);
 

@@ -1,10 +1,10 @@
 #include "src/orchestrator/state_store.h"
 
-#include <chrono>
-#include <thread>
+#include <cmath>
 #include <utility>
 
 #include "src/common/check.h"
+#include "src/common/sleep.h"
 
 namespace dpack {
 
@@ -17,9 +17,7 @@ void SimulatedStateStore::RoundTrip(uint64_t ops) {
   if (latency_us_ <= 0.0 || ops == 0) {
     return;
   }
-  auto total = std::chrono::duration<double, std::micro>(latency_us_ * static_cast<double>(ops));
-  // dpack-lint: allow(raw-sleep): the simulated store latency is this sleep.
-  std::this_thread::sleep_for(total);
+  SleepFullMicros(static_cast<unsigned int>(std::ceil(latency_us_ * static_cast<double>(ops))));
 }
 
 void SimulatedStateStore::Put(const std::string& key, std::string value) {

@@ -32,7 +32,8 @@ class SimulatedStateStore {
   // `latency_us` is the simulated per-operation round-trip latency in microseconds (>= 0).
   explicit SimulatedStateStore(double latency_us);
 
-  // Performs `ops` synchronous round trips (blocking the calling thread for ops * latency).
+  // Performs `ops` synchronous round trips: sleeps ops * latency, rounded up to whole
+  // microseconds.
   void RoundTrip(uint64_t ops = 1);
 
   // Persists `value` under `key` (overwriting), blocking for ceil(size / kPutChunkBytes)

@@ -15,7 +15,7 @@ FIXTURES = os.path.join(os.path.dirname(os.path.abspath(__file__)), "fixtures")
 
 # fixture file -> (lint-as repo path, rules that must fire)
 VIOLATIONS = {
-    "raw_mutex_violation.cc": ("src/common/queue.cc", {"raw-mutex"}),
+    "threads_violation.cc": ("src/common/queue.cc", {"threads"}),
     "raw_sleep_violation.cc": ("src/service/poll.cc", {"raw-sleep"}),
     "raw_yield_violation.cc": ("src/service/spin.cc", {"raw-yield"}),
     "unordered_iteration_violation.cc": ("src/core/order.cc", {"unordered-iteration"}),
@@ -56,7 +56,7 @@ class FixtureViolations(unittest.TestCase):
 
     def test_grant_ordering_rules_scoped_to_grant_dirs(self):
         # The same unordered iteration outside src/core|src/block|src/service|src/sim is not in
-        # scope (the raw-mutex rule is the only tree-wide one).
+        # scope (threads and raw-yield are the tree-wide rules).
         proc = run_lint("--fixture",
                         os.path.join(FIXTURES, "unordered_iteration_violation.cc"),
                         "--as", "src/workload/order.cc")
@@ -112,7 +112,7 @@ class FixtureViolations(unittest.TestCase):
                                                  "pointer-keyed-order"),
             "float_equality_violation.cc": ("src/service/admission.cc",
                                             "float-equality"),
-            "raw_mutex_violation.cc": ("src/service/front_patch.cc", "raw-mutex"),
+            "threads_violation.cc": ("src/service/front_patch.cc", "threads"),
         }
         for fixture, (as_path, rule) in service_scope.items():
             with self.subTest(fixture=fixture, as_path=as_path):
@@ -277,13 +277,33 @@ class RealTree(unittest.TestCase):
         self.assertEqual(proc.returncode, 0,
                          f"the real tree must lint clean:\n{proc.stdout}{proc.stderr}")
 
-    def test_thread_annotations_header_is_the_only_raw_mutex_site(self):
-        # The exemption is exactly one file; linting the header's own content as any other
-        # path must fire, proving the exemption cannot widen silently.
-        header = os.path.join(REPO_ROOT, "src", "common", "thread_annotations.h")
-        proc = run_lint("--fixture", header, "--as", "src/common/other_header.h")
-        self.assertEqual(proc.returncode, 1, proc.stdout)
-        self.assertIn("[raw-mutex]", proc.stdout)
+    def test_threads_fires_everywhere_with_no_exempt_file(self):
+        # Every use in the seeded fixture fires in the library, tests, benches and examples
+        # alike, and so does a lone thread in a test or a lone mutex in any common header:
+        # no file may start a thread or take a lock.
+        fixture = os.path.join(FIXTURES, "threads_violation.cc")
+        for as_path in ("src/common/queue.cc", "tests/service/worker_test.cc",
+                        "bench/e2e/worker.cc", "examples/worker.cpp"):
+            with self.subTest(as_path=as_path):
+                proc = run_lint("--fixture", fixture, "--as", as_path)
+                self.assertEqual(proc.returncode, 1, proc.stdout)
+                self.assertEqual(proc.stdout.count("[threads]"), 7, proc.stdout)
+        cases = (
+            ("#include <thread>\nstd::thread worker([] {});\n", "tests/core/worker_test.cc"),
+            ("#include <mutex>\ninline std::mutex mu;\n", "src/common/subprocess.h"),
+            ("#include <mutex>\ninline std::mutex mu;\n", "src/common/sleep.h"),
+        )
+        for text, as_path in cases:
+            with self.subTest(as_path=as_path, text=text):
+                with tempfile.NamedTemporaryFile("w", suffix=".cc", delete=False) as fh:
+                    fh.write(text)
+                    path = fh.name
+                try:
+                    proc = run_lint("--fixture", path, "--as", as_path)
+                finally:
+                    os.unlink(path)
+                self.assertEqual(proc.returncode, 1, proc.stdout)
+                self.assertIn(f"{as_path}:2: [threads]", proc.stdout)
 
 
 if __name__ == "__main__":

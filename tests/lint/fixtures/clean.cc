@@ -5,11 +5,9 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/common/thread_annotations.h"
-
 namespace dpack {
 
-// A comment naming std::mutex and std::condition_variable is not a use (raw-mutex).
+// A comment naming std::thread and std::mutex is not a use (threads).
 // A string below names rand() and steady_clock::now() — also not a use.
 inline const char* kDocs = "rand() and steady_clock::now() are banned in engine code";
 
@@ -57,16 +55,5 @@ struct CleanSpec {
 inline bool IsZipf(const CleanSpec& spec) {
   return spec.demand == DemandDistribution::kZipfEpsMin;
 }
-
-// The annotated wrappers are the sanctioned lock primitives (raw-mutex quiet).
-struct CleanQueue {
-  Mutex mu;
-  int depth GUARDED_BY(mu) = 0;
-
-  void Push() {
-    MutexLock lock(mu);
-    ++depth;
-  }
-};
 
 }  // namespace dpack

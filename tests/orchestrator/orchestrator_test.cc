@@ -45,6 +45,8 @@ TEST(OrchestratorOfflineTest, SchedulesAndTimesThePass) {
       *CreateScheduler(SchedulerKind::kDpack), std::move(tasks), FastConfig());
   EXPECT_EQ(result.metrics.submitted(), 20u);
   EXPECT_EQ(result.metrics.allocated(), 20u);
+  // One runtime sample: the pass with its store traffic.
+  EXPECT_EQ(result.metrics.cycle_runtime_seconds().count(), 1u);
   EXPECT_GT(result.metrics.total_runtime_seconds(), 0.0);
   // Claim creation (20) + cycle ops (4) + per-grant ops (3 x 20).
   EXPECT_EQ(result.store_operations, 20u + 4u + 60u);

@@ -152,7 +152,7 @@ class ShrunkenSweep(GateHarness):
 
 class MultipleCurrentFiles(GateHarness):
     def test_current_files_merge_like_the_ci_invocation(self):
-        # CI passes micro_scheduler.json + fig5/10/11 counter dumps in one call.
+        # CI passes the fig5/10/11/12 counter dumps in one call.
         rc, out = self.run_gate(
             [bench("BM_A", tasks_rescored_per_cycle=1.0),
              bench("BM_B", tasks_rescored_per_cycle=2.0)],
