@@ -83,14 +83,6 @@ double PrivacyBlock::AvailableAt(size_t alpha_index) const {
   return std::max(0.0, UnlockedCapacityAt(alpha_index) - consumed_.epsilon(alpha_index));
 }
 
-RdpCurve PrivacyBlock::AvailableCurve() const {
-  std::vector<double> available(capacity_.size());
-  for (size_t i = 0; i < capacity_.size(); ++i) {
-    available[i] = AvailableAt(i);
-  }
-  return RdpCurve(capacity_.grid(), std::move(available));
-}
-
 bool PrivacyBlock::CanAccept(const RdpCurve& demand) const {
   DPACK_CHECK_MSG(SameGrid(demand.grid(), capacity_.grid()), "grid mismatch");
   for (size_t i = 0; i < capacity_.size(); ++i) {

@@ -83,7 +83,7 @@ class PrivacyBlock {
   // Monotonic state version, bumped on every state change that can alter the available
   // capacity: each Commit and each *effective* unlock increase (SetUnlockedFraction calls
   // that do not raise the fraction leave it untouched). Invariant: equal versions observed
-  // at two points in time imply bit-identical AvailableCurve() results, which is what lets
+  // at two points in time imply bit-identical AvailableAt() results, which is what lets
   // the incremental scheduling engine (IncrementalEngine) skip rescoring tasks whose blocks
   // did not change between cycles.
   uint64_t version() const { return version_; }
@@ -95,14 +95,10 @@ class PrivacyBlock {
   // Unlocked capacity at order `alpha_index`: unlocked_fraction * capacity(alpha).
   double UnlockedCapacityAt(size_t alpha_index) const;
 
-  // Remaining unlocked capacity at one order, clamped at zero — AvailableCurve's per-order
-  // value without materializing the curve.
-  double AvailableAt(size_t alpha_index) const;
-
-  // Remaining unlocked capacity per order, clamped at zero:
+  // Remaining unlocked capacity at one order, clamped at zero:
   // max(0, unlocked_fraction * capacity(alpha) - consumed(alpha)). This is the c_j(alpha)
-  // that scheduling heuristics normalize demands by.
-  RdpCurve AvailableCurve() const;
+  // that the area and DPack metrics normalize demands by.
+  double AvailableAt(size_t alpha_index) const;
 
   // Filter admission check: true iff there exists a usable order alpha with
   // WithinCapacity(consumed(alpha) + demand(alpha), unlocked capacity(alpha)).

@@ -14,43 +14,10 @@ constexpr double kInfinity = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-CapacitySnapshot::CapacitySnapshot(const BlockManager& blocks) : grid_(blocks.grid()) {
-  available_.reserve(blocks.block_count());
-  total_.reserve(blocks.block_count());
-  for (size_t j = 0; j < blocks.block_count(); ++j) {
-    available_.push_back(blocks.block(static_cast<BlockId>(j)).AvailableCurve());
-    total_.push_back(blocks.block(static_cast<BlockId>(j)).capacity());
-  }
-}
-
-CapacitySnapshot::CapacitySnapshot(AlphaGridPtr grid) : grid_(std::move(grid)) {
-  DPACK_CHECK(grid_ != nullptr);
-}
-
-void CapacitySnapshot::Append(RdpCurve available, RdpCurve total) {
-  available_.push_back(std::move(available));
-  total_.push_back(std::move(total));
-}
-
-void CapacitySnapshot::RefreshAvailable(BlockId id, RdpCurve available) {
-  DPACK_CHECK(id >= 0 && static_cast<size_t>(id) < available_.size());
-  available_[static_cast<size_t>(id)] = std::move(available);
-}
-
-const RdpCurve& CapacitySnapshot::available(BlockId id) const {
-  DPACK_CHECK(id >= 0 && static_cast<size_t>(id) < available_.size());
-  return available_[static_cast<size_t>(id)];
-}
-
-const RdpCurve& CapacitySnapshot::total(BlockId id) const {
-  DPACK_CHECK(id >= 0 && static_cast<size_t>(id) < total_.size());
-  return total_[static_cast<size_t>(id)];
-}
-
-double DominantShare(const Task& task, const CapacitySnapshot& snapshot) {
+double DominantShare(const Task& task, const BlockManager& blocks) {
   double dominant = 0.0;
   for (BlockId j : task.blocks) {
-    const RdpCurve& cap = snapshot.total(j);
+    const RdpCurve& cap = blocks.block(j).capacity();
     bool usable = false;
     for (size_t a = 0; a < cap.size(); ++a) {
       if (cap.epsilon(a) > 0.0) {
@@ -65,8 +32,8 @@ double DominantShare(const Task& task, const CapacitySnapshot& snapshot) {
   return dominant;
 }
 
-double DpfEfficiency(const Task& task, const CapacitySnapshot& snapshot) {
-  double share = DominantShare(task, snapshot);
+double DpfEfficiency(const Task& task, const BlockManager& blocks) {
+  double share = DominantShare(task, blocks);
   if (share == 0.0) {
     return kInfinity;
   }
@@ -76,22 +43,23 @@ double DpfEfficiency(const Task& task, const CapacitySnapshot& snapshot) {
   return task.weight / share;
 }
 
-double AreaEfficiency(const Task& task, const CapacitySnapshot& snapshot) {
+double AreaEfficiency(const Task& task, const BlockManager& blocks) {
   double area = 0.0;
   for (BlockId j : task.blocks) {
-    const RdpCurve& cap = snapshot.available(j);
-    for (size_t a = 0; a < cap.size(); ++a) {
+    const PrivacyBlock& block = blocks.block(j);
+    for (size_t a = 0; a < block.capacity().size(); ++a) {
       double d = task.demand.epsilon(a);
       if (d == 0.0) {
         continue;
       }
-      if (cap.epsilon(a) <= 0.0) {
+      double c = block.AvailableAt(a);
+      if (c <= 0.0) {
         // Demand on an unusable order contributes nothing under the exists-alpha semantic;
         // the traditional interpretation (all orders binding) would make this infinite.
         // We skip it so the metric degrades gracefully on RDP instances.
         continue;
       }
-      area += d / cap.epsilon(a);
+      area += d / c;
     }
   }
   if (area == 0.0) {
@@ -100,7 +68,7 @@ double AreaEfficiency(const Task& task, const CapacitySnapshot& snapshot) {
   return task.weight / area;
 }
 
-double DpackEfficiency(const Task& task, const CapacitySnapshot& snapshot,
+double DpackEfficiency(const Task& task, const BlockManager& blocks,
                        std::span<const size_t> best_alpha) {
   double cost = 0.0;
   for (BlockId j : task.blocks) {
@@ -110,7 +78,7 @@ double DpackEfficiency(const Task& task, const CapacitySnapshot& snapshot,
     if (d == 0.0) {
       continue;
     }
-    double c = snapshot.available(j).epsilon(a);
+    double c = blocks.block(j).AvailableAt(a);
     if (c <= 0.0) {
       return 0.0;  // Demands budget at a depleted best order: least attractive.
     }
@@ -122,10 +90,10 @@ double DpackEfficiency(const Task& task, const CapacitySnapshot& snapshot,
   return task.weight / cost;
 }
 
-std::vector<size_t> ComputeBestAlphas(std::span<const Task> tasks,
-                                      const CapacitySnapshot& snapshot, double eta) {
+std::vector<size_t> ComputeBestAlphas(std::span<const Task> tasks, const BlockManager& blocks,
+                                      double eta) {
   DPACK_CHECK(eta > 0.0);
-  size_t num_blocks = snapshot.block_count();
+  size_t num_blocks = blocks.block_count();
 
   // Group pending tasks by requested block.
   std::vector<std::vector<size_t>> tasks_of_block(num_blocks);
@@ -138,16 +106,16 @@ std::vector<size_t> ComputeBestAlphas(std::span<const Task> tasks,
 
   std::vector<size_t> best_alpha(num_blocks, 0);
   for (size_t j = 0; j < num_blocks; ++j) {
-    best_alpha[j] = BestAlphaForBlock(tasks, tasks_of_block[j],
-                                      snapshot.available(static_cast<BlockId>(j)), eta);
+    best_alpha[j] =
+        BestAlphaForBlock(tasks, tasks_of_block[j], blocks.block(static_cast<BlockId>(j)), eta);
   }
   return best_alpha;
 }
 
-size_t BestAlphaForBlock(const RequesterColumns& requesters, const RdpCurve& available,
+size_t BestAlphaForBlock(const RequesterColumns& requesters, const PrivacyBlock& block,
                          double eta) {
   DPACK_CHECK(eta > 0.0);
-  size_t num_orders = available.size();
+  size_t num_orders = block.capacity().size();
   size_t n = requesters.weights.size();
   DPACK_CHECK(n <= requesters.stride || requesters.orders.empty());
   DPACK_CHECK(requesters.lows.size() == requesters.orders.size() || n == 0);
@@ -155,7 +123,7 @@ size_t BestAlphaForBlock(const RequesterColumns& requesters, const RdpCurve& ava
     // No demand: pick the order with the largest available capacity.
     size_t best = 0;
     for (size_t a = 1; a < num_orders; ++a) {
-      if (available.epsilon(a) > available.epsilon(best)) {
+      if (block.AvailableAt(a) > block.AvailableAt(best)) {
         best = a;
       }
     }
@@ -169,7 +137,7 @@ size_t BestAlphaForBlock(const RequesterColumns& requesters, const RdpCurve& ava
   size_t best = 0;
   size_t k = 0;
   for (size_t a = 0; a < num_orders; ++a) {
-    double capacity = available.epsilon(a);
+    double capacity = block.AvailableAt(a);
     if (!(capacity > 0.0)) {
       continue;
     }
@@ -208,10 +176,10 @@ size_t BestAlphaForBlock(const RequesterColumns& requesters, const RdpCurve& ava
 }
 
 size_t BestAlphaForBlock(std::span<const Task> tasks, std::span<const size_t> requesters,
-                         const RdpCurve& available, double eta) {
+                         const PrivacyBlock& block, double eta) {
   std::vector<size_t> orders;
-  for (size_t a = 0; a < available.size(); ++a) {
-    if (available.epsilon(a) > 0.0) {
+  for (size_t a = 0; a < block.capacity().size(); ++a) {
+    if (block.AvailableAt(a) > 0.0) {
       orders.push_back(a);
     }
   }
@@ -227,7 +195,7 @@ size_t BestAlphaForBlock(std::span<const Task> tasks, std::span<const size_t> re
       lows[k].Add(demands[k * n + t]);
     }
   }
-  return BestAlphaForBlock(RequesterColumns{weights, orders, demands, n, lows}, available, eta);
+  return BestAlphaForBlock(RequesterColumns{weights, orders, demands, n, lows}, block, eta);
 }
 
 }  // namespace dpack

@@ -424,9 +424,6 @@ void IncrementalEngine::CompactMemberPool() {
 }
 
 void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const Task> pending) {
-  if (!snapshot_.has_value()) {
-    snapshot_.emplace(blocks.grid());
-  }
   size_t count = blocks.block_count();
   size_t known = last_version_.size();
   DPACK_CHECK_MSG(count >= known, "blocks disappeared: Invalidate() before a new manager");
@@ -435,7 +432,6 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
   dirty_stamp_.resize(count, 0);
   for (size_t g = known; g < count; ++g) {
     const PrivacyBlock& b = blocks.block(static_cast<BlockId>(g));
-    snapshot_->Append(b.AvailableCurve(), b.capacity());
     last_version_.push_back(b.version());
     version_now_.push_back(b.version());
     best_alpha_.push_back(0);
@@ -457,7 +453,6 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
       [&](size_t g) {
         BlockId id = static_cast<BlockId>(g);
         version_now_[g] = last_version_[g];
-        snapshot_->RefreshAvailable(id, blocks.block(id).AvailableCurve());
         if (dpack) {
           members_[g].DropExhaustedOrders(blocks.block(id));
         }
@@ -501,7 +496,7 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
       members.Insert(MemberPosition(members, i), pending[i]);
     }
     members.joining.clear();
-    best_alpha_[gi] = BestAlphaForBlock(members.columns(), snapshot_->available(g), eta_);
+    best_alpha_[gi] = BestAlphaForBlock(members.columns(), blocks.block(g), eta_);
     ++stats_.best_alpha_recomputes;
   }
 }
@@ -585,7 +580,7 @@ void IncrementalEngine::CollectCandidates(std::span<const Task> pending,
       continue;
     }
     cached.reject_block = TaskCache::kNoMemo;
-    double score = ScoreGreedyTask(metric_, task, *snapshot_, best_alpha_);
+    double score = ScoreGreedyTask(metric_, task, blocks, best_alpha_);
     candidates_.push_back({score, task.arrival_time, task.id, i});
     ++stats_.tasks_rescored;
   }
@@ -617,11 +612,6 @@ std::vector<size_t> IncrementalEngine::ScheduleBatch(std::span<const Task> pendi
     return {};
   }
   ++stats_.cycles;
-  if (metric_ == GreedyMetric::kFcfs) {
-    // Arrival order needs no scores, hence no cache: the engine is a pass-through.
-    return RecomputeScheduleBatch(metric_, eta_, pending, blocks);
-  }
-
   ScheduleContextStats stats_at_entry = stats_;
   uint64_t previous_cycle = cycle_stamp_;
   ++cycle_stamp_;

@@ -1,16 +1,18 @@
 // Incremental scheduling engine (§6.4 Q4 scalability): persists block-side state across
 // scheduling cycles instead of rebuilding it from scratch, and scores only the tasks that
 // can run. It grants *exactly* the same sequence as `RecomputeScheduleBatch` — pinned by
-// tests/core/incremental_equivalence_test.cc.
+// tests/core/incremental_equivalence_test.cc. Every metric runs it, FCFS included: FCFS
+// scores every candidate 0, so the sort orders its candidates by (arrival, id).
 //
 // Cycle, all on the caller's thread:
 //   1. ObserveBatch looks up every task's cache entry, finds the new and re-resolved tasks
 //      (it checks their block ids and drops their rejection memos), and for DPack walks the
 //      previous batch's ids to record the departures and arrivals.
-//   2. SyncBlocks appends arrivals to the snapshot (dirty) and refreshes the blocks the one
-//      version-tree drill-down reports changed; for DPack it applies the membership events
-//      to the requester columns (dirtying their blocks) and solves the dirty blocks' best
-//      alphas. Scores read the best alphas, which depend on every requester, feasible or not.
+//   2. SyncBlocks records arrivals (dirty) and the blocks the one version-tree drill-down
+//      reports changed (dirty); for DPack it applies the membership events to the requester
+//      columns (dirtying their blocks) and solves the dirty blocks' best alphas. Scores read
+//      the best alphas, which depend on every requester, feasible or not, and read capacity
+//      from the blocks themselves: nothing has committed yet this cycle.
 //   3. CollectCandidates makes one pass over the batch in order. A task whose rejection memo
 //      holds is settled without a check; any other is checked with CanAccept against its
 //      blocks as they stand at the start of the cycle. A rejected task gets a memo; a task
@@ -59,7 +61,6 @@
 #define SRC_CORE_INCREMENTAL_ENGINE_H_
 
 #include <cstdint>
-#include <optional>
 #include <span>
 #include <vector>
 
@@ -208,7 +209,7 @@ class IncrementalEngine {
   // on a repeated task id.
   bool ObserveBatch(std::span<const Task> pending, size_t block_count,
                     uint64_t previous_cycle);
-  // Absorbs arrivals and refreshes changed blocks; for DPack, applies the membership events
+  // Absorbs arrivals and changed blocks' versions; for DPack, applies the membership events
   // (or rebuilds the requester columns) and solves the dirty blocks' best alphas.
   void SyncBlocks(const BlockManager& blocks, std::span<const Task> pending);
   // Re-registers every task of a batch that broke the previous batch's relative order.
@@ -251,9 +252,7 @@ class IncrementalEngine {
   ScheduleContextStats stats_;
   uint64_t cycle_stamp_ = 0;  // Incremented per ScheduleBatch; task cache liveness clock.
 
-  // Block-side state, indexed by block id. The snapshot is created on the first cycle (it
-  // needs the manager's grid) and then maintained incrementally.
-  std::optional<CapacitySnapshot> snapshot_;
+  // Block-side state, indexed by block id.
   std::vector<uint64_t> last_version_;  // Size doubles as the known-block count.
   // Contiguous version mirror for the memos. Persistent: arrivals append, refreshes
   // overwrite changed entries, walk commits update.

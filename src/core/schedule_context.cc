@@ -6,8 +6,6 @@
 #include <cstdint>
 #include <numeric>
 
-#include "src/common/check.h"
-
 namespace dpack {
 
 namespace {
@@ -23,18 +21,6 @@ std::vector<size_t> OrderByScoreDesc(std::span<const Task> pending,
     if (scores[a] != scores[b]) {
       return scores[a] > scores[b];
     }
-    if (pending[a].arrival_time != pending[b].arrival_time) {
-      return pending[a].arrival_time < pending[b].arrival_time;
-    }
-    return pending[a].id < pending[b].id;
-  });
-  return order;
-}
-
-std::vector<size_t> FcfsOrder(std::span<const Task> pending) {
-  std::vector<size_t> order(pending.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
     if (pending[a].arrival_time != pending[b].arrival_time) {
       return pending[a].arrival_time < pending[b].arrival_time;
     }
@@ -77,34 +63,13 @@ std::vector<size_t> RecomputeScheduleBatch(GreedyMetric metric, double eta,
   if (pending.empty()) {
     return {};
   }
-  if (metric == GreedyMetric::kFcfs) {
-    // The paper's framework runs every policy through the same greedy loop (Alg. 1): FCFS is
-    // the arrival-order metric with the same skip-infeasible allocation as the others.
-    return AllocateInOrder(pending, blocks, FcfsOrder(pending));
+  std::vector<size_t> best_alpha;
+  if (metric == GreedyMetric::kDpack) {
+    best_alpha = ComputeBestAlphas(pending, blocks, eta);
   }
-
-  CapacitySnapshot snapshot(blocks);
-  std::vector<double> scores(pending.size(), 0.0);
-  switch (metric) {
-    case GreedyMetric::kDpf:
-      for (size_t i = 0; i < pending.size(); ++i) {
-        scores[i] = DpfEfficiency(pending[i], snapshot);
-      }
-      break;
-    case GreedyMetric::kArea:
-      for (size_t i = 0; i < pending.size(); ++i) {
-        scores[i] = AreaEfficiency(pending[i], snapshot);
-      }
-      break;
-    case GreedyMetric::kDpack: {
-      std::vector<size_t> best_alpha = ComputeBestAlphas(pending, snapshot, eta);
-      for (size_t i = 0; i < pending.size(); ++i) {
-        scores[i] = DpackEfficiency(pending[i], snapshot, best_alpha);
-      }
-      break;
-    }
-    case GreedyMetric::kFcfs:
-      break;  // Handled above.
+  std::vector<double> scores(pending.size());
+  for (size_t i = 0; i < pending.size(); ++i) {
+    scores[i] = ScoreGreedyTask(metric, pending[i], blocks, best_alpha);
   }
   return AllocateInOrder(pending, blocks, OrderByScoreDesc(pending, scores));
 }
@@ -166,20 +131,19 @@ void SortHeapEntries(std::vector<HeapEntry>& entries, std::vector<HeapEntry>& sc
   }
 }
 
-double ScoreGreedyTask(GreedyMetric metric, const Task& task, const CapacitySnapshot& snapshot,
+double ScoreGreedyTask(GreedyMetric metric, const Task& task, const BlockManager& blocks,
                        std::span<const size_t> best_alpha) {
   switch (metric) {
     case GreedyMetric::kDpf:
-      return DpfEfficiency(task, snapshot);
+      return DpfEfficiency(task, blocks);
     case GreedyMetric::kArea:
-      return AreaEfficiency(task, snapshot);
+      return AreaEfficiency(task, blocks);
     case GreedyMetric::kDpack:
-      return DpackEfficiency(task, snapshot, best_alpha);
+      return DpackEfficiency(task, blocks, best_alpha);
     case GreedyMetric::kFcfs:
-      break;  // FCFS never scores.
+      break;
   }
-  DPACK_CHECK_MSG(false, "unscored metric");
-  return 0.0;
+  return 0.0;  // FCFS: every task ties, so the order is (arrival, id).
 }
 
 }  // namespace dpack

@@ -7,8 +7,10 @@
 // subproblems — even when almost nothing changed between cycles. The incremental engine
 // persists block state across cycles instead, scores only the tasks that can run, and grants
 // exactly the same task sequence; the differential suites compare the two. Both score with
-// `ScoreGreedyTask` and order by `HeapEntryBefore`'s total order (score desc, arrival asc,
-// id asc), and the engine reports its work through `ScheduleContextStats`.
+// `ScoreGreedyTask`, which reads the blocks as they stand before the cycle's first commit,
+// and order by `HeapEntryBefore`'s total order (score desc, arrival asc, id asc); FCFS is the
+// metric whose score is constant, so only the tie-break orders it. The engine reports its
+// work through `ScheduleContextStats`.
 
 #ifndef SRC_CORE_SCHEDULE_CONTEXT_H_
 #define SRC_CORE_SCHEDULE_CONTEXT_H_
@@ -28,7 +30,7 @@ enum class GreedyMetric {
   kDpf,    // Inverse dominant share (fairness-oriented, §3.1).
   kArea,   // Eq. 4: all-order demand area (block-aware, not best-alpha-aware).
   kDpack,  // Eq. 6: demand at each block's best alpha (Alg. 1).
-  kFcfs,   // Arrival order.
+  kFcfs,   // Constant score 0: arrival order, by HeapEntryBefore's tie-break.
 };
 
 // Grants tasks in `order` whose demands all requested blocks accept, committing as it goes —
@@ -40,10 +42,10 @@ enum class GreedyMetric {
 std::vector<size_t> AllocateInOrder(std::span<const Task> pending, BlockManager& blocks,
                                     std::span<const size_t> order);
 
-// Reference recompute-everything scheduling pass: snapshot every block, score every pending
-// task, sort, allocate. This is the pre-incremental `GreedyScheduler::ScheduleBatch`; the
-// differential tests and benchmarks use it as the baseline, and the incremental engine falls
-// back to it when a batch has duplicate task ids.
+// Reference recompute-everything scheduling pass: solve every block's best alpha (DPack),
+// score every pending task, sort, allocate. This is the pre-incremental
+// `GreedyScheduler::ScheduleBatch`; the differential tests and benchmarks use it as the
+// baseline, and the incremental engine falls back to it when a batch has duplicate task ids.
 std::vector<size_t> RecomputeScheduleBatch(GreedyMetric metric, double eta,
                                            std::span<const Task> pending,
                                            BlockManager& blocks);
@@ -56,7 +58,7 @@ struct ScheduleContextStats {
   uint64_t tasks_rescored = 0;
   // Pending tasks the rejection memo settled without a CanAccept check.
   uint64_t tasks_reused = 0;
-  uint64_t blocks_refreshed = 0;       // Snapshot entries refreshed (version changes).
+  uint64_t blocks_refreshed = 0;       // Known blocks whose version moved since last cycle.
   uint64_t best_alpha_recomputes = 0;  // Per-block best-alpha subproblems solved.
   uint64_t full_recomputes = 0;        // Fallbacks to RecomputeScheduleBatch.
   // Growths of the persistent candidate and sort buffers. They keep room for a whole batch,
@@ -115,10 +117,10 @@ inline bool HeapEntryBefore(const HeapEntry& a, const HeapEntry& b) {
 // without allocating in the steady state.
 void SortHeapEntries(std::vector<HeapEntry>& entries, std::vector<HeapEntry>& scratch);
 
-// Scores one task under `metric` against `snapshot` (and `best_alpha` for DPack): the one
-// scoring function of the recompute path and the incremental engine.
-// FCFS never scores (DPACK_CHECKs).
-double ScoreGreedyTask(GreedyMetric metric, const Task& task, const CapacitySnapshot& snapshot,
+// Scores one task under `metric` against `blocks` as they stand (and `best_alpha` for
+// DPack): the one scoring function of the recompute path and the incremental engine. FCFS
+// scores every task 0.0.
+double ScoreGreedyTask(GreedyMetric metric, const Task& task, const BlockManager& blocks,
                        std::span<const size_t> best_alpha);
 
 }  // namespace dpack

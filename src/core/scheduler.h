@@ -35,9 +35,11 @@ class Scheduler {
                                             BlockManager& blocks) = 0;
 };
 
-// Greedy allocation shared by DPF / area / DPack / FCFS: score every pending task, order by
-// score descending (ties: earlier arrival, then lower id), then walk the order granting every
-// task whose full demand the filters of all its requested blocks accept (CANRUN of Alg. 1).
+// Greedy allocation shared by DPF / area / DPack / FCFS: score every pending task against
+// the blocks as they stand, order by score descending (ties: earlier arrival, then lower id),
+// then walk the order granting every task whose full demand the filters of all its requested
+// blocks accept (CANRUN of Alg. 1). FCFS scores every task 0, so the tie-break alone orders
+// it; every metric runs on the same engine.
 // `GreedyMetric` itself is declared in schedule_context.h.
 struct GreedySchedulerOptions {
   // DPack's approximation parameter eta (> 0): best-alpha subproblems are solved to

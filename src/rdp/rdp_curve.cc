@@ -49,15 +49,6 @@ RdpCurve RdpCurve::Scaled(double factor) const {
   return RdpCurve(grid_, std::move(scaled));
 }
 
-RdpCurve RdpCurve::SaturatingSubtract(const RdpCurve& other) const {
-  DPACK_CHECK_MSG(SameGrid(grid_, other.grid_), "grid mismatch");
-  std::vector<double> diff(epsilons_.size());
-  for (size_t i = 0; i < epsilons_.size(); ++i) {
-    diff[i] = std::max(0.0, epsilons_[i] - other.epsilons_[i]);
-  }
-  return RdpCurve(grid_, std::move(diff));
-}
-
 bool RdpCurve::DominatedBy(const RdpCurve& other) const {
   DPACK_CHECK_MSG(SameGrid(grid_, other.grid_), "grid mismatch");
   for (size_t i = 0; i < epsilons_.size(); ++i) {

@@ -47,9 +47,6 @@ class RdpCurve {
   RdpCurve Scaled(double factor) const;
   RdpCurve Repeat(size_t k) const { return Scaled(static_cast<double>(k)); }
 
-  // Pointwise difference clamped at zero (used to compute remaining capacity).
-  RdpCurve SaturatingSubtract(const RdpCurve& other) const;
-
   // True if this curve is pointwise <= other at every order.
   bool DominatedBy(const RdpCurve& other) const;
 

@@ -80,19 +80,18 @@ TEST(PrivacyBlockTest, ExistsAlphaSemanticOverspendsOtherOrders) {
   EXPECT_FALSE(block.CanAccept(demand));  // 10 > 9.74.
 }
 
-TEST(PrivacyBlockTest, AvailableCurveClampsAtZero) {
+TEST(PrivacyBlockTest, AvailableAtClampsAtZero) {
   PrivacyBlock block(0, Grid(), 10.0, 1e-7, 0.0);
   std::vector<double> eps(Grid()->size(), 20.0);
   eps[Grid()->IndexOf(64.0)] = 1.0;
   block.Commit(RdpCurve(Grid(), eps));
-  RdpCurve available = block.AvailableCurve();
-  for (size_t i = 0; i < available.size(); ++i) {
-    EXPECT_GE(available.epsilon(i), 0.0);
+  for (size_t i = 0; i < Grid()->size(); ++i) {
+    EXPECT_GE(block.AvailableAt(i), 0.0);
   }
-  EXPECT_NEAR(available.epsilon(Grid()->IndexOf(64.0)),
+  EXPECT_NEAR(block.AvailableAt(Grid()->IndexOf(64.0)),
               block.capacity().epsilon(Grid()->IndexOf(64.0)) - 1.0, 1e-12);
   // Orders where consumption exceeded capacity have zero available budget.
-  EXPECT_DOUBLE_EQ(available.epsilon(Grid()->IndexOf(8.0)), 0.0);
+  EXPECT_DOUBLE_EQ(block.AvailableAt(Grid()->IndexOf(8.0)), 0.0);
 }
 
 TEST(PrivacyBlockTest, UnlockingGatesAdmission) {

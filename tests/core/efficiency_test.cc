@@ -21,6 +21,11 @@ class EfficiencyTest : public testing::Test {
     blocks_.AddBlockWithCapacity(capacity, 0.0, /*unlocked=*/true);
   }
 
+  // A fully unlocked, unconsumed block: its available capacity is `capacity`, bit for bit.
+  PrivacyBlock Block(std::vector<double> capacity) {
+    return PrivacyBlock(0, RdpCurve(grid_, std::move(capacity)), 0.0);
+  }
+
   Task MakeTask(TaskId id, std::vector<BlockId> block_ids, double d1, double d2,
                 double weight = 1.0) {
     Task t(id, weight, RdpCurve(grid_, {d1, d2}));
@@ -33,49 +38,43 @@ class EfficiencyTest : public testing::Test {
 };
 
 TEST_F(EfficiencyTest, DominantShareIsMaxOverBlocksAndOrders) {
-  CapacitySnapshot snapshot(blocks_);
   Task t = MakeTask(1, {0, 1}, 0.5, 1.0);
   // Shares: block 0 {0.5/1, 1.0/2} and block 1 {0.5, 0.5} -> max 0.5.
-  EXPECT_DOUBLE_EQ(DominantShare(t, snapshot), 0.5);
-  EXPECT_DOUBLE_EQ(DpfEfficiency(t, snapshot), 2.0);
+  EXPECT_DOUBLE_EQ(DominantShare(t, blocks_), 0.5);
+  EXPECT_DOUBLE_EQ(DpfEfficiency(t, blocks_), 2.0);
 }
 
 TEST_F(EfficiencyTest, DpfEfficiencyScalesWithWeight) {
-  CapacitySnapshot snapshot(blocks_);
   Task t = MakeTask(1, {0}, 0.5, 0.5, /*weight=*/4.0);
-  EXPECT_DOUBLE_EQ(DpfEfficiency(t, snapshot), 8.0);
+  EXPECT_DOUBLE_EQ(DpfEfficiency(t, blocks_), 8.0);
 }
 
 TEST_F(EfficiencyTest, AreaSumsAllOrders) {
-  CapacitySnapshot snapshot(blocks_);
   Task t = MakeTask(1, {0, 1}, 0.5, 1.0);
   // Area = 2 blocks x (0.5/1 + 1.0/2) = 2.0 -> efficiency 0.5.
-  EXPECT_DOUBLE_EQ(AreaEfficiency(t, snapshot), 0.5);
+  EXPECT_DOUBLE_EQ(AreaEfficiency(t, blocks_), 0.5);
 }
 
 TEST_F(EfficiencyTest, DpackCountsOnlyBestAlpha) {
-  CapacitySnapshot snapshot(blocks_);
   Task t = MakeTask(1, {0, 1}, 0.5, 1.0);
   std::vector<size_t> best_alpha = {0, 1};  // Block 0 at alpha1, block 1 at alpha2.
   // Cost = 0.5/1 (block 0, order 0) + 1.0/2 (block 1, order 1) = 1.0.
-  EXPECT_DOUBLE_EQ(DpackEfficiency(t, snapshot, best_alpha), 1.0);
+  EXPECT_DOUBLE_EQ(DpackEfficiency(t, blocks_, best_alpha), 1.0);
 }
 
 TEST_F(EfficiencyTest, DpackZeroWhenBestOrderDepleted) {
   blocks_.block(0).Commit(RdpCurve(grid_, {1.0, 0.0}));  // Deplete order 0 of block 0.
-  CapacitySnapshot snapshot(blocks_);
   Task t = MakeTask(1, {0}, 0.5, 0.0);
   std::vector<size_t> best_alpha = {0, 0};
-  EXPECT_DOUBLE_EQ(DpackEfficiency(t, snapshot, best_alpha), 0.0);
+  EXPECT_DOUBLE_EQ(DpackEfficiency(t, blocks_, best_alpha), 0.0);
 }
 
 TEST_F(EfficiencyTest, ZeroDemandTasksAreInfinitelyEfficient) {
-  CapacitySnapshot snapshot(blocks_);
   Task t = MakeTask(1, {0}, 0.0, 0.0);
   std::vector<size_t> best_alpha = {0, 0};
-  EXPECT_EQ(DpfEfficiency(t, snapshot), std::numeric_limits<double>::infinity());
-  EXPECT_EQ(AreaEfficiency(t, snapshot), std::numeric_limits<double>::infinity());
-  EXPECT_EQ(DpackEfficiency(t, snapshot, best_alpha),
+  EXPECT_EQ(DpfEfficiency(t, blocks_), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(AreaEfficiency(t, blocks_), std::numeric_limits<double>::infinity());
+  EXPECT_EQ(DpackEfficiency(t, blocks_, best_alpha),
             std::numeric_limits<double>::infinity());
 }
 
@@ -83,19 +82,21 @@ TEST_F(EfficiencyTest, DpfShareIsStaticUnderConsumption) {
   // PrivateKube's DPF computes dominant shares against the fixed global budget: consuming
   // budget does not change a task's share (the filter, not the metric, blocks allocation).
   Task t = MakeTask(1, {0}, 0.1, 0.1);
-  CapacitySnapshot before(blocks_);
-  double share_before = DominantShare(t, before);
+  double share_before = DominantShare(t, blocks_);
   blocks_.block(0).Commit(RdpCurve(grid_, {1.0, 2.0}));  // Deplete block 0 entirely.
-  CapacitySnapshot after(blocks_);
-  EXPECT_DOUBLE_EQ(DominantShare(t, after), share_before);
+  EXPECT_DOUBLE_EQ(DominantShare(t, blocks_), share_before);
 }
 
-TEST_F(EfficiencyTest, SnapshotReflectsUnlockedFractionAndConsumption) {
+TEST_F(EfficiencyTest, MetricsReadAvailableCapacityLive) {
+  // The metrics read the blocks' current available capacity: a commit shows in the next
+  // score.
+  Task t = MakeTask(1, {0}, 0.75, 0.0);
+  EXPECT_DOUBLE_EQ(AreaEfficiency(t, blocks_), 4.0 / 3.0);
   blocks_.block(0).Commit(RdpCurve(grid_, {0.25, 0.0}));
-  CapacitySnapshot snapshot(blocks_);
-  EXPECT_DOUBLE_EQ(snapshot.available(0).epsilon(0), 0.75);
-  EXPECT_DOUBLE_EQ(snapshot.available(0).epsilon(1), 2.0);
-  EXPECT_DOUBLE_EQ(snapshot.available(1).epsilon(0), 1.0);
+  EXPECT_DOUBLE_EQ(blocks_.block(0).AvailableAt(0), 0.75);
+  EXPECT_DOUBLE_EQ(blocks_.block(0).AvailableAt(1), 2.0);
+  EXPECT_DOUBLE_EQ(blocks_.block(1).AvailableAt(0), 1.0);
+  EXPECT_DOUBLE_EQ(AreaEfficiency(t, blocks_), 1.0);
 }
 
 TEST_F(EfficiencyTest, ComputeBestAlphasPicksPackingOrder) {
@@ -105,8 +106,7 @@ TEST_F(EfficiencyTest, ComputeBestAlphasPicksPackingOrder) {
   for (int i = 0; i < 3; ++i) {
     tasks.push_back(MakeTask(i, {0}, 0.3, 1.9));
   }
-  CapacitySnapshot snapshot(blocks_);
-  std::vector<size_t> best = ComputeBestAlphas(tasks, snapshot, 0.05);
+  std::vector<size_t> best = ComputeBestAlphas(tasks, blocks_, 0.05);
   EXPECT_EQ(best[0], 0u);
 }
 
@@ -117,16 +117,14 @@ TEST_F(EfficiencyTest, ComputeBestAlphasWeighted) {
   tasks.push_back(MakeTask(0, {0}, 0.9, 2.5, /*weight=*/1.0));
   tasks.push_back(MakeTask(1, {0}, 0.8, 1.0, /*weight=*/5.0));
   tasks.push_back(MakeTask(2, {0}, 0.8, 1.0, /*weight=*/5.0));
-  CapacitySnapshot snapshot(blocks_);
-  std::vector<size_t> best = ComputeBestAlphas(tasks, snapshot, 0.05);
+  std::vector<size_t> best = ComputeBestAlphas(tasks, blocks_, 0.05);
   EXPECT_EQ(best[0], 1u);
 }
 
 TEST_F(EfficiencyTest, ComputeBestAlphasUnrequestedBlockGetsLargestCapacity) {
   std::vector<Task> tasks;
   tasks.push_back(MakeTask(0, {0}, 0.3, 0.3));
-  CapacitySnapshot snapshot(blocks_);
-  std::vector<size_t> best = ComputeBestAlphas(tasks, snapshot, 0.05);
+  std::vector<size_t> best = ComputeBestAlphas(tasks, blocks_, 0.05);
   EXPECT_EQ(best[1], 1u);  // Capacity 2.0 > 1.0.
 }
 
@@ -139,23 +137,23 @@ TEST_F(EfficiencyTest, BestAlphaForBlockUniformWeightsUseExactCardinality) {
   tasks.push_back(MakeTask(1, {0}, 1.0, 0.5));
   tasks.push_back(MakeTask(2, {0}, 2.0, 1.0));
   std::vector<size_t> requesters = {0, 1, 2};
-  EXPECT_EQ(BestAlphaForBlock(tasks, requesters, RdpCurve(grid_, {3.0, 2.0}), 0.05), 0u);
-  EXPECT_EQ(BestAlphaForBlock(tasks, requesters, RdpCurve(grid_, {3.0, 2.5}), 0.05), 1u);
+  EXPECT_EQ(BestAlphaForBlock(tasks, requesters, Block({3.0, 2.0}), 0.05), 0u);
+  EXPECT_EQ(BestAlphaForBlock(tasks, requesters, Block({3.0, 2.5}), 0.05), 1u);
 }
 
 TEST_F(EfficiencyTest, BestAlphaForBlockEdgeCases) {
   std::vector<Task> tasks;
   tasks.push_back(MakeTask(0, {0}, 0.1, 0.1));
   // No requesters: the largest-capacity order, ties to the first.
-  EXPECT_EQ(BestAlphaForBlock(tasks, {}, RdpCurve(grid_, {1.0, 2.0}), 0.05), 1u);
-  EXPECT_EQ(BestAlphaForBlock(tasks, {}, RdpCurve(grid_, {2.0, 2.0}), 0.05), 0u);
+  EXPECT_EQ(BestAlphaForBlock(tasks, {}, Block({1.0, 2.0}), 0.05), 1u);
+  EXPECT_EQ(BestAlphaForBlock(tasks, {}, Block({2.0, 2.0}), 0.05), 0u);
   // Every order depleted: order 0.
   std::vector<size_t> requesters = {0};
-  EXPECT_EQ(BestAlphaForBlock(tasks, requesters, RdpCurve(grid_, {0.0, 0.0}), 0.05), 0u);
+  EXPECT_EQ(BestAlphaForBlock(tasks, requesters, Block({0.0, 0.0}), 0.05), 0u);
   // Order 0 depleted: nothing fits at order 1 either, but it is the only usable order.
   tasks.push_back(MakeTask(1, {0}, 0.1, 3.0));
   requesters = {1};
-  EXPECT_EQ(BestAlphaForBlock(tasks, requesters, RdpCurve(grid_, {0.0, 2.0}), 0.05), 1u);
+  EXPECT_EQ(BestAlphaForBlock(tasks, requesters, Block({0.0, 2.0}), 0.05), 1u);
 }
 
 // Seeded uniform-weight instances with depleted orders: BestAlphaForBlock must equal the first
@@ -190,7 +188,7 @@ TEST(BestAlphaForBlockTest, UniformWeightsMatchMaxCardinalityArgmax) {
     if (seed % 10 == 0) {
       std::fill(capacity.begin(), capacity.end(), 0.0);
     }
-    RdpCurve available(grid, capacity);
+    PrivacyBlock block(0, RdpCurve(grid, capacity), 0.0);
 
     size_t expected = 0;
     if (requesters.empty()) {
@@ -216,7 +214,7 @@ TEST(BestAlphaForBlockTest, UniformWeightsMatchMaxCardinalityArgmax) {
         }
       }
     }
-    EXPECT_EQ(BestAlphaForBlock(tasks, requesters, available, 0.05), expected)
+    EXPECT_EQ(BestAlphaForBlock(tasks, requesters, block, 0.05), expected)
         << "seed=" << seed;
   }
 }
@@ -226,11 +224,11 @@ TEST_F(EfficiencyTest, BestAlphaForBlockNegativeWeightAbortsOnlyAtAUsableOrder) 
   tasks.push_back(MakeTask(0, {0}, 0.1, 0.1, /*weight=*/-1.0));
   tasks.push_back(MakeTask(1, {0}, 0.1, 0.1, /*weight=*/-1.0));
   std::vector<size_t> requesters = {0, 1};
-  EXPECT_EQ(BestAlphaForBlock(tasks, requesters, RdpCurve(grid_, {0.0, 0.0}), 0.05), 0u);
-  EXPECT_DEATH(BestAlphaForBlock(tasks, requesters, RdpCurve(grid_, {0.0, 1.0}), 0.05),
+  EXPECT_EQ(BestAlphaForBlock(tasks, requesters, Block({0.0, 0.0}), 0.05), 0u);
+  EXPECT_DEATH(BestAlphaForBlock(tasks, requesters, Block({0.0, 1.0}), 0.05),
                "profits must be non-negative");
   tasks[1].weight = 2.0;  // Non-uniform weights take the FPTAS, which validates the same.
-  EXPECT_DEATH(BestAlphaForBlock(tasks, requesters, RdpCurve(grid_, {0.0, 1.0}), 0.05),
+  EXPECT_DEATH(BestAlphaForBlock(tasks, requesters, Block({0.0, 1.0}), 0.05),
                "profits must be non-negative");
 }
 
@@ -240,12 +238,11 @@ TEST_F(EfficiencyTest, Property4SingleOrderDpackEqualsArea) {
   BlockManager blocks(grid1, 10.0, 1e-7);
   blocks.AddBlockWithCapacity(RdpCurve(grid1, {2.0}), 0.0, true);
   blocks.AddBlockWithCapacity(RdpCurve(grid1, {4.0}), 0.0, true);
-  CapacitySnapshot snapshot(blocks);
   std::vector<size_t> best_alpha = {0, 0};
   for (double d : {0.1, 0.5, 1.0, 1.9}) {
     Task t(0, 1.5, RdpCurve(grid1, {d}));
     t.blocks = {0, 1};
-    EXPECT_DOUBLE_EQ(DpackEfficiency(t, snapshot, best_alpha), AreaEfficiency(t, snapshot));
+    EXPECT_DOUBLE_EQ(DpackEfficiency(t, blocks, best_alpha), AreaEfficiency(t, blocks));
   }
 }
 

@@ -129,8 +129,8 @@ TEST_F(EngineBlockSyncTest, PreCommittedAndRestoredBlocksAreNotReportedChanged) 
 }
 
 TEST_F(EngineBlockSyncTest, DefaultSchedulerRunsTheEngine) {
-  // A default GreedyScheduler runs on the incremental engine, FCFS included (as a
-  // pass-through: it never scores).
+  // A default GreedyScheduler runs on the incremental engine, FCFS included (as the
+  // constant-score metric).
   BlockManager blocks(Grid(), kEpsG, kDeltaG);
   for (int b = 0; b < 5; ++b) {
     blocks.AddBlock(0.0, /*unlocked=*/true);

@@ -134,9 +134,7 @@ void RunDifferentialTrace(GreedyMetric metric, const TraceOptions& options) {
   ASSERT_NE(engine.engine(), nullptr);
   const ScheduleContextStats& stats = engine.engine()->stats();
   EXPECT_EQ(stats.full_recomputes, 0u);
-  if (metric != GreedyMetric::kFcfs) {
-    EXPECT_GT(stats.tasks_reused, 0u);
-  }
+  EXPECT_GT(stats.tasks_reused, 0u);
 }
 
 class IncrementalEquivalenceTest : public testing::TestWithParam<GreedyMetric> {};

@@ -681,13 +681,22 @@ TEST(TaskCacheMapTest, BacklogChurnStaysWithinEightThousandSlots) {
 
 // SortHeapEntries must put any entries in exactly std::sort(HeapEntryBefore)'s order. Ids
 // are unique, so that order is unique and the two are compared entry by entry.
-std::vector<HeapEntry> RandomEntries(Rng& rng, size_t n, bool heavy_ties) {
+enum class Ties {
+  kSome,      // Mostly distinct scores.
+  kHeavy,     // Scores from a small pool, arrivals from a small range.
+  kAllEqual,  // Every score 0.0: FCFS's candidates, ordered by (arrival, id) alone.
+};
+
+std::vector<HeapEntry> RandomEntries(Rng& rng, size_t n, Ties ties) {
   const double kInf = std::numeric_limits<double>::infinity();
   std::vector<double> pool = {0.0, -0.0, kInf, -kInf, 1.0, 0.5, -2.0, 1e-300, 3.25e10};
+  const bool heavy_ties = ties == Ties::kHeavy;
   std::vector<HeapEntry> entries;
   for (size_t i = 0; i < n; ++i) {
     HeapEntry entry;
-    if (heavy_ties || rng.Uniform() < 0.2) {
+    if (ties == Ties::kAllEqual) {
+      entry.score = 0.0;
+    } else if (heavy_ties || rng.Uniform() < 0.2) {
       entry.score = pool[static_cast<size_t>(rng.UniformInt(0, 8))];
     } else {
       entry.score = rng.Uniform(-1.0, 1.0) * std::pow(10.0, rng.UniformInt(-5, 5));
@@ -706,9 +715,9 @@ TEST(SortHeapEntriesTest, MatchesStdSortUnderHeapEntryBefore) {
   std::vector<HeapEntry> scratch;
   // Sizes on both sides of the small-input threshold.
   for (size_t n : {0, 1, 2, 7, 63, 64, 65, 200, 1500}) {
-    for (bool heavy_ties : {false, true}) {
+    for (Ties ties : {Ties::kSome, Ties::kHeavy, Ties::kAllEqual}) {
       for (int round = 0; round < 5; ++round) {
-        std::vector<HeapEntry> entries = RandomEntries(rng, n, heavy_ties);
+        std::vector<HeapEntry> entries = RandomEntries(rng, n, ties);
         std::vector<HeapEntry> expected = entries;
         std::sort(expected.begin(), expected.end(), HeapEntryBefore);
         SortHeapEntries(entries, scratch);
@@ -742,11 +751,11 @@ TEST(SortHeapEntriesTest, SignedZerosTieAndBreakByArrivalThenId) {
 
 TEST(SortHeapEntriesTest, SteadyStateSortsDoNotAllocate) {
   Rng rng(7);
-  std::vector<HeapEntry> entries = RandomEntries(rng, 500, false);
+  std::vector<HeapEntry> entries = RandomEntries(rng, 500, Ties::kSome);
   std::vector<HeapEntry> scratch;
   SortHeapEntries(entries, scratch);
   for (int round = 0; round < 4; ++round) {
-    std::vector<HeapEntry> next = RandomEntries(rng, 500, false);
+    std::vector<HeapEntry> next = RandomEntries(rng, 500, Ties::kSome);
     entries.assign(next.begin(), next.end());
     const HeapEntry* a = entries.data();
     const HeapEntry* b = scratch.data();

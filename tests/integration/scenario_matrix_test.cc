@@ -77,9 +77,7 @@ TEST_P(ScenarioMatrixTest, EveryScenarioMatchesRecomputeAcrossTheEngineMatrix) {
     EXPECT_EQ(run.cycles_run, ref.reference.cycles_run) << name;
     EXPECT_EQ(run.pending_at_end, ref.reference.pending_at_end) << name;
     ExpectMetricsEqual(run.metrics, ref.reference.metrics, name);
-    if (GetParam() != GreedyMetric::kFcfs) {
-      EXPECT_EQ(run.scheduler_stats.full_recomputes, 0u) << name;
-    }
+    EXPECT_EQ(run.scheduler_stats.full_recomputes, 0u) << name;
   }
 }
 

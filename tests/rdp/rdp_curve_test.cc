@@ -42,15 +42,6 @@ TEST(RdpCurveTest, ScaledAndRepeat) {
   EXPECT_TRUE(curve.Scaled(0.0).IsZero());
 }
 
-TEST(RdpCurveTest, SaturatingSubtractClampsAtZero) {
-  std::vector<double> big(Grid()->size(), 3.0);
-  std::vector<double> small(Grid()->size(), 5.0);
-  RdpCurve a(Grid(), big);
-  RdpCurve b(Grid(), small);
-  RdpCurve diff = a.SaturatingSubtract(b);
-  EXPECT_TRUE(diff.IsZero());
-}
-
 TEST(RdpCurveTest, DominatedBy) {
   std::vector<double> lo(Grid()->size(), 1.0);
   std::vector<double> hi(Grid()->size(), 2.0);
