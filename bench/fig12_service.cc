@@ -58,7 +58,7 @@ NetLegResult RunNetLeg(const std::string& scenario, size_t index) {
   pid_t daemon = SpawnChild([socket_path, sim]() -> int {
     AlphaGridPtr child_grid = AlphaGrid::Default();
     BlockManager blocks(child_grid, sim.eps_g, sim.delta_g);
-    GrantService service(GreedyMetric::kDpack, &blocks, GrantServiceConfigFor(sim));
+    GrantService service(GreedyMetric::kDpack, &blocks, OnlineSchedulerConfigFor(sim));
     BlockArrivalFeed feed(sim);
     NetAddress address;
     address.is_unix = true;

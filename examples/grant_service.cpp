@@ -23,9 +23,7 @@
 // RunOnlineSimulation. Any other flag is a usage error (exit 2).
 
 #include <csignal>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -138,7 +136,7 @@ int RunInProcess(GreedyMetric metric, const ScenarioWorkload& workload, bool dif
   const SimConfig& sim = workload.sim;
   BlockManager blocks(sim.grid != nullptr ? sim.grid : AlphaGrid::Default(), sim.eps_g,
                       sim.delta_g);
-  GrantService service(metric, &blocks, GrantServiceConfigFor(sim));
+  GrantService service(metric, &blocks, OnlineSchedulerConfigFor(sim));
   LocalServiceFront front(&service, &blocks, sim);
   ReplayResult result;
   std::string error;
@@ -166,7 +164,7 @@ int RunDaemon(const std::string& address_text, GreedyMetric metric,
   const SimConfig& sim = workload.sim;
   AlphaGridPtr grid = sim.grid != nullptr ? sim.grid : AlphaGrid::Default();
   BlockManager blocks(grid, sim.eps_g, sim.delta_g);
-  GrantService service(metric, &blocks, GrantServiceConfigFor(sim));
+  GrantService service(metric, &blocks, OnlineSchedulerConfigFor(sim));
   std::printf("daemon: pid %lld\n", static_cast<long long>(getpid()));
 
   BlockArrivalFeed feed(sim);
@@ -220,35 +218,6 @@ int RunRemoteClient(const std::string& address_text, GreedyMetric metric,
   return exit_code;
 }
 
-// One blocking connect attempt for the kill client; returns the fd or -1 with errno set.
-int BlockingConnect(const NetAddress& address) {
-  if (address.is_unix) {
-    int fd = socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) return -1;
-    sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, address.path.c_str(), address.path.size() + 1);
-    if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) return fd;
-    int saved = errno;
-    close(fd);
-    errno = saved;
-    return -1;
-  }
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) return -1;
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(address.port);
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) return fd;
-  int saved = errno;
-  close(fd);
-  errno = saved;
-  return -1;
-}
-
 // --kill-client: connect, write the first half of a well-formed Submit frame, and SIGKILL
 // ourselves mid-submission. The daemon must discard the partial bytes on the EOF and keep
 // serving — the CI remote-client kill leg asserts exactly that.
@@ -261,7 +230,7 @@ int RunKillClient(const std::string& address_text) {
   }
   int fd = -1;
   for (int attempt = 0; attempt < 20000 && fd < 0; ++attempt) {
-    fd = BlockingConnect(address);
+    fd = ConnectOnce(address);
     if (fd < 0) {
       if (errno != ECONNREFUSED && errno != ENOENT && errno != EINTR) break;
       SleepFullMicros(500);  // The daemon may still be binding.

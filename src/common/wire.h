@@ -12,6 +12,18 @@
 // BinaryReader is bounds-checked: it never reads past the payload, and a corrupted length
 // field can never trigger a huge allocation (CheckCount caps declared element counts by the
 // bytes actually remaining). On failure the reader latches a diagnostic naming the field.
+//
+// A schema is written once, as a field list both classes walk:
+//   template <class Io, class S> bool PairFields(Io& io, S& s) {
+//     return io.Field(s.id, "pair.id") &&
+//            io.Records(s.items, 8 * 2, "pair.items",
+//                       [&](auto& item) { return ItemFields(io, item); });
+//   }
+// BinaryWriter walks it over a const S to encode and BinaryReader over an S to decode, so
+// the two directions cannot drift apart. Field takes an 8-byte scalar or a
+// std::vector<double> / std::vector<int64_t> (a u64 count, then the elements); Records
+// takes a vector of records of at least `min_record_bytes` each (a u64 count, then each
+// record's own field list).
 
 #ifndef SRC_COMMON_WIRE_H_
 #define SRC_COMMON_WIRE_H_
@@ -21,6 +33,7 @@
 #include <cstring>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 namespace dpack {
@@ -44,6 +57,13 @@ inline double DoubleOfBits(uint64_t bits) {
   return value;
 }
 
+// The types a schema's Field may name: 8-byte scalars, and the two vector bodies.
+template <typename T>
+inline constexpr bool kIsWireScalar = std::is_arithmetic_v<T> && sizeof(T) == 8;
+template <typename T>
+inline constexpr bool kIsWireVector =
+    std::is_same_v<T, std::vector<double>> || std::is_same_v<T, std::vector<int64_t>>;
+
 // FNV-1a over the payload bytes: the checksum both the checkpoint codec and the service
 // message framing append, so a flipped bit anywhere in a payload is always detected.
 uint64_t Fnv1a64(std::string_view data);
@@ -56,16 +76,33 @@ class BinaryWriter {
   void U64(uint64_t v) { Raw(&v, sizeof(v)); }
   void I64(int64_t v) { Raw(&v, sizeof(v)); }
   void F64(double v) { Raw(&v, sizeof(v)); }
-  void F64Vec(const std::vector<double>& v) {
-    U64(v.size());
-    Raw(v.data(), v.size() * sizeof(double));
-  }
-  void I64Vec(const std::vector<int64_t>& v) {
-    U64(v.size());
-    Raw(v.data(), v.size() * sizeof(int64_t));
-  }
+  void F64Vec(const std::vector<double>& v) { Field(v, "f64 vector"); }
+  void I64Vec(const std::vector<int64_t>& v) { Field(v, "i64 vector"); }
   // Appends raw bytes verbatim (length is NOT written; frame it yourself when needed).
   void Bytes(std::string_view bytes) { out_.append(bytes); }
+
+  // Schema walkers (see the file comment). They always succeed; the bool lets one field list
+  // chain them with && for both directions.
+  template <typename T>
+  bool Field(const T& v, const char* /*what*/) {
+    if constexpr (kIsWireVector<T>) {
+      U64(v.size());
+      Raw(v.data(), v.size() * sizeof(v[0]));
+    } else {
+      static_assert(kIsWireScalar<T>, "a wire field is an 8-byte scalar or an f64/i64 vector");
+      Raw(&v, sizeof(v));
+    }
+    return true;
+  }
+  template <typename T, typename Each>
+  bool Records(const std::vector<T>& records, size_t /*min_record_bytes*/,
+               const char* /*what*/, Each each) {
+    U64(records.size());
+    for (const T& record : records) {
+      each(record);
+    }
+    return true;
+  }
 
   std::string& data() { return out_; }
 
@@ -95,6 +132,31 @@ class BinaryReader {
   // Reads an element count for records of at least `min_record_bytes`.
   bool Count(uint64_t* out, size_t min_record_bytes, const char* what) {
     return U64(out, what) && CheckCount(*out, min_record_bytes, what);
+  }
+  // Schema walkers (see the file comment): false, with the diagnostic latched, on the first
+  // field that fails.
+  template <typename T>
+  bool Field(T& out, const char* what) {
+    if constexpr (kIsWireVector<T>) {
+      return Vec(&out, what);
+    } else {
+      static_assert(kIsWireScalar<T>, "a wire field is an 8-byte scalar or an f64/i64 vector");
+      return Raw(&out, sizeof(out), what);
+    }
+  }
+  template <typename T, typename Each>
+  bool Records(std::vector<T>& records, size_t min_record_bytes, const char* what, Each each) {
+    uint64_t count = 0;
+    if (!Count(&count, min_record_bytes, what)) {
+      return false;
+    }
+    records.resize(static_cast<size_t>(count));
+    for (T& record : records) {
+      if (!each(record)) {
+        return false;
+      }
+    }
+    return true;
   }
   // Reads `bytes` raw bytes into a view over the underlying buffer.
   bool BytesView(size_t bytes, std::string_view* out, const char* what) {

@@ -434,11 +434,12 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
     const PrivacyBlock& b = blocks.block(static_cast<BlockId>(g));
     last_version_.push_back(b.version());
     version_now_.push_back(b.version());
-    best_alpha_.push_back(0);
+    // The dirty list and the per-block solve state feed only the DPack solve below.
     if (dpack) {
+      best_alpha_.push_back(0);
       members_.emplace_back(b);
+      MarkDirty(static_cast<BlockId>(g));
     }
-    MarkDirty(static_cast<BlockId>(g));
   }
   // Drill into version-tree groups whose sum advanced since the last cycle — O(groups +
   // changed) instead of a version scan over every block. Arrivals were recorded at their
@@ -455,8 +456,8 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
         version_now_[g] = last_version_[g];
         if (dpack) {
           members_[g].DropExhaustedOrders(blocks.block(id));
+          MarkDirty(id);
         }
-        MarkDirty(id);
         ++stats_.blocks_refreshed;
       });
   if (!dpack) {

@@ -261,7 +261,8 @@ class IncrementalEngine {
   std::vector<uint64_t> dirty_stamp_;  // Per block: cycle stamp when last marked dirty.
   std::vector<size_t> best_alpha_;     // DPack: cached best order per block.
   std::vector<BlockMembers> members_;  // DPack: per block, its requester columns.
-  // This cycle's dirty blocks (capacity or membership), duplicate-free via dirty_stamp_.
+  // DPack: this cycle's dirty blocks (capacity or membership), duplicate-free via
+  // dirty_stamp_; the blocks whose best alpha is solved again.
   std::vector<BlockId> dirty_ids_;
   // DPack membership events of this cycle, from ObserveBatch: the previous batch's tasks
   // leaving their blocks (departed or re-resolved, in batch order), batch indices of

@@ -4,26 +4,32 @@
 
 namespace dpack {
 
-AllocationMetrics AllocationMetrics::Restore(size_t submitted, size_t allocated,
-                                             size_t evicted, double submitted_weight,
-                                             double allocated_weight,
-                                             size_t submitted_fair_share,
-                                             size_t allocated_fair_share,
-                                             std::span<const double> delay_samples,
-                                             const RunningStat::State& cycle_runtime) {
+AllocationMetrics::State AllocationMetrics::state() const {
+  return {submitted_,
+          allocated_,
+          evicted_,
+          submitted_weight_,
+          allocated_weight_,
+          submitted_fair_share_,
+          allocated_fair_share_,
+          delays_.samples(),
+          cycle_runtime_seconds_.state()};
+}
+
+AllocationMetrics AllocationMetrics::FromState(const State& state) {
   AllocationMetrics metrics;
-  metrics.submitted_ = submitted;
-  metrics.allocated_ = allocated;
-  metrics.evicted_ = evicted;
-  metrics.submitted_weight_ = submitted_weight;
-  metrics.allocated_weight_ = allocated_weight;
-  metrics.submitted_fair_share_ = submitted_fair_share;
-  metrics.allocated_fair_share_ = allocated_fair_share;
-  metrics.delays_.Reserve(delay_samples.size());
-  for (double delay : delay_samples) {
+  metrics.submitted_ = state.submitted;
+  metrics.allocated_ = state.allocated;
+  metrics.evicted_ = state.evicted;
+  metrics.submitted_weight_ = state.submitted_weight;
+  metrics.allocated_weight_ = state.allocated_weight;
+  metrics.submitted_fair_share_ = state.submitted_fair_share;
+  metrics.allocated_fair_share_ = state.allocated_fair_share;
+  metrics.delays_.Reserve(state.delay_samples.size());
+  for (double delay : state.delay_samples) {
     metrics.delays_.Add(delay);
   }
-  metrics.cycle_runtime_seconds_ = RunningStat::FromState(cycle_runtime);
+  metrics.cycle_runtime_seconds_ = RunningStat::FromState(state.cycle_runtime);
   return metrics;
 }
 

@@ -5,8 +5,8 @@
 #define SRC_CORE_METRICS_H_
 
 #include <cstddef>
-#include <span>
 #include <string>
+#include <vector>
 
 #include "src/common/stats.h"
 
@@ -14,15 +14,24 @@ namespace dpack {
 
 class AllocationMetrics {
  public:
-  // Rebuilds a metrics accumulator from checkpointed state (see
-  // src/orchestrator/checkpoint.h). `delay_samples` are re-added in the given order, so a
-  // capture taken before any quantile query (which sorts the sample set in place) restores
-  // the delays byte-identically; the cycle-runtime accumulator is restored field-exact.
-  static AllocationMetrics Restore(size_t submitted, size_t allocated, size_t evicted,
-                                   double submitted_weight, double allocated_weight,
-                                   size_t submitted_fair_share, size_t allocated_fair_share,
-                                   std::span<const double> delay_samples,
-                                   const RunningStat::State& cycle_runtime);
+  // The accumulator's full state, exposed for checkpointing (src/orchestrator/checkpoint.h).
+  // Delays are the raw sample vector, in the order added; the cycle-runtime accumulator is
+  // field-exact (Welford state is order-sensitive).
+  struct State {
+    size_t submitted = 0;
+    size_t allocated = 0;
+    size_t evicted = 0;
+    double submitted_weight = 0.0;
+    double allocated_weight = 0.0;
+    size_t submitted_fair_share = 0;
+    size_t allocated_fair_share = 0;
+    std::vector<double> delay_samples;
+    RunningStat::State cycle_runtime;
+  };
+  State state() const;
+  // Re-adds the delay samples in order, so a state taken before any quantile query (which
+  // sorts the sample set in place) restores the delays byte-identically.
+  static AllocationMetrics FromState(const State& state);
 
   void RecordSubmission(double weight, bool fair_share);
   // `delay` is allocation time minus arrival time, in virtual time units.

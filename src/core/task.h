@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/block/privacy_block.h"
+#include "src/rdp/alpha_grid.h"
 #include "src/rdp/rdp_curve.h"
 
 namespace dpack {
@@ -38,6 +39,30 @@ struct Task {
 
   std::string DebugString() const;
 };
+
+// A task as it crosses a process or disk boundary: the snapshot's pending queue and the
+// socket edge's Submit both carry these fields (each in its own wire order), with the demand
+// as raw per-order epsilons.
+struct TaskRecord {
+  TaskId id = 0;
+  double weight = 1.0;
+  double arrival_time = 0.0;
+  double timeout = 0.0;  // +inf = never evicted, as in Task.
+  std::vector<double> demand;
+  std::vector<BlockId> blocks;
+  uint64_t num_recent_blocks = 0;
+};
+
+TaskRecord RecordOf(const Task& task);
+// The task `record` describes, its demand on `grid`.
+Task TaskOf(const TaskRecord& record, AlphaGridPtr grid);
+
+// The rules every task from outside the process must pass before it can reach a scheduler:
+// weight finite and positive, arrival finite and non-negative, timeout non-negative or +inf,
+// one finite non-negative demand per order of an `orders`-wide grid, and block ids below
+// `block_count` in strictly ascending order (a repeated id would charge its block twice).
+// Returns "" when valid, else a diagnostic.
+std::string ValidateTaskRecord(const TaskRecord& record, size_t orders, size_t block_count);
 
 }  // namespace dpack
 

@@ -49,27 +49,9 @@ ClusterSnapshot CaptureSnapshot(const BlockManager& blocks, std::span<const Task
 
   snapshot.pending.reserve(pending.size());
   for (const Task& task : pending) {
-    SnapshotTaskState state;
-    state.id = task.id;
-    state.weight = task.weight;
-    state.arrival_time = task.arrival_time;
-    state.timeout = task.timeout;
-    state.demand = task.demand.epsilons();
-    state.blocks = task.blocks;
-    state.num_recent_blocks = task.num_recent_blocks;
-    snapshot.pending.push_back(std::move(state));
+    snapshot.pending.push_back(RecordOf(task));
   }
-
-  SnapshotMetricsState& m = snapshot.metrics;
-  m.submitted = metrics.submitted();
-  m.allocated = metrics.allocated();
-  m.evicted = metrics.evicted();
-  m.submitted_weight = metrics.submitted_weight();
-  m.allocated_weight = metrics.allocated_weight();
-  m.submitted_fair_share = metrics.submitted_fair_share();
-  m.allocated_fair_share = metrics.allocated_fair_share();
-  m.delay_samples = metrics.delays().samples();
-  m.cycle_runtime = metrics.cycle_runtime_seconds().state();
+  snapshot.metrics = metrics.state();
   return snapshot;
 }
 
@@ -160,33 +142,17 @@ std::string ValidateSnapshot(const ClusterSnapshot& snapshot) {
     return "manager clock inconsistent with block states";
   }
 
-  for (const SnapshotTaskState& task : snapshot.pending) {
-    if (!FiniteValue(task.weight) || task.weight <= 0.0) {
-      return "pending task weight out of range";
+  for (const TaskRecord& task : snapshot.pending) {
+    std::string error = ValidateTaskRecord(task, orders, snapshot.blocks.size());
+    if (!error.empty()) {
+      return "pending task " + std::to_string(task.id) + ": " + error;
     }
-    if (!FiniteValue(task.arrival_time) || task.arrival_time < 0.0 ||
-        task.arrival_time > meta.checkpoint_time) {
-      return "pending task arrival_time out of range";
-    }
-    if (std::isnan(task.timeout) || task.timeout < 0.0) {
-      return "pending task timeout out of range";
-    }
-    if (task.demand.size() != orders) {
-      return "pending task demand size must match the grid";
-    }
-    for (double eps : task.demand) {
-      if (!NotNan(eps) || eps < 0.0) {
-        return "pending task demand must be non-negative and not NaN";
-      }
-    }
-    for (BlockId id : task.blocks) {
-      if (id < 0 || static_cast<size_t>(id) >= snapshot.blocks.size()) {
-        return "pending task references an unknown block";
-      }
+    if (task.arrival_time > meta.checkpoint_time) {
+      return "pending task arrived after the checkpoint";
     }
   }
 
-  const SnapshotMetricsState& m = snapshot.metrics;
+  const AllocationMetrics::State& m = snapshot.metrics;
   if (m.allocated > m.submitted || m.evicted > m.submitted - m.allocated) {
     return "metrics counts inconsistent";
   }
@@ -220,69 +186,66 @@ std::string ValidateSnapshot(const ClusterSnapshot& snapshot) {
 
 namespace {
 
-// The payload bytes the checksum covers; EncodeSnapshotBinary frames them with the magic,
-// format version, length and FNV-1a checksum.
-std::string EncodePayload(const ClusterSnapshot& snapshot) {
-  BinaryWriter payload;
-  const SnapshotMeta& meta = snapshot.meta;
-  payload.U64(meta.cycles_completed);
-  payload.F64(meta.checkpoint_time);
-  payload.F64(meta.next_cycle_time);
-  payload.F64(meta.period);
-  payload.I64(meta.unlock_steps);
-  payload.I64(meta.fair_share_n);
+// The payload's one field list, walked by BinaryWriter (encode) and BinaryReader (decode);
+// EncodeSnapshotBinary frames the payload with the magic, format version, length and FNV-1a
+// checksum. Each `S` is a snapshot part, const when encoding.
+template <class Io, class S>
+bool BlockFields(Io& io, S& block) {
+  return io.Field(block.id, "block.id") && io.Field(block.arrival_time, "block.arrival_time") &&
+         io.Field(block.unlocked_fraction, "block.unlocked_fraction") &&
+         io.Field(block.version, "block.version") &&
+         io.Field(block.capacity, "block.capacity") && io.Field(block.consumed, "block.consumed");
+}
 
-  payload.F64Vec(snapshot.grid_orders);
-  payload.F64(snapshot.eps_g);
-  payload.F64(snapshot.delta_g);
-  payload.U64(snapshot.manager_epoch);
+template <class Io, class S>
+bool TaskFields(Io& io, S& task) {
+  return io.Field(task.id, "task.id") && io.Field(task.weight, "task.weight") &&
+         io.Field(task.arrival_time, "task.arrival_time") &&
+         io.Field(task.timeout, "task.timeout") && io.Field(task.demand, "task.demand") &&
+         io.Field(task.blocks, "task.blocks") &&
+         io.Field(task.num_recent_blocks, "task.num_recent_blocks");
+}
 
-  payload.U64(snapshot.blocks.size());
-  for (const SnapshotBlockState& block : snapshot.blocks) {
-    payload.I64(block.id);
-    payload.F64(block.arrival_time);
-    payload.F64(block.unlocked_fraction);
-    payload.U64(block.version);
-    payload.F64Vec(block.capacity);
-    payload.F64Vec(block.consumed);
-  }
-
-  payload.U64(snapshot.manager_clock.block_count);
-  payload.U64(snapshot.manager_clock.version_sum);
-
-  payload.U64(snapshot.pending.size());
-  for (const SnapshotTaskState& task : snapshot.pending) {
-    payload.I64(task.id);
-    payload.F64(task.weight);
-    payload.F64(task.arrival_time);
-    payload.F64(task.timeout);
-    payload.F64Vec(task.demand);
-    payload.I64Vec(task.blocks);
-    payload.U64(task.num_recent_blocks);
-  }
-
-  const SnapshotMetricsState& m = snapshot.metrics;
-  payload.U64(m.submitted);
-  payload.U64(m.allocated);
-  payload.U64(m.evicted);
-  payload.F64(m.submitted_weight);
-  payload.F64(m.allocated_weight);
-  payload.U64(m.submitted_fair_share);
-  payload.U64(m.allocated_fair_share);
-  payload.F64Vec(m.delay_samples);
-  payload.U64(m.cycle_runtime.count);
-  payload.F64(m.cycle_runtime.mean);
-  payload.F64(m.cycle_runtime.m2);
-  payload.F64(m.cycle_runtime.min);
-  payload.F64(m.cycle_runtime.max);
-  payload.F64(m.cycle_runtime.sum);
-  return std::move(payload.data());
+template <class Io, class S>
+bool SnapshotFields(Io& io, S& s) {
+  auto& meta = s.meta;
+  auto& m = s.metrics;
+  auto& rt = m.cycle_runtime;
+  return io.Field(meta.cycles_completed, "meta.cycles_completed") &&
+         io.Field(meta.checkpoint_time, "meta.checkpoint_time") &&
+         io.Field(meta.next_cycle_time, "meta.next_cycle_time") &&
+         io.Field(meta.period, "meta.period") &&
+         io.Field(meta.unlock_steps, "meta.unlock_steps") &&
+         io.Field(meta.fair_share_n, "meta.fair_share_n") &&
+         io.Field(s.grid_orders, "grid_orders") && io.Field(s.eps_g, "eps_g") &&
+         io.Field(s.delta_g, "delta_g") && io.Field(s.manager_epoch, "manager_epoch") &&
+         io.Records(s.blocks, 8 * 6, "block count",
+                    [&](auto& block) { return BlockFields(io, block); }) &&
+         io.Field(s.manager_clock.block_count, "manager_clock.block_count") &&
+         io.Field(s.manager_clock.version_sum, "manager_clock.version_sum") &&
+         io.Records(s.pending, 8 * 7, "pending task count",
+                    [&](auto& task) { return TaskFields(io, task); }) &&
+         io.Field(m.submitted, "metrics.submitted") &&
+         io.Field(m.allocated, "metrics.allocated") && io.Field(m.evicted, "metrics.evicted") &&
+         io.Field(m.submitted_weight, "metrics.submitted_weight") &&
+         io.Field(m.allocated_weight, "metrics.allocated_weight") &&
+         io.Field(m.submitted_fair_share, "metrics.submitted_fair_share") &&
+         io.Field(m.allocated_fair_share, "metrics.allocated_fair_share") &&
+         io.Field(m.delay_samples, "metrics.delay_samples") &&
+         io.Field(rt.count, "metrics.cycle_runtime.count") &&
+         io.Field(rt.mean, "metrics.cycle_runtime.mean") &&
+         io.Field(rt.m2, "metrics.cycle_runtime.m2") &&
+         io.Field(rt.min, "metrics.cycle_runtime.min") &&
+         io.Field(rt.max, "metrics.cycle_runtime.max") &&
+         io.Field(rt.sum, "metrics.cycle_runtime.sum");
 }
 
 }  // namespace
 
 std::string EncodeSnapshotBinary(const ClusterSnapshot& snapshot) {
-  std::string payload = EncodePayload(snapshot);
+  BinaryWriter writer;
+  SnapshotFields(writer, snapshot);
+  const std::string& payload = writer.data();
   BinaryWriter out;
   out.data().append(kBinaryMagic, sizeof(kBinaryMagic));
   out.U32(kSnapshotFormatVersion);
@@ -335,60 +298,7 @@ SnapshotParseResult DecodeSnapshotBinary(std::string_view bytes) {
 
   BinaryReader r(payload);
   ClusterSnapshot& s = result.snapshot;
-  bool ok = r.U64(&s.meta.cycles_completed, "meta.cycles_completed") &&
-            r.F64(&s.meta.checkpoint_time, "meta.checkpoint_time") &&
-            r.F64(&s.meta.next_cycle_time, "meta.next_cycle_time") &&
-            r.F64(&s.meta.period, "meta.period") &&
-            r.I64(&s.meta.unlock_steps, "meta.unlock_steps") &&
-            r.I64(&s.meta.fair_share_n, "meta.fair_share_n") &&
-            r.F64Vec(&s.grid_orders, "grid_orders") && r.F64(&s.eps_g, "eps_g") &&
-            r.F64(&s.delta_g, "delta_g") && r.U64(&s.manager_epoch, "manager_epoch");
-
-  uint64_t count = 0;
-  if (ok && (ok = r.Count(&count, 8 * 6, "block count"))) {
-    s.blocks.resize(static_cast<size_t>(count));
-    for (SnapshotBlockState& block : s.blocks) {
-      ok = r.I64(&block.id, "block.id") && r.F64(&block.arrival_time, "block.arrival_time") &&
-           r.F64(&block.unlocked_fraction, "block.unlocked_fraction") &&
-           r.U64(&block.version, "block.version") &&
-           r.F64Vec(&block.capacity, "block.capacity") &&
-           r.F64Vec(&block.consumed, "block.consumed");
-      if (!ok) {
-        break;
-      }
-    }
-  }
-  ok = ok && r.U64(&s.manager_clock.block_count, "manager_clock.block_count") &&
-       r.U64(&s.manager_clock.version_sum, "manager_clock.version_sum");
-  if (ok && (ok = r.Count(&count, 8 * 7, "pending task count"))) {
-    s.pending.resize(static_cast<size_t>(count));
-    for (SnapshotTaskState& task : s.pending) {
-      ok = r.I64(&task.id, "task.id") && r.F64(&task.weight, "task.weight") &&
-           r.F64(&task.arrival_time, "task.arrival_time") &&
-           r.F64(&task.timeout, "task.timeout") && r.F64Vec(&task.demand, "task.demand") &&
-           r.I64Vec(&task.blocks, "task.blocks") &&
-           r.U64(&task.num_recent_blocks, "task.num_recent_blocks");
-      if (!ok) {
-        break;
-      }
-    }
-  }
-  if (ok) {
-    SnapshotMetricsState& m = s.metrics;
-    ok = r.U64(&m.submitted, "metrics.submitted") && r.U64(&m.allocated, "metrics.allocated") &&
-         r.U64(&m.evicted, "metrics.evicted") &&
-         r.F64(&m.submitted_weight, "metrics.submitted_weight") &&
-         r.F64(&m.allocated_weight, "metrics.allocated_weight") &&
-         r.U64(&m.submitted_fair_share, "metrics.submitted_fair_share") &&
-         r.U64(&m.allocated_fair_share, "metrics.allocated_fair_share") &&
-         r.F64Vec(&m.delay_samples, "metrics.delay_samples") &&
-         r.U64(&m.cycle_runtime.count, "metrics.cycle_runtime.count") &&
-         r.F64(&m.cycle_runtime.mean, "metrics.cycle_runtime.mean") &&
-         r.F64(&m.cycle_runtime.m2, "metrics.cycle_runtime.m2") &&
-         r.F64(&m.cycle_runtime.min, "metrics.cycle_runtime.min") &&
-         r.F64(&m.cycle_runtime.max, "metrics.cycle_runtime.max") &&
-         r.F64(&m.cycle_runtime.sum, "metrics.cycle_runtime.sum");
-  }
+  bool ok = SnapshotFields(r, s);
   if (!ok) {
     result.error = r.error().empty() ? "malformed snapshot payload" : r.error();
     return result;
@@ -444,24 +354,10 @@ std::vector<Task> RestorePendingTasks(const ClusterSnapshot& snapshot, AlphaGrid
   grid = GridForSnapshot(snapshot, std::move(grid));
   std::vector<Task> pending;
   pending.reserve(snapshot.pending.size());
-  for (const SnapshotTaskState& state : snapshot.pending) {
-    Task task(state.id, state.weight, RdpCurve(grid, state.demand));
-    task.arrival_time = state.arrival_time;
-    task.timeout = state.timeout;
-    task.blocks = state.blocks;
-    task.num_recent_blocks = static_cast<size_t>(state.num_recent_blocks);
-    pending.push_back(std::move(task));
+  for (const TaskRecord& record : snapshot.pending) {
+    pending.push_back(TaskOf(record, grid));
   }
   return pending;
-}
-
-AllocationMetrics RestoreMetrics(const SnapshotMetricsState& state) {
-  return AllocationMetrics::Restore(
-      static_cast<size_t>(state.submitted), static_cast<size_t>(state.allocated),
-      static_cast<size_t>(state.evicted), state.submitted_weight, state.allocated_weight,
-      static_cast<size_t>(state.submitted_fair_share),
-      static_cast<size_t>(state.allocated_fair_share), state.delay_samples,
-      state.cycle_runtime);
 }
 
 }  // namespace dpack

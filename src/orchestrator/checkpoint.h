@@ -17,10 +17,12 @@
 // run would have granted.
 //
 // One wire encoding, binary: fixed-width little-endian fields, doubles as raw IEEE-754 bits,
-// guarded by a magic tag, a format version, a payload length, and an FNV-1a checksum.
-// Truncated, bit-flipped, or wrong-version inputs are rejected with a diagnostic, never a
-// crash or a silently-wrong budget. The decoder finishes with the structural validation
-// (`ValidateSnapshot`) before returning.
+// guarded by a magic tag, a format version, a payload length, and an FNV-1a checksum. The
+// payload's schema is one field list that the encoder and the decoder both walk
+// (src/common/wire.h). Truncated, bit-flipped, or wrong-version inputs are rejected with a
+// diagnostic, never a crash or a silently-wrong budget. The decoder finishes with the
+// structural validation (`ValidateSnapshot`) before returning; a pending task must pass the
+// same rules (ValidateTaskRecord, src/core/task.h) as one submitted over the socket edge.
 
 #ifndef SRC_ORCHESTRATOR_CHECKPOINT_H_
 #define SRC_ORCHESTRATOR_CHECKPOINT_H_
@@ -32,7 +34,6 @@
 #include <vector>
 
 #include "src/block/block_manager.h"
-#include "src/common/stats.h"
 #include "src/core/metrics.h"
 #include "src/core/task.h"
 #include "src/rdp/alpha_grid.h"
@@ -59,17 +60,6 @@ struct SnapshotBlockState {
   std::vector<double> consumed;
 };
 
-// One pending task, exactly as queued (arrival order is the vector order).
-struct SnapshotTaskState {
-  TaskId id = 0;
-  double weight = 1.0;
-  double arrival_time = 0.0;
-  double timeout = 0.0;  // +inf = never evicted, as in Task.
-  std::vector<double> demand;
-  std::vector<BlockId> blocks;
-  uint64_t num_recent_blocks = 0;
-};
-
 // The block manager's derived clock: its block count and the sum of its block versions.
 // Recomputable from the block states; stored as a fault-detection value, so the decoder
 // cross-checks the two and rejects snapshots whose block versions disagree with the clock
@@ -77,20 +67,6 @@ struct SnapshotTaskState {
 struct SnapshotManagerClock {
   uint64_t block_count = 0;
   uint64_t version_sum = 0;
-};
-
-// Cumulative AllocationMetrics state. Delays are the raw sample vector; the cycle-runtime
-// accumulator is captured field-exact (Welford state is order-sensitive).
-struct SnapshotMetricsState {
-  uint64_t submitted = 0;
-  uint64_t allocated = 0;
-  uint64_t evicted = 0;
-  double submitted_weight = 0.0;
-  double allocated_weight = 0.0;
-  uint64_t submitted_fair_share = 0;
-  uint64_t allocated_fair_share = 0;
-  std::vector<double> delay_samples;
-  RunningStat::State cycle_runtime;
 };
 
 // Where in the run the snapshot was taken, plus the scheduling configuration the state is
@@ -113,8 +89,8 @@ struct ClusterSnapshot {
   uint64_t manager_epoch = 0;
   std::vector<SnapshotBlockState> blocks;
   SnapshotManagerClock manager_clock;
-  std::vector<SnapshotTaskState> pending;
-  SnapshotMetricsState metrics;
+  std::vector<TaskRecord> pending;  // The pending queue, exactly as queued (arrival order).
+  AllocationMetrics::State metrics;
 };
 
 // Result of decoding: on failure `ok` is false and `error` names the offending field or
@@ -142,7 +118,8 @@ SnapshotParseResult DecodeSnapshotBinary(std::string_view bytes);
 // the grid, fractions in range, no NaNs where semantics forbid them, every block's
 // capacity within BlockCapacityCurve(grid, eps_g, delta_g) and its consumption within
 // capacity at some usable order (both by WithinCapacity, the admission rule in
-// privacy_block.h), the manager clock consistent with the block states, metrics internally
+// privacy_block.h), the manager clock consistent with the block states, every pending task
+// valid by ValidateTaskRecord and arrived by checkpoint_time, metrics internally
 // consistent. Returns "" when valid, else a diagnostic. Public so hand-built snapshots
 // (tests, tools) can be checked too.
 std::string ValidateSnapshot(const ClusterSnapshot& snapshot);
@@ -157,9 +134,6 @@ BlockManager RestoreBlockManager(const ClusterSnapshot& snapshot, AlphaGridPtr g
 // Rebuilds the pending queue on `grid` (same contract as RestoreBlockManager).
 std::vector<Task> RestorePendingTasks(const ClusterSnapshot& snapshot,
                                       AlphaGridPtr grid = nullptr);
-
-// Rebuilds the cumulative metrics accumulator.
-AllocationMetrics RestoreMetrics(const SnapshotMetricsState& state);
 
 }  // namespace dpack
 

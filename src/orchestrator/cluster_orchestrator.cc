@@ -81,11 +81,10 @@ OrchestratorRunResult RunOrchestratorOfflinePass(Scheduler& scheduler, std::vect
 
   // The pass's metrics with that one sample in place of RunOfflineSchedule's, which times
   // the scheduling call alone.
-  const AllocationMetrics& m = pass.metrics;
+  AllocationMetrics::State state = pass.metrics.state();
+  state.cycle_runtime = runtime.state();
   OrchestratorRunResult result;
-  result.metrics = AllocationMetrics::Restore(
-      m.submitted(), m.allocated(), m.evicted(), m.submitted_weight(), m.allocated_weight(),
-      m.submitted_fair_share(), m.allocated_fair_share(), m.delays().samples(), runtime.state());
+  result.metrics = AllocationMetrics::FromState(state);
   result.store_operations = store.operations();
   result.cycles = 1;
   return result;

@@ -1,10 +1,6 @@
 #include "src/service/client.h"
 
-#include <netinet/in.h>
 #include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
 
 #include <cerrno>
 #include <cstring>
@@ -15,47 +11,6 @@
 #include "src/common/sleep.h"
 
 namespace dpack {
-
-namespace {
-
-// One blocking-style connect attempt; returns the connected fd or -1 with errno set.
-int TryConnect(const NetAddress& address) {
-  if (address.is_unix) {
-    int fd = socket(AF_UNIX, SOCK_STREAM, 0);
-    if (fd < 0) {
-      return -1;
-    }
-    sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    std::memcpy(addr.sun_path, address.path.c_str(), address.path.size() + 1);
-    if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-      return fd;
-    }
-    int saved = errno;
-    close(fd);
-    errno = saved;
-    return -1;
-  }
-  int fd = socket(AF_INET, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return -1;
-  }
-  sockaddr_in addr;
-  std::memset(&addr, 0, sizeof(addr));
-  addr.sin_family = AF_INET;
-  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  addr.sin_port = htons(address.port);
-  if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0) {
-    return fd;
-  }
-  int saved = errno;
-  close(fd);
-  errno = saved;
-  return -1;
-}
-
-}  // namespace
 
 ServiceClient::ServiceClient(NetClientConfig config) : config_(config) {
   DPACK_CHECK(config_.io_budget >= 1);
@@ -69,7 +24,7 @@ bool ServiceClient::Connect(const std::string& address_text, std::string* error)
     return false;
   }
   for (uint64_t attempt = 0; attempt < config_.io_budget; ++attempt) {
-    int fd = TryConnect(address);
+    int fd = ConnectOnce(address);
     if (fd >= 0) {
       socket_ = std::make_unique<FrameSocket>(fd);
       return true;
@@ -159,18 +114,7 @@ bool ServiceClient::Submit(double now, const std::vector<Task>& tasks, uint64_t*
   msg.now = now;
   msg.entries.reserve(tasks.size());
   for (const Task& task : tasks) {
-    SubmitMsg::Entry entry;
-    entry.id = task.id;
-    entry.weight = task.weight;
-    entry.arrival_time = task.arrival_time;
-    entry.timeout = task.timeout;
-    entry.num_recent_blocks = task.num_recent_blocks;
-    entry.demand = task.demand.epsilons();
-    entry.blocks.reserve(task.blocks.size());
-    for (BlockId b : task.blocks) {
-      entry.blocks.push_back(static_cast<int64_t>(b));
-    }
-    msg.entries.push_back(std::move(entry));
+    msg.entries.push_back(RecordOf(task));
   }
   ServiceMessage reply;
   if (!SendRequest(msg, error) || !ReceiveReply(&reply, error)) {

@@ -4,32 +4,9 @@
 
 namespace dpack {
 
-namespace {
-
-OnlineSchedulerConfig OnlineConfigFor(const GrantServiceConfig& config) {
-  OnlineSchedulerConfig online_config;
-  online_config.period = config.period;
-  online_config.unlock_steps = config.unlock_steps;
-  online_config.fair_share_n = config.fair_share_n;
-  online_config.admission_queue_capacity = config.admission_queue_capacity;
-  return online_config;
-}
-
-}  // namespace
-
 GrantService::GrantService(GreedyMetric metric, BlockManager* blocks,
                            GrantServiceConfig config)
-    : online_(std::make_unique<GreedyScheduler>(metric, GreedySchedulerOptions{.eta = config.eta}),
-              blocks, OnlineConfigFor(config)) {}
-
-GrantServiceConfig GrantServiceConfigFor(const SimConfig& sim) {
-  GrantServiceConfig config;
-  config.admission_queue_capacity = sim.admission_queue_capacity;
-  config.period = sim.period;
-  config.unlock_steps = sim.unlock_steps;
-  config.fair_share_n = sim.fair_share_n;
-  return config;
-}
+    : online_(std::make_unique<GreedyScheduler>(metric), blocks, config) {}
 
 size_t BlockArrivalFeed::AdvanceTo(double now, BlockManager& blocks) {
   size_t added = 0;

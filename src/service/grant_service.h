@@ -23,19 +23,11 @@
 
 namespace dpack {
 
-struct GrantServiceConfig {
-  double eta = 0.05;  // DPack approximation parameter (kDpack only).
-  // Pending-queue bound for admission control; 0 = unbounded (tests and differential runs
-  // that must absorb every submission).
-  size_t admission_queue_capacity = 0;
-  double period = 1.0;
-  int64_t unlock_steps = 50;
-  int64_t fair_share_n = 0;
-};
-
-// The online-driver knobs RunOnlineSimulation derives from `sim`, so a service replaying
-// the same workload grants what the in-process run grants.
-GrantServiceConfig GrantServiceConfigFor(const SimConfig& sim);
+// The service is the online driver behind admission control, so its knobs are the driver's:
+// admission_queue_capacity is the pending-queue bound (0 = unbounded, for tests and
+// differential runs that must absorb every submission). OnlineSchedulerConfigFor(sim)
+// (src/sim/sim_driver.h) gives a service the knobs RunOnlineSimulation runs `sim` with.
+using GrantServiceConfig = OnlineSchedulerConfig;
 
 // A workload's block arrivals, fed to a service's BlockManager request by request: every
 // block arriving at or before a request's instant is added before the request acts — the

@@ -1,5 +1,7 @@
 #include "src/service/messages.h"
 
+#include <type_traits>
+
 #include "src/common/wire.h"
 
 namespace dpack {
@@ -17,87 +19,48 @@ enum class MsgType : uint8_t {
   kCycleReply = 13,
 };
 
-void EncodeBody(BinaryWriter&, const ShutdownMsg&) {}
-
-void EncodeBody(BinaryWriter& w, const SubmitMsg& m) {
-  w.U64(m.seq);
-  w.F64(m.now);
-  w.U64(m.entries.size());
-  for (const auto& e : m.entries) {
-    w.I64(e.id);
-    w.F64(e.weight);
-    w.F64(e.arrival_time);
-    w.F64(e.timeout);
-    w.U64(e.num_recent_blocks);
-    w.F64Vec(e.demand);
-    w.I64Vec(e.blocks);
-  }
-}
-
-void EncodeBody(BinaryWriter& w, const SubmitReplyMsg& m) {
-  w.U64(m.seq);
-  w.U64(m.accepted);
-  w.U64(m.rejected);
-}
-
-void EncodeBody(BinaryWriter& w, const RunCycleMsg& m) {
-  w.U64(m.seq);
-  w.F64(m.now);
-}
-
-void EncodeBody(BinaryWriter& w, const CycleReplyMsg& m) {
-  w.U64(m.seq);
-  w.U64(m.cycle);
-  w.I64Vec(m.granted);
-}
-
 MsgType TypeOf(const ShutdownMsg&) { return MsgType::kShutdown; }
 MsgType TypeOf(const SubmitMsg&) { return MsgType::kSubmit; }
 MsgType TypeOf(const SubmitReplyMsg&) { return MsgType::kSubmitReply; }
 MsgType TypeOf(const RunCycleMsg&) { return MsgType::kRunCycle; }
 MsgType TypeOf(const CycleReplyMsg&) { return MsgType::kCycleReply; }
 
-bool DecodeBody(BinaryReader&, ShutdownMsg*) { return true; }
-
-bool DecodeBody(BinaryReader& r, SubmitMsg* m) {
-  if (!r.U64(&m->seq, "submit.seq") || !r.F64(&m->now, "submit.now")) {
-    return false;
-  }
-  uint64_t count = 0;
-  if (!r.Count(&count, 8 * 7, "submit.entries")) {
-    return false;
-  }
-  m->entries.resize(static_cast<size_t>(count));
-  for (auto& e : m->entries) {
-    if (!r.I64(&e.id, "submit.id") || !r.F64(&e.weight, "submit.weight") ||
-        !r.F64(&e.arrival_time, "submit.arrival_time") ||
-        !r.F64(&e.timeout, "submit.timeout") ||
-        !r.U64(&e.num_recent_blocks, "submit.num_recent_blocks") ||
-        !r.F64Vec(&e.demand, "submit.demand") || !r.I64Vec(&e.blocks, "submit.blocks")) {
-      return false;
-    }
-  }
-  return true;
+// Each body's one field list, walked by BinaryWriter (encode, const M) and BinaryReader
+// (decode). A Submit entry's wire order differs from the snapshot's pending-task order.
+template <class Io, class E>
+bool EntryFields(Io& io, E& e) {
+  return io.Field(e.id, "submit.id") && io.Field(e.weight, "submit.weight") &&
+         io.Field(e.arrival_time, "submit.arrival_time") &&
+         io.Field(e.timeout, "submit.timeout") &&
+         io.Field(e.num_recent_blocks, "submit.num_recent_blocks") &&
+         io.Field(e.demand, "submit.demand") && io.Field(e.blocks, "submit.blocks");
 }
 
-bool DecodeBody(BinaryReader& r, SubmitReplyMsg* m) {
-  return r.U64(&m->seq, "submit_reply.seq") && r.U64(&m->accepted, "submit_reply.accepted") &&
-         r.U64(&m->rejected, "submit_reply.rejected");
-}
-
-bool DecodeBody(BinaryReader& r, RunCycleMsg* m) {
-  return r.U64(&m->seq, "run_cycle.seq") && r.F64(&m->now, "run_cycle.now");
-}
-
-bool DecodeBody(BinaryReader& r, CycleReplyMsg* m) {
-  return r.U64(&m->seq, "cycle_reply.seq") && r.U64(&m->cycle, "cycle_reply.cycle") &&
-         r.I64Vec(&m->granted, "cycle_reply.granted");
+template <class Io, class M>
+bool BodyFields(Io& io, M& m) {
+  using T = std::remove_const_t<M>;
+  if constexpr (std::is_same_v<T, ShutdownMsg>) {
+    return true;
+  } else if constexpr (std::is_same_v<T, SubmitMsg>) {
+    return io.Field(m.seq, "submit.seq") && io.Field(m.now, "submit.now") &&
+           io.Records(m.entries, 8 * 7, "submit.entries",
+                      [&](auto& e) { return EntryFields(io, e); });
+  } else if constexpr (std::is_same_v<T, SubmitReplyMsg>) {
+    return io.Field(m.seq, "submit_reply.seq") && io.Field(m.accepted, "submit_reply.accepted") &&
+           io.Field(m.rejected, "submit_reply.rejected");
+  } else if constexpr (std::is_same_v<T, RunCycleMsg>) {
+    return io.Field(m.seq, "run_cycle.seq") && io.Field(m.now, "run_cycle.now");
+  } else {
+    static_assert(std::is_same_v<T, CycleReplyMsg>);
+    return io.Field(m.seq, "cycle_reply.seq") && io.Field(m.cycle, "cycle_reply.cycle") &&
+           io.Field(m.granted, "cycle_reply.granted");
+  }
 }
 
 template <typename Msg>
 bool DecodeInto(BinaryReader& r, ServiceMessage* out) {
   Msg m;
-  if (!DecodeBody(r, &m)) {
+  if (!BodyFields(r, m)) {
     return false;
   }
   *out = std::move(m);
@@ -113,7 +76,7 @@ std::string EncodeMessage(const ServiceMessage& message) {
   std::visit(
       [&w](const auto& m) {
         w.U8(static_cast<uint8_t>(TypeOf(m)));
-        EncodeBody(w, m);
+        BodyFields(w, m);
       },
       message);
   return std::move(w.data());

@@ -11,7 +11,8 @@
 // (Shutdown 9, Submit 10, SubmitReply 11, RunCycle 12, CycleReply 13; tags 1-8 belonged to
 // the retired daemon-worker protocol and are unknown types now). Fields are encoded with
 // the checkpoint codec's discipline (src/common/wire.h: fixed-width little-endian fields,
-// doubles as raw IEEE-754 bit patterns), so task demands reach the daemon bit for bit.
+// doubles as raw IEEE-754 bit patterns), so task demands reach the daemon bit for bit. Each
+// message body is one field list that the encoder and the decoder both walk.
 //
 // Decoding rejects — with a diagnostic, never a crash or a silently-wrong message — bad
 // magic, unknown versions or types, truncation, implausible element counts, and trailing
@@ -27,6 +28,8 @@
 #include <variant>
 #include <vector>
 
+#include "src/core/task.h"
+
 namespace dpack {
 
 inline constexpr uint32_t kServiceWireVersion = 2;  // v2: client-edge messages.
@@ -39,20 +42,12 @@ struct ShutdownMsg {};
 // instant; the daemon applies block arrivals <= now first, then funnels every entry through
 // the same admission-controlled GrantService::Submit as in-process callers). Entries are
 // full task payloads including the eviction timeout and the unresolved most-recent-blocks
-// request, because submission (and its late block resolution) has not happened yet.
+// request, because submission (and its late block resolution) has not happened yet. The
+// daemon checks each entry with ValidateTaskRecord (src/core/task.h), the snapshot's rules.
 struct SubmitMsg {
   uint64_t seq = 0;  // Echoed in SubmitReplyMsg; lets a pipelining client match replies.
   double now = 0.0;
-  struct Entry {
-    int64_t id = 0;
-    double weight = 1.0;
-    double arrival_time = 0.0;
-    double timeout = 0.0;  // Raw bits on the wire; +inf = never evicted, as in Task.
-    uint64_t num_recent_blocks = 0;
-    std::vector<double> demand;
-    std::vector<int64_t> blocks;
-  };
-  std::vector<Entry> entries;
+  std::vector<TaskRecord> entries;
 };
 
 // Daemon -> client: per-batch admission outcome (accepted + rejected = entries shipped).

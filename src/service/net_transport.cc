@@ -70,6 +70,38 @@ bool ParseNetAddress(std::string_view text, NetAddress* out, std::string* error)
   return false;
 }
 
+int ConnectOnce(const NetAddress& address) {
+  sockaddr_un unix_addr;
+  sockaddr_in tcp_addr;
+  sockaddr* addr = nullptr;
+  socklen_t len = 0;
+  if (address.is_unix) {
+    std::memset(&unix_addr, 0, sizeof(unix_addr));
+    unix_addr.sun_family = AF_UNIX;
+    std::memcpy(unix_addr.sun_path, address.path.c_str(), address.path.size() + 1);
+    addr = reinterpret_cast<sockaddr*>(&unix_addr);
+    len = sizeof(unix_addr);
+  } else {
+    std::memset(&tcp_addr, 0, sizeof(tcp_addr));
+    tcp_addr.sin_family = AF_INET;
+    tcp_addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    tcp_addr.sin_port = htons(address.port);
+    addr = reinterpret_cast<sockaddr*>(&tcp_addr);
+    len = sizeof(tcp_addr);
+  }
+  int fd = socket(addr->sa_family, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return -1;
+  }
+  if (connect(fd, addr, len) == 0) {
+    return fd;
+  }
+  int saved = errno;
+  close(fd);
+  errno = saved;
+  return -1;
+}
+
 // --- FrameSocket ---------------------------------------------------------------------------
 
 FrameSocket::FrameSocket(int fd) : fd_(fd) {
@@ -263,48 +295,6 @@ void NetServiceFront::AcceptPending() {
   }
 }
 
-bool NetServiceFront::ValidateEntry(const SubmitMsg::Entry& entry, std::string* error) const {
-  if (entry.demand.size() != grid_->size()) {
-    *error = "demand curve width " + std::to_string(entry.demand.size()) +
-             " does not match the service grid (" + std::to_string(grid_->size()) + ")";
-    return false;
-  }
-  for (double eps : entry.demand) {
-    if (!std::isfinite(eps) || eps < 0.0) {
-      *error = "demand epsilon must be finite and non-negative";
-      return false;
-    }
-  }
-  if (!std::isfinite(entry.weight) || entry.weight <= 0.0) {
-    *error = "weight must be finite and positive";
-    return false;
-  }
-  if (!std::isfinite(entry.arrival_time) || entry.arrival_time < 0.0) {
-    *error = "arrival_time must be finite and non-negative";
-    return false;
-  }
-  // +inf (never evicted) is the one sanctioned non-finite; NaN would poison every eviction
-  // comparison and a negative deadline is meaningless.
-  if (std::isnan(entry.timeout) || entry.timeout < 0.0) {
-    *error = "timeout must be non-negative or +inf";
-    return false;
-  }
-  int64_t known_blocks = static_cast<int64_t>(blocks_->block_count());
-  for (size_t b = 0; b < entry.blocks.size(); ++b) {
-    if (entry.blocks[b] < 0 || entry.blocks[b] >= known_blocks) {
-      *error = "block id " + std::to_string(entry.blocks[b]) + " outside the known range";
-      return false;
-    }
-    // Strictly ascending is the canonical encoding (trace_io enforces the same): a
-    // duplicate id would double-charge that block's budget on grant.
-    if (b > 0 && entry.blocks[b - 1] >= entry.blocks[b]) {
-      *error = "block list must be sorted and distinct";
-      return false;
-    }
-  }
-  return true;
-}
-
 void NetServiceFront::SendMessage(Connection& conn, const ServiceMessage& message) {
   std::string payload = EncodeMessage(message);
   conn.socket->QueueFrame(payload);
@@ -324,9 +314,9 @@ void NetServiceFront::HandleSubmit(Connection& conn, const SubmitMsg& msg, bool*
   // kBlockArrival < kTaskArrival), and validation runs against the advanced population.
   advance_(msg.now);
   time_high_water_ = msg.now;
-  for (const SubmitMsg::Entry& entry : msg.entries) {
-    std::string error;
-    if (!ValidateEntry(entry, &error)) {
+  for (const TaskRecord& entry : msg.entries) {
+    std::string error = ValidateTaskRecord(entry, grid_->size(), blocks_->block_count());
+    if (!error.empty()) {
       std::fprintf(stderr, "net: malformed submission (task %lld): %s; dropping peer\n",
                    static_cast<long long>(entry.id), error.c_str());
       ++counters_.protocol_rejects;
@@ -336,16 +326,8 @@ void NetServiceFront::HandleSubmit(Connection& conn, const SubmitMsg& msg, bool*
   }
   SubmitReplyMsg reply;
   reply.seq = msg.seq;
-  for (const SubmitMsg::Entry& entry : msg.entries) {
-    Task task(entry.id, entry.weight, RdpCurve(grid_, entry.demand));
-    task.arrival_time = entry.arrival_time;
-    task.timeout = entry.timeout;
-    task.num_recent_blocks = static_cast<size_t>(entry.num_recent_blocks);
-    task.blocks.reserve(entry.blocks.size());
-    for (int64_t b : entry.blocks) {
-      task.blocks.push_back(static_cast<BlockId>(b));
-    }
-    if (service_->Submit(std::move(task))) {
+  for (const TaskRecord& entry : msg.entries) {
+    if (service_->Submit(TaskOf(entry, grid_))) {
       ++reply.accepted;
       ++counters_.submits_accepted;
     } else {

@@ -23,8 +23,9 @@
 //     never awaited;
 //   - a checksum mismatch, an undecodable message (an unknown type tag included, such as
 //     the retired daemon-worker tags 1-8), a reply-typed message, a malformed task
-//     payload, or a time-regressing request poisons the connection — the client is
-//     dropped with a diagnostic, never resynchronized past the damage;
+//     payload (by ValidateTaskRecord, src/core/task.h, the rules a restored snapshot's
+//     pending tasks pass too), or a time-regressing request poisons the connection — the
+//     client is dropped with a diagnostic, never resynchronized past the damage;
 //   - a peer that vanishes mid-frame (SIGKILL, crash) is an EOF with a partial buffer:
 //     the bytes are discarded and the daemon keeps scheduling;
 //   - writes use MSG_NOSIGNAL, so a client closing its read end can never SIGPIPE the
@@ -67,6 +68,10 @@ struct NetAddress {
 // Parses "unix:<path>" / "tcp:<port>". Returns false with a diagnostic on anything else,
 // including a unix path that is empty, contains a NUL byte, or does not fit sun_path.
 bool ParseNetAddress(std::string_view text, NetAddress* out, std::string* error);
+
+// One blocking connect attempt to `address`; returns the connected fd or -1 with errno set
+// (ECONNREFUSED / ENOENT while the daemon is still binding).
+int ConnectOnce(const NetAddress& address);
 
 // Traffic counters of one socket endpoint (daemon front or client). Frame and byte counts
 // are pure functions of the message sequence, so the fig12 bench gates them like every
@@ -223,11 +228,6 @@ class NetServiceFront {
   bool HandleMessage(Connection& conn, const ServiceMessage& message, bool* drop);
   void HandleSubmit(Connection& conn, const SubmitMsg& msg, bool* drop);
   void HandleRunCycle(Connection& conn, const RunCycleMsg& msg);
-  // Validates one remote task payload against the daemon's grid and block population.
-  // Returns false with a diagnostic for anything that could poison grant ordering or
-  // crash the scheduler (wrong curve width, non-finite values, unknown or unsorted
-  // block ids).
-  bool ValidateEntry(const SubmitMsg::Entry& entry, std::string* error) const;
   void SendMessage(Connection& conn, const ServiceMessage& message);
   void CloseConnection(size_t index, const char* reason);
 

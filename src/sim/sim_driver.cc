@@ -121,9 +121,7 @@ bool WalkSchedule(std::span<const double> block_instants, std::span<Task> tasks,
   return true;
 }
 
-namespace {
-
-OnlineSchedulerConfig OnlineConfigFor(const SimConfig& config) {
+OnlineSchedulerConfig OnlineSchedulerConfigFor(const SimConfig& config) {
   OnlineSchedulerConfig online_config;
   online_config.period = config.period;
   online_config.unlock_steps = config.unlock_steps;
@@ -131,6 +129,8 @@ OnlineSchedulerConfig OnlineConfigFor(const SimConfig& config) {
   online_config.admission_queue_capacity = config.admission_queue_capacity;
   return online_config;
 }
+
+namespace {
 
 // RunOnlineSimulation (no snapshot) and ResumeOnlineSimulation in one body.
 SimResult RunOnline(std::unique_ptr<Scheduler> scheduler, const ClusterSnapshot* snapshot,
@@ -160,10 +160,10 @@ SimResult RunOnline(std::unique_ptr<Scheduler> scheduler, const ClusterSnapshot*
   BlockManager blocks = snapshot != nullptr
                             ? RestoreBlockManager(*snapshot, grid)
                             : BlockManager(grid, config.eps_g, config.delta_g);
-  OnlineScheduler online(std::move(scheduler), &blocks, OnlineConfigFor(config));
+  OnlineScheduler online(std::move(scheduler), &blocks, OnlineSchedulerConfigFor(config));
   if (snapshot != nullptr) {
     online.RestoreState(RestorePendingTasks(*snapshot, grid),
-                        RestoreMetrics(snapshot->metrics));
+                        AllocationMetrics::FromState(snapshot->metrics));
   }
 
   // Arrivals fire in the window (after, through]. A resume replays only what came after its

@@ -88,6 +88,10 @@ struct SimResult {
   std::optional<ClusterSnapshot> snapshot;
 };
 
+// The online-driver knobs RunOnlineSimulation runs `config` with; a GrantService built with
+// them grants what the in-process run grants.
+OnlineSchedulerConfig OnlineSchedulerConfigFor(const SimConfig& config);
+
 // The schedules RunOnlineSimulation derives from a config, and the walk that runs them.
 // Every driver of the §5 run loop (RunOnlineSimulation and its resume, which the orchestrator
 // also runs, and ReplayWorkload, which drives a service front over a socket; see

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -18,7 +19,11 @@
 #include "src/common/rng.h"
 #include "src/common/wire.h"
 #include "src/core/metrics.h"
+#include "src/core/scheduler.h"
 #include "src/rdp/rdp_curve.h"
+#include "src/sim/sim_driver.h"
+#include "src/workload/curve_pool.h"
+#include "src/workload/scenario.h"
 
 namespace dpack {
 namespace {
@@ -236,6 +241,25 @@ TEST(CheckpointCodecTest, ValidationCatchesInconsistentStates) {
     }
   }
   {
+    // A repeated block id would charge that block twice when the restored task is granted.
+    ClusterSnapshot s = base;
+    ASSERT_FALSE(s.pending.empty());
+    s.pending[0].blocks = {1, 1};
+    expect_invalid(std::move(s), "pending task repeating a block id");
+  }
+  {
+    ClusterSnapshot s = base;
+    ASSERT_FALSE(s.pending.empty());
+    s.pending[0].blocks = {2, 0};
+    expect_invalid(std::move(s), "pending task with a descending block list");
+  }
+  {
+    ClusterSnapshot s = base;
+    ASSERT_FALSE(s.pending.empty());
+    s.pending[0].demand[0] = std::numeric_limits<double>::infinity();
+    expect_invalid(std::move(s), "pending task with an infinite demand");
+  }
+  {
     ClusterSnapshot s = base;
     s.grid_orders[0] = s.grid_orders[1];  // Not strictly increasing.
     expect_invalid(std::move(s), "non-increasing grid orders");
@@ -257,6 +281,28 @@ TEST(CheckpointCodecTest, ValidationCatchesInconsistentStates) {
     }
     expect_invalid(std::move(s), "consumed over capacity at every order");
   }
+}
+
+// The round-trip, truncation and mutation suites pass for any self-consistent layout; this
+// pins the layout itself on a real run's state: bursty_hotspot (seed 5) stopped after 6
+// cycles. The cycle-runtime accumulator holds wall-clock time, so it is zeroed; everything
+// else is a pure function of the workload. The size and FNV-1a hash were taken from the
+// hand-written per-direction encoder that preceded the shared field list, so a schema that
+// reorders, drops or retypes a field fails here.
+TEST(CheckpointCodecTest, EncodedBytesArePinned) {
+  CurvePool pool(Grid(), BlockCapacityCurve(Grid(), kEpsG, kDeltaG));
+  ScenarioWorkload workload = GenerateScenario(pool, ScenarioByName("bursty_hotspot", 5));
+  workload.sim.stop_after_cycles = 6;
+  SimResult run = RunOnlineSimulation(std::make_unique<GreedyScheduler>(GreedyMetric::kDpack),
+                                      workload.tasks, workload.sim);
+  ASSERT_TRUE(run.snapshot.has_value());
+  ClusterSnapshot snapshot = *run.snapshot;
+  ASSERT_FALSE(snapshot.pending.empty());
+  ASSERT_GT(snapshot.metrics.allocated, 0u);
+  snapshot.metrics.cycle_runtime = {};
+  std::string bytes = EncodeSnapshotBinary(snapshot);
+  EXPECT_EQ(bytes.size(), 4044u);
+  EXPECT_EQ(Fnv1a64(bytes), 0x1b2b81b047e46dd5ull);
 }
 
 // The budget guarantee a restored manager must hold: every block's capacity within what
@@ -389,15 +435,15 @@ TEST(CheckpointCodecTest, RestoreRebuildsByteIdenticalManager) {
   }
   // A re-capture of the restored state is byte-identical to the original snapshot.
   std::vector<Task> pending = RestorePendingTasks(snapshot, restored.grid());
-  AllocationMetrics metrics = RestoreMetrics(snapshot.metrics);
+  AllocationMetrics metrics = AllocationMetrics::FromState(snapshot.metrics);
   ClusterSnapshot recaptured = CaptureSnapshot(restored, pending, metrics, snapshot.meta);
   EXPECT_EQ(EncodeSnapshotBinary(recaptured), EncodeSnapshotBinary(snapshot));
 }
 
-TEST(CheckpointCodecTest, RestoreMetricsReproducesAccessors) {
+TEST(CheckpointCodecTest, MetricsFromStateReproducesAccessors) {
   ClusterSnapshot snapshot = RandomSnapshot(42, 2, 5);
-  AllocationMetrics metrics = RestoreMetrics(snapshot.metrics);
-  const SnapshotMetricsState& m = snapshot.metrics;
+  AllocationMetrics metrics = AllocationMetrics::FromState(snapshot.metrics);
+  const AllocationMetrics::State& m = snapshot.metrics;
   EXPECT_EQ(metrics.submitted(), m.submitted);
   EXPECT_EQ(metrics.allocated(), m.allocated);
   EXPECT_EQ(metrics.evicted(), m.evicted);

@@ -58,7 +58,7 @@ struct ServiceRun {
 // the cycle.
 ServiceRun ServiceReplay(GreedyMetric metric, const ScenarioWorkload& workload) {
   BlockManager blocks(Grid(), workload.sim.eps_g, workload.sim.delta_g);
-  GrantService service(metric, &blocks, GrantServiceConfigFor(workload.sim));
+  GrantService service(metric, &blocks, OnlineSchedulerConfigFor(workload.sim));
   LocalServiceFront front(&service, &blocks, workload.sim);
   ServiceRun run;
   std::string error;
@@ -110,7 +110,7 @@ TEST(GrantServiceDeathTest, ReplayRefusesANonPositivePeriod) {
   // it must refuse a period that would never advance them.
   ScenarioWorkload workload = Workload(ScenarioRegistryNames().front(), 0);
   BlockManager blocks(Grid(), workload.sim.eps_g, workload.sim.delta_g);
-  GrantService service(GreedyMetric::kDpack, &blocks, GrantServiceConfigFor(workload.sim));
+  GrantService service(GreedyMetric::kDpack, &blocks, OnlineSchedulerConfigFor(workload.sim));
   LocalServiceFront front(&service, &blocks, workload.sim);
   SimConfig stalled = workload.sim;
   stalled.period = 0.0;

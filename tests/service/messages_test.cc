@@ -18,6 +18,7 @@
 
 #include "src/common/frame.h"
 #include "src/common/rng.h"
+#include "src/common/wire.h"
 
 namespace dpack {
 namespace {
@@ -32,7 +33,7 @@ std::vector<ServiceMessage> SampleMessages() {
   SubmitMsg submit;
   submit.seq = 11;
   submit.now = 3.5;
-  SubmitMsg::Entry submit_entry;
+  TaskRecord submit_entry;
   submit_entry.id = 77;
   submit_entry.weight = 2.0;
   submit_entry.arrival_time = 3.25;
@@ -41,7 +42,7 @@ std::vector<ServiceMessage> SampleMessages() {
   submit_entry.demand = {0.125, 0.25};
   submit_entry.blocks = {};
   submit.entries.push_back(submit_entry);
-  submit.entries.push_back({78, 1.0, 3.5, 10.0, 0, {0.5}, {2, 4}});
+  submit.entries.push_back({78, 1.0, 3.5, 10.0, {0.5}, {2, 4}, 0});
   samples.emplace_back(submit);
 
   SubmitReplyMsg submit_reply;
@@ -126,6 +127,31 @@ TEST(ServiceMessagesTest, EdgeTagsAndWireVersionArePinned) {
     EXPECT_EQ(bytes.substr(0, 4), "DSVC") << "type " << i;
     EXPECT_EQ(bytes.substr(4, 4), std::string("\x02\x00\x00\x00", 4)) << "type " << i;
     EXPECT_EQ(static_cast<uint8_t>(bytes[8]), expected_tags[i]) << "type " << i;
+  }
+}
+
+// The round-trip, truncation and mutation suites pass for any self-consistent layout; this
+// pins the layout itself. The sizes and FNV-1a hashes were taken from the hand-written
+// per-direction encoders that preceded the shared field lists, so a schema that reorders,
+// drops or retypes a field fails here.
+TEST(ServiceMessagesTest, EncodedBytesArePinned) {
+  struct Pin {
+    size_t size;
+    uint64_t fnv1a;
+  };
+  const Pin expected[] = {
+      {9, 0xe1c000f3b47426c2ull},    // Shutdown
+      {185, 0x9bb940fd81e368b4ull},  // Submit
+      {33, 0x90cf645139d81bd7ull},   // SubmitReply
+      {25, 0x65ecf1b9b5fe6395ull},   // RunCycle
+      {49, 0xa6fee27c0ba3dd78ull},   // CycleReply
+  };
+  std::vector<ServiceMessage> samples = SampleMessages();
+  ASSERT_EQ(samples.size(), std::size(expected));
+  for (size_t i = 0; i < samples.size(); ++i) {
+    std::string bytes = EncodeMessage(samples[i]);
+    EXPECT_EQ(bytes.size(), expected[i].size) << "type " << i;
+    EXPECT_EQ(Fnv1a64(bytes), expected[i].fnv1a) << "type " << i;
   }
 }
 

@@ -142,8 +142,8 @@ bool ReadReplyWhilePumping(NetServiceFront& front, int fd, std::string* payload,
   return false;
 }
 
-SubmitMsg::Entry ValidEntry(int64_t id) {
-  SubmitMsg::Entry entry;
+TaskRecord ValidEntry(int64_t id) {
+  TaskRecord entry;
   entry.id = id;
   entry.weight = 1.0;
   entry.arrival_time = 0.0;
@@ -471,7 +471,7 @@ TEST(NetFrontTest, HostileEntryValuesAreRejected) {
   Harness harness;
   const double inf = std::numeric_limits<double>::infinity();
   const double nan = std::numeric_limits<double>::quiet_NaN();
-  std::vector<SubmitMsg::Entry> hostile;
+  std::vector<TaskRecord> hostile;
   hostile.push_back(ValidEntry(1));
   hostile.back().demand[0] = nan;
   hostile.push_back(ValidEntry(2));
@@ -595,7 +595,7 @@ TEST(NetFrontCrossProcessTest, ClientSigkilledMidFrameLeavesTheDaemonServing) {
     if (connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) return 2;
     SubmitMsg msg;
     msg.seq = 1;
-    msg.entries.push_back(SubmitMsg::Entry{});
+    msg.entries.push_back(TaskRecord{});
     std::string frame;
     AppendFrame(&frame, EncodeMessage(ServiceMessage(msg)));
     // Half the frame, then die cold — the daemon sees EOF with a partial buffer.
@@ -690,7 +690,7 @@ pid_t SpawnDaemon(const std::string& socket_path, const ScenarioWorkload& worklo
   pid_t daemon = SpawnChild([socket_path, sim, front_config, ready]() -> int {
     close(ready[0]);
     BlockManager blocks(Grid(), sim.eps_g, sim.delta_g);
-    GrantService service(GreedyMetric::kDpack, &blocks, GrantServiceConfigFor(sim));
+    GrantService service(GreedyMetric::kDpack, &blocks, OnlineSchedulerConfigFor(sim));
     BlockArrivalFeed feed(sim);
     NetAddress address;
     address.is_unix = true;
