@@ -17,6 +17,15 @@ Scale ParseScale(int argc, char** argv) {
   return Scale::kDefault;
 }
 
+std::string ParseJsonPath(int argc, char** argv) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], "--json") == 0) {
+      return argv[i + 1];
+    }
+  }
+  return "";
+}
+
 double ScaleFactor(Scale scale) {
   switch (scale) {
     case Scale::kQuick:

@@ -18,6 +18,10 @@ enum class Scale { kQuick, kDefault, kFull };
 // Parses --quick / --full from argv (anything else is ignored).
 Scale ParseScale(int argc, char** argv);
 
+// The path after `--json` in argv, or "" when the flag is absent (the counter-dump mode of
+// fig5, fig10, fig11 and fig12).
+std::string ParseJsonPath(int argc, char** argv);
+
 // Multiplier applied to workload sizes: 0.25 for quick, 1 for default, 4 for full.
 double ScaleFactor(Scale scale);
 

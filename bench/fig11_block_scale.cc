@@ -191,15 +191,6 @@ bool DumpCountersJson(const std::string& path) {
   return WriteBenchCountersJson(path, entries) && flat;
 }
 
-std::string ParseJsonPath(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--json") {
-      return argv[i + 1];
-    }
-  }
-  return "";
-}
-
 }  // namespace
 }  // namespace dpack::bench
 

@@ -27,7 +27,7 @@ size_t RunScheduler(SchedulerKind kind, const std::vector<Task>& tasks, size_t n
   sim.delta_g = kDeltaG;
   PkOptions options;
   options.time_limit_seconds = std::numeric_limits<double>::infinity();
-  std::unique_ptr<Scheduler> scheduler = CreateScheduler(kind, 0.05, options);
+  std::unique_ptr<Scheduler> scheduler = CreateScheduler(kind, options);
   SimResult result = RunOfflineSchedule(*scheduler, tasks, sim);
   if (proof != nullptr) {
     auto* optimal = dynamic_cast<OptimalScheduler*>(scheduler.get());

@@ -27,7 +27,7 @@ RunOutcome RunOne(SchedulerKind kind, const std::vector<Task>& tasks, double tim
   sim.num_blocks = 7;
   PkOptions options;
   options.time_limit_seconds = time_limit;
-  std::unique_ptr<Scheduler> scheduler = CreateScheduler(kind, 0.05, options);
+  std::unique_ptr<Scheduler> scheduler = CreateScheduler(kind, options);
   auto start = std::chrono::steady_clock::now();
   SimResult result = RunOfflineSchedule(*scheduler, tasks, sim);
   RunOutcome outcome;
@@ -219,15 +219,6 @@ bool DumpCountersJson(Scale scale, const std::string& path) {
     entries.push_back(std::move(entry));
   }
   return WriteBenchCountersJson(path, entries);
-}
-
-std::string ParseJsonPath(int argc, char** argv) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::string(argv[i]) == "--json") {
-      return argv[i + 1];
-    }
-  }
-  return "";
 }
 
 }  // namespace

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
 
 #include "src/block/version_tree.h"
 #include "src/common/check.h"
@@ -116,14 +115,6 @@ bool PrivacyBlock::Exhausted() const {
     }
   }
   return true;
-}
-
-std::string PrivacyBlock::DebugString() const {
-  std::ostringstream os;
-  os << "PrivacyBlock{id=" << id_ << ", unlocked=" << unlocked_fraction_
-     << ", consumed=" << consumed_.DebugString() << ", capacity=" << capacity_.DebugString()
-     << "}";
-  return os.str();
 }
 
 }  // namespace dpack

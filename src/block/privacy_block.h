@@ -15,7 +15,6 @@
 #define SRC_BLOCK_PRIVACY_BLOCK_H_
 
 #include <cstdint>
-#include <string>
 
 #include "src/rdp/rdp_curve.h"
 
@@ -111,8 +110,6 @@ class PrivacyBlock {
   // never admit another meaningful demand (§2.3). It stays in its manager: CanAccept
   // already rejects every demand it sees.
   bool Exhausted() const;
-
-  std::string DebugString() const;
 
  private:
   // Bumps version_ and reports it to the attached tree.

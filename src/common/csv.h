@@ -24,8 +24,6 @@ class CsvTable {
   CsvTable& Add(size_t value);
 
   size_t row_count() const { return rows_.size(); }
-  const std::vector<std::string>& header() const { return header_; }
-  const std::vector<std::vector<std::string>>& rows() const { return rows_; }
 
   // Writes comma-separated values, header first.
   void WriteCsv(std::ostream& os) const;

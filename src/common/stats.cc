@@ -113,47 +113,4 @@ double SampleSet::CdfAt(double x) const {
   return static_cast<double>(it - samples_.begin()) / static_cast<double>(samples_.size());
 }
 
-std::vector<std::pair<double, double>> SampleSet::CdfPoints(size_t max_points) const {
-  std::vector<std::pair<double, double>> points;
-  if (samples_.empty() || max_points == 0) {
-    return points;
-  }
-  EnsureSorted();
-  size_t n = samples_.size();
-  size_t step = std::max<size_t>(1, n / max_points);
-  for (size_t i = 0; i < n; i += step) {
-    points.emplace_back(samples_[i], static_cast<double>(i + 1) / static_cast<double>(n));
-  }
-  if (points.back().first != samples_.back()) {
-    points.emplace_back(samples_.back(), 1.0);
-  }
-  return points;
-}
-
-Histogram::Histogram(double lo, double hi, size_t buckets)
-    : lo_(lo), hi_(hi), width_((hi - lo) / static_cast<double>(buckets)), counts_(buckets, 0) {
-  DPACK_CHECK(hi > lo);
-  DPACK_CHECK(buckets > 0);
-}
-
-void Histogram::Add(double x) {
-  ++total_;
-  if (x < lo_) {
-    ++underflow_;
-    return;
-  }
-  if (x >= hi_) {
-    ++overflow_;
-    return;
-  }
-  size_t idx = static_cast<size_t>((x - lo_) / width_);
-  idx = std::min(idx, counts_.size() - 1);
-  ++counts_[idx];
-}
-
-double Histogram::BucketLow(size_t i) const {
-  DPACK_CHECK(i < counts_.size());
-  return lo_ + width_ * static_cast<double>(i);
-}
-
 }  // namespace dpack

@@ -1,4 +1,4 @@
-// Streaming statistics, percentile summaries, and empirical CDFs for experiment metrics.
+// Streaming statistics, quantiles and empirical-CDF lookups for experiment metrics.
 
 #ifndef SRC_COMMON_STATS_H_
 #define SRC_COMMON_STATS_H_
@@ -66,10 +66,6 @@ class SampleSet {
   // Fraction of samples <= x (empirical CDF).
   double CdfAt(double x) const;
 
-  // Evenly spaced (value, cumulative fraction) points suitable for plotting a CDF.
-  // Returns up to `max_points` points spanning the full sample range.
-  std::vector<std::pair<double, double>> CdfPoints(size_t max_points) const;
-
   const std::vector<double>& samples() const { return samples_; }
 
  private:
@@ -77,31 +73,6 @@ class SampleSet {
 
   mutable std::vector<double> samples_;
   mutable bool sorted_ = true;
-};
-
-// Fixed-width histogram over [lo, hi) with overflow/underflow buckets.
-class Histogram {
- public:
-  Histogram(double lo, double hi, size_t buckets);
-
-  void Add(double x);
-
-  size_t bucket_count() const { return counts_.size(); }
-  size_t bucket(size_t i) const { return counts_[i]; }
-  // Inclusive lower edge of bucket i.
-  double BucketLow(size_t i) const;
-  size_t underflow() const { return underflow_; }
-  size_t overflow() const { return overflow_; }
-  size_t total() const { return total_; }
-
- private:
-  double lo_;
-  double hi_;
-  double width_;
-  std::vector<size_t> counts_;
-  size_t underflow_ = 0;
-  size_t overflow_ = 0;
-  size_t total_ = 0;
 };
 
 }  // namespace dpack

@@ -4,10 +4,10 @@
 // IEEE-754 bit patterns, and FNV-1a checksums — one encode discipline, so corruption
 // rejection and byte-exactness proofs carry across subsystems.
 //
-// Both sides move whole words: the writer appends each fixed-width field, and each
-// F64Vec/I64Vec body, with one append of its in-memory bytes, and the reader copies them
-// out with one memcpy. That is byte-for-byte the little-endian encoding only on a
-// little-endian host, which the static_assert below requires.
+// Both sides move whole words: the writer appends each fixed-width field, and each vector
+// Field's body, with one append of its in-memory bytes, and the reader copies them out with
+// one memcpy. That is byte-for-byte the little-endian encoding only on a little-endian host,
+// which the static_assert below requires.
 //
 // BinaryReader is bounds-checked: it never reads past the payload, and a corrupted length
 // field can never trigger a huge allocation (CheckCount caps declared element counts by the
@@ -45,17 +45,7 @@ static_assert(std::endian::native == std::endian::little,
               "needs byte-swapping codec primitives");
 
 // Raw IEEE-754 bit pattern of a double — the lossless way every codec moves floats.
-inline uint64_t BitsOfDouble(double value) {
-  uint64_t bits;
-  std::memcpy(&bits, &value, sizeof(bits));
-  return bits;
-}
-
-inline double DoubleOfBits(uint64_t bits) {
-  double value;
-  std::memcpy(&value, &bits, sizeof(value));
-  return value;
-}
+inline uint64_t BitsOfDouble(double value) { return std::bit_cast<uint64_t>(value); }
 
 // The types a schema's Field may name: 8-byte scalars, and the two vector bodies.
 template <typename T>
@@ -74,10 +64,6 @@ class BinaryWriter {
   void U8(uint8_t v) { out_.push_back(static_cast<char>(v)); }
   void U32(uint32_t v) { Raw(&v, sizeof(v)); }
   void U64(uint64_t v) { Raw(&v, sizeof(v)); }
-  void I64(int64_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
-  void F64Vec(const std::vector<double>& v) { Field(v, "f64 vector"); }
-  void I64Vec(const std::vector<int64_t>& v) { Field(v, "i64 vector"); }
   // Appends raw bytes verbatim (length is NOT written; frame it yourself when needed).
   void Bytes(std::string_view bytes) { out_.append(bytes); }
 
@@ -125,10 +111,6 @@ class BinaryReader {
   bool U8(uint8_t* out, const char* what) { return Raw(out, sizeof(*out), what); }
   bool U32(uint32_t* out, const char* what) { return Raw(out, sizeof(*out), what); }
   bool U64(uint64_t* out, const char* what) { return Raw(out, sizeof(*out), what); }
-  bool I64(int64_t* out, const char* what) { return Raw(out, sizeof(*out), what); }
-  bool F64(double* out, const char* what) { return Raw(out, sizeof(*out), what); }
-  bool F64Vec(std::vector<double>* out, const char* what) { return Vec(out, what); }
-  bool I64Vec(std::vector<int64_t>* out, const char* what) { return Vec(out, what); }
   // Reads an element count for records of at least `min_record_bytes`.
   bool Count(uint64_t* out, size_t min_record_bytes, const char* what) {
     return U64(out, what) && CheckCount(*out, min_record_bytes, what);

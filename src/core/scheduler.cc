@@ -90,7 +90,6 @@ std::vector<size_t> OptimalScheduler::ScheduleBatch(std::span<const Task> pendin
   }
   PkResult result = SolvePrivacyKnapsackExact(instance_, options_, seed);
   last_solve_optimal_ = result.optimal;
-  last_nodes_explored_ = result.nodes_explored;
 
   // Commit the solution. The set fits at some order per block, so sequential commits pass
   // the filters (feasibility of the exists-alpha constraint is subset-monotone).
@@ -127,19 +126,16 @@ std::string SchedulerKindName(SchedulerKind kind) {
   return "unknown";
 }
 
-std::unique_ptr<Scheduler> CreateScheduler(SchedulerKind kind, double eta,
-                                           PkOptions optimal_options) {
-  GreedySchedulerOptions greedy_options;
+std::unique_ptr<Scheduler> CreateScheduler(SchedulerKind kind, PkOptions optimal_options) {
   switch (kind) {
     case SchedulerKind::kDpack:
-      greedy_options.eta = eta;
-      return std::make_unique<GreedyScheduler>(GreedyMetric::kDpack, greedy_options);
+      return std::make_unique<GreedyScheduler>(GreedyMetric::kDpack);
     case SchedulerKind::kDpf:
-      return std::make_unique<GreedyScheduler>(GreedyMetric::kDpf, greedy_options);
+      return std::make_unique<GreedyScheduler>(GreedyMetric::kDpf);
     case SchedulerKind::kArea:
-      return std::make_unique<GreedyScheduler>(GreedyMetric::kArea, greedy_options);
+      return std::make_unique<GreedyScheduler>(GreedyMetric::kArea);
     case SchedulerKind::kFcfs:
-      return std::make_unique<GreedyScheduler>(GreedyMetric::kFcfs, greedy_options);
+      return std::make_unique<GreedyScheduler>(GreedyMetric::kFcfs);
     case SchedulerKind::kOptimal:
       return std::make_unique<OptimalScheduler>(optimal_options);
   }

@@ -88,7 +88,6 @@ class OptimalScheduler : public Scheduler {
                                     BlockManager& blocks) override;
 
   bool last_solve_optimal() const { return last_solve_optimal_; }
-  uint64_t last_nodes_explored() const { return last_nodes_explored_; }
 
  private:
   PkOptions options_;
@@ -98,7 +97,6 @@ class OptimalScheduler : public Scheduler {
   PkInstance instance_;
   std::vector<size_t> batch_index_;
   bool last_solve_optimal_ = true;
-  uint64_t last_nodes_explored_ = 0;
 };
 
 enum class SchedulerKind {
@@ -111,9 +109,9 @@ enum class SchedulerKind {
 
 std::string SchedulerKindName(SchedulerKind kind);
 
-// Factory covering every algorithm in the evaluation.
-std::unique_ptr<Scheduler> CreateScheduler(SchedulerKind kind, double eta = 0.05,
-                                           PkOptions optimal_options = {});
+// Factory covering every algorithm in the evaluation; the greedy kinds run with the default
+// GreedySchedulerOptions (DPack's eta = 0.05).
+std::unique_ptr<Scheduler> CreateScheduler(SchedulerKind kind, PkOptions optimal_options = {});
 
 }  // namespace dpack
 

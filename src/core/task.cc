@@ -1,34 +1,20 @@
 #include "src/core/task.h"
 
 #include <cmath>
-#include <sstream>
 #include <utility>
 
 namespace dpack {
-
-std::string Task::DebugString() const {
-  std::ostringstream os;
-  os << "Task{id=" << id << ", w=" << weight << ", arrival=" << arrival_time << ", blocks=[";
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    if (i > 0) {
-      os << ",";
-    }
-    os << blocks[i];
-  }
-  os << "], demand=" << demand.DebugString() << "}";
-  return os.str();
-}
 
 TaskRecord RecordOf(const Task& task) {
   return {task.id, task.weight, task.arrival_time, task.timeout, task.demand.epsilons(),
           task.blocks, task.num_recent_blocks};
 }
 
-Task TaskOf(const TaskRecord& record, AlphaGridPtr grid) {
-  Task task(record.id, record.weight, RdpCurve(std::move(grid), record.demand));
+Task TaskOf(TaskRecord record, AlphaGridPtr grid) {
+  Task task(record.id, record.weight, RdpCurve(std::move(grid), std::move(record.demand)));
   task.arrival_time = record.arrival_time;
   task.timeout = record.timeout;
-  task.blocks = record.blocks;
+  task.blocks = std::move(record.blocks);
   task.num_recent_blocks = static_cast<size_t>(record.num_recent_blocks);
   return task;
 }

@@ -36,8 +36,6 @@ struct Task {
 
   Task(TaskId task_id, double task_weight, RdpCurve task_demand)
       : id(task_id), weight(task_weight), demand(std::move(task_demand)) {}
-
-  std::string DebugString() const;
 };
 
 // A task as it crosses a process or disk boundary: the snapshot's pending queue and the
@@ -54,8 +52,9 @@ struct TaskRecord {
 };
 
 TaskRecord RecordOf(const Task& task);
-// The task `record` describes, its demand on `grid`.
-Task TaskOf(const TaskRecord& record, AlphaGridPtr grid);
+// The task `record` describes, its demand on `grid`. Pass an rvalue to move the demand and
+// block vectors instead of copying them.
+Task TaskOf(TaskRecord record, AlphaGridPtr grid);
 
 // The rules every task from outside the process must pass before it can reach a scheduler:
 // weight finite and positive, arrival finite and non-negative, timeout non-negative or +inf,

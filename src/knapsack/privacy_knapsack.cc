@@ -78,8 +78,6 @@ class Search {
     result.selected = best_set_;
     std::sort(result.selected.begin(), result.selected.end());
     result.optimal = !aborted_;
-    result.nodes_explored = nodes_;
-    result.elapsed_seconds = ElapsedSeconds();
     return result;
   }
 
@@ -365,10 +363,6 @@ class Search {
   bool aborted_ = false;
 };
 
-}  // namespace
-
-namespace {
-
 bool UniformWeights(const PkInstance& instance) {
   for (const auto& task : instance.tasks) {
     if (task.weight != instance.tasks[0].weight) {
@@ -383,7 +377,6 @@ bool UniformWeights(const PkInstance& instance) {
 // uniform weights each per-order problem is max-cardinality (MaxCardinalityKnapsack) —
 // polynomial.
 PkResult SolveSingleBlockUniform(const PkInstance& instance) {
-  auto start = std::chrono::steady_clock::now();
   PkResult best;
   best.optimal = true;
   for (size_t a = 0; a < instance.num_orders; ++a) {
@@ -401,8 +394,6 @@ PkResult SolveSingleBlockUniform(const PkInstance& instance) {
       best.selected = std::move(sol.selected);
     }
   }
-  best.elapsed_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
   return best;
 }
 

@@ -51,8 +51,6 @@ struct PkResult {
   double total_weight = 0.0;
   std::vector<size_t> selected;  // Task indices, ascending.
   bool optimal = false;          // True iff the search completed within budget.
-  uint64_t nodes_explored = 0;
-  double elapsed_seconds = 0.0;
 };
 
 // Runs the branch-and-bound. Deterministic for a fixed instance (the time limit only stops

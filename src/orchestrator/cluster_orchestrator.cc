@@ -12,6 +12,10 @@ namespace dpack {
 
 namespace {
 
+// PrivateKube's per-claim store traffic (§6.4), in round trips.
+constexpr uint64_t kStoreOpsPerTask = 3;   // Claim read + status update + budget commit.
+constexpr uint64_t kStoreOpsPerCycle = 4;  // Block list + lease renewal traffic.
+
 // The orchestrator's arrival process as a sim config: the offline blocks at t = 0, then
 // online block b at t = b. drain_margin 1 ends the run T * (N + 1) after the last arrival.
 SimConfig SimConfigFor(const OrchestratorConfig& config) {
@@ -42,7 +46,7 @@ OrchestratorRunResult RunOnlineWithStore(std::unique_ptr<Scheduler> scheduler,
   hooks.unlocked_blocks = config.offline_blocks;
   hooks.before_submit = [&] { store.RoundTrip(1); };  // Claim creation.
   hooks.after_cycle = [&](const CycleDone& cycle) {
-    store.RoundTrip(config.store_ops_per_cycle + config.store_ops_per_task * cycle.granted);
+    store.RoundTrip(kStoreOpsPerCycle + kStoreOpsPerTask * cycle.granted);
     if (config.checkpoint_every_cycles > 0 &&
         cycle.cycles_completed % config.checkpoint_every_cycles == 0) {
       result.last_checkpoint = EncodeSnapshotBinary(cycle.capture());
@@ -73,9 +77,9 @@ OrchestratorRunResult RunOrchestratorOfflinePass(Scheduler& scheduler, std::vect
 
   // One scheduling pass, timed with its state-store traffic.
   auto start = std::chrono::steady_clock::now();
-  store.RoundTrip(config.store_ops_per_cycle);
+  store.RoundTrip(kStoreOpsPerCycle);
   SimResult pass = RunOfflineSchedule(scheduler, std::move(tasks), sim);
-  store.RoundTrip(config.store_ops_per_task * pass.metrics.allocated());
+  store.RoundTrip(kStoreOpsPerTask * pass.metrics.allocated());
   RunningStat runtime;
   runtime.Add(std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count());
 

@@ -41,8 +41,6 @@ struct OrchestratorConfig {
   size_t offline_blocks = 10;        // Blocks present (fully unlocked) at start.
   size_t online_blocks = 20;         // Blocks arriving at t = 1, 2, ..., online_blocks.
   double store_latency_us = 150.0;   // Simulated API-server round-trip latency.
-  uint64_t store_ops_per_task = 3;   // Claim read + status update + budget commit.
-  uint64_t store_ops_per_cycle = 4;  // Block list + lease renewal traffic.
   // When > 0, online runs serialize a full cluster snapshot after every this-many cycles and
   // Put it into the run's SimulatedStateStore under kCheckpointKey — the write costs one
   // round trip per 64 KiB chunk, so checkpoint persistence cost lands in the same Q4

@@ -46,7 +46,6 @@ class SimulatedStateStore {
   uint64_t operations() const { return operations_; }
   // Cumulative bytes written through Put (overwrites both count).
   uint64_t bytes_written() const { return bytes_written_; }
-  double latency_us() const { return latency_us_; }
 
  private:
   double latency_us_;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 #include <vector>
 
 #include "src/common/check.h"
@@ -144,28 +143,6 @@ RdpCurve SubsampledLaplaceCurve(const AlphaGridPtr& grid, double b, double q) {
   });
 }
 
-std::string MechanismTypeName(MechanismType type) {
-  switch (type) {
-    case MechanismType::kLaplace:
-      return "laplace";
-    case MechanismType::kGaussian:
-      return "gaussian";
-    case MechanismType::kSubsampledLaplace:
-      return "subsampled_laplace";
-    case MechanismType::kSubsampledGaussian:
-      return "subsampled_gaussian";
-    case MechanismType::kLaplaceGaussianComposition:
-      return "laplace_gaussian_composition";
-    case MechanismType::kComposedSubsampledGaussian:
-      return "composed_subsampled_gaussian";
-    case MechanismType::kComposedGaussian:
-      return "composed_gaussian";
-    case MechanismType::kCalibratedVShape:
-      return "calibrated_v_shape";
-  }
-  return "unknown";
-}
-
 RdpCurve MechanismSpec::BuildCurve(const AlphaGridPtr& grid) const {
   switch (type) {
     case MechanismType::kLaplace:
@@ -189,13 +166,6 @@ RdpCurve MechanismSpec::BuildCurve(const AlphaGridPtr& grid) const {
   }
   DPACK_CHECK_MSG(false, "unhandled mechanism type");
   return RdpCurve(grid);
-}
-
-std::string MechanismSpec::DebugString() const {
-  std::ostringstream os;
-  os << MechanismTypeName(type) << "{noise=" << noise << ", q=" << sampling_q
-     << ", k=" << compositions << "}";
-  return os.str();
 }
 
 }  // namespace dpack

@@ -18,7 +18,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
 
 #include "src/rdp/rdp_curve.h"
 
@@ -57,8 +56,6 @@ enum class MechanismType {
                                  // by CurvePool against a capacity, not via BuildCurve.
 };
 
-std::string MechanismTypeName(MechanismType type);
-
 // Declarative mechanism description; `BuildCurve` produces the RDP curve.
 struct MechanismSpec {
   MechanismType type = MechanismType::kGaussian;
@@ -67,7 +64,6 @@ struct MechanismSpec {
   size_t compositions = 1;   // Number of self-compositions (composed variants only).
 
   RdpCurve BuildCurve(const AlphaGridPtr& grid) const;
-  std::string DebugString() const;
 };
 
 }  // namespace dpack

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <sstream>
 
 #include "src/common/check.h"
 
@@ -75,31 +74,6 @@ DpTranslation RdpCurve::ToDp(double delta) const {
   return best;
 }
 
-double RdpCurve::MinEpsilon() const { return epsilons_[MinEpsilonIndex()]; }
-
-size_t RdpCurve::MinEpsilonIndex() const {
-  size_t best = 0;
-  for (size_t i = 1; i < epsilons_.size(); ++i) {
-    if (epsilons_[i] < epsilons_[best]) {
-      best = i;
-    }
-  }
-  return best;
-}
-
-std::string RdpCurve::DebugString() const {
-  std::ostringstream os;
-  os << "RdpCurve{";
-  for (size_t i = 0; i < epsilons_.size(); ++i) {
-    if (i > 0) {
-      os << ", ";
-    }
-    os << "a=" << grid_->order(i) << ":" << epsilons_[i];
-  }
-  os << "}";
-  return os.str();
-}
-
 RdpCurve BlockCapacityCurve(const AlphaGridPtr& grid, double eps_g, double delta_g) {
   DPACK_CHECK(eps_g > 0.0);
   DPACK_CHECK(delta_g > 0.0 && delta_g < 1.0);
@@ -109,15 +83,6 @@ RdpCurve BlockCapacityCurve(const AlphaGridPtr& grid, double eps_g, double delta
     capacity[i] = std::max(0.0, eps_g - std::log(1.0 / delta_g) / (alpha - 1.0));
   }
   return RdpCurve(grid, std::move(capacity));
-}
-
-RdpCurve ComposeCurves(std::span<const RdpCurve> curves) {
-  DPACK_CHECK(!curves.empty());
-  RdpCurve total = curves[0];
-  for (size_t i = 1; i < curves.size(); ++i) {
-    total.Accumulate(curves[i]);
-  }
-  return total;
 }
 
 }  // namespace dpack

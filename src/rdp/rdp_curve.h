@@ -1,15 +1,14 @@
 // RDP curves: per-order privacy-loss bounds with composition and DP translation.
 //
 // An `RdpCurve` stores epsilon(alpha) for every order alpha of an `AlphaGrid`. Curves compose
-// additively per order (§2.2); translation to traditional (eps, delta)-DP uses Eq. 2 of the
-// paper, picking the order that minimizes eps(alpha) + log(1/delta) / (alpha - 1).
+// additively per order (`operator+` and `Accumulate`, §2.2); translation to traditional
+// (eps, delta)-DP uses Eq. 2 of the paper, picking the order that minimizes
+// eps(alpha) + log(1/delta) / (alpha - 1).
 
 #ifndef SRC_RDP_RDP_CURVE_H_
 #define SRC_RDP_RDP_CURVE_H_
 
 #include <cstddef>
-#include <span>
-#include <string>
 #include <vector>
 
 #include "src/rdp/alpha_grid.h"
@@ -53,12 +52,6 @@ class RdpCurve {
   // Translation to (epsilon, delta)-DP via Eq. 2 (best order). Requires 0 < delta < 1.
   DpTranslation ToDp(double delta) const;
 
-  // Minimum epsilon across orders (used for normalized-demand statistics, §6.2's eps_min).
-  double MinEpsilon() const;
-  size_t MinEpsilonIndex() const;
-
-  std::string DebugString() const;
-
  private:
   AlphaGridPtr grid_;
   std::vector<double> epsilons_;
@@ -68,9 +61,6 @@ class RdpCurve {
 // (§3.4): capacity(alpha) = eps_g - log(1/delta_g) / (alpha - 1). Orders where this is
 // negative get zero capacity (unusable: any positive demand is rejected there).
 RdpCurve BlockCapacityCurve(const AlphaGridPtr& grid, double eps_g, double delta_g);
-
-// Sum of a sequence of curves (adaptive composition across computations).
-RdpCurve ComposeCurves(std::span<const RdpCurve> curves);
 
 }  // namespace dpack
 

@@ -25,10 +25,32 @@ namespace {
 constexpr char kUnixPrefix[] = "unix:";
 constexpr char kTcpPrefix[] = "tcp:";
 
+// Reply bytes a connection may leave unread before it is dropped (backpressure bound, the
+// out-buffer analogue of the admission queue).
+constexpr size_t kMaxOutputBacklog = 4 << 20;
+
 void SetNonBlocking(int fd) {
   int flags = fcntl(fd, F_GETFL, 0);
   DPACK_CHECK(flags >= 0);
   DPACK_CHECK(fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0);
+}
+
+// The socket address `address` names, a Unix path or a loopback TCP port, in `storage`;
+// returns its length.
+socklen_t SocketAddressOf(const NetAddress& address, sockaddr_storage* storage) {
+  std::memset(storage, 0, sizeof(*storage));
+  if (address.is_unix) {
+    auto* addr = reinterpret_cast<sockaddr_un*>(storage);
+    addr->sun_family = AF_UNIX;
+    DPACK_CHECK(address.path.size() < sizeof(addr->sun_path));
+    std::memcpy(addr->sun_path, address.path.c_str(), address.path.size() + 1);
+    return sizeof(sockaddr_un);
+  }
+  auto* addr = reinterpret_cast<sockaddr_in*>(storage);
+  addr->sin_family = AF_INET;
+  addr->sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  addr->sin_port = htons(address.port);
+  return sizeof(sockaddr_in);
 }
 
 }  // namespace
@@ -71,24 +93,9 @@ bool ParseNetAddress(std::string_view text, NetAddress* out, std::string* error)
 }
 
 int ConnectOnce(const NetAddress& address) {
-  sockaddr_un unix_addr;
-  sockaddr_in tcp_addr;
-  sockaddr* addr = nullptr;
-  socklen_t len = 0;
-  if (address.is_unix) {
-    std::memset(&unix_addr, 0, sizeof(unix_addr));
-    unix_addr.sun_family = AF_UNIX;
-    std::memcpy(unix_addr.sun_path, address.path.c_str(), address.path.size() + 1);
-    addr = reinterpret_cast<sockaddr*>(&unix_addr);
-    len = sizeof(unix_addr);
-  } else {
-    std::memset(&tcp_addr, 0, sizeof(tcp_addr));
-    tcp_addr.sin_family = AF_INET;
-    tcp_addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    tcp_addr.sin_port = htons(address.port);
-    addr = reinterpret_cast<sockaddr*>(&tcp_addr);
-    len = sizeof(tcp_addr);
-  }
+  sockaddr_storage storage;
+  socklen_t len = SocketAddressOf(address, &storage);
+  sockaddr* addr = reinterpret_cast<sockaddr*>(&storage);
   int fd = socket(addr->sa_family, SOCK_STREAM, 0);
   if (fd < 0) {
     return -1;
@@ -192,32 +199,22 @@ FrameSocket::Next FrameSocket::NextFrame(std::string* payload, size_t max_frame_
 // --- NetListener ---------------------------------------------------------------------------
 
 NetListener::NetListener(const NetAddress& address) : address_(address) {
+  sockaddr_storage storage;
+  socklen_t len = SocketAddressOf(address_, &storage);
+  sockaddr* addr = reinterpret_cast<sockaddr*>(&storage);
+  fd_ = socket(addr->sa_family, SOCK_STREAM, 0);
+  DPACK_CHECK(fd_ >= 0);
   if (address_.is_unix) {
-    fd_ = socket(AF_UNIX, SOCK_STREAM, 0);
-    DPACK_CHECK(fd_ >= 0);
-    sockaddr_un addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sun_family = AF_UNIX;
-    DPACK_CHECK(address_.path.size() < sizeof(addr.sun_path));
-    std::memcpy(addr.sun_path, address_.path.c_str(), address_.path.size() + 1);
     unlink(address_.path.c_str());  // A stale socket file from a dead daemon.
-    DPACK_CHECK_MSG(bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
-                    "cannot bind unix socket " << address_.path);
   } else {
-    fd_ = socket(AF_INET, SOCK_STREAM, 0);
-    DPACK_CHECK(fd_ >= 0);
     int one = 1;
     setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr;
-    std::memset(&addr, 0, sizeof(addr));
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(address_.port);
-    DPACK_CHECK_MSG(bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) == 0,
-                    "cannot bind tcp port " << address_.port);
-    socklen_t len = sizeof(addr);
-    DPACK_CHECK(getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len) == 0);
-    address_.port = ntohs(addr.sin_port);  // Resolve tcp:0 to the assigned port.
+  }
+  DPACK_CHECK_MSG(bind(fd_, addr, len) == 0, "cannot bind " << address_string());
+  if (!address_.is_unix) {
+    DPACK_CHECK(getsockname(fd_, addr, &len) == 0);
+    // Resolve tcp:0 to the assigned port.
+    address_.port = ntohs(reinterpret_cast<sockaddr_in*>(&storage)->sin_port);
   }
   DPACK_CHECK(listen(fd_, 16) == 0);
   SetNonBlocking(fd_);
@@ -302,18 +299,25 @@ void NetServiceFront::SendMessage(Connection& conn, const ServiceMessage& messag
   counters_.bytes_sent += kFrameHeaderBytes + payload.size();
 }
 
-void NetServiceFront::HandleSubmit(Connection& conn, const SubmitMsg& msg, bool* drop) {
-  if (!std::isfinite(msg.now) || msg.now < time_high_water_) {
-    std::fprintf(stderr, "net: submit instant %f regresses virtual time %f; dropping peer\n",
-                 msg.now, time_high_water_);
+bool NetServiceFront::AdvanceTo(double now, const char* request, bool* drop) {
+  if (!std::isfinite(now) || now < time_high_water_) {
+    std::fprintf(stderr, "net: %s instant %f regresses virtual time %f; dropping peer\n",
+                 request, now, time_high_water_);
     ++counters_.protocol_rejects;
     *drop = true;
-    return;
+    return false;
   }
+  advance_(now);
+  time_high_water_ = now;
+  return true;
+}
+
+void NetServiceFront::HandleSubmit(Connection& conn, SubmitMsg&& msg, bool* drop) {
   // Block arrivals at or before this instant fire first (the sim driver's event order:
   // kBlockArrival < kTaskArrival), and validation runs against the advanced population.
-  advance_(msg.now);
-  time_high_water_ = msg.now;
+  if (!AdvanceTo(msg.now, "submit", drop)) {
+    return;
+  }
   for (const TaskRecord& entry : msg.entries) {
     std::string error = ValidateTaskRecord(entry, grid_->size(), blocks_->block_count());
     if (!error.empty()) {
@@ -326,8 +330,8 @@ void NetServiceFront::HandleSubmit(Connection& conn, const SubmitMsg& msg, bool*
   }
   SubmitReplyMsg reply;
   reply.seq = msg.seq;
-  for (const TaskRecord& entry : msg.entries) {
-    if (service_->Submit(TaskOf(entry, grid_))) {
+  for (TaskRecord& entry : msg.entries) {
+    if (service_->Submit(TaskOf(std::move(entry), grid_))) {
       ++reply.accepted;
       ++counters_.submits_accepted;
     } else {
@@ -338,9 +342,10 @@ void NetServiceFront::HandleSubmit(Connection& conn, const SubmitMsg& msg, bool*
   SendMessage(conn, reply);
 }
 
-void NetServiceFront::HandleRunCycle(Connection& conn, const RunCycleMsg& msg) {
-  advance_(msg.now);
-  time_high_water_ = msg.now;
+void NetServiceFront::HandleRunCycle(Connection& conn, const RunCycleMsg& msg, bool* drop) {
+  if (!AdvanceTo(msg.now, "cycle", drop)) {
+    return;
+  }
   service_->RunCycle(msg.now);
   CycleReplyMsg reply;
   reply.seq = msg.seq;
@@ -353,33 +358,20 @@ void NetServiceFront::HandleRunCycle(Connection& conn, const RunCycleMsg& msg) {
   SendMessage(conn, reply);
 }
 
-bool NetServiceFront::HandleMessage(Connection& conn, const ServiceMessage& message,
-                                    bool* drop) {
-  if (const auto* submit = std::get_if<SubmitMsg>(&message)) {
-    HandleSubmit(conn, *submit, drop);
-    return true;
-  }
-  if (const auto* cycle = std::get_if<RunCycleMsg>(&message)) {
-    if (!std::isfinite(cycle->now) || cycle->now < time_high_water_) {
-      std::fprintf(stderr, "net: cycle instant %f regresses virtual time %f; dropping peer\n",
-                   cycle->now, time_high_water_);
-      ++counters_.protocol_rejects;
-      *drop = true;
-      return true;
-    }
-    HandleRunCycle(conn, *cycle);
-    return true;
-  }
-  if (std::holds_alternative<ShutdownMsg>(message)) {
+void NetServiceFront::HandleMessage(Connection& conn, ServiceMessage&& message, bool* drop) {
+  if (auto* submit = std::get_if<SubmitMsg>(&message)) {
+    HandleSubmit(conn, std::move(*submit), drop);
+  } else if (const auto* cycle = std::get_if<RunCycleMsg>(&message)) {
+    HandleRunCycle(conn, *cycle, drop);
+  } else if (std::holds_alternative<ShutdownMsg>(message)) {
     shutdown_received_ = true;
-    return true;
+  } else {
+    // Reply-typed messages have no business arriving from a tenant.
+    std::fprintf(stderr, "net: unexpected message type %zu from client; dropping peer\n",
+                 message.index());
+    ++counters_.protocol_rejects;
+    *drop = true;
   }
-  // Reply-typed messages have no business arriving from a tenant.
-  std::fprintf(stderr, "net: unexpected message type %zu from client; dropping peer\n",
-               message.index());
-  ++counters_.protocol_rejects;
-  *drop = true;
-  return true;
 }
 
 bool NetServiceFront::DrainFrames(Connection& conn, bool* drop) {
@@ -410,9 +402,9 @@ bool NetServiceFront::DrainFrames(Connection& conn, bool* drop) {
       *drop = true;
       break;
     }
-    HandleMessage(conn, message, drop);
+    HandleMessage(conn, std::move(message), drop);
   }
-  if (!*drop && conn.socket->pending_output() > config_.max_output_backlog) {
+  if (!*drop && conn.socket->pending_output() > kMaxOutputBacklog) {
     std::fprintf(stderr, "net: client not draining replies (%zu bytes queued); dropping\n",
                  conn.socket->pending_output());
     ++counters_.protocol_rejects;

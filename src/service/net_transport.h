@@ -142,9 +142,6 @@ struct NetFrontConfig {
   // immediately.
   size_t max_frame_bytes = 1 << 20;
   size_t max_connections = 8;
-  // Reply bytes a connection may leave unread before it is dropped (backpressure bound,
-  // the out-buffer analogue of the admission queue).
-  size_t max_output_backlog = 4 << 20;
   // Consecutive no-progress polls a connection may hold a partial frame or unflushed
   // output; exhaustion is a disconnect (counted in budget_disconnects).
   uint64_t progress_budget = 40000;
@@ -225,9 +222,14 @@ class NetServiceFront {
   // Processes every complete frame buffered on `conn`. Returns true on progress; sets
   // *drop when the connection must be closed (corruption, protocol violation, backlog).
   bool DrainFrames(Connection& conn, bool* drop);
-  bool HandleMessage(Connection& conn, const ServiceMessage& message, bool* drop);
-  void HandleSubmit(Connection& conn, const SubmitMsg& msg, bool* drop);
-  void HandleRunCycle(Connection& conn, const RunCycleMsg& msg);
+  // Requests are consumed: a Submit's task records move into the service.
+  void HandleMessage(Connection& conn, ServiceMessage&& message, bool* drop);
+  // Gates a request's virtual-time instant: a non-finite instant, or one below the
+  // high-water mark, is a protocol violation (returns false and sets *drop). Otherwise
+  // every block arrival at or before `now` fires and `now` becomes the high-water mark.
+  bool AdvanceTo(double now, const char* request, bool* drop);
+  void HandleSubmit(Connection& conn, SubmitMsg&& msg, bool* drop);
+  void HandleRunCycle(Connection& conn, const RunCycleMsg& msg, bool* drop);
   void SendMessage(Connection& conn, const ServiceMessage& message);
   void CloseConnection(size_t index, const char* reason);
 

@@ -10,6 +10,24 @@ namespace dpack {
 
 namespace {
 
+// Trace-level CPU/GPU mix.
+constexpr double kGpuFraction = 0.35;
+// Heavy-tailed eps_min proxy (memory GB-hours -> privacy): Pareto(scale, shape), truncated
+// to the paper's [0.001, 1].
+constexpr double kEpsParetoScale = 0.01;
+constexpr double kEpsParetoShape = 0.7;
+constexpr double kEpsMinLo = 0.001;
+constexpr double kEpsMinHi = 1.0;
+// Deep-learning (GPU) tasks consume more privacy per run than statistics: their eps_min
+// draw is scaled up by this factor (then re-truncated). Mirrors the memory-usage gap
+// between GPU and CPU jobs in the trace.
+constexpr double kGpuEpsMultiplier = 4.0;
+// Heavy-tailed block-count proxy (network bytes -> blocks): Pareto(scale, shape),
+// truncated to the paper's [1, 100].
+constexpr double kBlocksParetoScale = 1.0;
+constexpr double kBlocksParetoShape = 0.9;
+constexpr size_t kMaxBlocksPerTask = 100;
+
 // Draws a Pareto value truncated to [lo, hi] by rejection, clamping after `max_tries`.
 double TruncatedPareto(Rng& rng, double scale, double shape, double lo, double hi,
                        int max_tries = 64) {
@@ -75,16 +93,16 @@ std::vector<Task> GenerateAlibabaDp(const CurvePool& pool, const AlibabaConfig& 
   std::vector<Task> tasks;
   tasks.reserve(config.num_tasks);
   for (size_t i = 0; i < config.num_tasks; ++i) {
-    bool gpu = rng.Bernoulli(config.gpu_fraction);
+    bool gpu = rng.Bernoulli(kGpuFraction);
     MechanismSpec spec = gpu ? SampleGpuMechanism(rng) : SampleCpuMechanism(rng);
     RdpCurve curve = spec.BuildCurve(pool.grid());
 
     // Memory -> privacy proxy: rescale the curve to a heavy-tailed normalized eps_min,
-    // truncated to [eps_min_lo, eps_min_hi] (the paper's workload truncation).
-    double eps_min = TruncatedPareto(rng, config.eps_pareto_scale, config.eps_pareto_shape,
-                                     config.eps_min_lo, config.eps_min_hi);
+    // truncated to [kEpsMinLo, kEpsMinHi] (the paper's workload truncation).
+    double eps_min =
+        TruncatedPareto(rng, kEpsParetoScale, kEpsParetoShape, kEpsMinLo, kEpsMinHi);
     if (gpu) {
-      eps_min = std::min(eps_min * config.gpu_eps_multiplier, config.eps_min_hi);
+      eps_min = std::min(eps_min * kGpuEpsMultiplier, kEpsMinHi);
     }
     double current = pool.NormalizedEpsMin(curve);
     DPACK_CHECK(current > 0.0);
@@ -93,15 +111,12 @@ std::vector<Task> GenerateAlibabaDp(const CurvePool& pool, const AlibabaConfig& 
     Task task(static_cast<TaskId>(i), /*weight=*/1.0, std::move(demand));
 
     // Network-bytes -> blocks proxy: heavy-tailed count of most-recent blocks, in [1, 100].
-    double raw_blocks = TruncatedPareto(rng, config.blocks_pareto_scale,
-                                        config.blocks_pareto_shape, 1.0,
-                                        static_cast<double>(config.max_blocks_per_task));
+    double raw_blocks = TruncatedPareto(rng, kBlocksParetoScale, kBlocksParetoShape, 1.0,
+                                        static_cast<double>(kMaxBlocksPerTask));
     task.num_recent_blocks = static_cast<size_t>(std::llround(raw_blocks));
-    task.num_recent_blocks = std::clamp<size_t>(task.num_recent_blocks, 1,
-                                                config.max_blocks_per_task);
+    task.num_recent_blocks = std::clamp<size_t>(task.num_recent_blocks, 1, kMaxBlocksPerTask);
 
     task.arrival_time = rng.Uniform(0.0, config.arrival_span);
-    task.timeout = config.task_timeout;
     tasks.push_back(std::move(task));
   }
   // Sort by arrival so downstream drivers see a chronological stream.

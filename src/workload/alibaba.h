@@ -11,13 +11,14 @@
 //   network bytes read       -> number of requested blocks: heavy-tailed, truncated to
 //                               [1, 100]; tasks request the most recent blocks;
 //   weight                   -> 1 for all tasks.
-// Arrivals are uniform over the trace window (one block arrives per time unit).
+// Arrivals are uniform over the trace window (one block arrives per time unit), and no task
+// times out. The mapping's constants are fixed in alibaba.cc; only the task count, the
+// window and the seed are configurable.
 
 #ifndef SRC_WORKLOAD_ALIBABA_H_
 #define SRC_WORKLOAD_ALIBABA_H_
 
 #include <cstdint>
-#include <limits>
 #include <vector>
 
 #include "src/core/task.h"
@@ -30,22 +31,6 @@ struct AlibabaConfig {
   // Arrival window in virtual time (block inter-arrival units). Tasks arrive uniformly over
   // [0, arrival_span).
   double arrival_span = 90.0;
-  double gpu_fraction = 0.35;           // Trace-level CPU/GPU mix.
-  // Heavy-tailed eps_min proxy (memory GB-hours -> privacy): Pareto(scale, shape) truncated.
-  double eps_pareto_scale = 0.01;
-  double eps_pareto_shape = 0.7;
-  double eps_min_lo = 0.001;            // Paper's truncation: eps_min in [0.001, 1].
-  double eps_min_hi = 1.0;
-  // Deep-learning (GPU) tasks consume more privacy per run than statistics: their eps_min
-  // draw is scaled up by this factor (then re-truncated). Mirrors the memory-usage gap
-  // between GPU and CPU jobs in the trace.
-  double gpu_eps_multiplier = 4.0;
-  // Heavy-tailed block-count proxy (network bytes -> blocks): Pareto truncated to [1, 100].
-  double blocks_pareto_scale = 1.0;
-  double blocks_pareto_shape = 0.9;
-  size_t max_blocks_per_task = 100;     // Paper's truncation.
-  // Per-task eviction timeout (§3.4), in block-interval units.
-  double task_timeout = std::numeric_limits<double>::infinity();
   uint64_t seed = 1;
 };
 

@@ -14,7 +14,8 @@ std::vector<Task> GenerateMicrobenchmark(const CurvePool& pool,
   DPACK_CHECK(config.num_blocks > 0);
   DPACK_CHECK(config.eps_min > 0.0);
   Rng rng(config.seed);
-  size_t center_bucket = pool.BucketNearestAlpha(config.center_alpha);
+  // Centered on the paper's alpha = 5 bucket.
+  size_t center_bucket = pool.BucketNearestAlpha(5.0);
 
   std::vector<Task> tasks;
   tasks.reserve(config.num_tasks);

@@ -22,7 +22,6 @@ struct MicrobenchmarkConfig {
   double mu_blocks = 10.0;     // Mean requested blocks.
   double sigma_blocks = 0.0;   // Heterogeneity knob 1.
   double sigma_alpha = 0.0;    // Heterogeneity knob 2 (bucket-index stddev).
-  double center_alpha = 5.0;   // Bucket the alpha distribution is centered on.
   double eps_min = 0.1;        // Normalized demand at best alpha, constant across tasks.
   uint64_t seed = 1;
 };

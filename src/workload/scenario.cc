@@ -14,6 +14,10 @@ namespace {
 
 constexpr double kPi = 3.14159265358979323846;
 
+// The smallest task weight: the lower end of kUniformWeight's range and kParetoWeight's
+// Pareto scale.
+constexpr double kMinWeight = 0.5;
+
 // Sub-stream ids for Rng::Fork: each generation axis draws from its own deterministic
 // stream, so changing one knob never perturbs the draws of another.
 enum : uint64_t { kBlockStream = 1, kArrivalStream = 2, kTaskStream = 3 };
@@ -37,7 +41,7 @@ void ValidateSpec(const ScenarioSpec& spec) {
   DPACK_CHECK(spec.zipf_exponent > 0.0);
   DPACK_CHECK(spec.pareto_shape > 0.0);
   DPACK_CHECK(spec.capacity_divisor >= 1);
-  DPACK_CHECK(spec.weight_lo > 0.0 && spec.weight_lo <= spec.weight_hi);
+  DPACK_CHECK(spec.weight_hi >= kMinWeight);
   DPACK_CHECK(spec.weight_pareto_shape > 0.0);
   DPACK_CHECK(spec.mu_blocks > 0.0);
   DPACK_CHECK(spec.sigma_blocks >= 0.0);
@@ -220,10 +224,9 @@ double SampleWeight(const ScenarioSpec& spec, Rng& rng) {
     case WeightDistribution::kUnitWeight:
       return 1.0;
     case WeightDistribution::kUniformWeight:
-      return spec.weight_lo == spec.weight_hi ? spec.weight_lo
-                                              : rng.Uniform(spec.weight_lo, spec.weight_hi);
+      return spec.weight_hi == kMinWeight ? kMinWeight : rng.Uniform(kMinWeight, spec.weight_hi);
     case WeightDistribution::kParetoWeight:
-      return std::min(spec.weight_hi, rng.Pareto(spec.weight_lo, spec.weight_pareto_shape));
+      return std::min(spec.weight_hi, rng.Pareto(kMinWeight, spec.weight_pareto_shape));
   }
   return 1.0;
 }
@@ -437,7 +440,6 @@ ScenarioSpec CohortSkew() {
   spec.demand = DemandDistribution::kFixedEpsMin;
   spec.eps_min = 0.12;
   spec.weights = WeightDistribution::kUniformWeight;
-  spec.weight_lo = 0.5;
   spec.weight_hi = 6.0;
   spec.selection = BlockSelectionPolicy::kUniformList;
   spec.mu_blocks = 3.0;

@@ -59,8 +59,8 @@ enum class DemandDistribution {
 
 enum class WeightDistribution {
   kUnitWeight,    // All weights 1 (max-cardinality objective).
-  kUniformWeight, // Uniform in [weight_lo, weight_hi] (drives the FPTAS best-alpha path).
-  kParetoWeight,  // Pareto(weight_lo, weight_pareto_shape) truncated to [lo, hi].
+  kUniformWeight, // Uniform in [0.5, weight_hi] (drives the FPTAS best-alpha path).
+  kParetoWeight,  // Pareto(0.5, weight_pareto_shape) truncated to [0.5, weight_hi].
 };
 
 // How each task picks its requested blocks.
@@ -118,8 +118,7 @@ struct ScenarioSpec {
 
   // Weights.
   WeightDistribution weights = WeightDistribution::kUnitWeight;
-  double weight_lo = 0.5;
-  double weight_hi = 8.0;
+  double weight_hi = 8.0;  // The largest weight; the smallest is fixed at 0.5.
   double weight_pareto_shape = 1.1;
 
   // Block selection.

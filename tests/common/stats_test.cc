@@ -64,20 +64,6 @@ TEST(SampleSetTest, CdfAt) {
   EXPECT_DOUBLE_EQ(set.CdfAt(10.0), 1.0);
 }
 
-TEST(SampleSetTest, CdfPointsMonotone) {
-  SampleSet set;
-  for (int i = 100; i > 0; --i) {
-    set.Add(static_cast<double>(i));
-  }
-  auto points = set.CdfPoints(10);
-  ASSERT_FALSE(points.empty());
-  for (size_t i = 1; i < points.size(); ++i) {
-    EXPECT_GE(points[i].first, points[i - 1].first);
-    EXPECT_GE(points[i].second, points[i - 1].second);
-  }
-  EXPECT_DOUBLE_EQ(points.back().second, 1.0);
-}
-
 TEST(SampleSetTest, AddAfterQueryResorts) {
   SampleSet set;
   set.Add(3.0);
@@ -85,22 +71,6 @@ TEST(SampleSetTest, AddAfterQueryResorts) {
   set.Add(1.0);
   set.Add(2.0);
   EXPECT_DOUBLE_EQ(set.median(), 2.0);
-}
-
-TEST(HistogramTest, BucketsAndOverflow) {
-  Histogram hist(0.0, 10.0, 5);
-  hist.Add(-1.0);
-  hist.Add(0.0);
-  hist.Add(1.9);
-  hist.Add(5.0);
-  hist.Add(10.0);
-  hist.Add(100.0);
-  EXPECT_EQ(hist.underflow(), 1u);
-  EXPECT_EQ(hist.overflow(), 2u);
-  EXPECT_EQ(hist.bucket(0), 2u);  // 0.0 and 1.9.
-  EXPECT_EQ(hist.bucket(2), 1u);  // 5.0.
-  EXPECT_EQ(hist.total(), 6u);
-  EXPECT_DOUBLE_EQ(hist.BucketLow(2), 4.0);
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <string>
@@ -89,10 +90,10 @@ double AwkwardDouble(Rng& rng) {
   static const double kValues[] = {
       -0.0,
       0.0,
-      DoubleOfBits(0x7ff8000000000123ULL),  // Quiet NaN with payload bits.
-      DoubleOfBits(0xfff0000000000001ULL),  // Negative signaling NaN.
-      DoubleOfBits(0x0000000000000001ULL),  // Smallest denormal.
-      DoubleOfBits(0x800fffffffffffffULL),  // Largest negative denormal.
+      std::bit_cast<double>(0x7ff8000000000123ULL),  // Quiet NaN with payload bits.
+      std::bit_cast<double>(0xfff0000000000001ULL),  // Negative signaling NaN.
+      std::bit_cast<double>(0x0000000000000001ULL),  // Smallest denormal.
+      std::bit_cast<double>(0x800fffffffffffffULL),  // Largest negative denormal.
       std::numeric_limits<double>::infinity(),
       -std::numeric_limits<double>::infinity(),
       std::numeric_limits<double>::max(),
@@ -101,8 +102,8 @@ double AwkwardDouble(Rng& rng) {
   if (rng.Bernoulli(0.5)) {
     return kValues[rng.UniformInt(0, static_cast<int64_t>(std::size(kValues)) - 1)];
   }
-  return DoubleOfBits((static_cast<uint64_t>(rng.UniformInt(0, INT64_MAX)) << 1) |
-                      static_cast<uint64_t>(rng.UniformInt(0, 1)));
+  return std::bit_cast<double>((static_cast<uint64_t>(rng.UniformInt(0, INT64_MAX)) << 1) |
+                               static_cast<uint64_t>(rng.UniformInt(0, 1)));
 }
 
 int64_t AwkwardInt(Rng& rng) {
@@ -159,10 +160,10 @@ std::string Encode(const std::vector<Field>& fields) {
       case 0: w.U8(std::get<0>(f)); break;
       case 1: w.U32(std::get<1>(f)); break;
       case 2: w.U64(std::get<2>(f)); break;
-      case 3: w.I64(std::get<3>(f)); break;
-      case 4: w.F64(std::get<4>(f)); break;
-      case 5: w.F64Vec(std::get<5>(f)); break;
-      default: w.I64Vec(std::get<6>(f)); break;
+      case 3: w.Field(std::get<3>(f), "i64"); break;
+      case 4: w.Field(std::get<4>(f), "f64"); break;
+      case 5: w.Field(std::get<5>(f), "f64vec"); break;
+      default: w.Field(std::get<6>(f), "i64vec"); break;
     }
   }
   return w.data();
@@ -203,17 +204,17 @@ std::vector<Field> Decode(std::string_view bytes, const std::vector<Field>& kind
       case 0: { uint8_t v; ok = r.U8(&v, what); if (ok) out.emplace_back(v); break; }
       case 1: { uint32_t v; ok = r.U32(&v, what); if (ok) out.emplace_back(v); break; }
       case 2: { uint64_t v; ok = r.U64(&v, what); if (ok) out.emplace_back(v); break; }
-      case 3: { int64_t v; ok = r.I64(&v, what); if (ok) out.emplace_back(v); break; }
-      case 4: { double v; ok = r.F64(&v, what); if (ok) out.emplace_back(v); break; }
+      case 3: { int64_t v; ok = r.Field(v, what); if (ok) out.emplace_back(v); break; }
+      case 4: { double v; ok = r.Field(v, what); if (ok) out.emplace_back(v); break; }
       case 5: {
         std::vector<double> v;
-        ok = r.F64Vec(&v, what);
+        ok = r.Field(v, what);
         if (ok) out.emplace_back(std::move(v));
         break;
       }
       default: {
         std::vector<int64_t> v;
-        ok = r.I64Vec(&v, what);
+        ok = r.Field(v, what);
         if (ok) out.emplace_back(std::move(v));
         break;
       }
@@ -268,10 +269,10 @@ TEST(WireCodecTest, FixedFieldsAreLittleEndianBytes) {
   w.U8(0xAB);
   w.U32(0x01020304u);
   w.U64(0x1122334455667788ULL);
-  w.I64(-2);
-  w.F64(-0.0);
-  w.F64Vec({});
-  w.I64Vec({std::numeric_limits<int64_t>::min()});
+  w.Field(int64_t{-2}, "i64");
+  w.Field(-0.0, "f64");
+  w.Field(std::vector<double>{}, "f64vec");
+  w.Field(std::vector<int64_t>{std::numeric_limits<int64_t>::min()}, "i64vec");
   const std::string expected(
       "\xAB"
       "\x04\x03\x02\x01"
@@ -325,11 +326,11 @@ TEST(WireCodecTest, DamagedVectorCountsAreImplausibleBeforeAnyAllocation) {
     RefPut(bytes, BitsOfDouble(2.5), 8);  // Room for exactly two elements.
     BinaryReader r(bytes);
     std::vector<double> v;
-    EXPECT_FALSE(r.F64Vec(&v, "curve")) << declared;
+    EXPECT_FALSE(r.Field(v, "curve")) << declared;
     EXPECT_EQ(r.error(), "implausible element count for curve") << declared;
     // The error latches: later reads fail without changing the diagnostic.
     double x;
-    EXPECT_FALSE(r.F64(&x, "later"));
+    EXPECT_FALSE(r.Field(x, "later"));
     EXPECT_EQ(r.error(), "implausible element count for curve");
   }
   std::string exact;
@@ -338,7 +339,7 @@ TEST(WireCodecTest, DamagedVectorCountsAreImplausibleBeforeAnyAllocation) {
   RefPut(exact, static_cast<uint64_t>(-7), 8);
   BinaryReader r(exact);
   std::vector<int64_t> v;
-  ASSERT_TRUE(r.I64Vec(&v, "ids"));
+  ASSERT_TRUE(r.Field(v, "ids"));
   EXPECT_EQ(v, (std::vector<int64_t>{7, -7}));
   EXPECT_EQ(r.remaining(), 0u);
 }

@@ -59,7 +59,7 @@ TEST_P(SchedulerInvariantsTest, OfflineGrantsRespectFilters) {
   }
   PkOptions opts;
   opts.time_limit_seconds = 10.0;
-  std::unique_ptr<Scheduler> scheduler = CreateScheduler(GetParam().kind, 0.05, opts);
+  std::unique_ptr<Scheduler> scheduler = CreateScheduler(GetParam().kind, opts);
   std::vector<size_t> granted = scheduler->ScheduleBatch(tasks, blocks);
 
   // No duplicate grants; granted indices valid.
@@ -104,7 +104,7 @@ TEST_P(SchedulerInvariantsTest, OnlineMetricsAreConsistent) {
   PkOptions opts;
   opts.time_limit_seconds = 10.0;
   SimResult result =
-      RunOnlineSimulation(CreateScheduler(GetParam().kind, 0.05, opts), tasks, sim);
+      RunOnlineSimulation(CreateScheduler(GetParam().kind, opts), tasks, sim);
   EXPECT_EQ(result.metrics.submitted(), tasks.size());
   EXPECT_EQ(result.metrics.allocated() + result.metrics.evicted() + result.pending_at_end,
             tasks.size());

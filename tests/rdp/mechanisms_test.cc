@@ -130,11 +130,6 @@ TEST(MechanismSpecTest, LaplaceGaussianComposition) {
   }
 }
 
-TEST(MechanismSpecTest, NamesAreStable) {
-  EXPECT_EQ(MechanismTypeName(MechanismType::kLaplace), "laplace");
-  EXPECT_EQ(MechanismTypeName(MechanismType::kSubsampledGaussian), "subsampled_gaussian");
-}
-
 // Reproduces the qualitative content of Fig. 2: different mechanisms at sigma (or b) = 2
 // have different best alphas after DP translation, and composing them yields a tighter
 // global epsilon than worst-case naive addition.

@@ -81,14 +81,6 @@ TEST(RdpCurveTest, ToDpPicksInteriorBestAlpha) {
   }
 }
 
-TEST(RdpCurveTest, MinEpsilon) {
-  std::vector<double> eps(Grid()->size(), 5.0);
-  eps[3] = 0.5;
-  RdpCurve curve(Grid(), eps);
-  EXPECT_DOUBLE_EQ(curve.MinEpsilon(), 0.5);
-  EXPECT_EQ(curve.MinEpsilonIndex(), 3u);
-}
-
 TEST(BlockCapacityCurveTest, MatchesFilterInitialization) {
   // capacity(alpha) = eps_g - log(1/delta_g)/(alpha-1), clamped at 0 (§3.4).
   RdpCurve capacity = BlockCapacityCurve(Grid(), 10.0, 1e-7);
@@ -116,15 +108,6 @@ TEST(BlockCapacityCurveTest, TranslationRoundTripGuarantee) {
     // exactly eps_g, so any admitted workload translates to <= (eps_g, delta_g)-DP.
     double eps_dp = capacity.epsilon(i) + std::log(1.0 / delta_g) / (Grid()->order(i) - 1.0);
     EXPECT_NEAR(eps_dp, eps_g, 1e-9);
-  }
-}
-
-TEST(ComposeCurvesTest, SumsSpan) {
-  std::vector<double> e(Grid()->size(), 1.5);
-  std::vector<RdpCurve> curves(4, RdpCurve(Grid(), e));
-  RdpCurve total = ComposeCurves(curves);
-  for (size_t i = 0; i < total.size(); ++i) {
-    EXPECT_DOUBLE_EQ(total.epsilon(i), 6.0);
   }
 }
 

@@ -541,6 +541,30 @@ TEST(NetFrontTest, NanInstantDropsPeer) {
   close(fd);
 }
 
+// A RunCycle instant passes the same gate as a Submit's: a regressing or NaN instant drops
+// the peer before any cycle runs.
+TEST(NetFrontTest, CycleInstantRegressionOrNanDropsPeer) {
+  for (double now : {3.0, std::numeric_limits<double>::quiet_NaN()}) {
+    Harness harness;
+    int fd = ConnectTo(harness);
+    SubmitMsg first = OneTaskSubmit(1, 1);
+    first.now = 5.0;
+    SendAll(fd, Framed(ServiceMessage(first)));
+    std::string payload;
+    ASSERT_TRUE(ReadReplyWhilePumping(harness.front, fd, &payload));
+    RunCycleMsg cycle;
+    cycle.seq = 2;
+    cycle.now = now;
+    SendAll(fd, Framed(ServiceMessage(cycle)));
+    ASSERT_TRUE(PumpUntil(harness.front,
+                          [&] { return harness.front.counters().disconnects == 1; }));
+    EXPECT_EQ(harness.front.counters().protocol_rejects, 1u) << now;
+    EXPECT_EQ(harness.front.counters().cycles_run, 0u) << now;
+    EXPECT_EQ(harness.service.pending_count(), 1u) << now;  // Nothing was scheduled.
+    close(fd);
+  }
+}
+
 TEST(NetFrontTest, ConnectionCapRefusesTheOverflow) {
   NetFrontConfig front_config;
   front_config.max_connections = 2;

@@ -60,7 +60,6 @@ TEST_F(MicrobenchmarkTest, ZeroSigmaAlphaConcentratesOnCenterBucket) {
   MicrobenchmarkConfig config;
   config.num_tasks = 100;
   config.sigma_alpha = 0.0;
-  config.center_alpha = 5.0;
   std::vector<Task> tasks = GenerateMicrobenchmark(pool_, config);
   WorkloadStats stats = ComputeWorkloadStats(tasks, capacity_);
   size_t idx5 = grid_->IndexOf(5.0);
