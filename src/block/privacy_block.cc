@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "src/block/version_tree.h"
 #include "src/common/check.h"
@@ -16,6 +17,7 @@ PrivacyBlock::PrivacyBlock(BlockId id, RdpCurve capacity, double arrival_time,
       arrival_time_(arrival_time),
       unlocked_fraction_(initial_unlocked) {
   DPACK_CHECK(initial_unlocked >= 0.0 && initial_unlocked <= 1.0);
+  RefreshLimits();
 }
 
 PrivacyBlock::PrivacyBlock(BlockId id, const AlphaGridPtr& grid, double eps_g, double delta_g,
@@ -44,7 +46,8 @@ PrivacyBlock::PrivacyBlock(const PrivacyBlock& other)
       arrival_time_(other.arrival_time_),
       unlocked_fraction_(other.unlocked_fraction_),
       version_(other.version_),
-      sink_(nullptr) {}
+      sink_(nullptr),
+      limits_(other.limits_) {}
 
 PrivacyBlock& PrivacyBlock::operator=(const PrivacyBlock& other) {
   id_ = other.id_;
@@ -54,6 +57,7 @@ PrivacyBlock& PrivacyBlock::operator=(const PrivacyBlock& other) {
   unlocked_fraction_ = other.unlocked_fraction_;
   version_ = other.version_;
   sink_ = nullptr;
+  limits_ = other.limits_;
   return *this;
 }
 
@@ -64,12 +68,23 @@ void PrivacyBlock::BumpVersion() {
   }
 }
 
+void PrivacyBlock::RefreshLimits() {
+  limits_.resize(capacity_.size());
+  for (size_t i = 0; i < limits_.size(); ++i) {
+    double cap = UnlockedCapacityAt(i);
+    // An order whose unlocked capacity is not positive is unusable under the global
+    // guarantee: no non-negative consumption is <= -inf.
+    limits_[i] = cap > 0.0 ? AdmissionLimit(cap) : -std::numeric_limits<double>::infinity();
+  }
+}
+
 void PrivacyBlock::SetUnlockedFraction(double fraction) {
   DPACK_CHECK(fraction >= 0.0 && fraction <= 1.0);
   // Unlocking is monotone: budget never re-locks, so stale (smaller) updates are ignored.
   // Only an effective increase changes the available capacity, hence the version.
   if (fraction > unlocked_fraction_) {
     unlocked_fraction_ = fraction;
+    RefreshLimits();
     BumpVersion();
   }
 }
@@ -84,12 +99,10 @@ double PrivacyBlock::AvailableAt(size_t alpha_index) const {
 
 bool PrivacyBlock::CanAccept(const RdpCurve& demand) const {
   DPACK_CHECK_MSG(SameGrid(demand.grid(), capacity_.grid()), "grid mismatch");
-  for (size_t i = 0; i < capacity_.size(); ++i) {
-    double cap = UnlockedCapacityAt(i);
-    if (cap <= 0.0) {
-      continue;  // Order unusable under the global guarantee.
-    }
-    if (WithinCapacity(consumed_.epsilon(i) + demand.epsilon(i), cap)) {
+  const std::vector<double>& consumed = consumed_.epsilons();
+  const std::vector<double>& need = demand.epsilons();
+  for (size_t i = 0; i < limits_.size(); ++i) {
+    if (consumed[i] + need[i] <= limits_[i]) {
       return true;
     }
   }

@@ -15,6 +15,7 @@
 #define SRC_BLOCK_PRIVACY_BLOCK_H_
 
 #include <cstdint>
+#include <vector>
 
 #include "src/rdp/rdp_curve.h"
 
@@ -27,11 +28,14 @@ class BlockVersionTree;
 // The admission rule, written once. A tiny relative slack absorbs accumulation round-off
 // (e.g. N equal demands summing to exactly the capacity); the 1e-9-level overshoot is
 // immaterial to the DP guarantee. Every budget check outside the exact solvers goes through
-// the two predicates below.
+// the predicates below.
 inline double AdmissionSlack(double cap) { return 1e-9 * (1.0 + cap); }
 
+// The largest value an order of capacity `cap` admits: the capacity plus the slack.
+inline double AdmissionLimit(double cap) { return cap + AdmissionSlack(cap); }
+
 // True iff `value` fits within `cap` up to the admission slack.
-inline bool WithinCapacity(double value, double cap) { return value <= cap + AdmissionSlack(cap); }
+inline bool WithinCapacity(double value, double cap) { return value <= AdmissionLimit(cap); }
 
 // True iff an order that has consumed `consumed` of `cap` keeps no more than the admission
 // slack: it can never admit a meaningful demand again.
@@ -100,7 +104,8 @@ class PrivacyBlock {
   double AvailableAt(size_t alpha_index) const;
 
   // Filter admission check: true iff there exists a usable order alpha with
-  // WithinCapacity(consumed(alpha) + demand(alpha), unlocked capacity(alpha)).
+  // WithinCapacity(consumed(alpha) + demand(alpha), unlocked capacity(alpha)). It compares
+  // each sum with the cached limit, so it computes bit-identically what WithinCapacity would.
   bool CanAccept(const RdpCurve& demand) const;
 
   // Charges `demand` to the block. Requires CanAccept(demand).
@@ -114,6 +119,8 @@ class PrivacyBlock {
  private:
   // Bumps version_ and reports it to the attached tree.
   void BumpVersion();
+  // Recomputes limits_ from the unlocked capacity.
+  void RefreshLimits();
 
   BlockId id_;
   RdpCurve capacity_;
@@ -122,6 +129,11 @@ class PrivacyBlock {
   double unlocked_fraction_ = 1.0;
   uint64_t version_ = 0;
   BlockVersionTree* sink_ = nullptr;
+  // Per order, AdmissionLimit(unlocked capacity), or -inf where the unlocked capacity is not
+  // positive (no consumption fits there). The limits change only with the unlocked
+  // fraction, so the constructor and each effective SetUnlockedFraction refresh them, and
+  // copies carry them.
+  std::vector<double> limits_;
 };
 
 }  // namespace dpack

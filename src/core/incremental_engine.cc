@@ -19,105 +19,78 @@ void CheckBlockIds(const Task& task, size_t block_count) {
   }
 }
 
+// A fresh entry, without a memo, for `task` at `key`.
+TaskEntry EntryOf(const Task& task, uint64_t key) {
+  TaskEntry entry;
+  entry.id = task.id;
+  entry.key = key;
+  entry.blocks_ptr = task.blocks.data();
+  entry.blocks_len = static_cast<uint32_t>(task.blocks.size());
+  return entry;
+}
+
 }  // namespace
 
-TaskCacheMap::TaskCacheMap() { slots_.resize(1024); }
+TaskIndex::TaskIndex() { slots_.resize(1024); }
 
-size_t TaskCacheMap::Probe(TaskId id) const {
+size_t TaskIndex::Probe(TaskId id) const {
   uint64_t h = static_cast<uint64_t>(id) * 0x9E3779B97F4A7C15ULL;
   h ^= h >> 32;
   return static_cast<size_t>(h) & (slots_.size() - 1);
 }
 
-size_t TaskCacheMap::Find(TaskId id) const {
+uint64_t TaskIndex::Find(TaskId id) const {
   size_t i = Probe(id);
-  while (slots_[i].used) {
+  while (slots_[i].key != kAbsent) {
     if (slots_[i].id == id) {
-      return i;
+      return slots_[i].key;
     }
     i = (i + 1) & (slots_.size() - 1);
   }
-  return kNpos;
+  return kAbsent;
 }
 
-size_t TaskCacheMap::FindOrInsert(TaskId id) {
+void TaskIndex::Insert(TaskId id, uint64_t key) {
+  DPACK_CHECK(key != kAbsent);
+  if (4 * (size_ + 1) > 3 * slots_.size()) {
+    Rehash(2 * slots_.size());
+  }
   size_t i = Probe(id);
-  while (slots_[i].used) {
-    if (slots_[i].id == id) {
-      return i;
-    }
+  while (slots_[i].key != kAbsent) {
+    DPACK_CHECK_MSG(slots_[i].id != id, "TaskIndex insert of a present id");
     i = (i + 1) & (slots_.size() - 1);
   }
-  DPACK_CHECK_MSG(4 * (size_ + 1) <= 3 * slots_.size(), "TaskCacheMap insert without Reserve");
-  slots_[i].used = true;
-  slots_[i].id = id;
-  slots_[i].value = TaskCache{};
+  slots_[i] = {id, key};
   ++size_;
-  return i;
 }
 
-void TaskCacheMap::Reserve(size_t additional) {
-  size_t needed = 4 * (size_ + additional + 1);
-  size_t slots = slots_.size();
-  while (3 * slots < needed) {
-    slots *= 2;
-  }
-  if (slots > slots_.size()) {
-    Rehash(slots);
-  }
-}
-
-void TaskCacheMap::Rehash(size_t new_capacity) {
+void TaskIndex::Rehash(size_t new_capacity) {
   std::vector<Slot> old = std::move(slots_);
   slots_.assign(new_capacity, Slot{});
-  for (Slot& slot : old) {
-    if (slot.used) {
+  for (const Slot& slot : old) {
+    if (slot.key != kAbsent) {
       size_t i = Probe(slot.id);
-      while (slots_[i].used) {
+      while (slots_[i].key != kAbsent) {
         i = (i + 1) & (slots_.size() - 1);
       }
-      slots_[i] = std::move(slot);
+      slots_[i] = slot;
     }
   }
 }
 
-void TaskCacheMap::PurgeDead(uint64_t cycle, size_t live) {
-  // With the engine's whole-batch Reserve, this bound keeps a queue of L live tasks within
-  // 4/3 * (2.5 L + 64) slots, rounded up to a power of two.
-  if (size_ > live + live / 2 + 64) {
-    PurgeNotSeen(cycle);
-  }
-}
-
-void TaskCacheMap::PurgeNotSeen(uint64_t cycle) {
-  // In place, so a purge never holds a second table. The scan starts just past an empty slot
-  // (the table is at most three quarters full), so no probe run wraps past its start, and an
-  // erase only pulls entries from later in the scan back into the slot being examined.
+void TaskIndex::Erase(TaskId id) {
   size_t mask = slots_.size() - 1;
-  size_t start = 0;
-  while (slots_[start].used) {
-    ++start;
+  size_t hole = Probe(id);
+  for (; slots_[hole].key == kAbsent || slots_[hole].id != id; hole = (hole + 1) & mask) {
+    DPACK_CHECK_MSG(slots_[hole].key != kAbsent, "TaskIndex erase of an absent id");
   }
-  size_t i = (start + 1) & mask;
-  for (size_t visited = 1; visited < slots_.size();) {
-    if (slots_[i].used && slots_[i].value.last_seen != cycle) {
-      EraseAt(i);  // Re-examine slot i: a later entry may have moved into it.
-    } else {
-      i = (i + 1) & mask;
-      ++visited;
-    }
-  }
-}
-
-void TaskCacheMap::EraseAt(size_t hole) {
   // Backward-shift deletion: walk the probe run after the hole and move back every entry
   // whose home slot does not lie cyclically in (hole, j], so every lookup still finds it.
-  size_t mask = slots_.size() - 1;
-  for (size_t j = (hole + 1) & mask; slots_[j].used; j = (j + 1) & mask) {
+  for (size_t j = (hole + 1) & mask; slots_[j].key != kAbsent; j = (j + 1) & mask) {
     size_t home = Probe(slots_[j].id);
     bool stays = hole <= j ? (hole < home && home <= j) : (hole < home || home <= j);
     if (!stays) {
-      slots_[hole] = std::move(slots_[j]);
+      slots_[hole] = slots_[j];
       hole = j;
     }
   }
@@ -325,87 +298,124 @@ void IncrementalEngine::Invalidate() {
   stats_ = stats;
 }
 
-bool IncrementalEngine::ObserveBatch(std::span<const Task> pending, size_t block_count,
-                                     uint64_t previous_cycle) {
-  // Reserving up front means no slot moves mid-cycle: the slots recorded here
-  // (slot_of_index_) stay valid through the feasibility pass and the allocation walk.
-  cache_.Reserve(pending.size());
-  slot_of_index_.resize(pending.size());
-  const uint64_t stamp = cycle_stamp_;
+bool IncrementalEngine::ObserveBatch(std::span<const Task> pending, size_t block_count) {
   const bool dpack = metric_ == GreedyMetric::kDpack;
-  leaving_.clear();
-  joining_.clear();
   prev_batch_.swap(batch_);
   batch_.clear();
+  leaving_.clear();
+  joining_.clear();
+  departed_.clear();
   member_refs_ = 0;
   members_ordered_ = true;
   tail_start_ = 0;
-  size_t walk = 0;  // Next unmatched entry of prev_batch_.
+  // Keys from first_key on are this walk's arrivals'; every earlier one names an entry of
+  // prev_batch_, where keys increase.
+  const uint64_t first_key = next_key_;
+  size_t walk = 0;  // The next entry of prev_batch_ neither carried nor departed.
+  auto depart = [&](size_t k) {
+    const TaskEntry& gone = prev_batch_[k];
+    if (!gone.granted) {  // The walk that granted it took it out of the index.
+      departed_.push_back(gone.id);
+    }
+    if (dpack) {
+      leaving_.push_back(static_cast<uint32_t>(k));
+    }
+  };
+  auto arrive = [&](size_t i, const Task& task, uint64_t key) {
+    CheckBlockIds(task, block_count);
+    batch_.push_back(EntryOf(task, key));
+    if (dpack) {
+      joining_.push_back(i);
+    }
+  };
   for (size_t i = 0; i < pending.size(); ++i) {
     const Task& task = pending[i];
-    size_t slot = cache_.FindOrInsert(task.id);
-    slot_of_index_[i] = slot;
-    TaskCache& cached = cache_.at(slot);
-    if (cached.last_seen == stamp) {
-      return false;  // Duplicate id.
-    }
-    // A cache entry is only trustworthy if the task was pending in the immediately
-    // preceding cycle with an unchanged block list (the vector buffer travels with the task
-    // on moves; reallocation on late resolution changes the pointer).
-    bool was_pending = cached.last_seen == previous_cycle;
-    bool fresh = !was_pending || cached.blocks_ptr != task.blocks.data() ||
-                 cached.blocks_len != task.blocks.size();
-    cached.last_seen = stamp;
-    cached.index = static_cast<uint32_t>(i);
-    if (fresh) {
-      CheckBlockIds(task, block_count);
-      cached.reject_block = TaskCache::kNoMemo;
-    }
-    // A re-resolved task keeps its old member blocks recorded until it has left them.
-    bool rejoins = false;
-    if (dpack) {
-      batch_.push_back({task.id, 0, 0});
-      if (!was_pending) {
-        joining_.push_back(i);
-      } else {
-        tail_start_ = i + 1;
-        // The previous batch's tasks skipped on the way to this one have departed (granted
-        // or evicted). Running off its end means this batch reordered the previous one.
-        while (walk < prev_batch_.size() && prev_batch_[walk].id != task.id) {
-          leaving_.push_back(prev_batch_[walk++]);
-        }
-        if (walk == prev_batch_.size()) {
-          members_ordered_ = false;
-        } else {
-          const BatchMember& before = prev_batch_[walk++];
-          if (fresh && !std::ranges::equal(task.blocks, MemberOf(before))) {
-            leaving_.push_back(before);  // Leaves its old blocks, joins its new ones.
-            joining_.push_back(i);
-            rejoins = true;
-          } else {
-            batch_.back() = before;
-            member_refs_ += before.member_len;
-          }
-        }
+    // In the steady state the walk's next entry is the task's own; only a mismatch asks the
+    // index whether the task is an arrival or a survivor whose predecessors departed.
+    bool carried = walk < prev_batch_.size() && prev_batch_[walk].id == task.id &&
+                   !prev_batch_[walk].granted;
+    if (!carried) {
+      uint64_t key = index_.Find(task.id);
+      if (key == TaskIndex::kAbsent) {
+        index_.Insert(task.id, next_key_);
+        arrive(i, task, next_key_++);
+        continue;
       }
+      if (key >= first_key) {
+        return false;  // A second task with this walk's arrival's id.
+      }
+      if (walk == prev_batch_.size() || key < prev_batch_[walk].key) {
+        // Its entry is behind the walk: a reordered batch, or a repeated id.
+        return RebuildBatch(pending, block_count);
+      }
+      while (prev_batch_[walk].key < key) {
+        depart(walk++);
+      }
+      DPACK_CHECK(prev_batch_[walk].id == task.id);
     }
-    if (fresh && !rejoins) {
-      cached.blocks_ptr = task.blocks.data();
-      cached.blocks_len = static_cast<uint32_t>(task.blocks.size());
+    if (!batch_.empty() && batch_.back().key >= first_key) {
+      return RebuildBatch(pending, block_count);  // An arrival between two carried tasks.
+    }
+    const TaskEntry& before = prev_batch_[walk];
+    tail_start_ = i + 1;
+    if (before.blocks_ptr == task.blocks.data() && before.blocks_len == task.blocks.size()) {
+      batch_.push_back(before);
+      member_refs_ += before.blocks_len;
+    } else {
+      // Its block list changed (late resolution): it leaves its old blocks and joins its
+      // new ones in its place, without the old list's memo.
+      if (dpack) {
+        leaving_.push_back(static_cast<uint32_t>(walk));
+      }
+      arrive(i, task, before.key);
+    }
+    ++walk;
+  }
+  while (walk < prev_batch_.size()) {
+    depart(walk++);
+  }
+  for (TaskId id : departed_) {
+    index_.Erase(id);
+  }
+  return true;
+}
+
+bool IncrementalEngine::RebuildBatch(std::span<const Task> pending, size_t block_count) {
+  // Rare: only a batch that reorders the previous one's tasks, or puts an arrival before a
+  // carried task, gets here. Every task gets a new key in batch order.
+  TaskIndex previous;  // Id -> position in prev_batch_, for the entries not granted.
+  for (size_t k = 0; k < prev_batch_.size(); ++k) {
+    if (!prev_batch_[k].granted) {
+      previous.Insert(prev_batch_[k].id, k);
     }
   }
-  if (dpack) {
-    leaving_.insert(leaving_.end(), prev_batch_.begin() + static_cast<std::ptrdiff_t>(walk),
-                    prev_batch_.end());
+  index_ = TaskIndex();
+  batch_.clear();
+  leaving_.clear();
+  joining_.clear();
+  departed_.clear();
+  members_ordered_ = false;
+  for (const Task& task : pending) {
+    if (index_.Find(task.id) != TaskIndex::kAbsent) {
+      return false;
+    }
+    index_.Insert(task.id, next_key_);
+    TaskEntry entry = EntryOf(task, next_key_++);
+    uint64_t k = previous.Find(task.id);
+    if (k != TaskIndex::kAbsent && prev_batch_[k].blocks_ptr == entry.blocks_ptr &&
+        prev_batch_[k].blocks_len == entry.blocks_len) {
+      entry.reject_block = prev_batch_[k].reject_block;
+      entry.reject_version = prev_batch_[k].reject_version;
+    } else {
+      CheckBlockIds(task, block_count);
+    }
+    batch_.push_back(entry);
   }
   return true;
 }
 
 void IncrementalEngine::Join(size_t index, const Task& task) {
-  TaskCache& cached = cache_.at(slot_of_index_[index]);
-  cached.blocks_ptr = task.blocks.data();
-  cached.blocks_len = static_cast<uint32_t>(task.blocks.size());
-  batch_[index] = {task.id, static_cast<uint32_t>(member_pool_.size()), cached.blocks_len};
+  batch_[index].member_at = static_cast<uint32_t>(member_pool_.size());
   member_pool_.insert(member_pool_.end(), task.blocks.begin(), task.blocks.end());
   member_refs_ += task.blocks.size();
 }
@@ -415,9 +425,9 @@ void IncrementalEngine::CompactMemberPool() {
     return;
   }
   pool_scratch_.clear();
-  for (BatchMember& member : batch_) {
-    std::span<const BlockId> blocks = MemberOf(member);
-    member.member_at = static_cast<uint32_t>(pool_scratch_.size());
+  for (TaskEntry& entry : batch_) {
+    std::span<const BlockId> blocks = MemberOf(entry);
+    entry.member_at = static_cast<uint32_t>(pool_scratch_.size());
     pool_scratch_.insert(pool_scratch_.end(), blocks.begin(), blocks.end());
   }
   member_pool_.swap(pool_scratch_);
@@ -469,7 +479,8 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
   if (!members_ordered_) {
     RebuildMembers(pending);
   } else {
-    for (const BatchMember& gone : leaving_) {
+    for (uint32_t k : leaving_) {
+      const TaskEntry& gone = prev_batch_[k];
       for (BlockId j : MemberOf(gone)) {
         MarkDirty(j);
         members_[static_cast<size_t>(j)].leaving.push_back(gone.id);
@@ -512,9 +523,11 @@ size_t IncrementalEngine::MemberPosition(const BlockMembers& members, size_t ind
   if (index >= tail_start_) {
     return hi;
   }
+  // Keys increase along the batch, so comparing keys compares batch positions.
+  const uint64_t key = batch_[index].key;
   while (lo < hi) {
     size_t mid = lo + (hi - lo) / 2;
-    if (cache_.at(cache_.Find(ids[mid])).index < index) {
+    if (index_.Find(ids[mid]) < key) {
       lo = mid + 1;
     } else {
       hi = mid;
@@ -550,11 +563,11 @@ void IncrementalEngine::RebuildMembers(std::span<const Task> pending) {
 }
 
 bool IncrementalEngine::Accepts(const Task& task, const BlockManager& blocks,
-                                TaskCache& cached) const {
+                                TaskEntry& entry) const {
   for (BlockId j : task.blocks) {
     if (!blocks.block(j).CanAccept(task.demand)) {
-      cached.reject_block = j;
-      cached.reject_version = version_now_[static_cast<size_t>(j)];
+      entry.reject_block = j;
+      entry.reject_version = version_now_[static_cast<size_t>(j)];
       return false;
     }
   }
@@ -571,16 +584,16 @@ void IncrementalEngine::CollectCandidates(std::span<const Task> pending,
     if (task.blocks.empty()) {
       continue;  // Unresolved block request.
     }
-    TaskCache& cached = cache_.at(slot_of_index_[i]);
-    if (cached.reject_block != TaskCache::kNoMemo &&
-        version_now_[static_cast<size_t>(cached.reject_block)] == cached.reject_version) {
+    TaskEntry& entry = batch_[i];
+    if (entry.reject_block != TaskEntry::kNoMemo &&
+        version_now_[static_cast<size_t>(entry.reject_block)] == entry.reject_version) {
       ++stats_.tasks_reused;
       continue;
     }
-    if (!Accepts(task, blocks, cached)) {
+    if (!Accepts(task, blocks, entry)) {
       continue;
     }
-    cached.reject_block = TaskCache::kNoMemo;
+    entry.reject_block = TaskEntry::kNoMemo;
     double score = ScoreGreedyTask(metric_, task, blocks, best_alpha_);
     candidates_.push_back({score, task.arrival_time, task.id, i});
     ++stats_.tasks_rescored;
@@ -590,19 +603,27 @@ void IncrementalEngine::CollectCandidates(std::span<const Task> pending,
 std::vector<size_t> IncrementalEngine::AllocateCandidates(std::span<const Task> pending,
                                                           BlockManager& blocks) {
   // The CANRUN walk over the candidates in allocation order — identical grants to
-  // AllocateInOrder over the whole batch, since every other task is rejected at its turn. A
-  // candidate is re-checked against the commits made earlier in this walk.
+  // AllocateInOrder over the whole batch, since every other task is rejected at its turn.
+  // The pass checked every candidate against its blocks at the start of the cycle, and only
+  // a commit changes a block during the walk, so a candidate is checked again only if the
+  // walk has committed to one of its blocks (its version mirror moved off last_version_).
   std::vector<size_t> granted;
-  for (const HeapEntry& entry : candidates_) {
-    const Task& task = pending[entry.slot];
-    if (!Accepts(task, blocks, cache_.at(slot_of_index_[entry.slot]))) {
+  for (const HeapEntry& candidate : candidates_) {
+    const Task& task = pending[candidate.slot];
+    TaskEntry& entry = batch_[candidate.slot];
+    bool touched = std::ranges::any_of(task.blocks, [&](BlockId j) {
+      return version_now_[static_cast<size_t>(j)] != last_version_[static_cast<size_t>(j)];
+    });
+    if (touched && !Accepts(task, blocks, entry)) {
       continue;
     }
     for (BlockId j : task.blocks) {
       blocks.block(j).Commit(task.demand);
       version_now_[static_cast<size_t>(j)] = blocks.block(j).version();
     }
-    granted.push_back(entry.slot);
+    entry.granted = true;
+    index_.Erase(task.id);
+    granted.push_back(candidate.slot);
   }
   return granted;
 }
@@ -614,10 +635,9 @@ std::vector<size_t> IncrementalEngine::ScheduleBatch(std::span<const Task> pendi
   }
   ++stats_.cycles;
   ScheduleContextStats stats_at_entry = stats_;
-  uint64_t previous_cycle = cycle_stamp_;
   ++cycle_stamp_;
 
-  if (!ObserveBatch(pending, blocks.block_count(), previous_cycle)) {
+  if (!ObserveBatch(pending, blocks.block_count())) {
     // Id-keyed caches cannot reproduce the recompute path's tie-breaking between tasks
     // that share an id: recompute this batch from scratch and start the caches over —
     // grants stay exactly the reference sequence. The partial pass's work is discarded,
@@ -638,9 +658,7 @@ std::vector<size_t> IncrementalEngine::ScheduleBatch(std::span<const Task> pendi
   if (candidates_.capacity() + sort_scratch_.capacity() > held) {
     ++stats_.merge_allocs;
   }
-  std::vector<size_t> granted = AllocateCandidates(pending, blocks);
-  cache_.PurgeDead(cycle_stamp_, pending.size());
-  return granted;
+  return AllocateCandidates(pending, blocks);
 }
 
 }  // namespace dpack

@@ -5,9 +5,9 @@
 // scores every candidate 0, so the sort orders its candidates by (arrival, id).
 //
 // Cycle, all on the caller's thread:
-//   1. ObserveBatch looks up every task's cache entry, finds the new and re-resolved tasks
-//      (it checks their block ids and drops their rejection memos), and for DPack walks the
-//      previous batch's ids to record the departures and arrivals.
+//   1. ObserveBatch walks the previous batch's task entries along this batch (see Task-side
+//      state), carrying over each task that matches its entry, and records the arrivals and
+//      departures; a new or changed task has its block ids checked and starts without a memo.
 //   2. SyncBlocks records arrivals (dirty) and the blocks the one version-tree drill-down
 //      reports changed (dirty); for DPack it applies the membership events to the requester
 //      columns (dirtying their blocks) and solves the dirty blocks' best alphas. Scores read
@@ -18,8 +18,8 @@
 //      blocks as they stand at the start of the cycle. A rejected task gets a memo; a task
 //      every block accepts is scored (ScoreGreedyTask) and becomes a candidate.
 //   4. SortHeapEntries orders the candidates by HeapEntryBefore, the reference sort's order.
-//   5. The CANRUN walk re-checks each candidate against the commits made earlier in the walk
-//      and commits the grants.
+//   5. The CANRUN walk commits the grants. Only a candidate with a block committed earlier in
+//      the walk is checked again; for the others the start-of-cycle check still holds.
 //
 // Why skipping the infeasible tasks keeps the grants. During a walk a block changes only
 // through Commit, which adds a non-negative demand to `consumed` (RdpCurve rejects negative
@@ -38,19 +38,34 @@
 //   - Requester columns (DPack). Best alphas depend on the requester set, not just capacity,
 //     so each block keeps its requesters as engine state (BlockMembers): in batch order,
 //     their ids, weights and copied demand columns, plus each column's smallest demands
-//     (SmallestDemands), which is what BestAlphaForBlock reads. The batch keeps a stable
-//     relative order (OnlineScheduler appends arrivals and compacts grants and evictions
-//     stably), so a walk of the previous batch's ids against this one finds the departures,
-//     and the new or re-resolved tasks are the arrivals. Only these events touch the
-//     columns, and they mark exactly their blocks dirty. A batch that breaks the order
-//     rebuilds the columns and marks dirty the blocks whose requester sequence changed.
+//     (SmallestDemands), which is what BestAlphaForBlock reads. The walk's departures leave
+//     their blocks and its arrivals join theirs; only these events touch the columns, and
+//     they mark exactly their blocks dirty. A batch that breaks the order rebuilds the
+//     columns and marks dirty the blocks whose requester sequence changed.
 //
-// Task-side state: the rejection memo. A rejected task remembers the first block that
-// rejected it and that block's version. Versions only grow and an unchanged version proves
-// the block's state bit-identical, so while the version holds the block still rejects the
-// task, whatever its other blocks do; the pass skips it without a check. Commits made
-// earlier in the same walk bump versions and so re-enable the check. The memo names the
-// block holding the task back. New and re-resolved tasks start without one.
+// Task-side state: one TaskEntry per task, in batch order. The batch keeps a stable relative
+// order (OnlineScheduler appends arrivals and compacts grants and evictions stably), so
+// ObserveBatch walks the previous batch's entries along this one. A task matches its entry
+// only if it has the same id, comes in order, and has the same block vector (pointer and
+// length: the buffer travels with the task on moves, and late resolution reallocates it);
+// an entry granted by the previous walk never matches. A matched task keeps its entry, and
+// an unchanged block list is what makes its memo and its requester columns still its own.
+// Any other task leaves (if it had an entry) and joins as an arrival, so a task that reuses
+// a departed task's id does not inherit its state. Under OnlineScheduler no recycled buffer
+// can fake the identity: a granted entry never matches, and a task evicted at the start of
+// a cycle coexisted with every task submitted before it (so their buffers are distinct),
+// while a task submitted later meets its entry already departed. The walk consults the id
+// index (TaskIndex) only where it mismatches: to tell an arrival from a survivor whose
+// predecessors departed.
+//
+// The rejection memo. A rejected task remembers the first block that rejected it and that
+// block's version. Versions only grow and an unchanged version proves the block's state
+// bit-identical, so while the version holds the block still rejects the task, whatever its
+// other blocks do; the pass skips it without a check. Commits made earlier in the same walk
+// bump versions and so re-enable the check. The memo names the block holding the task back.
+// A batch that breaks the order (a reordered batch, or an arrival between two carried
+// tasks) rebuilds its entries, keeping the memo of each task whose id and block vector
+// match a previous entry.
 //
 // Batches with duplicate task ids fall back to RecomputeScheduleBatch.
 //
@@ -71,21 +86,22 @@
 
 namespace dpack {
 
-// Per-task state, keyed by task id.
-struct TaskCache {
+// One task of a batch, carried into the next batch while the task matches it.
+struct TaskEntry {
+  TaskId id = 0;
+  // Strictly increasing along the batch and kept while the task stays carried: it orders the
+  // task among the previous batch's entries and among its blocks' requesters.
+  uint64_t key = 0;
+  // Identity of the task's block list: its buffer and length.
+  const BlockId* blocks_ptr = nullptr;
+  uint32_t blocks_len = 0;
+  // DPack: where the member pool lists the blocks whose requester columns hold the task (its
+  // block list when it joined them, blocks_len entries).
+  uint32_t member_at = 0;
   // Rejection memo: the first block that rejected the task, and that block's version then.
   BlockId reject_block = kNoMemo;
   uint64_t reject_version = 0;
-  // Cycle stamp: live iff == current cycle. ~0 = never pending (fresh entry; stamps are
-  // small counters, so it matches no cycle).
-  uint64_t last_seen = ~0ULL;
-  // Identity of the task's resolved block list, for change detection: the block vector's
-  // buffer travels with the task on moves, so an unchanged (pointer, size) pair means an
-  // unchanged list under the immutability protocol, and the memo may be trusted. Late
-  // resolution reallocates (empty -> non-empty) and is therefore always caught.
-  const BlockId* blocks_ptr = nullptr;
-  uint32_t blocks_len = 0;
-  uint32_t index = 0;  // Position in the current cycle's batch.
+  bool granted = false;  // Set by the walk that grants the task.
 
   static constexpr BlockId kNoMemo = -1;
 };
@@ -137,42 +153,29 @@ class BlockMembers {
   size_t stride_ = 0;
 };
 
-// Open-addressing map TaskId -> TaskCache. The engine does a couple of lookups per
-// pending task per cycle, which makes std::unordered_map's indirections the bottleneck
-// for cheap metrics; a flat linear-probe table keeps the overhead below the recompute
-// path's scoring cost. Slot indices are stable except across Reserve/Purge rehashes; the
-// engine records them per cycle, after its Reserve, and purges only after its walk.
-class TaskCacheMap {
+// Open-addressing map TaskId -> TaskEntry::key, holding exactly the ids of the tasks still
+// pending after the last cycle (that batch's ids, less the ones it granted). The walk reads
+// it only where it mismatches, so a linear-probe table with backward-shift deletion keeps it
+// as large as the queue and never needs a sweep.
+class TaskIndex {
  public:
-  static constexpr size_t kNpos = static_cast<size_t>(-1);
+  static constexpr uint64_t kAbsent = ~0ULL;
 
-  TaskCacheMap();
-  size_t Find(TaskId id) const;  // kNpos when absent.
-  // Returns the slot for `id`, inserting a default entry if absent. Requires a prior
-  // Reserve covering the insert (so slots never move mid-cycle).
-  size_t FindOrInsert(TaskId id);
-  TaskCache& at(size_t slot) { return slots_[slot].value; }
-  const TaskCache& at(size_t slot) const { return slots_[slot].value; }
+  TaskIndex();
+  uint64_t Find(TaskId id) const;  // The key, or kAbsent.
+  // Adds `id` (absent) with `key` (< kAbsent), growing the table past three quarters full.
+  void Insert(TaskId id, uint64_t key);
+  void Erase(TaskId id);  // `id` must be present.
   size_t size() const { return size_; }
   size_t capacity() const { return slots_.size(); }
-  // Ensures capacity for `additional` more inserts without rehashing, at a load of at most
-  // three quarters. Invalidates slot indices if the table grows.
-  void Reserve(size_t additional);
-  // Once the entries whose last_seen != `cycle` (granted or evicted tasks) reach half the
-  // `live` ones, drops them. Invalidates slot indices when it purges.
-  void PurgeDead(uint64_t cycle, size_t live);
 
  private:
   struct Slot {
     TaskId id = 0;
-    bool used = false;
-    TaskCache value;
+    uint64_t key = kAbsent;  // kAbsent marks a free slot.
   };
-  static_assert(sizeof(Slot) <= 64, "a slot should fit a cache line");
   size_t Probe(TaskId id) const;
-  void PurgeNotSeen(uint64_t cycle);
   void Rehash(size_t new_capacity);
-  void EraseAt(size_t slot);
 
   std::vector<Slot> slots_;  // Power-of-two size.
   size_t size_ = 0;
@@ -189,10 +192,11 @@ class IncrementalEngine {
   //
   // Correct reuse assumes the cycle protocol of OnlineScheduler: between calls, pending
   // tasks are immutable per id (late block resolution excepted — it is detected, because it
-  // reallocates the task's block vector), the blocks passed every cycle carry the same
-  // version history (the same manager, or a Clone/Restore of it), and all block mutation
-  // goes through Commit / SetUnlockedFraction / AddBlock so versions advance. Call
-  // Invalidate() if any of this is violated (e.g. switching to an unrelated manager).
+  // reallocates the task's block vector; a task that takes a departed task's id is new to
+  // the engine while its block vector is a buffer of its own), the blocks passed every cycle
+  // carry the same version history (the same manager, or a Clone/Restore of it), and all
+  // block mutation goes through Commit / SetUnlockedFraction / AddBlock so versions advance.
+  // Call Invalidate() if any of this is violated (e.g. switching to an unrelated manager).
   // Every task block id must name a block of `blocks` (DPACK_CHECKed when the task is new
   // or its block list changed).
   std::vector<size_t> ScheduleBatch(std::span<const Task> pending, BlockManager& blocks);
@@ -202,29 +206,28 @@ class IncrementalEngine {
 
   GreedyMetric metric() const { return metric_; }
   const ScheduleContextStats& stats() const { return stats_; }
+  // The ids of the tasks still pending after the last cycle, with their keys.
+  const TaskIndex& task_index() const { return index_; }
 
  private:
-  // Step 1 of the cycle: cache lookups, memo resets and block-id checks for the new and
-  // re-resolved tasks, and (DPack) the membership events. Returns false, having stopped early,
-  // on a repeated task id.
-  bool ObserveBatch(std::span<const Task> pending, size_t block_count,
-                    uint64_t previous_cycle);
+  // Step 1 of the cycle: walks the previous batch's entries along `pending` into batch_,
+  // checking the block ids of the arrivals and changed tasks, and records the departures and
+  // (DPack) the membership events; a batch that breaks the order goes to RebuildBatch.
+  // Returns false, having stopped early, on a repeated task id.
+  bool ObserveBatch(std::span<const Task> pending, size_t block_count);
+  // The rare path of ObserveBatch: rebuilds batch_ and the index in batch order, keeping the
+  // memo of each task whose id and block vector match a previous entry, and has SyncBlocks
+  // rebuild the requester columns. Returns false on a repeated task id.
+  bool RebuildBatch(std::span<const Task> pending, size_t block_count);
   // Absorbs arrivals and changed blocks' versions; for DPack, applies the membership events
   // (or rebuilds the requester columns) and solves the dirty blocks' best alphas.
   void SyncBlocks(const BlockManager& blocks, std::span<const Task> pending);
   // Re-registers every task of a batch that broke the previous batch's relative order.
   void RebuildMembers(std::span<const Task> pending);
-  // DPack: one task of a batch, and where the member pool lists the blocks whose requester
-  // columns hold it (its block list when it joined them).
-  struct BatchMember {
-    TaskId id = 0;
-    uint32_t member_at = 0;
-    uint32_t member_len = 0;
-  };
-  std::span<const BlockId> MemberOf(const BatchMember& member) const {
-    return {member_pool_.data() + member.member_at, member.member_len};
+  std::span<const BlockId> MemberOf(const TaskEntry& entry) const {
+    return {member_pool_.data() + entry.member_at, entry.blocks_len};
   }
-  // Records batch task `index`'s block list as the blocks it joins, and as its trusted one.
+  // Records batch task `index`'s block list as the blocks it joins.
   void Join(size_t index, const Task& task);
   // Drops the departed tasks' block lists from the member pool once they dominate it.
   void CompactMemberPool();
@@ -234,8 +237,8 @@ class IncrementalEngine {
   // batch order, and gives the others a memo.
   void CollectCandidates(std::span<const Task> pending, const BlockManager& blocks);
   // True if every block of `task` accepts its demand; otherwise records the first rejecting
-  // block and its version as `cached`'s memo.
-  bool Accepts(const Task& task, const BlockManager& blocks, TaskCache& cached) const;
+  // block and its version as `entry`'s memo.
+  bool Accepts(const Task& task, const BlockManager& blocks, TaskEntry& entry) const;
   // Records block `id` as dirty this cycle, once.
   void MarkDirty(BlockId id) {
     size_t j = static_cast<size_t>(id);
@@ -250,12 +253,13 @@ class IncrementalEngine {
   GreedyMetric metric_;
   double eta_;
   ScheduleContextStats stats_;
-  uint64_t cycle_stamp_ = 0;  // Incremented per ScheduleBatch; task cache liveness clock.
+  uint64_t cycle_stamp_ = 0;  // Incremented per ScheduleBatch; the dirty marks' clock.
 
   // Block-side state, indexed by block id.
   std::vector<uint64_t> last_version_;  // Size doubles as the known-block count.
   // Contiguous version mirror for the memos. Persistent: arrivals append, refreshes
-  // overwrite changed entries, walk commits update.
+  // overwrite changed entries, walk commits update. During a walk it differs from
+  // last_version_ exactly at the blocks the walk has committed to.
   std::vector<uint64_t> version_now_;
   std::vector<uint64_t> group_seen_;   // Version-tree group sums at the last sync.
   std::vector<uint64_t> dirty_stamp_;  // Per block: cycle stamp when last marked dirty.
@@ -264,17 +268,16 @@ class IncrementalEngine {
   // DPack: this cycle's dirty blocks (capacity or membership), duplicate-free via
   // dirty_stamp_; the blocks whose best alpha is solved again.
   std::vector<BlockId> dirty_ids_;
-  // DPack membership events of this cycle, from ObserveBatch: the previous batch's tasks
-  // leaving their blocks (departed or re-resolved, in batch order), batch indices of
-  // tasks joining theirs (new or re-resolved), and whether the batch kept the previous
-  // one's relative order (else the columns are rebuilt). Tasks from `tail_start_` on are
-  // all new, so they join at the end of their blocks' columns.
-  std::vector<BatchMember> leaving_;
+  // DPack membership events of this cycle, from ObserveBatch: positions in prev_batch_ of
+  // the entries leaving their blocks (departed, or carried onto a changed block list), in
+  // batch order; batch indices of the tasks joining theirs (arrivals and changed tasks);
+  // and whether the batch kept the previous one's relative order (else the columns are
+  // rebuilt). Tasks from `tail_start_` on are all arrivals, so they join at the end of
+  // their blocks' columns.
+  std::vector<uint32_t> leaving_;
   std::vector<size_t> joining_;
   bool members_ordered_ = true;
   size_t tail_start_ = 0;
-  std::vector<BatchMember> prev_batch_;  // DPack: the previous batch, in order.
-  std::vector<BatchMember> batch_;       // DPack: this batch.
   // DPack: the batch tasks' member blocks, appended as tasks join and compacted to this
   // batch's (member_refs_ of them) when departed tasks' lists dominate.
   std::vector<BlockId> member_pool_;
@@ -283,14 +286,15 @@ class IncrementalEngine {
   std::vector<size_t> positions_;      // BlockMembers::RemoveLeaving's scratch.
 
   // Task-side state.
-  TaskCacheMap cache_;
+  std::vector<TaskEntry> prev_batch_;  // The previous batch, in order.
+  std::vector<TaskEntry> batch_;       // This batch, in order.
+  TaskIndex index_;                    // The pending tasks' keys.
+  uint64_t next_key_ = 0;              // The next arrival's key.
+  std::vector<TaskId> departed_;       // This walk's departures still in index_.
   // This cycle's candidates (slot = batch index), then in allocation order. Both buffers
   // persist and hold room for a whole batch, so they grow only with the queue's maximum.
   std::vector<HeapEntry> candidates_;
   std::vector<HeapEntry> sort_scratch_;  // SortHeapEntries' second buffer.
-  // Cache slot per batch index, this cycle. No slot moves between ObserveBatch and the walk
-  // (the cache reserves up front and purges only after the walk).
-  std::vector<size_t> slot_of_index_;
 };
 
 }  // namespace dpack

@@ -1,5 +1,6 @@
 #include "src/block/privacy_block.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -278,6 +279,83 @@ TEST(AdmissionRuleTest, EveryCheckAgreesWithTheHelpersAtTheBoundaries) {
       ASSERT_EQ(ValidateSnapshot(snapshot) == "", within) << ValidateSnapshot(snapshot);
     }
   }
+}
+
+// CanAccept compares each order's sum with a limit the block caches per unlocked fraction. It
+// must give exactly the verdict of the rule as written: some order with positive unlocked
+// capacity whose consumed + demand is WithinCapacity. Seeded states with zero-capacity
+// orders, +inf demands and sums on the admission edge, reached by Restore, by copies and by
+// unlocks that do and do not raise the fraction.
+bool AcceptsByDefinition(const PrivacyBlock& block, const RdpCurve& demand) {
+  for (size_t i = 0; i < block.capacity().size(); ++i) {
+    double cap = block.UnlockedCapacityAt(i);
+    if (cap > 0.0 && WithinCapacity(block.consumed().epsilon(i) + demand.epsilon(i), cap)) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(AdmissionRuleTest, CanAcceptMatchesWithinCapacityAtEveryOrder) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const size_t orders = Grid()->size();
+  Rng rng(33);
+  size_t accepted = 0;
+  size_t checked = 0;
+  for (int state = 0; state < 200; ++state) {
+    std::vector<double> cap_eps(orders);
+    std::vector<double> consumed_eps(orders);
+    for (size_t i = 0; i < orders; ++i) {
+      cap_eps[i] = rng.Bernoulli(0.25) ? 0.0 : rng.Uniform(1e-3, 10.0);
+      consumed_eps[i] = rng.Bernoulli(0.2) ? 0.0 : cap_eps[i] * rng.Uniform(0.0, 1.2);
+    }
+    double fraction = rng.Bernoulli(0.1) ? 0.0 : rng.Uniform(0.0, 1.0);
+    RdpCurve cap_curve(Grid(), cap_eps);
+    RdpCurve consumed_curve(Grid(), consumed_eps);
+    PrivacyBlock restored =
+        PrivacyBlock::Restore(0, cap_curve, 0.0, fraction, consumed_curve, /*version=*/3);
+    PrivacyBlock copied(restored);
+    PrivacyBlock assigned(1, Grid(), 10.0, 1e-7, 0.0);
+    assigned = restored;
+    PrivacyBlock not_raised(restored);
+    not_raised.SetUnlockedFraction(fraction * rng.Uniform(0.0, 1.0));  // No effect.
+    PrivacyBlock raised(restored);
+    raised.SetUnlockedFraction(std::min(1.0, fraction + rng.Uniform(0.0, 1.0)));
+    for (const PrivacyBlock* block : {&restored, &copied, &assigned, &not_raised, &raised}) {
+      for (int d = 0; d < 20; ++d) {
+        std::vector<double> demand_eps(orders);
+        for (size_t i = 0; i < orders; ++i) {
+          double cap = block->UnlockedCapacityAt(i);
+          double consumed = block->consumed().epsilon(i);
+          double edge = cap + AdmissionSlack(cap);
+          int kind = static_cast<int>(rng.UniformInt(0, 4));
+          if (kind == 0) {
+            demand_eps[i] = inf;
+          } else if (kind == 1 && edge > consumed) {
+            // On the admission edge, or one ulp either side of it.
+            double demand = edge - consumed;
+            int side = static_cast<int>(rng.UniformInt(-1, 1));
+            if (side != 0) {
+              demand = std::nextafter(demand, side > 0 ? inf : -inf);
+            }
+            demand_eps[i] = std::max(0.0, demand);
+          } else if (kind == 2) {
+            demand_eps[i] = 0.0;
+          } else {
+            demand_eps[i] = rng.Uniform(0.0, 2.0) * std::max(cap, 1e-3);
+          }
+        }
+        RdpCurve demand(Grid(), demand_eps);
+        bool expected = AcceptsByDefinition(*block, demand);
+        ASSERT_EQ(block->CanAccept(demand), expected) << "state " << state << " demand " << d;
+        accepted += expected ? 1 : 0;
+        ++checked;
+      }
+    }
+  }
+  // Both verdicts occur often enough for the comparison to mean something.
+  EXPECT_GT(accepted, checked / 10);
+  EXPECT_LT(accepted, checked - checked / 10);
 }
 
 TEST(PrivacyBlockDeathTest, CommitRejectedDemandAborts) {

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
 #include <vector>
 
@@ -35,6 +36,16 @@ struct TraceOptions {
   bool weighted = false;         // Random weights (FPTAS path) vs all-1 (max-cardinality).
   double evict_probability = 0.1;  // Per-cycle chance of dropping one random pending task.
   double unresolved_probability = 0.1;  // Tasks arriving before resolving their blocks.
+  // Id reuse, which neither OnlineScheduler nor the socket edge rejects. Per cycle, with
+  // these chances: a new task takes the id and blocks of a task the previous cycle granted;
+  // the newest pending task times out and a new task takes its id and blocks. Either new
+  // task has its own demand and weight, and its block list is a copy in its own buffer.
+  double reuse_granted_probability = 0.0;
+  double reuse_timed_out_probability = 0.0;
+  // Demands as a random fraction of the capacity at each order, instead of one fraction of
+  // the whole curve: requesters then differ in which orders they fit, so a requester column
+  // holding another task's demand can move a block's best alpha.
+  bool shaped_demands = false;
 };
 
 // Runs the same randomized trace through the recompute reference and the incremental
@@ -54,6 +65,28 @@ void RunDifferentialTrace(GreedyMetric metric, const TraceOptions& options) {
   RdpCurve capacity = BlockCapacityCurve(Grid(), kEpsG, kDeltaG);
   std::vector<Task> pending;
   TaskId next_id = 0;
+  std::vector<Task> just_granted;  // Copies of the previous cycle's grants.
+  auto new_task = [&](TaskId id, double now) {
+    double weight = options.weighted ? rng.Uniform(0.5, 8.0) : 1.0;
+    RdpCurve demand = capacity.Scaled(rng.Uniform(0.02, 0.5));
+    if (options.shaped_demands) {
+      std::vector<double> eps = capacity.epsilons();
+      for (double& e : eps) {
+        e *= rng.Uniform(0.02, 0.5);
+      }
+      demand = RdpCurve(Grid(), eps);
+    }
+    Task task(id, weight, std::move(demand));
+    task.arrival_time = now;
+    return task;
+  };
+  // A new task with `old`'s id and a copy of its block request.
+  auto reuse_id_of = [&](const Task& old, double now) {
+    Task task = new_task(old.id, now);
+    task.blocks = old.blocks;
+    task.num_recent_blocks = old.num_recent_blocks;
+    return task;
+  };
 
   for (size_t cycle = 0; cycle < options.cycles; ++cycle) {
     double now = static_cast<double>(cycle);
@@ -80,12 +113,23 @@ void RunDifferentialTrace(GreedyMetric metric, const TraceOptions& options) {
       pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(victim));
     }
 
+    // Id reuse: the new tasks join the queue ahead of this cycle's other arrivals. Traces
+    // without reuse draw nothing here, so their streams stay as they were.
+    if (options.reuse_timed_out_probability > 0.0 && !pending.empty() &&
+        rng.Bernoulli(options.reuse_timed_out_probability)) {
+      pending.back() = reuse_id_of(pending.back(), now);
+    }
+    if (options.reuse_granted_probability > 0.0 && !just_granted.empty() &&
+        rng.Bernoulli(options.reuse_granted_probability)) {
+      size_t pick = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int64_t>(just_granted.size()) - 1));
+      pending.push_back(reuse_id_of(just_granted[pick], now));
+    }
+
     // New arrivals.
     int64_t arrivals = rng.UniformInt(0, static_cast<int64_t>(options.max_tasks_per_cycle));
     for (int64_t k = 0; k < arrivals; ++k) {
-      double weight = options.weighted ? rng.Uniform(0.5, 8.0) : 1.0;
-      Task task(next_id++, weight, capacity.Scaled(rng.Uniform(0.02, 0.5)));
-      task.arrival_time = now;
+      Task task = new_task(next_id++, now);
       if (rng.Bernoulli(options.unresolved_probability)) {
         task.num_recent_blocks = static_cast<size_t>(rng.UniformInt(1, 3));
       } else {
@@ -106,8 +150,10 @@ void RunDifferentialTrace(GreedyMetric metric, const TraceOptions& options) {
 
     // Retire grants exactly as OnlineScheduler does (order-preserving compaction).
     std::vector<bool> taken(pending.size(), false);
+    just_granted.clear();
     for (size_t idx : rec_granted) {
       taken[idx] = true;
+      just_granted.push_back(pending[idx]);
     }
     std::vector<Task> rest;
     rest.reserve(pending.size());
@@ -180,6 +226,34 @@ TEST_P(IncrementalEquivalenceTest, HighContentionTrace) {
   options.max_tasks_per_cycle = 8.0;
   options.cycles = 50;
   RunDifferentialTrace(GetParam(), options);
+}
+
+// The reuse traces' seed count: DPACK_FUZZ_ITERATIONS (the fuzz depth shared with
+// scenario_fuzz_test, default 100) halved, plus one: 51 seeds by default.
+uint64_t ReuseSeeds() {
+  const char* env = std::getenv("DPACK_FUZZ_ITERATIONS");
+  long long iterations = env != nullptr ? std::atoll(env) : 0;
+  return static_cast<uint64_t>(iterations > 0 ? iterations : 100) / 2 + 1;
+}
+
+TEST_P(IncrementalEquivalenceTest, IdReusedRightAfterItsGrant) {
+  for (uint64_t seed = 1; seed <= ReuseSeeds(); ++seed) {
+    TraceOptions options;
+    options.seed = seed;
+    options.reuse_granted_probability = 0.5;
+    options.shaped_demands = true;
+    ASSERT_NO_FATAL_FAILURE(RunDifferentialTrace(GetParam(), options));
+  }
+}
+
+TEST_P(IncrementalEquivalenceTest, IdOfTheNewestTaskReusedAsItTimesOut) {
+  for (uint64_t seed = 1; seed <= ReuseSeeds(); ++seed) {
+    TraceOptions options;
+    options.seed = seed;
+    options.reuse_timed_out_probability = 0.5;
+    options.shaped_demands = true;
+    ASSERT_NO_FATAL_FAILURE(RunDifferentialTrace(GetParam(), options));
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMetrics, IncrementalEquivalenceTest,

@@ -653,30 +653,56 @@ TEST(BlockMembersTest, DeparturesKeepTheOtherMembersColumnsInOrder) {
   }
 }
 
-TEST(TaskCacheMapTest, BacklogChurnStaysWithinEightThousandSlots) {
-  // The engine_backlog shape: about 2.3k live tasks, about 450 of them replaced per cycle.
-  // The engine reserves a whole batch per cycle and purges once the dead entries reach half
-  // the live ones, so the table never passes 8192 slots (64 B each).
+TEST(TaskIndexTest, BacklogChurnHoldsExactlyThePendingIds) {
+  // The engine_backlog shape: about 2.3k live tasks, about 450 of them replaced per cycle
+  // (the oldest time out), and every 16th task small enough to be granted. After every
+  // cycle the engine's index holds exactly the tasks still pending, and never more than
+  // 8192 slots: departures leave the index in the walk that finds them.
   constexpr size_t kLive = 2300;
   constexpr size_t kTurnover = 450;
-  TaskCacheMap cache;
-  TaskId oldest = 0;
-  for (uint64_t cycle = 0; cycle < 200; ++cycle) {
-    cache.Reserve(kLive);
-    for (TaskId id = oldest; id < oldest + static_cast<TaskId>(kLive); ++id) {
-      cache.at(cache.FindOrInsert(id)).last_seen = cycle;
+  BlockManager blocks(Grid(), kEpsG, kDeltaG);
+  for (int b = 0; b < 4; ++b) {
+    blocks.AddBlock(0.0, /*unlocked=*/true);
+  }
+  IncrementalEngine engine(GreedyMetric::kDpack, kEta);
+  std::vector<Task> pending;
+  TaskId next_id = 0;
+  for (int cycle = 0; cycle < 200; ++cycle) {
+    size_t timed_out = std::min(kTurnover, pending.size());
+    pending.erase(pending.begin(), pending.begin() + static_cast<std::ptrdiff_t>(timed_out));
+    while (pending.size() < kLive) {
+      TaskId id = next_id++;
+      BlockId block = static_cast<BlockId>(id % 4);
+      if (id % 16 == 0) {
+        Task small(id, 1.0, CapacityFraction(1e-4));
+        small.blocks = {block};
+        pending.push_back(std::move(small));
+      } else {
+        pending.push_back(OversizedTask(id, {block}));
+      }
     }
-    cache.PurgeDead(cycle, kLive);
-    EXPECT_LE(cache.size(), kLive + kLive / 2 + 64);
-    ASSERT_LE(cache.capacity(), 8192u) << "cycle " << cycle;
-    oldest += static_cast<TaskId>(kTurnover);
+    std::vector<size_t> granted = engine.ScheduleBatch(pending, blocks);
+    ASSERT_FALSE(granted.empty()) << "cycle " << cycle;
+    std::vector<bool> taken(pending.size(), false);
+    for (size_t i : granted) {
+      taken[i] = true;
+    }
+    size_t kept = 0;
+    for (size_t i = 0; i < pending.size(); ++i) {
+      if (!taken[i]) {
+        pending[kept++] = std::move(pending[i]);
+      }
+    }
+    pending.erase(pending.begin() + static_cast<std::ptrdiff_t>(kept), pending.end());
+
+    const TaskIndex& index = engine.task_index();
+    ASSERT_EQ(index.size(), pending.size()) << "cycle " << cycle;
+    for (const Task& task : pending) {
+      ASSERT_NE(index.Find(task.id), TaskIndex::kAbsent) << cycle << " " << task.id;
+    }
+    ASSERT_LE(index.capacity(), 8192u) << "cycle " << cycle;
   }
-  EXPECT_EQ(cache.capacity(), 8192u);
-  // Every live entry is still found after the purges' in-place deletions.
-  for (TaskId id = oldest - static_cast<TaskId>(kTurnover);
-       id < oldest - static_cast<TaskId>(kTurnover) + static_cast<TaskId>(kLive); ++id) {
-    ASSERT_NE(cache.Find(id), TaskCacheMap::kNpos) << id;
-  }
+  EXPECT_EQ(engine.stats().full_recomputes, 0u);
 }
 
 // SortHeapEntries must put any entries in exactly std::sort(HeapEntryBefore)'s order. Ids
