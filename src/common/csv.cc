@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
 #include <iostream>
 
 #include "src/common/check.h"
@@ -37,18 +36,6 @@ CsvTable& CsvTable::Add(int64_t value) { return Add(std::to_string(value)); }
 
 CsvTable& CsvTable::Add(size_t value) { return Add(std::to_string(value)); }
 
-void CsvTable::WriteCsv(std::ostream& os) const {
-  for (size_t i = 0; i < header_.size(); ++i) {
-    os << header_[i] << (i + 1 < header_.size() ? "," : "\n");
-  }
-  for (const auto& row : rows_) {
-    for (size_t i = 0; i < row.size(); ++i) {
-      os << row[i] << (i + 1 < row.size() ? "," : "");
-    }
-    os << "\n";
-  }
-}
-
 void CsvTable::WriteAligned(std::ostream& os) const {
   std::vector<size_t> widths(header_.size(), 0);
   for (size_t i = 0; i < header_.size(); ++i) {
@@ -78,15 +65,6 @@ void CsvTable::Print(const std::string& title) const {
   std::cout << "\n== " << title << " ==\n";
   WriteAligned(std::cout);
   std::cout.flush();
-}
-
-bool CsvTable::SaveCsv(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) {
-    return false;
-  }
-  WriteCsv(out);
-  return static_cast<bool>(out);
 }
 
 }  // namespace dpack

@@ -1,7 +1,7 @@
 // Tabular experiment output.
 //
 // Every bench harness emits its figure/table as a `CsvTable`: a header row plus data rows,
-// printable both as aligned text (for terminals) and CSV (for plotting scripts).
+// printed as aligned text.
 
 #ifndef SRC_COMMON_CSV_H_
 #define SRC_COMMON_CSV_H_
@@ -23,19 +23,11 @@ class CsvTable {
   CsvTable& Add(int64_t value);
   CsvTable& Add(size_t value);
 
-  size_t row_count() const { return rows_.size(); }
-
-  // Writes comma-separated values, header first.
-  void WriteCsv(std::ostream& os) const;
-
   // Writes a column-aligned plain-text table.
   void WriteAligned(std::ostream& os) const;
 
   // Writes the aligned form to stdout with a title banner.
   void Print(const std::string& title) const;
-
-  // Writes the CSV form to `path`, creating/overwriting the file. Returns false on I/O error.
-  bool SaveCsv(const std::string& path) const;
 
  private:
   std::vector<std::string> header_;

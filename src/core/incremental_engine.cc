@@ -279,12 +279,6 @@ void BlockMembers::RemoveLeaving(std::vector<size_t>& at) {
   }
 }
 
-void BlockMembers::Clear() {
-  head_ = 0;
-  count_ = 0;
-  std::fill(lows_.begin(), lows_.end(), SmallestDemands{});
-}
-
 IncrementalEngine::IncrementalEngine(GreedyMetric metric, double eta)
     : metric_(metric), eta_(eta) {
   DPACK_CHECK(eta_ > 0.0);
@@ -304,18 +298,12 @@ bool IncrementalEngine::ObserveBatch(std::span<const Task> pending, size_t block
   batch_.clear();
   leaving_.clear();
   joining_.clear();
-  departed_.clear();
   member_refs_ = 0;
-  members_ordered_ = true;
-  tail_start_ = 0;
-  // Keys from first_key on are this walk's arrivals'; every earlier one names an entry of
-  // prev_batch_, where keys increase.
-  const uint64_t first_key = next_key_;
   size_t walk = 0;  // The next entry of prev_batch_ neither carried nor departed.
   auto depart = [&](size_t k) {
     const TaskEntry& gone = prev_batch_[k];
     if (!gone.granted) {  // The walk that granted it took it out of the index.
-      departed_.push_back(gone.id);
+      index_.Erase(gone.id);
     }
     if (dpack) {
       leaving_.push_back(static_cast<uint32_t>(k));
@@ -328,7 +316,8 @@ bool IncrementalEngine::ObserveBatch(std::span<const Task> pending, size_t block
       joining_.push_back(i);
     }
   };
-  for (size_t i = 0; i < pending.size(); ++i) {
+  size_t i = 0;
+  for (; i < pending.size(); ++i) {
     const Task& task = pending[i];
     // In the steady state the walk's next entry is the task's own; only a mismatch asks the
     // index whether the task is an arrival or a survivor whose predecessors departed.
@@ -337,27 +326,17 @@ bool IncrementalEngine::ObserveBatch(std::span<const Task> pending, size_t block
     if (!carried) {
       uint64_t key = index_.Find(task.id);
       if (key == TaskIndex::kAbsent) {
-        index_.Insert(task.id, next_key_);
-        arrive(i, task, next_key_++);
-        continue;
-      }
-      if (key >= first_key) {
-        return false;  // A second task with this walk's arrival's id.
+        break;  // The first arrival: a new task, or one whose entry the walk passed.
       }
       if (walk == prev_batch_.size() || key < prev_batch_[walk].key) {
-        // Its entry is behind the walk: a reordered batch, or a repeated id.
-        return RebuildBatch(pending, block_count);
+        return false;  // Its entry is behind the walk and still indexed: carried already.
       }
       while (prev_batch_[walk].key < key) {
         depart(walk++);
       }
       DPACK_CHECK(prev_batch_[walk].id == task.id);
     }
-    if (!batch_.empty() && batch_.back().key >= first_key) {
-      return RebuildBatch(pending, block_count);  // An arrival between two carried tasks.
-    }
     const TaskEntry& before = prev_batch_[walk];
-    tail_start_ = i + 1;
     if (before.blocks_ptr == task.blocks.data() && before.blocks_len == task.blocks.size()) {
       batch_.push_back(before);
       member_refs_ += before.blocks_len;
@@ -371,45 +350,19 @@ bool IncrementalEngine::ObserveBatch(std::span<const Task> pending, size_t block
     }
     ++walk;
   }
+  // From the first arrival on every task arrives, so the arrivals form the batch's tail and
+  // the previous batch's remaining entries all depart.
+  tail_start_ = i;
   while (walk < prev_batch_.size()) {
     depart(walk++);
   }
-  for (TaskId id : departed_) {
-    index_.Erase(id);
-  }
-  return true;
-}
-
-bool IncrementalEngine::RebuildBatch(std::span<const Task> pending, size_t block_count) {
-  // Rare: only a batch that reorders the previous one's tasks, or puts an arrival before a
-  // carried task, gets here. Every task gets a new key in batch order.
-  TaskIndex previous;  // Id -> position in prev_batch_, for the entries not granted.
-  for (size_t k = 0; k < prev_batch_.size(); ++k) {
-    if (!prev_batch_[k].granted) {
-      previous.Insert(prev_batch_[k].id, k);
-    }
-  }
-  index_ = TaskIndex();
-  batch_.clear();
-  leaving_.clear();
-  joining_.clear();
-  departed_.clear();
-  members_ordered_ = false;
-  for (const Task& task : pending) {
+  for (; i < pending.size(); ++i) {
+    const Task& task = pending[i];
     if (index_.Find(task.id) != TaskIndex::kAbsent) {
-      return false;
+      return false;  // A second task with the id of a carried task or of an arrival.
     }
     index_.Insert(task.id, next_key_);
-    TaskEntry entry = EntryOf(task, next_key_++);
-    uint64_t k = previous.Find(task.id);
-    if (k != TaskIndex::kAbsent && prev_batch_[k].blocks_ptr == entry.blocks_ptr &&
-        prev_batch_[k].blocks_len == entry.blocks_len) {
-      entry.reject_block = prev_batch_[k].reject_block;
-      entry.reject_version = prev_batch_[k].reject_version;
-    } else {
-      CheckBlockIds(task, block_count);
-    }
-    batch_.push_back(entry);
+    arrive(i, task, next_key_++);
   }
   return true;
 }
@@ -476,23 +429,19 @@ void IncrementalEngine::SyncBlocks(const BlockManager& blocks, std::span<const T
   // Membership: best alphas depend on the requester set, so a block whose requesters left
   // or joined is dirty even when no capacity changed. The events are queued per block in
   // batch order; each dirty block applies its own below, before its solve.
-  if (!members_ordered_) {
-    RebuildMembers(pending);
-  } else {
-    for (uint32_t k : leaving_) {
-      const TaskEntry& gone = prev_batch_[k];
-      for (BlockId j : MemberOf(gone)) {
-        MarkDirty(j);
-        members_[static_cast<size_t>(j)].leaving.push_back(gone.id);
-      }
+  for (uint32_t k : leaving_) {
+    const TaskEntry& gone = prev_batch_[k];
+    for (BlockId j : MemberOf(gone)) {
+      MarkDirty(j);
+      members_[static_cast<size_t>(j)].leaving.push_back(gone.id);
     }
-    for (size_t i : joining_) {
-      const Task& task = pending[i];
-      Join(i, task);
-      for (BlockId j : task.blocks) {
-        MarkDirty(j);
-        members_[static_cast<size_t>(j)].joining.push_back(i);
-      }
+  }
+  for (size_t i : joining_) {
+    const Task& task = pending[i];
+    Join(i, task);
+    for (BlockId j : task.blocks) {
+      MarkDirty(j);
+      members_[static_cast<size_t>(j)].joining.push_back(i);
     }
   }
   CompactMemberPool();
@@ -534,32 +483,6 @@ size_t IncrementalEngine::MemberPosition(const BlockMembers& members, size_t ind
     }
   }
   return lo;
-}
-
-void IncrementalEngine::RebuildMembers(std::span<const Task> pending) {
-  // Rare: only a batch that reorders the previous one's tasks gets here. Every list is
-  // rebuilt in batch order; a block is dirty iff its requester sequence changed.
-  std::vector<std::vector<TaskId>> before(members_.size());
-  for (size_t g = 0; g < members_.size(); ++g) {
-    before[g].assign(members_[g].ids().begin(), members_[g].ids().end());
-    members_[g].Clear();
-    members_[g].leaving.clear();
-    members_[g].joining.clear();
-  }
-  member_refs_ = 0;
-  for (size_t i = 0; i < pending.size(); ++i) {
-    const Task& task = pending[i];
-    Join(i, task);
-    for (BlockId j : task.blocks) {
-      BlockMembers& members = members_[static_cast<size_t>(j)];
-      members.Insert(members.ids().size(), task);
-    }
-  }
-  for (size_t g = 0; g < members_.size(); ++g) {
-    if (!std::ranges::equal(members_[g].ids(), before[g])) {
-      MarkDirty(static_cast<BlockId>(g));
-    }
-  }
 }
 
 bool IncrementalEngine::Accepts(const Task& task, const BlockManager& blocks,

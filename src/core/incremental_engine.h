@@ -8,6 +8,7 @@
 //   1. ObserveBatch walks the previous batch's task entries along this batch (see Task-side
 //      state), carrying over each task that matches its entry, and records the arrivals and
 //      departures; a new or changed task has its block ids checked and starts without a memo.
+//      Every batch takes this one walk, whatever its order.
 //   2. SyncBlocks records arrivals (dirty) and the blocks the one version-tree drill-down
 //      reports changed (dirty); for DPack it applies the membership events to the requester
 //      columns (dirtying their blocks) and solves the dirty blocks' best alphas. Scores read
@@ -40,8 +41,9 @@
 //     their ids, weights and copied demand columns, plus each column's smallest demands
 //     (SmallestDemands), which is what BestAlphaForBlock reads. The walk's departures leave
 //     their blocks and its arrivals join theirs; only these events touch the columns, and
-//     they mark exactly their blocks dirty. A batch that breaks the order rebuilds the
-//     columns and marks dirty the blocks whose requester sequence changed.
+//     they mark exactly their blocks dirty. The walk keeps the columns in batch order: carried
+//     tasks keep their relative order, a re-resolved task rejoins in its place, and arrivals
+//     form the batch's tail, so they append.
 //
 // Task-side state: one TaskEntry per task, in batch order. The batch keeps a stable relative
 // order (OnlineScheduler appends arrivals and compacts grants and evictions stably), so
@@ -56,16 +58,18 @@
 // a cycle coexisted with every task submitted before it (so their buffers are distinct),
 // while a task submitted later meets its entry already departed. The walk consults the id
 // index (TaskIndex) only where it mismatches: to tell an arrival from a survivor whose
-// predecessors departed.
+// predecessors departed. A departing entry leaves the index as the walk passes it, so an id
+// the index no longer holds is an arrival, and one held behind the walk was carried earlier
+// in this batch: a repeated id. From the first arrival on, every remaining entry departs and
+// every later task arrives. A batch that breaks the order therefore costs only reuse: a task
+// moved ahead of others is carried, and the tasks it passed rejoin without their memos.
 //
 // The rejection memo. A rejected task remembers the first block that rejected it and that
 // block's version. Versions only grow and an unchanged version proves the block's state
 // bit-identical, so while the version holds the block still rejects the task, whatever its
 // other blocks do; the pass skips it without a check. Commits made earlier in the same walk
 // bump versions and so re-enable the check. The memo names the block holding the task back.
-// A batch that breaks the order (a reordered batch, or an arrival between two carried
-// tasks) rebuilds its entries, keeping the memo of each task whose id and block vector
-// match a previous entry.
+// It lives in the task's entry, so it lasts exactly as long as the walk carries the task.
 //
 // Batches with duplicate task ids fall back to RecomputeScheduleBatch.
 //
@@ -125,8 +129,6 @@ class BlockMembers {
   // Drops the members named in `leaving`, whose ids appear there in member order; the rest
   // keep their order. `at` is scratch.
   void RemoveLeaving(std::vector<size_t>& at);
-  // Drops every member, keeping the storage.
-  void Clear();
   // Drops the columns of the orders `block` (this block, after a commit) has exhausted.
   void DropExhaustedOrders(const PrivacyBlock& block);
 
@@ -212,18 +214,11 @@ class IncrementalEngine {
  private:
   // Step 1 of the cycle: walks the previous batch's entries along `pending` into batch_,
   // checking the block ids of the arrivals and changed tasks, and records the departures and
-  // (DPack) the membership events; a batch that breaks the order goes to RebuildBatch.
-  // Returns false, having stopped early, on a repeated task id.
+  // (DPack) the membership events. Returns false, having stopped early, on a repeated task id.
   bool ObserveBatch(std::span<const Task> pending, size_t block_count);
-  // The rare path of ObserveBatch: rebuilds batch_ and the index in batch order, keeping the
-  // memo of each task whose id and block vector match a previous entry, and has SyncBlocks
-  // rebuild the requester columns. Returns false on a repeated task id.
-  bool RebuildBatch(std::span<const Task> pending, size_t block_count);
   // Absorbs arrivals and changed blocks' versions; for DPack, applies the membership events
-  // (or rebuilds the requester columns) and solves the dirty blocks' best alphas.
+  // and solves the dirty blocks' best alphas.
   void SyncBlocks(const BlockManager& blocks, std::span<const Task> pending);
-  // Re-registers every task of a batch that broke the previous batch's relative order.
-  void RebuildMembers(std::span<const Task> pending);
   std::span<const BlockId> MemberOf(const TaskEntry& entry) const {
     return {member_pool_.data() + entry.member_at, entry.blocks_len};
   }
@@ -270,13 +265,11 @@ class IncrementalEngine {
   std::vector<BlockId> dirty_ids_;
   // DPack membership events of this cycle, from ObserveBatch: positions in prev_batch_ of
   // the entries leaving their blocks (departed, or carried onto a changed block list), in
-  // batch order; batch indices of the tasks joining theirs (arrivals and changed tasks);
-  // and whether the batch kept the previous one's relative order (else the columns are
-  // rebuilt). Tasks from `tail_start_` on are all arrivals, so they join at the end of
-  // their blocks' columns.
+  // batch order; and batch indices of the tasks joining theirs (arrivals and changed tasks).
+  // Tasks from `tail_start_` on are all arrivals, so they join at the end of their blocks'
+  // columns.
   std::vector<uint32_t> leaving_;
   std::vector<size_t> joining_;
-  bool members_ordered_ = true;
   size_t tail_start_ = 0;
   // DPack: the batch tasks' member blocks, appended as tasks join and compacted to this
   // batch's (member_refs_ of them) when departed tasks' lists dominate.
@@ -290,7 +283,6 @@ class IncrementalEngine {
   std::vector<TaskEntry> batch_;       // This batch, in order.
   TaskIndex index_;                    // The pending tasks' keys.
   uint64_t next_key_ = 0;              // The next arrival's key.
-  std::vector<TaskId> departed_;       // This walk's departures still in index_.
   // This cycle's candidates (slot = batch index), then in allocation order. Both buffers
   // persist and hold room for a whole batch, so they grow only with the queue's maximum.
   std::vector<HeapEntry> candidates_;

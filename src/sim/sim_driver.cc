@@ -211,22 +211,19 @@ SimResult RunOnline(std::unique_ptr<Scheduler> scheduler, const ClusterSnapshot*
     meta.fair_share_n = online.config().fair_share_n;
     return CaptureSnapshot(blocks, online.pending(), online.metrics(), meta);
   };
-  double end_time = 0.0;
   WalkSchedule(
       {first_block, end_block}, tasks, cycle_instants,
       [&](double t) {
         blocks.AddBlock(t, /*unlocked=*/blocks.block_count() < hooks.unlocked_blocks);
-        end_time = t;
         return true;
       },
-      [&](double t, std::span<Task> run) {
+      [&](double, std::span<Task> run) {
         for (Task& task : run) {
           if (hooks.before_submit) {
             hooks.before_submit();
           }
           online.Submit(std::move(task));
         }
-        end_time = t;
         return true;
       },
       [&](double t) {
@@ -235,7 +232,6 @@ SimResult RunOnline(std::unique_ptr<Scheduler> scheduler, const ClusterSnapshot*
         if (config.record_grant_trace) {
           result.grant_trace.push_back(online.last_granted());
         }
-        end_time = t;
         if (hooks.after_cycle) {
           // The next instant is t + period: the cycle instants are that same addition.
           hooks.after_cycle(
@@ -252,7 +248,6 @@ SimResult RunOnline(std::unique_ptr<Scheduler> scheduler, const ClusterSnapshot*
     result.scheduler_stats = *stats;
   }
   result.blocks_created = blocks.block_count();
-  result.end_time = std::max(end_time, after);  // A resume ends no earlier than its checkpoint.
   result.pending_at_end = online.pending_count();
   result.admission_rejected = online.admission_rejected();
   return result;
@@ -300,7 +295,6 @@ SimResult RunOfflineSchedule(Scheduler& scheduler, std::vector<Task> tasks,
                                     IsFairShareTask(tasks[idx], blocks, fair_n));
   }
   result.blocks_created = blocks.block_count();
-  result.end_time = 0.0;
   result.cycles_run = 1;
   result.pending_at_end = tasks.size() - granted.size();
   return result;

@@ -71,7 +71,6 @@ struct SimConfig {
 struct SimResult {
   AllocationMetrics metrics;
   size_t blocks_created = 0;
-  double end_time = 0.0;
   size_t cycles_run = 0;
   size_t pending_at_end = 0;
   // Incremental-engine counters of the run's scheduler (zeros when the scheduler has no

@@ -1,7 +1,5 @@
 #include "src/common/csv.h"
 
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 
 #include <gtest/gtest.h>
@@ -9,13 +7,13 @@
 namespace dpack {
 namespace {
 
-TEST(CsvTableTest, WritesCsvWithHeader) {
+TEST(CsvTableTest, AlignedOutputPadsEachColumnToItsWidestCell) {
   CsvTable table({"a", "b"});
-  table.NewRow().Add(std::string("x")).Add(int64_t{2});
+  table.NewRow().Add(std::string("xyz")).Add(int64_t{2});
   table.NewRow().Add(1.5).Add(size_t{7});
   std::ostringstream os;
-  table.WriteCsv(os);
-  EXPECT_EQ(os.str(), "a,b\nx,2\n1.5,7\n");
+  table.WriteAligned(os);
+  EXPECT_EQ(os.str(), "a    b\nxyz  2\n1.5  7\n");
 }
 
 TEST(CsvTableTest, AlignedOutputHasAllCells) {
@@ -25,28 +23,6 @@ TEST(CsvTableTest, AlignedOutputHasAllCells) {
   table.WriteAligned(os);
   EXPECT_NE(os.str().find("alpha"), std::string::npos);
   EXPECT_NE(os.str().find("3.25"), std::string::npos);
-}
-
-TEST(CsvTableTest, RowCountTracksRows) {
-  CsvTable table({"x"});
-  EXPECT_EQ(table.row_count(), 0u);
-  table.NewRow().Add(1.0);
-  table.NewRow().Add(2.0);
-  EXPECT_EQ(table.row_count(), 2u);
-}
-
-TEST(CsvTableTest, SaveCsvRoundTrips) {
-  CsvTable table({"k", "v"});
-  table.NewRow().Add(std::string("key")).Add(int64_t{42});
-  std::string path = testing::TempDir() + "/dpack_csv_test.csv";
-  ASSERT_TRUE(table.SaveCsv(path));
-  std::ifstream in(path);
-  std::string line;
-  std::getline(in, line);
-  EXPECT_EQ(line, "k,v");
-  std::getline(in, line);
-  EXPECT_EQ(line, "key,42");
-  std::remove(path.c_str());
 }
 
 TEST(FormatDoubleTest, CompactFormats) {

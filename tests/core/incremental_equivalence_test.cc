@@ -3,10 +3,12 @@
 // recompute-everything reference path, for every greedy metric. The traces exercise
 // the full protocol the caches depend on: commits (via grants), stepwise budget unlocking,
 // online block arrival, task arrival and eviction, late block resolution, and weighted as
-// well as uniform-weight batches.
+// well as uniform-weight batches; some legs go beyond it, with reused ids and with batches
+// that break the queue's order.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <vector>
@@ -42,6 +44,10 @@ struct TraceOptions {
   // task has its own demand and weight, and its block list is a copy in its own buffer.
   double reuse_granted_probability = 0.0;
   double reuse_timed_out_probability = 0.0;
+  // Batches that break the queue's order, which OnlineScheduler never produces. Per cycle,
+  // with this chance, one of: a pending task moves to a random position; an arrival is put
+  // ahead of pending tasks; a task leaves from mid-queue and the next arrival takes its id.
+  double reorder_probability = 0.0;
   // Demands as a random fraction of the capacity at each order, instead of one fraction of
   // the whole curve: requesters then differ in which orders they fit, so a requester column
   // holding another task's demand can move a block's best alpha.
@@ -78,6 +84,20 @@ void RunDifferentialTrace(GreedyMetric metric, const TraceOptions& options) {
     }
     Task task(id, weight, std::move(demand));
     task.arrival_time = now;
+    return task;
+  };
+  // A new task with `id` on random blocks, or (unresolved) on the most recent ones.
+  auto arrival = [&](TaskId id, double now) {
+    Task task = new_task(id, now);
+    if (rng.Bernoulli(options.unresolved_probability)) {
+      task.num_recent_blocks = static_cast<size_t>(rng.UniformInt(1, 3));
+    } else {
+      int64_t most = std::min<int64_t>(4, static_cast<int64_t>(rec_blocks.block_count()));
+      size_t count = static_cast<size_t>(rng.UniformInt(1, most));
+      for (size_t idx : rng.SampleWithoutReplacement(rec_blocks.block_count(), count)) {
+        task.blocks.push_back(static_cast<BlockId>(idx));
+      }
+    }
     return task;
   };
   // A new task with `old`'s id and a copy of its block request.
@@ -126,21 +146,40 @@ void RunDifferentialTrace(GreedyMetric metric, const TraceOptions& options) {
       pending.push_back(reuse_id_of(just_granted[pick], now));
     }
 
+    // Reorders. Traces without them draw nothing here, so their streams stay as they were.
+    if (options.reorder_probability > 0.0 && pending.size() >= 2 &&
+        rng.Bernoulli(options.reorder_probability)) {
+      auto position = [&](size_t bound) {  // Uniform in [0, bound].
+        return static_cast<std::ptrdiff_t>(rng.UniformInt(0, static_cast<int64_t>(bound)));
+      };
+      switch (rng.UniformInt(0, 2)) {
+        case 0: {  // Moves one task, so its buffer travels with it.
+          auto from = pending.begin() + position(pending.size() - 1);
+          auto to = pending.begin() + position(pending.size() - 1);
+          if (from < to) {
+            std::rotate(from, from + 1, to + 1);
+          } else {
+            std::rotate(to, from, from + 1);
+          }
+          break;
+        }
+        case 1:  // An arrival ahead of at least one pending task.
+          pending.insert(pending.begin() + position(pending.size() - 1), arrival(next_id++, now));
+          break;
+        default: {  // Not the last task, so the arrival lands after tasks that follow it.
+          auto victim = pending.begin() + position(pending.size() - 2);
+          TaskId id = victim->id;
+          pending.erase(victim);
+          pending.push_back(arrival(id, now));
+          break;
+        }
+      }
+    }
+
     // New arrivals.
     int64_t arrivals = rng.UniformInt(0, static_cast<int64_t>(options.max_tasks_per_cycle));
     for (int64_t k = 0; k < arrivals; ++k) {
-      Task task = new_task(next_id++, now);
-      if (rng.Bernoulli(options.unresolved_probability)) {
-        task.num_recent_blocks = static_cast<size_t>(rng.UniformInt(1, 3));
-      } else {
-        size_t count = static_cast<size_t>(
-            rng.UniformInt(1, std::min<int64_t>(4, static_cast<int64_t>(
-                                                       rec_blocks.block_count()))));
-        for (size_t idx : rng.SampleWithoutReplacement(rec_blocks.block_count(), count)) {
-          task.blocks.push_back(static_cast<BlockId>(idx));
-        }
-      }
-      pending.push_back(std::move(task));
+      pending.push_back(arrival(next_id++, now));
     }
 
     std::vector<size_t> rec_granted = recompute.ScheduleBatch(pending, rec_blocks);
@@ -241,6 +280,16 @@ TEST_P(IncrementalEquivalenceTest, IdReusedRightAfterItsGrant) {
     TraceOptions options;
     options.seed = seed;
     options.reuse_granted_probability = 0.5;
+    options.shaped_demands = true;
+    ASSERT_NO_FATAL_FAILURE(RunDifferentialTrace(GetParam(), options));
+  }
+}
+
+TEST_P(IncrementalEquivalenceTest, BatchesThatBreakTheQueueOrder) {
+  for (uint64_t seed = 1; seed <= ReuseSeeds(); ++seed) {
+    TraceOptions options;
+    options.seed = seed;
+    options.reorder_probability = 0.5;
     options.shaped_demands = true;
     ASSERT_NO_FATAL_FAILURE(RunDifferentialTrace(GetParam(), options));
   }

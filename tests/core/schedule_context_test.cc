@@ -37,6 +37,13 @@ Task OversizedTask(TaskId id, std::vector<BlockId> block_ids) {
   return t;
 }
 
+// A task demanding `fraction` of a fresh block's capacity at every order, on `block_ids`.
+Task FractionTask(TaskId id, std::vector<BlockId> block_ids, double fraction) {
+  Task t(id, 1.0, CapacityFraction(fraction));
+  t.blocks = std::move(block_ids);
+  return t;
+}
+
 constexpr double kEta = 0.05;
 
 class ScheduleContextTest : public testing::Test {
@@ -456,32 +463,64 @@ TEST_F(ScheduleContextTest, LateResolvedTaskJoinsItsBlocksInBatchOrder) {
   EXPECT_EQ(context.stats().full_recomputes, 0u);
 }
 
-TEST_F(ScheduleContextTest, PermutedBatchRebuildsTheRequesterColumns) {
-  // A batch that reorders the previous one is not the stable order the events assume: the
-  // columns are rebuilt, and exactly the blocks whose requester sequence changed re-solve.
+TEST_F(ScheduleContextTest, ReversedBatchCarriesItsFirstTaskAndRejoinsTheRest) {
+  // A batch that reorders the previous one takes the ordinary walk: the task it puts first
+  // is carried with its memo, and the tasks that task passed depart and rejoin at the tail as
+  // arrivals, without memos. Block 3 is nearly exhausted, so no task naming it is granted.
+  auto [x, y] = FirstTwoUsableOrders();
+  blocks_.block(3).Commit(CapacityFraction(0.99));
   IncrementalEngine context(GreedyMetric::kDpack, kEta);
   std::vector<Task> pending;
-  pending.push_back(OversizedTask(0, {0}));
-  pending.push_back(OversizedTask(1, {0, 1}));
-  pending.push_back(OversizedTask(2, {1}));
-  pending.push_back(OversizedTask(3, {0}));
+  pending.push_back(FitsAtOrders(0, {0, 3}, {x, y}, 0.4));
+  pending.push_back(FitsAtOrders(1, {0, 1, 3}, {x}, 0.4));
+  pending.push_back(FitsAtOrders(2, {1, 3}, {y}, 0.4));
+  pending.push_back(FitsAtOrders(3, {0, 3}, {y}, 0.4));
   pending.push_back(OversizedTask(4, {2}));
   CheckedCycle(context, pending, blocks_);
   uint64_t solved = context.stats().best_alpha_recomputes;
 
-  // Blocks 0 and 1 see their requesters reversed; block 2's single requester stays as it
-  // was. Nothing fits, so no task is scored and every memo holds.
+  // Task 4 is carried and keeps its memo; tasks 3, 2, 1 and 0 leave blocks 0, 1 and 3 and
+  // rejoin them, so those three re-solve while block 2 keeps its one requester.
   std::reverse(pending.begin(), pending.end());
   CheckedCycle(context, pending, blocks_);
-  EXPECT_EQ(context.stats().best_alpha_recomputes, solved + 2);
+  EXPECT_EQ(context.stats().best_alpha_recomputes, solved + 3);
   EXPECT_EQ(context.stats().tasks_rescored, 0u);
-  EXPECT_EQ(context.stats().tasks_reused, 5u);
+  EXPECT_EQ(context.stats().tasks_reused, 1u);
 
-  // The rebuilt columns take the next cycle's events: task 1 leaves blocks 0 and 1.
+  // The next cycle's events apply to the rejoined columns. Task 1 leaves and tasks 10 and
+  // 11 join block 0, fitting it only at x and only at y: three requesters fit at y (3, 0,
+  // 11) and two at x (0, 10), so its best alpha is y. With task 1 still counted, or with the
+  // rejoined tasks counted twice, x would tie and win. Either grant of 10 and 11 leaves no
+  // room for the other, so the best alpha decides which one is granted.
   pending.erase(pending.begin() + 3);
+  pending.push_back(FitsAtOrders(10, {0}, {x}, 0.1));
+  pending.push_back(FitsAtOrders(11, {0}, {y}, 0.1));
+  std::vector<size_t> granted = CheckedCycle(context, pending, blocks_);
+  ASSERT_EQ(granted.size(), 1u);
+  EXPECT_EQ(pending[granted[0]].id, 11);
+  EXPECT_EQ(context.stats().best_alpha_recomputes, solved + 6);
+  EXPECT_EQ(context.stats().tasks_rescored, 2u);
+  EXPECT_EQ(context.stats().tasks_reused, 1u + 4u);
+  EXPECT_EQ(context.stats().full_recomputes, 0u);
+}
+
+TEST_F(ScheduleContextTest, IdReusedAfterAMidQueueEvictionArrivesWithoutARebuild) {
+  // Task 2 is evicted from the middle of the queue and an arrival reuses its id: the walk
+  // drops 2 as it passes it, so the arrival is new, and the tasks around it keep their state.
+  IncrementalEngine context(GreedyMetric::kDpack, kEta);
+  std::vector<Task> pending;
+  pending.push_back(OversizedTask(1, {0}));
+  pending.push_back(OversizedTask(2, {1}));
+  pending.push_back(OversizedTask(3, {2}));
   CheckedCycle(context, pending, blocks_);
-  EXPECT_EQ(context.stats().best_alpha_recomputes, solved + 4);
-  EXPECT_EQ(context.stats().tasks_reused, 5u + 4u);
+  uint64_t solved = context.stats().best_alpha_recomputes;
+
+  pending.erase(pending.begin() + 1);
+  pending.push_back(FractionTask(2, {1, 3}, 0.3));
+  EXPECT_EQ(CheckedCycle(context, pending, blocks_), (std::vector<size_t>{2}));
+  EXPECT_EQ(context.stats().tasks_reused, 2u);  // Tasks 1 and 3.
+  EXPECT_EQ(context.stats().tasks_rescored, 1u);
+  EXPECT_EQ(context.stats().best_alpha_recomputes, solved + 2);  // Blocks 1 and 3.
   EXPECT_EQ(context.stats().full_recomputes, 0u);
 }
 
@@ -498,13 +537,6 @@ TEST_F(ScheduleContextTest, VersionedManagersSurviveCloning) {
   context.ScheduleBatch(pending, clone);
   EXPECT_EQ(context.stats().blocks_refreshed, 0u);
   EXPECT_EQ(context.stats().tasks_reused, 1u);
-}
-
-// A task demanding `fraction` of a fresh block's capacity at every order, on `block_ids`.
-Task FractionTask(TaskId id, std::vector<BlockId> block_ids, double fraction) {
-  Task t(id, 1.0, CapacityFraction(fraction));
-  t.blocks = std::move(block_ids);
-  return t;
 }
 
 TEST_F(ScheduleContextTest, TasksInfeasibleAtTheStartAreNeverScored) {

@@ -157,7 +157,6 @@ TEST(SimDriverOrderTest, TaskAfterTheLastCycleIsSubmittedAndEndsTheRun) {
   EXPECT_EQ(result.metrics.submitted(), 2u);
   EXPECT_EQ(result.metrics.allocated(), 1u);
   EXPECT_EQ(result.pending_at_end, 1u);
-  EXPECT_DOUBLE_EQ(result.end_time, 5.0);
 }
 
 TEST(CycleInstantsTest, ResumedSequenceContinuesTheUninterruptedOne) {
